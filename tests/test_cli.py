@@ -160,6 +160,61 @@ def test_oracle_weighted_runs_alternative_checks(capsys):
     assert "row-sum: PASS" in out
 
 
+# Inputs whose reports fail, written inline: three concurrent lines with
+# multiplicities 3, 4, 5 (chi(U) = -1, so a cell is negative), a corrupted
+# incidence matrix, and the cubic-pencil (a=3, b=2, c=2) point grown by one
+# branch without touching nodes or incidence.
+INLINE_REPORT_CASES = {
+    "concurrent-lines-345": ("component degree=1 mult=3\n"
+                             "component degree=1 mult=4\n"
+                             "component degree=1 mult=5\n"
+                             "point weights=1,1 branches=(1:3)(1:4)(1:5)\n"
+                             "incidence 3x1\n"),
+    "corrupted-incidence": ("component degree=1 mult=1 count=2\n"
+                            "nodes 1\n"
+                            "incidence-matrix 1 0\n"),
+    "cubic-pencil-grown-point": ("component degree=3 mult=3\n"
+                                 "component degree=3 mult=1 count=2\n"
+                                 "component degree=1 mult=2\n"
+                                 "component degree=1 mult=1\n"
+                                 "point weights=1,1 branches=(1:3)(1:3)(1:2)"
+                                 "(1:1)(1:1)(1:1)(1:1)(1:1)(1:1)\n"
+                                 "nodes 21\n"
+                                 "incidence 3x2 2x1\n"),
+}
+
+# case -> (fixture or None for inline text, params, verify exit, oracle exit);
+# tests/golden/<case>.verify and <case>.oracle hold the exact stdout
+REPORT_CASES = {
+    **{golden[:-len(".rows")]: (fixture, params, 0, 0)
+       for fixture, params, golden in GOLDEN_CASES},
+    "two-lines": ("two-lines.cfg", {}, 0, 0),
+    "cuspidal-cubic": ("cuspidal-cubic.cfg", {}, 0, 2),
+    "doubled-cuspidal-cubic": ("doubled-cuspidal-cubic.cfg", {}, 0, 0),
+    "conic-squared": ("conic-squared.cfg", {}, 0, 2),
+    "concurrent-lines-345": (None, {}, 1, 0),
+    "corrupted-incidence": (None, {}, 1, 0),
+    "cubic-pencil-grown-point": (None, {}, 1, 1),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+@pytest.mark.parametrize("case", list(REPORT_CASES))
+def test_report_matches_golden(capsys, tmp_path, case, command):
+    fixture, params, verify_code, oracle_code = REPORT_CASES[case]
+    if fixture is None:
+        path = tmp_path / f"{case}.cfg"
+        path.write_text(INLINE_REPORT_CASES[case])
+    else:
+        path = FIXTURES / fixture
+    argv = [command, path]
+    for name, value in params.items():
+        argv += ["--param", f"{name}={value}"]
+    code, out, _ = run(capsys, *argv)
+    assert out == (GOLDEN / f"{case}.{command}").read_text()
+    assert code == (verify_code if command == "verify" else oracle_code)
+
+
 def test_scan_five_lines_grid(capsys):
     code, out, _ = run(capsys, "scan", FIXTURES / "five-lines.vectors",
                        "--range", "a=1..5", "--range", "b=1..5",

@@ -3,7 +3,8 @@
 Commands: ``compute`` (spectrum table of a curve config), ``reduced``
 (reduced-cone spectrum, its power transform, and the n=2 table),
 ``verify`` (invariant checks), ``oracle`` (differential report against the
-independent reference), ``scan`` (parameter grids to CSV).
+independent reference), ``scan`` (parameter grids to CSV). The checks of
+``verify`` and ``oracle`` are defined in `conespec.oracle`.
 
 Exit codes: 0 success, 1 verification or oracle mismatch, 2 input error.
 """
@@ -14,17 +15,14 @@ import argparse
 import csv
 import itertools
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
-                     ReducedConeConfig, curve_table, incidence_consistent,
-                     index_data, local_data_table, ordinary_middle_row,
+from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
+                     curve_table, local_data_table, ordinary_middle_row,
                      reduced_cone_spectrum, thickened_spectrum)
-from .local import LocalBranch, SingularPoint
 from .formats import (ConfigError, emit_table, looks_like_vectors,
                       parse_native, parse_singular, parse_vector_text)
-from .oracle import as_reduced_cone, cross_check
+from .oracle import cross_check, has_reference, verify
 from .spectrum import SpectrumVector
 
 OK, MISMATCH, INPUT_ERROR = 0, 1, 2
@@ -114,104 +112,10 @@ def cmd_reduced(args) -> int:
     return OK
 
 
-@dataclass
-class _Verifier:
-    lines: list = field(default_factory=list)
-    ok: bool = True
-
-    def check(self, name: str, passed: bool, detail: str = ""):
-        suffix = "" if passed or not detail else f" ({detail})"
-        self.lines.append(f"{name}: {'PASS' if passed else 'FAIL'}{suffix}")
-        self.ok = self.ok and passed
-
-
-def _verify_curve(cfg: CurveConfig, out: _Verifier):
-    table = curve_table(cfg)
-    out.check("row-sum", table.row_sums_ok())
-    out.check("rows-nonnegative", table.nonnegative_ok(),
-              "a genuine-multiplicity cell is negative")
-
-    ranges_ok = True
-    d = cfg.degree
-    for i in range(1, d + 1):
-        shift, twist, residues = index_data(cfg, i)
-        if not (0 <= shift <= i - 1 and 1 <= twist <= i):
-            ranges_ok = False
-        if any(not (0 < r <= 1) for r in residues):
-            ranges_ok = False
-    _, twist_d, _ = index_data(cfg, d)
-    ranges_ok = ranges_ok and twist_d == cfg.reduced_degree
-    out.check("index-ranges", ranges_ok)
-
-    spectra_ok = True
-    for p in cfg.points:
-        spec = p.local_spectrum()
-        if not (spec.has_valid_support() and spec.is_symmetric()
-                and spec.total() == p.milnor()):
-            spectra_ok = False
-    out.check("local-spectra", spectra_ok)
-
-    if cfg.incidence is not None and cfg.incidence.matrix is not None:
-        out.check("incidence-product", incidence_consistent(cfg),
-                  "a component pair meets the matrix inconsistently")
-    if cfg.is_ordinary() and cfg.incidence is not None:
-        out.check("middle-agreement",
-                  list(table.rows[1]) == ordinary_middle_row(cfg),
-                  "incidence route disagrees with the balance route")
-    if cfg.is_reduced():
-        alt = local_data_table(cfg.degree,
-                               [p.local_spectrum() for p in cfg.points]
-                               + [SpectrumVector({Fraction(1): 1}, 2)] * cfg.nodes)
-        out.check("local-table-agreement", alt.rows == table.rows,
-                  "table from local spectra disagrees")
-    mults = {c.multiplicity for c in cfg.components}
-    if len(mults) == 1 and (m := mults.pop()) > 1:
-        branch_ok = all(b.multiplicity == m for p in cfg.points
-                        for b in p.branches)
-        if branch_ok:
-            reduced = CurveConfig(
-                components=tuple(GlobalComponent(c.degree, 1)
-                                 for c in cfg.components),
-                points=tuple(
-                    SingularPoint(p.weights,
-                                  tuple(LocalBranch(b.weighted_degree, 1)
-                                        for b in p.branches))
-                    for p in cfg.points),
-                nodes=cfg.nodes)
-            rc = as_reduced_cone(reduced, power=m)
-            sv = thickened_spectrum(reduced_cone_spectrum(rc), rc)
-            out.check("thickening-agreement", sv == table.as_spectrum(),
-                      "power-transform route disagrees")
-
-
-def _verify_reduced(cfg: ReducedConeConfig, out: _Verifier):
-    spectra_ok = all(s.has_valid_support() and s.is_symmetric()
-                     for s in cfg.local_spectra)
-    out.check("local-spectra", spectra_ok)
-    base = reduced_cone_spectrum(cfg)
-    if cfg.ambient_dim == 2:
-        table = local_data_table(cfg.degree, cfg.local_spectra)
-        out.check("row-sum", table.row_sums_ok())
-        out.check("table-spectrum-agreement", table.as_spectrum() == base,
-                  "table rows disagree with the spectrum")
-    if cfg.power > 1:
-        power = thickened_spectrum(base, cfg)
-        out.check("power-support",
-                  all(0 < e < cfg.ambient_dim + 1 for e, _ in power.items()))
-
-
 def cmd_verify(args) -> int:
-    binding = _parse_params(args.param)
-    cfg = _read_config(args.path, binding)
-    out = _Verifier()
-    if isinstance(cfg, CurveConfig):
-        _verify_curve(cfg, out)
-    else:
-        _verify_reduced(cfg, out)
-    for line in out.lines:
-        print(line)
-    print("result: " + ("pass" if out.ok else "FAIL"))
-    return OK if out.ok else MISMATCH
+    report = verify(_read_config(args.path, _parse_params(args.param)))
+    sys.stdout.write(report.render(("pass", "FAIL"), "({})"))
+    return OK if report.passed else MISMATCH
 
 
 def cmd_oracle(args) -> int:
@@ -219,7 +123,7 @@ def cmd_oracle(args) -> int:
     cfg = _read_config(args.path, binding)
     if not isinstance(cfg, CurveConfig):
         raise ConfigError("mode-conflict", "oracle expects a curve config")
-    if not (cfg.is_ordinary() and cfg.incidence is not None):
+    if not has_reference(cfg):
         print("# config is not ordinary-with-incidence; running the "
               "engine-side checks (column sums, local-spectra table, "
               "brute-force counters)")

@@ -81,10 +81,6 @@ class Incidence:
         pairs = tuple(sorted((c, v) for v, c in counts.items()))
         return cls(pairs, matrix)
 
-    @property
-    def is_full(self) -> bool:
-        return self.matrix is not None
-
 
 @dataclass(frozen=True)
 class CurveConfig:
@@ -248,10 +244,14 @@ def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
                 for b in point.branches), Fraction(0))
 
 
+def _chi_complement(dprime: int, milnor_total: int) -> int:
+    """chi(U) of a reduced plane curve from its degree and Milnor sum."""
+    return 3 - ((3 - dprime) * dprime + milnor_total)
+
+
 def euler_complement(cfg: CurveConfig) -> int:
     """Euler number of the complement of the reduced curve in the plane."""
-    dp = cfg.reduced_degree
-    return 3 - ((3 - dp) * dp + cfg.total_milnor())
+    return _chi_complement(cfg.reduced_degree, cfg.total_milnor())
 
 
 def euler_generic_union(degrees: Sequence[int]) -> int:
@@ -274,9 +274,7 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
     cfg.validate_points()
     d = cfg.degree
     dp = cfg.reduced_degree
-    mu_total = cfg.total_milnor()
-    top = (dp - 3) * dp + 3
-    chi = top - mu_total
+    chi = euler_complement(cfg)
     row0, row1, row2 = [], [], []
     for i in range(1, d + 1):
         _, twist, _ = index_data(cfg, i)
@@ -288,7 +286,7 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
             ceil_g = math.ceil(residue_degree(p, i, d))
             r0 -= lattice_count(w, wp, ceil_g - 1)
             r2 -= lattice_count(w, wp, p.weighted_degree - ceil_g)
-        r1 = top - mu_total - r0 - r2 - delta
+        r1 = chi - r0 - r2 - delta
         row0.append(r0)
         row1.append(r1)
         row2.append(r2)
@@ -422,5 +420,5 @@ def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> Co
         row0.append(binom2(i - 1) - m0)
         row1.append((i - 1) * (d - i - 1) + binom2(d) - m1)
         row2.append(binom2(d - i - 1) - m2 - (1 if i == d else 0))
-    chi = 3 - ((3 - d) * d + sum(s.total() for s in specs))
+    chi = _chi_complement(d, sum(s.total() for s in specs))
     return ConeSpectrumTable(d, d, chi, (tuple(row0), tuple(row1), tuple(row2)))

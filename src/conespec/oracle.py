@@ -1,4 +1,4 @@
-"""Independent implementations used for differential testing.
+"""Independent implementations and the checks of ``verify`` and ``oracle``.
 
 `reference_ordinary` is a deliberately literal array-walking program for
 ordinary-singularity configurations, kept independent of the engine module
@@ -6,20 +6,21 @@ ordinary-singularity configurations, kept independent of the engine module
 are computed exactly instead of through a bounded 100 - int(100 - v) trick;
 the trick is still evaluated and asserted to agree on its valid domain).
 `cross_check` runs the engine against it and against the brute-force
-counters and reports the first differing cell.
+counters and reports the first differing cell; `verify` runs the invariants
+that apply to a config. Both return a `CheckReport` of kinded checks.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
-                     Incidence, ReducedConeConfig, binom2, curve_table,
-                     local_data_table, ordinary_middle_row, residue_degree,
-                     smooth_cone_coeffs)
+                     ReducedConeConfig, curve_table, incidence_consistent,
+                     index_data, local_data_table, ordinary_middle_row,
+                     reduced_cone_spectrum, residue_degree, smooth_cone_coeffs,
+                     thickened_spectrum)
 from .local import LocalBranch, SingularPoint, lattice_count
 from .spectrum import SpectrumVector
 
@@ -152,9 +153,13 @@ def reference_ordinary(cfg: CurveConfig) -> ConeSpectrumTable:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named check. `kind` is "identity" (holds by construction),
+    "oracle" (independent recomputation) or "expectation" (may fail)."""
+
     name: str
     passed: bool
     detail: str = ""
+    kind: str = "oracle"
 
 
 @dataclass(frozen=True)
@@ -165,19 +170,23 @@ class CheckReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def render(self) -> str:
+    def render(self, words=("all-pass", "MISMATCH"), detail="{}") -> str:
+        """Check lines, failing details through the `detail` form, then
+        ``result:`` with words[0] if every check passed, else words[1]."""
         lines = []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
-            suffix = f" {c.detail}" if c.detail and not c.passed else ""
+            suffix = (" " + detail.format(c.detail)
+                      if c.detail and not c.passed else "")
             lines.append(f"{c.name}: {status}{suffix}")
-        lines.append("result: " + ("all-pass" if self.passed else "MISMATCH"))
+        lines.append("result: " + (words[0] if self.passed else words[1]))
         return "\n".join(lines) + "\n"
 
     def record(self) -> dict:
         return {
             "passed": self.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+            "checks": [{"name": c.name, "kind": c.kind, "passed": c.passed,
+                        "detail": c.detail}
                        for c in self.checks],
         }
 
@@ -203,8 +212,13 @@ def _touched_lattice_args(cfg: CurveConfig) -> set[tuple[int, int, int]]:
     return args
 
 
+def has_reference(cfg: CurveConfig) -> bool:
+    """Whether `reference_ordinary` applies: ordinary points, incidence data."""
+    return cfg.is_ordinary() and cfg.incidence is not None
+
+
 def cross_check(cfg: CurveConfig) -> CheckReport:
-    """Differential test of the engine on one configuration.
+    """Differential test of the engine on one configuration (``oracle``).
 
     Ordinary configs with incidence data are checked cell by cell against the
     reference program; other (weighted) configs fall back to the engine-only
@@ -214,14 +228,12 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
     """
     checks: list[CheckResult] = []
     table = curve_table(cfg)
-    ordinary_path = cfg.is_ordinary() and cfg.incidence is not None
 
-    if ordinary_path:
+    if has_reference(cfg):
         ref = reference_ordinary(cfg)
-        checks.append(_first_row_mismatch("rows-e0", table.rows[0],
-                                          ref.rows[0], 0))
-        checks.append(_first_row_mismatch("rows-e2", table.rows[2],
-                                          ref.rows[2], 2))
+        for e in (0, 2):
+            checks.append(_first_row_mismatch(f"rows-e{e}", table.rows[e],
+                                              ref.rows[e], e))
         middle = ordinary_middle_row(cfg)
         checks.append(_first_row_mismatch("middle-incidence", middle,
                                           ref.rows[1], 1))
@@ -236,20 +248,15 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
             "row-sum", ref_table.row_sums_ok(),
             "column sums disagree with chi(U)"))
     else:
+        # the engine's row 1 is the column balance
         checks.append(CheckResult(
             "row-sum", table.row_sums_ok(),
-            "column sums disagree with chi(U)"))
+            "column sums disagree with chi(U)", "identity"))
         if cfg.is_reduced():
-            spectra = [p.local_spectrum() for p in cfg.points]
-            node = SpectrumVector({Fraction(1): 1}, ambient_dim=2)
-            spectra.extend([node] * cfg.nodes)
-            alt = local_data_table(cfg.degree, spectra)
-            checks.append(_first_row_mismatch("local-table-e0", table.rows[0],
-                                              alt.rows[0], 0))
-            checks.append(_first_row_mismatch("local-table-e2", table.rows[2],
-                                              alt.rows[2], 2))
-            checks.append(_first_row_mismatch("local-table-e1", table.rows[1],
-                                              alt.rows[1], 1))
+            alt = local_data_table(cfg.degree, as_reduced_cone(cfg).local_spectra)
+            for e in (0, 2, 1):
+                checks.append(_first_row_mismatch(
+                    f"local-table-e{e}", table.rows[e], alt.rows[e], e))
 
     bad = None
     for w, wp, bound in sorted(_touched_lattice_args(cfg)):
@@ -269,155 +276,74 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-# ---------------------------------------------------------------------------
-# randomized configurations for the differential suites
-# ---------------------------------------------------------------------------
+def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
+    """The invariant checks that apply to one config (``verify``): on a
+    curve, the table against its own invariants and, where the input allows,
+    against the incidence data, the local spectra and the power transform;
+    on a reduced cone, its n = 2 table and power transform."""
+    checks: list[CheckResult] = []
+    if isinstance(cfg, ReducedConeConfig):
+        # ReducedConeConfig rejects such spectra when it is built
+        checks.append(CheckResult(
+            "local-spectra", all(s.has_valid_support() and s.is_symmetric()
+                                 for s in cfg.local_spectra), kind="identity"))
+        base = reduced_cone_spectrum(cfg)
+        if cfg.ambient_dim == 2:
+            table = local_data_table(cfg.degree, cfg.local_spectra)
+            checks.append(CheckResult("row-sum", table.row_sums_ok()))
+            checks.append(CheckResult(
+                "table-spectrum-agreement", table.as_spectrum() == base,
+                "table rows disagree with the spectrum"))
+        if cfg.power > 1:
+            power = thickened_spectrum(base, cfg)
+            checks.append(CheckResult(
+                "power-support",
+                all(0 < e < cfg.ambient_dim + 1 for e, _ in power.items()),
+                kind="identity"))
+        return CheckReport(tuple(checks))
 
-def random_ordinary_config(rng: random.Random,
-                           max_components: int = 6,
-                           max_degree: int = 4,
-                           max_mult: int = 5,
-                           max_points: int = 6,
-                           max_branches: int = 8,
-                           with_matrix: bool = False) -> CurveConfig:
-    """Random ordinary configuration built like actual geometry: smooth
-    components meeting transversally at the listed points, every remaining
-    pairwise intersection closed off as an aggregated node, and a genus-
-    bounded number of self-nodes per component. Branch multiplicities are
-    always component multiplicities, and incidence data is the complete
-    multiset implied by the construction.
-    """
-    r = rng.randint(1, max_components)
-    comps = [GlobalComponent(rng.randint(1, max_degree), rng.randint(1, max_mult))
-             for _ in range(r)]
-    capacity = {(k, kp): comps[k].degree * comps[kp].degree
-                for k in range(r) for kp in range(k + 1, r)}
-    used = {pair: 0 for pair in capacity}
-    self_budget = [binom2(c.degree - 1) for c in comps]
-
-    point_rows: list[list[int]] = []
-    for _ in range(rng.randint(0, max_points)):
-        row = [0] * r
-        size = rng.randint(2, min(max(r + 1, 2), max_branches))
-        candidates = list(range(r))
-        rng.shuffle(candidates)
-        for k in candidates:
-            if sum(row) >= size:
-                break
-            m = 1
-            if (comps[k].degree >= 3 and self_budget[k] > 0
-                    and sum(row) + 2 <= size and rng.random() < 0.3):
-                m = 2
-            ok = True
-            for kp in range(r):
-                if row[kp] and kp != k:
-                    pair = (min(k, kp), max(k, kp))
-                    if used[pair] + m * row[kp] > capacity[pair]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            row[k] = m
-            if m == 2:
-                self_budget[k] -= 1
-        if sum(row) < 2:
-            continue
-        for k in range(r):
-            for kp in range(k + 1, r):
-                if row[k] and row[kp]:
-                    used[(k, kp)] += row[k] * row[kp]
-        point_rows.append(row)
-
-    leftover = sum(capacity[pair] - used[pair] for pair in capacity)
-    self_rows: list[list[int]] = []
-    for k in range(r):
-        for _ in range(rng.randint(0, min(2, self_budget[k]))):
-            row = [0] * r
-            row[k] = 2
-            self_rows.append(row)
-            self_budget[k] -= 1
-
-    points = []
-    listed_rows = []
-    aggregated_rows = []
-    for row in point_rows:
-        branches = []
-        for k, m in enumerate(row):
-            branches.extend([LocalBranch(1, comps[k].multiplicity)] * m)
-        if len(branches) == 2 and rng.random() < 0.4:
-            aggregated_rows.append(row)    # double point folded into the counter
-            continue
-        points.append(SingularPoint((1, 1), tuple(branches)))
-        listed_rows.append(row)
-
-    nodes = leftover + len(self_rows) + len(aggregated_rows)
-
-    leftover_rows = []
-    for pair, cap in capacity.items():
-        for _ in range(cap - used[pair]):
-            row = [0] * r
-            row[pair[0]] = 1
-            row[pair[1]] = 1
-            leftover_rows.append(row)
-
-    matrix_rows = listed_rows + aggregated_rows + self_rows + leftover_rows
-    if with_matrix and matrix_rows:
-        incidence = Incidence.from_matrix(matrix_rows)
-    else:
-        value_counts: dict[int, int] = {}
-        for row in point_rows + self_rows + leftover_rows:
-            for v in row:
-                if v:
-                    value_counts[v] = value_counts.get(v, 0) + 1
-        pairs = tuple(sorted((c, v) for v, c in value_counts.items()))
-        incidence = Incidence.from_pairs(pairs)
-
-    return CurveConfig(components=tuple(comps), points=tuple(points),
-                       nodes=nodes, incidence=incidence)
-
-
-_SWH_WEIGHTS = ((1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5))
-
-
-def random_swh_point(rng: random.Random,
-                     multiplicity: int = 1) -> SingularPoint:
-    """Random semi-weighted-homogeneous point with branch degrees drawn from
-    {w, w', w*w'} (at most one branch each of degree w and w')."""
-    while True:
-        w, wp = _SWH_WEIGHTS[rng.randrange(len(_SWH_WEIGHTS))]
-        branches = []
-        if rng.random() < 0.5:
-            branches.append(w)
-        if rng.random() < 0.5:
-            branches.append(wp)
-        branches.extend([w * wp] * rng.randint(0, 2))
-        degree = sum(branches)
-        if len(branches) >= 1 and degree > max(w, wp):
-            if (w, wp) == (1, 1) and degree < 2:
-                continue
-            return SingularPoint(
-                (w, wp),
-                tuple(LocalBranch(b, multiplicity) for b in branches))
-
-
-def random_reduced_swh_config(rng: random.Random,
-                              max_components: int = 4,
-                              max_degree: int = 4,
-                              max_points: int = 3) -> CurveConfig:
-    """Random reduced configuration with semi-weighted-homogeneous points,
-    for the thickening and bridge-identity suites."""
-    r = rng.randint(1, max_components)
-    comps = tuple(GlobalComponent(rng.randint(1, max_degree), 1)
-                  for _ in range(r))
-    points = tuple(random_swh_point(rng) for _ in range(rng.randint(0, max_points)))
-    return CurveConfig(components=comps, points=points,
-                       nodes=rng.randint(0, 3))
+    table = curve_table(cfg)
+    checks.append(CheckResult("row-sum", table.row_sums_ok(), kind="identity"))
+    checks.append(CheckResult("rows-nonnegative", table.nonnegative_ok(),
+                              "a genuine-multiplicity cell is negative",
+                              "expectation"))
+    ranges_ok = True
+    for i in range(1, cfg.degree + 1):
+        shift, twist, residues = index_data(cfg, i)
+        ranges_ok = ranges_ok and 0 <= shift < i and 0 < twist <= i and all(
+            0 < r <= 1 for r in residues)
+    # the loop leaves the twist at i = d, which must be the reduced degree
+    checks.append(CheckResult("index-ranges",
+                              ranges_ok and twist == cfg.reduced_degree,
+                              kind="identity"))
+    spectra = [p.local_spectrum() for p in cfg.points]
+    checks.append(CheckResult("local-spectra", all(
+        s.has_valid_support() and s.is_symmetric() and s.total() == p.milnor()
+        for p, s in zip(cfg.points, spectra))))
+    if cfg.incidence is not None and cfg.incidence.matrix is not None:
+        checks.append(CheckResult(
+            "incidence-product", incidence_consistent(cfg),
+            "a component pair meets the matrix inconsistently"))
+    if has_reference(cfg):
+        checks.append(CheckResult(
+            "middle-agreement", list(table.rows[1]) == ordinary_middle_row(cfg),
+            "incidence route disagrees with the balance route"))
+    if cfg.is_reduced():
+        alt = local_data_table(cfg.degree, as_reduced_cone(cfg).local_spectra)
+        checks.append(CheckResult("local-table-agreement", alt.rows == table.rows,
+                                  "table from local spectra disagrees"))
+    m = cfg.components[0].multiplicity
+    if m > 1 and thicken(cfg, m) == cfg:     # every multiplicity is m
+        rc = as_reduced_cone(thicken(cfg, 1), power=m)
+        sv = thickened_spectrum(reduced_cone_spectrum(rc), rc)
+        checks.append(CheckResult("thickening-agreement",
+                                  sv == table.as_spectrum(),
+                                  "power-transform route disagrees"))
+    return CheckReport(tuple(checks))
 
 
 def thicken(cfg: CurveConfig, m: int) -> CurveConfig:
-    """Raise a reduced configuration to constant multiplicity m."""
-    if not cfg.is_reduced():
-        raise ValueError("thicken expects a reduced configuration")
+    """Set every multiplicity to m; m = 1 gives the reduced curve."""
     comps = tuple(GlobalComponent(c.degree, m) for c in cfg.components)
     points = tuple(
         SingularPoint(p.weights,
@@ -434,7 +360,6 @@ def as_reduced_cone(cfg: CurveConfig, power: int = 1) -> ReducedConeConfig:
     if not cfg.is_reduced():
         raise ValueError("expected a reduced configuration")
     spectra = [p.local_spectrum() for p in cfg.points]
-    node = SpectrumVector({Fraction(1): 1}, ambient_dim=2)
-    spectra.extend([node] * cfg.nodes)
+    spectra += [SpectrumVector({Fraction(1): 1}, ambient_dim=2)] * cfg.nodes
     return ReducedConeConfig(ambient_dim=2, degree=cfg.reduced_degree,
                              local_spectra=tuple(spectra), power=power)

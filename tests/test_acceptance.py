@@ -21,9 +21,8 @@ from conespec.engine import (CurveConfig, GlobalComponent, binom2, curve_table,
 from conespec.formats import parse_singular, parse_vector_text
 from conespec.local import (WeightSystem, lattice_count, weighted_milnor,
                             weighted_spectrum, window_count)
-from conespec.oracle import (as_reduced_cone, random_ordinary_config,
-                             random_reduced_swh_config, reference_ordinary,
-                             thicken)
+from conespec.oracle import as_reduced_cone, reference_ordinary, thicken
+from generators import random_ordinary_config, random_reduced_swh_config
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

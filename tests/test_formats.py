@@ -13,6 +13,7 @@ from conespec.formats import (BinOp, ConfigError, Name, Neg, Num, emit_native,
                               parse_vector_text, render_expr)
 from conespec.local import LocalBranch
 from conespec.spectrum import SpectrumVector
+from generators import random_ordinary_config, random_reduced_swh_config
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -255,7 +256,6 @@ def test_parse_native_reports_line_numbers():
 
 def test_round_trip_curve_configs():
     rng = random.Random(42)
-    from conespec.oracle import random_ordinary_config, random_reduced_swh_config
     for trial in range(50):
         cfg = random_ordinary_config(rng, with_matrix=(trial % 2 == 0))
         assert parse_native(emit_native(cfg)) == cfg

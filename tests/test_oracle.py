@@ -5,11 +5,11 @@ import pytest
 
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              curve_table, incidence_consistent)
-from conespec.formats import parse_singular, parse_vector_text
+from conespec.formats import parse_native, parse_singular, parse_vector_text
 from conespec.local import LocalBranch, SingularPoint
 from conespec.oracle import (brute_coeffs, brute_lattice, cross_check,
-                             random_ordinary_config, random_reduced_swh_config,
-                             reference_ordinary, reference_state)
+                             reference_ordinary, reference_state, verify)
+from generators import random_ordinary_config, random_reduced_swh_config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -90,6 +90,62 @@ def test_cross_check_engine_only_path():
     assert report.passed
     names = [c.name for c in report.checks]
     assert "local-table-e0" in names and "rows-e0" not in names
+
+
+def test_check_kinds():
+    # identity: holds by construction; expectation: may legitimately fail;
+    # every other check recomputes independently
+    identity = {
+        "verify-curve": {"row-sum", "index-ranges"},
+        "verify-reduced": {"local-spectra", "power-support"},
+        "cross-check-reference": set(),
+        "cross-check-engine": {"row-sum"},
+    }
+    cusp = CurveConfig(components=(GlobalComponent(3, 1),),
+                       points=(SingularPoint((2, 3), (LocalBranch(6, 1),)),))
+    native = {name: parse_native((FIXTURES / name).read_text())
+              for name in ("two-lines.cfg", "doubled-cuspidal-cubic.cfg",
+                           "conic-squared.cfg", "cuspidal-cubic.cfg")}
+    pencil = load("conic-pencil.vectors", a=2, b=5, c=2)
+    reports = {
+        "verify-curve": [verify(native["two-lines.cfg"]),
+                         verify(native["doubled-cuspidal-cubic.cfg"]),
+                         verify(pencil), verify(cusp)],
+        "verify-reduced": [verify(native["conic-squared.cfg"]),
+                           verify(native["cuspidal-cubic.cfg"])],
+        "cross-check-reference": [cross_check(native["two-lines.cfg"]),
+                                  cross_check(pencil)],
+        "cross-check-engine": [cross_check(native["doubled-cuspidal-cubic.cfg"]),
+                               cross_check(cusp)],
+    }
+    seen = {}
+    for route, route_reports in reports.items():
+        for report in route_reports:
+            assert [c["kind"] for c in report.record()["checks"]] == \
+                [c.kind for c in report.checks]
+            for c in report.checks:
+                if c.name == "rows-nonnegative":
+                    want = "expectation"
+                elif c.name in identity[route]:
+                    want = "identity"
+                else:
+                    want = "oracle"
+                assert c.kind == want, (route, c.name, c.kind)
+                seen.setdefault(route, set()).add(c.name)
+    assert seen == {
+        "verify-curve": {"row-sum", "rows-nonnegative", "index-ranges",
+                         "local-spectra", "incidence-product",
+                         "middle-agreement", "local-table-agreement",
+                         "thickening-agreement"},
+        "verify-reduced": {"local-spectra", "row-sum",
+                           "table-spectrum-agreement", "power-support"},
+        "cross-check-reference": {"rows-e0", "rows-e2", "middle-incidence",
+                                  "middle-balance", "chi", "row-sum",
+                                  "lattice-counts", "smooth-coeffs"},
+        "cross-check-engine": {"row-sum", "local-table-e0", "local-table-e2",
+                               "local-table-e1", "lattice-counts",
+                               "smooth-coeffs"},
+    }
 
 
 def test_cross_check_detects_mutation():

@@ -145,6 +145,11 @@ class ScanSpec:
 
 
 def run_scan(spec: ScanSpec, out) -> int:
+    for name in spec.predicates:
+        if name not in PREDICATES:
+            raise ConfigError("predicate-unknown",
+                              f"unknown predicate {name!r}; choose from "
+                              f"{', '.join(PREDICATES)}")
     names = sorted(spec.ranges)
     spans = []
     for name in names:
@@ -197,11 +202,6 @@ def run_scan(spec: ScanSpec, out) -> int:
 def cmd_scan(args) -> int:
     fixed = _parse_params(args.param)
     ranges = _parse_ranges(args.range)
-    for name in args.predicate or ():
-        if name not in PREDICATES:
-            raise ConfigError("predicate-unknown",
-                              f"unknown predicate {name!r}; choose from "
-                              f"{', '.join(PREDICATES)}")
     with open(args.path, "r", encoding="utf-8") as handle:
         template = handle.read()
     spec = ScanSpec(template=template, ranges=ranges, fixed=fixed,

@@ -10,7 +10,6 @@ any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum` /
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,12 +21,6 @@ from .spectrum import SpectrumVector
 def binom2(n: int) -> int:
     """n(n-1)/2 for every integer n, so binom2(-1) == 1, binom2(0) == 0."""
     return n * (n - 1) // 2
-
-
-def unit_residue(mult: int, i: int, d: int) -> Fraction:
-    """The representative of mult*i/d in (0, 1] modulo 1."""
-    v = Fraction(mult * i, d)
-    return v - math.ceil(v) + 1
 
 
 @dataclass(frozen=True)
@@ -228,20 +221,41 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
     d = cfg.degree
     if not 1 <= i <= d:
         raise ValueError(f"index {i} out of range [1, {d}]")
-    shift = 0
-    residues = []
-    for comp in cfg.components:
-        v = Fraction(comp.multiplicity * i, d)
-        shift += comp.degree * (math.ceil(v) - 1)
-        residues.append(v - math.ceil(v) + 1)
-    return shift, i - shift, residues
+    shift = _shift(cfg, i, d)
+    return shift, i - shift, [Fraction(_residue(c.multiplicity, i, d), d)
+                              for c in cfg.components]
 
 
 def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
     """Branch residues weighted by branch degrees; lies in (0, d_j] and
     equals d_j exactly at i = d."""
-    return sum((unit_residue(b.multiplicity, i, d) * b.weighted_degree
-                for b in point.branches), Fraction(0))
+    return Fraction(_point_residue(point, i, d), d)
+
+
+# Integers over d: for a, i >= 1, ceil(a*i/d) - 1 == (a*i - 1) // d, and d
+# times the (0, 1] representative of a*i/d is (a*i - 1) % d + 1.
+def _shift(cfg: CurveConfig, i: int, d: int) -> int:
+    return sum(c.degree * ((c.multiplicity * i - 1) // d)
+               for c in cfg.components)
+
+
+def _residue(mult: int, i: int, d: int) -> int:
+    return (mult * i - 1) % d + 1
+
+
+def _point_residue(point: SingularPoint, i: int, d: int) -> int:
+    """d * residue_degree(point, i, d)."""
+    return sum(b.weighted_degree * _residue(b.multiplicity, i, d)
+               for b in point.branches)
+
+
+def _columns(cfg: CurveConfig):
+    """Yield (i, twist, ceilings) for i in [1, d], where ceilings[j] is the
+    ceiling of residue_degree(cfg.points[j], i, d)."""
+    d = cfg.degree
+    for i in range(1, d + 1):
+        yield i, i - _shift(cfg, i, d), [-(-_point_residue(p, i, d) // d)
+                                         for p in cfg.points]
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -276,14 +290,12 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
     dp = cfg.reduced_degree
     chi = euler_complement(cfg)
     row0, row1, row2 = [], [], []
-    for i in range(1, d + 1):
-        _, twist, _ = index_data(cfg, i)
+    for i, twist, ceilings in _columns(cfg):
         delta = 1 if i == d else 0
         r0 = binom2(twist - 1)
         r2 = binom2(dp - twist - 1) - delta
-        for p in cfg.points:
+        for p, ceil_g in zip(cfg.points, ceilings):
             w, wp = p.weights
-            ceil_g = math.ceil(residue_degree(p, i, d))
             r0 -= lattice_count(w, wp, ceil_g - 1)
             r2 -= lattice_count(w, wp, p.weighted_degree - ceil_g)
         r1 = chi - r0 - r2 - delta
@@ -302,17 +314,14 @@ def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
     if cfg.incidence is None:
         raise ValueError("incidence-based middle row needs incidence data")
     cfg.validate_points()
-    d = cfg.degree
     dp = cfg.reduced_degree
     comp_pairs = sum(binom2(c.degree) for c in cfg.components)
     incidence_pairs = sum(count * binom2(value)
                           for count, value in cfg.incidence.pairs)
     row = []
-    for i in range(1, d + 1):
-        _, twist, _ = index_data(cfg, i)
+    for _, twist, ceilings in _columns(cfg):
         v = (twist - 1) * (dp - twist - 1) + comp_pairs - incidence_pairs
-        for p in cfg.points:
-            ceil_g = math.ceil(residue_degree(p, i, d))
+        for p, ceil_g in zip(cfg.points, ceilings):
             v -= (ceil_g - 1) * (p.reduced_multiplicity - ceil_g)
         row.append(v)
     return row

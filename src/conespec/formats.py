@@ -10,6 +10,9 @@ Two input dialects are supported:
 
 Integer slots in both dialects accept template expressions (literals are the
 degenerate case), evaluated against an externally supplied parameter binding.
+The exceptions are native ``incidence`` and ``incidence-matrix`` entries,
+which are literal integers, and native ``localspectrum`` entries, which are
+literal fractions.
 """
 
 from __future__ import annotations
@@ -489,6 +492,7 @@ def parse_native(text: str,
     reduced_header = None
     spectra: list[SpectrumVector] = []
     saw_curve_keyword = False
+    first_line: dict[str, int] = {}     # single-valued slot -> its line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
@@ -497,6 +501,14 @@ def parse_native(text: str,
         if not tokens:
             continue
         keyword, args = tokens[0], tokens[1:]
+        slot = "incidence" if keyword == "incidence-matrix" else keyword
+        if slot in ("reduced", "nodes", "incidence"):
+            if slot in first_line:
+                raise ConfigError("key-syntax",
+                                  f"{keyword!r} repeats line "
+                                  f"{first_line[slot]}: {slot} may be given "
+                                  "once", lineno)
+            first_line[slot] = lineno
 
         if keyword == "ambient":
             if len(args) != 1:

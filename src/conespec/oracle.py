@@ -19,7 +19,7 @@ from fractions import Fraction
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      ReducedConeConfig, curve_table, incidence_consistent,
                      index_data, local_data_table, ordinary_middle_row,
-                     reduced_cone_spectrum, residue_degree, smooth_cone_coeffs,
+                     reduced_cone_spectrum, smooth_cone_coeffs,
                      thickened_spectrum)
 from .local import LocalBranch, SingularPoint, lattice_count
 from .spectrum import SpectrumVector
@@ -200,18 +200,6 @@ def _first_row_mismatch(name, got, want, e):
     return CheckResult(name, True)
 
 
-def _touched_lattice_args(cfg: CurveConfig) -> set[tuple[int, int, int]]:
-    args = set()
-    d = cfg.degree
-    for i in range(1, d + 1):
-        for p in cfg.points:
-            w, wp = p.weights
-            ceil_g = math.ceil(residue_degree(p, i, d))
-            args.add((w, wp, ceil_g - 1))
-            args.add((w, wp, p.weighted_degree - ceil_g))
-    return args
-
-
 def has_reference(cfg: CurveConfig) -> bool:
     """Whether `reference_ordinary` applies: ordinary points, incidence data."""
     return cfg.is_ordinary() and cfg.incidence is not None
@@ -258,11 +246,11 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
                 checks.append(_first_row_mismatch(
                     f"local-table-e{e}", table.rows[e], alt.rows[e], e))
 
-    bad = None
-    for w, wp, bound in sorted(_touched_lattice_args(cfg)):
-        if lattice_count(w, wp, bound) != brute_lattice(w, wp, bound):
-            bad = (w, wp, bound)
-            break
+    # every bound the table can use: ceil(residue_degree) lies in [1, d_j]
+    args = sorted({(*p.weights, bound) for p in cfg.points
+                   for bound in range(p.weighted_degree)})
+    bad = next((a for a in args if lattice_count(*a) != brute_lattice(*a)),
+               None)
     checks.append(CheckResult(
         "lattice-counts", bad is None,
         f"first mismatch at (w,w',bound)={bad}" if bad else ""))

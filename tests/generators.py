@@ -147,3 +147,19 @@ def random_reduced_swh_config(rng: random.Random,
     points = tuple(random_swh_point(rng) for _ in range(rng.randint(0, max_points)))
     return CurveConfig(components=comps, points=points,
                        nodes=rng.randint(0, 3))
+
+
+def random_mixed_swh_config(rng: random.Random,
+                            max_mult: int = 4) -> CurveConfig:
+    """Random semi-weighted-homogeneous configuration whose component and
+    branch multiplicities are drawn independently from 1..max_mult."""
+    base = random_reduced_swh_config(rng)
+    comps = tuple(GlobalComponent(c.degree, rng.randint(1, max_mult))
+                  for c in base.components)
+    points = tuple(
+        SingularPoint(p.weights,
+                      tuple(LocalBranch(b.weighted_degree,
+                                        rng.randint(1, max_mult))
+                            for b in p.branches))
+        for p in base.points)
+    return CurveConfig(components=comps, points=points, nodes=base.nodes)

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from conespec.cli import ScanSpec, main, run_scan
+from conespec.formats import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -284,6 +285,18 @@ def test_scan_results_deterministic(tmp_path):
     assert len(lines) == 1 + 27
     keys = [tuple(map(int, line.split(",")[:3])) for line in lines[1:]]
     assert keys == sorted(keys)
+
+
+def test_run_scan_rejects_unknown_predicate():
+    import io
+    spec = ScanSpec(template=(FIXTURES / "lines-conic.vectors").read_text(),
+                    ranges={"a": (1, 2)}, fixed={"b": 1, "c": 0},
+                    predicates=("bogus",))
+    out = io.StringIO()
+    with pytest.raises(ConfigError) as err:
+        run_scan(spec, out)
+    assert err.value.code == "predicate-unknown"
+    assert out.getvalue() == ""
 
 
 def test_exit_code_contract(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,12 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              local_data_table, ordinary_middle_row,
                              reduced_cone_spectrum, residue_degree,
                              smooth_cone_coeffs, thickened_spectrum)
-from conespec.local import LocalBranch, SingularPoint, weighted_spectrum, WeightSystem
+from conespec.local import (LocalBranch, SingularPoint, lattice_count,
+                            weighted_spectrum, WeightSystem)
 from conespec.oracle import as_reduced_cone, brute_coeffs, thicken
 from conespec.spectrum import SpectrumVector
+from generators import (random_mixed_swh_config, random_ordinary_config,
+                        random_reduced_swh_config)
 
 F = Fraction
 
@@ -327,3 +331,50 @@ def test_reduced_config_validates_spectra():
     wrong_dim = SpectrumVector({F(3, 2): 1}, 3)
     with pytest.raises(ValueError):
         ReducedConeConfig(2, 3, (wrong_dim,))
+
+
+def fraction_columns(cfg):
+    """Rows 0 and 2, and the incidence middle row where it applies, through
+    Fraction residues and math.ceil: the arithmetic the engine used before
+    it computed in integers over d."""
+    d, dp = cfg.degree, cfg.reduced_degree
+    middle_applies = cfg.is_ordinary() and cfg.incidence is not None
+    if middle_applies:
+        base = (sum(binom2(c.degree) for c in cfg.components)
+                - sum(n * binom2(v) for n, v in cfg.incidence.pairs))
+    row0, row2, middle = [], [], []
+    for i in range(1, d + 1):
+        twist = i - sum(c.degree * (math.ceil(F(c.multiplicity * i, d)) - 1)
+                        for c in cfg.components)
+        r0 = binom2(twist - 1)
+        r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
+        v = (twist - 1) * (dp - twist - 1)
+        for p in cfg.points:
+            g = F(0)
+            for b in p.branches:
+                u = F(b.multiplicity * i, d)
+                g += (u - math.ceil(u) + 1) * b.weighted_degree
+            ceil_g = math.ceil(g)
+            r0 -= lattice_count(*p.weights, ceil_g - 1)
+            r2 -= lattice_count(*p.weights, p.weighted_degree - ceil_g)
+            if middle_applies:
+                v -= (ceil_g - 1) * (p.reduced_multiplicity - ceil_g)
+        row0.append(r0)
+        row2.append(r2)
+        if middle_applies:
+            middle.append(v + base)
+    return row0, row2, (middle if middle_applies else None)
+
+
+@pytest.mark.parametrize("make", [random_ordinary_config,
+                                  random_reduced_swh_config,
+                                  random_mixed_swh_config])
+def test_integer_kernel_matches_fraction_arithmetic(make):
+    rng = random.Random(4242)
+    for _ in range(60):
+        cfg = make(rng)
+        row0, row2, middle = fraction_columns(cfg)
+        table = curve_table(cfg)
+        assert (list(table.rows[0]), list(table.rows[2])) == (row0, row2), cfg
+        if middle is not None:
+            assert ordinary_middle_row(cfg) == middle, cfg

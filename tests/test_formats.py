@@ -226,6 +226,23 @@ def test_parse_native_mode_conflict():
     assert err.value.code == "mode-conflict"
 
 
+@pytest.mark.parametrize("text, line, first", [
+    ("component degree=1 mult=1 count=3\nincidence-matrix 1 1 1\n"
+     "incidence 3x1\n", 3, "'incidence' repeats line 2"),
+    ("component degree=1 mult=1 count=3\nincidence 3x1\n"
+     "incidence-matrix 1 1 1\n", 3, "'incidence-matrix' repeats line 2"),
+    ("nodes 1\ncomponent degree=1 mult=1 count=2\nnodes 0\n", 3,
+     "'nodes' repeats line 1"),
+    ("reduced n=2 degree=3\nreduced n=3 degree=3\n", 2,
+     "'reduced' repeats line 1"),
+])
+def test_parse_native_rejects_repeated_single_lines(text, line, first):
+    with pytest.raises(ConfigError) as err:
+        parse_native(text)
+    assert (err.value.code, err.value.line) == ("key-syntax", line)
+    assert first in str(err.value)
+
+
 def test_parse_native_incidence_forms():
     cfg = parse_native("component degree=1 mult=1 count=2\nnodes 1\n"
                        "incidence 2x1\n")

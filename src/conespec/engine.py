@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .local import SingularPoint, lattice_count, validate_branches, window_count
+from .local import (SingularPoint, lattice_count, quotient_coeffs,
+                    validate_branches, window_count)
 from .spectrum import SpectrumVector
 
 
@@ -118,7 +119,10 @@ class CurveConfig:
         return sum(c.degree for c in self.components)
 
     def is_reduced(self) -> bool:
-        return all(c.multiplicity == 1 for c in self.components)
+        """Every component and every branch has multiplicity 1."""
+        return (all(c.multiplicity == 1 for c in self.components)
+                and all(b.multiplicity == 1
+                        for p in self.points for b in p.branches))
 
     def is_ordinary(self) -> bool:
         return all(p.is_ordinary() for p in self.points)
@@ -346,20 +350,13 @@ def incidence_consistent(cfg: CurveConfig) -> bool:
 
 def smooth_cone_coeffs(dprime: int, n: int) -> list[int]:
     """Coefficients of (t + ... + t^(dprime-1))^(n+1); entry j is the
-    coefficient of t^(n+1+j). Empty for dprime == 1."""
+    coefficient of t^(n+1+j). Empty for dprime == 1. This is the spectrum
+    product of the Fermat germ: weights (1, ..., 1) and degree dprime."""
     if dprime < 1 or n < 1:
         raise ValueError("need dprime >= 1 and n >= 1")
     if dprime == 1:
         return []
-    block = [1] * (dprime - 1)
-    coeffs = [1]
-    for _ in range(n + 1):
-        out = [0] * (len(coeffs) + dprime - 2)
-        for a, ca in enumerate(coeffs):
-            for b in range(dprime - 1):
-                out[a + b] += ca * block[b]
-        coeffs = out
-    return coeffs
+    return quotient_coeffs((1,) * (n + 1), dprime)
 
 
 def _coeff_at(coeffs: list[int], n: int, i: int) -> int:
@@ -391,25 +388,28 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
     """Transform the reduced-cone spectrum into the spectrum of the m-th
     power cone: each cell i/d' + p spreads over i/(m d') + l/m + p for
     l in [0, m-1], with a (-1)^n correction on the cells at i = d', p = n,
-    l != m-1. Exponents at the support boundary n+1 are dropped."""
+    l != m-1. The cell i = d', p = n, l = m-1 is the support boundary n+1
+    and is dropped.
+
+    On the 1/(m d') grid the cell (i, l, p) is k = i + l*d' + p*m*d'; these
+    k are pairwise distinct, so no two cells meet."""
     m = cfg.power
     n = cfg.ambient_dim
     dp = cfg.degree
     correction = (-1) ** n
+    # d' * exponent = i + p*d' for the base exponents on the 1/d' grid
+    grid = {e.numerator * (dp // e.denominator): v for e, v in base.items()
+            if dp % e.denominator == 0}
     entries: dict[Fraction, int] = {}
     for i in range(1, dp + 1):
         for p in range(n + 1):
-            v_base = base.multiplicity(Fraction(i, dp) + p)
-            for l in range(m):
-                v = v_base
-                if i == dp and p == n and l != m - 1:
-                    v += correction
-                if not v:
-                    continue
-                exponent = Fraction(i, m * dp) + Fraction(l, m) + p
-                if exponent >= n + 1:
-                    continue
-                entries[exponent] = entries.get(exponent, 0) + v
+            v = grid.get(i + p * dp, 0)
+            spread = m
+            if i == dp and p == n:      # l = m - 1 is the boundary n + 1
+                spread, v = m - 1, v + correction
+            if v:
+                for l in range(spread):
+                    entries[Fraction(i + l * dp + p * m * dp, m * dp)] = v
     return SpectrumVector(entries, ambient_dim=n + 1)
 
 

@@ -384,7 +384,10 @@ def _eval_int(text: str, binding: Mapping[str, int], line: int) -> int:
         raise
 
 
-def _split_keyvals(parts: list[str], line: int) -> dict[str, str]:
+def _keyvals(parts: list[str], needed: tuple, optional: tuple,
+             line: int) -> dict[str, str]:
+    """key=value tokens as a dict; keys are checked in grammar order, so the
+    first missing key named is always the same."""
     out = {}
     for part in parts:
         if "=" not in part:
@@ -394,16 +397,13 @@ def _split_keyvals(parts: list[str], line: int) -> dict[str, str]:
         if key in out:
             raise ConfigError("key-syntax", f"duplicate key {key!r}", line)
         out[key] = value
-    return out
-
-
-def _require_keys(kv: dict, allowed: set, needed: set, line: int):
-    for key in kv:
-        if key not in allowed:
+    for key in out:
+        if key not in needed + optional:
             raise ConfigError("key-syntax", f"unknown key {key!r}", line)
     for key in needed:
-        if key not in kv:
+        if key not in out:
             raise ConfigError("key-syntax", f"missing key {key!r}", line)
+    return out
 
 
 def _parse_branches(text: str, binding, line: int) -> tuple[LocalBranch, ...]:
@@ -521,9 +521,7 @@ def parse_native(text: str,
             saw_curve_keyword = True
 
         elif keyword == "component":
-            kv = _split_keyvals(args, lineno)
-            _require_keys(kv, {"degree", "mult", "count"}, {"degree", "mult"},
-                          lineno)
+            kv = _keyvals(args, ("degree", "mult"), ("count",), lineno)
             degree = _eval_int(kv["degree"], binding, lineno)
             mult = _eval_int(kv["mult"], binding, lineno)
             count = _eval_int(kv.get("count", "1"), binding, lineno)
@@ -537,9 +535,7 @@ def parse_native(text: str,
             saw_curve_keyword = True
 
         elif keyword == "point":
-            kv = _split_keyvals(args, lineno)
-            _require_keys(kv, {"weights", "branches", "count"},
-                          {"weights", "branches"}, lineno)
+            kv = _keyvals(args, ("weights", "branches"), ("count",), lineno)
             weight_parts = kv["weights"].split(",")
             if len(weight_parts) != 2:
                 raise ConfigError("weights-syntax",
@@ -623,8 +619,7 @@ def parse_native(text: str,
             saw_curve_keyword = True
 
         elif keyword == "reduced":
-            kv = _split_keyvals(args, lineno)
-            _require_keys(kv, {"n", "degree", "power"}, {"n", "degree"}, lineno)
+            kv = _keyvals(args, ("n", "degree"), ("power",), lineno)
             reduced_header = (lineno,
                               _eval_int(kv["n"], binding, lineno),
                               _eval_int(kv["degree"], binding, lineno),
@@ -664,9 +659,7 @@ def parse_native(text: str,
                 raise ConfigError("mode-conflict",
                                   "localwh needs a preceding 'reduced' header",
                                   lineno)
-            kv = _split_keyvals(args, lineno)
-            _require_keys(kv, {"weights", "degree"}, {"weights", "degree"},
-                          lineno)
+            kv = _keyvals(args, ("weights", "degree"), (), lineno)
             weight_parts = kv["weights"].split(",")
             weights = tuple(_eval_int(p, binding, lineno) for p in weight_parts)
             if len(weights) != reduced_header[1]:

@@ -12,35 +12,6 @@ from fractions import Fraction
 from .spectrum import SpectrumVector
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division in Z[u]; den must have leading coefficient 1."""
-    assert den and den[-1] == 1
-    rem = list(num)
-    if len(rem) < len(den):
-        return [0], rem
-    quo = [0] * (len(rem) - len(den) + 1)
-    for k in range(len(quo) - 1, -1, -1):
-        c = rem[k + len(den) - 1]
-        if c:
-            quo[k] = c
-            for j, dj in enumerate(den):
-                rem[k + j] -= c * dj
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
 @dataclass(frozen=True)
 class WeightSystem:
     """Positive integer weights (gcd 1) together with a weighted degree."""
@@ -68,36 +39,46 @@ class WeightSystem:
                              f"{self.weights} for an isolated singularity")
 
 
+def quotient_coeffs(weights: tuple[int, ...], d: int) -> list[int] | None:
+    """Coefficients of prod_i (1 - u^(d-w_i)) / (1 - u^(w_i)) for d > every
+    w_i, or None when that quotient is not a polynomial.
+
+    The series is kept up to the numerator degree N = sum(d - w_i): each
+    factor multiplies by 1 - u^(d-w) in a downward pass and divides by
+    1 - u^w in an upward one. The quotient is a polynomial exactly when its
+    degree D = sum(d - 2 w_i) is >= 0 and the series vanishes above D (a
+    polynomial R agreeing with P/Q up to u^N leaves P - Q*R of degree <= N
+    and order > N, hence zero).
+    """
+    top = sum(d - w for w in weights)
+    c = [1] + [0] * top
+    for w in weights:
+        a = d - w
+        for k in range(top, a - 1, -1):
+            c[k] -= c[k - a]
+        for k in range(w, top + 1):
+            c[k] += c[k - w]
+    degree = top - sum(weights)
+    if degree < 0 or any(c[degree + 1:]):
+        return None
+    return c[:degree + 1]
+
+
 def weighted_spectrum(ws: WeightSystem) -> SpectrumVector:
     """Spectrum of a germ with the given weights and lowest weighted degree.
 
     In the variable u = t^(1/d) the spectrum is
-    u^(w_1+...+w_n) * prod_i (u^(d-w_i) - 1) / (u^(w_i) - 1),
-    expanded exactly over the integers. When every w_i divides d each factor
-    is a finite geometric sum and the expansion is a plain convolution;
-    otherwise the quotient is taken by exact polynomial division, which must
-    be remainder-free (it is precisely when the weight data describes an
-    isolated germ).
+    u^(w_1+...+w_n) * prod_i (1 - u^(d-w_i)) / (1 - u^(w_i)), expanded
+    exactly over the integers by `quotient_coeffs` (Steenbrink). The
+    quotient must be a polynomial with nonnegative coefficients; it is
+    precisely when the weight data describes an isolated germ.
     """
     ws._require_isolated()
     d = ws.degree
-    if all(d % w == 0 for w in ws.weights):
-        coeffs = [1]
-        for w in ws.weights:
-            factor = [0] * (d - 2 * w + 1)
-            for k in range(0, d - 2 * w + 1, w):
-                factor[k] = 1
-            coeffs = _poly_mul(coeffs, factor)
-    else:
-        num = [1]
-        den = [1]
-        for w in ws.weights:
-            num = _poly_mul(num, [-1] + [0] * (d - w - 1) + [1])
-            den = _poly_mul(den, [-1] + [0] * (w - 1) + [1])
-        coeffs, rem = _poly_divmod(num, den)
-        if any(rem):
-            raise ValueError(f"weights {ws.weights} with degree {d} do not "
-                             "describe an isolated germ (inexact expansion)")
+    coeffs = quotient_coeffs(ws.weights, d)
+    if coeffs is None:
+        raise ValueError(f"weights {ws.weights} with degree {d} do not "
+                         "describe an isolated germ (inexact expansion)")
     if any(c < 0 for c in coeffs):
         raise ValueError(f"weights {ws.weights} with degree {d} do not "
                          "describe an isolated germ (negative multiplicity)")

@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
-                     ReducedConeConfig, curve_table, incidence_consistent,
-                     index_data, local_data_table, ordinary_middle_row,
-                     reduced_cone_spectrum, smooth_cone_coeffs,
-                     thickened_spectrum)
+                     ReducedConeConfig, _residue, _shift, curve_table,
+                     incidence_consistent, local_data_table,
+                     ordinary_middle_row, reduced_cone_spectrum,
+                     smooth_cone_coeffs, thickened_spectrum)
 from .local import LocalBranch, SingularPoint, lattice_count
 from .spectrum import SpectrumVector
 
@@ -295,14 +295,16 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     checks.append(CheckResult("rows-nonnegative", table.nonnegative_ok(),
                               "a genuine-multiplicity cell is negative",
                               "expectation"))
-    ranges_ok = True
-    for i in range(1, cfg.degree + 1):
-        shift, twist, residues = index_data(cfg, i)
-        ranges_ok = ranges_ok and 0 <= shift < i and 0 < twist <= i and all(
-            0 < r <= 1 for r in residues)
-    # the loop leaves the twist at i = d, which must be the reduced degree
+    # in integers over d: 0 <= shift < i (so 0 < twist <= i), residues in
+    # (0, d], and the twist i - shift at i = d is the reduced degree
+    d = cfg.degree
+    ranges_ok = all(0 <= _shift(cfg, i, d) < i
+                    and all(0 < _residue(c.multiplicity, i, d) <= d
+                            for c in cfg.components)
+                    for i in range(1, d + 1))
+    top_twist = d - _shift(cfg, d, d)
     checks.append(CheckResult("index-ranges",
-                              ranges_ok and twist == cfg.reduced_degree,
+                              ranges_ok and top_twist == cfg.reduced_degree,
                               kind="identity"))
     spectra = [p.local_spectrum() for p in cfg.points]
     checks.append(CheckResult("local-spectra", all(

@@ -378,3 +378,36 @@ def test_integer_kernel_matches_fraction_arithmetic(make):
         assert (list(table.rows[0]), list(table.rows[2])) == (row0, row2), cfg
         if middle is not None:
             assert ordinary_middle_row(cfg) == middle, cfg
+
+
+def fraction_thickened(base, cfg):
+    """The power transform as a loop over Fraction exponents, accumulating
+    cells and dropping those at or beyond n + 1: the form the engine used
+    before it emitted cells on the 1/(m d') grid."""
+    m, n, dp = cfg.power, cfg.ambient_dim, cfg.degree
+    entries = {}
+    for i in range(1, dp + 1):
+        for p in range(n + 1):
+            v_base = base.multiplicity(F(i, dp) + p)
+            for l in range(m):
+                v = v_base
+                if i == dp and p == n and l != m - 1:
+                    v += (-1) ** n
+                exponent = F(i, m * dp) + F(l, m) + p
+                if v and exponent < n + 1:
+                    entries[exponent] = entries.get(exponent, 0) + v
+    return SpectrumVector(entries, ambient_dim=n + 1)
+
+
+def test_thickened_matches_fraction_loop():
+    rng = random.Random(9090)
+    for _ in range(300):
+        n, m, dp = rng.randint(1, 3), rng.randint(1, 6), rng.randint(1, 9)
+        # on-grid, off-grid and out-of-range exponents, signed multiplicities
+        entries = {}
+        for _ in range(rng.randint(0, 12)):
+            q = rng.choice([dp, dp, 2 * dp + 1, rng.randint(1, 12)])
+            entries[F(rng.randint(-q, (n + 2) * q), q)] = rng.randint(-3, 3)
+        base = SpectrumVector(entries, ambient_dim=n + 1)
+        cfg = ReducedConeConfig(n, dp, (), power=m)
+        assert thickened_spectrum(base, cfg) == fraction_thickened(base, cfg)

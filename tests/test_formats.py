@@ -1,5 +1,8 @@
+import os
 import random
 import string
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +244,22 @@ def test_parse_native_rejects_repeated_single_lines(text, line, first):
         parse_native(text)
     assert (err.value.code, err.value.line) == ("key-syntax", line)
     assert first in str(err.value)
+
+
+def test_missing_key_message_ignores_hash_seed():
+    # the first missing key is named in grammar order, whatever the set
+    # iteration order of the interpreter
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from conespec.formats import ConfigError, parse_native\n"
+            "try:\n    parse_native('component\\n')\n"
+            "except ConfigError as exc:\n    print(exc)\n")
+    messages = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=str(src))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        messages.add(run.stdout)
+    assert messages == {"line 1: [key-syntax] missing key 'degree'\n"}
 
 
 def test_parse_native_incidence_forms():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -183,3 +184,79 @@ def test_bridge_identity_small():
                 x = F(i, d)
                 assert (lattice_count(w, wp, math.ceil(dj * x) - 1)
                         == window_count(spec, x))
+
+
+# -- the expansion the series kernel replaced, kept as a reference ------------
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _poly_divmod(num, den):
+    """Long division in Z[u] by a monic den."""
+    rem = list(num)
+    if len(rem) < len(den):
+        return [0], rem
+    quo = [0] * (len(rem) - len(den) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(den) - 1]
+        quo[k] = c
+        for j, dj in enumerate(den):
+            rem[k + j] -= c * dj
+    return quo, rem
+
+
+def reference_spectrum(ws):
+    """Convolution of geometric sums when every weight divides d, long
+    division of prod (u^(d-w) - 1) by prod (u^w - 1) otherwise."""
+    ws._require_isolated()
+    d = ws.degree
+    if all(d % w == 0 for w in ws.weights):
+        coeffs = [1]
+        for w in ws.weights:
+            coeffs = _poly_mul(coeffs, [int(k % w == 0)
+                                        for k in range(d - 2 * w + 1)])
+    else:
+        num, den = [1], [1]
+        for w in ws.weights:
+            num = _poly_mul(num, [-1] + [0] * (d - w - 1) + [1])
+            den = _poly_mul(den, [-1] + [0] * (w - 1) + [1])
+        coeffs, rem = _poly_divmod(num, den)
+        if any(rem):
+            raise ValueError(f"weights {ws.weights} with degree {d} do not "
+                             "describe an isolated germ (inexact expansion)")
+    if any(c < 0 for c in coeffs):
+        raise ValueError(f"weights {ws.weights} with degree {d} do not "
+                         "describe an isolated germ (negative multiplicity)")
+    shift = sum(ws.weights)
+    return SpectrumVector({F(shift + k, d): c for k, c in enumerate(coeffs)},
+                          ambient_dim=len(ws.weights))
+
+
+def _outcome(fn, ws):
+    try:
+        return fn(ws)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_spectrum_matches_convolution_and_long_division():
+    routes = {"divisible": 0, "exact": 0, "inexact": 0, "smooth": 0}
+    for k in (1, 2, 3):
+        for weights in itertools.product(range(1, 6), repeat=k):
+            if k > 1 and math.gcd(*weights) != 1:
+                continue
+            for d in range(1, 17):
+                ws = WeightSystem(weights, d)
+                want = _outcome(reference_spectrum, ws)
+                assert _outcome(weighted_spectrum, ws) == want, (weights, d)
+                if isinstance(want, SpectrumVector):
+                    divisible = all(d % w == 0 for w in weights)
+                    routes["divisible" if divisible else "exact"] += 1
+                else:
+                    routes["inexact" if "inexact" in want else "smooth"] += 1
+    assert min(routes.values()) > 50, routes

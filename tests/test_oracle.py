@@ -92,6 +92,19 @@ def test_cross_check_engine_only_path():
     assert "local-table-e0" in names and "rows-e0" not in names
 
 
+def test_branch_multiplicities_leave_the_reduced_path():
+    # reduced components, but branches of multiplicity > 1: the local-spectra
+    # table ignores branch multiplicities, so it must not be compared
+    cfg = parse_native("component degree=2 mult=1\n"
+                       "point weights=3,5 branches=(3:4)(5:2)(15:4)\n")
+    assert not cfg.is_reduced()
+    report = cross_check(cfg)
+    assert report.passed, report.render()
+    names = {c.name for c in report.checks}
+    assert not any(n.startswith("local-table") for n in names)
+    assert "local-table-agreement" not in {c.name for c in verify(cfg).checks}
+
+
 def test_check_kinds():
     # identity: holds by construction; expectation: may legitimately fail;
     # every other check recomputes independently

@@ -161,10 +161,13 @@ def test_oracle_weighted_runs_alternative_checks(capsys):
     assert "row-sum: PASS" in out
 
 
-# Inputs whose reports fail, written inline: three concurrent lines with
-# multiplicities 3, 4, 5 (chi(U) = -1, so a cell is negative), a corrupted
-# incidence matrix, and the cubic-pencil (a=3, b=2, c=2) point grown by one
-# branch without touching nodes or incidence.
+# Inputs written inline. The reports of the first three fail: three
+# concurrent lines with multiplicities 3, 4, 5 (chi(U) = -1, so a cell is
+# negative), a corrupted incidence matrix, and the cubic-pencil (a=3, b=2,
+# c=2) point grown by one branch without touching nodes or incidence. The
+# last three are reduced cones: four Brieskorn germs in n = 3 whose degrees
+# do not divide d' = 40, an E6 spectrum and a node given as mixed-denominator
+# local spectra, and the smooth Fermat cubic.
 INLINE_REPORT_CASES = {
     "concurrent-lines-345": ("component degree=1 mult=3\n"
                              "component degree=1 mult=4\n"
@@ -182,27 +185,43 @@ INLINE_REPORT_CASES = {
                                  "(1:1)(1:1)(1:1)(1:1)(1:1)(1:1)\n"
                                  "nodes 21\n"
                                  "incidence 3x2 2x1\n"),
+    "brieskorn-n3": ("reduced n=3 degree=40 power=3\n"
+                     "localwh weights=21,14,6 degree=42\n"
+                     "localwh weights=10,5,4 degree=20\n"
+                     "localwh weights=5,2,2 degree=10\n"
+                     "localwh weights=5,5,3 degree=15\n"),
+    "e6-and-node": ("reduced n=2 degree=5 power=2\n"
+                    "localspectrum 7/12:1 5/6:1 11/12:1 13/12:1 7/6:1 17/12:1\n"
+                    "localspectrum 1:1\n"),
+    "fermat-cubic": "reduced n=2 degree=3\n",
 }
 
-# case -> (fixture or None for inline text, params, verify exit, oracle exit);
-# tests/golden/<case>.verify and <case>.oracle hold the exact stdout
+# case -> (fixture or None for inline text, params, {command: exit code});
+# tests/golden/<case>.<command> holds the exact stdout
 REPORT_CASES = {
-    **{golden[:-len(".rows")]: (fixture, params, 0, 0)
+    **{golden[:-len(".rows")]: (fixture, params, {"verify": 0, "oracle": 0})
        for fixture, params, golden in GOLDEN_CASES},
-    "two-lines": ("two-lines.cfg", {}, 0, 0),
-    "cuspidal-cubic": ("cuspidal-cubic.cfg", {}, 0, 2),
-    "doubled-cuspidal-cubic": ("doubled-cuspidal-cubic.cfg", {}, 0, 0),
-    "conic-squared": ("conic-squared.cfg", {}, 0, 2),
-    "concurrent-lines-345": (None, {}, 1, 0),
-    "corrupted-incidence": (None, {}, 1, 0),
-    "cubic-pencil-grown-point": (None, {}, 1, 1),
+    "two-lines": ("two-lines.cfg", {}, {"verify": 0, "oracle": 0}),
+    "cuspidal-cubic": ("cuspidal-cubic.cfg", {},
+                       {"verify": 0, "oracle": 2, "reduced": 0}),
+    "doubled-cuspidal-cubic": ("doubled-cuspidal-cubic.cfg", {},
+                               {"verify": 0, "oracle": 0}),
+    "conic-squared": ("conic-squared.cfg", {},
+                      {"verify": 0, "oracle": 2, "reduced": 0}),
+    "concurrent-lines-345": (None, {}, {"verify": 1, "oracle": 0}),
+    "corrupted-incidence": (None, {}, {"verify": 1, "oracle": 0}),
+    "cubic-pencil-grown-point": (None, {}, {"verify": 1, "oracle": 1}),
+    "brieskorn-n3": (None, {}, {"verify": 0, "reduced": 0}),
+    "e6-and-node": (None, {}, {"verify": 0, "reduced": 0}),
+    "fermat-cubic": (None, {}, {"verify": 0, "reduced": 0}),
 }
 
 
-@pytest.mark.parametrize("command", ["verify", "oracle"])
-@pytest.mark.parametrize("case", list(REPORT_CASES))
+@pytest.mark.parametrize("case,command", [
+    pytest.param(case, command, id=f"{case}-{command}")
+    for case, (_, _, exits) in REPORT_CASES.items() for command in exits])
 def test_report_matches_golden(capsys, tmp_path, case, command):
-    fixture, params, verify_code, oracle_code = REPORT_CASES[case]
+    fixture, params, exits = REPORT_CASES[case]
     if fixture is None:
         path = tmp_path / f"{case}.cfg"
         path.write_text(INLINE_REPORT_CASES[case])
@@ -213,7 +232,7 @@ def test_report_matches_golden(capsys, tmp_path, case, command):
         argv += ["--param", f"{name}={value}"]
     code, out, _ = run(capsys, *argv)
     assert out == (GOLDEN / f"{case}.{command}").read_text()
-    assert code == (verify_code if command == "verify" else oracle_code)
+    assert code == exits[command]
 
 
 def test_scan_five_lines_grid(capsys):

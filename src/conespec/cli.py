@@ -124,9 +124,9 @@ def cmd_oracle(args) -> int:
     if not isinstance(cfg, CurveConfig):
         raise ConfigError("mode-conflict", "oracle expects a curve config")
     if not has_reference(cfg):
+        table = "local-spectra table, " if cfg.is_reduced() else ""
         print("# config is not ordinary-with-incidence; running the "
-              "engine-side checks (column sums, local-spectra table, "
-              "brute-force counters)")
+              f"engine-side checks (column sums, {table}brute-force counters)")
     report = cross_check(cfg)
     sys.stdout.write(report.render())
     return OK if report.passed else MISMATCH

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .local import (SingularPoint, lattice_count, quotient_coeffs,
-                    validate_branches, window_count)
+from .local import (SingularPoint, _window_row, lattice_count,
+                    quotient_coeffs, validate_branches)
 from .spectrum import SpectrumVector
 
 
@@ -156,21 +156,12 @@ class ConeSpectrumTable:
     chi_u: int
     rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-    def cell(self, i: int, e: int) -> int:
-        return self.rows[e][i - 1]
-
-    def exponent(self, i: int, e: int) -> Fraction:
-        return Fraction(i, self.d) + e
-
     def as_spectrum(self) -> SpectrumVector:
         """Flatten the table into one vector over exponents in (0, 3]."""
-        entries: dict[Fraction, int] = {}
-        for e in range(3):
-            for i in range(1, self.d + 1):
-                v = self.rows[e][i - 1]
-                if v:
-                    entries[self.exponent(i, e)] = v
-        return SpectrumVector(entries, ambient_dim=3)
+        d = self.d
+        entries = {i + e * d: v for e, row in enumerate(self.rows)
+                   for i, v in enumerate(row, start=1)}
+        return SpectrumVector(entries, 3, denominator=d)
 
     def row_sums_ok(self) -> bool:
         """Column identity: sum_e rows[e][i] + [i == d] equals chi_u."""
@@ -359,29 +350,19 @@ def smooth_cone_coeffs(dprime: int, n: int) -> list[int]:
     return quotient_coeffs((1,) * (n + 1), dprime)
 
 
-def _coeff_at(coeffs: list[int], n: int, i: int) -> int:
-    j = i - (n + 1)
-    if 0 <= j < len(coeffs):
-        return coeffs[j]
-    return 0
-
-
 def reduced_cone_spectrum(cfg: ReducedConeConfig) -> SpectrumVector:
     """Spectrum of the cone over a reduced hypersurface of degree d' in
     projective n-space with isolated singularities: the smooth-cone
     coefficient at each i/d' minus the window counts of the local spectra."""
     n = cfg.ambient_dim
     dp = cfg.degree
-    coeffs = smooth_cone_coeffs(dp, n)
-    entries: dict[Fraction, int] = {}
-    for i in range(1, (n + 1) * dp):
-        alpha = Fraction(i, dp)
-        v = _coeff_at(coeffs, n, i)
-        for spec in cfg.local_spectra:
-            v -= window_count(spec, alpha)
-        if v:
-            entries[alpha] = v
-    return SpectrumVector(entries, ambient_dim=n + 1)
+    top = (n + 1) * dp
+    windows = _window_row(cfg.local_spectra, dp, top - 1)
+    entries = {i: -windows[i] for i in range(1, top)}
+    # coefficient j sits at i = n + 1 + j, and i < (n + 1) * dp
+    for i, c in enumerate(smooth_cone_coeffs(dp, n), start=n + 1):
+        entries[i] += c
+    return SpectrumVector(entries, n + 1, denominator=dp)
 
 
 def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> SpectrumVector:
@@ -397,10 +378,8 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
     n = cfg.ambient_dim
     dp = cfg.degree
     correction = (-1) ** n
-    # d' * exponent = i + p*d' for the base exponents on the 1/d' grid
-    grid = {e.numerator * (dp // e.denominator): v for e, v in base.items()
-            if dp % e.denominator == 0}
-    entries: dict[Fraction, int] = {}
+    grid = base.numerators(dp)      # i + p*d' -> value, on the 1/d' grid
+    entries: dict[int, int] = {}
     for i in range(1, dp + 1):
         for p in range(n + 1):
             v = grid.get(i + p * dp, 0)
@@ -409,8 +388,8 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
                 spread, v = m - 1, v + correction
             if v:
                 for l in range(spread):
-                    entries[Fraction(i + l * dp + p * m * dp, m * dp)] = v
-    return SpectrumVector(entries, ambient_dim=n + 1)
+                    entries[i + l * dp + p * m * dp] = v
+    return SpectrumVector(entries, n + 1, denominator=m * dp)
 
 
 def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> ConeSpectrumTable:
@@ -420,14 +399,11 @@ def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> Co
     if d < 1:
         raise ValueError("degree must be positive")
     specs = list(local_spectra)
-    row0, row1, row2 = [], [], []
-    for i in range(1, d + 1):
-        alpha = Fraction(i, d)
-        m0 = sum(window_count(s, alpha) for s in specs)
-        m1 = sum(window_count(s, alpha + 1) for s in specs)
-        m2 = sum(window_count(s, alpha + 2) for s in specs)
-        row0.append(binom2(i - 1) - m0)
-        row1.append((i - 1) * (d - i - 1) + binom2(d) - m1)
-        row2.append(binom2(d - i - 1) - m2 - (1 if i == d else 0))
+    win = _window_row(specs, d, 3 * d)      # win[i + e*d]: the window at i/d + e
+    row0 = tuple(binom2(i - 1) - win[i] for i in range(1, d + 1))
+    row1 = tuple((i - 1) * (d - i - 1) + binom2(d) - win[i + d]
+                 for i in range(1, d + 1))
+    row2 = tuple(binom2(d - i - 1) - win[i + 2 * d] - (1 if i == d else 0)
+                 for i in range(1, d + 1))
     chi = _chi_complement(d, sum(s.total() for s in specs))
-    return ConeSpectrumTable(d, d, chi, (tuple(row0), tuple(row1), tuple(row2)))
+    return ConeSpectrumTable(d, d, chi, (row0, row1, row2))

@@ -5,6 +5,7 @@ counts. Everything is exact integer/rational arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,9 +83,8 @@ def weighted_spectrum(ws: WeightSystem) -> SpectrumVector:
     if any(c < 0 for c in coeffs):
         raise ValueError(f"weights {ws.weights} with degree {d} do not "
                          "describe an isolated germ (negative multiplicity)")
-    shift = sum(ws.weights)
-    entries = {Fraction(shift + k, d): c for k, c in enumerate(coeffs) if c}
-    return SpectrumVector(entries, ambient_dim=len(ws.weights))
+    entries = enumerate(coeffs, start=sum(ws.weights))
+    return SpectrumVector(entries, len(ws.weights), denominator=d)
 
 
 def weighted_milnor(ws: WeightSystem) -> int:
@@ -114,8 +114,28 @@ def lattice_count(w: int, wp: int, bound: int) -> int:
 def window_count(spec: SpectrumVector, beta: Fraction) -> int:
     """Total multiplicity of exponents in the half-open window [beta-1, beta)."""
     beta = Fraction(beta)
-    low = beta - 1
-    return sum(m for e, m in spec.items() if low <= e < beta)
+    # k/D in [p/q - 1, p/q)  <=>  (p - q)*D <= k*q < p*D
+    top = beta.numerator * spec.denominator
+    low = top - beta.denominator * spec.denominator
+    return sum(m for k, m in spec.numerators().items()
+               if low <= k * beta.denominator < top)
+
+
+def _window_row(spectra, d: int, top: int) -> list[int]:
+    """row[i] = sum of window_count(s, i/d) over the spectra, for i in
+    [0, top]. An exponent k/D lies in [i/d - 1, i/d) exactly for the d
+    integers i in (k*d/D, k*d/D + d], so each entry adds its multiplicity to
+    one run of a difference array, clipped to [0, top]."""
+    diff = [0] * (top + 2)
+    for spec in spectra:
+        den = spec.denominator
+        for k, m in spec.numerators().items():
+            start = k * d // den + 1
+            first, last = max(start, 0), min(start + d - 1, top)
+            if first <= last:
+                diff[first] += m
+                diff[last + 1] -= m
+    return list(itertools.accumulate(diff[:-1]))
 
 
 @dataclass(frozen=True)
@@ -177,11 +197,11 @@ class SingularPoint:
         a nonnegative integer."""
         w, wp = self.weights
         d = self.weighted_degree
-        value = Fraction((d - w) * (d - wp), w * wp)
-        if value.denominator != 1 or value < 0:
+        value, rest = divmod((d - w) * (d - wp), w * wp)
+        if rest or value < 0:
             raise ValueError(f"invalid point data: Milnor number ({d}-{w})"
                              f"({d}-{wp})/{w * wp} is not a nonnegative integer")
-        return value.numerator
+        return value
 
     def local_spectrum(self) -> SpectrumVector:
         """Spectrum of the germ, from its weights and weighted degree."""

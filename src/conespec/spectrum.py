@@ -1,15 +1,21 @@
 """Spectrum vectors: finite-support maps from rational exponents to integer
 multiplicities, tagged with the number of variables they live in.
 
-All arithmetic is exact. Exponents are `fractions.Fraction`, multiplicities
-are (possibly negative) Python ints. A vector is canonical: entries with
-multiplicity 0 are never stored, so equality is structural.
+All arithmetic is exact. A vector keeps its exponents as integer numerators
+over one denominator, the least common denominator of its exponents, and its
+multiplicities as (possibly negative) Python ints. A vector is canonical:
+entries with multiplicity 0 are never stored and the denominator is the
+least one, so equality is structural. `fractions.Fraction` appears only at
+the edge: the constructor's exponent form, `items`, `multiplicity` and
+`render`. `numerators` and the ``denominator`` argument of the constructor
+are the integer way out and in.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Optional, Union
 
 ExponentLike = Union[Fraction, int, str]
 
@@ -23,60 +29,79 @@ def _as_fraction(value: ExponentLike) -> Fraction:
 class SpectrumVector:
     """Finite multiset of rational exponents with signed multiplicities."""
 
-    __slots__ = ("_entries", "_ambient_dim")
+    __slots__ = ("_den", "_nums", "_ambient_dim")
 
-    def __init__(self, entries=None, ambient_dim: int = 1):
+    def __init__(self, entries=None, ambient_dim: int = 1, *,
+                 denominator: Optional[int] = None):
+        """`entries` maps exponents to multiplicities (a mapping or pairs).
+        Exponents are `Fraction`/int/str, or integer numerators over
+        `denominator` when that is given."""
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be a positive integer")
-        table: dict[Fraction, int] = {}
-        if entries:
-            items: Iterable
-            if isinstance(entries, Mapping):
-                items = entries.items()
-            else:
-                items = entries
-            for exponent, mult in items:
-                mult = int(mult)
-                if mult == 0:
-                    continue
-                key = _as_fraction(exponent)
-                new = table.get(key, 0) + mult
-                if new:
-                    table[key] = new
-                else:
-                    del table[key]
-        self._entries = table
+        pairs = (entries.items() if isinstance(entries, Mapping)
+                 else entries or ())
+        if denominator is None:
+            pairs = [(_as_fraction(e), m) for e, m in pairs]
+            denominator = math.lcm(*(e.denominator for e, _ in pairs))
+            pairs = [(e.numerator * (denominator // e.denominator), m)
+                     for e, m in pairs]
+        elif denominator < 1:
+            raise ValueError("denominator must be a positive integer")
+        table: dict[int, int] = {}
+        for k, mult in pairs:
+            table[k] = table.get(k, 0) + int(mult)
+        table = {k: m for k, m in table.items() if m}
+        g = math.gcd(denominator, *table)
+        self._den = denominator // g
+        self._nums = {k // g: m for k, m in table.items()}
         self._ambient_dim = int(ambient_dim)
 
     @property
     def ambient_dim(self) -> int:
         return self._ambient_dim
 
+    @property
+    def denominator(self) -> int:
+        """Least common denominator of the exponents (1 when empty)."""
+        return self._den
+
+    def numerators(self, denominator: Optional[int] = None) -> dict[int, int]:
+        """Entries as {k: multiplicity} for exponents k/denominator (default:
+        the vector's own); exponents off that grid are left out."""
+        if denominator is None or denominator == self._den:
+            return dict(self._nums)
+        return {k * denominator // self._den: m for k, m in self._nums.items()
+                if k * denominator % self._den == 0}
+
     def items(self) -> list[tuple[Fraction, int]]:
         """Entries sorted by increasing exponent."""
-        return sorted(self._entries.items())
+        return [(Fraction(k, self._den), m)
+                for k, m in sorted(self._nums.items())]
 
     def multiplicity(self, exponent: ExponentLike) -> int:
-        return self._entries.get(_as_fraction(exponent), 0)
+        e = _as_fraction(exponent)
+        scale, off_grid = divmod(self._den, e.denominator)
+        return 0 if off_grid else self._nums.get(e.numerator * scale, 0)
 
     def total(self) -> int:
         """Sum of all multiplicities (the Milnor number for a genuine germ)."""
-        return sum(self._entries.values())
+        return sum(self._nums.values())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._nums)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectrumVector):
             return NotImplemented
         return (self._ambient_dim == other._ambient_dim
-                and self._entries == other._entries)
+                and self._den == other._den and self._nums == other._nums)
 
     def __hash__(self) -> int:
-        return hash((self._ambient_dim, frozenset(self._entries.items())))
+        return hash((self._ambient_dim, self._den,
+                     frozenset(self._nums.items())))
 
     def __add__(self, other: "SpectrumVector") -> "SpectrumVector":
         if not isinstance(other, SpectrumVector):
@@ -84,57 +109,24 @@ class SpectrumVector:
         if self._ambient_dim != other._ambient_dim:
             raise ValueError("cannot add spectra with different ambient dimensions "
                              f"({self._ambient_dim} vs {other._ambient_dim})")
-        merged = dict(self._entries)
-        for exponent, mult in other._entries.items():
-            new = merged.get(exponent, 0) + mult
-            if new:
-                merged[exponent] = new
-            else:
-                merged.pop(exponent, None)
-        return SpectrumVector(merged, self._ambient_dim)
-
-    def product(self, other: "SpectrumVector") -> "SpectrumVector":
-        """Exponent convolution: joining two germs in disjoint variables
-        multiplies their spectra, so the result has one entry n_a*n_b at a+b
-        for every pair of entries. Requires nonnegative multiplicities."""
-        if not isinstance(other, SpectrumVector):
-            raise TypeError("product expects a SpectrumVector")
-        for vec in (self, other):
-            bad = [m for m in vec._entries.values() if m < 0]
-            if bad:
-                raise ValueError("product requires genuine spectra "
-                                 "(nonnegative multiplicities)")
-        table: dict[Fraction, int] = {}
-        for ea, ma in self._entries.items():
-            for eb, mb in other._entries.items():
-                key = ea + eb
-                table[key] = table.get(key, 0) + ma * mb
-        return SpectrumVector(table, self._ambient_dim + other._ambient_dim)
+        den = math.lcm(self._den, other._den)
+        pairs = [*self.numerators(den).items(), *other.numerators(den).items()]
+        return SpectrumVector(pairs, self._ambient_dim, denominator=den)
 
     def dual(self) -> "SpectrumVector":
         """Reflect every exponent a to ambient_dim - a."""
-        d = Fraction(self._ambient_dim)
-        return SpectrumVector({d - e: m for e, m in self._entries.items()},
-                              self._ambient_dim)
+        top = self._ambient_dim * self._den
+        return SpectrumVector({top - k: m for k, m in self._nums.items()},
+                              self._ambient_dim, denominator=self._den)
 
     def has_valid_support(self) -> bool:
         """True iff every exponent lies strictly inside (0, ambient_dim)."""
-        d = self._ambient_dim
-        return all(0 < e < d for e in self._entries)
+        top = self._ambient_dim * self._den
+        return all(0 < k < top for k in self._nums)
 
     def is_symmetric(self) -> bool:
         """True iff the vector equals its own dual."""
         return self.dual() == self
-
-    def min_exponent(self) -> Fraction:
-        if not self._entries:
-            raise ValueError("empty spectrum has no minimum exponent")
-        return min(self._entries)
-
-    def max_exponent(self) -> Fraction:
-        if not self._entries:
-            raise ValueError("empty spectrum has no maximum exponent")
-        return max(self._entries)
 
     def render(self) -> str:
         """Canonical text form: "p/q:m" entries, increasing exponents."""
@@ -145,7 +137,3 @@ class SpectrumVector:
 
     def __repr__(self) -> str:
         return f"SpectrumVector({{{self.render()}}}, ambient_dim={self._ambient_dim})"
-
-
-def empty_spectrum(ambient_dim: int) -> SpectrumVector:
-    return SpectrumVector(None, ambient_dim)

@@ -1,0 +1,94 @@
+"""Test-side references for `conespec.spectrum`.
+
+`FractionSpectrum` is the spectrum vector as it was first written: a dict
+keyed by `Fraction` exponents, sorted on every `items()` call. The integer
+`SpectrumVector` is compared against it. The functions below it are the
+operations only the tests use, written over the public API.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from conespec.spectrum import SpectrumVector
+
+
+class FractionSpectrum:
+    """Fraction-keyed spectrum vector with the package's public methods."""
+
+    def __init__(self, entries=None, ambient_dim: int = 1):
+        table: dict[Fraction, int] = {}
+        pairs = entries.items() if isinstance(entries, dict) else entries
+        for exponent, mult in pairs or ():
+            key = Fraction(exponent)
+            new = table.get(key, 0) + int(mult)
+            if new:
+                table[key] = new
+            else:
+                table.pop(key, None)
+        self.entries = table
+        self.ambient_dim = ambient_dim
+
+    def items(self):
+        return sorted(self.entries.items())
+
+    def multiplicity(self, exponent) -> int:
+        return self.entries.get(Fraction(exponent), 0)
+
+    def total(self) -> int:
+        return sum(self.entries.values())
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __eq__(self, other) -> bool:
+        return (self.ambient_dim == other.ambient_dim
+                and self.entries == other.entries)
+
+    def __add__(self, other):
+        merged = dict(self.entries)
+        for exponent, mult in other.entries.items():
+            merged[exponent] = merged.get(exponent, 0) + mult
+        return FractionSpectrum(merged, self.ambient_dim)
+
+    def dual(self):
+        d = Fraction(self.ambient_dim)
+        return FractionSpectrum({d - e: m for e, m in self.entries.items()},
+                                self.ambient_dim)
+
+    def has_valid_support(self) -> bool:
+        return all(0 < e < self.ambient_dim for e in self.entries)
+
+    def is_symmetric(self) -> bool:
+        return self.dual() == self
+
+    def render(self) -> str:
+        return ", ".join(f"{e}:{m}" for e, m in self.items())
+
+
+def empty_spectrum(ambient_dim: int) -> SpectrumVector:
+    return SpectrumVector(None, ambient_dim)
+
+
+def product(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
+    """Exponent convolution: joining two germs in disjoint variables
+    multiplies their spectra, so the result has one entry n_a*n_b at x+y
+    for every pair of entries. Requires nonnegative multiplicities."""
+    if any(m < 0 for vec in (a, b) for _, m in vec.items()):
+        raise ValueError("product requires genuine spectra "
+                         "(nonnegative multiplicities)")
+    return SpectrumVector([(x + y, ma * mb) for x, ma in a.items()
+                           for y, mb in b.items()],
+                          a.ambient_dim + b.ambient_dim)
+
+
+def min_exponent(spec: SpectrumVector) -> Fraction:
+    if not spec:
+        raise ValueError("empty spectrum has no minimum exponent")
+    return spec.items()[0][0]
+
+
+def max_exponent(spec: SpectrumVector) -> Fraction:
+    if not spec:
+        raise ValueError("empty spectrum has no maximum exponent")
+    return spec.items()[-1][0]

@@ -23,6 +23,7 @@ from conespec.local import (WeightSystem, lattice_count, weighted_milnor,
                             weighted_spectrum, window_count)
 from conespec.oracle import as_reduced_cone, reference_ordinary, thicken
 from generators import random_ordinary_config, random_reduced_swh_config
+from reference import product
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -195,8 +196,8 @@ def test_criterion_6_local_spectrum_suite():
                 ok, detail = False, f"pair ({w},{wp}) degree {d}"
                 break
             if d % (w * wp) == 0:
-                split = weighted_spectrum(WeightSystem((w,), d)).product(
-                    weighted_spectrum(WeightSystem((wp,), d)))
+                split = product(weighted_spectrum(WeightSystem((w,), d)),
+                                weighted_spectrum(WeightSystem((wp,), d)))
                 if split != spec:
                     ok, detail = False, f"factorization ({w},{wp}) degree {d}"
                     break
@@ -209,7 +210,7 @@ def test_criterion_6_local_spectrum_suite():
             factor = weighted_spectrum(WeightSystem((1,), d))
             if not (spec.has_valid_support() and spec.is_symmetric()
                     and spec.total() == weighted_milnor(ws)
-                    and factor.product(factor).product(factor) == spec):
+                    and product(product(factor, factor), factor) == spec):
                 ok, detail = False, f"triple degree {d}"
                 break
     elapsed = time.monotonic() - start

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
-                            lattice_count, validate_branches, weighted_milnor,
-                            weighted_spectrum, window_count)
+                            _window_row, lattice_count, validate_branches,
+                            weighted_milnor, weighted_spectrum, window_count)
 from conespec.oracle import brute_lattice
 from conespec.spectrum import SpectrumVector
+from reference import product
 
 F = Fraction
 
@@ -170,7 +171,7 @@ def test_factorization_against_single_variable_factors():
                 joint = weighted_spectrum(WeightSystem((w, wp), d))
                 f1 = weighted_spectrum(WeightSystem((w,), d))
                 f2 = weighted_spectrum(WeightSystem((wp,), d))
-                assert f1.product(f2) == joint
+                assert product(f1, f2) == joint
 
 
 def test_bridge_identity_small():
@@ -184,6 +185,31 @@ def test_bridge_identity_small():
                 x = F(i, d)
                 assert (lattice_count(w, wp, math.ceil(dj * x) - 1)
                         == window_count(spec, x))
+
+
+
+def test_window_row_matches_window_count():
+    """The difference-array row against one window at a time, on spectra
+    with negative, off-grid and out-of-range exponents and a d that their
+    denominators do not divide."""
+    rng = random.Random(6060)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        d = rng.randint(1, 13)
+        spectra = []
+        for _ in range(rng.randint(0, 3)):
+            entries = {}
+            for _ in range(rng.randint(0, 8)):
+                q = rng.choice([d + 1, 2 * d + 1, rng.randint(1, 12)])
+                entries[F(rng.randint(-2 * q, (n + 2) * q), q)] = \
+                    rng.randint(-3, 3)
+            spectra.append(SpectrumVector(entries, ambient_dim=n))
+        top = (n + 1) * d
+        row = _window_row(spectra, d, top)
+        assert len(row) == top + 1
+        for i in range(top + 1):
+            assert row[i] == sum(window_count(s, F(i, d)) for s in spectra), \
+                (spectra, d, i)
 
 
 # -- the expansion the series kernel replaced, kept as a reference ------------

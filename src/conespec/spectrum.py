@@ -68,8 +68,8 @@ class SpectrumVector:
     def numerators(self, denominator: Optional[int] = None) -> dict[int, int]:
         """Entries as {k: multiplicity} for exponents k/denominator (default:
         the vector's own); exponents off that grid are left out."""
-        if denominator is None or denominator == self._den:
-            return dict(self._nums)
+        if denominator is None:
+            denominator = self._den
         return {k * denominator // self._den: m for k, m in self._nums.items()
                 if k * denominator % self._den == 0}
 

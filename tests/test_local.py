@@ -187,7 +187,6 @@ def test_bridge_identity_small():
                         == window_count(spec, x))
 
 
-
 def test_window_row_matches_window_count():
     """The difference-array row against one window at a time, on spectra
     with negative, off-grid and out-of-range exponents and a d that their

@@ -194,10 +194,28 @@ INLINE_REPORT_CASES = {
                     "localspectrum 7/12:1 5/6:1 11/12:1 13/12:1 7/6:1 17/12:1\n"
                     "localspectrum 1:1\n"),
     "fermat-cubic": "reduced n=2 degree=3\n",
+    # scan templates: weighted points with mixed branch multiplicities (two
+    # of them identical), a grid reaching d < 3, and a grid whose second
+    # point has a branch degree outside {w, w', w*w'}
+    "weighted-mult-sweep": ("component degree=3 mult=m\n"
+                            "component degree=2 mult=2\n"
+                            "component degree=1 mult=1 count=2\n"
+                            "point weights=2,3 branches=(6:m) count=2\n"
+                            "point weights=1,3 branches=(3:m)(3:2)\n"
+                            "point weights=2,5 branches=(2:1)(10:m)\n"
+                            "point weights=1,1 branches=(1:m)(1:2)(1:1)\n"
+                            "nodes 3\n"),
+    "small-degree-grid": ("component degree=1 mult=a\n"
+                          "component degree=1 mult=1\n"
+                          "point weights=1,1 branches=(1:a)(1:1)\n"),
+    "invalid-point-grid": ("component degree=3 mult=m\n"
+                           "point weights=2,3 branches=(m:1)\n"),
 }
 
 # case -> (fixture or None for inline text, params, {command: exit code});
-# tests/golden/<case>.<command> holds the exact stdout
+# a param is bound with --param, a range value swept with --range, and a key
+# starting with "--" is passed as that option; tests/golden/<case>.<command>
+# holds the exact stdout
 REPORT_CASES = {
     **{golden[:-len(".rows")]: (fixture, params, {"verify": 0, "oracle": 0})
        for fixture, params, golden in GOLDEN_CASES},
@@ -214,14 +232,26 @@ REPORT_CASES = {
     "brieskorn-n3": (None, {}, {"verify": 0, "reduced": 0}),
     "e6-and-node": (None, {}, {"verify": 0, "reduced": 0}),
     "fermat-cubic": (None, {}, {"verify": 0, "reduced": 0}),
+    "five-lines-grid": ("five-lines.vectors",
+                        dict(a=range(1, 31), c=range(0, 30), b=3), {"scan": 0}),
+    "five-lines-grid-n3d-zero": ("five-lines.vectors",
+                                 {"a": range(1, 31), "c": range(0, 30), "b": 3,
+                                  "--predicate": "n3d_zero"}, {"scan": 0}),
+    "lines-conic-grid": ("lines-conic.vectors",
+                         dict(a=range(1, 16), b=range(5, 20), c=2), {"scan": 0}),
+    "sextic-pencil-grid-chi": ("sextic-pencil.vectors",
+                               {"a": range(1, 13), "b": range(1, 13), "c": 1,
+                                "--predicate": "chi_nonzero"}, {"scan": 0}),
+    "weighted-mult-sweep": (None, {"m": range(1, 13)}, {"scan": 0}),
+    "small-degree-grid": (None, {"a": range(1, 5), "--predicate": "n3d_zero"},
+                          {"scan": 0}),
+    "invalid-point-grid": (None, {"m": range(6, 8)}, {"scan": 2}),
 }
 
 
-@pytest.mark.parametrize("case,command", [
-    pytest.param(case, command, id=f"{case}-{command}")
-    for case, (_, _, exits) in REPORT_CASES.items() for command in exits])
-def test_report_matches_golden(capsys, tmp_path, case, command):
-    fixture, params, exits = REPORT_CASES[case]
+def report_argv(case, command, tmp_path):
+    """The command line of a golden report case."""
+    fixture, params, _ = REPORT_CASES[case]
     if fixture is None:
         path = tmp_path / f"{case}.cfg"
         path.write_text(INLINE_REPORT_CASES[case])
@@ -229,10 +259,22 @@ def test_report_matches_golden(capsys, tmp_path, case, command):
         path = FIXTURES / fixture
     argv = [command, path]
     for name, value in params.items():
-        argv += ["--param", f"{name}={value}"]
-    code, out, _ = run(capsys, *argv)
+        if name.startswith("--"):
+            argv += [name, value]
+        elif isinstance(value, range):
+            argv += ["--range", f"{name}={value.start}..{value.stop - 1}"]
+        else:
+            argv += ["--param", f"{name}={value}"]
+    return argv
+
+
+@pytest.mark.parametrize("case,command", [
+    pytest.param(case, command, id=f"{case}-{command}")
+    for case, (_, _, exits) in REPORT_CASES.items() for command in exits])
+def test_report_matches_golden(capsys, tmp_path, case, command):
+    code, out, _ = run(capsys, *report_argv(case, command, tmp_path))
     assert out == (GOLDEN / f"{case}.{command}").read_text()
-    assert code == exits[command]
+    assert code == REPORT_CASES[case][2][command]
 
 
 def test_scan_five_lines_grid(capsys):

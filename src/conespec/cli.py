@@ -182,8 +182,9 @@ def run_scan(spec: ScanSpec, out) -> int:
             table = curve_table(cfg)
         except ConfigError as exc:
             exc_point = ", ".join(f"{n}={v}" for n, v in zip(names, combo))
-            raise ConfigError(exc.code, f"at grid point ({exc_point}): {exc}") \
-                from exc
+            raise ConfigError(exc.code,
+                              f"at grid point ({exc_point}): {exc.args[0]}",
+                              exc.line) from exc
         n3d = table.rows[0][2] if table.d >= 3 else None
         values = {"n3d_zero": (None if n3d is None else n3d == 0),
                   "chi_nonzero": table.chi_u != 0}

@@ -367,3 +367,22 @@ def test_exit_code_contract(capsys, tmp_path):
     bad_input.write_text("component degree=0 mult=1\n")
     code, _, _ = run(capsys, "compute", bad_input)
     assert code == 2
+
+
+@pytest.mark.parametrize("template,message", [
+    ("component degree=1 mult=1\ncomponent degree=a mult=1\n",
+     "line 2: [value-nonpositive] at grid point (a=0): "
+     "degree and mult must be positive"),
+    ((FIXTURES / "five-lines.vectors").read_text(),
+     "[value-nonpositive] at grid point (a=0): component "
+     "degree/multiplicity must be positive, got (1, 0)"),
+], ids=["native", "vector"])
+def test_scan_grid_point_error_names_code_once(capsys, tmp_path, template,
+                                               message):
+    path = tmp_path / "template.txt"
+    path.write_text(template)
+    code, out, err = run(capsys, "scan", path, "--range", "a=0..1",
+                         "--param", "b=1", "--param", "c=0")
+    assert code == 2
+    assert out.splitlines() == ["a,d,dprime,n_3_over_d,chi_u,flags"]
+    assert err == f"error: {message}\n"

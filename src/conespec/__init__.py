@@ -15,13 +15,11 @@ The package is organized as:
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      Incidence, ReducedConeConfig, curve_table,
-                     euler_complement, euler_generic_union,
-                     incidence_consistent, local_data_table,
+                     euler_complement, incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
 from .local import (LocalBranch, SingularPoint, WeightSystem, lattice_count,
-                    validate_branches, weighted_milnor, weighted_spectrum,
-                    window_count)
+                    validate_branches, weighted_spectrum, window_count)
 from .spectrum import SpectrumVector
 
 __version__ = "0.1.0"
@@ -29,9 +27,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConeSpectrumTable", "CurveConfig", "GlobalComponent", "Incidence",
     "LocalBranch", "ReducedConeConfig", "SingularPoint", "SpectrumVector",
-    "WeightSystem", "curve_table", "euler_complement", "euler_generic_union",
-    "incidence_consistent", "lattice_count", "local_data_table",
-    "ordinary_middle_row", "reduced_cone_spectrum", "smooth_cone_coeffs",
-    "thickened_spectrum", "validate_branches", "weighted_milnor",
-    "weighted_spectrum", "window_count",
+    "WeightSystem", "curve_table", "euler_complement", "incidence_consistent",
+    "lattice_count", "local_data_table", "ordinary_middle_row",
+    "reduced_cone_spectrum", "smooth_cone_coeffs", "thickened_spectrum",
+    "validate_branches", "weighted_spectrum", "window_count",
 ]

@@ -263,15 +263,6 @@ def euler_complement(cfg: CurveConfig) -> int:
     return _chi_complement(cfg.reduced_degree, cfg.total_milnor())
 
 
-def euler_generic_union(degrees: Sequence[int]) -> int:
-    """Euler number of the complement of a generic nodal union of smooth
-    curves with the given degrees."""
-    if any(d < 1 for d in degrees):
-        raise ValueError("degrees must be positive")
-    dp = sum(degrees)
-    return binom2(dp - 2) + sum(binom2(d) for d in degrees)
-
-
 def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
     """Spectrum table of the cone over a plane curve with semi-weighted-
     homogeneous reduced singularities.

@@ -87,18 +87,6 @@ def weighted_spectrum(ws: WeightSystem) -> SpectrumVector:
     return SpectrumVector(entries, len(ws.weights), denominator=d)
 
 
-def weighted_milnor(ws: WeightSystem) -> int:
-    """Milnor number prod_i (d - w_i)/w_i, asserted to be an exact integer."""
-    ws._require_isolated()
-    value = Fraction(1)
-    for w in ws.weights:
-        value *= Fraction(ws.degree - w, w)
-    if value.denominator != 1:
-        raise ValueError(f"non-integral Milnor product for weights {ws.weights} "
-                         f"and degree {ws.degree}")
-    return value.numerator
-
-
 def lattice_count(w: int, wp: int, bound: int) -> int:
     """Number of pairs (m1, m2) of positive integers with w*m1 + wp*m2 <= bound."""
     if bound < w + wp:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from conespec.engine import binom2
+from conespec.local import WeightSystem
 from conespec.spectrum import SpectrumVector
 
 
@@ -92,3 +94,24 @@ def max_exponent(spec: SpectrumVector) -> Fraction:
     if not spec:
         raise ValueError("empty spectrum has no maximum exponent")
     return spec.items()[-1][0]
+
+
+def weighted_milnor(ws: WeightSystem) -> int:
+    """Milnor number prod_i (d - w_i)/w_i, asserted to be an exact integer."""
+    ws._require_isolated()
+    value = Fraction(1)
+    for w in ws.weights:
+        value *= Fraction(ws.degree - w, w)
+    if value.denominator != 1:
+        raise ValueError(f"non-integral Milnor product for weights {ws.weights} "
+                         f"and degree {ws.degree}")
+    return value.numerator
+
+
+def euler_generic_union(degrees) -> int:
+    """Euler number of the complement of a generic nodal union of smooth
+    curves with the given degrees."""
+    if any(d < 1 for d in degrees):
+        raise ValueError("degrees must be positive")
+    dp = sum(degrees)
+    return binom2(dp - 2) + sum(binom2(d) for d in degrees)

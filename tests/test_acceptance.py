@@ -15,15 +15,14 @@ import pytest
 
 from conespec.cli import ScanSpec, main, run_scan
 from conespec.engine import (CurveConfig, GlobalComponent, binom2, curve_table,
-                             euler_complement, euler_generic_union,
-                             ordinary_middle_row, reduced_cone_spectrum,
-                             thickened_spectrum)
+                             euler_complement, ordinary_middle_row,
+                             reduced_cone_spectrum, thickened_spectrum)
 from conespec.formats import parse_singular, parse_vector_text
-from conespec.local import (WeightSystem, lattice_count, weighted_milnor,
-                            weighted_spectrum, window_count)
+from conespec.local import (WeightSystem, lattice_count, weighted_spectrum,
+                            window_count)
 from conespec.oracle import as_reduced_cone, reference_ordinary, thicken
 from generators import random_ordinary_config, random_reduced_swh_config
-from reference import product
+from reference import euler_generic_union, product, weighted_milnor
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"

@@ -6,17 +6,18 @@ import pytest
 
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ReducedConeConfig, binom2, curve_table,
-                             euler_complement, euler_generic_union,
-                             incidence_consistent, index_data,
-                             local_data_table, ordinary_middle_row,
-                             reduced_cone_spectrum, residue_degree,
-                             smooth_cone_coeffs, thickened_spectrum)
+                             euler_complement, incidence_consistent,
+                             index_data, local_data_table,
+                             ordinary_middle_row, reduced_cone_spectrum,
+                             residue_degree, smooth_cone_coeffs,
+                             thickened_spectrum)
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
                             weighted_spectrum, WeightSystem)
 from conespec.oracle import as_reduced_cone, brute_coeffs, thicken
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
+from reference import euler_generic_union
 
 F = Fraction
 

@@ -7,10 +7,10 @@ import pytest
 
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             _window_row, lattice_count, validate_branches,
-                            weighted_milnor, weighted_spectrum, window_count)
+                            weighted_spectrum, window_count)
 from conespec.oracle import brute_lattice
 from conespec.spectrum import SpectrumVector
-from reference import product
+from reference import product, weighted_milnor
 
 F = Fraction
 

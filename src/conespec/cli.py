@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      curve_table, local_data_table, ordinary_middle_row,
-                     reduced_cone_spectrum, thickened_spectrum)
+                     reduced_cone_spectrum, scan_values, thickened_spectrum)
 from .formats import (ConfigError, emit_table, looks_like_vectors,
                       parse_native, parse_singular, parse_vector_text)
 from .oracle import cross_check, has_reference, verify
@@ -145,6 +145,10 @@ class ScanSpec:
 
 
 def run_scan(spec: ScanSpec, out) -> int:
+    """Write the CSV of `spec` to `out`: per grid point the bindings, d, d',
+    n[3/d] and chi(U) from `scan_values`, which computes one cell and not
+    the table, so a point's cost does not grow with d. An input error names
+    the grid point and keeps its code and line."""
     for name in spec.predicates:
         if name not in PREDICATES:
             raise ConfigError("predicate-unknown",
@@ -179,24 +183,22 @@ def run_scan(spec: ScanSpec, out) -> int:
             if not isinstance(cfg, CurveConfig):
                 raise ConfigError("mode-conflict",
                                   "scan templates must describe curve configs")
-            table = curve_table(cfg)
+            d, dprime, n3d, chi_u = scan_values(cfg)
         except ConfigError as exc:
             exc_point = ", ".join(f"{n}={v}" for n, v in zip(names, combo))
             raise ConfigError(exc.code,
                               f"at grid point ({exc_point}): {exc.args[0]}",
                               exc.line) from exc
-        n3d = table.rows[0][2] if table.d >= 3 else None
         values = {"n3d_zero": (None if n3d is None else n3d == 0),
-                  "chi_nonzero": table.chi_u != 0}
+                  "chi_nonzero": chi_u != 0}
         satisfied = [p for p in spec.predicates if values[p] is True]
         undefined = [p for p in spec.predicates if values[p] is None]
         if spec.predicates and not undefined and len(satisfied) != len(spec.predicates):
             continue
         flags = "n/a" if undefined else ";".join(satisfied)
         writer.writerow(list(combo)
-                        + [table.d, table.dprime,
-                           "n/a" if n3d is None else n3d,
-                           table.chi_u, flags])
+                        + [d, dprime, "n/a" if n3d is None else n3d, chi_u,
+                           flags])
     return OK
 
 

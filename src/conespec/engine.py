@@ -3,16 +3,20 @@
 The plane-curve entry point is `curve_table`, which takes a combinatorial
 description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
-together with the Euler number of the curve complement. The reduced
-any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum` /
-`local_data_table`, which consume local spectra directly.
+together with the Euler number of the curve complement. Each column comes
+from its index alone: one kernel, `_column`, reads constants taken once per
+config (component and branch terms, identical points grouped with a count)
+and serves `curve_table`, `ordinary_middle_row` and `scan_values`, the one
+cell that ``scan`` reports. The reduced any-dimension route is
+`reduced_cone_spectrum` / `thickened_spectrum` / `local_data_table`, which
+consume local spectra directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .local import (SingularPoint, _window_row, lattice_count,
                     quotient_coeffs, validate_branches)
@@ -216,7 +220,7 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
     d = cfg.degree
     if not 1 <= i <= d:
         raise ValueError(f"index {i} out of range [1, {d}]")
-    shift = _shift(cfg, i, d)
+    shift = _shift(_component_terms(cfg), i, d)
     return shift, i - shift, [Fraction(_residue(c.multiplicity, i, d), d)
                               for c in cfg.components]
 
@@ -224,33 +228,85 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
 def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
     """Branch residues weighted by branch degrees; lies in (0, d_j] and
     equals d_j exactly at i = d."""
-    return Fraction(_point_residue(point, i, d), d)
+    terms = _branch_terms(point)
+    return Fraction(i * _mass(terms), d) - _shift(terms, i, d)
 
 
 # Integers over d: for a, i >= 1, ceil(a*i/d) - 1 == (a*i - 1) // d, and d
-# times the (0, 1] representative of a*i/d is (a*i - 1) % d + 1.
-def _shift(cfg: CurveConfig, i: int, d: int) -> int:
-    return sum(c.degree * ((c.multiplicity * i - 1) // d)
-               for c in cfg.components)
+# times the (0, 1] representative of a*i/d is (a*i - 1) % d + 1. Components
+# enter as (multiplicity, total degree) pairs and a point's branches as
+# (multiplicity, total weighted degree) pairs. The residue of x is
+# x - (ceil(x) - 1), so a point's residue degree is i*mass/d - shift.
+def _shift(terms, i: int, d: int) -> int:
+    return sum(degree * ((mult * i - 1) // d) for mult, degree in terms)
+
+
+def _mass(terms) -> int:
+    return sum(mult * degree for mult, degree in terms)
 
 
 def _residue(mult: int, i: int, d: int) -> int:
     return (mult * i - 1) % d + 1
 
 
-def _point_residue(point: SingularPoint, i: int, d: int) -> int:
-    """d * residue_degree(point, i, d)."""
-    return sum(b.weighted_degree * _residue(b.multiplicity, i, d)
-               for b in point.branches)
+_Terms = tuple[tuple[int, int], ...]
 
 
-def _columns(cfg: CurveConfig):
-    """Yield (i, twist, ceilings) for i in [1, d], where ceilings[j] is the
-    ceiling of residue_degree(cfg.points[j], i, d)."""
-    d = cfg.degree
-    for i in range(1, d + 1):
-        yield i, i - _shift(cfg, i, d), [-(-_point_residue(p, i, d) // d)
-                                         for p in cfg.points]
+def _totals(pairs) -> _Terms:
+    """(multiplicity, degree) pairs summed per multiplicity, sorted."""
+    totals: dict[int, int] = {}
+    for mult, degree in pairs:
+        totals[mult] = totals.get(mult, 0) + degree
+    return tuple(sorted(totals.items()))
+
+
+def _component_terms(cfg: CurveConfig) -> _Terms:
+    return _totals((c.multiplicity, c.degree) for c in cfg.components)
+
+
+def _branch_terms(point: SingularPoint) -> _Terms:
+    return _totals((b.multiplicity, b.weighted_degree) for b in point.branches)
+
+
+class _Curve(NamedTuple):
+    """The constants of the curve route, read once per config: d, d', the
+    component terms, and one (count, w, w', d_j, mass, branch terms) entry
+    per distinct point."""
+
+    d: int
+    dprime: int
+    comps: _Terms
+    points: tuple[tuple[int, int, int, int, int, _Terms], ...]
+
+
+def _hoist(cfg: CurveConfig) -> _Curve:
+    """The constants of cfg; points with the same weights and branch terms
+    share one entry, keyed on plain tuples."""
+    counts: dict = {}
+    for p in cfg.points:
+        key = (p.weights, _branch_terms(p))
+        counts[key] = counts.get(key, 0) + 1
+    points = tuple((k, w, wp, sum(deg for _, deg in terms), _mass(terms), terms)
+                   for ((w, wp), terms), k in counts.items())
+    return _Curve(cfg.degree, cfg.reduced_degree, _component_terms(cfg), points)
+
+
+def _column(curve: _Curve, i: int) -> tuple[int, int, int]:
+    """Column i: rows 0 and 2, and the incidence middle row without its
+    constant (component pairs minus incidence pairs). On ordinary points
+    d_j is the number of branches."""
+    d, dp = curve.d, curve.dprime
+    twist = i - _shift(curve.comps, i, d)
+    r0 = binom2(twist - 1)
+    r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
+    middle = (twist - 1) * (dp - twist - 1)
+    for k, w, wp, dj, mass, terms in curve.points:
+        # ceiling of the residue degree i*mass/d - shift
+        ceil_g = -(-i * mass // d) - _shift(terms, i, d)
+        r0 -= k * lattice_count(w, wp, ceil_g - 1)
+        r2 -= k * lattice_count(w, wp, dj - ceil_g)
+        middle -= k * (ceil_g - 1) * (dj - ceil_g)
+    return r0, r2, middle
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -269,26 +325,32 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
     Rows 0 and 2 come from twisted-line-bundle counts minus lattice counts at
     the singular points; row 1 closes each column against the Euler number of
-    the complement.
+    the complement. Every column goes through `_column`, which reads the
+    constants `_hoist` takes once per config.
     """
     cfg.validate_points()
-    d = cfg.degree
-    dp = cfg.reduced_degree
+    curve = _hoist(cfg)
+    d = curve.d
     chi = euler_complement(cfg)
     row0, row1, row2 = [], [], []
-    for i, twist, ceilings in _columns(cfg):
-        delta = 1 if i == d else 0
-        r0 = binom2(twist - 1)
-        r2 = binom2(dp - twist - 1) - delta
-        for p, ceil_g in zip(cfg.points, ceilings):
-            w, wp = p.weights
-            r0 -= lattice_count(w, wp, ceil_g - 1)
-            r2 -= lattice_count(w, wp, p.weighted_degree - ceil_g)
-        r1 = chi - r0 - r2 - delta
+    for i in range(1, d + 1):
+        r0, r2, _ = _column(curve, i)
         row0.append(r0)
-        row1.append(r1)
+        row1.append(chi - r0 - r2 - (1 if i == d else 0))
         row2.append(r2)
-    return ConeSpectrumTable(d, dp, chi, (tuple(row0), tuple(row1), tuple(row2)))
+    return ConeSpectrumTable(d, curve.dprime, chi,
+                             (tuple(row0), tuple(row1), tuple(row2)))
+
+
+def scan_values(cfg: CurveConfig) -> tuple[int, int, Optional[int], int]:
+    """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
+    what ``scan`` reports per grid point. The points are validated as by
+    `curve_table`, also when d < 3, but only column 3 is computed, so the
+    cost does not grow with d."""
+    cfg.validate_points()
+    curve = _hoist(cfg)
+    n3d = _column(curve, 3)[0] if curve.d >= 3 else None
+    return curve.d, curve.dprime, n3d, euler_complement(cfg)
 
 
 def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
@@ -300,17 +362,11 @@ def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
     if cfg.incidence is None:
         raise ValueError("incidence-based middle row needs incidence data")
     cfg.validate_points()
-    dp = cfg.reduced_degree
-    comp_pairs = sum(binom2(c.degree) for c in cfg.components)
-    incidence_pairs = sum(count * binom2(value)
-                          for count, value in cfg.incidence.pairs)
-    row = []
-    for _, twist, ceilings in _columns(cfg):
-        v = (twist - 1) * (dp - twist - 1) + comp_pairs - incidence_pairs
-        for p, ceil_g in zip(cfg.points, ceilings):
-            v -= (ceil_g - 1) * (p.reduced_multiplicity - ceil_g)
-        row.append(v)
-    return row
+    curve = _hoist(cfg)
+    pairs = (sum(binom2(c.degree) for c in cfg.components)
+             - sum(count * binom2(value)
+                   for count, value in cfg.incidence.pairs))
+    return [_column(curve, i)[2] + pairs for i in range(1, curve.d + 1)]
 
 
 def incidence_consistent(cfg: CurveConfig) -> bool:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
-                     ReducedConeConfig, _residue, _shift, curve_table,
+                     ReducedConeConfig, _component_terms, _residue, _shift,
+                     curve_table,
                      incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
@@ -297,11 +298,11 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     # in integers over d: 0 <= shift < i (so 0 < twist <= i), residues in
     # (0, d], and the twist i - shift at i = d is the reduced degree
     d = cfg.degree
-    ranges_ok = all(0 <= _shift(cfg, i, d) < i
-                    and all(0 < _residue(c.multiplicity, i, d) <= d
-                            for c in cfg.components)
+    comps = _component_terms(cfg)
+    ranges_ok = all(0 <= _shift(comps, i, d) < i
+                    and all(0 < _residue(mult, i, d) <= d for mult, _ in comps)
                     for i in range(1, d + 1))
-    top_twist = d - _shift(cfg, d, d)
+    top_twist = d - _shift(comps, d, d)
     checks.append(CheckResult("index-ranges",
                               ranges_ok and top_twist == cfg.reduced_degree,
                               kind="identity"))

@@ -1,8 +1,14 @@
+import io
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from conespec import cli
+from conespec.cli import ScanSpec, run_scan
 
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ReducedConeConfig, binom2, curve_table,
@@ -11,13 +17,16 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ordinary_middle_row, reduced_cone_spectrum,
                              residue_degree, smooth_cone_coeffs,
                              thickened_spectrum)
+from conespec.formats import emit_native, parse_singular, parse_vector_text
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
                             weighted_spectrum, WeightSystem)
 from conespec.oracle import as_reduced_cone, brute_coeffs, thicken
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
-from reference import euler_generic_union
+from reference import euler_generic_union, weighted_milnor
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 F = Fraction
 
@@ -334,37 +343,49 @@ def test_reduced_config_validates_spectra():
         ReducedConeConfig(2, 3, (wrong_dim,))
 
 
-def fraction_columns(cfg):
-    """Rows 0 and 2, and the incidence middle row where it applies, through
-    Fraction residues and math.ceil: the arithmetic the engine used before
-    it computed in integers over d."""
+def fraction_column(cfg, i):
+    """Rows 0 and 2 at column i, and the incidence middle row there where it
+    applies, through Fraction residues and math.ceil: the arithmetic the
+    engine used before it computed in integers over d."""
     d, dp = cfg.degree, cfg.reduced_degree
     middle_applies = cfg.is_ordinary() and cfg.incidence is not None
-    if middle_applies:
-        base = (sum(binom2(c.degree) for c in cfg.components)
-                - sum(n * binom2(v) for n, v in cfg.incidence.pairs))
-    row0, row2, middle = [], [], []
-    for i in range(1, d + 1):
-        twist = i - sum(c.degree * (math.ceil(F(c.multiplicity * i, d)) - 1)
-                        for c in cfg.components)
-        r0 = binom2(twist - 1)
-        r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
-        v = (twist - 1) * (dp - twist - 1)
-        for p in cfg.points:
-            g = F(0)
-            for b in p.branches:
-                u = F(b.multiplicity * i, d)
-                g += (u - math.ceil(u) + 1) * b.weighted_degree
-            ceil_g = math.ceil(g)
-            r0 -= lattice_count(*p.weights, ceil_g - 1)
-            r2 -= lattice_count(*p.weights, p.weighted_degree - ceil_g)
-            if middle_applies:
-                v -= (ceil_g - 1) * (p.reduced_multiplicity - ceil_g)
-        row0.append(r0)
-        row2.append(r2)
+    twist = i - sum(c.degree * (math.ceil(F(c.multiplicity * i, d)) - 1)
+                    for c in cfg.components)
+    r0 = binom2(twist - 1)
+    r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
+    v = (twist - 1) * (dp - twist - 1)
+    for p in cfg.points:
+        g = F(0)
+        for b in p.branches:
+            u = F(b.multiplicity * i, d)
+            g += (u - math.ceil(u) + 1) * b.weighted_degree
+        ceil_g = math.ceil(g)
+        r0 -= lattice_count(*p.weights, ceil_g - 1)
+        r2 -= lattice_count(*p.weights, p.weighted_degree - ceil_g)
         if middle_applies:
-            middle.append(v + base)
-    return row0, row2, (middle if middle_applies else None)
+            v -= (ceil_g - 1) * (p.reduced_multiplicity - ceil_g)
+    if not middle_applies:
+        return r0, r2, None
+    return r0, r2, (v + sum(binom2(c.degree) for c in cfg.components)
+                    - sum(n * binom2(value) for n, value in cfg.incidence.pairs))
+
+
+def fraction_columns(cfg):
+    """Rows 0 and 2, and the incidence middle row where it applies, column
+    by column through `fraction_column`."""
+    row0, row2, middle = zip(*(fraction_column(cfg, i)
+                               for i in range(1, cfg.degree + 1)))
+    return (list(row0), list(row2),
+            None if middle[0] is None else list(middle))
+
+
+def milnor_chi(cfg):
+    """chi(U) from the Milnor numbers of the weight systems, by their
+    Fraction product."""
+    dp = cfg.reduced_degree
+    milnor = sum(weighted_milnor(WeightSystem(p.weights, p.weighted_degree))
+                 for p in cfg.points) + cfg.nodes
+    return 3 - (3 - dp) * dp - milnor
 
 
 @pytest.mark.parametrize("make", [random_ordinary_config,
@@ -412,3 +433,58 @@ def test_thickened_matches_fraction_loop():
         base = SpectrumVector(entries, ambient_dim=n + 1)
         cfg = ReducedConeConfig(n, dp, (), power=m)
         assert thickened_spectrum(base, cfg) == fraction_thickened(base, cfg)
+
+
+def multiplicity_template(cfg):
+    """Native text of cfg in which the first component and the first branch
+    of the first point carry the multiplicity m, and the configs it gives."""
+    lines = emit_native(CurveConfig(cfg.components, cfg.points, cfg.nodes))
+    lines = lines.splitlines()
+    for k, prefix in ((1, "component "), (1 + len(cfg.components), "point ")):
+        if k < len(lines) and lines[k].startswith(prefix):
+            lines[k] = re.sub(r"(mult=|:)\d+", r"\1m", lines[k], count=1)
+
+    def build(m):
+        comps = (GlobalComponent(cfg.components[0].degree, m),
+                 *cfg.components[1:])
+        points = cfg.points
+        if points:
+            first = points[0].branches
+            branches = (LocalBranch(first[0].weighted_degree, m), *first[1:])
+            points = (SingularPoint(points[0].weights, branches), *points[1:])
+        return CurveConfig(comps, points, cfg.nodes)
+
+    return "\n".join(lines) + "\n", build
+
+
+@pytest.mark.parametrize("make", [random_ordinary_config,
+                                  random_reduced_swh_config,
+                                  random_mixed_swh_config])
+def test_scan_cell_matches_fraction_column(make):
+    rng = random.Random(5151)
+    for _ in range(25):
+        text, build = multiplicity_template(make(rng))
+        out = io.StringIO()
+        run_scan(ScanSpec(template=text, ranges={"m": (1, 6)}, fixed={}), out)
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == list(range(1, 7))
+        for m, d, dprime, n3d, chi_u, _ in rows:
+            cfg = build(int(m))
+            want = fraction_column(cfg, 3)[0] if cfg.degree >= 3 else "n/a"
+            assert (int(d), int(dprime)) == (cfg.degree, cfg.reduced_degree)
+            assert (n3d, int(chi_u)) == (str(want), milnor_chi(cfg)), text
+
+
+def test_scan_cell_builds_no_table(monkeypatch):
+    def no_table(cfg):
+        raise AssertionError("scan built a whole table")
+
+    monkeypatch.setattr(cli, "curve_table", no_table)
+    text = (FIXTURES / "five-lines.vectors").read_text()
+    out = io.StringIO()
+    run_scan(ScanSpec(template=text, ranges={"a": (10 ** 9, 10 ** 9)},
+                      fixed={"b": 2, "c": 1}), out)
+    cfg = parse_singular(parse_vector_text(text), {"a": 10 ** 9, "b": 2, "c": 1})
+    assert out.getvalue().splitlines()[1:] == [
+        f"{10 ** 9},{cfg.degree},{cfg.reduced_degree},"
+        f"{fraction_column(cfg, 3)[0]},{milnor_chi(cfg)},"]

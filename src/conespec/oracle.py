@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      ReducedConeConfig, _component_terms, _residue, _shift,
-                     curve_table,
-                     incidence_consistent, local_data_table,
+                     curve_table, incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
 from .local import LocalBranch, SingularPoint, lattice_count

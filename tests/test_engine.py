@@ -9,7 +9,6 @@ import pytest
 
 from conespec import cli
 from conespec.cli import ScanSpec, run_scan
-
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ReducedConeConfig, binom2, curve_table,
                              euler_complement, incidence_consistent,
@@ -379,15 +378,6 @@ def fraction_columns(cfg):
             None if middle[0] is None else list(middle))
 
 
-def milnor_chi(cfg):
-    """chi(U) from the Milnor numbers of the weight systems, by their
-    Fraction product."""
-    dp = cfg.reduced_degree
-    milnor = sum(weighted_milnor(WeightSystem(p.weights, p.weighted_degree))
-                 for p in cfg.points) + cfg.nodes
-    return 3 - (3 - dp) * dp - milnor
-
-
 @pytest.mark.parametrize("make", [random_ordinary_config,
                                   random_reduced_swh_config,
                                   random_mixed_swh_config])
@@ -402,44 +392,20 @@ def test_integer_kernel_matches_fraction_arithmetic(make):
             assert ordinary_middle_row(cfg) == middle, cfg
 
 
-def fraction_thickened(base, cfg):
-    """The power transform as a loop over Fraction exponents, accumulating
-    cells and dropping those at or beyond n + 1: the form the engine used
-    before it emitted cells on the 1/(m d') grid."""
-    m, n, dp = cfg.power, cfg.ambient_dim, cfg.degree
-    entries = {}
-    for i in range(1, dp + 1):
-        for p in range(n + 1):
-            v_base = base.multiplicity(F(i, dp) + p)
-            for l in range(m):
-                v = v_base
-                if i == dp and p == n and l != m - 1:
-                    v += (-1) ** n
-                exponent = F(i, m * dp) + F(l, m) + p
-                if v and exponent < n + 1:
-                    entries[exponent] = entries.get(exponent, 0) + v
-    return SpectrumVector(entries, ambient_dim=n + 1)
-
-
-def test_thickened_matches_fraction_loop():
-    rng = random.Random(9090)
-    for _ in range(300):
-        n, m, dp = rng.randint(1, 3), rng.randint(1, 6), rng.randint(1, 9)
-        # on-grid, off-grid and out-of-range exponents, signed multiplicities
-        entries = {}
-        for _ in range(rng.randint(0, 12)):
-            q = rng.choice([dp, dp, 2 * dp + 1, rng.randint(1, 12)])
-            entries[F(rng.randint(-q, (n + 2) * q), q)] = rng.randint(-3, 3)
-        base = SpectrumVector(entries, ambient_dim=n + 1)
-        cfg = ReducedConeConfig(n, dp, (), power=m)
-        assert thickened_spectrum(base, cfg) == fraction_thickened(base, cfg)
+def milnor_chi(cfg):
+    """chi(U) from the Milnor numbers of the weight systems, by their
+    Fraction product."""
+    dp = cfg.reduced_degree
+    milnor = sum(weighted_milnor(WeightSystem(p.weights, p.weighted_degree))
+                 for p in cfg.points) + cfg.nodes
+    return 3 - (3 - dp) * dp - milnor
 
 
 def multiplicity_template(cfg):
     """Native text of cfg in which the first component and the first branch
     of the first point carry the multiplicity m, and the configs it gives."""
-    lines = emit_native(CurveConfig(cfg.components, cfg.points, cfg.nodes))
-    lines = lines.splitlines()
+    lines = emit_native(CurveConfig(cfg.components, cfg.points,
+                                    cfg.nodes)).splitlines()
     for k, prefix in ((1, "component "), (1 + len(cfg.components), "point ")):
         if k < len(lines) and lines[k].startswith(prefix):
             lines[k] = re.sub(r"(mult=|:)\d+", r"\1m", lines[k], count=1)
@@ -488,3 +454,36 @@ def test_scan_cell_builds_no_table(monkeypatch):
     assert out.getvalue().splitlines()[1:] == [
         f"{10 ** 9},{cfg.degree},{cfg.reduced_degree},"
         f"{fraction_column(cfg, 3)[0]},{milnor_chi(cfg)},"]
+
+
+def fraction_thickened(base, cfg):
+    """The power transform as a loop over Fraction exponents, accumulating
+    cells and dropping those at or beyond n + 1: the form the engine used
+    before it emitted cells on the 1/(m d') grid."""
+    m, n, dp = cfg.power, cfg.ambient_dim, cfg.degree
+    entries = {}
+    for i in range(1, dp + 1):
+        for p in range(n + 1):
+            v_base = base.multiplicity(F(i, dp) + p)
+            for l in range(m):
+                v = v_base
+                if i == dp and p == n and l != m - 1:
+                    v += (-1) ** n
+                exponent = F(i, m * dp) + F(l, m) + p
+                if v and exponent < n + 1:
+                    entries[exponent] = entries.get(exponent, 0) + v
+    return SpectrumVector(entries, ambient_dim=n + 1)
+
+
+def test_thickened_matches_fraction_loop():
+    rng = random.Random(9090)
+    for _ in range(300):
+        n, m, dp = rng.randint(1, 3), rng.randint(1, 6), rng.randint(1, 9)
+        # on-grid, off-grid and out-of-range exponents, signed multiplicities
+        entries = {}
+        for _ in range(rng.randint(0, 12)):
+            q = rng.choice([dp, dp, 2 * dp + 1, rng.randint(1, 12)])
+            entries[F(rng.randint(-q, (n + 2) * q), q)] = rng.randint(-3, 3)
+        base = SpectrumVector(entries, ambient_dim=n + 1)
+        cfg = ReducedConeConfig(n, dp, (), power=m)
+        assert thickened_spectrum(base, cfg) == fraction_thickened(base, cfg)

@@ -20,6 +20,7 @@ from generators import random_ordinary_config, random_reduced_swh_config
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 # -- template expressions ----------------------------------------------------
@@ -304,6 +305,152 @@ def test_round_trip_reduced_config():
     cfg = ReducedConeConfig(
         2, 4, (SpectrumVector({F(5, 6): 1, F(7, 6): 1}, 2),), power=3)
     assert parse_native(emit_native(cfg)) == cfg
+
+
+# -- input errors, pinned --------------------------------------------------
+
+def vec(glcmp="-1,1,1", si="", od="0", lg="0"):
+    return f"GlCmp={glcmp}; Si={si}; OD={od}; LG={lg}"
+
+
+C1 = "component degree=1 mult=1\n"
+C2 = "component degree=1 mult=1 count=2\n"
+R2 = "reduced n=2 degree=3\n"
+
+# (case, dialect, text): at least one input per coded error the parsers
+# raise and per constructor error they translate; the outcomes are in
+# tests/golden/input-errors.txt, one "case: outcome" line each
+INPUT_ERROR_CASES = [
+    ("expr-char-native", "native", "component degree=1? mult=1\n"),
+    ("expr-char-vector", "vector", vec(glcmp="-1,1?,1")),
+    ("expr-trailing-native", "native", "component degree=(1)2 mult=1\n"),
+    ("expr-trailing-vector", "vector", vec(glcmp="-1,1 2,1")),
+    ("expr-paren-native", "native", "component degree=1 mult=1 count=(1\n"),
+    ("expr-paren-vector", "vector", vec(glcmp="-1,(1,1")),
+    ("expr-syntax-native", "native", "component degree=1+ mult=1\n"),
+    ("expr-syntax-vector", "vector", vec(glcmp="-1,*1,1")),
+    ("expr-empty-native", "native", "component degree= mult=1\n"),
+    ("unbound-name-native", "native", "component degree=a mult=1\n"),
+    ("unbound-name-vector", "vector", vec(glcmp="-1,a,1")),
+    ("div-zero-native", "native", "component degree=(1 div 0) mult=1\n"),
+    ("div-zero-vector", "vector", vec(glcmp="-1,1 div 0,1")),
+    ("div-divisor-native", "native", "component degree=(4 div (0-2)) mult=1\n"),
+    ("div-divisor-vector", "vector", vec(glcmp="-1,4 div -2,1")),
+    ("div-dividend-native", "native", "component degree=(-4 div 2) mult=1\n"),
+    ("div-dividend-vector", "vector", vec(glcmp="-1,-4 div 2,1")),
+    ("vector-no-equals", "vector", vec() + "; junk"),
+    ("vector-unknown-key", "vector", "Bad=1; " + vec()),
+    ("vector-key-twice", "vector", "GlCmp=-1,1,1; " + vec()),
+    ("vector-key-missing", "vector", "GlCmp=-1,1,1; Si=; OD=0"),
+    ("vector-empty-entry", "vector", vec(glcmp="-1,,1")),
+    ("vector-od-two", "vector", vec(od="1,2")),
+    ("vector-od-empty", "vector", vec(od="")),
+    ("glcmp-triples", "vector", vec(glcmp="-1,1")),
+    ("glcmp-empty", "vector", vec(glcmp="")),
+    ("glcmp-separator", "vector", vec(glcmp="-1,1,1,1,1,1")),
+    ("glcmp-nonpositive", "vector", vec(glcmp="-1,2,0")),
+    ("glcmp-nonpositive-first", "vector", vec(glcmp="-1,0,1,1,1,1")),
+    ("si-separator", "vector", vec(si="1,2")),
+    ("si-ends", "vector", vec(si="-1,2,1,-1")),
+    ("si-branch-count", "vector", vec(si="-1,0")),
+    ("si-overflow", "vector", vec(si="-1,2,5,5,5")),
+    ("od-negative", "vector", vec(od="-1")),
+    ("lg-pairs", "vector", vec(lg="-1")),
+    ("lg-separator", "vector", vec(lg="-1,1,1,1")),
+    ("lg-nonpositive", "vector", vec(lg="-1,0")),
+    ("lg-nonpositive-first", "vector", vec(lg="-1,0,1,1")),
+    ("vector-no-components", "vector", vec(glcmp="0,1,1")),
+    ("key-no-equals", "native", "component degree=1 mult=1 junk\n"),
+    ("key-duplicate", "native", "component degree=1 degree=2 mult=1\n"),
+    ("key-unknown", "native", "component degree=1 mult=1 colour=2\n"),
+    ("key-missing", "native", "component degree=1\n"),
+    ("branch-start", "native", C1 + "point weights=1,1 branches=x(1:1)\n"),
+    ("branch-malformed", "native", C1 + "point weights=1,1 branches=(1)\n"),
+    ("branch-unclosed", "native", C1 + "point weights=1,1 branches=(1:1\n"),
+    ("branch-nonpositive", "native", C1 + "point weights=1,1 branches=(0:1)\n"),
+    ("branch-none", "native", C1 + "point weights=1,1 branches=\n"),
+    ("branch-template", "native", C1 + "point weights=1,1 branches=(1:b)\n"),
+    ("fraction-syntax", "native", R2 + "localspectrum a/6:1\n"),
+    ("fraction-zero", "native", R2 + "localspectrum 1/0:1\n"),
+    ("repeat-nodes", "native", "nodes 1\n" + C2 + "nodes 0\n"),
+    ("repeat-incidence", "native",
+     C2 + "incidence 1x1\n# a comment\nincidence-matrix 1 1\n"),
+    ("repeat-reduced", "native", R2 + "reduced n=3 degree=3\n"),
+    ("ambient-values", "native", "ambient 2 3\n" + C1),
+    ("ambient-none", "native", "ambient\n" + C1),
+    ("ambient-unsupported", "native", "ambient 3\n" + C1),
+    ("ambient-template", "native", "ambient n\n" + C1),
+    ("component-count", "native", "component degree=1 mult=1 count=0\n"),
+    ("component-degree", "native", "component degree=0 mult=1\n"),
+    ("component-mult", "native", "component degree=1 mult=-1\n"),
+    ("weights-syntax", "native", C1 + "point weights=1 branches=(1:1)\n"),
+    ("point-count", "native",
+     C1 + "point weights=1,1 branches=(1:1)(1:1) count=0\n"),
+    ("branch-degree", "native", C1 + "point weights=2,3 branches=(4:1)\n"),
+    ("point-weights-zero", "native", C1 + "point weights=0,1 branches=(1:1)\n"),
+    ("point-weights-coprime", "native",
+     C1 + "point weights=2,2 branches=(2:1)\n"),
+    ("point-milnor", "native",
+     C1 + "point weights=2,3 branches=(2:1)(2:1)(3:1)\n"),
+    ("nodes-none", "native", C1 + "nodes\n"),
+    ("nodes-negative", "native", C1 + "nodes -1\n"),
+    ("incidence-no-x", "native", C2 + "incidence 3\n"),
+    ("incidence-not-int", "native", C2 + "incidence ax1\n"),
+    ("incidence-nonpositive", "native", C2 + "incidence 0x1\n"),
+    ("matrix-entry", "native", C2 + "incidence-matrix 1 a\n"),
+    ("matrix-no-rows", "native", C2 + "incidence-matrix ;\n"),
+    ("matrix-negative", "native", C2 + "incidence-matrix -1 1\n"),
+    ("matrix-width", "native", C2 + "incidence-matrix 1 1 ; 1\n"),
+    ("matrix-short", "native",
+     C2 + "point weights=1,1 branches=(1:1)(1:1) count=2\n"
+     "incidence-matrix 1 1\n"),
+    ("localspectrum-header", "native", "localspectrum 1/2:1\n"),
+    ("localspectrum-colon", "native", R2 + "localspectrum 1/2\n"),
+    ("localspectrum-mult", "native", R2 + "localspectrum 1/2:x\n"),
+    ("localspectrum-empty", "native", R2 + "localspectrum\n"),
+    ("localspectrum-dim", "native",
+     "reduced n=0 degree=3\nlocalspectrum 1/2:1\n"),
+    ("localwh-header", "native", "localwh weights=2,3 degree=6\n"),
+    ("localwh-weight-count", "native", R2 + "localwh weights=2 degree=6\n"),
+    ("localwh-gcd", "native", R2 + "localwh weights=2,4 degree=6\n"),
+    ("localwh-isolated", "native", R2 + "localwh weights=2,3 degree=3\n"),
+    ("localwh-inexact", "native", R2 + "localwh weights=2,3 degree=7\n"),
+    ("localwh-degree", "native", R2 + "localwh weights=1,1 degree=0\n"),
+    ("bad-keyword", "native", C1 + "nonsense 3\n"),
+    ("mode-conflict-curve-first", "native", C1 + R2),
+    ("mode-conflict-header-first", "native", R2 + "nodes 1\n"),
+    ("reduced-missing-key", "native", "reduced n=2\n"),
+    ("reduced-dimension", "native", "reduced n=0 degree=3\n"),
+    ("reduced-degree", "native", "reduced n=2 degree=0\n"),
+    ("reduced-power", "native", "reduced n=2 degree=3 power=0\n"),
+    ("reduced-support", "native", R2 + "localspectrum 5/2:1 -1/2:1\n"),
+    ("reduced-symmetry", "native", R2 + "localspectrum 1/2:1\n"),
+    ("no-components", "native", "nodes 0\n"),
+    ("empty-native", "native", ""),
+]
+
+
+def input_outcome(dialect, text):
+    """str() of the ConfigError the parser raises on `text`, the type and
+    message of any other exception, or "ok"."""
+    try:
+        if dialect == "vector":
+            parse_singular(parse_vector_text(text), {})
+        else:
+            parse_native(text)
+    except ConfigError as exc:
+        return str(exc)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+@pytest.mark.parametrize("case, dialect, text", INPUT_ERROR_CASES,
+                         ids=[case for case, _, _ in INPUT_ERROR_CASES])
+def test_input_error_matches_golden(case, dialect, text):
+    lines = (GOLDEN / "input-errors.txt").read_text().splitlines()
+    golden = dict(line.split(": ", 1) for line in lines)
+    assert input_outcome(dialect, text) == golden[case]
 
 
 def test_parser_totality_fuzz():

@@ -41,6 +41,25 @@ class ConfigError(ValueError):
         return f"{where}[{self.code}] {super().__str__()}"
 
 
+class _coded:
+    """Block in which a constructor's ValueError becomes a ConfigError with
+    `code` at `line`; a ConfigError passes unchanged."""
+
+    def __init__(self, code: str, line: Optional[int] = None):
+        self.code, self.line = code, line
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ValueError) and not isinstance(exc, ConfigError):
+            raise ConfigError(self.code, str(exc), self.line) from exc
+
+
+def _strip_comment(line: str) -> str:
+    return line.partition("#")[0]
+
+
 # ---------------------------------------------------------------------------
 # template expressions
 # ---------------------------------------------------------------------------
@@ -233,12 +252,7 @@ class SingularVectors:
 
 def parse_vector_text(text: str) -> SingularVectors:
     """Parse ``GlCmp=...; Si=...; OD=...; LG=...`` (order free, '#' comments)."""
-    stripped = []
-    for line in text.splitlines():
-        if "#" in line:
-            line = line[: line.index("#")]
-        stripped.append(line)
-    body = " ".join(stripped)
+    body = " ".join(_strip_comment(line) for line in text.splitlines())
     fields: dict[str, str] = {}
     for chunk in body.split(";"):
         chunk = chunk.strip()
@@ -279,6 +293,30 @@ def parse_vector_text(text: str) -> SingularVectors:
                            lg=entries(fields["LG"], "LG"))
 
 
+def _groups(values: list[int], key: str, what: str,
+            width: int) -> list[list[int]]:
+    """(count, entry, ...) for each (-count, entry, ...) group of `width`
+    values, checked group by group; groups of count 0 are dropped."""
+    groups = []
+    for k in range(0, len(values), width):
+        group = values[k: k + width]
+        sep = group[0]
+        if sep > 0:
+            raise ConfigError("separator",
+                              f"{key} entry {k + 1} should be a negated count,"
+                              f" got {sep}")
+        if sep == 0:
+            continue
+        group[0] = -sep
+        for value in group:
+            if value < 1:
+                got = tuple(group[1:]) if width > 2 else group[1]
+                raise ConfigError("value-nonpositive",
+                                  f"{what} must be positive, got {got}")
+        groups.append(group)
+    return groups
+
+
 def parse_singular(vectors: SingularVectors,
                    binding: Mapping[str, int]) -> CurveConfig:
     """Expand the four vectors into a curve configuration.
@@ -297,19 +335,9 @@ def parse_singular(vectors: SingularVectors,
         raise ConfigError("separator",
                           "GlCmp must consist of (-count, degree, mult) triples")
     components = []
-    for k in range(0, len(glcmp), 3):
-        sep, degree, mult = glcmp[k: k + 3]
-        if sep > 0:
-            raise ConfigError("separator",
-                              f"GlCmp entry {k + 1} should be a negated count,"
-                              f" got {sep}")
-        if sep == 0:
-            continue
-        if degree < 1 or mult < 1:
-            raise ConfigError("value-nonpositive",
-                              f"component degree/multiplicity must be positive,"
-                              f" got ({degree}, {mult})")
-        components.extend([GlobalComponent(degree, mult)] * (-sep))
+    for count, degree, mult in _groups(glcmp, "GlCmp",
+                                       "component degree/multiplicity", 3):
+        components.extend([GlobalComponent(degree, mult)] * count)
 
     points = []
     pos = 0
@@ -351,24 +379,11 @@ def parse_singular(vectors: SingularVectors,
             raise ConfigError("separator",
                               "LG must be (-count, value) pairs or the single "
                               "entry 0")
-        for k in range(0, len(lg), 2):
-            sep, value = lg[k: k + 2]
-            if sep > 0:
-                raise ConfigError("separator",
-                                  f"LG entry {k + 1} should be a negated count,"
-                                  f" got {sep}")
-            if sep == 0:
-                continue
-            if value < 1:
-                raise ConfigError("value-nonpositive",
-                                  f"incidence value must be positive, got {value}")
-            pairs.append((-sep, value))
+        pairs = _groups(lg, "LG", "incidence value", 2)
 
-    try:
+    with _coded("config-invalid"):
         return CurveConfig(components=tuple(components), points=tuple(points),
                            nodes=od, incidence=Incidence.from_pairs(pairs))
-    except ValueError as exc:
-        raise ConfigError("config-invalid", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +490,39 @@ def _tokenize_line(line: str) -> list[str]:
     return tokens
 
 
+# keyword -> (slot it may fill once, mode): a "curve" line cannot share a
+# config with a 'reduced' header, and a "local" line needs one before it
+_KEYWORDS = {
+    "ambient": (None, "curve"),
+    "component": (None, "curve"),
+    "point": (None, "curve"),
+    "nodes": ("nodes", "curve"),
+    "incidence": ("incidence", "curve"),
+    "incidence-matrix": ("incidence", "curve"),
+    "reduced": ("reduced", None),
+    "localspectrum": (None, "local"),
+    "localwh": (None, "local"),
+}
+
+
+def _count(kv: dict[str, str], binding, line: int) -> int:
+    count = _eval_int(kv.get("count", "1"), binding, line)
+    if count < 1:
+        raise ConfigError("value-nonpositive",
+                          f"count must be positive, got {count}", line)
+    return count
+
+
 def parse_native(text: str,
                  binding: Optional[Mapping[str, int]] = None
                  ) -> Union[CurveConfig, ReducedConeConfig]:
     """Parse the native config format.
 
     Returns a `ReducedConeConfig` when a ``reduced`` header line is present,
-    otherwise a `CurveConfig`. All violations raise `ConfigError` with a line
-    number and machine-readable code.
+    otherwise a `CurveConfig`. All violations raise `ConfigError` with a
+    machine-readable code. The error carries the line number where one line
+    is at fault; errors about the whole config (no components, an incidence
+    matrix of the wrong width) carry none.
     """
     binding = binding or {}
     components: list[GlobalComponent] = []
@@ -491,48 +531,58 @@ def parse_native(text: str,
     incidence: Optional[Incidence] = None
     reduced_header = None
     spectra: list[SpectrumVector] = []
-    saw_curve_keyword = False
-    first_line: dict[str, int] = {}     # single-valued slot -> its line
+    saw_curve_line = False
+    first_line: dict[str, int] = {}     # once-only slot -> its line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        tokens = _tokenize_line(raw)
+        tokens = _tokenize_line(_strip_comment(raw))
         if not tokens:
             continue
         keyword, args = tokens[0], tokens[1:]
-        slot = "incidence" if keyword == "incidence-matrix" else keyword
-        if slot in ("reduced", "nodes", "incidence"):
+        if keyword not in _KEYWORDS:
+            raise ConfigError("bad-keyword",
+                              f"unknown keyword {keyword!r}", lineno)
+        slot, mode = _KEYWORDS[keyword]
+        if slot is not None:
             if slot in first_line:
                 raise ConfigError("key-syntax",
                                   f"{keyword!r} repeats line "
                                   f"{first_line[slot]}: {slot} may be given "
                                   "once", lineno)
             first_line[slot] = lineno
+        if mode == "local" and reduced_header is None:
+            raise ConfigError("mode-conflict",
+                              f"{keyword} needs a preceding 'reduced' header",
+                              lineno)
+        saw_curve_line = saw_curve_line or mode == "curve"
+
+        if keyword in ("ambient", "nodes"):
+            if len(args) != 1:
+                raise ConfigError("key-syntax", f"{keyword} takes one value",
+                                  lineno)
+            value = _eval_int(args[0], binding, lineno)
 
         if keyword == "ambient":
-            if len(args) != 1:
-                raise ConfigError("key-syntax", "ambient takes one value", lineno)
-            value = _eval_int(args[0], binding, lineno)
             if value != 2:
                 raise ConfigError("ambient-unsupported",
                                   "curve configs are planar (ambient 2); use a "
                                   "'reduced' header for other dimensions", lineno)
-            saw_curve_keyword = True
+
+        elif keyword == "nodes":
+            if value < 0:
+                raise ConfigError("value-nonpositive",
+                                  "node count must be >= 0", lineno)
+            nodes = value
 
         elif keyword == "component":
             kv = _keyvals(args, ("degree", "mult"), ("count",), lineno)
             degree = _eval_int(kv["degree"], binding, lineno)
             mult = _eval_int(kv["mult"], binding, lineno)
-            count = _eval_int(kv.get("count", "1"), binding, lineno)
-            if count < 1:
-                raise ConfigError("value-nonpositive",
-                                  f"count must be positive, got {count}", lineno)
+            count = _count(kv, binding, lineno)
             if degree < 1 or mult < 1:
                 raise ConfigError("value-nonpositive",
                                   "degree and mult must be positive", lineno)
             components.extend([GlobalComponent(degree, mult)] * count)
-            saw_curve_keyword = True
 
         elif keyword == "point":
             kv = _keyvals(args, ("weights", "branches"), ("count",), lineno)
@@ -543,11 +593,8 @@ def parse_native(text: str,
             w = _eval_int(weight_parts[0], binding, lineno)
             wp = _eval_int(weight_parts[1], binding, lineno)
             branches = _parse_branches(kv["branches"], binding, lineno)
-            count = _eval_int(kv.get("count", "1"), binding, lineno)
-            if count < 1:
-                raise ConfigError("value-nonpositive",
-                                  f"count must be positive, got {count}", lineno)
-            try:
+            count = _count(kv, binding, lineno)
+            with _coded("point-invalid", lineno):
                 point = SingularPoint((w, wp), branches)
                 if not validate_branches(point):
                     raise ConfigError(
@@ -555,32 +602,13 @@ def parse_native(text: str,
                         f"branch degrees must lie in {{w, w', w*w'}} = "
                         f"{{{w}, {wp}, {w * wp}}}", lineno)
                 point.milnor()
-            except ConfigError:
-                raise
-            except ValueError as exc:
-                raise ConfigError("point-invalid", str(exc), lineno) from exc
             points.extend([point] * count)
-            saw_curve_keyword = True
-
-        elif keyword == "nodes":
-            if len(args) != 1:
-                raise ConfigError("key-syntax", "nodes takes one value", lineno)
-            nodes = _eval_int(args[0], binding, lineno)
-            if nodes < 0:
-                raise ConfigError("value-nonpositive",
-                                  "node count must be >= 0", lineno)
-            saw_curve_keyword = True
 
         elif keyword == "incidence":
             pairs = []
             for token in args:
-                if "x" not in token:
-                    raise ConfigError("incidence-syntax",
-                                      f"expected COUNTxVALUE, got {token!r}",
-                                      lineno)
-                c_text, _, v_text = token.partition("x")
                 try:
-                    count, value = int(c_text), int(v_text)
+                    count, value = map(int, token.split("x"))
                 except ValueError as exc:
                     raise ConfigError("incidence-syntax",
                                       f"expected COUNTxVALUE, got {token!r}",
@@ -591,16 +619,11 @@ def parse_native(text: str,
                                       "positive", lineno)
                 pairs.append((count, value))
             incidence = Incidence.from_pairs(pairs)
-            saw_curve_keyword = True
 
         elif keyword == "incidence-matrix":
             rows: list[list[int]] = [[]]
             for token in args:
-                if token == ";":
-                    rows.append([])
-                    continue
-                parts = token.split(";")
-                for idx, part in enumerate(parts):
+                for idx, part in enumerate(token.split(";")):
                     if idx:
                         rows.append([])
                     if part:
@@ -616,7 +639,6 @@ def parse_native(text: str,
                                   "incidence-matrix needs at least one row",
                                   lineno)
             incidence = Incidence.from_matrix(rows)
-            saw_curve_keyword = True
 
         elif keyword == "reduced":
             kv = _keyvals(args, ("n", "degree"), ("power",), lineno)
@@ -626,10 +648,6 @@ def parse_native(text: str,
                               _eval_int(kv.get("power", "1"), binding, lineno))
 
         elif keyword == "localspectrum":
-            if reduced_header is None:
-                raise ConfigError("mode-conflict",
-                                  "localspectrum needs a preceding 'reduced' "
-                                  "header", lineno)
             entries = []
             for token in args:
                 if ":" not in token:
@@ -648,17 +666,11 @@ def parse_native(text: str,
                 raise ConfigError("spectrum-syntax",
                                   "localspectrum needs at least one entry",
                                   lineno)
-            try:
+            with _coded("config-invalid", lineno):
                 spectra.append(SpectrumVector(entries,
                                               ambient_dim=reduced_header[1]))
-            except ValueError as exc:
-                raise ConfigError("config-invalid", str(exc), lineno) from exc
 
         elif keyword == "localwh":
-            if reduced_header is None:
-                raise ConfigError("mode-conflict",
-                                  "localwh needs a preceding 'reduced' header",
-                                  lineno)
             kv = _keyvals(args, ("weights", "degree"), (), lineno)
             weight_parts = kv["weights"].split(",")
             weights = tuple(_eval_int(p, binding, lineno) for p in weight_parts)
@@ -667,35 +679,25 @@ def parse_native(text: str,
                                   f"localwh needs {reduced_header[1]} weights "
                                   "(one per variable)", lineno)
             degree = _eval_int(kv["degree"], binding, lineno)
-            try:
+            with _coded("point-invalid", lineno):
                 spectra.append(weighted_spectrum(WeightSystem(weights, degree)))
-            except ValueError as exc:
-                raise ConfigError("point-invalid", str(exc), lineno) from exc
-
-        else:
-            raise ConfigError("bad-keyword",
-                              f"unknown keyword {keyword!r}", lineno)
 
     if reduced_header is not None:
-        if saw_curve_keyword:
+        if saw_curve_line:
             raise ConfigError("mode-conflict",
                               "cannot mix curve lines with a 'reduced' header",
                               reduced_header[0])
         lineno, n, degree, power = reduced_header
-        try:
+        with _coded("config-invalid", lineno):
             return ReducedConeConfig(ambient_dim=n, degree=degree,
                                      local_spectra=tuple(spectra), power=power)
-        except ValueError as exc:
-            raise ConfigError("config-invalid", str(exc), lineno) from exc
 
     if not components:
         raise ConfigError("config-invalid",
                           "config defines no components")
-    try:
+    with _coded("config-invalid"):
         return CurveConfig(components=tuple(components), points=tuple(points),
                            nodes=nodes, incidence=incidence)
-    except ValueError as exc:
-        raise ConfigError("config-invalid", str(exc)) from exc
 
 
 def emit_native(cfg: Union[CurveConfig, ReducedConeConfig]) -> str:
@@ -767,9 +769,4 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
 
 def looks_like_vectors(text: str) -> bool:
     """Heuristic dialect sniff for CLI convenience."""
-    for line in text.splitlines():
-        if "#" in line:
-            line = line[: line.index("#")]
-        if "GlCmp" in line:
-            return True
-    return False
+    return any("GlCmp" in _strip_comment(line) for line in text.splitlines())

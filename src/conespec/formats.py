@@ -638,7 +638,8 @@ def parse_native(text: str,
                 raise ConfigError("incidence-syntax",
                                   "incidence-matrix needs at least one row",
                                   lineno)
-            incidence = Incidence.from_matrix(rows)
+            with _coded("value-nonpositive", lineno):
+                incidence = Incidence.from_matrix(rows)
 
         elif keyword == "reduced":
             kv = _keyvals(args, ("n", "degree"), ("power",), lineno)

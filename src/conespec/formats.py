@@ -221,20 +221,6 @@ def eval_expr(expr: Expr, binding: Mapping[str, int]) -> int:
     raise TypeError(f"not an expression node: {expr!r}")
 
 
-def render_expr(expr: Expr) -> str:
-    """Fully parenthesized text form; parses back to an equivalent tree."""
-    if isinstance(expr, Num):
-        return str(expr.value)
-    if isinstance(expr, Name):
-        return expr.ident
-    if isinstance(expr, Neg):
-        return f"(-{render_expr(expr.arg)})"
-    if isinstance(expr, BinOp):
-        op = f" {expr.op} " if expr.op == "div" else expr.op
-        return f"({render_expr(expr.left)}{op}{render_expr(expr.right)})"
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
 # ---------------------------------------------------------------------------
 # four-vector compatibility format
 # ---------------------------------------------------------------------------
@@ -699,40 +685,6 @@ def parse_native(text: str,
     with _coded("config-invalid"):
         return CurveConfig(components=tuple(components), points=tuple(points),
                            nodes=nodes, incidence=incidence)
-
-
-def emit_native(cfg: Union[CurveConfig, ReducedConeConfig]) -> str:
-    """Render a config back into native text; parsing the result reproduces
-    the config exactly."""
-    lines = []
-    if isinstance(cfg, ReducedConeConfig):
-        lines.append(f"reduced n={cfg.ambient_dim} degree={cfg.degree} "
-                     f"power={cfg.power}")
-        for spec in cfg.local_spectra:
-            body = " ".join(f"{e}:{m}" for e, m in spec.items())
-            lines.append(f"localspectrum {body}")
-        return "\n".join(lines) + "\n"
-    lines.append("ambient 2")
-    for comp in cfg.components:
-        lines.append(f"component degree={comp.degree} mult={comp.multiplicity} "
-                     "count=1")
-    for point in cfg.points:
-        branches = "".join(f"({b.weighted_degree}:{b.multiplicity})"
-                           for b in point.branches)
-        lines.append(f"point weights={point.weights[0]},{point.weights[1]} "
-                     f"branches={branches} count=1")
-    lines.append(f"nodes {cfg.nodes}")
-    if cfg.incidence is not None:
-        if cfg.incidence.matrix is not None:
-            body = " ; ".join(" ".join(str(v) for v in row)
-                              for row in cfg.incidence.matrix)
-            lines.append(f"incidence-matrix {body}")
-        elif cfg.incidence.pairs:
-            body = " ".join(f"{c}x{v}" for c, v in cfg.incidence.pairs)
-            lines.append(f"incidence {body}")
-        else:
-            lines.append("incidence")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

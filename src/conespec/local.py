@@ -171,15 +171,6 @@ class SingularPoint:
     def is_ordinary(self) -> bool:
         return self.weights == (1, 1)
 
-    @property
-    def reduced_multiplicity(self) -> int:
-        """Multiplicity of the reduced curve at the point; for an ordinary
-        point this is just the number of branches."""
-        if not self.is_ordinary():
-            raise ValueError("reduced multiplicity is only tracked for "
-                             "ordinary points")
-        return self.branch_count
-
     def milnor(self) -> int:
         """(d-w)(d-w')/(w*w') for the local weighted degree d, checked to be
         a nonnegative integer."""

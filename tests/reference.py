@@ -1,4 +1,4 @@
-"""Test-side references for `conespec.spectrum`.
+"""Test-side references and helpers for the `conespec` package.
 
 `FractionSpectrum` is the spectrum vector as it was first written: a dict
 keyed by `Fraction` exponents, sorted on every `items()` call. The integer
@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from conespec.engine import binom2
-from conespec.local import WeightSystem
+from conespec.engine import ReducedConeConfig, binom2
+from conespec.formats import BinOp, Name, Neg, Num
+from conespec.local import SingularPoint, WeightSystem
 from conespec.spectrum import SpectrumVector
 
 
@@ -115,3 +116,60 @@ def euler_generic_union(degrees) -> int:
         raise ValueError("degrees must be positive")
     dp = sum(degrees)
     return binom2(dp - 2) + sum(binom2(d) for d in degrees)
+
+
+def reduced_multiplicity(point: SingularPoint) -> int:
+    """Multiplicity of the reduced curve at the point; for an ordinary
+    point this is just the number of branches."""
+    if not point.is_ordinary():
+        raise ValueError("reduced multiplicity is only tracked for "
+                         "ordinary points")
+    return point.branch_count
+
+
+def render_expr(expr) -> str:
+    """Fully parenthesized text form; parses back to an equivalent tree."""
+    if isinstance(expr, Num):
+        return str(expr.value)
+    if isinstance(expr, Name):
+        return expr.ident
+    if isinstance(expr, Neg):
+        return f"(-{render_expr(expr.arg)})"
+    if isinstance(expr, BinOp):
+        op = f" {expr.op} " if expr.op == "div" else expr.op
+        return f"({render_expr(expr.left)}{op}{render_expr(expr.right)})"
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def emit_native(cfg) -> str:
+    """Render a config back into native text; parsing the result reproduces
+    the config exactly."""
+    lines = []
+    if isinstance(cfg, ReducedConeConfig):
+        lines.append(f"reduced n={cfg.ambient_dim} degree={cfg.degree} "
+                     f"power={cfg.power}")
+        for spec in cfg.local_spectra:
+            body = " ".join(f"{e}:{m}" for e, m in spec.items())
+            lines.append(f"localspectrum {body}")
+        return "\n".join(lines) + "\n"
+    lines.append("ambient 2")
+    for comp in cfg.components:
+        lines.append(f"component degree={comp.degree} mult={comp.multiplicity} "
+                     "count=1")
+    for point in cfg.points:
+        branches = "".join(f"({b.weighted_degree}:{b.multiplicity})"
+                           for b in point.branches)
+        lines.append(f"point weights={point.weights[0]},{point.weights[1]} "
+                     f"branches={branches} count=1")
+    lines.append(f"nodes {cfg.nodes}")
+    if cfg.incidence is not None:
+        if cfg.incidence.matrix is not None:
+            body = " ; ".join(" ".join(str(v) for v in row)
+                              for row in cfg.incidence.matrix)
+            lines.append(f"incidence-matrix {body}")
+        elif cfg.incidence.pairs:
+            body = " ".join(f"{c}x{v}" for c, v in cfg.incidence.pairs)
+            lines.append(f"incidence {body}")
+        else:
+            lines.append("incidence")
+    return "\n".join(lines) + "\n"

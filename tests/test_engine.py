@@ -16,14 +16,15 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ordinary_middle_row, reduced_cone_spectrum,
                              residue_degree, smooth_cone_coeffs,
                              thickened_spectrum)
-from conespec.formats import emit_native, parse_singular, parse_vector_text
+from conespec.formats import parse_singular, parse_vector_text
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
                             weighted_spectrum, WeightSystem)
 from conespec.oracle import as_reduced_cone, brute_coeffs, thicken
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
-from reference import euler_generic_union, weighted_milnor
+from reference import (emit_native, euler_generic_union, reduced_multiplicity,
+                       weighted_milnor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -362,7 +363,7 @@ def fraction_column(cfg, i):
         r0 -= lattice_count(*p.weights, ceil_g - 1)
         r2 -= lattice_count(*p.weights, p.weighted_degree - ceil_g)
         if middle_applies:
-            v -= (ceil_g - 1) * (p.reduced_multiplicity - ceil_g)
+            v -= (ceil_g - 1) * (reduced_multiplicity(p) - ceil_g)
     if not middle_applies:
         return r0, r2, None
     return r0, r2, (v + sum(binom2(c.degree) for c in cfg.components)

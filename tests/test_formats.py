@@ -10,13 +10,13 @@ import pytest
 
 from conespec.engine import (CurveConfig, GlobalComponent,
                              ReducedConeConfig, curve_table)
-from conespec.formats import (BinOp, ConfigError, Name, Neg, Num, emit_native,
-                              emit_table, eval_expr, looks_like_vectors,
-                              parse_expr, parse_native, parse_singular,
-                              parse_vector_text, render_expr)
+from conespec.formats import (BinOp, ConfigError, Name, Neg, Num, emit_table,
+                              eval_expr, looks_like_vectors, parse_expr,
+                              parse_native, parse_singular, parse_vector_text)
 from conespec.local import LocalBranch
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
+from reference import emit_native, render_expr
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

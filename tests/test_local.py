@@ -10,7 +10,7 @@ from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             weighted_spectrum, window_count)
 from conespec.oracle import brute_lattice
 from conespec.spectrum import SpectrumVector
-from reference import product, weighted_milnor
+from reference import product, reduced_multiplicity, weighted_milnor
 
 F = Fraction
 
@@ -117,7 +117,7 @@ def test_point_accessors():
     assert not p.is_ordinary()
     assert p.milnor() == 5   # (8-2)(8-3)/6
     o = SingularPoint((1, 1), tuple(LocalBranch(1, 2) for _ in range(3)))
-    assert o.reduced_multiplicity == 3
+    assert reduced_multiplicity(o) == 3
     assert o.milnor() == 4
 
 

@@ -445,11 +445,9 @@ def _parse_branches(text: str, binding, line: int) -> tuple[LocalBranch, ...]:
 
 
 def _parse_fraction(text: str, line: int) -> Fraction:
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, _, den = text.partition("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("fraction-syntax",
                           f"bad fraction {text!r}", line) from exc

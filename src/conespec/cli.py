@@ -30,12 +30,19 @@ OK, MISMATCH, INPUT_ERROR = 0, 1, 2
 PREDICATES = ("n3d_zero", "chi_nonzero")
 
 
-def _read_config(path: str, binding: dict):
-    with open(path, "r", encoding="utf-8") as handle:
+def _read_config(args, kind=None, conflict: str = ""):
+    """The config at args.path under the --param bindings; with `kind`, any
+    other type of config is a mode-conflict error saying `conflict`."""
+    binding = _parse_params(args.param)
+    with open(args.path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if looks_like_vectors(text):
-        return parse_singular(parse_vector_text(text), binding)
-    return parse_native(text, binding)
+        cfg = parse_singular(parse_vector_text(text), binding)
+    else:
+        cfg = parse_native(text, binding)
+    if kind is not None and not isinstance(cfg, kind):
+        raise ConfigError("mode-conflict", conflict)
+    return cfg
 
 
 def _parse_params(items) -> dict:
@@ -77,12 +84,9 @@ def _render_spectrum(spec: SpectrumVector) -> str:
 
 
 def cmd_compute(args) -> int:
-    binding = _parse_params(args.param)
-    cfg = _read_config(args.path, binding)
-    if not isinstance(cfg, CurveConfig):
-        raise ConfigError("mode-conflict",
-                          "compute expects a curve config; use 'reduced' for "
-                          "reduced-cone inputs")
+    cfg = _read_config(args, CurveConfig,
+                       "compute expects a curve config; use 'reduced' for "
+                       "reduced-cone inputs")
     table = curve_table(cfg)
     if args.middle == "cor2":
         try:
@@ -96,11 +100,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_reduced(args) -> int:
-    binding = _parse_params(args.param)
-    cfg = _read_config(args.path, binding)
-    if not isinstance(cfg, ReducedConeConfig):
-        raise ConfigError("mode-conflict",
-                          "reduced expects a config with a 'reduced' header")
+    cfg = _read_config(args, ReducedConeConfig,
+                       "reduced expects a config with a 'reduced' header")
     base = reduced_cone_spectrum(cfg)
     print(_render_spectrum(base))
     if cfg.power > 1:
@@ -113,16 +114,13 @@ def cmd_reduced(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify(_read_config(args.path, _parse_params(args.param)))
+    report = verify(_read_config(args))
     sys.stdout.write(report.render(("pass", "FAIL"), "({})"))
     return OK if report.passed else MISMATCH
 
 
 def cmd_oracle(args) -> int:
-    binding = _parse_params(args.param)
-    cfg = _read_config(args.path, binding)
-    if not isinstance(cfg, CurveConfig):
-        raise ConfigError("mode-conflict", "oracle expects a curve config")
+    cfg = _read_config(args, CurveConfig, "oracle expects a curve config")
     if not has_reference(cfg):
         table = "local-spectra table, " if cfg.is_reduced() else ""
         print("# config is not ordinary-with-incidence; running the "

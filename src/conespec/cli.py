@@ -45,6 +45,13 @@ def _read_config(args, kind=None, conflict: str = ""):
     return cfg
 
 
+def _bind_once(bound: dict, name: str, value, flag: str, code: str) -> None:
+    """bound[name] = value, rejecting a name that `flag` gave before."""
+    if name in bound:
+        raise ConfigError(code, f"{flag} gives {name!r} more than once")
+    bound[name] = value
+
+
 def _parse_params(items) -> dict:
     binding = {}
     for item in items or ():
@@ -53,11 +60,12 @@ def _parse_params(items) -> dict:
                               f"--param expects NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
         try:
-            binding[name] = int(value)
+            value = int(value)
         except ValueError as exc:
             raise ConfigError("param-syntax",
                               f"--param value for {name!r} must be an integer") \
                 from exc
+        _bind_once(binding, name, value, "--param", "param-syntax")
     return binding
 
 
@@ -75,7 +83,7 @@ def _parse_ranges(items) -> dict:
             raise ConfigError("range-syntax",
                               f"--range bounds for {name!r} must be integers") \
                 from exc
-        ranges[name] = (lo, hi)
+        _bind_once(ranges, name, (lo, hi), "--range", "range-syntax")
     return ranges
 
 
@@ -146,12 +154,17 @@ def run_scan(spec: ScanSpec, out) -> int:
     """Write the CSV of `spec` to `out`: per grid point the bindings, d, d',
     n[3/d] and chi(U) from `scan_values`, which computes one cell and not
     the table, so a point's cost does not grow with d. An input error names
-    the grid point and keeps its code and line."""
+    the grid point and keeps its code and line. A name may be fixed or
+    ranged, not both."""
     for name in spec.predicates:
         if name not in PREDICATES:
             raise ConfigError("predicate-unknown",
                               f"unknown predicate {name!r}; choose from "
                               f"{', '.join(PREDICATES)}")
+    both = sorted(set(spec.fixed) & set(spec.ranges))
+    if both:
+        raise ConfigError("range-syntax",
+                          f"{both[0]!r} is given both a value and a range")
     names = sorted(spec.ranges)
     spans = []
     for name in names:

@@ -360,6 +360,35 @@ def test_run_scan_rejects_unknown_predicate():
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--param", "b=1", "--param", "b=2", "--range", "a=1..2"],
+     "[param-syntax] --param gives 'b' more than once"),
+    (["--range", "a=1..0", "--range", "a=0..1", "--param", "b=1"],
+     "[range-syntax] --range gives 'a' more than once"),
+    (["--param", "a=7", "--range", "a=1..2", "--param", "b=1"],
+     "[range-syntax] 'a' is given both a value and a range"),
+], ids=["param-twice", "range-twice", "param-and-range"])
+def test_scan_binds_each_name_once(capsys, argv, message):
+    code, out, err = run(capsys, "scan", FIXTURES / "five-lines.vectors",
+                         "--param", "c=0", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_run_scan_rejects_fixed_and_ranged_name():
+    import io
+    spec = ScanSpec(template=(FIXTURES / "lines-conic.vectors").read_text(),
+                    ranges={"a": (1, 2), "c": (0, 1)},
+                    fixed={"a": 7, "b": 1, "c": 0})
+    out = io.StringIO()
+    with pytest.raises(ConfigError) as err:
+        run_scan(spec, out)
+    assert (err.value.code, str(err.value)) == (
+        "range-syntax", "[range-syntax] 'a' is given both a value and a range")
+    assert out.getvalue() == ""
+
+
 def test_exit_code_contract(capsys, tmp_path):
     ok, _, _ = run(capsys, "verify", FIXTURES / "two-lines.cfg")
     assert ok == 0

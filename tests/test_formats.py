@@ -477,6 +477,31 @@ def test_parser_totality_fuzz():
             parse_singular(parse_vector_text(text), dict(a=1, b=1, c=1))
         except ConfigError:
             pass
+    # mutated generator configs reach the native grammar: character edits
+    # and inserted keyword lines with signed entries
+    inserts = ("component degree={} mult={} count={}", "nodes {}",
+               "incidence {}x{}", "incidence-matrix {} {} ; {} {}",
+               "point weights=1,1 branches=({}:1)(1:{})", "ambient {}",
+               "reduced n=2 degree={}", "localwh weights=2,3 degree={}",
+               "localspectrum 1/{}:1")
+    for trial in range(400):
+        cfg = (random_reduced_swh_config(rng) if trial % 3 == 0 else
+               random_ordinary_config(rng, with_matrix=trial % 3 == 1))
+        lines = emit_native(cfg).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                line = rng.choice(inserts)
+                values = [rng.randint(-2, 6) for _ in range(line.count("{}"))]
+                lines.insert(rng.randint(0, len(lines)), line.format(*values))
+            else:
+                k = rng.randrange(len(lines))
+                pos = rng.randrange(len(lines[k]) + 1)
+                lines[k] = (lines[k][:pos] + rng.choice(alphabet)
+                            + lines[k][pos + 1:])
+        try:
+            parse_native("\n".join(lines))
+        except ConfigError:
+            pass
 
 
 # -- emission ----------------------------------------------------------------

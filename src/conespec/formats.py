@@ -279,30 +279,6 @@ def parse_vector_text(text: str) -> SingularVectors:
                            lg=entries(fields["LG"], "LG"))
 
 
-def _groups(values: list[int], key: str, what: str,
-            width: int) -> list[list[int]]:
-    """(count, entry, ...) for each (-count, entry, ...) group of `width`
-    values, checked group by group; groups of count 0 are dropped."""
-    groups = []
-    for k in range(0, len(values), width):
-        group = values[k: k + width]
-        sep = group[0]
-        if sep > 0:
-            raise ConfigError("separator",
-                              f"{key} entry {k + 1} should be a negated count,"
-                              f" got {sep}")
-        if sep == 0:
-            continue
-        group[0] = -sep
-        for value in group:
-            if value < 1:
-                got = tuple(group[1:]) if width > 2 else group[1]
-                raise ConfigError("value-nonpositive",
-                                  f"{what} must be positive, got {got}")
-        groups.append(group)
-    return groups
-
-
 def parse_singular(vectors: SingularVectors,
                    binding: Mapping[str, int]) -> CurveConfig:
     """Expand the four vectors into a curve configuration.
@@ -321,9 +297,19 @@ def parse_singular(vectors: SingularVectors,
         raise ConfigError("separator",
                           "GlCmp must consist of (-count, degree, mult) triples")
     components = []
-    for count, degree, mult in _groups(glcmp, "GlCmp",
-                                       "component degree/multiplicity", 3):
-        components.extend([GlobalComponent(degree, mult)] * count)
+    for k in range(0, len(glcmp), 3):
+        sep, degree, mult = glcmp[k: k + 3]
+        if sep > 0:
+            raise ConfigError("separator",
+                              f"GlCmp entry {k + 1} should be a negated count,"
+                              f" got {sep}")
+        if sep == 0:
+            continue
+        if degree < 1 or mult < 1:
+            raise ConfigError("value-nonpositive",
+                              f"component degree/multiplicity must be positive,"
+                              f" got ({degree}, {mult})")
+        components.extend([GlobalComponent(degree, mult)] * (-sep))
 
     points = []
     pos = 0
@@ -365,7 +351,18 @@ def parse_singular(vectors: SingularVectors,
             raise ConfigError("separator",
                               "LG must be (-count, value) pairs or the single "
                               "entry 0")
-        pairs = _groups(lg, "LG", "incidence value", 2)
+        for k in range(0, len(lg), 2):
+            sep, value = lg[k: k + 2]
+            if sep > 0:
+                raise ConfigError("separator",
+                                  f"LG entry {k + 1} should be a negated count,"
+                                  f" got {sep}")
+            if sep == 0:
+                continue
+            if value < 1:
+                raise ConfigError("value-nonpositive",
+                                  f"incidence value must be positive, got {value}")
+            pairs.append((-sep, value))
 
     with _coded("config-invalid"):
         return CurveConfig(components=tuple(components), points=tuple(points),

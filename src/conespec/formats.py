@@ -512,8 +512,8 @@ def parse_native(text: str,
     incidence: Optional[Incidence] = None
     reduced_header = None
     spectra: list[SpectrumVector] = []
-    saw_curve_line = False
-    first_line: dict[str, int] = {}     # once-only slot -> its line
+    saw_curve_keyword = False
+    first_line: dict[str, int] = {}     # single-valued slot -> its line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(_strip_comment(raw))
@@ -535,7 +535,7 @@ def parse_native(text: str,
             raise ConfigError("mode-conflict",
                               f"{keyword} needs a preceding 'reduced' header",
                               lineno)
-        saw_curve_line = saw_curve_line or mode == "curve"
+        saw_curve_keyword = saw_curve_keyword or mode == "curve"
 
         if keyword in ("ambient", "nodes"):
             if len(args) != 1:
@@ -665,7 +665,7 @@ def parse_native(text: str,
                 spectra.append(weighted_spectrum(WeightSystem(weights, degree)))
 
     if reduced_header is not None:
-        if saw_curve_line:
+        if saw_curve_keyword:
             raise ConfigError("mode-conflict",
                               "cannot mix curve lines with a 'reduced' header",
                               reduced_header[0])

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      curve_table, local_data_table, ordinary_middle_row,
                      reduced_cone_spectrum, scan_values, thickened_spectrum)
-from .formats import (ConfigError, emit_table, looks_like_vectors,
-                      parse_native, parse_singular, parse_vector_text)
+from .formats import ConfigError, config_template, emit_table
 from .oracle import cross_check, has_reference, verify
 from .spectrum import SpectrumVector
 
 OK, MISMATCH, INPUT_ERROR = 0, 1, 2
 
 PREDICATES = ("n3d_zero", "chi_nonzero")
+
+DEFAULT_CAP = 10 ** 6
 
 
 def _read_config(args, kind=None, conflict: str = ""):
@@ -36,10 +37,7 @@ def _read_config(args, kind=None, conflict: str = ""):
     binding = _parse_params(args.param)
     with open(args.path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    if looks_like_vectors(text):
-        cfg = parse_singular(parse_vector_text(text), binding)
-    else:
-        cfg = parse_native(text, binding)
+    cfg = config_template(text)(binding)
     if kind is not None and not isinstance(cfg, kind):
         raise ConfigError("mode-conflict", conflict)
     return cfg
@@ -147,7 +145,7 @@ class ScanSpec:
     ranges: dict
     fixed: dict
     predicates: tuple[str, ...] = ()
-    cap: int = 10 ** 6
+    cap: int = DEFAULT_CAP
 
 
 def run_scan(spec: ScanSpec, out) -> int:
@@ -177,20 +175,14 @@ def run_scan(spec: ScanSpec, out) -> int:
         raise ConfigError("grid-too-large",
                           f"grid has {size} points, cap is {spec.cap}")
 
-    vectors = None
-    if looks_like_vectors(spec.template):
-        vectors = parse_vector_text(spec.template)
-
+    template = config_template(spec.template)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(names + ["d", "dprime", "n_3_over_d", "chi_u", "flags"])
     for combo in itertools.product(*spans):
         binding = dict(spec.fixed)
         binding.update(zip(names, combo))
         try:
-            if vectors is not None:
-                cfg = parse_singular(vectors, binding)
-            else:
-                cfg = parse_native(spec.template, binding)
+            cfg = template(binding)
             if not isinstance(cfg, CurveConfig):
                 raise ConfigError("mode-conflict",
                                   "scan templates must describe curve configs")
@@ -266,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="inclusive parameter range (repeatable)")
     p.add_argument("--predicate", action="append", choices=PREDICATES,
                    help="keep only grid points satisfying every predicate")
-    p.add_argument("--cap", type=int, default=10 ** 6,
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                    help="largest allowed grid size")
     add_params(p)
     p.set_defaults(func=cmd_scan)

@@ -9,17 +9,19 @@ Two input dialects are supported:
   negative entries acting as group separators.
 
 Integer slots in both dialects accept template expressions (literals are the
-degenerate case), evaluated against an externally supplied parameter binding.
-The exceptions are native ``incidence`` and ``incidence-matrix`` entries,
-which are literal integers, and native ``localspectrum`` entries, which are
-literal fractions.
+degenerate case). Each expression is compiled once into a function of the
+parameter binding, and `config_template` makes a whole config text one such
+function. The exceptions are native ``incidence`` and ``incidence-matrix``
+entries, which are literal integers, and native ``localspectrum`` entries,
+which are literal fractions.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      Incidence, ReducedConeConfig)
@@ -64,29 +66,27 @@ def _strip_comment(line: str) -> str:
 # template expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+# a template as a function of its parameter binding
+Expr = Callable[[Mapping[str, int]], int]
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+def _div(left: int, right: int) -> int:
+    if right == 0:
+        raise ConfigError("div-zero", "division by zero in template")
+    if right < 0:
+        raise ConfigError("div-domain", "div needs a positive divisor")
+    if left < 0:
+        raise ConfigError("div-domain", "div needs a nonnegative dividend")
+    return left // right
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Expr"
+# the binary operators of each precedence level, loosest first
+_LEVELS = ({"+": operator.add, "-": operator.sub},
+           {"*": operator.mul, "div": _div})
 
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * div
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = Union[Num, Name, Neg, BinOp]
+# nesting bound, counting parentheses and unary minus: deeper texts are
+# rejected before the parser's recursion could exhaust the stack
+MAX_DEPTH = 100
 
 
 def _lex_expr(text: str) -> list[tuple[str, object]]:
@@ -98,11 +98,16 @@ def _lex_expr(text: str) -> list[tuple[str, object]]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and "0" <= text[pos] <= "9":
                 pos += 1
-            tokens.append(("int", int(text[start:pos])))
+            try:
+                tokens.append(("int", int(text[start:pos])))
+            except ValueError as exc:
+                raise ConfigError("expr-limit",
+                                  f"integer literal of {pos - start} digits "
+                                  "is too long") from exc
             continue
         if ch.isalpha() or ch == "_":
             start = pos
@@ -134,91 +139,75 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def parse(self) -> Expr:
-        expr = self.sum()
-        if self.pos != len(self.tokens):
-            raise ConfigError("expr-trailing",
-                              f"trailing input in expression {self.text!r}")
-        return expr
+    def chain(self, depth: int, level: int = 0) -> Expr:
+        """The left-associative chain of the operators of `_LEVELS[level]`
+        over operands of the next level, unary ones after the last. It
+        compiles to one closure that folds the operands left to right, so
+        its length costs no stack."""
+        if level == len(_LEVELS):
+            return self.unary(depth)
+        first = self.chain(depth, level + 1)
+        rest = []
+        while self.peek() in _LEVELS[level]:
+            op = _LEVELS[level][self.take()[0]]
+            rest.append((op, self.chain(depth, level + 1)))
+        if not rest:
+            return first
 
-    def sum(self) -> Expr:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.term())
-        return node
+        def fold(binding):
+            value = first(binding)
+            for op, operand in rest:
+                value = op(value, operand(binding))
+            return value
+        return fold
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek() in ("*", "div"):
-            op = self.take()[0]
-            node = BinOp(op, node, self.unary())
-        return node
-
-    def unary(self) -> Expr:
-        if self.peek() == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.atom()
-
-    def atom(self) -> Expr:
+    def unary(self, depth: int) -> Expr:
         kind = self.peek()
         if kind == "int":
-            return Num(self.take()[1])
+            value = self.take()[1]
+            return lambda binding: value
         if kind == "name":
-            return Name(self.take()[1])
-        if kind == "(":
-            self.take()
-            node = self.sum()
-            if self.peek() != ")":
-                raise ConfigError("expr-paren",
-                                  f"unbalanced parentheses in {self.text!r}")
-            self.take()
-            return node
-        raise ConfigError("expr-syntax",
-                          f"malformed expression {self.text!r}")
+            ident = self.take()[1]
+
+            def lookup(binding):
+                if ident not in binding:
+                    raise ConfigError("unbound-name",
+                                      f"parameter {ident!r} is not bound")
+                return int(binding[ident])
+            return lookup
+        if kind not in ("-", "("):
+            raise ConfigError("expr-syntax",
+                              f"malformed expression {self.text!r}")
+        if depth == MAX_DEPTH:
+            raise ConfigError("expr-limit", "expression nests deeper than "
+                              f"{MAX_DEPTH} levels")
+        self.take()
+        if kind == "-":
+            arg = self.unary(depth + 1)
+            return lambda binding: -arg(binding)
+        expr = self.chain(depth + 1)
+        if self.peek() != ")":
+            raise ConfigError("expr-paren",
+                              f"unbalanced parentheses in {self.text!r}")
+        self.take()
+        return expr
 
 
 def parse_expr(text: str) -> Expr:
-    """Parse an arithmetic template; operators + - * and floor-division
-    ``div``, with unary minus binding tightest."""
+    """Compile an arithmetic template into a function of its parameter
+    binding that returns an exact integer. Operators are + - * and
+    floor-division ``div``, with unary minus binding tightest; ``div`` is
+    defined only for a nonnegative dividend and a positive divisor. Digits
+    are ASCII. An unbound name or a bad ``div`` is an error of the call,
+    not of the compilation."""
     if not text.strip():
         raise ConfigError("expr-empty", "empty expression")
-    return _ExprParser(text).parse()
-
-
-def eval_expr(expr: Expr, binding: Mapping[str, int]) -> int:
-    """Evaluate a template to an exact integer. ``div`` is defined only for
-    a nonnegative dividend and a positive divisor."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Name):
-        if expr.ident not in binding:
-            raise ConfigError("unbound-name",
-                              f"parameter {expr.ident!r} is not bound")
-        return int(binding[expr.ident])
-    if isinstance(expr, Neg):
-        return -eval_expr(expr.arg, binding)
-    if isinstance(expr, BinOp):
-        left = eval_expr(expr.left, binding)
-        right = eval_expr(expr.right, binding)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if expr.op == "div":
-            if right == 0:
-                raise ConfigError("div-zero", "division by zero in template")
-            if right < 0:
-                raise ConfigError("div-domain",
-                                  "div needs a positive divisor")
-            if left < 0:
-                raise ConfigError("div-domain",
-                                  "div needs a nonnegative dividend")
-            return left // right
-    raise TypeError(f"not an expression node: {expr!r}")
+    parser = _ExprParser(text)
+    expr = parser.chain(0)
+    if parser.peek() is not None:
+        raise ConfigError("expr-trailing",
+                          f"trailing input in expression {text!r}")
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +277,10 @@ def parse_singular(vectors: SingularVectors,
     point multiplicity lists may be shorter than the branch count and are
     padded with 1.
     """
-    glcmp = [eval_expr(e, binding) for e in vectors.glcmp]
-    si = [eval_expr(e, binding) for e in vectors.si]
-    od = eval_expr(vectors.od, binding)
-    lg = [eval_expr(e, binding) for e in vectors.lg]
+    glcmp = [e(binding) for e in vectors.glcmp]
+    si = [e(binding) for e in vectors.si]
+    od = vectors.od(binding)
+    lg = [e(binding) for e in vectors.lg]
 
     if not glcmp or len(glcmp) % 3 != 0:
         raise ConfigError("separator",
@@ -375,7 +364,7 @@ def parse_singular(vectors: SingularVectors,
 
 def _eval_int(text: str, binding: Mapping[str, int], line: int) -> int:
     try:
-        return eval_expr(parse_expr(text), binding)
+        return parse_expr(text)(binding)
     except ConfigError as exc:
         if exc.line is None:
             exc.line = line
@@ -716,5 +705,16 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
 
 
 def looks_like_vectors(text: str) -> bool:
-    """Heuristic dialect sniff for CLI convenience."""
+    """Dialect sniff: vector text names ``GlCmp`` outside comments."""
     return any("GlCmp" in _strip_comment(line) for line in text.splitlines())
+
+
+def config_template(text: str) -> Callable[[Mapping[str, int]],
+                                           Union[CurveConfig, ReducedConeConfig]]:
+    """The config of `text` as a function of its parameter binding, in the
+    dialect `looks_like_vectors` picks. Vector text is parsed here, once,
+    and each call expands it; native text is parsed at each call."""
+    if looks_like_vectors(text):
+        vectors = parse_vector_text(text)
+        return lambda binding: parse_singular(vectors, binding)
+    return lambda binding: parse_native(text, binding)

@@ -8,10 +8,11 @@ operations only the tests use, written over the public API.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Union
 
 from conespec.engine import ReducedConeConfig, binom2
-from conespec.formats import BinOp, Name, Neg, Num
 from conespec.local import SingularPoint, WeightSystem
 from conespec.spectrum import SpectrumVector
 
@@ -127,7 +128,35 @@ def reduced_multiplicity(point: SingularPoint) -> int:
     return point.branch_count
 
 
-def render_expr(expr) -> str:
+# A template expression as a tree, the form the expression fuzz generates
+# and renders to text; the package compiles the text without building one.
+
+@dataclass(frozen=True)
+class Num:
+    value: int
+
+
+@dataclass(frozen=True)
+class Name:
+    ident: str
+
+
+@dataclass(frozen=True)
+class Neg:
+    arg: "Expr"
+
+
+@dataclass(frozen=True)
+class BinOp:
+    op: str  # one of + - * div
+    left: "Expr"
+    right: "Expr"
+
+
+Expr = Union[Num, Name, Neg, BinOp]
+
+
+def render_expr(expr: Expr) -> str:
     """Fully parenthesized text form; parses back to an equivalent tree."""
     if isinstance(expr, Num):
         return str(expr.value)

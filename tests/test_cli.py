@@ -398,6 +398,23 @@ def test_exit_code_contract(capsys, tmp_path):
     assert code == 2
 
 
+def test_compute_deep_and_long_templates(capsys, tmp_path):
+    """A slot nested past the bound is a coded input error; a flat chain of
+    any length evaluates."""
+    deep = tmp_path / "deep.cfg"
+    deep.write_text(f"component degree={'(' * 400}2{')' * 400} mult=1\n")
+    assert run(capsys, "compute", deep) == (
+        2, "", "error: line 1: [expr-limit] expression nests deeper than "
+               "100 levels\n")
+    long = tmp_path / "long.vectors"
+    long.write_text(f"GlCmp=-1,2{'+0' * 2999},1; Si=; OD=0; LG=0\n")
+    plain = tmp_path / "plain.vectors"
+    plain.write_text("GlCmp=-1,2,1; Si=; OD=0; LG=0\n")
+    code, out, _ = run(capsys, "compute", long)
+    assert (code, out) == run(capsys, "compute", plain)[:2]
+    assert out.startswith("e=0: ")
+
+
 @pytest.mark.parametrize("template,message", [
     ("component degree=1 mult=1\ncomponent degree=a mult=1\n",
      "line 2: [value-nonpositive] at grid point (a=0): "

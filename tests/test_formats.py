@@ -10,13 +10,13 @@ import pytest
 
 from conespec.engine import (CurveConfig, GlobalComponent,
                              ReducedConeConfig, curve_table)
-from conespec.formats import (BinOp, ConfigError, Name, Neg, Num, emit_table,
-                              eval_expr, looks_like_vectors, parse_expr,
-                              parse_native, parse_singular, parse_vector_text)
+from conespec.formats import (MAX_DEPTH, ConfigError, emit_table,
+                              looks_like_vectors, parse_expr, parse_native,
+                              parse_singular, parse_vector_text)
 from conespec.local import LocalBranch
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
-from reference import emit_native, render_expr
+from reference import BinOp, Name, Neg, Num, emit_native, render_expr
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -26,7 +26,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # -- template expressions ----------------------------------------------------
 
 def ev(text, **binding):
-    return eval_expr(parse_expr(text), binding)
+    return parse_expr(text)(binding)
 
 
 def test_eval_examples():
@@ -62,6 +62,23 @@ def test_eval_errors():
         parse_expr("(2")
     with pytest.raises(ConfigError):
         parse_expr("2 ? 3")
+
+
+def test_nesting_bound_counts_parentheses_and_unary_minus():
+    half = MAX_DEPTH // 2
+    deepest = ["(" * MAX_DEPTH + "7" + ")" * MAX_DEPTH, "-" * MAX_DEPTH + "7",
+               "-(" * half + "7" + ")" * half]
+    for text in deepest:
+        assert ev(text) == 7
+        for deeper in (f"({text})", f"-{text}"):
+            with pytest.raises(ConfigError) as err:
+                parse_expr(deeper)
+            assert str(err.value) == (
+                f"[expr-limit] expression nests deeper than {MAX_DEPTH} levels")
+    # a flat chain costs no depth, however long
+    assert ev("+".join(["c"] * 3000), c=2) == 6000
+    assert ev("-".join(["1"] * 3000)) == -2998
+    assert ev("*".join(["c"] * 3000) + " div 2", c=1) == 0
 
 
 def _random_expr(rng, depth):
@@ -107,9 +124,9 @@ def test_eval_matches_direct_evaluator_on_random_trees():
             want = _direct_eval(tree, binding)
         except ZeroDivisionError:
             with pytest.raises(ConfigError):
-                eval_expr(reparsed, binding)
+                reparsed(binding)
             continue
-        assert eval_expr(reparsed, binding) == want
+        assert reparsed(binding) == want
         agreed += 1
     assert agreed > 5000
 
@@ -453,6 +470,19 @@ def test_input_error_matches_golden(case, dialect, text):
     assert input_outcome(dialect, text) == golden[case]
 
 
+@pytest.mark.parametrize("entry, outcome", [
+    ("\u00b2", "[expr-char] unexpected character '\u00b2' in expression "
+                "'\u00b2'"),
+    ("\u0663", "[expr-char] unexpected character '\u0663' in expression "
+                "'\u0663'"),
+    ("9" * 5000, "[expr-limit] integer literal of 5000 digits is too long"),
+], ids=["superscript-two", "arabic-indic-three", "5000-digits"])
+def test_template_digits_are_ascii(entry, outcome):
+    assert input_outcome("native", f"component degree={entry} mult=1\n") == \
+        f"line 1: {outcome}"
+    assert input_outcome("vector", vec(glcmp=f"-1,{entry},1")) == outcome
+
+
 def test_parser_totality_fuzz():
     rng = random.Random(777)
     alphabet = string.printable
@@ -500,6 +530,25 @@ def test_parser_totality_fuzz():
                             + lines[k][pos + 1:])
         try:
             parse_native("\n".join(lines))
+        except ConfigError:
+            pass
+    # deep, long and non-ASCII-digit templates in a slot of each dialect
+    atoms = ("0", "1", "7", "a")
+    last = atoms + ("\u00b2", "\u0663", "9" * 4400)
+    for _ in range(100):
+        opening = "".join(rng.choice(("(", "-", " -", "-("))
+                          for _ in range(rng.randint(0, 150)))
+        body = "".join(rng.choice(atoms) + rng.choice(("+", "-", "*", " div "))
+                       for _ in range(rng.randint(0, 3000)))
+        text = (opening + body + rng.choice(last)
+                + ")" * rng.randint(0, opening.count("(")))
+        try:
+            parse_native(f"component degree=({text}) mult=1\n", {"a": 1})
+        except ConfigError:
+            pass
+        try:
+            parse_singular(parse_vector_text(vec(glcmp=f"-1,{text},1")),
+                           {"a": 1})
         except ConfigError:
             pass
 

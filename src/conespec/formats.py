@@ -362,45 +362,36 @@ def parse_singular(vectors: SingularVectors,
 # native line format
 # ---------------------------------------------------------------------------
 
-def _eval_int(text: str, binding: Mapping[str, int], line: int) -> int:
-    try:
-        return parse_expr(text)(binding)
-    except ConfigError as exc:
-        if exc.line is None:
-            exc.line = line
-        raise
-
-
-def _keyvals(parts: list[str], needed: tuple, optional: tuple,
-             line: int) -> dict[str, str]:
+def _keyvals(parts: list[str], needed: tuple,
+             optional: tuple) -> dict[str, str]:
     """key=value tokens as a dict; keys are checked in grammar order, so the
     first missing key named is always the same."""
     out = {}
     for part in parts:
         if "=" not in part:
             raise ConfigError("key-syntax",
-                              f"expected key=value, got {part!r}", line)
+                              f"expected key=value, got {part!r}")
         key, _, value = part.partition("=")
         if key in out:
-            raise ConfigError("key-syntax", f"duplicate key {key!r}", line)
+            raise ConfigError("key-syntax", f"duplicate key {key!r}")
         out[key] = value
     for key in out:
         if key not in needed + optional:
-            raise ConfigError("key-syntax", f"unknown key {key!r}", line)
+            raise ConfigError("key-syntax", f"unknown key {key!r}")
     for key in needed:
         if key not in out:
-            raise ConfigError("key-syntax", f"missing key {key!r}", line)
+            raise ConfigError("key-syntax", f"missing key {key!r}")
     return out
 
 
-def _parse_branches(text: str, binding, line: int) -> tuple[LocalBranch, ...]:
+def _parse_branches(text: str, binding) -> tuple[LocalBranch, ...]:
     branches = []
     pos = 0
     while pos < len(text):
         if text[pos] != "(":
-            raise ConfigError("branch-syntax",
-                              "branches must look like (deg:mult)(deg:mult)...",
-                              line)
+            raise ConfigError(
+                "branch-syntax",
+                "branches must look like (deg:mult)(deg:mult)...")
         depth = 1
         colon = None
         end = pos + 1
@@ -415,28 +406,26 @@ def _parse_branches(text: str, binding, line: int) -> tuple[LocalBranch, ...]:
             end += 1
         if depth or colon is None:
             raise ConfigError("branch-syntax",
-                              f"malformed branch list {text!r}", line)
-        deg = _eval_int(text[pos + 1: colon], binding, line)
-        mult = _eval_int(text[colon + 1: end - 1], binding, line)
+                              f"malformed branch list {text!r}")
+        deg = parse_expr(text[pos + 1: colon])(binding)
+        mult = parse_expr(text[colon + 1: end - 1])(binding)
         if deg < 1 or mult < 1:
-            raise ConfigError("value-nonpositive",
-                              "branch degree and multiplicity must be positive",
-                              line)
+            raise ConfigError(
+                "value-nonpositive",
+                "branch degree and multiplicity must be positive")
         branches.append(LocalBranch(deg, mult))
         pos = end
     if not branches:
-        raise ConfigError("branch-syntax", "a point needs at least one branch",
-                          line)
+        raise ConfigError("branch-syntax", "a point needs at least one branch")
     return tuple(branches)
 
 
-def _parse_fraction(text: str, line: int) -> Fraction:
+def _parse_fraction(text: str) -> Fraction:
     num, slash, den = text.partition("/")
     try:
         return Fraction(int(num), int(den) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError("fraction-syntax",
-                          f"bad fraction {text!r}", line) from exc
+        raise ConfigError("fraction-syntax", f"bad fraction {text!r}") from exc
 
 
 def _tokenize_line(line: str) -> list[str]:
@@ -475,11 +464,11 @@ _KEYWORDS = {
 }
 
 
-def _count(kv: dict[str, str], binding, line: int) -> int:
-    count = _eval_int(kv.get("count", "1"), binding, line)
+def _count(kv: dict[str, str], binding) -> int:
+    count = parse_expr(kv.get("count", "1"))(binding)
     if count < 1:
         raise ConfigError("value-nonpositive",
-                          f"count must be positive, got {count}", line)
+                          f"count must be positive, got {count}")
     return count
 
 
@@ -492,7 +481,9 @@ def parse_native(text: str,
     otherwise a `CurveConfig`. All violations raise `ConfigError` with a
     machine-readable code. The error carries the line number where one line
     is at fault; errors about the whole config (no components, an incidence
-    matrix of the wrong width) carry none.
+    matrix of the wrong width) carry none. The line loop is the one place
+    that sets it: an error raised while line N is read, and that names no
+    line of its own, gets N.
     """
     binding = binding or {}
     components: list[GlobalComponent] = []
@@ -505,153 +496,157 @@ def parse_native(text: str,
     first_line: dict[str, int] = {}     # single-valued slot -> its line
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(_strip_comment(raw))
-        if not tokens:
-            continue
-        keyword, args = tokens[0], tokens[1:]
-        if keyword not in _KEYWORDS:
-            raise ConfigError("bad-keyword",
-                              f"unknown keyword {keyword!r}", lineno)
-        slot, mode = _KEYWORDS[keyword]
-        if slot is not None:
-            if slot in first_line:
-                raise ConfigError("key-syntax",
-                                  f"{keyword!r} repeats line "
-                                  f"{first_line[slot]}: {slot} may be given "
-                                  "once", lineno)
-            first_line[slot] = lineno
-        if mode == "local" and reduced_header is None:
-            raise ConfigError("mode-conflict",
-                              f"{keyword} needs a preceding 'reduced' header",
-                              lineno)
-        saw_curve_keyword = saw_curve_keyword or mode == "curve"
+        try:
+            tokens = _tokenize_line(_strip_comment(raw))
+            if not tokens:
+                continue
+            keyword, args = tokens[0], tokens[1:]
+            if keyword not in _KEYWORDS:
+                raise ConfigError("bad-keyword",
+                                  f"unknown keyword {keyword!r}")
+            slot, mode = _KEYWORDS[keyword]
+            if slot is not None:
+                if slot in first_line:
+                    raise ConfigError("key-syntax",
+                                      f"{keyword!r} repeats line "
+                                      f"{first_line[slot]}: {slot} may be "
+                                      "given once")
+                first_line[slot] = lineno
+            if mode == "local" and reduced_header is None:
+                raise ConfigError("mode-conflict", f"{keyword} needs a "
+                                  "preceding 'reduced' header")
+            saw_curve_keyword = saw_curve_keyword or mode == "curve"
 
-        if keyword in ("ambient", "nodes"):
-            if len(args) != 1:
-                raise ConfigError("key-syntax", f"{keyword} takes one value",
-                                  lineno)
-            value = _eval_int(args[0], binding, lineno)
+            if keyword in ("ambient", "nodes"):
+                if len(args) != 1:
+                    raise ConfigError("key-syntax",
+                                      f"{keyword} takes one value")
+                value = parse_expr(args[0])(binding)
 
-        if keyword == "ambient":
-            if value != 2:
-                raise ConfigError("ambient-unsupported",
-                                  "curve configs are planar (ambient 2); use a "
-                                  "'reduced' header for other dimensions", lineno)
+            if keyword == "ambient":
+                if value != 2:
+                    raise ConfigError("ambient-unsupported",
+                                      "curve configs are planar (ambient 2); "
+                                      "use a 'reduced' header for other "
+                                      "dimensions")
 
-        elif keyword == "nodes":
-            if value < 0:
-                raise ConfigError("value-nonpositive",
-                                  "node count must be >= 0", lineno)
-            nodes = value
-
-        elif keyword == "component":
-            kv = _keyvals(args, ("degree", "mult"), ("count",), lineno)
-            degree = _eval_int(kv["degree"], binding, lineno)
-            mult = _eval_int(kv["mult"], binding, lineno)
-            count = _count(kv, binding, lineno)
-            if degree < 1 or mult < 1:
-                raise ConfigError("value-nonpositive",
-                                  "degree and mult must be positive", lineno)
-            components.extend([GlobalComponent(degree, mult)] * count)
-
-        elif keyword == "point":
-            kv = _keyvals(args, ("weights", "branches"), ("count",), lineno)
-            weight_parts = kv["weights"].split(",")
-            if len(weight_parts) != 2:
-                raise ConfigError("weights-syntax",
-                                  "point weights must be w,w'", lineno)
-            w = _eval_int(weight_parts[0], binding, lineno)
-            wp = _eval_int(weight_parts[1], binding, lineno)
-            branches = _parse_branches(kv["branches"], binding, lineno)
-            count = _count(kv, binding, lineno)
-            with _coded("point-invalid", lineno):
-                point = SingularPoint((w, wp), branches)
-                if not validate_branches(point):
-                    raise ConfigError(
-                        "branch-degree",
-                        f"branch degrees must lie in {{w, w', w*w'}} = "
-                        f"{{{w}, {wp}, {w * wp}}}", lineno)
-                point.milnor()
-            points.extend([point] * count)
-
-        elif keyword == "incidence":
-            pairs = []
-            for token in args:
-                try:
-                    count, value = map(int, token.split("x"))
-                except ValueError as exc:
-                    raise ConfigError("incidence-syntax",
-                                      f"expected COUNTxVALUE, got {token!r}",
-                                      lineno) from exc
-                if count < 1 or value < 1:
+            elif keyword == "nodes":
+                if value < 0:
                     raise ConfigError("value-nonpositive",
-                                      "incidence counts and values must be "
-                                      "positive", lineno)
-                pairs.append((count, value))
-            incidence = Incidence.from_pairs(pairs)
+                                      "node count must be >= 0")
+                nodes = value
 
-        elif keyword == "incidence-matrix":
-            rows: list[list[int]] = [[]]
-            for token in args:
-                for idx, part in enumerate(token.split(";")):
-                    if idx:
-                        rows.append([])
-                    if part:
-                        try:
-                            rows[-1].append(int(part))
-                        except ValueError as exc:
-                            raise ConfigError("incidence-syntax",
-                                              f"bad matrix entry {part!r}",
-                                              lineno) from exc
-            rows = [r for r in rows if r]
-            if not rows:
-                raise ConfigError("incidence-syntax",
-                                  "incidence-matrix needs at least one row",
-                                  lineno)
-            with _coded("value-nonpositive", lineno):
-                incidence = Incidence.from_matrix(rows)
+            elif keyword == "component":
+                kv = _keyvals(args, ("degree", "mult"), ("count",))
+                degree = parse_expr(kv["degree"])(binding)
+                mult = parse_expr(kv["mult"])(binding)
+                count = _count(kv, binding)
+                if degree < 1 or mult < 1:
+                    raise ConfigError("value-nonpositive",
+                                      "degree and mult must be positive")
+                components.extend([GlobalComponent(degree, mult)] * count)
 
-        elif keyword == "reduced":
-            kv = _keyvals(args, ("n", "degree"), ("power",), lineno)
-            reduced_header = (lineno,
-                              _eval_int(kv["n"], binding, lineno),
-                              _eval_int(kv["degree"], binding, lineno),
-                              _eval_int(kv.get("power", "1"), binding, lineno))
+            elif keyword == "point":
+                kv = _keyvals(args, ("weights", "branches"), ("count",))
+                weight_parts = kv["weights"].split(",")
+                if len(weight_parts) != 2:
+                    raise ConfigError("weights-syntax",
+                                      "point weights must be w,w'")
+                w = parse_expr(weight_parts[0])(binding)
+                wp = parse_expr(weight_parts[1])(binding)
+                branches = _parse_branches(kv["branches"], binding)
+                count = _count(kv, binding)
+                with _coded("point-invalid"):
+                    point = SingularPoint((w, wp), branches)
+                    if not validate_branches(point):
+                        raise ConfigError(
+                            "branch-degree",
+                            f"branch degrees must lie in {{w, w', w*w'}} = "
+                            f"{{{w}, {wp}, {w * wp}}}")
+                    point.milnor()
+                points.extend([point] * count)
 
-        elif keyword == "localspectrum":
-            entries = []
-            for token in args:
-                if ":" not in token:
+            elif keyword == "incidence":
+                pairs = []
+                for token in args:
+                    try:
+                        count, value = map(int, token.split("x"))
+                    except ValueError as exc:
+                        raise ConfigError("incidence-syntax",
+                                          "expected COUNTxVALUE, got "
+                                          f"{token!r}") from exc
+                    if count < 1 or value < 1:
+                        raise ConfigError("value-nonpositive",
+                                          "incidence counts and values must "
+                                          "be positive")
+                    pairs.append((count, value))
+                incidence = Incidence.from_pairs(pairs)
+
+            elif keyword == "incidence-matrix":
+                rows: list[list[int]] = [[]]
+                for token in args:
+                    for idx, part in enumerate(token.split(";")):
+                        if idx:
+                            rows.append([])
+                        if part:
+                            try:
+                                rows[-1].append(int(part))
+                            except ValueError as exc:
+                                raise ConfigError("incidence-syntax",
+                                                  "bad matrix entry "
+                                                  f"{part!r}") from exc
+                rows = [r for r in rows if r]
+                if not rows:
+                    raise ConfigError("incidence-syntax",
+                                      "incidence-matrix needs at least one "
+                                      "row")
+                with _coded("value-nonpositive"):
+                    incidence = Incidence.from_matrix(rows)
+
+            elif keyword == "reduced":
+                kv = _keyvals(args, ("n", "degree"), ("power",))
+                reduced_header = (lineno,
+                                  parse_expr(kv["n"])(binding),
+                                  parse_expr(kv["degree"])(binding),
+                                  parse_expr(kv.get("power", "1"))(binding))
+
+            elif keyword == "localspectrum":
+                entries = []
+                for token in args:
+                    if ":" not in token:
+                        raise ConfigError("spectrum-syntax",
+                                          f"expected p/q:m, got {token!r}")
+                    e_text, _, m_text = token.rpartition(":")
+                    exponent = _parse_fraction(e_text)
+                    try:
+                        mult = int(m_text)
+                    except ValueError as exc:
+                        raise ConfigError("spectrum-syntax", "bad multiplicity "
+                                          f"{m_text!r}") from exc
+                    entries.append((exponent, mult))
+                if not entries:
                     raise ConfigError("spectrum-syntax",
-                                      f"expected p/q:m, got {token!r}", lineno)
-                e_text, _, m_text = token.rpartition(":")
-                exponent = _parse_fraction(e_text, lineno)
-                try:
-                    mult = int(m_text)
-                except ValueError as exc:
-                    raise ConfigError("spectrum-syntax",
-                                      f"bad multiplicity {m_text!r}",
-                                      lineno) from exc
-                entries.append((exponent, mult))
-            if not entries:
-                raise ConfigError("spectrum-syntax",
-                                  "localspectrum needs at least one entry",
-                                  lineno)
-            with _coded("config-invalid", lineno):
-                spectra.append(SpectrumVector(entries,
-                                              ambient_dim=reduced_header[1]))
+                                      "localspectrum needs at least one entry")
+                with _coded("config-invalid"):
+                    spectra.append(SpectrumVector(
+                        entries, ambient_dim=reduced_header[1]))
 
-        elif keyword == "localwh":
-            kv = _keyvals(args, ("weights", "degree"), (), lineno)
-            weight_parts = kv["weights"].split(",")
-            weights = tuple(_eval_int(p, binding, lineno) for p in weight_parts)
-            if len(weights) != reduced_header[1]:
-                raise ConfigError("weights-syntax",
-                                  f"localwh needs {reduced_header[1]} weights "
-                                  "(one per variable)", lineno)
-            degree = _eval_int(kv["degree"], binding, lineno)
-            with _coded("point-invalid", lineno):
-                spectra.append(weighted_spectrum(WeightSystem(weights, degree)))
+            elif keyword == "localwh":
+                kv = _keyvals(args, ("weights", "degree"), ())
+                weight_parts = kv["weights"].split(",")
+                weights = tuple(parse_expr(p)(binding) for p in weight_parts)
+                if len(weights) != reduced_header[1]:
+                    raise ConfigError("weights-syntax",
+                                      f"localwh needs {reduced_header[1]} "
+                                      "weights (one per variable)")
+                degree = parse_expr(kv["degree"])(binding)
+                with _coded("point-invalid"):
+                    spectra.append(
+                        weighted_spectrum(WeightSystem(weights, degree)))
+        except ConfigError as exc:
+            if exc.line is None:
+                exc.line = lineno
+            raise
 
     if reduced_header is not None:
         if saw_curve_keyword:

@@ -183,7 +183,11 @@ class SingularPoint:
         return value
 
     def local_spectrum(self) -> SpectrumVector:
-        """Spectrum of the germ, from its weights and weighted degree."""
+        """Spectrum of the germ, from its weights and weighted degree; empty
+        when the Milnor number is 0 (the weighted degree is w or w', so the
+        germ is smooth)."""
+        if self.milnor() == 0:
+            return SpectrumVector((), ambient_dim=2)
         return weighted_spectrum(WeightSystem(self.weights, self.weighted_degree))
 
 

@@ -432,3 +432,23 @@ def test_scan_grid_point_error_names_code_once(capsys, tmp_path, template,
     assert code == 2
     assert out.splitlines() == ["a,d,dprime,n_3_over_d,chi_u,flags"]
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("with_point,without_point", [
+    ("component degree=3 mult=1\npoint weights=2,3 branches=(2:1)\n",
+     "component degree=3 mult=1\n"),
+    ("GlCmp=-1,2,1; Si=-1,1; OD=0; LG=0;\n",
+     "GlCmp=-1,2,1; Si=; OD=0; LG=0;\n"),
+], ids=["native", "vector"])
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_milnor_zero_point_reports_like_no_point(capsys, tmp_path, command,
+                                                 with_point, without_point):
+    """A point whose weighted degree is w or w' is smooth: its local
+    spectrum is empty and the reports match the config without it."""
+    reports = []
+    for k, text in enumerate((with_point, without_point)):
+        path = tmp_path / f"config{k}.txt"
+        path.write_text(text)
+        reports.append(run(capsys, command, path))
+    assert reports[0] == reports[1]
+    assert reports[0][0] == 0

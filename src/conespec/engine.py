@@ -208,6 +208,9 @@ class ReducedConeConfig:
                                  f"(0, {self.ambient_dim})")
             if not spec.is_symmetric():
                 raise ValueError(f"local spectrum {spec} is not symmetric")
+            if any(m < 0 for m in spec.numerators().values()):
+                raise ValueError(f"local spectrum {spec} has a negative "
+                                 "multiplicity")
 
 
 def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:

@@ -341,6 +341,9 @@ def test_reduced_config_validates_spectra():
     wrong_dim = SpectrumVector({F(3, 2): 1}, 3)
     with pytest.raises(ValueError):
         ReducedConeConfig(2, 3, (wrong_dim,))
+    negative = SpectrumVector({F(1): -1}, 2)
+    with pytest.raises(ValueError):
+        ReducedConeConfig(2, 3, (negative,))
 
 
 def fraction_column(cfg, i):

@@ -442,6 +442,7 @@ INPUT_ERROR_CASES = [
     ("reduced-power", "native", "reduced n=2 degree=3 power=0\n"),
     ("reduced-support", "native", R2 + "localspectrum 5/2:1 -1/2:1\n"),
     ("reduced-symmetry", "native", R2 + "localspectrum 1/2:1\n"),
+    ("reduced-negative-mult", "native", R2 + "localspectrum 1:-1\n"),
     ("no-components", "native", "nodes 0\n"),
     ("empty-native", "native", ""),
 ]

@@ -88,6 +88,16 @@ _LEVELS = ({"+": operator.add, "-": operator.sub},
 # rejected before the parser's recursion could exhaust the stack
 MAX_DEPTH = 100
 
+# the longest stretch of an expression its error messages quote
+_QUOTE_LIMIT = 60
+
+
+def _quote(text: str) -> str:
+    """`text` quoted for an error message, cut after _QUOTE_LIMIT
+    characters and then marked with '...'."""
+    cut = text[:_QUOTE_LIMIT]
+    return repr(cut) + ("..." if cut != text else "")
+
 
 def _lex_expr(text: str) -> list[tuple[str, object]]:
     tokens = []
@@ -121,7 +131,7 @@ def _lex_expr(text: str) -> list[tuple[str, object]]:
             pos += 1
             continue
         raise ConfigError("expr-char", f"unexpected character {ch!r} in "
-                          f"expression {text!r}")
+                          f"expression {_quote(text)}")
     return tokens
 
 
@@ -177,7 +187,7 @@ class _ExprParser:
             return lookup
         if kind not in ("-", "("):
             raise ConfigError("expr-syntax",
-                              f"malformed expression {self.text!r}")
+                              f"malformed expression {_quote(self.text)}")
         if depth == MAX_DEPTH:
             raise ConfigError("expr-limit", "expression nests deeper than "
                               f"{MAX_DEPTH} levels")
@@ -187,8 +197,8 @@ class _ExprParser:
             return lambda binding: -arg(binding)
         expr = self.chain(depth + 1)
         if self.peek() != ")":
-            raise ConfigError("expr-paren",
-                              f"unbalanced parentheses in {self.text!r}")
+            raise ConfigError("expr-paren", "unbalanced parentheses in "
+                              f"{_quote(self.text)}")
         self.take()
         return expr
 
@@ -206,7 +216,7 @@ def parse_expr(text: str) -> Expr:
     expr = parser.chain(0)
     if parser.peek() is not None:
         raise ConfigError("expr-trailing",
-                          f"trailing input in expression {text!r}")
+                          f"trailing input in expression {_quote(text)}")
     return expr
 
 

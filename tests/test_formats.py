@@ -471,13 +471,18 @@ def test_input_error_matches_golden(case, dialect, text):
     assert input_outcome(dialect, text) == golden[case]
 
 
+# ASCII digits, the literal limit, and the 60-character quote of a long
+# expression, in a slot of each dialect
 @pytest.mark.parametrize("entry, outcome", [
     ("\u00b2", "[expr-char] unexpected character '\u00b2' in expression "
                 "'\u00b2'"),
     ("\u0663", "[expr-char] unexpected character '\u0663' in expression "
                 "'\u0663'"),
     ("9" * 5000, "[expr-limit] integer literal of 5000 digits is too long"),
-], ids=["superscript-two", "arabic-indic-three", "5000-digits"])
+    ("1+" * 2999 + "1?", "[expr-char] unexpected character '?' in expression "
+                         f"{'1+' * 30!r}..."),
+], ids=["superscript-two", "arabic-indic-three", "5000-digits",
+        "3000-terms-quoted-short"])
 def test_template_digits_are_ascii(entry, outcome):
     assert input_outcome("native", f"component degree={entry} mult=1\n") == \
         f"line 1: {outcome}"

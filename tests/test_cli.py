@@ -422,7 +422,10 @@ def test_compute_deep_and_long_templates(capsys, tmp_path):
     ((FIXTURES / "five-lines.vectors").read_text(),
      "[value-nonpositive] at grid point (a=0): component "
      "degree/multiplicity must be positive, got (1, 0)"),
-], ids=["native", "vector"])
+    ("reduced n=2 degree=a+3\nlocalwh weights=2,3 degree=6\n",
+     "[mode-conflict] at grid point (a=0): scan templates must describe "
+     "curve configs"),
+], ids=["native", "vector", "reduced"])
 def test_scan_grid_point_error_names_code_once(capsys, tmp_path, template,
                                                message):
     path = tmp_path / "template.txt"
@@ -452,3 +455,23 @@ def test_milnor_zero_point_reports_like_no_point(capsys, tmp_path, command,
         reports.append(run(capsys, command, path))
     assert reports[0] == reports[1]
     assert reports[0][0] == 0
+
+
+@pytest.mark.parametrize("command", [["compute", "--middle", "cor2"],
+                                     ["oracle"]])
+def test_zero_count_groups_contribute_nothing(capsys, tmp_path, command):
+    """Zero-count groups in GlCmp, Si and LG leave the output unchanged."""
+    plain = (FIXTURES / "five-lines.vectors").read_text()
+    padded = (plain.replace("-2,1,1;", "-2,1,1, -0,3,2;")
+              .replace("-1,3,c+1;", "-1,3,c+1, -0,4,2,2;")
+              .replace("-6,1;", "-0,5, -6,1;"))
+    assert padded.count("-0,") == 3
+    outputs = []
+    for name, text in (("plain", plain), ("padded", padded)):
+        path = tmp_path / f"{name}.vectors"
+        path.write_text(text)
+        outputs.append(run(capsys, command[0], path, *command[1:],
+                           "--param", "a=4", "--param", "b=2",
+                           "--param", "c=0"))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0

@@ -88,14 +88,11 @@ _LEVELS = ({"+": operator.add, "-": operator.sub},
 # rejected before the parser's recursion could exhaust the stack
 MAX_DEPTH = 100
 
-# the longest stretch of an expression its error messages quote
-_QUOTE_LIMIT = 60
-
 
 def _quote(text: str) -> str:
-    """`text` quoted for an error message, cut after _QUOTE_LIMIT
-    characters and then marked with '...'."""
-    cut = text[:_QUOTE_LIMIT]
+    """`text` quoted for an error message: its first 60 characters, then
+    '...' when it is longer."""
+    cut = text[:60]
     return repr(cut) + ("..." if cut != text else "")
 
 

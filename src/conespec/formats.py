@@ -262,7 +262,7 @@ def parse_vector_text(text: str) -> SingularVectors:
         for piece in raw.split(","):
             if not piece.strip():
                 raise ConfigError("vector-syntax",
-                                  f"empty entry in {key}={raw!r}")
+                                  f"empty entry in {key}={_quote(raw)}")
             out.append(parse_expr(piece))
         return tuple(out)
 
@@ -413,7 +413,7 @@ def _parse_branches(text: str, binding) -> tuple[LocalBranch, ...]:
             end += 1
         if depth or colon is None:
             raise ConfigError("branch-syntax",
-                              f"malformed branch list {text!r}")
+                              f"malformed branch list {_quote(text)}")
         deg = parse_expr(text[pos + 1: colon])(binding)
         mult = parse_expr(text[colon + 1: end - 1])(binding)
         if deg < 1 or mult < 1:

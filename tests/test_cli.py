@@ -475,3 +475,22 @@ def test_zero_count_groups_contribute_nothing(capsys, tmp_path, command):
                            "--param", "c=0"))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
+
+
+@pytest.mark.parametrize("text,message", [
+    ("component degree=1 mult=1\n"
+     f"point weights=1,1 branches={'(1:1)' * 999}(1:1\n",
+     "line 2: [branch-syntax] malformed branch list "
+     f"{'(1:1)' * 12!r}..."),
+    (f"GlCmp={','.join(['1'] * 499 + [''] + ['1'] * 500)}; Si=; OD=0; LG=0;\n",
+     f"[vector-syntax] empty entry in GlCmp={'1,' * 30!r}..."),
+], ids=["branch-list", "vector-entry"])
+def test_long_input_is_quoted_short(capsys, tmp_path, text, message):
+    """A malformed branch list or vector of 1000 entries is quoted to 60
+    characters, so its error line stays short."""
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "compute", path)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert len(err.encode()) < 200

@@ -5,9 +5,10 @@ description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. Each column comes
 from its index alone: one kernel, `_column`, reads constants taken once per
-config (component and branch terms, identical points grouped with a count)
-and serves `curve_table`, `ordinary_middle_row` and `scan_values`, the one
-cell that ``scan`` reports. The reduced any-dimension route is
+config (component and branch terms, identical points grouped with a count
+and given one row of lattice counts) and serves `curve_table`,
+`ordinary_middle_row` and `scan_values`, the one cell that ``scan``
+reports. The reduced any-dimension route is
 `reduced_cone_spectrum` / `thickened_spectrum` / `local_data_table`, which
 consume local spectra directly.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .local import (SingularPoint, _window_row, lattice_count,
+from .local import (SingularPoint, _window_row, lattice_row,
                     quotient_coeffs, validate_branches)
 from .spectrum import SpectrumVector
 
@@ -273,25 +274,30 @@ def _branch_terms(point: SingularPoint) -> _Terms:
 
 class _Curve(NamedTuple):
     """The constants of the curve route, read once per config: d, d', the
-    component terms, and one (count, w, w', d_j, mass, branch terms) entry
-    per distinct point."""
+    component terms, and one (count, lattice row, d_j, mass, branch terms)
+    entry per distinct point. The lattice row is `lattice_row(w, w', d_j - 1)`,
+    every count the point's columns use: the ceiling of its residue degree
+    lies in [1, d_j], so both bounds lie in [0, d_j - 1]."""
 
     d: int
     dprime: int
     comps: _Terms
-    points: tuple[tuple[int, int, int, int, int, _Terms], ...]
+    points: tuple[tuple[int, list[int], int, int, _Terms], ...]
 
 
 def _hoist(cfg: CurveConfig) -> _Curve:
     """The constants of cfg; points with the same weights and branch terms
-    share one entry, keyed on plain tuples."""
+    share one entry, keyed on plain tuples, and one lattice row."""
     counts: dict = {}
     for p in cfg.points:
         key = (p.weights, _branch_terms(p))
         counts[key] = counts.get(key, 0) + 1
-    points = tuple((k, w, wp, sum(deg for _, deg in terms), _mass(terms), terms)
-                   for ((w, wp), terms), k in counts.items())
-    return _Curve(cfg.degree, cfg.reduced_degree, _component_terms(cfg), points)
+    points = []
+    for ((w, wp), terms), k in counts.items():
+        dj = sum(deg for _, deg in terms)
+        points.append((k, lattice_row(w, wp, dj - 1), dj, _mass(terms), terms))
+    return _Curve(cfg.degree, cfg.reduced_degree, _component_terms(cfg),
+                  tuple(points))
 
 
 def _column(curve: _Curve, i: int) -> tuple[int, int, int]:
@@ -303,11 +309,11 @@ def _column(curve: _Curve, i: int) -> tuple[int, int, int]:
     r0 = binom2(twist - 1)
     r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
     middle = (twist - 1) * (dp - twist - 1)
-    for k, w, wp, dj, mass, terms in curve.points:
+    for k, row, dj, mass, terms in curve.points:
         # ceiling of the residue degree i*mass/d - shift
         ceil_g = -(-i * mass // d) - _shift(terms, i, d)
-        r0 -= k * lattice_count(w, wp, ceil_g - 1)
-        r2 -= k * lattice_count(w, wp, dj - ceil_g)
+        r0 -= k * row[ceil_g - 1]
+        r2 -= k * row[dj - ceil_g]
         middle -= k * (ceil_g - 1) * (dj - ceil_g)
     return r0, r2, middle
 
@@ -348,8 +354,9 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 def scan_values(cfg: CurveConfig) -> tuple[int, int, Optional[int], int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point. The points are validated as by
-    `curve_table`, also when d < 3, but only column 3 is computed, so the
-    cost does not grow with d."""
+    `curve_table`, also when d < 3, but only column 3 is computed: past
+    one O(d_j) lattice row per distinct point, the cost does not grow with
+    d."""
     cfg.validate_points()
     curve = _hoist(cfg)
     n3d = _column(curve, 3)[0] if curve.d >= 3 else None

@@ -1,6 +1,11 @@
 """Local invariants of plane-curve (and hypersurface) germs: quasihomogeneous
 spectra, Milnor numbers, lattice counts under a line, and spectral window
 counts. Everything is exact integer/rational arithmetic.
+
+The curve route reads its lattice counts from `lattice_row`, every bound of a
+point at once (partial sums of the two-coin representation numbers), and its
+window counts from `_window_row`; `lattice_count` and `window_count` give one
+value each.
 """
 
 from __future__ import annotations
@@ -97,6 +102,22 @@ def lattice_count(w: int, wp: int, bound: int) -> int:
         total += (bound - w * m1) // wp
         m1 += 1
     return total
+
+
+def lattice_row(w: int, wp: int, top: int) -> list[int]:
+    """row[b] = lattice_count(w, wp, b) for every b in [0, top].
+
+    The row is the coefficient list of u^(w+wp) / ((1 - u^w)(1 - u^wp)(1 - u))
+    up to u^top, one pass per factor as in `quotient_coeffs`. Dividing the
+    monomial by 1 - u^wp marks w + wp + k*wp; dividing by 1 - u^w is a
+    running sum along each residue class mod w, and dividing by 1 - u one
+    along the row. Entry b never depends on top.
+    """
+    row = [0] * (top + 1)
+    row[w + wp::wp] = [1] * len(row[w + wp::wp])
+    for r in range(min(w, top + 1)):
+        row[r::w] = itertools.accumulate(row[r::w])
+    return list(itertools.accumulate(row))
 
 
 def window_count(spec: SpectrumVector, beta: Fraction) -> int:

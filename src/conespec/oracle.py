@@ -8,6 +8,11 @@ the trick is still evaluated and asserted to agree on its valid domain).
 `cross_check` runs the engine against it and against the brute-force
 counters and reports the first differing cell; `verify` runs the invariants
 that apply to a config. Both return a `CheckReport` of kinded checks.
+
+The brute-force counters are literal too. `brute_lattice_row` lists every
+lattice pair under the line once, histograms its value and takes a running
+sum, with no floor division, where `local.lattice_row` divides a generating
+function; `brute_coeffs` convolves where `smooth_cone_coeffs` divides.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      curve_table, incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
-from .local import LocalBranch, SingularPoint, lattice_count
+from .local import LocalBranch, SingularPoint, lattice_row
 from .spectrum import SpectrumVector
 
 
@@ -33,6 +38,25 @@ def brute_lattice(w: int, wp: int, bound: int) -> int:
             if w * m1 + wp * m2 <= bound:
                 total += 1
     return total
+
+
+def brute_lattice_row(w: int, wp: int, top: int) -> list[int]:
+    """row[b] = #{m1, m2 >= 1 : w*m1 + wp*m2 <= b} for b in [0, top], by
+    literal enumeration: each pair with w*m1 + wp*m2 <= top is listed once
+    and counted at its value, then the counts are summed up to each b."""
+    hits = [0] * (top + 1)
+    m1 = 1
+    while w * m1 + wp <= top:
+        m2 = 1
+        while w * m1 + wp * m2 <= top:
+            hits[w * m1 + wp * m2] += 1
+            m2 += 1
+        m1 += 1
+    row, total = [], 0
+    for count in hits:
+        total += count
+        row.append(total)
+    return row
 
 
 def brute_coeffs(dprime: int, n: int) -> list[int]:
@@ -210,9 +234,16 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
 
     Ordinary configs with incidence data are checked cell by cell against the
     reference program; other (weighted) configs fall back to the engine-only
-    checks: lattice counts against the brute loop, smooth-cone coefficients
-    against plain convolution, the column-sum identity, and (for reduced
-    configs) the rows recomputed from the local spectra.
+    checks: the column-sum identity and (for reduced configs) the rows
+    recomputed from the local spectra. Both kinds also run the checks of
+    the engine's counters: smooth-cone coefficients against plain
+    convolution, and lattice rows against literal enumeration.
+
+    ``lattice-counts`` compares `lattice_row` with `brute_lattice_row` once
+    per distinct weight pair (w, w'), up to the bound d_j - 1 of its largest
+    weighted degree d_j. That covers every count the table reads, since the
+    engine's rows stop at d_j - 1 and an entry does not depend on where its
+    row stops.
     """
     checks: list[CheckResult] = []
     table = curve_table(cfg)
@@ -246,11 +277,15 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
                 checks.append(_first_row_mismatch(
                     f"local-table-e{e}", table.rows[e], alt.rows[e], e))
 
-    # every bound the table can use: ceil(residue_degree) lies in [1, d_j]
-    args = sorted({(*p.weights, bound) for p in cfg.points
-                   for bound in range(p.weighted_degree)})
-    bad = next((a for a in args if lattice_count(*a) != brute_lattice(*a)),
-               None)
+    # every bound the table can use: the ceiling of a point's residue
+    # degree lies in [1, d_j], so both bounds lie in [0, d_j - 1]
+    tops: dict[tuple[int, int], int] = {}
+    for p in cfg.points:
+        tops[p.weights] = max(tops.get(p.weights, 0), p.weighted_degree - 1)
+    bad = next(((w, wp, b) for (w, wp), top in sorted(tops.items())
+                for b, (got, want) in enumerate(zip(
+                    lattice_row(w, wp, top), brute_lattice_row(w, wp, top)))
+                if got != want), None)
     checks.append(CheckResult(
         "lattice-counts", bad is None,
         f"first mismatch at (w,w',bound)={bad}" if bad else ""))

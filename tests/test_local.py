@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
-                            _window_row, lattice_count, validate_branches,
-                            weighted_spectrum, window_count)
-from conespec.oracle import brute_lattice
+                            _window_row, lattice_count, lattice_row,
+                            validate_branches, weighted_spectrum, window_count)
+from conespec.oracle import brute_lattice, brute_lattice_row
 from conespec.spectrum import SpectrumVector
 from reference import product, reduced_multiplicity, weighted_milnor
 
@@ -84,6 +84,23 @@ def test_lattice_against_brute_and_reciprocity():
             for bound in range(-2, 201, 7):
                 assert lattice_count(w, wp, bound) == brute_lattice(w, wp, bound)
                 assert lattice_count(w, wp, bound) == lattice_count(wp, w, bound)
+
+
+def test_lattice_row_against_counts_and_literal_row():
+    for w in range(1, 9):
+        for wp in range(1, 9):
+            if math.gcd(w, wp) != 1:
+                continue
+            for top in range(61):
+                row = lattice_row(w, wp, top)
+                assert row == [lattice_count(w, wp, b)
+                               for b in range(top + 1)], (w, wp, top)
+                assert row == brute_lattice_row(w, wp, top), (w, wp, top)
+                if top < w + wp:
+                    assert row == [0] * (top + 1)
+    assert lattice_row(1, 1, 0) == [0]
+    assert lattice_row(2, 3, 4) == [0] * 5
+    assert lattice_row(1, 1, 5) == [0, 0, 1, 3, 6, 10]
 
 
 def test_window_examples():

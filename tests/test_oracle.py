@@ -3,12 +3,17 @@ from pathlib import Path
 
 import pytest
 
-from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
-                             curve_table, incidence_consistent)
+import conespec.engine
+import conespec.oracle
+from conespec.cli import main
+from conespec.engine import (CurveConfig, GlobalComponent, Incidence, _hoist,
+                             curve_table, incidence_consistent,
+                             ordinary_middle_row, scan_values)
 from conespec.formats import parse_native, parse_singular, parse_vector_text
-from conespec.local import LocalBranch, SingularPoint
-from conespec.oracle import (brute_coeffs, brute_lattice, cross_check,
-                             reference_ordinary, reference_state, verify)
+from conespec.local import LocalBranch, SingularPoint, lattice_row
+from conespec.oracle import (brute_coeffs, brute_lattice, brute_lattice_row,
+                             cross_check, reference_ordinary, reference_state,
+                             verify)
 from generators import random_ordinary_config, random_reduced_swh_config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -24,6 +29,14 @@ def test_brute_lattice_examples():
     assert brute_lattice(2, 3, 5) == 1
     assert brute_lattice(7, 11, 17) == 0
     assert brute_lattice(1, 1, 0) == 0
+
+
+def test_brute_lattice_row_examples():
+    assert brute_lattice_row(1, 1, 0) == [0]
+    assert brute_lattice_row(1, 1, 5) == [0, 0, 1, 3, 6, 10]
+    assert brute_lattice_row(2, 3, 7) == [0, 0, 0, 0, 0, 1, 1, 2]
+    assert brute_lattice_row(2, 3, 30) == [brute_lattice(2, 3, b)
+                                           for b in range(31)]
 
 
 def test_brute_coeffs_examples():
@@ -232,3 +245,61 @@ def test_idiom_agreement_exercised():
     # any disagreement below 100 would raise inside reference_ordinary
     cfg = load("sextic-pencil.vectors", a=5, b=4, c=3)
     reference_ordinary(cfg)
+
+
+def _off_by_one_row(w, wp, top):
+    row = lattice_row(w, wp, top)
+    row[-1] += 1
+    return row
+
+
+def test_lattice_counts_check_is_evidence(monkeypatch, capsys):
+    """A lattice row with one wrong entry fails ``lattice-counts``, and
+    ``conespec oracle`` exits 1."""
+    cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
+    assert cross_check(cfg).passed
+    monkeypatch.setattr(conespec.oracle, "lattice_row", _off_by_one_row)
+    checks = {c.name: c for c in cross_check(cfg).checks}
+    lattice = checks["lattice-counts"]
+    assert not lattice.passed
+    assert lattice.detail == "first mismatch at (w,w',bound)=(1, 1, 3)"
+    assert "lattice-counts: FAIL first mismatch at (w,w',bound)=(1, 1, 3)" \
+        in cross_check(cfg).render()
+    code = main(["oracle", str(FIXTURES / "conic-pencil.vectors"),
+                 "--param", "a=2", "--param", "b=5", "--param", "c=2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "lattice-counts: FAIL" in out
+    assert out.endswith("result: MISMATCH\n")
+
+
+# one (2, 3) point with 100 cusp branches: d_j = 600
+LARGE_POINT = CurveConfig(
+    (GlobalComponent(100, 2),),
+    (SingularPoint((2, 3), (LocalBranch(6, 2),) * 100),))
+
+
+def test_cross_check_at_large_point_degree():
+    assert LARGE_POINT.points[0].weighted_degree == 600
+    report = cross_check(LARGE_POINT)
+    assert report.passed, report.render()
+    assert "lattice-counts" in {c.name for c in report.checks}
+
+
+def test_one_lattice_row_per_distinct_point(monkeypatch):
+    calls = []
+
+    def counted(w, wp, top):
+        calls.append((w, wp, top))
+        return lattice_row(w, wp, top)
+
+    monkeypatch.setattr(conespec.engine, "lattice_row", counted)
+    _hoist(LARGE_POINT)
+    assert calls == [(2, 3, 599)]
+    # four points, two distinct ones: two rows per table, cell or row
+    cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
+    assert len(cfg.points) == 4
+    for run in (curve_table, scan_values, ordinary_middle_row):
+        calls.clear()
+        run(cfg)
+        assert calls == [(1, 1, 3)] * 2, run.__name__

@@ -18,8 +18,8 @@ from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      euler_complement, incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
-from .local import (LocalBranch, SingularPoint, WeightSystem, lattice_count,
-                    validate_branches, weighted_spectrum, window_count)
+from .local import (LocalBranch, SingularPoint, WeightSystem,
+                    validate_branches, weighted_spectrum)
 from .spectrum import SpectrumVector
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "ConeSpectrumTable", "CurveConfig", "GlobalComponent", "Incidence",
     "LocalBranch", "ReducedConeConfig", "SingularPoint", "SpectrumVector",
     "WeightSystem", "curve_table", "euler_complement", "incidence_consistent",
-    "lattice_count", "local_data_table", "ordinary_middle_row",
-    "reduced_cone_spectrum", "smooth_cone_coeffs", "thickened_spectrum",
-    "validate_branches", "weighted_spectrum", "window_count",
+    "local_data_table", "ordinary_middle_row", "reduced_cone_spectrum",
+    "smooth_cone_coeffs", "thickened_spectrum", "validate_branches",
+    "weighted_spectrum",
 ]

@@ -21,7 +21,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      curve_table, local_data_table, ordinary_middle_row,
                      reduced_cone_spectrum, scan_values, thickened_spectrum)
 from .formats import ConfigError, config_template, emit_table
-from .oracle import cross_check, has_reference, verify
+from .oracle import cross_check, verify
 from .spectrum import SpectrumVector
 
 OK, MISMATCH, INPUT_ERROR = 0, 1, 2
@@ -31,13 +31,24 @@ PREDICATES = ("n3d_zero", "chi_nonzero")
 DEFAULT_CAP = 10 ** 6
 
 
+def _read_text(path: str) -> str:
+    """The text of the file at `path` in text mode, less a UTF-8 byte-order
+    mark; text that is not UTF-8 is an input-encoding error."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError("input-encoding",
+                          f"{path!r} is not UTF-8 text: byte "
+                          f"0x{exc.object[exc.start]:02x}, {exc.reason}") \
+            from exc
+
+
 def _read_config(args, kind=None, conflict: str = ""):
     """The config at args.path under the --param bindings; with `kind`, any
     other type of config is a mode-conflict error saying `conflict`."""
     binding = _parse_params(args.param)
-    with open(args.path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    cfg = config_template(text)(binding)
+    cfg = config_template(_read_text(args.path))(binding)
     if kind is not None and not isinstance(cfg, kind):
         raise ConfigError("mode-conflict", conflict)
     return cfg
@@ -126,12 +137,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = _read_config(args, CurveConfig, "oracle expects a curve config")
-    if not has_reference(cfg):
-        table = "local-spectra table, " if cfg.is_reduced() else ""
-        print("# config is not ordinary-with-incidence; running the "
-              f"engine-side checks (column sums, {table}brute-force counters)")
-    report = cross_check(cfg)
+    report = cross_check(_read_config(args, CurveConfig,
+                                      "oracle expects a curve config"))
     sys.stdout.write(report.render())
     return OK if report.passed else MISMATCH
 
@@ -208,9 +215,7 @@ def run_scan(spec: ScanSpec, out) -> int:
 def cmd_scan(args) -> int:
     fixed = _parse_params(args.param)
     ranges = _parse_ranges(args.range)
-    with open(args.path, "r", encoding="utf-8") as handle:
-        template = handle.read()
-    spec = ScanSpec(template=template, ranges=ranges, fixed=fixed,
+    spec = ScanSpec(template=_read_text(args.path), ranges=ranges, fixed=fixed,
                     predicates=tuple(args.predicate or ()), cap=args.cap)
     return run_scan(spec, sys.stdout)
 

@@ -136,12 +136,6 @@ class CurveConfig:
         """Milnor sum over all singular points, aggregated nodes included."""
         return sum(p.milnor() for p in self.points) + self.nodes
 
-    def validate_points(self):
-        for p in self.points:
-            if not validate_branches(p):
-                raise ValueError(f"invalid branch data at point {p}")
-            p.milnor()
-
 
 @dataclass(frozen=True)
 class ConeSpectrumTable:
@@ -286,10 +280,14 @@ class _Curve(NamedTuple):
 
 
 def _hoist(cfg: CurveConfig) -> _Curve:
-    """The constants of cfg; points with the same weights and branch terms
-    share one entry, keyed on plain tuples, and one lattice row."""
+    """The constants of cfg. Each point is checked (branch degrees, then
+    Milnor number) as it is grouped; points with equal weights and branch
+    terms share one entry, keyed on plain tuples, and one lattice row."""
     counts: dict = {}
     for p in cfg.points:
+        if not validate_branches(p):
+            raise ValueError(f"invalid branch data at point {p}")
+        p.milnor()
         key = (p.weights, _branch_terms(p))
         counts[key] = counts.get(key, 0) + 1
     points = []
@@ -337,7 +335,6 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
     the complement. Every column goes through `_column`, which reads the
     constants `_hoist` takes once per config.
     """
-    cfg.validate_points()
     curve = _hoist(cfg)
     d = curve.d
     chi = euler_complement(cfg)
@@ -353,11 +350,10 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
 def scan_values(cfg: CurveConfig) -> tuple[int, int, Optional[int], int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
-    what ``scan`` reports per grid point. The points are validated as by
+    what ``scan`` reports per grid point. The points are checked as by
     `curve_table`, also when d < 3, but only column 3 is computed: past
     one O(d_j) lattice row per distinct point, the cost does not grow with
     d."""
-    cfg.validate_points()
     curve = _hoist(cfg)
     n3d = _column(curve, 3)[0] if curve.d >= 3 else None
     return curve.d, curve.dprime, n3d, euler_complement(cfg)
@@ -371,7 +367,6 @@ def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
         raise ValueError("incidence-based middle row needs ordinary points only")
     if cfg.incidence is None:
         raise ValueError("incidence-based middle row needs incidence data")
-    cfg.validate_points()
     curve = _hoist(cfg)
     pairs = (sum(binom2(c.degree) for c in cfg.components)
              - sum(count * binom2(value)

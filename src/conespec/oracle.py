@@ -189,15 +189,16 @@ class CheckResult:
 @dataclass(frozen=True)
 class CheckReport:
     checks: tuple[CheckResult, ...]
+    note: str = ""
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def render(self, words=("all-pass", "MISMATCH"), detail="{}") -> str:
-        """Check lines, failing details through the `detail` form, then
+        """``#`` note, check lines (failing details in the `detail` form),
         ``result:`` with words[0] if every check passed, else words[1]."""
-        lines = []
+        lines = [f"# {self.note}"] if self.note else []
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
             suffix = (" " + detail.format(c.detail)
@@ -234,10 +235,10 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
 
     Ordinary configs with incidence data are checked cell by cell against the
     reference program; other (weighted) configs fall back to the engine-only
-    checks: the column-sum identity and (for reduced configs) the rows
-    recomputed from the local spectra. Both kinds also run the checks of
-    the engine's counters: smooth-cone coefficients against plain
-    convolution, and lattice rows against literal enumeration.
+    checks, which the report's note names: the column-sum identity and (for
+    reduced configs) the rows recomputed from the local spectra. Both also
+    run the checks of the engine's counters: smooth-cone coefficients
+    against plain convolution, and lattice rows against literal enumeration.
 
     ``lattice-counts`` compares `lattice_row` with `brute_lattice_row` once
     per distinct weight pair (w, w'), up to the bound d_j - 1 of its largest
@@ -246,6 +247,7 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
     row stops.
     """
     checks: list[CheckResult] = []
+    note = ""
     table = curve_table(cfg)
 
     if has_reference(cfg):
@@ -271,11 +273,15 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
         checks.append(CheckResult(
             "row-sum", table.row_sums_ok(),
             "column sums disagree with chi(U)", "identity"))
-        if cfg.is_reduced():
+        local = "local-spectra table, " if cfg.is_reduced() else ""
+        if local:
             alt = local_data_table(cfg.degree, as_reduced_cone(cfg).local_spectra)
             for e in (0, 2, 1):
                 checks.append(_first_row_mismatch(
                     f"local-table-e{e}", table.rows[e], alt.rows[e], e))
+        note = ("config is not ordinary-with-incidence; running the "
+                f"engine-side checks (column sums, {local}brute-force "
+                "counters)")
 
     # every bound the table can use: the ceiling of a point's residue
     # degree lies in [1, d_j], so both bounds lie in [0, d_j - 1]
@@ -296,7 +302,7 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
         smooth_cone_coeffs(dp, 2) == brute_coeffs(dp, 2),
         f"coefficient lists differ for degree {dp}"))
 
-    return CheckReport(tuple(checks))
+    return CheckReport(tuple(checks), note)
 
 
 def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:

@@ -494,3 +494,39 @@ def test_long_input_is_quoted_short(capsys, tmp_path, text, message):
     assert (code, out) == (2, "")
     assert err == f"error: {message}\n"
     assert len(err.encode()) < 200
+
+
+# one template per dialect, bound or swept over a
+ENCODING_TEMPLATES = {
+    "native": ("component degree=3 mult=a\n"
+               "component degree=1 mult=1\n"
+               "nodes 3\n"),
+    "vector": "GlCmp=-1,3,a, -1,1,1; Si=; OD=3; LG=0;\n",
+}
+ENCODING_COMMANDS = {"compute": ["--param", "a=2"],
+                     "scan": ["--range", "a=1..3"]}
+
+
+@pytest.mark.parametrize("dialect", sorted(ENCODING_TEMPLATES))
+@pytest.mark.parametrize("command", sorted(ENCODING_COMMANDS))
+def test_input_may_start_with_a_byte_order_mark(capsys, tmp_path, dialect,
+                                                command):
+    text = ENCODING_TEMPLATES[dialect].encode()
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    want = run(capsys, command, plain, *ENCODING_COMMANDS[command])
+    assert want[0] == 0 and want[1]
+    assert run(capsys, command, marked, *ENCODING_COMMANDS[command]) == want
+
+
+@pytest.mark.parametrize("dialect", sorted(ENCODING_TEMPLATES))
+@pytest.mark.parametrize("command", sorted(ENCODING_COMMANDS))
+def test_undecodable_input_is_an_input_error(capsys, tmp_path, dialect,
+                                             command):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(ENCODING_TEMPLATES[dialect].encode() + b"# \xff\n")
+    code, out, err = run(capsys, command, path, *ENCODING_COMMANDS[command])
+    assert (code, out) == (2, "")
+    assert err == (f"error: [input-encoding] {str(path)!r} is not UTF-8 "
+                   "text: byte 0xff, invalid start byte\n")

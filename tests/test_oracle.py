@@ -9,12 +9,14 @@ from conespec.cli import main
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence, _hoist,
                              curve_table, incidence_consistent,
                              ordinary_middle_row, scan_values)
-from conespec.formats import parse_native, parse_singular, parse_vector_text
+from conespec.formats import (config_template, parse_native, parse_singular,
+                              parse_vector_text)
 from conespec.local import LocalBranch, SingularPoint, lattice_row
 from conespec.oracle import (brute_coeffs, brute_lattice, brute_lattice_row,
-                             cross_check, reference_ordinary, reference_state,
-                             verify)
-from generators import random_ordinary_config, random_reduced_swh_config
+                             cross_check, has_reference, reference_ordinary,
+                             reference_state, verify)
+from generators import (random_mixed_swh_config, random_ordinary_config,
+                        random_reduced_swh_config)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -103,6 +105,36 @@ def test_cross_check_engine_only_path():
     assert report.passed
     names = [c.name for c in report.checks]
     assert "local-table-e0" in names and "rows-e0" not in names
+
+
+def route_configs():
+    """The shipped curve fixtures, vector ones at a=2, b=2, c=1, and seeded
+    configs from every generator."""
+    for path in sorted(FIXTURES.iterdir()):
+        cfg = config_template(path.read_text())(dict(a=2, b=2, c=1))
+        if isinstance(cfg, CurveConfig):
+            yield path.name, cfg
+    rng = random.Random(1972)
+    for k in range(20):
+        yield f"ordinary-{k}", random_ordinary_config(rng,
+                                                      with_matrix=k % 2 == 0)
+        yield f"reduced-swh-{k}", random_reduced_swh_config(rng)
+        yield f"mixed-swh-{k}", random_mixed_swh_config(rng)
+
+
+def test_oracle_note_follows_the_route():
+    """The note is set exactly off the reference route, and names the
+    local-spectra table exactly when a local-table check runs."""
+    routes = set()
+    for name, cfg in route_configs():
+        report = cross_check(cfg)
+        local = any(c.name.startswith("local-table-") for c in report.checks)
+        assert bool(report.note) == (not has_reference(cfg)), name
+        assert ("local-spectra table" in report.note) == local, name
+        if report.note:
+            assert report.render().startswith(f"# {report.note}\n"), name
+        routes.add((has_reference(cfg), local))
+    assert routes == {(True, False), (False, False), (False, True)}
 
 
 def test_branch_multiplicities_leave_the_reduced_path():

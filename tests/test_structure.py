@@ -1,0 +1,59 @@
+"""No function ships in the package unless something in it refers to it.
+
+A module-level function, or a method whose name is not of the form
+``__x__``, counts as referred to when an ``ast.Name`` or ``ast.Attribute``
+anywhere under ``src/conespec/`` carries its name. Every other one must be
+in `UNREFERENCED` with the reason it stays; removing such a function means
+removing it here too, and a new one that nothing calls fails this test.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conespec"
+
+TRACED = "named by perfbench/tracing.py and used by the tests as a reference"
+
+UNREFERENCED = {
+    "cli.console": "the entry point pyproject.toml names",
+    "oracle.CheckReport.record": "the machine-readable report ROADMAP item 6 "
+                                 "builds on",
+    "engine.index_data": TRACED,
+    "engine.residue_degree": TRACED,
+    "local.lattice_count": TRACED,
+    "local.window_count": TRACED,
+    "oracle.brute_lattice": TRACED,
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def unreferenced_functions() -> set[str]:
+    defined: dict[str, str] = {}       # qualified name -> bare name
+    referred: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))
+                            and not _is_dunder(item.name)):
+                        defined[f"{path.stem}.{node.name}.{item.name}"] = \
+                            item.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    return {qualified for qualified, name in defined.items()
+            if name not in referred}
+
+
+def test_every_unreferenced_function_is_allowed():
+    assert unreferenced_functions() == set(UNREFERENCED)
+    assert all(UNREFERENCED.values())

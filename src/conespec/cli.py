@@ -61,6 +61,14 @@ def _bind_once(bound: dict, name: str, value, flag: str, code: str) -> None:
     bound[name] = value
 
 
+def _ascii_int(text: str) -> int:
+    """int(text), save that its digits must be ASCII and without '_', as in
+    a template literal; anything else is a ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _parse_params(items) -> dict:
     binding = {}
     for item in items or ():
@@ -69,7 +77,7 @@ def _parse_params(items) -> dict:
                               f"--param expects NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
         try:
-            value = int(value)
+            value = _ascii_int(value)
         except ValueError as exc:
             raise ConfigError("param-syntax",
                               f"--param value for {name!r} must be an integer") \
@@ -87,7 +95,7 @@ def _parse_ranges(items) -> dict:
         name, _, span = item.partition("=")
         lo_text, _, hi_text = span.partition("..")
         try:
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = _ascii_int(lo_text), _ascii_int(hi_text)
         except ValueError as exc:
             raise ConfigError("range-syntax",
                               f"--range bounds for {name!r} must be integers") \

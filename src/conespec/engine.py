@@ -9,8 +9,8 @@ config (component and branch terms, identical points grouped with a count
 and given one row of lattice counts) and serves `curve_table`,
 `ordinary_middle_row` and `scan_values`, the one cell that ``scan``
 reports. The reduced any-dimension route is
-`reduced_cone_spectrum` / `thickened_spectrum` / `local_data_table`, which
-consume local spectra directly.
+`reduced_cone_spectrum` / `thickened_spectrum`, which consume local spectra
+directly; `local_data_table` lays out its n = 2 spectrum as a table.
 """
 
 from __future__ import annotations
@@ -123,11 +123,14 @@ class CurveConfig:
     def reduced_degree(self) -> int:
         return sum(c.degree for c in self.components)
 
+    def multiplicities(self) -> set[int]:
+        """Every component and every branch multiplicity."""
+        return ({c.multiplicity for c in self.components}
+                | {b.multiplicity for p in self.points for b in p.branches})
+
     def is_reduced(self) -> bool:
         """Every component and every branch has multiplicity 1."""
-        return (all(c.multiplicity == 1 for c in self.components)
-                and all(b.multiplicity == 1
-                        for p in self.points for b in p.branches))
+        return self.multiplicities() == {1}
 
     def is_ordinary(self) -> bool:
         return all(p.is_ordinary() for p in self.points)
@@ -268,26 +271,30 @@ def _branch_terms(point: SingularPoint) -> _Terms:
 
 class _Curve(NamedTuple):
     """The constants of the curve route, read once per config: d, d', the
-    component terms, and one (count, lattice row, d_j, mass, branch terms)
-    entry per distinct point. The lattice row is `lattice_row(w, w', d_j - 1)`,
-    every count the point's columns use: the ceiling of its residue degree
-    lies in [1, d_j], so both bounds lie in [0, d_j - 1]."""
+    component terms, one (count, lattice row, d_j, mass, branch terms)
+    entry per distinct point, and chi(U). The lattice row is
+    `lattice_row(w, w', d_j - 1)`, every count the point's columns use: the
+    ceiling of its residue degree lies in [1, d_j], so both bounds lie in
+    [0, d_j - 1]."""
 
     d: int
     dprime: int
     comps: _Terms
     points: tuple[tuple[int, list[int], int, int, _Terms], ...]
+    chi: int
 
 
 def _hoist(cfg: CurveConfig) -> _Curve:
     """The constants of cfg. Each point is checked (branch degrees, then
-    Milnor number) as it is grouped; points with equal weights and branch
-    terms share one entry, keyed on plain tuples, and one lattice row."""
+    Milnor number) as it is grouped, and its Milnor number enters chi(U);
+    points with equal weights and branch terms share one entry, keyed on
+    plain tuples, and one lattice row."""
     counts: dict = {}
+    milnor = cfg.nodes
     for p in cfg.points:
         if not validate_branches(p):
             raise ValueError(f"invalid branch data at point {p}")
-        p.milnor()
+        milnor += p.milnor()
         key = (p.weights, _branch_terms(p))
         counts[key] = counts.get(key, 0) + 1
     points = []
@@ -295,7 +302,7 @@ def _hoist(cfg: CurveConfig) -> _Curve:
         dj = sum(deg for _, deg in terms)
         points.append((k, lattice_row(w, wp, dj - 1), dj, _mass(terms), terms))
     return _Curve(cfg.degree, cfg.reduced_degree, _component_terms(cfg),
-                  tuple(points))
+                  tuple(points), _chi_complement(cfg.reduced_degree, milnor))
 
 
 def _column(curve: _Curve, i: int) -> tuple[int, int, int]:
@@ -336,8 +343,7 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
     constants `_hoist` takes once per config.
     """
     curve = _hoist(cfg)
-    d = curve.d
-    chi = euler_complement(cfg)
+    d, chi = curve.d, curve.chi
     row0, row1, row2 = [], [], []
     for i in range(1, d + 1):
         r0, r2, _ = _column(curve, i)
@@ -356,7 +362,7 @@ def scan_values(cfg: CurveConfig) -> tuple[int, int, Optional[int], int]:
     d."""
     curve = _hoist(cfg)
     n3d = _column(curve, 3)[0] if curve.d >= 3 else None
-    return curve.d, curve.dprime, n3d, euler_complement(cfg)
+    return curve.d, curve.dprime, n3d, curve.chi
 
 
 def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
@@ -446,16 +452,12 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
 
 def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> ConeSpectrumTable:
     """Spectrum table of the cone over a reduced plane curve straight from
-    the local spectra of its singular points."""
-    d = degree
-    if d < 1:
-        raise ValueError("degree must be positive")
-    specs = list(local_spectra)
-    win = _window_row(specs, d, 3 * d)      # win[i + e*d]: the window at i/d + e
-    row0 = tuple(binom2(i - 1) - win[i] for i in range(1, d + 1))
-    row1 = tuple((i - 1) * (d - i - 1) + binom2(d) - win[i + d]
-                 for i in range(1, d + 1))
-    row2 = tuple(binom2(d - i - 1) - win[i + 2 * d] - (1 if i == d else 0)
-                 for i in range(1, d + 1))
-    chi = _chi_complement(d, sum(s.total() for s in specs))
-    return ConeSpectrumTable(d, d, chi, (row0, row1, row2))
+    the local spectra of its singular points: `reduced_cone_spectrum` at
+    n = 2 laid out on the 1/d grid, row e holding the exponents i/d + e."""
+    cfg = ReducedConeConfig(2, degree, local_spectra)
+    d = cfg.degree
+    grid = reduced_cone_spectrum(cfg).numerators(d)
+    rows = tuple(tuple(grid.get(i + e * d, 0) for i in range(1, d + 1))
+                 for e in range(3))
+    chi = _chi_complement(d, sum(s.total() for s in cfg.local_spectra))
+    return ConeSpectrumTable(d, d, chi, rows)

@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
-                     ReducedConeConfig, _component_terms, _residue, _shift,
-                     curve_table, incidence_consistent, local_data_table,
+from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
+                     _component_terms, _residue, _shift, curve_table,
+                     incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
-from .local import LocalBranch, SingularPoint, lattice_row
+from .local import lattice_row
 from .spectrum import SpectrumVector
 
 
@@ -320,9 +320,10 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
         if cfg.ambient_dim == 2:
             table = local_data_table(cfg.degree, cfg.local_spectra)
             checks.append(CheckResult("row-sum", table.row_sums_ok()))
+            # local_data_table lays out this very spectrum
             checks.append(CheckResult(
                 "table-spectrum-agreement", table.as_spectrum() == base,
-                "table rows disagree with the spectrum"))
+                "table rows disagree with the spectrum", "identity"))
         if cfg.power > 1:
             power = thickened_spectrum(base, cfg)
             checks.append(CheckResult("power-support",
@@ -358,38 +359,26 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
         checks.append(CheckResult(
             "middle-agreement", list(table.rows[1]) == ordinary_middle_row(cfg),
             "incidence route disagrees with the balance route"))
-    if cfg.is_reduced():
-        alt = local_data_table(cfg.degree, as_reduced_cone(cfg).local_spectra)
+    cone = as_reduced_cone(cfg)
+    if cone is not None and cone.power == 1:
+        alt = local_data_table(cone.degree, cone.local_spectra)
         checks.append(CheckResult("local-table-agreement", alt.rows == table.rows,
                                   "table from local spectra disagrees"))
-    m = cfg.components[0].multiplicity
-    if m > 1 and thicken(cfg, m) == cfg:     # every multiplicity is m
-        rc = as_reduced_cone(thicken(cfg, 1), power=m)
-        sv = thickened_spectrum(reduced_cone_spectrum(rc), rc)
+    elif cone is not None:
+        sv = thickened_spectrum(reduced_cone_spectrum(cone), cone)
         checks.append(CheckResult("thickening-agreement",
                                   sv == table.as_spectrum(),
                                   "power-transform route disagrees"))
     return CheckReport(tuple(checks))
 
 
-def thicken(cfg: CurveConfig, m: int) -> CurveConfig:
-    """Set every multiplicity to m; m = 1 gives the reduced curve."""
-    comps = tuple(GlobalComponent(c.degree, m) for c in cfg.components)
-    points = tuple(
-        SingularPoint(p.weights,
-                      tuple(LocalBranch(b.weighted_degree, m)
-                            for b in p.branches))
-        for p in cfg.points)
-    return CurveConfig(components=comps, points=points, nodes=cfg.nodes,
-                       incidence=cfg.incidence)
-
-
-def as_reduced_cone(cfg: CurveConfig, power: int = 1) -> ReducedConeConfig:
-    """View a reduced curve configuration as input for the reduced-cone
-    route: local spectra from the weight data, one {1:1} per node."""
-    if not cfg.is_reduced():
-        raise ValueError("expected a reduced configuration")
+def as_reduced_cone(cfg: CurveConfig) -> ReducedConeConfig | None:
+    """The reduced-cone input of a curve whose multiplicities are all m: its
+    local spectra, one {1:1} per node, and power m; None if they differ."""
+    mults = cfg.multiplicities()
+    if len(mults) > 1:
+        return None
     spectra = [p.local_spectrum() for p in cfg.points]
     spectra += [SpectrumVector({Fraction(1): 1}, ambient_dim=2)] * cfg.nodes
     return ReducedConeConfig(ambient_dim=2, degree=cfg.reduced_degree,
-                             local_spectra=tuple(spectra), power=power)
+                             local_spectra=tuple(spectra), power=mults.pop())

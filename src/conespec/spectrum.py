@@ -103,16 +103,6 @@ class SpectrumVector:
         return hash((self._ambient_dim, self._den,
                      frozenset(self._nums.items())))
 
-    def __add__(self, other: "SpectrumVector") -> "SpectrumVector":
-        if not isinstance(other, SpectrumVector):
-            return NotImplemented
-        if self._ambient_dim != other._ambient_dim:
-            raise ValueError("cannot add spectra with different ambient dimensions "
-                             f"({self._ambient_dim} vs {other._ambient_dim})")
-        den = math.lcm(self._den, other._den)
-        pairs = [*self.numerators(den).items(), *other.numerators(den).items()]
-        return SpectrumVector(pairs, self._ambient_dim, denominator=den)
-
     def dual(self) -> "SpectrumVector":
         """Reflect every exponent a to ambient_dim - a."""
         top = self._ambient_dim * self._den

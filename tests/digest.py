@@ -1,0 +1,148 @@
+"""One digest of the CLI's behaviour on a fixed, seeded corpus.
+
+Usage::
+
+    python3 tests/digest.py SRC [--seed N]
+
+`conespec` is imported from the directory SRC (for example ``src`` of this
+checkout, or of another one), and the input generators from this checkout,
+so the same inputs go to two versions of the package and their digests can
+be compared. The inputs are written to a temporary directory:
+
+* the shipped fixtures, the vector ones at a few bindings;
+* seeded configs from the three generators of ``generators.py`` and
+  constant-multiplicity thickenings of the reduced ones, as native text
+  (``reference.emit_native``);
+* the n = 2 ``reduced`` view of every one of them whose multiplicities are
+  all equal.
+
+`conespec.cli.main` runs in-process on each: ``compute`` (rows, csv and
+``--middle cor2``), ``verify`` and ``oracle`` on a curve, ``reduced``,
+``verify`` and ``oracle`` on a reduced view. The script prints the number of
+calls and one SHA-256 over (case, argv, exit code, stdout, stderr) of every
+call. It uses only the standard library and is not collected by pytest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import shutil
+import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+FIXTURES = TESTS.parent / "fixtures"
+
+BINDINGS = ((1, 1, 0), (2, 3, 1), (3, 2, 2))
+CONFIGS_PER_GENERATOR = 20
+CURVE_COMMANDS = (("compute",), ("compute", "--format", "csv"),
+                  ("compute", "--middle", "cor2"), ("verify",), ("oracle",))
+REDUCED_COMMANDS = (("reduced",), ("verify",), ("oracle",))
+
+
+def reduced_view(cfg):
+    """The n = 2 reduced-cone input of a curve whose multiplicities are all
+    m, built here from the public API: the local spectra, one {1:1} per
+    node, and power m; None when the multiplicities differ."""
+    from conespec.engine import ReducedConeConfig
+    from conespec.spectrum import SpectrumVector
+    mults = ({c.multiplicity for c in cfg.components}
+             | {b.multiplicity for p in cfg.points for b in p.branches})
+    if len(mults) != 1:
+        return None
+    spectra = [p.local_spectrum() for p in cfg.points]
+    spectra += [SpectrumVector({Fraction(1): 1}, ambient_dim=2)] * cfg.nodes
+    return ReducedConeConfig(2, cfg.reduced_degree, tuple(spectra),
+                             power=mults.pop())
+
+
+def cases(workdir: Path, seed: int):
+    """(case, argv) of every call, with the input files written to workdir
+    and named relative to it."""
+    from generators import (random_mixed_swh_config, random_ordinary_config,
+                            random_reduced_swh_config)
+    from reference import emit_native, thicken
+
+    out = []
+    for path in sorted(FIXTURES.iterdir()):
+        shutil.copy(path, workdir / path.name)
+        if path.suffix == ".vectors":
+            for a, b, c in BINDINGS:
+                params = ["--param", f"a={a}", "--param", f"b={b}",
+                          "--param", f"c={c}"]
+                out += [(f"{path.name}:{a},{b},{c}", [*cmd, path.name, *params])
+                        for cmd in CURVE_COMMANDS]
+        else:
+            commands = (REDUCED_COMMANDS
+                        if "reduced" in path.read_text() else CURVE_COMMANDS)
+            out += [(path.name, [*cmd, path.name]) for cmd in commands]
+
+    rng = random.Random(seed)
+    curves = []
+    for make in (random_ordinary_config, random_reduced_swh_config,
+                 random_mixed_swh_config):
+        for k in range(CONFIGS_PER_GENERATOR):
+            cfg = make(rng)
+            curves.append((f"{make.__name__}-{k}", cfg))
+            if make is random_reduced_swh_config:
+                curves += [(f"{make.__name__}-{k}-m{m}", thicken(cfg, m))
+                           for m in (2, 3)]
+    for name, cfg in curves:
+        (workdir / f"{name}.cfg").write_text(emit_native(cfg))
+        out += [(name, [*cmd, f"{name}.cfg"]) for cmd in CURVE_COMMANDS]
+        view = reduced_view(cfg)
+        if view is not None:
+            (workdir / f"{name}.reduced.cfg").write_text(emit_native(view))
+            out += [(f"{name}.reduced", [*cmd, f"{name}.reduced.cfg"])
+                    for cmd in REDUCED_COMMANDS]
+    return out
+
+
+def run(main, argv) -> tuple[object, str, str]:
+    """Exit code, stdout and stderr of one in-process call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:    # an escaped error is behaviour too
+            code = f"raised {type(exc).__name__}: {exc}"
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="directory that holds the conespec package")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(TESTS)]
+    from conespec.cli import main as cli_main
+
+    digest = hashlib.sha256()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            calls = cases(Path(tmp), args.seed)
+            for case, call in calls:
+                code, out, err = run(cli_main, call)
+                record = json.dumps([case, call, code, out, err])
+                digest.update(record.encode() + b"\n")
+        finally:
+            os.chdir(here)
+    print(f"calls: {len(calls)}")
+    print(f"sha256: {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -8,12 +8,15 @@ operations only the tests use, written over the public API.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
-from conespec.engine import ReducedConeConfig, binom2
-from conespec.local import SingularPoint, WeightSystem
+from conespec.engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
+                             ReducedConeConfig, binom2)
+from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
+                            window_count)
 from conespec.spectrum import SpectrumVector
 
 
@@ -74,6 +77,16 @@ def empty_spectrum(ambient_dim: int) -> SpectrumVector:
     return SpectrumVector(None, ambient_dim)
 
 
+def add(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
+    """Pointwise sum of two spectra in the same number of variables."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("cannot add spectra with different ambient dimensions "
+                         f"({a.ambient_dim} vs {b.ambient_dim})")
+    den = math.lcm(a.denominator, b.denominator)
+    pairs = [*a.numerators(den).items(), *b.numerators(den).items()]
+    return SpectrumVector(pairs, a.ambient_dim, denominator=den)
+
+
 def product(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
     """Exponent convolution: joining two germs in disjoint variables
     multiplies their spectra, so the result has one entry n_a*n_b at x+y
@@ -126,6 +139,42 @@ def reduced_multiplicity(point: SingularPoint) -> int:
         raise ValueError("reduced multiplicity is only tracked for "
                          "ordinary points")
     return point.branch_count
+
+
+def thicken(cfg: CurveConfig, m: int) -> CurveConfig:
+    """Set every multiplicity to m; m = 1 gives the reduced curve."""
+    comps = tuple(GlobalComponent(c.degree, m) for c in cfg.components)
+    points = tuple(
+        SingularPoint(p.weights,
+                      tuple(LocalBranch(b.weighted_degree, m)
+                            for b in p.branches))
+        for p in cfg.points)
+    return CurveConfig(components=comps, points=points, nodes=cfg.nodes,
+                       incidence=cfg.incidence)
+
+
+def binomial_local_table(degree: int,
+                         local_spectra: Sequence[SpectrumVector]
+                         ) -> ConeSpectrumTable:
+    """The n = 2 table of a reduced curve from closed-form rows: the
+    twisted-bundle counts binom2(i-1), (i-1)(d-i-1) + binom2(d) and
+    binom2(d-i-1), less the window counts of the local spectra, and -1 at
+    the integer exponent i = d of row 2. chi(U) = 3 - ((3-d)d + mu)."""
+    d = degree
+    if d < 1:
+        raise ValueError("degree must be positive")
+    specs = list(local_spectra)
+
+    def win(k):     # the window at k/d
+        return sum(window_count(s, Fraction(k, d)) for s in specs)
+
+    row0 = tuple(binom2(i - 1) - win(i) for i in range(1, d + 1))
+    row1 = tuple((i - 1) * (d - i - 1) + binom2(d) - win(i + d)
+                 for i in range(1, d + 1))
+    row2 = tuple(binom2(d - i - 1) - win(i + 2 * d) - (1 if i == d else 0)
+                 for i in range(1, d + 1))
+    chi = 3 - ((3 - d) * d + sum(s.total() for s in specs))
+    return ConeSpectrumTable(d, d, chi, (row0, row1, row2))
 
 
 # A template expression as a tree, the form the expression fuzz generates

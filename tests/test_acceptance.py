@@ -20,9 +20,9 @@ from conespec.engine import (CurveConfig, GlobalComponent, binom2, curve_table,
 from conespec.formats import parse_singular, parse_vector_text
 from conespec.local import (WeightSystem, lattice_count, weighted_spectrum,
                             window_count)
-from conespec.oracle import as_reduced_cone, reference_ordinary, thicken
+from conespec.oracle import as_reduced_cone, reference_ordinary
 from generators import random_ordinary_config, random_reduced_swh_config
-from reference import euler_generic_union, product, weighted_milnor
+from reference import euler_generic_union, product, thicken, weighted_milnor
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -293,7 +293,7 @@ def test_criterion_9_thickening_consistency():
     while count < 50 and ok:
         reduced = random_reduced_swh_config(rng)
         for m in (2, 3):
-            cone = as_reduced_cone(reduced, power=m)
+            cone = as_reduced_cone(thicken(reduced, m))
             transformed = thickened_spectrum(reduced_cone_spectrum(cone), cone)
             table = curve_table(thicken(reduced, m))
             if transformed != table.as_spectrum():

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from conespec.cli import ScanSpec, main, run_scan
+from conespec.cli import (ScanSpec, _parse_params, _parse_ranges, main,
+                          run_scan)
 from conespec.formats import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -367,13 +368,29 @@ def test_run_scan_rejects_unknown_predicate():
      "[range-syntax] --range gives 'a' more than once"),
     (["--param", "a=7", "--range", "a=1..2", "--param", "b=1"],
      "[range-syntax] 'a' is given both a value and a range"),
-], ids=["param-twice", "range-twice", "param-and-range"])
+    (["--param", "a=\u0663", "--param", "b=1"],
+     "[param-syntax] --param value for 'a' must be an integer"),
+    (["--param", "a=1_0", "--param", "b=1"],
+     "[param-syntax] --param value for 'a' must be an integer"),
+    (["--range", "a=\u0661..\u0662", "--param", "b=1"],
+     "[range-syntax] --range bounds for 'a' must be integers"),
+    (["--range", "a=1..1_0", "--param", "b=1"],
+     "[range-syntax] --range bounds for 'a' must be integers"),
+], ids=["param-twice", "range-twice", "param-and-range", "param-non-ascii",
+        "param-underscore", "range-non-ascii", "range-underscore"])
 def test_scan_binds_each_name_once(capsys, argv, message):
     code, out, err = run(capsys, "scan", FIXTURES / "five-lines.vectors",
                          "--param", "c=0", *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_param_and_range_keep_what_int_accepts():
+    # signs, surrounding blanks and leading zeros, as int() reads them
+    assert _parse_params(["a= +4 ", "b=-0", "c=007"]) == \
+        {"a": 4, "b": 0, "c": 7}
+    assert _parse_ranges(["a=-2.. 03"]) == {"a": (-2, 3)}
 
 
 def test_run_scan_rejects_fixed_and_ranged_name():

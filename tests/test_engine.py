@@ -19,12 +19,12 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
 from conespec.formats import parse_singular, parse_vector_text
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
                             weighted_spectrum, WeightSystem)
-from conespec.oracle import as_reduced_cone, brute_coeffs, thicken
+from conespec.oracle import as_reduced_cone, brute_coeffs
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
-from reference import (emit_native, euler_generic_union, reduced_multiplicity,
-                       weighted_milnor)
+from reference import (binomial_local_table, emit_native, euler_generic_union,
+                       reduced_multiplicity, thicken, weighted_milnor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -295,6 +295,30 @@ def test_local_table_nodal_cubic_two_paths():
         ReducedConeConfig(2, 3, (node,)))
 
 
+def test_local_table_matches_closed_forms():
+    # the rows read from reduced_cone_spectrum against the closed-form
+    # twisted-bundle rows they replaced, d = 1 and 2 included
+    systems = (((2, 3), 6), ((1, 3), 6), ((3, 4), 12), ((2, 5), 10),
+               ((5, 7), 35), ((1, 1), 2), ((1, 1), 3), ((1, 1), 5))
+    pool = [weighted_spectrum(WeightSystem(w, k)) for w, k in systems]
+    pool.append(SpectrumVector({F(1): 1}, 2))
+    rng = random.Random(1313)
+    for trial in range(200):
+        d = trial % 40 + 1
+        specs = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        got, want = local_data_table(d, specs), binomial_local_table(d, specs)
+        assert (got.d, got.dprime, got.chi_u, got.rows) == \
+            (want.d, want.dprime, want.chi_u, want.rows), (d, specs)
+
+
+def test_local_table_rejects_what_the_reduced_config_rejects():
+    for degree in (0, -3):
+        with pytest.raises(ValueError, match="degree must be positive"):
+            local_data_table(degree, [])
+    with pytest.raises(ValueError, match="not symmetric"):
+        local_data_table(3, [SpectrumVector({F(1, 2): 1}, 2)])
+
+
 def test_euler_complement_examples():
     assert euler_complement(pencil_config(2, 5, 2)) == 6
     # generic line arrangements
@@ -354,7 +378,7 @@ def test_thickening_consistency_cusp():
                       points=(SingularPoint((2, 3), (LocalBranch(6, 1),)),))
     for m in (2, 3):
         fat = thicken(red, m)
-        rc = as_reduced_cone(red, power=m)
+        rc = as_reduced_cone(fat)
         sv = thickened_spectrum(reduced_cone_spectrum(rc), rc)
         assert sv == curve_table(fat).as_spectrum()
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -6,17 +7,21 @@ import pytest
 import conespec.engine
 import conespec.oracle
 from conespec.cli import main
-from conespec.engine import (CurveConfig, GlobalComponent, Incidence, _hoist,
-                             curve_table, incidence_consistent,
-                             ordinary_middle_row, scan_values)
+from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
+                             ReducedConeConfig, _hoist, curve_table,
+                             incidence_consistent, ordinary_middle_row,
+                             scan_values)
 from conespec.formats import (config_template, parse_native, parse_singular,
                               parse_vector_text)
-from conespec.local import LocalBranch, SingularPoint, lattice_row
-from conespec.oracle import (brute_coeffs, brute_lattice, brute_lattice_row,
-                             cross_check, has_reference, reference_ordinary,
-                             reference_state, verify)
+from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
+                            lattice_row, weighted_spectrum)
+from conespec.oracle import (as_reduced_cone, brute_coeffs, brute_lattice,
+                             brute_lattice_row, cross_check, has_reference,
+                             reference_ordinary, reference_state, verify)
+from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
+from reference import thicken
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -150,12 +155,54 @@ def test_branch_multiplicities_leave_the_reduced_path():
     assert "local-table-agreement" not in {c.name for c in verify(cfg).checks}
 
 
+def test_as_reduced_cone_reads_the_power():
+    # the local spectra of the reduced curve, one {1:1} per node, and the
+    # power m that every multiplicity shares; None when they differ
+    node = SpectrumVector({Fraction(1): 1}, 2)
+    cusp = weighted_spectrum(WeightSystem((2, 3), 6))
+    triple = weighted_spectrum(WeightSystem((1, 1), 3))
+    native = {name: parse_native((FIXTURES / name).read_text())
+              for name in ("two-lines.cfg", "doubled-cuspidal-cubic.cfg")}
+    assert as_reduced_cone(native["two-lines.cfg"]) == \
+        ReducedConeConfig(2, 2, (node,), 1)
+    assert as_reduced_cone(native["doubled-cuspidal-cubic.cfg"]) == \
+        ReducedConeConfig(2, 3, (cusp,), 2)
+    assert as_reduced_cone(load("five-lines.vectors", a=1, b=1, c=0)) == \
+        ReducedConeConfig(2, 5, (triple, triple) + (node,) * 4, 1)
+    for name, binding in (("conic-pencil.vectors", dict(a=2, b=5, c=2)),
+                          ("five-lines.vectors", dict(a=2, b=2, c=1)),
+                          ("lines-conic.vectors", dict(a=2, b=2, c=1))):
+        assert as_reduced_cone(load(name, **binding)) is None
+
+    rng = random.Random(2718)
+    for _ in range(40):
+        red = random_reduced_swh_config(rng)
+        base = as_reduced_cone(red)
+        assert base == ReducedConeConfig(
+            2, red.reduced_degree,
+            tuple(p.local_spectrum() for p in red.points)
+            + (node,) * red.nodes)
+        for m in (2, 3):
+            assert as_reduced_cone(thicken(red, m)) == \
+                ReducedConeConfig(2, red.reduced_degree, base.local_spectra, m)
+        for cfg in (random_mixed_swh_config(rng), random_ordinary_config(rng)):
+            mults = cfg.multiplicities()
+            cone = as_reduced_cone(cfg)
+            if len(mults) > 1:
+                assert cone is None
+            else:
+                assert cone.power == min(mults)
+                assert cone.local_spectra == \
+                    as_reduced_cone(thicken(cfg, 1)).local_spectra
+
+
 def test_check_kinds():
     # identity: holds by construction; expectation: may legitimately fail;
     # every other check recomputes independently
     identity = {
         "verify-curve": {"row-sum", "index-ranges"},
-        "verify-reduced": {"local-spectra", "power-support"},
+        "verify-reduced": {"local-spectra", "table-spectrum-agreement",
+                           "power-support"},
         "cross-check-reference": set(),
         "cross-check-engine": {"row-sum"},
     }

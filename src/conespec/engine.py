@@ -455,8 +455,15 @@ def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> Co
     the local spectra of its singular points: `reduced_cone_spectrum` at
     n = 2 laid out on the 1/d grid, row e holding the exponents i/d + e."""
     cfg = ReducedConeConfig(2, degree, local_spectra)
+    return _spectrum_table(cfg, reduced_cone_spectrum(cfg))
+
+
+def _spectrum_table(cfg: ReducedConeConfig,
+                    base: SpectrumVector) -> ConeSpectrumTable:
+    """The n = 2 spectrum `base` of `cfg` laid out on the 1/d grid, row e
+    holding the exponents i/d + e, with chi(U) from the local spectra."""
     d = cfg.degree
-    grid = reduced_cone_spectrum(cfg).numerators(d)
+    grid = base.numerators(d)
     rows = tuple(tuple(grid.get(i + e * d, 0) for i in range(1, d + 1))
                  for e in range(3))
     chi = _chi_complement(d, sum(s.total() for s in cfg.local_spectra))

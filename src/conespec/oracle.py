@@ -1,10 +1,12 @@
 """Independent implementations and the checks of ``verify`` and ``oracle``.
 
 `reference_ordinary` is a deliberately literal array-walking program for
-ordinary-singularity configurations, kept independent of the engine module
-(its only deviation from a straight scripted transliteration is that ceilings
-are computed exactly instead of through a bounded 100 - int(100 - v) trick;
-the trick is still evaluated and asserted to agree on its valid domain).
+ordinary-singularity configurations, kept independent of the engine module.
+It walks every component, point and branch separately, in integers over the
+degree d: a value v = num/d is carried as its numerator. Its only deviation
+from a straight scripted transliteration is that ceilings are computed
+exactly instead of through a bounded 100 - int(100 - v) trick; the trick is
+still evaluated, in integer form, and asserted to agree on its valid domain.
 `cross_check` runs the engine against it and against the brute-force
 counters and reports the first differing cell; `verify` runs the invariants
 that apply to a config. Both return a `CheckReport` of kinded checks.
@@ -17,13 +19,12 @@ function; `brute_coeffs` convolves where `smooth_cone_coeffs` divides.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     _component_terms, _residue, _shift, curve_table,
-                     incidence_consistent, local_data_table,
+                     _component_terms, _residue, _shift, _spectrum_table,
+                     curve_table, incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
 from .local import lattice_row
@@ -81,13 +82,14 @@ def brute_coeffs(dprime: int, n: int) -> list[int]:
 _IDIOM_BOUND = 100
 
 
-def _idiom_ceil(v: Fraction) -> int:
-    """Exact ceiling, with the bounded 100 - int(100 - v) idiom asserted to
-    agree wherever that idiom is valid (v < 100)."""
-    exact = math.ceil(v)
-    if v < _IDIOM_BOUND:
-        trick = _IDIOM_BOUND - int(_IDIOM_BOUND - v)
-        assert trick == exact, (v, trick, exact)
+def _idiom_ceil(num: int, d: int) -> int:
+    """Exact ceiling of v = num/d, with the bounded 100 - int(100 - v) idiom
+    asserted to agree wherever that idiom is valid (v < 100). There
+    100 - v > 0, so int() is floor division of its numerator by d."""
+    exact = -(-num // d)
+    if num < _IDIOM_BOUND * d:
+        trick = _IDIOM_BOUND - (_IDIOM_BOUND * d - num) // d
+        assert trick == exact, (num, d, trick, exact)
     return exact
 
 
@@ -133,22 +135,21 @@ def reference_state(cfg: CurveConfig) -> ReferenceState:
 
     d = sum(dk * ak for dk, ak in zip(state.ds, state.as_))
     dr = sum(state.ds)
-    q = len(state.al)
     sp = [[0] * d for _ in range(4)]
     for i in range(1, d + 1):
         s = 0
         for dk, ak in zip(state.ds, state.as_):
-            s += dk * (_idiom_ceil(Fraction(ak * i, d)) - 1)
+            s += dk * (_idiom_ceil(ak * i, d) - 1)
         io = i - s
         sp[0][i - 1] = (io - 1) * (io - 2) // 2
         sp[1][i - 1] = state.dsq + (io - 1) * (dr - io - 1)
         sp[2][i - 1] = (dr - io - 1) * (dr - io - 2) // 2
         for row in state.al:
-            ga = Fraction(0)
+            ga = 0      # d times the sum of the (0, 1] residues
             for mult in row[1:]:
-                v = Fraction(mult * i, d)
-                ga += v - _idiom_ceil(v) + 1
-            p = _idiom_ceil(ga)
+                v = mult * i
+                ga += v - d * _idiom_ceil(v, d) + d
+            p = _idiom_ceil(ga, d)
             sp[0][i - 1] -= (p - 1) * (p - 2) // 2
             sp[1][i - 1] -= (p - 1) * (row[0] - p)
             sp[2][i - 1] -= (row[0] - p) * (row[0] - p - 1) // 2
@@ -318,9 +319,9 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
                                  for s in cfg.local_spectra), kind="identity"))
         base = reduced_cone_spectrum(cfg)
         if cfg.ambient_dim == 2:
-            table = local_data_table(cfg.degree, cfg.local_spectra)
+            table = _spectrum_table(cfg, base)
             checks.append(CheckResult("row-sum", table.row_sums_ok()))
-            # local_data_table lays out this very spectrum
+            # the table lays out this very spectrum
             checks.append(CheckResult(
                 "table-spectrum-agreement", table.as_spectrum() == base,
                 "table rows disagree with the spectrum", "identity"))

@@ -17,6 +17,7 @@ from conespec.engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                              ReducedConeConfig, binom2)
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             window_count)
+from conespec.oracle import ReferenceState
 from conespec.spectrum import SpectrumVector
 
 
@@ -175,6 +176,71 @@ def binomial_local_table(degree: int,
                  for i in range(1, d + 1))
     chi = 3 - ((3 - d) * d + sum(s.total() for s in specs))
     return ConeSpectrumTable(d, d, chi, (row0, row1, row2))
+
+
+def _fraction_idiom_ceil(v: Fraction) -> int:
+    """Exact ceiling, with the bounded 100 - int(100 - v) idiom asserted to
+    agree wherever that idiom is valid (v < 100)."""
+    exact = math.ceil(v)
+    if v < 100:
+        trick = 100 - int(100 - v)
+        assert trick == exact, (v, trick, exact)
+    return exact
+
+
+def fraction_reference_state(cfg: CurveConfig) -> ReferenceState:
+    """The reference program of `conespec.oracle` as first transcribed,
+    every ceiling and residue a `Fraction`; `reference_state` runs the same
+    loop in integers over d and is compared with this one field by field."""
+    if not cfg.is_ordinary():
+        raise ValueError("the reference program handles ordinary points only")
+    if cfg.incidence is None:
+        raise ValueError("the reference program needs incidence data "
+                         "(an empty multiset is fine)")
+    state = ReferenceState()
+    for comp in cfg.components:
+        state.ds.append(comp.degree)
+        state.as_.append(comp.multiplicity)
+    for point in cfg.points:
+        row = [point.branch_count]
+        row.extend(b.multiplicity for b in point.branches)
+        state.al.append(row)
+    state.od = cfg.nodes
+
+    weight = 0
+    for count, value in cfg.incidence.pairs:
+        weight += -count * value * (value - 1) // 2
+    state.dsq = weight
+    for dk in state.ds:
+        state.dsq += dk * (dk - 1) // 2
+
+    d = sum(dk * ak for dk, ak in zip(state.ds, state.as_))
+    dr = sum(state.ds)
+    sp = [[0] * d for _ in range(4)]
+    for i in range(1, d + 1):
+        s = 0
+        for dk, ak in zip(state.ds, state.as_):
+            s += dk * (_fraction_idiom_ceil(Fraction(ak * i, d)) - 1)
+        io = i - s
+        sp[0][i - 1] = (io - 1) * (io - 2) // 2
+        sp[1][i - 1] = state.dsq + (io - 1) * (dr - io - 1)
+        sp[2][i - 1] = (dr - io - 1) * (dr - io - 2) // 2
+        for row in state.al:
+            ga = Fraction(0)
+            for mult in row[1:]:
+                v = Fraction(mult * i, d)
+                ga += v - _fraction_idiom_ceil(v) + 1
+            p = _fraction_idiom_ceil(ga)
+            sp[0][i - 1] -= (p - 1) * (p - 2) // 2
+            sp[1][i - 1] -= (p - 1) * (row[0] - p)
+            sp[2][i - 1] -= (row[0] - p) * (row[0] - p - 1) // 2
+        for e in range(3):
+            sp[3][i - 1] += sp[e][i - 1]
+    state.sp = sp
+
+    p = sum((row[0] - 1) ** 2 for row in state.al)
+    state.chi = dr * (dr - 3) + 3 - p - state.od
+    return state
 
 
 # A template expression as a tree, the form the expression fuzz generates

@@ -2,8 +2,12 @@ from pathlib import Path
 
 import pytest
 
+import conespec.cli
+import conespec.engine
+import conespec.oracle
 from conespec.cli import (ScanSpec, _parse_params, _parse_ranges, main,
                           run_scan)
+from conespec.engine import reduced_cone_spectrum
 from conespec.formats import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +118,27 @@ def test_reduced_higher_dimension_no_table(capsys, tmp_path):
     code, out, _ = run(capsys, "reduced", path)
     assert code == 0
     assert out.splitlines() == ["2:1"]
+
+
+@pytest.mark.parametrize("command", ["reduced", "verify"])
+@pytest.mark.parametrize("fixture", ["cuspidal-cubic.cfg", "conic-squared.cfg"])
+def test_n2_reduced_spectrum_built_once(capsys, monkeypatch, command,
+                                        fixture):
+    """The n = 2 table of ``reduced`` and ``verify`` lays out the spectrum
+    the command already built, rather than building it again."""
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return reduced_cone_spectrum(cfg)
+
+    for module in (conespec.cli, conespec.engine, conespec.oracle):
+        monkeypatch.setattr(module, "reduced_cone_spectrum", counted)
+    code, out, _ = run(capsys, command, FIXTURES / fixture)
+    assert code == 0
+    table_line = {"reduced": "e=0:", "verify": "table-spectrum-agreement"}
+    assert table_line[command] in out
+    assert len(calls) == 1
 
 
 def test_verify_fixture_passes(capsys):

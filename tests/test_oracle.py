@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,20 +9,23 @@ import conespec.engine
 import conespec.oracle
 from conespec.cli import main
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
-                             ReducedConeConfig, _hoist, curve_table,
+                             ReducedConeConfig, _component_terms, _hoist,
+                             _shift as real_shift, curve_table,
                              incidence_consistent, ordinary_middle_row,
                              scan_values)
 from conespec.formats import (config_template, parse_native, parse_singular,
                               parse_vector_text)
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             lattice_row, weighted_spectrum)
-from conespec.oracle import (as_reduced_cone, brute_coeffs, brute_lattice,
-                             brute_lattice_row, cross_check, has_reference,
-                             reference_ordinary, reference_state, verify)
+from conespec.oracle import (_idiom_ceil, as_reduced_cone, brute_coeffs,
+                             brute_lattice, brute_lattice_row, cross_check,
+                             has_reference, reference_ordinary,
+                             reference_state, verify)
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
-from reference import thicken
+from reference import fraction_reference_state, thicken
+from test_acceptance import golden_configs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -324,6 +328,66 @@ def test_idiom_agreement_exercised():
     # any disagreement below 100 would raise inside reference_ordinary
     cfg = load("sextic-pencil.vectors", a=5, b=4, c=3)
     reference_ordinary(cfg)
+
+
+# 101 concurrent reduced lines: at i = d every residue is 1, so the sum of
+# the residues at the point reaches 101
+CONCURRENT_101 = CurveConfig(
+    (GlobalComponent(1, 1),) * 101,
+    (SingularPoint((1, 1), (LocalBranch(1, 1),) * 101),),
+    incidence=Incidence.from_pairs([(101, 1)]))
+
+
+def test_reference_state_matches_fraction_transcription():
+    """Golden configs, seeded ordinary configs, and one config on each side
+    of the idiom's domain: five-lines at a = 600, where a*i/d reaches 600,
+    and a residue sum that reaches 101."""
+    rng = random.Random(20261018)
+    corpus = [cfg for _, _, cfg in golden_configs()]
+    corpus += [random_ordinary_config(rng, with_matrix=(k % 3 == 0))
+               for k in range(150)]
+    corpus += [load("five-lines.vectors", a=600, b=1, c=0), CONCURRENT_101]
+    for cfg in corpus:
+        assert vars(reference_state(cfg)) == vars(fraction_reference_state(cfg))
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 1819])
+def test_idiom_ceil(d):
+    # exact multiples k*d and their neighbours k*d -+ 1, up to both edges of
+    # the idiom's domain v < 100: 100*d - 1 and 100*d
+    for k in range(102):
+        for num in (k * d - 1, k * d, k * d + 1):
+            if num >= 1:
+                assert _idiom_ceil(num, d) == math.ceil(Fraction(num, d))
+
+
+def test_reference_stays_literal():
+    names = set(reference_state.__code__.co_names)
+    assert "Fraction" not in names
+    assert not names & {"_shift", "_residue", "_column", "_hoist", "binom2"}
+
+
+def test_rows_checks_are_evidence(monkeypatch, capsys):
+    """A twist off by one in one column fails ``rows-e0`` and ``rows-e2``
+    against the reference program, and ``conespec oracle`` exits 1."""
+    cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
+    assert cross_check(cfg).passed
+    comps = _component_terms(cfg)
+
+    def mutant(terms, i, d):
+        return real_shift(terms, i, d) + (i == 7 and terms == comps)
+
+    monkeypatch.setattr(conespec.engine, "_shift", mutant)
+    code = main(["oracle", str(FIXTURES / "conic-pencil.vectors"),
+                 "--param", "a=2", "--param", "b=5", "--param", "c=2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    lines = out.splitlines()
+    assert ("rows-e0: FAIL first mismatch at (i=7, e=0, expected=2, "
+            "actual=-1)") in lines
+    assert ("rows-e2: FAIL first mismatch at (i=7, e=2, expected=1, "
+            "actual=3)") in lines
+    assert out.endswith("result: MISMATCH\n")
 
 
 def _off_by_one_row(w, wp, top):

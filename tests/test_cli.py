@@ -52,6 +52,17 @@ def test_compute_cor2_matches_golden(capsys, fixture, params, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("fixture,params,golden", GOLDEN_CASES)
+def test_compute_csv_matches_golden(capsys, fixture, params, golden):
+    """`compute --format csv` prints tests/golden/<case>.csv byte for byte."""
+    argv = ["compute", FIXTURES / fixture, "--format=csv"]
+    for name, value in params.items():
+        argv += ["--param", f"{name}={value}"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (GOLDEN / golden).with_suffix(".csv").read_bytes()
+
+
 def test_compute_csv_format(capsys):
     code, out, _ = run(capsys, "compute", FIXTURES / "five-lines.vectors",
                        "--format=csv", "--param", "a=4", "--param", "b=2",

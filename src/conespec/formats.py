@@ -27,7 +27,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      Incidence, ReducedConeConfig)
 from .local import (LocalBranch, SingularPoint, WeightSystem,
                     validate_branches, weighted_spectrum)
-from .spectrum import SpectrumVector
+from .spectrum import SpectrumVector, exponent_text
 
 
 class ConfigError(ValueError):
@@ -700,7 +700,7 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
         lines = ["i,alpha,e,value"]
         for e in range(3):
             for i in range(1, table.d + 1):
-                alpha = Fraction(i, table.d) + e
+                alpha = exponent_text(i + e * table.d, table.d)
                 lines.append(f"{i},{alpha},{e},{table.rows[e][i - 1]}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown table mode {mode!r}")

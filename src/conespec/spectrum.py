@@ -6,9 +6,10 @@ over one denominator, the least common denominator of its exponents, and its
 multiplicities as (possibly negative) Python ints. A vector is canonical:
 entries with multiplicity 0 are never stored and the denominator is the
 least one, so equality is structural. `fractions.Fraction` appears only at
-the edge: the constructor's exponent form, `items`, `multiplicity` and
-`render`. `numerators` and the ``denominator`` argument of the constructor
-are the integer way out and in.
+the edge: the constructor's exponent form, `items` and `multiplicity`.
+`numerators` and the ``denominator`` argument of the constructor are the
+integer way out and in, and `exponent_text` writes an exponent k/den from
+its integers, as `render` and the csv writer print it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,23 @@ def _as_fraction(value: ExponentLike) -> Fraction:
     return Fraction(value)
 
 
+def _count(mult) -> int:
+    """`mult` as an int; ValueError when it is not integral."""
+    count = int(mult)
+    if count != mult:
+        raise ValueError(f"multiplicity {mult!r} is not an integer")
+    return count
+
+
+def exponent_text(k: int, den: int) -> str:
+    """The exponent k/den (den >= 1) in lowest terms, "p" or "p/q": the same
+    text as ``str(Fraction(k, den))``."""
+    g = math.gcd(k, den)
+    if g == den:
+        return str(k // den)
+    return f"{k // g}/{den // g}"
+
+
 class SpectrumVector:
     """Finite multiset of rational exponents with signed multiplicities."""
 
@@ -35,25 +53,34 @@ class SpectrumVector:
                  denominator: Optional[int] = None):
         """`entries` maps exponents to multiplicities (a mapping or pairs).
         Exponents are `Fraction`/int/str, or integer numerators over
-        `denominator` when that is given."""
+        `denominator` when that is given. A multiplicity must be integral
+        (ValueError otherwise)."""
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be a positive integer")
-        pairs = (entries.items() if isinstance(entries, Mapping)
-                 else entries or ())
-        if denominator is None:
-            pairs = [(_as_fraction(e), m) for e, m in pairs]
-            denominator = math.lcm(*(e.denominator for e, _ in pairs))
-            pairs = [(e.numerator * (denominator // e.denominator), m)
-                     for e, m in pairs]
-        elif denominator < 1:
+        if denominator is not None and denominator < 1:
             raise ValueError("denominator must be a positive integer")
-        table: dict[int, int] = {}
-        for k, mult in pairs:
-            table[k] = table.get(k, 0) + int(mult)
-        table = {k: m for k, m in table.items() if m}
+        if denominator is not None and isinstance(entries, Mapping):
+            # distinct numerators: one pass, zeros dropped once counted
+            table = {k: c for k, m in entries.items()
+                     if (c := m if type(m) is int else _count(m))}
+        else:
+            pairs = (entries.items() if isinstance(entries, Mapping)
+                     else entries or ())
+            if denominator is None:
+                pairs = [(_as_fraction(e), m) for e, m in pairs]
+                denominator = math.lcm(*(e.denominator for e, _ in pairs))
+                pairs = [(e.numerator * (denominator // e.denominator), m)
+                         for e, m in pairs]
+            table = {}
+            for k, mult in pairs:
+                table[k] = table.get(k, 0) + _count(mult)
+            table = {k: m for k, m in table.items() if m}
         g = math.gcd(denominator, *table)
-        self._den = denominator // g
-        self._nums = {k // g: m for k, m in table.items()}
+        if g > 1:
+            denominator //= g
+            table = {k // g: m for k, m in table.items()}
+        self._den = denominator
+        self._nums = table
         self._ambient_dim = int(ambient_dim)
 
     @property
@@ -120,7 +147,9 @@ class SpectrumVector:
 
     def render(self) -> str:
         """Canonical text form: "p/q:m" entries, increasing exponents."""
-        return ", ".join(f"{e}:{m}" for e, m in self.items())
+        den = self._den
+        return ", ".join(f"{exponent_text(k, den)}:{m}"
+                         for k, m in sorted(self._nums.items()))
 
     def __str__(self) -> str:
         return self.render()

@@ -14,11 +14,15 @@ be compared. The inputs are written to a temporary directory:
   constant-multiplicity thickenings of the reduced ones, as native text
   (``reference.emit_native``);
 * the n = 2 ``reduced`` view of every one of them whose multiplicities are
-  all equal.
+  all equal;
+* seeded reduced cones at n = 1, 3 and 4 whose points are Brieskorn-Pham
+  germs (``localwh`` lines), half of them at power 1 and half at a power
+  above 1.
 
 `conespec.cli.main` runs in-process on each: ``compute`` (rows, csv and
 ``--middle cor2``), ``verify`` and ``oracle`` on a curve, ``reduced``,
-``verify`` and ``oracle`` on a reduced view. The script prints the number of
+``verify`` and ``oracle`` on a reduced view, ``reduced`` and ``verify`` on a
+Brieskorn-Pham cone. The script prints the number of
 calls and one SHA-256 over (case, argv, exit code, stdout, stderr) of every
 call. It uses only the standard library and is not collected by pytest.
 """
@@ -30,6 +34,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -46,6 +51,9 @@ CONFIGS_PER_GENERATOR = 20
 CURVE_COMMANDS = (("compute",), ("compute", "--format", "csv"),
                   ("compute", "--middle", "cor2"), ("verify",), ("oracle",))
 REDUCED_COMMANDS = (("reduced",), ("verify",), ("oracle",))
+BRIESKORN_DIMS = (1, 3, 4)
+BRIESKORN_CONFIGS = 6           # per dimension; every other one at power 1
+BRIESKORN_COMMANDS = (("reduced",), ("verify",))
 
 
 def reduced_view(cfg):
@@ -62,6 +70,19 @@ def reduced_view(cfg):
     spectra += [SpectrumVector({Fraction(1): 1}, ambient_dim=2)] * cfg.nodes
     return ReducedConeConfig(2, cfg.reduced_degree, tuple(spectra),
                              power=mults.pop())
+
+
+def brieskorn_text(rng: random.Random, n: int, power: int) -> str:
+    """Native text of a reduced cone in projective n-space with one to three
+    Brieskorn-Pham points x_1^a_1 + ... + x_n^a_n: weights lcm/a_j, degree
+    lcm of the a_j."""
+    lines = [f"reduced n={n} degree={rng.randint(2, 20)} power={power}"]
+    for _ in range(rng.randint(1, 3)):
+        exponents = [rng.randint(2, 6) for _ in range(n)]
+        lcm = math.lcm(*exponents)
+        weights = ",".join(str(lcm // a) for a in exponents)
+        lines.append(f"localwh weights={weights} degree={lcm}")
+    return "\n".join(lines) + "\n"
 
 
 def cases(workdir: Path, seed: int):
@@ -103,6 +124,12 @@ def cases(workdir: Path, seed: int):
             (workdir / f"{name}.reduced.cfg").write_text(emit_native(view))
             out += [(f"{name}.reduced", [*cmd, f"{name}.reduced.cfg"])
                     for cmd in REDUCED_COMMANDS]
+    for n in BRIESKORN_DIMS:
+        for k in range(BRIESKORN_CONFIGS):
+            name = f"brieskorn-n{n}-{k}"
+            power = 1 if k % 2 == 0 else rng.randint(2, 12)
+            (workdir / f"{name}.cfg").write_text(brieskorn_text(rng, n, power))
+            out += [(name, [*cmd, f"{name}.cfg"]) for cmd in BRIESKORN_COMMANDS]
     return out
 
 

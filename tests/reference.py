@@ -74,6 +74,12 @@ class FractionSpectrum:
         return ", ".join(f"{e}:{m}" for e, m in self.items())
 
 
+def fraction_render(spec: SpectrumVector) -> str:
+    """`SpectrumVector.render` as first written: one `Fraction` per entry,
+    through `items()`."""
+    return ", ".join(f"{e}:{m}" for e, m in spec.items())
+
+
 def empty_spectrum(ambient_dim: int) -> SpectrumVector:
     return SpectrumVector(None, ambient_dim)
 

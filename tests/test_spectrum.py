@@ -1,11 +1,14 @@
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from conespec.spectrum import SpectrumVector
-from reference import (FractionSpectrum, add, empty_spectrum, max_exponent,
-                       min_exponent, product)
+from conespec import formats
+from conespec.engine import ReducedConeConfig, thickened_spectrum
+from conespec.spectrum import SpectrumVector, exponent_text
+from reference import (FractionSpectrum, add, empty_spectrum, fraction_render,
+                       max_exponent, min_exponent, product)
 
 F = Fraction
 
@@ -214,3 +217,85 @@ def test_numerators_leave_out_off_grid_exponents():
     assert a.numerators() == {2: 2, 9: -1, 12: 4}
     assert a.numerators(4) == {6: -1, 8: 4}
     assert a.numerators(12) == {4: 2, 18: -1, 24: 4}
+
+
+@pytest.mark.parametrize("mult", [1.5, F(1, 2), F(-7, 3), 0.25, -2.5])
+def test_non_integral_multiplicity_rejected(mult):
+    with pytest.raises(ValueError, match="not an integer"):
+        SpectrumVector({"1/2": mult})
+    with pytest.raises(ValueError, match="not an integer"):
+        SpectrumVector([(F(1, 2), 1), (F(1, 2), mult)])
+    with pytest.raises(ValueError, match="not an integer"):
+        SpectrumVector({1: 1, 3: mult}, 2, denominator=4)
+    with pytest.raises(ValueError, match="not an integer"):
+        SpectrumVector([(1, mult)], 2, denominator=4)
+
+
+def test_integral_multiplicity_of_any_type_is_counted():
+    a = SpectrumVector({F(1, 2): 2}, ambient_dim=2)
+    assert SpectrumVector({"1/2": 2.0}, 2) == a
+    assert SpectrumVector({"1/2": F(4, 2)}, 2) == a
+    # the one-pass mapping path drops what counts as 0, after counting
+    for zero in (0, 0.0, F(0), False):
+        b = SpectrumVector({2: 2, 4: zero, 6: F(6, 3)}, 2, denominator=4)
+        assert b == SpectrumVector({F(1, 2): 2, F(3, 2): 2}, 2)
+        assert b.denominator == 2 and len(b) == 2
+
+
+def test_mapping_path_keeps_a_reduced_grid():
+    entries = {1: 3, 4: -1, 10: 2}
+    vec = SpectrumVector(entries, 3, denominator=9)
+    assert vec.denominator == 9
+    assert vec.numerators() == entries
+    entries[1] = 5                  # the vector does not share the mapping
+    assert vec.multiplicity(F(1, 9)) == 3
+
+
+def test_exponent_text_matches_fraction():
+    rng = random.Random(707)
+    dens = [1, 2, 3, 7, 12, 40, 1800, 10**6 + 3, 2 * 3 * 5 * 7 * 11 * 13]
+    for _ in range(3000):
+        den = rng.choice(dens + [rng.randint(1, 10**7)])
+        k = rng.choice([
+            rng.randint(-5 * den, 0),               # k <= 0
+            den * rng.randint(-4, 9),               # a multiple of den
+            rng.randint(1, 5 * den),
+            rng.randint(10**6, 10**12),             # above 10**6
+            -rng.randint(10**6, 10**12),
+        ])
+        assert exponent_text(k, den) == str(F(k, den)), (k, den)
+    for k in range(-30, 31):
+        assert exponent_text(k, 1) == str(F(k, 1)) == str(k)
+        for den in range(1, 25):
+            assert exponent_text(k, den) == str(F(k, den))
+
+
+def _names(code: types.CodeType) -> set[str]:
+    """Global and attribute names of code and of every function, lambda or
+    comprehension nested in it."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names
+
+
+def test_writers_stay_integer():
+    for writer in (SpectrumVector.render, formats.emit_table):
+        names = _names(writer.__code__)
+        assert "Fraction" not in names
+        assert "exponent_text" in names
+
+
+def test_render_matches_fraction_transcription():
+    rng = random.Random(808)
+    negative = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        vec = SpectrumVector(_random_entries(rng, n + 1), n + 1)
+        cfg = ReducedConeConfig(n, rng.randint(1, 9), (),
+                                power=rng.randint(1, 6))
+        for v in (vec, vec.dual(), thickened_spectrum(vec, cfg)):
+            assert v.render() == fraction_render(v)
+            negative += any(m < 0 for m in v.numerators().values())
+    assert negative > 100

@@ -534,7 +534,7 @@ def fraction_thickened(base, cfg):
 def test_thickened_matches_fraction_loop():
     rng = random.Random(9090)
     for _ in range(300):
-        n, m, dp = rng.randint(1, 3), rng.randint(1, 6), rng.randint(1, 9)
+        n, m, dp = rng.randint(1, 4), rng.randint(1, 6), rng.randint(1, 9)
         # on-grid, off-grid and out-of-range exponents, signed multiplicities
         entries = {}
         for _ in range(rng.randint(0, 12)):

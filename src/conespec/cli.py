@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      _spectrum_table, curve_table, ordinary_middle_row,
                      reduced_cone_spectrum, scan_values, thickened_spectrum)
-from .formats import ConfigError, config_template, emit_table
+from .formats import ConfigError, _ascii_int, config_template, emit_table
 from .oracle import cross_check, verify
 from .spectrum import SpectrumVector
 
@@ -59,14 +59,6 @@ def _bind_once(bound: dict, name: str, value, flag: str, code: str) -> None:
     if name in bound:
         raise ConfigError(code, f"{flag} gives {name!r} more than once")
     bound[name] = value
-
-
-def _ascii_int(text: str) -> int:
-    """int(text), save that its digits must be ASCII and without '_', as in
-    a template literal; anything else is a ValueError."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII integer: {text!r}")
-    return int(text)
 
 
 def _parse_params(items) -> dict:

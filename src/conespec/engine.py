@@ -3,12 +3,13 @@
 The plane-curve entry point is `curve_table`, which takes a combinatorial
 description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
-together with the Euler number of the curve complement. Each column comes
-from its index alone: one kernel, `_column`, reads constants taken once per
-config (component and branch terms, identical points grouped with a count
-and given one row of lattice counts) and serves `curve_table`,
-`ordinary_middle_row` and `scan_values`, the one cell that ``scan``
-reports. The reduced any-dimension route is
+together with the Euler number of the curve complement. One kernel,
+`_rows(cfg, lo, hi)`, checks and groups the points once (identical points
+counted together, each distinct one given one row of lattice counts) and
+computes the columns i in [lo, hi], each from its index alone. It serves
+`curve_table` and `ordinary_middle_row` on [1, d], `scan_values` on the
+one cell that ``scan`` reports, and `euler_complement` on no column at
+all. The reduced any-dimension route is
 `reduced_cone_spectrum` / `thickened_spectrum`, which consume local spectra
 directly; `local_data_table` lays out its n = 2 spectrum as a table.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .local import (SingularPoint, _window_row, lattice_row,
                     quotient_coeffs, validate_branches)
@@ -134,10 +135,6 @@ class CurveConfig:
 
     def is_ordinary(self) -> bool:
         return all(p.is_ordinary() for p in self.points)
-
-    def total_milnor(self) -> int:
-        """Milnor sum over all singular points, aggregated nodes included."""
-        return sum(p.milnor() for p in self.points) + self.nodes
 
 
 @dataclass(frozen=True)
@@ -269,26 +266,18 @@ def _branch_terms(point: SingularPoint) -> _Terms:
     return _totals((b.multiplicity, b.weighted_degree) for b in point.branches)
 
 
-class _Curve(NamedTuple):
-    """The constants of the curve route, read once per config: d, d', the
-    component terms, one (count, lattice row, d_j, mass, branch terms)
-    entry per distinct point, and chi(U). The lattice row is
-    `lattice_row(w, w', d_j - 1)`, every count the point's columns use: the
-    ceiling of its residue degree lies in [1, d_j], so both bounds lie in
-    [0, d_j - 1]."""
+def _rows(cfg: CurveConfig, lo: int, hi: int
+          ) -> tuple[int, list[int], list[int], list[int]]:
+    """chi(U), then rows 0 and 2 and the incidence middle row without its
+    constant (component pairs minus incidence pairs) for the columns i in
+    [lo, hi]; an empty range still checks every point.
 
-    d: int
-    dprime: int
-    comps: _Terms
-    points: tuple[tuple[int, list[int], int, int, _Terms], ...]
-    chi: int
-
-
-def _hoist(cfg: CurveConfig) -> _Curve:
-    """The constants of cfg. Each point is checked (branch degrees, then
-    Milnor number) as it is grouped, and its Milnor number enters chi(U);
-    points with equal weights and branch terms share one entry, keyed on
-    plain tuples, and one lattice row."""
+    Each point is checked (branch degrees, then Milnor number) as it is
+    grouped, and its Milnor number enters chi(U). Points with equal weights
+    and branch terms share one entry, keyed on plain tuples, and one
+    `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
+    lies in [1, d_j], so every count its columns use has a bound in
+    [0, d_j - 1]. On ordinary points d_j is the number of branches."""
     counts: dict = {}
     milnor = cfg.nodes
     for p in cfg.points:
@@ -301,26 +290,23 @@ def _hoist(cfg: CurveConfig) -> _Curve:
     for ((w, wp), terms), k in counts.items():
         dj = sum(deg for _, deg in terms)
         points.append((k, lattice_row(w, wp, dj - 1), dj, _mass(terms), terms))
-    return _Curve(cfg.degree, cfg.reduced_degree, _component_terms(cfg),
-                  tuple(points), _chi_complement(cfg.reduced_degree, milnor))
-
-
-def _column(curve: _Curve, i: int) -> tuple[int, int, int]:
-    """Column i: rows 0 and 2, and the incidence middle row without its
-    constant (component pairs minus incidence pairs). On ordinary points
-    d_j is the number of branches."""
-    d, dp = curve.d, curve.dprime
-    twist = i - _shift(curve.comps, i, d)
-    r0 = binom2(twist - 1)
-    r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
-    middle = (twist - 1) * (dp - twist - 1)
-    for k, row, dj, mass, terms in curve.points:
-        # ceiling of the residue degree i*mass/d - shift
-        ceil_g = -(-i * mass // d) - _shift(terms, i, d)
-        r0 -= k * row[ceil_g - 1]
-        r2 -= k * row[dj - ceil_g]
-        middle -= k * (ceil_g - 1) * (dj - ceil_g)
-    return r0, r2, middle
+    d, dp, comps = cfg.degree, cfg.reduced_degree, _component_terms(cfg)
+    row0, row2, middle = [], [], []
+    for i in range(lo, hi + 1):
+        twist = i - _shift(comps, i, d)
+        r0 = binom2(twist - 1)
+        r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
+        mid = (twist - 1) * (dp - twist - 1)
+        for k, row, dj, mass, terms in points:
+            # ceiling of the residue degree i*mass/d - shift
+            ceil_g = -(-i * mass // d) - _shift(terms, i, d)
+            r0 -= k * row[ceil_g - 1]
+            r2 -= k * row[dj - ceil_g]
+            mid -= k * (ceil_g - 1) * (dj - ceil_g)
+        row0.append(r0)
+        row2.append(r2)
+        middle.append(mid)
+    return _chi_complement(dp, milnor), row0, row2, middle
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -329,8 +315,9 @@ def _chi_complement(dprime: int, milnor_total: int) -> int:
 
 
 def euler_complement(cfg: CurveConfig) -> int:
-    """Euler number of the complement of the reduced curve in the plane."""
-    return _chi_complement(cfg.reduced_degree, cfg.total_milnor())
+    """Euler number of the complement of the reduced curve in the plane;
+    the points are checked as by `curve_table`."""
+    return _rows(cfg, 1, 0)[0]
 
 
 def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
@@ -339,18 +326,13 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
     Rows 0 and 2 come from twisted-line-bundle counts minus lattice counts at
     the singular points; row 1 closes each column against the Euler number of
-    the complement. Every column goes through `_column`, which reads the
-    constants `_hoist` takes once per config.
+    the complement. `_rows` computes every column.
     """
-    curve = _hoist(cfg)
-    d, chi = curve.d, curve.chi
-    row0, row1, row2 = [], [], []
-    for i in range(1, d + 1):
-        r0, r2, _ = _column(curve, i)
-        row0.append(r0)
-        row1.append(chi - r0 - r2 - (1 if i == d else 0))
-        row2.append(r2)
-    return ConeSpectrumTable(d, curve.dprime, chi,
+    d = cfg.degree
+    chi, row0, row2, _ = _rows(cfg, 1, d)
+    row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
+    row1[-1] -= 1
+    return ConeSpectrumTable(d, cfg.reduced_degree, chi,
                              (tuple(row0), tuple(row1), tuple(row2)))
 
 
@@ -360,9 +342,9 @@ def scan_values(cfg: CurveConfig) -> tuple[int, int, Optional[int], int]:
     `curve_table`, also when d < 3, but only column 3 is computed: past
     one O(d_j) lattice row per distinct point, the cost does not grow with
     d."""
-    curve = _hoist(cfg)
-    n3d = _column(curve, 3)[0] if curve.d >= 3 else None
-    return curve.d, curve.dprime, n3d, curve.chi
+    d = cfg.degree
+    chi, row0, _, _ = _rows(cfg, 3, min(3, d))
+    return d, cfg.reduced_degree, row0[0] if row0 else None, chi
 
 
 def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
@@ -373,11 +355,10 @@ def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
         raise ValueError("incidence-based middle row needs ordinary points only")
     if cfg.incidence is None:
         raise ValueError("incidence-based middle row needs incidence data")
-    curve = _hoist(cfg)
     pairs = (sum(binom2(c.degree) for c in cfg.components)
              - sum(count * binom2(value)
                    for count, value in cfg.incidence.pairs))
-    return [_column(curve, i)[2] + pairs for i in range(1, curve.d + 1)]
+    return [mid + pairs for mid in _rows(cfg, 1, cfg.degree)[3]]
 
 
 def incidence_consistent(cfg: CurveConfig) -> bool:

@@ -13,7 +13,7 @@ degenerate case). Each expression is compiled once into a function of the
 parameter binding, and `config_template` makes a whole config text one such
 function. The exceptions are native ``incidence`` and ``incidence-matrix``
 entries, which are literal integers, and native ``localspectrum`` entries,
-which are literal fractions.
+which are literal fractions, both read through `_ascii_int`.
 """
 
 from __future__ import annotations
@@ -427,10 +427,18 @@ def _parse_branches(text: str, binding) -> tuple[LocalBranch, ...]:
     return tuple(branches)
 
 
+def _ascii_int(text: str) -> int:
+    """int(text), save that its digits must be ASCII and without '_', as in
+    a template literal; anything else is a ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _parse_fraction(text: str) -> Fraction:
     num, slash, den = text.partition("/")
     try:
-        return Fraction(int(num), int(den) if slash else 1)
+        return Fraction(_ascii_int(num), _ascii_int(den) if slash else 1)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("fraction-syntax", f"bad fraction {text!r}") from exc
 
@@ -577,7 +585,7 @@ def parse_native(text: str,
                 pairs = []
                 for token in args:
                     try:
-                        count, value = map(int, token.split("x"))
+                        count, value = map(_ascii_int, token.split("x"))
                     except ValueError as exc:
                         raise ConfigError("incidence-syntax",
                                           "expected COUNTxVALUE, got "
@@ -597,7 +605,7 @@ def parse_native(text: str,
                             rows.append([])
                         if part:
                             try:
-                                rows[-1].append(int(part))
+                                rows[-1].append(_ascii_int(part))
                             except ValueError as exc:
                                 raise ConfigError("incidence-syntax",
                                                   "bad matrix entry "
@@ -626,7 +634,7 @@ def parse_native(text: str,
                     e_text, _, m_text = token.rpartition(":")
                     exponent = _parse_fraction(e_text)
                     try:
-                        mult = int(m_text)
+                        mult = _ascii_int(m_text)
                     except ValueError as exc:
                         raise ConfigError("spectrum-syntax", "bad multiplicity "
                                           f"{m_text!r}") from exc

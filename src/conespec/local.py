@@ -88,7 +88,7 @@ def weighted_spectrum(ws: WeightSystem) -> SpectrumVector:
     if any(c < 0 for c in coeffs):
         raise ValueError(f"weights {ws.weights} with degree {d} do not "
                          "describe an isolated germ (negative multiplicity)")
-    entries = enumerate(coeffs, start=sum(ws.weights))
+    entries = dict(enumerate(coeffs, start=sum(ws.weights)))
     return SpectrumVector(entries, len(ws.weights), denominator=d)
 
 

@@ -583,3 +583,40 @@ def test_undecodable_input_is_an_input_error(capsys, tmp_path, dialect,
     assert (code, out) == (2, "")
     assert err == (f"error: [input-encoding] {str(path)!r} is not UTF-8 "
                    "text: byte 0xff, invalid start byte\n")
+
+
+# one literal slot per case, written "{}", with its error line
+LITERAL_SLOTS = {
+    "incidence-count": (
+        "component degree=1 mult=1 count=2\nnodes 1\nincidence {}x1\n",
+        "line 3: [incidence-syntax] expected COUNTxVALUE, got '{}x1'"),
+    "incidence-value": (
+        "component degree=1 mult=1 count=2\nnodes 1\nincidence 1x{}\n",
+        "line 3: [incidence-syntax] expected COUNTxVALUE, got '1x{}'"),
+    "incidence-matrix": (
+        "component degree=1 mult=1 count=2\nnodes 1\nincidence-matrix 1 {}\n",
+        "line 3: [incidence-syntax] bad matrix entry '{}'"),
+    "localspectrum-numerator": (
+        "reduced n=2 degree=3\nlocalspectrum {}/10:1\n",
+        "line 2: [fraction-syntax] bad fraction '{}/10'"),
+    "localspectrum-denominator": (
+        "reduced n=2 degree=3\nlocalspectrum 1/{}:1\n",
+        "line 2: [fraction-syntax] bad fraction '1/{}'"),
+    "localspectrum-multiplicity": (
+        "reduced n=2 degree=3\nlocalspectrum 1:{}\n",
+        "line 2: [spectrum-syntax] bad multiplicity '{}'"),
+}
+
+
+@pytest.mark.parametrize("literal", ["1_0", "\u0661"],
+                         ids=["underscore", "non-ascii"])
+@pytest.mark.parametrize("slot", sorted(LITERAL_SLOTS))
+def test_literal_slots_take_ascii_digits_only(capsys, tmp_path, slot,
+                                              literal):
+    """Literal integer slots read digits as templates and --param do: '1_0'
+    and an Arabic-Indic one, which int() would take, are input errors."""
+    template, message = LITERAL_SLOTS[slot]
+    path = tmp_path / "literal.cfg"
+    path.write_text(template.format(literal), encoding="utf-8")
+    assert run(capsys, "verify", path) == (
+        2, "", f"error: {message.format(literal)}\n")

@@ -10,7 +10,7 @@ import pytest
 from conespec import cli
 from conespec.cli import ScanSpec, run_scan
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
-                             ReducedConeConfig, binom2, curve_table,
+                             ReducedConeConfig, _rows, binom2, curve_table,
                              euler_complement, incidence_consistent,
                              index_data, local_data_table,
                              ordinary_middle_row, reduced_cone_spectrum,
@@ -163,7 +163,7 @@ BAD_MILNOR_MESSAGE = ("invalid point data: Milnor number (7-2)(7-3)/6 is not "
 
 @pytest.mark.parametrize("entry, points, message", [
     *[(entry, points, message)
-      for entry in (curve_table, scan_values)
+      for entry in (curve_table, scan_values, euler_complement)
       for points, message in (((BAD_DEGREE,), BAD_DEGREE_MESSAGE),
                               ((BAD_MILNOR,), BAD_MILNOR_MESSAGE),
                               ((BAD_MILNOR, BAD_DEGREE), BAD_MILNOR_MESSAGE))],
@@ -174,7 +174,8 @@ BAD_MILNOR_MESSAGE = ("invalid point data: Milnor number (7-2)(7-3)/6 is not "
      "branches=(LocalBranch(weighted_degree=2, multiplicity=1), "
      "LocalBranch(weighted_degree=1, multiplicity=1)))"),
 ], ids=["table-degree", "table-milnor", "table-first", "scan-degree",
-        "scan-milnor", "scan-first", "middle-degree"])
+        "scan-milnor", "scan-first", "euler-degree", "euler-milnor",
+        "euler-first", "middle-degree"])
 def test_curve_table_rejects_bad_branches(entry, points, message):
     """Every curve entry point rejects a bad point with the message of the
     first bad point in point order."""
@@ -495,6 +496,24 @@ def test_scan_cell_matches_fraction_column(make):
             want = fraction_column(cfg, 3)[0] if cfg.degree >= 3 else "n/a"
             assert (int(d), int(dprime)) == (cfg.degree, cfg.reduced_degree)
             assert (n3d, int(chi_u)) == (str(want), milnor_chi(cfg)), text
+
+
+@pytest.mark.parametrize("make", [random_ordinary_config,
+                                  random_reduced_swh_config,
+                                  random_mixed_swh_config])
+def test_rows_on_a_range_slice_the_rows_on_all_columns(make):
+    """`_rows(cfg, lo, hi)` is the [lo, hi] slice of `_rows(cfg, 1, d)`:
+    on a random range, on one that ends at d (the -1 of row 2 at i = d),
+    on [d, d] and on an empty range, with the same chi(U) each time."""
+    rng = random.Random(1616)
+    for _ in range(40):
+        cfg = make(rng)
+        d = cfg.degree
+        chi, *full = _rows(cfg, 1, d)
+        lo = rng.randint(1, d)
+        hi = rng.randint(lo, d)
+        for a, b in ((lo, hi), (lo, d), (d, d), (lo, lo - 1)):
+            assert _rows(cfg, a, b) == (chi, *(row[a - 1:b] for row in full))
 
 
 def test_scan_cell_builds_no_table(monkeypatch):

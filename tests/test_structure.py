@@ -19,7 +19,7 @@ UNREFERENCED = {
     "oracle.CheckReport.record": "the machine-readable report ROADMAP item 6 "
                                  "builds on",
     "engine.euler_complement": "public API; the curve route reads chi(U) "
-                               "from `_hoist`",
+                               "from `_rows`",
     "engine.index_data": TRACED,
     "engine.residue_degree": TRACED,
     "local.lattice_count": TRACED,

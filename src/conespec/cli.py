@@ -107,7 +107,7 @@ def cmd_compute(args) -> int:
     table = curve_table(cfg)
     if args.middle == "cor2":
         try:
-            middle = ordinary_middle_row(cfg)
+            middle = ordinary_middle_row(cfg, table)
         except ValueError as exc:
             raise ConfigError("middle-unavailable", str(exc)) from exc
         table = ConeSpectrumTable(table.d, table.dprime, table.chi_u,
@@ -157,9 +157,10 @@ class ScanSpec:
 def run_scan(spec: ScanSpec, out) -> int:
     """Write the CSV of `spec` to `out`: per grid point the bindings, d, d',
     n[3/d] and chi(U) from `scan_values`, which computes one cell and not
-    the table, so a point's cost does not grow with d. An input error names
-    the grid point and keeps its code and line. A name may be fixed or
-    ranged, not both."""
+    the table, so a point's cost does not grow with d; the points share
+    their lattice rows through one mapping that lives for this call only.
+    An input error names the grid point and keeps its code and line. A name
+    may be fixed or ranged, not both."""
     for name in spec.predicates:
         if name not in PREDICATES:
             raise ConfigError("predicate-unknown",
@@ -184,6 +185,7 @@ def run_scan(spec: ScanSpec, out) -> int:
     template = config_template(spec.template)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(names + ["d", "dprime", "n_3_over_d", "chi_u", "flags"])
+    lattice: dict = {}
     for combo in itertools.product(*spans):
         binding = dict(spec.fixed)
         binding.update(zip(names, combo))
@@ -192,7 +194,7 @@ def run_scan(spec: ScanSpec, out) -> int:
             if not isinstance(cfg, CurveConfig):
                 raise ConfigError("mode-conflict",
                                   "scan templates must describe curve configs")
-            d, dprime, n3d, chi_u = scan_values(cfg)
+            d, dprime, n3d, chi_u = scan_values(cfg, lattice)
         except ConfigError as exc:
             exc_point = ", ".join(f"{n}={v}" for n, v in zip(names, combo))
             raise ConfigError(exc.code,

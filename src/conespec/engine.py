@@ -6,18 +6,24 @@ semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. One kernel,
 `_rows(cfg, lo, hi)`, checks and groups the points once (identical points
 counted together, each distinct one given one row of lattice counts) and
-computes the columns i in [lo, hi], each from its index alone. It serves
-`curve_table` and `ordinary_middle_row` on [1, d], `scan_values` on the
-one cell that ``scan`` reports, and `euler_complement` on no column at
-all. The reduced any-dimension route is
-`reduced_cone_spectrum` / `thickened_spectrum`, which consume local spectra
-directly; `local_data_table` lays out its n = 2 spectrum as a table.
+computes the columns i in [lo, hi], each from its index alone. One column
+(what ``scan`` asks for) runs a scalar body, which costs least per call; a
+longer range is built as whole rows, which cost least per column, its floor
+sums as step functions of i (`_floor_row`). `curve_table` runs it on [1, d]
+and keeps that pass's incidence middle row on the table, which
+`ordinary_middle_row` reads, so `verify`, ``oracle`` and ``compute --middle
+cor2`` make one pass. `scan_values` runs it on the one cell that ``scan``
+reports, and `euler_complement` on no column at all. The reduced
+any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum`,
+which consume local spectra directly; `local_data_table` lays out its n = 2
+spectrum as a table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .local import (SingularPoint, _window_row, lattice_row,
@@ -148,12 +154,19 @@ class ConeSpectrumTable:
     (i = d), and for sufficiently special geometry (pencils of curves
     through shared points, thickenings of curves with chi-defect) also at
     i < d.
+
+    `incidence_middle` is the middle row from incidence data, set by
+    `curve_table` on configs with ordinary points and incidence data (see
+    `ordinary_middle_row`) and None elsewhere. It is not part of the table's
+    value: equality and repr leave it out.
     """
 
     d: int
     dprime: int
     chi_u: int
     rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    incidence_middle: Optional[tuple[int, ...]] = field(
+        default=None, compare=False, repr=False)
 
     def as_spectrum(self) -> SpectrumVector:
         """Flatten the table into one vector over exponents in (0, 3]."""
@@ -164,15 +177,14 @@ class ConeSpectrumTable:
 
     def row_sums_ok(self) -> bool:
         """Column identity: sum_e rows[e][i] + [i == d] equals chi_u."""
-        return all(sum(self.rows[e][i - 1] for e in range(3))
-                   + (1 if i == self.d else 0) == self.chi_u
-                   for i in range(1, self.d + 1))
+        sums = [r0 + r1 + r2 for r0, r1, r2 in zip(*self.rows)]
+        sums[-1] += 1
+        return sums.count(self.chi_u) == self.d
 
     def nonnegative_ok(self) -> bool:
         """Every cell with i < d is >= 0. Holds for the shipped example
         tables; not guaranteed for arbitrary configs (see class docstring)."""
-        return all(self.rows[e][i] >= 0
-                   for e in range(3) for i in range(self.d - 1))
+        return all(min(row[:self.d - 1], default=0) >= 0 for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -266,7 +278,28 @@ def _branch_terms(point: SingularPoint) -> _Terms:
     return _totals((b.multiplicity, b.weighted_degree) for b in point.branches)
 
 
-def _rows(cfg: CurveConfig, lo: int, hi: int
+def _floor_row(terms, cols, d: int) -> list[int]:
+    """`_shift(terms, i, d)` for every column i of the non-empty range
+    `cols`, built as a step function. With mult = q*d + r, a term
+    degree * ((mult*i - 1) // d) is degree*q*i plus degree * ((r*i - 1) // d),
+    which rises by degree at i = j*d // r + 1 for each j it reaches: fewer
+    than one step a column. The steps of all terms go into one list whose
+    running sums, plus the slope times i, are the row."""
+    lo, hi = cols[0], cols[-1]
+    slope, steps = 0, [0] * len(cols)
+    for mult, degree in terms:
+        q, r = divmod(mult, d)
+        slope += degree * q
+        low = (r * lo - 1) // d
+        steps[0] += degree * low
+        for j in range(low + 1, (r * hi - 1) // d + 1):
+            steps[j * d // r + 1 - lo] += degree
+    if slope:
+        return [s + slope * i for s, i in zip(accumulate(steps), cols)]
+    return list(accumulate(steps))
+
+
+def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: Optional[dict] = None
           ) -> tuple[int, list[int], list[int], list[int]]:
     """chi(U), then rows 0 and 2 and the incidence middle row without its
     constant (component pairs minus incidence pairs) for the columns i in
@@ -277,7 +310,16 @@ def _rows(cfg: CurveConfig, lo: int, hi: int
     and branch terms share one entry, keyed on plain tuples, and one
     `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
     lies in [1, d_j], so every count its columns use has a bound in
-    [0, d_j - 1]. On ordinary points d_j is the number of branches."""
+    [0, d_j - 1]. On ordinary points d_j is the number of branches. Given a
+    `lattice` mapping, rows are looked up in it by (w, w', d_j - 1) and added
+    to it, so that the callers sharing it build each row once; they only
+    read the rows.
+
+    The length of the range picks the path. A range of at most one column
+    (``scan``) runs the scalar column body. A longer range builds every row
+    as whole lists, with the floor sums from `_floor_row`: that costs less
+    per column but more per call, so on one column the scalar body is
+    faster."""
     counts: dict = {}
     milnor = cfg.nodes
     for p in cfg.points:
@@ -289,24 +331,48 @@ def _rows(cfg: CurveConfig, lo: int, hi: int
     points = []
     for ((w, wp), terms), k in counts.items():
         dj = sum(deg for _, deg in terms)
-        points.append((k, lattice_row(w, wp, dj - 1), dj, _mass(terms), terms))
+        row = None if lattice is None else lattice.get((w, wp, dj - 1))
+        if row is None:
+            row = lattice_row(w, wp, dj - 1)
+            if lattice is not None:
+                lattice[w, wp, dj - 1] = row
+        points.append((k, row, dj, _mass(terms), terms))
     d, dp, comps = cfg.degree, cfg.reduced_degree, _component_terms(cfg)
-    row0, row2, middle = [], [], []
-    for i in range(lo, hi + 1):
-        twist = i - _shift(comps, i, d)
-        r0 = binom2(twist - 1)
-        r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
-        mid = (twist - 1) * (dp - twist - 1)
-        for k, row, dj, mass, terms in points:
-            # ceiling of the residue degree i*mass/d - shift
-            ceil_g = -(-i * mass // d) - _shift(terms, i, d)
-            r0 -= k * row[ceil_g - 1]
-            r2 -= k * row[dj - ceil_g]
-            mid -= k * (ceil_g - 1) * (dj - ceil_g)
-        row0.append(r0)
-        row2.append(r2)
-        middle.append(mid)
-    return _chi_complement(dp, milnor), row0, row2, middle
+    chi = _chi_complement(dp, milnor)
+    if hi - lo < 1:
+        row0, row2, middle = [], [], []
+        for i in range(lo, hi + 1):
+            twist = i - _shift(comps, i, d)
+            r0 = binom2(twist - 1)
+            r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
+            mid = (twist - 1) * (dp - twist - 1)
+            for k, row, dj, mass, terms in points:
+                # ceiling of the residue degree i*mass/d - shift
+                ceil_g = -(-i * mass // d) - _shift(terms, i, d)
+                r0 -= k * row[ceil_g - 1]
+                r2 -= k * row[dj - ceil_g]
+                mid -= k * (ceil_g - 1) * (dj - ceil_g)
+            row0.append(r0)
+            row2.append(r2)
+            middle.append(mid)
+        return chi, row0, row2, middle
+    cols = range(lo, hi + 1)
+    twist = [i - s for i, s in zip(cols, _floor_row(comps, cols, d))]
+    row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
+    row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
+    middle = [(t - 1) * (dp - t - 1) for t in twist]
+    for k, row, dj, mass, terms in points:
+        # that ceiling less one, (i*mass - 1) // d - shift, is the floor sum
+        # of the term (mass, 1) and the branch terms negated
+        ceil = _floor_row(((mass, 1), *((m, -deg) for m, deg in terms)),
+                          cols, d)
+        top = dj - 1
+        row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
+        row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
+        middle = [m - k * c * (top - c) for m, c in zip(middle, ceil)]
+    if hi == d:
+        row2[-1] -= 1
+    return chi, row0, row2, middle
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -326,39 +392,51 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
     Rows 0 and 2 come from twisted-line-bundle counts minus lattice counts at
     the singular points; row 1 closes each column against the Euler number of
-    the complement. `_rows` computes every column.
+    the complement. One `_rows` pass computes every column, and with it the
+    incidence middle row where `ordinary_middle_row` applies.
     """
     d = cfg.degree
-    chi, row0, row2, _ = _rows(cfg, 1, d)
+    chi, row0, row2, middle = _rows(cfg, 1, d)
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
     row1[-1] -= 1
+    incidence = None
+    if cfg.is_ordinary() and cfg.incidence is not None:
+        pairs = (sum(binom2(c.degree) for c in cfg.components)
+                 - sum(count * binom2(value)
+                       for count, value in cfg.incidence.pairs))
+        incidence = tuple([mid + pairs for mid in middle])
     return ConeSpectrumTable(d, cfg.reduced_degree, chi,
-                             (tuple(row0), tuple(row1), tuple(row2)))
+                             (tuple(row0), tuple(row1), tuple(row2)),
+                             incidence)
 
 
-def scan_values(cfg: CurveConfig) -> tuple[int, int, Optional[int], int]:
+def scan_values(cfg: CurveConfig, lattice: Optional[dict] = None
+                ) -> tuple[int, int, Optional[int], int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point. The points are checked as by
     `curve_table`, also when d < 3, but only column 3 is computed: past
     one O(d_j) lattice row per distinct point, the cost does not grow with
-    d."""
+    d. `lattice` is a mapping that the points of one scan share, so that
+    each lattice row is built once per scan (see `_rows`)."""
     d = cfg.degree
-    chi, row0, _, _ = _rows(cfg, 3, min(3, d))
+    chi, row0, _, _ = _rows(cfg, 3, min(3, d), lattice)
     return d, cfg.reduced_degree, row0[0] if row0 else None, chi
 
 
-def ordinary_middle_row(cfg: CurveConfig) -> list[int]:
+def ordinary_middle_row(cfg: CurveConfig,
+                        table: Optional[ConeSpectrumTable] = None) -> list[int]:
     """Middle row computed from incidence data instead of the Euler-number
     balance. Only valid when every listed point is ordinary; requires
-    incidence data (the multiset form is enough)."""
+    incidence data (the multiset form is enough). Both are checked before
+    anything is computed. `table`, if given, is `curve_table(cfg)`, and the
+    row is read from it instead of being computed again."""
     if not cfg.is_ordinary():
         raise ValueError("incidence-based middle row needs ordinary points only")
     if cfg.incidence is None:
         raise ValueError("incidence-based middle row needs incidence data")
-    pairs = (sum(binom2(c.degree) for c in cfg.components)
-             - sum(count * binom2(value)
-                   for count, value in cfg.incidence.pairs))
-    return [mid + pairs for mid in _rows(cfg, 1, cfg.degree)[3]]
+    if table is None:
+        table = curve_table(cfg)
+    return list(table.incidence_middle)
 
 
 def incidence_consistent(cfg: CurveConfig) -> bool:

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     _component_terms, _residue, _shift, _spectrum_table,
+                     _component_terms, _floor_row, _spectrum_table,
                      curve_table, incidence_consistent, local_data_table,
-                     ordinary_middle_row, reduced_cone_spectrum,
-                     smooth_cone_coeffs, thickened_spectrum)
+                     reduced_cone_spectrum, smooth_cone_coeffs,
+                     thickened_spectrum)
 from .local import lattice_row
 from .spectrum import SpectrumVector
 
@@ -256,7 +256,7 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
         for e in (0, 2):
             checks.append(_first_row_mismatch(f"rows-e{e}", table.rows[e],
                                               ref.rows[e], e))
-        middle = ordinary_middle_row(cfg)
+        middle = table.incidence_middle
         checks.append(_first_row_mismatch("middle-incidence", middle,
                                           ref.rows[1], 1))
         checks.append(_first_row_mismatch("middle-balance", table.rows[1],
@@ -265,7 +265,7 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
             "chi", table.chi_u == ref.chi_u,
             f"expected={ref.chi_u}, actual={table.chi_u}"))
         ref_table = ConeSpectrumTable(ref.d, ref.dprime, ref.chi_u,
-                                      (ref.rows[0], tuple(middle), ref.rows[2]))
+                                      (ref.rows[0], middle, ref.rows[2]))
         checks.append(CheckResult(
             "row-sum", ref_table.row_sums_ok(),
             "column sums disagree with chi(U)"))
@@ -337,17 +337,20 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     checks.append(CheckResult("rows-nonnegative", table.nonnegative_ok(),
                               "a genuine-multiplicity cell is negative",
                               "expectation"))
-    # in integers over d: 0 <= shift < i (so 0 < twist <= i), residues in
-    # (0, d], and the twist i - shift at i = d is the reduced degree
+    # in integers over d, from whole rows: 0 <= shift < i (so
+    # 0 < twist <= i), residues mult*i - d*((mult*i - 1) // d) in (0, d], and
+    # the twist i - shift at i = d is the reduced degree
     d = cfg.degree
     comps = _component_terms(cfg)
-    ranges_ok = all(0 <= _shift(comps, i, d) < i
-                    and all(0 < _residue(mult, i, d) <= d for mult, _ in comps)
-                    for i in range(1, d + 1))
-    top_twist = d - _shift(comps, d, d)
-    checks.append(CheckResult("index-ranges",
-                              ranges_ok and top_twist == cfg.reduced_degree,
-                              kind="identity"))
+    cols = range(1, d + 1)
+    shifts = _floor_row(comps, cols, d)
+    twists = [i - s for i, s in zip(cols, shifts)]
+    residues = [mult * i - s for mult, _ in comps
+                for i, s in zip(cols, _floor_row(((mult, d),), cols, d))]
+    checks.append(CheckResult(
+        "index-ranges", min(shifts) >= 0 and min(twists) > 0
+        and 0 < min(residues) and max(residues) <= d
+        and twists[-1] == cfg.reduced_degree, kind="identity"))
     spectra = [p.local_spectrum() for p in cfg.points]
     checks.append(CheckResult("local-spectra", all(
         s.has_valid_support() and s.is_symmetric() and s.total() == p.milnor()
@@ -358,7 +361,7 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
             "a component pair meets the matrix inconsistently"))
     if has_reference(cfg):
         checks.append(CheckResult(
-            "middle-agreement", list(table.rows[1]) == ordinary_middle_row(cfg),
+            "middle-agreement", table.rows[1] == table.incidence_middle,
             "incidence route disagrees with the balance route"))
     cone = as_reduced_cone(cfg)
     if cone is not None and cone.power == 1:

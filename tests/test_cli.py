@@ -7,8 +7,9 @@ import conespec.engine
 import conespec.oracle
 from conespec.cli import (ScanSpec, _parse_params, _parse_ranges, main,
                           run_scan)
-from conespec.engine import reduced_cone_spectrum
+from conespec.engine import CurveConfig, GlobalComponent, reduced_cone_spectrum
 from conespec.formats import ConfigError
+from conespec.local import LocalBranch, SingularPoint
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -81,6 +82,44 @@ def test_compute_cor2_rejects_weighted_config(capsys):
                        "--middle=cor2")
     assert code == 2
     assert "error" in err
+
+
+def test_compute_cor2_checks_points_first(capsys, monkeypatch):
+    """``--middle cor2`` reports an invalid point before it reports that
+    the incidence route does not apply. The parsers reject such a point
+    themselves, so the config is handed to the command directly."""
+    bad = CurveConfig((GlobalComponent(4, 1),),
+                      (SingularPoint((2, 3), (LocalBranch(5, 1),)),))
+    monkeypatch.setattr(conespec.cli, "_read_config", lambda *args: bad)
+    code, _, err = run(capsys, "compute", "unread.cfg", "--middle=cor2")
+    assert code == 2
+    assert err.startswith("error: invalid branch data")
+    monkeypatch.undo()
+    code, _, err = run(capsys, "compute", FIXTURES / "doubled-cuspidal-cubic.cfg",
+                       "--middle=cor2")
+    assert code == 2
+    assert "[middle-unavailable]" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["oracle"],
+                                     ["compute", "--middle", "cor2"]])
+def test_one_row_pass_per_command(capsys, monkeypatch, command):
+    """``verify``, ``oracle`` and ``compute --middle cor2`` take the table
+    and the incidence middle row from one `_rows` pass over all d columns."""
+    spans = []
+    real = conespec.engine._rows
+
+    def counted(cfg, lo, hi, *rest):
+        spans.append(hi - lo + 1)
+        return real(cfg, lo, hi, *rest)
+
+    monkeypatch.setattr(conespec.engine, "_rows", counted)
+    code, out, _ = run(capsys, command[0], FIXTURES / "conic-pencil.vectors",
+                       *command[1:], "--param", "a=2", "--param", "b=5",
+                       "--param", "c=2")
+    assert code == 0
+    assert "middle-" in out or command[0] == "compute"
+    assert [n for n in spans if n > 1] == [14]      # d = 14
 
 
 def test_compute_rejects_reduced_config(capsys):

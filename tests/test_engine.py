@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import conespec.engine
 from conespec import cli
 from conespec.cli import ScanSpec, run_scan
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
-                             ReducedConeConfig, _rows, binom2, curve_table,
+                             ReducedConeConfig, _floor_row, _rows, _shift,
+                             binom2, curve_table,
                              euler_complement, incidence_consistent,
                              index_data, local_data_table,
                              ordinary_middle_row, reduced_cone_spectrum,
@@ -18,7 +20,7 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              smooth_cone_coeffs, thickened_spectrum)
 from conespec.formats import parse_singular, parse_vector_text
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
-                            weighted_spectrum, WeightSystem)
+                            lattice_row, weighted_spectrum, WeightSystem)
 from conespec.oracle import as_reduced_cone, brute_coeffs
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
@@ -504,7 +506,9 @@ def test_scan_cell_matches_fraction_column(make):
 def test_rows_on_a_range_slice_the_rows_on_all_columns(make):
     """`_rows(cfg, lo, hi)` is the [lo, hi] slice of `_rows(cfg, 1, d)`:
     on a random range, on one that ends at d (the -1 of row 2 at i = d),
-    on [d, d] and on an empty range, with the same chi(U) each time."""
+    on an empty range and on every single column [i, i], with the same
+    chi(U) each time. A single column takes the scalar path and a longer
+    range the whole-row path, so this pins the two paths equal."""
     rng = random.Random(1616)
     for _ in range(40):
         cfg = make(rng)
@@ -512,8 +516,49 @@ def test_rows_on_a_range_slice_the_rows_on_all_columns(make):
         chi, *full = _rows(cfg, 1, d)
         lo = rng.randint(1, d)
         hi = rng.randint(lo, d)
-        for a, b in ((lo, hi), (lo, d), (d, d), (lo, lo - 1)):
+        for a, b in ((lo, hi), (lo, d), (lo, lo - 1)):
             assert _rows(cfg, a, b) == (chi, *(row[a - 1:b] for row in full))
+        for i in range(1, d + 1):
+            assert _rows(cfg, i, i) == (chi, *(row[i - 1:i] for row in full))
+
+
+def test_floor_row_is_shift_on_every_column():
+    """`_floor_row` gives `_shift` column by column, also for a
+    multiplicity above d (a slope of several steps per column), a negative
+    degree and a range that starts past column 1."""
+    rng = random.Random(2929)
+    for _ in range(2000):
+        d = rng.randint(1, 60)
+        terms = tuple((rng.randint(1, 4 * d), rng.randint(-5, 9))
+                      for _ in range(rng.randint(1, 4)))
+        lo = rng.randint(1, d)
+        cols = range(lo, rng.randint(lo, d) + 1)
+        assert _floor_row(terms, cols, d) == [_shift(terms, i, d)
+                                              for i in cols], (terms, cols, d)
+
+
+def test_scan_builds_each_lattice_row_once(monkeypatch):
+    """One ``scan`` builds each lattice row once, keyed on (w, w', top),
+    and never writes to a shared row: handed out as tuples, a write would
+    raise. A second scan builds its rows again."""
+    text = (FIXTURES / "five-lines.vectors").read_text()
+    spec = ScanSpec(template=text, ranges={"a": (1, 30), "c": (0, 29)},
+                    fixed={"b": 2})
+    want = io.StringIO()
+    run_scan(spec, want)
+    calls = []
+
+    def frozen(w, wp, top):
+        calls.append((w, wp, top))
+        return tuple(lattice_row(w, wp, top))
+
+    monkeypatch.setattr(conespec.engine, "lattice_row", frozen)
+    for _ in range(2):
+        calls.clear()
+        out = io.StringIO()
+        run_scan(spec, out)
+        assert out.getvalue() == want.getvalue()
+        assert calls == [(1, 1, 2)]
 
 
 def test_scan_cell_builds_no_table(monkeypatch):

@@ -10,7 +10,7 @@ import conespec.oracle
 from conespec.cli import main
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ReducedConeConfig, _component_terms,
-                             _shift as real_shift, curve_table,
+                             _floor_row as real_floor_row, curve_table,
                              incidence_consistent, ordinary_middle_row,
                              scan_values)
 from conespec.formats import (config_template, parse_native, parse_singular,
@@ -364,7 +364,7 @@ def test_idiom_ceil(d):
 def test_reference_stays_literal():
     names = set(reference_state.__code__.co_names)
     assert "Fraction" not in names
-    forbidden = {"_shift", "_residue", "_rows", "binom2"}
+    forbidden = {"_shift", "_residue", "_rows", "_floor_row", "binom2"}
     # a renamed engine helper fails here rather than weakening the guard
     assert all(hasattr(conespec.engine, name) for name in forbidden)
     assert not names & forbidden
@@ -377,10 +377,13 @@ def test_rows_checks_are_evidence(monkeypatch, capsys):
     assert cross_check(cfg).passed
     comps = _component_terms(cfg)
 
-    def mutant(terms, i, d):
-        return real_shift(terms, i, d) + (i == 7 and terms == comps)
+    def mutant(terms, cols, d):
+        row = real_floor_row(terms, cols, d)
+        if terms == comps and 7 in cols:
+            row[cols.index(7)] += 1
+        return row
 
-    monkeypatch.setattr(conespec.engine, "_shift", mutant)
+    monkeypatch.setattr(conespec.engine, "_floor_row", mutant)
     code = main(["oracle", str(FIXTURES / "conic-pencil.vectors"),
                  "--param", "a=2", "--param", "b=5", "--param", "c=2"])
     out = capsys.readouterr().out

@@ -7,12 +7,16 @@ independent reference), ``scan`` (parameter grids to CSV). The checks of
 ``verify`` and ``oracle`` are defined in `conespec.oracle`.
 
 Exit codes: 0 success, 1 verification or oracle mismatch, 2 input error.
+
+`main(argv)` may be called many times in one process: every call shares
+one argument parser, built on the first call and not at import.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      _spectrum_table, curve_table, ordinary_middle_row,
                      reduced_cone_spectrum, scan_values, thickened_spectrum)
-from .formats import ConfigError, _ascii_int, config_template, emit_table
+from .formats import (ConfigError, _ascii_int, _lex_expr, config_template,
+                      emit_table)
 from .oracle import cross_check, verify
 from .spectrum import SpectrumVector
 
@@ -61,13 +66,27 @@ def _bind_once(bound: dict, name: str, value, flag: str, code: str) -> None:
     bound[name] = value
 
 
+def _split_name(item: str, flag: str, code: str) -> tuple[str, str]:
+    """NAME and the rest of `item`, written NAME=rest. NAME must be what the
+    template lexer reads as exactly one name token, so '', 'div', 'a b' and
+    '1x' are refused: a template could never use them."""
+    name, _, rest = item.partition("=")
+    try:
+        named = _lex_expr(name) == [("name", name)]
+    except ConfigError:
+        named = False
+    if not named:
+        raise ConfigError(code, f"{flag} name {name!r} is not a parameter name")
+    return name, rest
+
+
 def _parse_params(items) -> dict:
     binding = {}
     for item in items or ():
         if "=" not in item:
             raise ConfigError("param-syntax",
                               f"--param expects NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
+        name, value = _split_name(item, "--param", "param-syntax")
         try:
             value = _ascii_int(value)
         except ValueError as exc:
@@ -84,7 +103,7 @@ def _parse_ranges(items) -> dict:
         if "=" not in item or ".." not in item:
             raise ConfigError("range-syntax",
                               f"--range expects NAME=LO..HI, got {item!r}")
-        name, _, span = item.partition("=")
+        name, span = _split_name(item, "--range", "range-syntax")
         lo_text, _, hi_text = span.partition("..")
         try:
             lo, hi = _ascii_int(lo_text), _ascii_int(hi_text)
@@ -160,8 +179,10 @@ def run_scan(spec: ScanSpec, out) -> int:
     the table, so a point's cost does not grow with d; the points share
     their lattice rows through one mapping that lives for this call only.
     An input error names the grid point and keeps its code and line. A name
-    may be fixed or ranged, not both."""
-    for name in spec.predicates:
+    may be fixed or ranged, not both. A repeated predicate counts once, in
+    the order it was first given."""
+    predicates = tuple(dict.fromkeys(spec.predicates))
+    for name in predicates:
         if name not in PREDICATES:
             raise ConfigError("predicate-unknown",
                               f"unknown predicate {name!r}; choose from "
@@ -202,9 +223,9 @@ def run_scan(spec: ScanSpec, out) -> int:
                               exc.line) from exc
         values = {"n3d_zero": (None if n3d is None else n3d == 0),
                   "chi_nonzero": chi_u != 0}
-        satisfied = [p for p in spec.predicates if values[p] is True]
-        undefined = [p for p in spec.predicates if values[p] is None]
-        if spec.predicates and not undefined and len(satisfied) != len(spec.predicates):
+        satisfied = [p for p in predicates if values[p] is True]
+        undefined = [p for p in predicates if values[p] is None]
+        if predicates and not undefined and len(satisfied) != len(predicates):
             continue
         flags = "n/a" if undefined else ";".join(satisfied)
         writer.writerow(list(combo)
@@ -221,7 +242,12 @@ def cmd_scan(args) -> int:
     return run_scan(spec, sys.stdout)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and returned to
+    every later one. It is shared, so callers only parse with it: each
+    `parse_args` starts from a fresh namespace, and the `append` options
+    default to None, so no call leaves state for the next."""
     parser = argparse.ArgumentParser(
         prog="conespec",
         description="Exact spectrum tables for cones over plane curves and "

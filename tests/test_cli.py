@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,8 +8,8 @@ import pytest
 import conespec.cli
 import conespec.engine
 import conespec.oracle
-from conespec.cli import (ScanSpec, _parse_params, _parse_ranges, main,
-                          run_scan)
+from conespec.cli import (DEFAULT_CAP, ScanSpec, _parse_params, _parse_ranges,
+                          main, run_scan)
 from conespec.engine import CurveConfig, GlobalComponent, reduced_cone_spectrum
 from conespec.formats import ConfigError
 from conespec.local import LocalBranch, SingularPoint
@@ -409,6 +412,24 @@ def test_scan_na_marker(capsys, tmp_path):
     assert lines[1].split(",")[-1] == "n/a"
 
 
+def test_scan_repeated_predicate_counts_once(capsys):
+    """A predicate given twice filters and flags as if given once."""
+    argv = ["scan", FIXTURES / "five-lines.vectors", "--range", "a=1..5",
+            "--param", "b=1", "--param", "c=0"]
+    once = run(capsys, *argv, "--predicate", "n3d_zero")
+    assert once == (0, "a,d,dprime,n_3_over_d,chi_u,flags\n"
+                       "3,7,5,0,1,n3d_zero\n4,8,5,0,1,n3d_zero\n"
+                       "5,9,5,0,1,n3d_zero\n", "")
+    assert run(capsys, *argv, "--predicate", "n3d_zero",
+               "--predicate", "n3d_zero") == once
+    # first-given order, each name once
+    code, out, _ = run(capsys, *argv, "--predicate", "chi_nonzero",
+                       "--predicate", "n3d_zero", "--predicate", "chi_nonzero")
+    assert code == 0
+    assert [line.split(",")[-1] for line in out.splitlines()[1:]] == \
+        ["chi_nonzero;n3d_zero"] * 3
+
+
 def test_scan_results_deterministic(tmp_path):
     import io
     spec = ScanSpec(template=(FIXTURES / "lines-conic.vectors").read_text(),
@@ -461,6 +482,29 @@ def test_scan_binds_each_name_once(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command,argv,message", [
+    ("compute", ["--param", "=3"],
+     "[param-syntax] --param name '' is not a parameter name"),
+    ("scan", ["--range", "a=1..2", "--range", "=1..2", "--param", "b=1"],
+     "[range-syntax] --range name '' is not a parameter name"),
+    ("compute", ["--param", "div=3"],
+     "[param-syntax] --param name 'div' is not a parameter name"),
+    ("compute", ["--param", "a b=3"],
+     "[param-syntax] --param name 'a b' is not a parameter name"),
+    ("scan", ["--range", "1x=1..2", "--param", "b=1"],
+     "[range-syntax] --range name '1x' is not a parameter name"),
+    ("compute", ["--param", "a.b=3"],
+     "[param-syntax] --param name 'a.b' is not a parameter name"),
+], ids=["param-empty", "range-empty", "param-div", "param-blank",
+        "range-digit-first", "param-dot"])
+def test_names_are_template_names(capsys, command, argv, message):
+    """--param and --range take only names a template can use: one name
+    token of the template lexer, as the name's whole text."""
+    code, out, err = run(capsys, command, FIXTURES / "five-lines.vectors",
+                         "--param", "c=0", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_param_and_range_keep_what_int_accepts():
     # signs, surrounding blanks and leading zeros, as int() reads them
     assert _parse_params(["a= +4 ", "b=-0", "c=007"]) == \
@@ -488,6 +532,82 @@ def test_exit_code_contract(capsys, tmp_path):
     bad_input.write_text("component degree=0 mult=1\n")
     code, _, _ = run(capsys, "compute", bad_input)
     assert code == 2
+
+
+def test_shared_parser_keeps_no_state(capsys, monkeypatch):
+    """main runs every call with one parser: options of one call, or an
+    argparse error, do not reach the next."""
+    fixture, params, golden = GOLDEN_CASES[0]
+    config = ["compute", FIXTURES / fixture]
+    for name, value in params.items():
+        config += ["--param", f"{name}={value}"]
+    middles = []
+    incidence = conespec.cli.ordinary_middle_row
+    monkeypatch.setattr(conespec.cli, "ordinary_middle_row",
+                        lambda *a: middles.append(a) or incidence(*a))
+    assert run(capsys, *config, "--middle", "cor2", "--format", "csv") == (
+        0, (GOLDEN / golden).with_suffix(".csv").read_text(), "")
+    assert len(middles) == 1
+    assert run(capsys, *config) == (0, (GOLDEN / golden).read_text(), "")
+    assert len(middles) == 1            # plain compute takes thm2
+
+    specs = []
+    monkeypatch.setattr(conespec.cli, "run_scan",
+                        lambda spec, out: specs.append(spec)
+                        or run_scan(spec, out))
+    scan = ["scan", FIXTURES / "five-lines.vectors", "--range", "a=1..5",
+            "--param", "b=1", "--param", "c=0"]
+    assert run(capsys, *scan, "--predicate", "n3d_zero", "--cap", "5") == (
+        0, "a,d,dprime,n_3_over_d,chi_u,flags\n3,7,5,0,1,n3d_zero\n"
+           "4,8,5,0,1,n3d_zero\n5,9,5,0,1,n3d_zero\n", "")
+    assert run(capsys, *scan) == (
+        0, "a,d,dprime,n_3_over_d,chi_u,flags\n1,5,5,1,1,\n2,6,5,1,1,\n"
+           "3,7,5,0,1,\n4,8,5,0,1,\n5,9,5,0,1,\n", "")
+    assert [(s.predicates, s.cap) for s in specs] == [
+        (("n3d_zero",), 5), ((), DEFAULT_CAP)]
+
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in config] + ["--middle", "bogus"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: conespec compute ")
+    assert captured.err.endswith(
+        "conespec compute: error: argument --middle: invalid choice: "
+        "'bogus' (choose from 'thm2', 'cor2')\n")
+    assert run(capsys, *config) == (0, (GOLDEN / golden).read_text(), "")
+
+
+def test_parser_is_built_on_first_call_only():
+    """Importing conespec.cli builds no parser; the first main call builds
+    it, and later calls build none."""
+    src = ROOT / "src"
+    code = f"""
+import argparse, contextlib, io
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import conespec.cli
+print(built)
+counts = []
+for command in ["verify", "oracle", "compute", "scan", "compute"]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        conespec.cli.main([command, {str(FIXTURES / "two-lines.cfg")!r}])
+    counts.append(built)
+print(counts)
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    at_import, counts = done.stdout.splitlines()
+    assert at_import == "0"
+    # the program parser and one per command, on the first call only
+    assert counts == str([6] * 5)
 
 
 def test_compute_deep_and_long_templates(capsys, tmp_path):

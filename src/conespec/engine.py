@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Optional, Sequence
 
 from .local import (SingularPoint, _window_row, lattice_row,
@@ -490,23 +490,26 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
     and is dropped.
 
     On the 1/(m d') grid the cell (i, l, p) is k = i + l*d' + p*m*d'; these
-    k are pairwise distinct, so no two cells meet."""
+    k are pairwise distinct, so no two cells meet. Each (i, p) cell fills
+    its l-progression of a dense row with one strided slice, and the
+    entries are read off that row in increasing k."""
     m = cfg.power
     n = cfg.ambient_dim
     dp = cfg.degree
     correction = (-1) ** n
     grid = base.numerators(dp)      # i + p*d' -> value, on the 1/d' grid
-    entries: dict[int, int] = {}
-    for i in range(1, dp + 1):
-        for p in range(n + 1):
+    row = [0] * ((n + 1) * m * dp)
+    for p in range(n + 1):
+        for i in range(1, dp + 1):
             v = grid.get(i + p * dp, 0)
             spread = m
             if i == dp and p == n:      # l = m - 1 is the boundary n + 1
                 spread, v = m - 1, v + correction
             if v:
-                for l in range(spread):
-                    entries[i + l * dp + p * m * dp] = v
-    return SpectrumVector(entries, n + 1, denominator=m * dp)
+                start = i + p * m * dp
+                row[start:start + spread * dp:dp] = [v] * spread
+    return SpectrumVector(dict(compress(enumerate(row), row)), n + 1,
+                          denominator=m * dp)
 
 
 def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> ConeSpectrumTable:

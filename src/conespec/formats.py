@@ -27,7 +27,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      Incidence, ReducedConeConfig)
 from .local import (LocalBranch, SingularPoint, WeightSystem,
                     validate_branches, weighted_spectrum)
-from .spectrum import SpectrumVector, exponent_text
+from .spectrum import SpectrumVector, exponent_texts
 
 
 class ConfigError(ValueError):
@@ -705,11 +705,12 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
         ]
         return "\n".join(lines) + "\n"
     if mode == "csv":
+        d = table.d
+        alphas = exponent_texts(range(1, 3 * d + 1), d)
         lines = ["i,alpha,e,value"]
-        for e in range(3):
-            for i in range(1, table.d + 1):
-                alpha = exponent_text(i + e * table.d, table.d)
-                lines.append(f"{i},{alpha},{e},{table.rows[e][i - 1]}")
+        for e, row in enumerate(table.rows):
+            lines += [f"{i},{alpha},{e},{v}" for i, alpha, v
+                      in zip(range(1, d + 1), alphas[e * d:], row)]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown table mode {mode!r}")
 

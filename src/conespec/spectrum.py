@@ -6,17 +6,17 @@ over one denominator, the least common denominator of its exponents, and its
 multiplicities as (possibly negative) Python ints. A vector is canonical:
 entries with multiplicity 0 are never stored and the denominator is the
 least one, so equality is structural. `fractions.Fraction` appears only at
-the edge: the constructor's exponent form, `items` and `multiplicity`.
-`numerators` and the ``denominator`` argument of the constructor are the
-integer way out and in, and `exponent_text` writes an exponent k/den from
-its integers, as `render` and the csv writer print it.
+the edge: the constructor's exponent form and `multiplicity`. `numerators`
+and the ``denominator`` argument of the constructor are the integer way out
+and in, and `exponent_texts` writes a whole list of exponents k/den from
+their integers, as `render` and the csv writer print them.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 ExponentLike = Union[Fraction, int, str]
 
@@ -35,13 +35,16 @@ def _count(mult) -> int:
     return count
 
 
-def exponent_text(k: int, den: int) -> str:
-    """The exponent k/den (den >= 1) in lowest terms, "p" or "p/q": the same
-    text as ``str(Fraction(k, den))``."""
-    g = math.gcd(k, den)
-    if g == den:
-        return str(k // den)
-    return f"{k // g}/{den // g}"
+def exponent_texts(nums: Sequence[int], den: int) -> list[str]:
+    """The exponents k/den (den >= 1) for the numerators k of `nums`, each
+    in lowest terms, "p" or "p/q": the same text as
+    ``str(Fraction(k, den))``. k/den reduces by g = gcd(k mod den, den), so
+    g and the text "/q" are worked out once per residue present in `nums`."""
+    tails = {}
+    for r in {k % den for k in nums}:
+        g = math.gcd(r, den)
+        tails[r] = (g, "" if g == den else f"/{den // g}")
+    return [f"{k // g}{q}" for k in nums for g, q in (tails[k % den],)]
 
 
 class SpectrumVector:
@@ -100,11 +103,6 @@ class SpectrumVector:
         return {k * denominator // self._den: m for k, m in self._nums.items()
                 if k * denominator % self._den == 0}
 
-    def items(self) -> list[tuple[Fraction, int]]:
-        """Entries sorted by increasing exponent."""
-        return [(Fraction(k, self._den), m)
-                for k, m in sorted(self._nums.items())]
-
     def multiplicity(self, exponent: ExponentLike) -> int:
         e = _as_fraction(exponent)
         scale, off_grid = divmod(self._den, e.denominator)
@@ -147,9 +145,10 @@ class SpectrumVector:
 
     def render(self) -> str:
         """Canonical text form: "p/q:m" entries, increasing exponents."""
-        den = self._den
-        return ", ".join(f"{exponent_text(k, den)}:{m}"
-                         for k, m in sorted(self._nums.items()))
+        nums = self._nums
+        keys = sorted(nums)
+        return ", ".join([f"{text}:{nums[k]}" for text, k
+                          in zip(exponent_texts(keys, self._den), keys)])
 
     def __str__(self) -> str:
         return self.render()

@@ -74,10 +74,17 @@ class FractionSpectrum:
         return ", ".join(f"{e}:{m}" for e, m in self.items())
 
 
+def fraction_items(spec: SpectrumVector) -> list[tuple[Fraction, int]]:
+    """Entries of `spec` as (Fraction exponent, multiplicity) pairs sorted by
+    increasing exponent, built from `numerators()` and `denominator`."""
+    return [(Fraction(k, spec.denominator), m)
+            for k, m in sorted(spec.numerators().items())]
+
+
 def fraction_render(spec: SpectrumVector) -> str:
     """`SpectrumVector.render` as first written: one `Fraction` per entry,
-    through `items()`."""
-    return ", ".join(f"{e}:{m}" for e, m in spec.items())
+    through `fraction_items`."""
+    return ", ".join(f"{e}:{m}" for e, m in fraction_items(spec))
 
 
 def empty_spectrum(ambient_dim: int) -> SpectrumVector:
@@ -98,24 +105,24 @@ def product(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
     """Exponent convolution: joining two germs in disjoint variables
     multiplies their spectra, so the result has one entry n_a*n_b at x+y
     for every pair of entries. Requires nonnegative multiplicities."""
-    if any(m < 0 for vec in (a, b) for _, m in vec.items()):
+    if any(m < 0 for vec in (a, b) for m in vec.numerators().values()):
         raise ValueError("product requires genuine spectra "
                          "(nonnegative multiplicities)")
-    return SpectrumVector([(x + y, ma * mb) for x, ma in a.items()
-                           for y, mb in b.items()],
+    return SpectrumVector([(x + y, ma * mb) for x, ma in fraction_items(a)
+                           for y, mb in fraction_items(b)],
                           a.ambient_dim + b.ambient_dim)
 
 
 def min_exponent(spec: SpectrumVector) -> Fraction:
     if not spec:
         raise ValueError("empty spectrum has no minimum exponent")
-    return spec.items()[0][0]
+    return fraction_items(spec)[0][0]
 
 
 def max_exponent(spec: SpectrumVector) -> Fraction:
     if not spec:
         raise ValueError("empty spectrum has no maximum exponent")
-    return spec.items()[-1][0]
+    return fraction_items(spec)[-1][0]
 
 
 def weighted_milnor(ws: WeightSystem) -> int:
@@ -299,7 +306,7 @@ def emit_native(cfg) -> str:
         lines.append(f"reduced n={cfg.ambient_dim} degree={cfg.degree} "
                      f"power={cfg.power}")
         for spec in cfg.local_spectra:
-            body = " ".join(f"{e}:{m}" for e, m in spec.items())
+            body = " ".join(f"{e}:{m}" for e, m in fraction_items(spec))
             lines.append(f"localspectrum {body}")
         return "\n".join(lines) + "\n"
     lines.append("ambient 2")

@@ -26,7 +26,8 @@ from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
 from reference import (binomial_local_table, emit_native, euler_generic_union,
-                       reduced_multiplicity, thicken, weighted_milnor)
+                       fraction_items, reduced_multiplicity, thicken,
+                       weighted_milnor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -148,7 +149,7 @@ def test_curve_table_smooth_conic():
     assert list(t.rows[1]) == [1, 0]
     assert all(v == 0 for v in t.rows[0]) and all(v == 0 for v in t.rows[2])
     oracle = weighted_spectrum(WeightSystem((1, 1, 1), 2))
-    assert t.as_spectrum() == SpectrumVector(dict(oracle.items()), 3)
+    assert t.as_spectrum() == SpectrumVector(dict(fraction_items(oracle)), 3)
 
 
 # a branch degree outside {w, w', w*w'}, and a Milnor number
@@ -607,3 +608,24 @@ def test_thickened_matches_fraction_loop():
         base = SpectrumVector(entries, ambient_dim=n + 1)
         cfg = ReducedConeConfig(n, dp, (), power=m)
         assert thickened_spectrum(base, cfg) == fraction_thickened(base, cfg)
+    # genuine reduced-cone bases at the sizes the strided slices serve:
+    # n = 3, d' = 40 with four Brieskorn-Pham points, and n = 4 up to m = 60
+    for n, dp, exponents, powers in (
+            (3, 40, ((2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 5, 5), (2, 3, 9),
+                     (3, 3, 5)), (44, 45, 46)),
+            (4, 12, ((2, 2, 3, 3), (2, 3, 3, 4), (2, 2, 2, 5), (3, 3, 3, 3)),
+             (rng.randint(2, 30), 59, 60))):
+        for m in powers:
+            spectra = [brieskorn_spectrum(pqr)
+                       for pqr in rng.sample(exponents, 4)]
+            cfg = ReducedConeConfig(n, dp, spectra, power=m)
+            base = reduced_cone_spectrum(cfg)
+            power = thickened_spectrum(base, cfg)
+            assert power == fraction_thickened(base, cfg), (n, m)
+            assert list(power.numerators()) == sorted(power.numerators())
+
+
+def brieskorn_spectrum(exponents):
+    """Spectrum of x_1^p_1 + ... + x_n^p_n: weights lcm/p_i, degree lcm."""
+    d = math.lcm(*exponents)
+    return weighted_spectrum(WeightSystem(tuple(d // p for p in exponents), d))

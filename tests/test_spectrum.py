@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -6,9 +7,9 @@ import pytest
 
 from conespec import formats
 from conespec.engine import ReducedConeConfig, thickened_spectrum
-from conespec.spectrum import SpectrumVector, exponent_text
-from reference import (FractionSpectrum, add, empty_spectrum, fraction_render,
-                       max_exponent, min_exponent, product)
+from conespec.spectrum import SpectrumVector, exponent_texts
+from reference import (FractionSpectrum, add, empty_spectrum, fraction_items,
+                       fraction_render, max_exponent, min_exponent, product)
 
 F = Fraction
 
@@ -148,7 +149,7 @@ def test_product_support_shifts():
 
 def test_canonical_no_zero_entries():
     a = SpectrumVector({F(1): 0, F(2): 1}, ambient_dim=3)
-    assert a.items() == [(F(2), 1)]
+    assert fraction_items(a) == [(F(2), 1)]
     assert a.multiplicity(F(1)) == 0
 
 
@@ -178,7 +179,7 @@ def test_matches_fraction_reference():
         if rng.random() < 0.3:      # a symmetric vector now and then
             a, ra = add(a, a.dual()), ra + ra.dual()
         for vec, ref in ((a, ra), (add(a, b), ra + rb), (a.dual(), ra.dual())):
-            assert vec.items() == ref.items()
+            assert fraction_items(vec) == ref.items()
             assert vec.render() == ref.render()
             assert vec.has_valid_support() == ref.has_valid_support()
             assert vec.is_symmetric() == ref.is_symmetric()
@@ -251,9 +252,14 @@ def test_mapping_path_keeps_a_reduced_grid():
     assert vec.multiplicity(F(1, 9)) == 3
 
 
+def _fraction_texts(nums, den):
+    return [str(F(k, den)) for k in nums]
+
+
 def test_exponent_text_matches_fraction():
     rng = random.Random(707)
     dens = [1, 2, 3, 7, 12, 40, 1800, 10**6 + 3, 2 * 3 * 5 * 7 * 11 * 13]
+    by_den = {}
     for _ in range(3000):
         den = rng.choice(dens + [rng.randint(1, 10**7)])
         k = rng.choice([
@@ -263,11 +269,37 @@ def test_exponent_text_matches_fraction():
             rng.randint(10**6, 10**12),             # above 10**6
             -rng.randint(10**6, 10**12),
         ])
-        assert exponent_text(k, den) == str(F(k, den)), (k, den)
-    for k in range(-30, 31):
-        assert exponent_text(k, 1) == str(F(k, 1)) == str(k)
-        for den in range(1, 25):
-            assert exponent_text(k, den) == str(F(k, den))
+        assert exponent_texts([k], den) == [str(F(k, den))], (k, den)
+        by_den.setdefault(den, []).append(k)
+    # the same corpus as one list per denominator, repeats included
+    for den, nums in by_den.items():
+        assert exponent_texts(nums, den) == _fraction_texts(nums, den), den
+    for den in dens:                # many residues of one den in one list
+        nums = [rng.randint(-3 * den, 3 * den) for _ in range(400)]
+        nums += [den * rng.randint(-4, 9) for _ in range(20)]
+        assert exponent_texts(nums, den) == _fraction_texts(nums, den), den
+    nums = range(-30, 31)
+    assert exponent_texts(nums, 1) == [str(k) for k in nums]
+    for den in range(1, 25):
+        assert exponent_texts(nums, den) == _fraction_texts(nums, den)
+    assert exponent_texts([], 7) == []
+
+
+def test_render_of_a_sparse_vector_on_a_huge_denominator():
+    """The per-residue table of `exponent_texts` holds only the residues
+    present, so three entries over den ~ 10**9 stay far below 1 MB."""
+    for den, nums in ((10**9 + 7, {1: 2, 10**9 + 6: -1, 3 * (10**9 + 7) + 5: 4}),
+                      (10**9, {3: 1, 5 * 10**8: 2, 2 * 10**9: -3})):
+        vec = SpectrumVector(nums, 4, denominator=den)
+        assert vec.denominator == den
+        tracemalloc.start()
+        try:
+            text = vec.render()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == fraction_render(vec)
+        assert peak < 10**6, peak
 
 
 def _names(code: types.CodeType) -> set[str]:
@@ -281,10 +313,13 @@ def _names(code: types.CodeType) -> set[str]:
 
 
 def test_writers_stay_integer():
+    """Both writers print exponents through the one list writer, which owns
+    the lowest-terms rule: neither builds a `Fraction` or takes a gcd."""
     for writer in (SpectrumVector.render, formats.emit_table):
         names = _names(writer.__code__)
         assert "Fraction" not in names
-        assert "exponent_text" in names
+        assert "gcd" not in names
+        assert "exponent_texts" in names
 
 
 def test_render_matches_fraction_transcription():

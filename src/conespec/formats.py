@@ -10,10 +10,11 @@ Two input dialects are supported:
 
 Integer slots in both dialects accept template expressions (literals are the
 degenerate case). Each expression is compiled once into a function of the
-parameter binding, and `config_template` makes a whole config text one such
-function. The exceptions are native ``incidence`` and ``incidence-matrix``
-entries, which are literal integers, and native ``localspectrum`` entries,
-which are literal fractions, both read through `_ascii_int`.
+parameter binding, and a whole config text is parsed once into one such
+function (`parse_native`, `config_template`). The exceptions are native
+``incidence`` and ``incidence-matrix`` entries, which are literal integers,
+and native ``localspectrum`` entries, which are literal fractions, both read
+through `_ascii_int` when the text is parsed.
 """
 
 from __future__ import annotations
@@ -391,7 +392,8 @@ def _keyvals(parts: list[str], needed: tuple,
     return out
 
 
-def _parse_branches(text: str, binding) -> tuple[LocalBranch, ...]:
+def _compile_branches(text: str) -> list[tuple[Expr, Expr]]:
+    """The (degree, multiplicity) templates of ``(deg:mult)(deg:mult)...``."""
     branches = []
     pos = 0
     while pos < len(text):
@@ -414,17 +416,12 @@ def _parse_branches(text: str, binding) -> tuple[LocalBranch, ...]:
         if depth or colon is None:
             raise ConfigError("branch-syntax",
                               f"malformed branch list {_quote(text)}")
-        deg = parse_expr(text[pos + 1: colon])(binding)
-        mult = parse_expr(text[colon + 1: end - 1])(binding)
-        if deg < 1 or mult < 1:
-            raise ConfigError(
-                "value-nonpositive",
-                "branch degree and multiplicity must be positive")
-        branches.append(LocalBranch(deg, mult))
+        branches.append((parse_expr(text[pos + 1: colon]),
+                         parse_expr(text[colon + 1: end - 1])))
         pos = end
     if not branches:
         raise ConfigError("branch-syntax", "a point needs at least one branch")
-    return tuple(branches)
+    return branches
 
 
 def _ascii_int(text: str) -> int:
@@ -464,52 +461,238 @@ def _tokenize_line(line: str) -> list[str]:
     return tokens
 
 
-# keyword -> (slot it may fill once, mode): a "curve" line cannot share a
-# config with a 'reduced' header, and a "local" line needs one before it
+class _Fields:
+    """What one evaluation of a native template collects; every call starts
+    from a new one."""
+
+    def __init__(self):
+        self.components: list[GlobalComponent] = []
+        self.points: list[SingularPoint] = []
+        self.spectra: list[SpectrumVector] = []
+        self.nodes = 0
+        self.incidence: Optional[Incidence] = None
+        self.header: Optional[tuple[int, int, int]] = None  # n, degree, power
+
+
+# A compiled line: it evaluates its slots at the binding and records what
+# it describes in the fields of that call.
+Step = Callable[[Mapping[str, int], _Fields], None]
+
+
+def _count(count: Expr, binding) -> int:
+    value = count(binding)
+    if value < 1:
+        raise ConfigError("value-nonpositive",
+                          f"count must be positive, got {value}")
+    return value
+
+
+def _one_value(keyword: str, args: list[str]) -> Expr:
+    if len(args) != 1:
+        raise ConfigError("key-syntax", f"{keyword} takes one value")
+    return parse_expr(args[0])
+
+
+def _ambient(args: list[str]) -> Step:
+    value = _one_value("ambient", args)
+
+    def step(binding, out):
+        if value(binding) != 2:
+            raise ConfigError("ambient-unsupported",
+                              "curve configs are planar (ambient 2); use a "
+                              "'reduced' header for other dimensions")
+    return step
+
+
+def _nodes(args: list[str]) -> Step:
+    value = _one_value("nodes", args)
+
+    def step(binding, out):
+        out.nodes = value(binding)
+        if out.nodes < 0:
+            raise ConfigError("value-nonpositive", "node count must be >= 0")
+    return step
+
+
+def _component(args: list[str]) -> Step:
+    kv = _keyvals(args, ("degree", "mult"), ("count",))
+    degree, mult, count = map(parse_expr, (kv["degree"], kv["mult"],
+                                           kv.get("count", "1")))
+
+    def step(binding, out):
+        d, m = degree(binding), mult(binding)
+        copies = _count(count, binding)
+        if d < 1 or m < 1:
+            raise ConfigError("value-nonpositive",
+                              "degree and mult must be positive")
+        out.components += [GlobalComponent(d, m)] * copies
+    return step
+
+
+def _point(args: list[str]) -> Step:
+    kv = _keyvals(args, ("weights", "branches"), ("count",))
+    weight_parts = kv["weights"].split(",")
+    if len(weight_parts) != 2:
+        raise ConfigError("weights-syntax", "point weights must be w,w'")
+    w_expr, wp_expr = map(parse_expr, weight_parts)
+    branch_exprs = _compile_branches(kv["branches"])
+    count = parse_expr(kv.get("count", "1"))
+
+    def step(binding, out):
+        w, wp = w_expr(binding), wp_expr(binding)
+        branches = []
+        for deg_expr, mult_expr in branch_exprs:
+            deg, mult = deg_expr(binding), mult_expr(binding)
+            if deg < 1 or mult < 1:
+                raise ConfigError(
+                    "value-nonpositive",
+                    "branch degree and multiplicity must be positive")
+            branches.append(LocalBranch(deg, mult))
+        copies = _count(count, binding)
+        with _coded("point-invalid"):
+            point = SingularPoint((w, wp), tuple(branches))
+            if not validate_branches(point):
+                raise ConfigError(
+                    "branch-degree",
+                    f"branch degrees must lie in {{w, w', w*w'}} = "
+                    f"{{{w}, {wp}, {w * wp}}}")
+            point.milnor()
+        out.points += [point] * copies
+    return step
+
+
+def _set_incidence(incidence: Incidence) -> Step:
+    def step(binding, out):
+        out.incidence = incidence
+    return step
+
+
+def _incidence(args: list[str]) -> Step:
+    pairs = []
+    for token in args:
+        try:
+            count, value = map(_ascii_int, token.split("x"))
+        except ValueError as exc:
+            raise ConfigError("incidence-syntax",
+                              f"expected COUNTxVALUE, got {token!r}") from exc
+        if count < 1 or value < 1:
+            raise ConfigError("value-nonpositive",
+                              "incidence counts and values must be positive")
+        pairs.append((count, value))
+    return _set_incidence(Incidence.from_pairs(pairs))
+
+
+def _incidence_matrix(args: list[str]) -> Step:
+    rows: list[list[int]] = [[]]
+    for token in args:
+        for idx, part in enumerate(token.split(";")):
+            if idx:
+                rows.append([])
+            if part:
+                try:
+                    rows[-1].append(_ascii_int(part))
+                except ValueError as exc:
+                    raise ConfigError("incidence-syntax",
+                                      f"bad matrix entry {part!r}") from exc
+    rows = [r for r in rows if r]
+    if not rows:
+        raise ConfigError("incidence-syntax",
+                          "incidence-matrix needs at least one row")
+    with _coded("value-nonpositive"):
+        return _set_incidence(Incidence.from_matrix(rows))
+
+
+def _reduced(args: list[str]) -> Step:
+    kv = _keyvals(args, ("n", "degree"), ("power",))
+    header = tuple(map(parse_expr, (kv["n"], kv["degree"],
+                                    kv.get("power", "1"))))
+
+    def step(binding, out):
+        out.header = tuple(e(binding) for e in header)
+    return step
+
+
+def _localspectrum(args: list[str]) -> Step:
+    entries = []
+    for token in args:
+        if ":" not in token:
+            raise ConfigError("spectrum-syntax",
+                              f"expected p/q:m, got {token!r}")
+        e_text, _, m_text = token.rpartition(":")
+        exponent = _parse_fraction(e_text)
+        try:
+            mult = _ascii_int(m_text)
+        except ValueError as exc:
+            raise ConfigError("spectrum-syntax",
+                              f"bad multiplicity {m_text!r}") from exc
+        entries.append((exponent, mult))
+    if not entries:
+        raise ConfigError("spectrum-syntax",
+                          "localspectrum needs at least one entry")
+
+    def step(binding, out):
+        with _coded("config-invalid"):
+            out.spectra.append(SpectrumVector(entries,
+                                              ambient_dim=out.header[0]))
+    return step
+
+
+def _localwh(args: list[str]) -> Step:
+    kv = _keyvals(args, ("weights", "degree"), ())
+    weight_exprs = [parse_expr(p) for p in kv["weights"].split(",")]
+    degree = parse_expr(kv["degree"])
+
+    def step(binding, out):
+        weights = tuple(e(binding) for e in weight_exprs)
+        n = out.header[0]
+        if len(weights) != n:
+            raise ConfigError("weights-syntax", f"localwh needs {n} weights "
+                              "(one per variable)")
+        d = degree(binding)
+        with _coded("point-invalid"):
+            out.spectra.append(weighted_spectrum(WeightSystem(weights, d)))
+    return step
+
+
+# keyword -> (compile function, slot it may fill once, mode): a "curve" line
+# cannot share a config with a 'reduced' header, and a "local" line needs
+# one before it
 _KEYWORDS = {
-    "ambient": (None, "curve"),
-    "component": (None, "curve"),
-    "point": (None, "curve"),
-    "nodes": ("nodes", "curve"),
-    "incidence": ("incidence", "curve"),
-    "incidence-matrix": ("incidence", "curve"),
-    "reduced": ("reduced", None),
-    "localspectrum": (None, "local"),
-    "localwh": (None, "local"),
+    "ambient": (_ambient, None, "curve"),
+    "component": (_component, None, "curve"),
+    "point": (_point, None, "curve"),
+    "nodes": (_nodes, "nodes", "curve"),
+    "incidence": (_incidence, "incidence", "curve"),
+    "incidence-matrix": (_incidence_matrix, "incidence", "curve"),
+    "reduced": (_reduced, "reduced", None),
+    "localspectrum": (_localspectrum, None, "local"),
+    "localwh": (_localwh, None, "local"),
 }
 
-
-def _count(kv: dict[str, str], binding) -> int:
-    count = parse_expr(kv.get("count", "1"))(binding)
-    if count < 1:
-        raise ConfigError("value-nonpositive",
-                          f"count must be positive, got {count}")
-    return count
+# a config text as a function of its parameter binding
+Template = Callable[[Mapping[str, int]], Union[CurveConfig, ReducedConeConfig]]
 
 
-def parse_native(text: str,
-                 binding: Optional[Mapping[str, int]] = None
-                 ) -> Union[CurveConfig, ReducedConeConfig]:
-    """Parse the native config format.
+def parse_native(text: str) -> Template:
+    """Compile the native config format into a function of the parameter
+    binding.
 
-    Returns a `ReducedConeConfig` when a ``reduced`` header line is present,
-    otherwise a `CurveConfig`. All violations raise `ConfigError` with a
-    machine-readable code. The error carries the line number where one line
-    is at fault; errors about the whole config (no components, an incidence
-    matrix of the wrong width) carry none. The line loop is the one place
-    that sets it: an error raised while line N is read, and that names no
-    line of its own, gets N.
+    The function returns a `ReducedConeConfig` when a ``reduced`` header
+    line is present, otherwise a `CurveConfig`. All violations raise
+    `ConfigError` with a machine-readable code. What holds at every binding
+    is checked here, once: keywords, keys, repeated lines, mode conflicts,
+    the syntax of expressions and branches, literal incidence and spectrum
+    entries, and a curve config without components. What depends on the
+    binding is checked at each call: unbound names, ``div``, values, and
+    the objects built from them. The error carries the line number where
+    one line is at fault; errors about the whole config (no components, an
+    incidence matrix of the wrong width) carry none. Each stage has one
+    place that sets it: an error raised while line N is compiled or
+    evaluated, and that names no line of its own, gets N.
     """
-    binding = binding or {}
-    components: list[GlobalComponent] = []
-    points: list[SingularPoint] = []
-    nodes = 0
-    incidence: Optional[Incidence] = None
-    reduced_header = None
-    spectra: list[SpectrumVector] = []
-    saw_curve_keyword = False
+    steps: list[tuple[int, Step]] = []
     first_line: dict[str, int] = {}     # single-valued slot -> its line
-
+    seen = set()                        # keywords of the lines read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
             tokens = _tokenize_line(_strip_comment(raw))
@@ -519,7 +702,7 @@ def parse_native(text: str,
             if keyword not in _KEYWORDS:
                 raise ConfigError("bad-keyword",
                                   f"unknown keyword {keyword!r}")
-            slot, mode = _KEYWORDS[keyword]
+            compile_line, slot, mode = _KEYWORDS[keyword]
             if slot is not None:
                 if slot in first_line:
                     raise ConfigError("key-syntax",
@@ -527,158 +710,44 @@ def parse_native(text: str,
                                       f"{first_line[slot]}: {slot} may be "
                                       "given once")
                 first_line[slot] = lineno
-            if mode == "local" and reduced_header is None:
+            if mode == "local" and "reduced" not in first_line:
                 raise ConfigError("mode-conflict", f"{keyword} needs a "
                                   "preceding 'reduced' header")
-            saw_curve_keyword = saw_curve_keyword or mode == "curve"
-
-            if keyword in ("ambient", "nodes"):
-                if len(args) != 1:
-                    raise ConfigError("key-syntax",
-                                      f"{keyword} takes one value")
-                value = parse_expr(args[0])(binding)
-
-            if keyword == "ambient":
-                if value != 2:
-                    raise ConfigError("ambient-unsupported",
-                                      "curve configs are planar (ambient 2); "
-                                      "use a 'reduced' header for other "
-                                      "dimensions")
-
-            elif keyword == "nodes":
-                if value < 0:
-                    raise ConfigError("value-nonpositive",
-                                      "node count must be >= 0")
-                nodes = value
-
-            elif keyword == "component":
-                kv = _keyvals(args, ("degree", "mult"), ("count",))
-                degree = parse_expr(kv["degree"])(binding)
-                mult = parse_expr(kv["mult"])(binding)
-                count = _count(kv, binding)
-                if degree < 1 or mult < 1:
-                    raise ConfigError("value-nonpositive",
-                                      "degree and mult must be positive")
-                components.extend([GlobalComponent(degree, mult)] * count)
-
-            elif keyword == "point":
-                kv = _keyvals(args, ("weights", "branches"), ("count",))
-                weight_parts = kv["weights"].split(",")
-                if len(weight_parts) != 2:
-                    raise ConfigError("weights-syntax",
-                                      "point weights must be w,w'")
-                w = parse_expr(weight_parts[0])(binding)
-                wp = parse_expr(weight_parts[1])(binding)
-                branches = _parse_branches(kv["branches"], binding)
-                count = _count(kv, binding)
-                with _coded("point-invalid"):
-                    point = SingularPoint((w, wp), branches)
-                    if not validate_branches(point):
-                        raise ConfigError(
-                            "branch-degree",
-                            f"branch degrees must lie in {{w, w', w*w'}} = "
-                            f"{{{w}, {wp}, {w * wp}}}")
-                    point.milnor()
-                points.extend([point] * count)
-
-            elif keyword == "incidence":
-                pairs = []
-                for token in args:
-                    try:
-                        count, value = map(_ascii_int, token.split("x"))
-                    except ValueError as exc:
-                        raise ConfigError("incidence-syntax",
-                                          "expected COUNTxVALUE, got "
-                                          f"{token!r}") from exc
-                    if count < 1 or value < 1:
-                        raise ConfigError("value-nonpositive",
-                                          "incidence counts and values must "
-                                          "be positive")
-                    pairs.append((count, value))
-                incidence = Incidence.from_pairs(pairs)
-
-            elif keyword == "incidence-matrix":
-                rows: list[list[int]] = [[]]
-                for token in args:
-                    for idx, part in enumerate(token.split(";")):
-                        if idx:
-                            rows.append([])
-                        if part:
-                            try:
-                                rows[-1].append(_ascii_int(part))
-                            except ValueError as exc:
-                                raise ConfigError("incidence-syntax",
-                                                  "bad matrix entry "
-                                                  f"{part!r}") from exc
-                rows = [r for r in rows if r]
-                if not rows:
-                    raise ConfigError("incidence-syntax",
-                                      "incidence-matrix needs at least one "
-                                      "row")
-                with _coded("value-nonpositive"):
-                    incidence = Incidence.from_matrix(rows)
-
-            elif keyword == "reduced":
-                kv = _keyvals(args, ("n", "degree"), ("power",))
-                reduced_header = (lineno,
-                                  parse_expr(kv["n"])(binding),
-                                  parse_expr(kv["degree"])(binding),
-                                  parse_expr(kv.get("power", "1"))(binding))
-
-            elif keyword == "localspectrum":
-                entries = []
-                for token in args:
-                    if ":" not in token:
-                        raise ConfigError("spectrum-syntax",
-                                          f"expected p/q:m, got {token!r}")
-                    e_text, _, m_text = token.rpartition(":")
-                    exponent = _parse_fraction(e_text)
-                    try:
-                        mult = _ascii_int(m_text)
-                    except ValueError as exc:
-                        raise ConfigError("spectrum-syntax", "bad multiplicity "
-                                          f"{m_text!r}") from exc
-                    entries.append((exponent, mult))
-                if not entries:
-                    raise ConfigError("spectrum-syntax",
-                                      "localspectrum needs at least one entry")
-                with _coded("config-invalid"):
-                    spectra.append(SpectrumVector(
-                        entries, ambient_dim=reduced_header[1]))
-
-            elif keyword == "localwh":
-                kv = _keyvals(args, ("weights", "degree"), ())
-                weight_parts = kv["weights"].split(",")
-                weights = tuple(parse_expr(p)(binding) for p in weight_parts)
-                if len(weights) != reduced_header[1]:
-                    raise ConfigError("weights-syntax",
-                                      f"localwh needs {reduced_header[1]} "
-                                      "weights (one per variable)")
-                degree = parse_expr(kv["degree"])(binding)
-                with _coded("point-invalid"):
-                    spectra.append(
-                        weighted_spectrum(WeightSystem(weights, degree)))
+            seen.add(keyword)
+            steps.append((lineno, compile_line(args)))
         except ConfigError as exc:
             if exc.line is None:
                 exc.line = lineno
             raise
 
-    if reduced_header is not None:
-        if saw_curve_keyword:
-            raise ConfigError("mode-conflict",
-                              "cannot mix curve lines with a 'reduced' header",
-                              reduced_header[0])
-        lineno, n, degree, power = reduced_header
-        with _coded("config-invalid", lineno):
-            return ReducedConeConfig(ambient_dim=n, degree=degree,
-                                     local_spectra=tuple(spectra), power=power)
+    header_line = first_line.get("reduced")
+    if header_line is not None:
+        if any(_KEYWORDS[k][2] == "curve" for k in seen):
+            raise ConfigError("mode-conflict", "cannot mix curve lines with "
+                              "a 'reduced' header", header_line)
+    elif "component" not in seen:
+        raise ConfigError("config-invalid", "config defines no components")
 
-    if not components:
-        raise ConfigError("config-invalid",
-                          "config defines no components")
-    with _coded("config-invalid"):
-        return CurveConfig(components=tuple(components), points=tuple(points),
-                           nodes=nodes, incidence=incidence)
+    def build(binding: Mapping[str, int]):
+        out = _Fields()
+        for lineno, step in steps:
+            try:
+                step(binding, out)
+            except ConfigError as exc:
+                if exc.line is None:
+                    exc.line = lineno
+                raise
+        if header_line is not None:
+            n, degree, power = out.header
+            with _coded("config-invalid", header_line):
+                return ReducedConeConfig(ambient_dim=n, degree=degree,
+                                         local_spectra=tuple(out.spectra),
+                                         power=power)
+        with _coded("config-invalid"):
+            return CurveConfig(components=tuple(out.components),
+                               points=tuple(out.points), nodes=out.nodes,
+                               incidence=out.incidence)
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +789,11 @@ def looks_like_vectors(text: str) -> bool:
     return any("GlCmp" in _strip_comment(line) for line in text.splitlines())
 
 
-def config_template(text: str) -> Callable[[Mapping[str, int]],
-                                           Union[CurveConfig, ReducedConeConfig]]:
+def config_template(text: str) -> Template:
     """The config of `text` as a function of its parameter binding, in the
-    dialect `looks_like_vectors` picks. Vector text is parsed here, once,
-    and each call expands it; native text is parsed at each call."""
+    dialect `looks_like_vectors` picks. Either dialect is parsed here, once;
+    each call only evaluates the compiled slots and builds the config."""
     if looks_like_vectors(text):
         vectors = parse_vector_text(text)
         return lambda binding: parse_singular(vectors, binding)
-    return lambda binding: parse_native(text, binding)
+    return parse_native(text)

@@ -22,9 +22,13 @@ be compared. The inputs are written to a temporary directory:
 `conespec.cli.main` runs in-process on each: ``compute`` (rows, csv and
 ``--middle cor2``), ``verify`` and ``oracle`` on a curve, ``reduced``,
 ``verify`` and ``oracle`` on a reduced view, ``reduced`` and ``verify`` on a
-Brieskorn-Pham cone. The script prints the number of
-calls and one SHA-256 over (case, argv, exit code, stdout, stderr) of every
-call. It uses only the standard library and is not collected by pytest.
+Brieskorn-Pham cone. ``scan`` runs on the vector fixtures over small grids,
+with and without a predicate; on each reduced generator curve written as a
+native template whose every multiplicity is ``m``, over m = 1..3; and on
+one native template that fails at one grid point only. The script prints
+the number of calls and one SHA-256 over (case, argv, exit code, stdout,
+stderr) of every call. It uses only the standard library and is not
+collected by pytest.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -54,6 +59,10 @@ REDUCED_COMMANDS = (("reduced",), ("verify",), ("oracle",))
 BRIESKORN_DIMS = (1, 3, 4)
 BRIESKORN_CONFIGS = 6           # per dimension; every other one at power 1
 BRIESKORN_COMMANDS = (("reduced",), ("verify",))
+SCAN_GRID = ("--range", "a=1..3", "--range", "b=1..2", "--param", "c=1")
+SCAN_PREDICATES = ((), ("--predicate", "n3d_zero"))
+# the last grid point, a = 2, gives a component of degree 0
+FAILING_SCAN = "component degree=1 mult=1\ncomponent degree=2-a mult=1\n"
 
 
 def reduced_view(cfg):
@@ -101,6 +110,9 @@ def cases(workdir: Path, seed: int):
                           "--param", f"c={c}"]
                 out += [(f"{path.name}:{a},{b},{c}", [*cmd, path.name, *params])
                         for cmd in CURVE_COMMANDS]
+            out += [(f"{path.name}:scan",
+                     ["scan", path.name, *SCAN_GRID, *predicate])
+                    for predicate in SCAN_PREDICATES]
         else:
             commands = (REDUCED_COMMANDS
                         if "reduced" in path.read_text() else CURVE_COMMANDS)
@@ -116,6 +128,12 @@ def cases(workdir: Path, seed: int):
             if make is random_reduced_swh_config:
                 curves += [(f"{make.__name__}-{k}-m{m}", thicken(cfg, m))
                            for m in (2, 3)]
+                name = f"{make.__name__}-{k}-template"
+                (workdir / f"{name}.cfg").write_text(re.sub(
+                    r":\d+\)", ":m)",
+                    re.sub(r"mult=\d+", "mult=m", emit_native(cfg))))
+                out.append((name,
+                            ["scan", f"{name}.cfg", "--range", "m=1..3"]))
     for name, cfg in curves:
         (workdir / f"{name}.cfg").write_text(emit_native(cfg))
         out += [(name, [*cmd, f"{name}.cfg"]) for cmd in CURVE_COMMANDS]
@@ -130,6 +148,9 @@ def cases(workdir: Path, seed: int):
             power = 1 if k % 2 == 0 else rng.randint(2, 12)
             (workdir / f"{name}.cfg").write_text(brieskorn_text(rng, n, power))
             out += [(name, [*cmd, f"{name}.cfg"]) for cmd in BRIESKORN_COMMANDS]
+    (workdir / "failing-scan.cfg").write_text(FAILING_SCAN)
+    out.append(("failing-scan",
+                ["scan", "failing-scan.cfg", "--range", "a=0..2"]))
     return out
 
 

@@ -649,6 +649,23 @@ def test_scan_grid_point_error_names_code_once(capsys, tmp_path, template,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("template,message", [
+    ("component degree=a mult=1\nnonsense 3\n",
+     "line 2: [bad-keyword] unknown keyword 'nonsense'"),
+    ("Bad=1; GlCmp=-1,a,1; Si=; OD=0; LG=0\n",
+     "[vector-key] unknown vector 'Bad'"),
+], ids=["native", "vector"])
+@pytest.mark.parametrize("grid", ["a=1..0", "a=1..2"], ids=["empty", "two"])
+def test_scan_template_error_comes_before_header(capsys, tmp_path, template,
+                                                 message, grid):
+    """A template error that holds at every binding is found when the
+    template is parsed, before the CSV header, whatever the grid."""
+    path = tmp_path / "template.txt"
+    path.write_text(template)
+    assert run(capsys, "scan", path, "--range", grid) == \
+        (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("with_point,without_point", [
     ("component degree=3 mult=1\npoint weights=2,3 branches=(2:1)\n",
      "component degree=3 mult=1\n"),

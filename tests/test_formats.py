@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -8,15 +9,17 @@ from pathlib import Path
 
 import pytest
 
+from conespec import formats
 from conespec.engine import (CurveConfig, GlobalComponent,
                              ReducedConeConfig, curve_table)
 from conespec.formats import (MAX_DEPTH, ConfigError, emit_table,
                               looks_like_vectors, parse_expr, parse_native,
                               parse_singular, parse_vector_text)
-from conespec.local import LocalBranch
+from conespec.local import LocalBranch, SingularPoint
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
-from reference import BinOp, Name, Neg, Num, emit_native, render_expr
+from reference import (BinOp, Name, Neg, Num, emit_native, render_expr,
+                       thicken)
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -202,13 +205,13 @@ def test_fixture_grids_never_error():
 # -- native dialect ----------------------------------------------------------
 
 def test_parse_native_component():
-    cfg = parse_native("component degree=2 mult=5 count=1\n")
+    cfg = parse_native("component degree=2 mult=5 count=1\n")({})
     assert cfg.components == (GlobalComponent(2, 5),)
 
 
 def test_parse_native_weighted_point():
     cfg = parse_native("component degree=3 mult=1 count=1\n"
-                       "point weights=2,3 branches=(6:1) count=1\n")
+                       "point weights=2,3 branches=(6:1) count=1\n")({})
     assert cfg.points[0].weights == (2, 3)
     assert cfg.points[0].branches == (LocalBranch(6, 1),)
 
@@ -216,34 +219,34 @@ def test_parse_native_weighted_point():
 def test_parse_native_rejects_noncoprime_weights():
     with pytest.raises(ConfigError) as err:
         parse_native("component degree=3 mult=1\n"
-                     "point weights=2,2 branches=(4:1)\n")
+                     "point weights=2,2 branches=(4:1)\n")({})
     assert err.value.line == 2
 
 
 def test_parse_native_rejects_bad_branch_degree():
     with pytest.raises(ConfigError) as err:
         parse_native("component degree=3 mult=1\n"
-                     "point weights=2,3 branches=(4:1)\n")
+                     "point weights=2,3 branches=(4:1)\n")({})
     assert err.value.code == "branch-degree"
 
 
 def test_parse_native_reduced_mode():
     cfg = parse_native("reduced n=2 degree=3 power=1\n"
-                       "localwh weights=2,3 degree=6\n")
+                       "localwh weights=2,3 degree=6\n")({})
     assert isinstance(cfg, ReducedConeConfig)
     assert cfg.local_spectra[0] == SpectrumVector({F(5, 6): 1, F(7, 6): 1}, 2)
 
 
 def test_parse_native_localspectrum_line():
     cfg = parse_native("reduced n=2 degree=3\n"
-                       "localspectrum 5/6:1 7/6:1\n")
+                       "localspectrum 5/6:1 7/6:1\n")({})
     assert cfg.local_spectra[0] == SpectrumVector({F(5, 6): 1, F(7, 6): 1}, 2)
     assert cfg.power == 1
 
 
 def test_parse_native_mode_conflict():
     with pytest.raises(ConfigError) as err:
-        parse_native("component degree=1 mult=1\nreduced n=2 degree=3\n")
+        parse_native("component degree=1 mult=1\nreduced n=2 degree=3\n")({})
     assert err.value.code == "mode-conflict"
 
 
@@ -259,7 +262,7 @@ def test_parse_native_mode_conflict():
 ])
 def test_parse_native_rejects_repeated_single_lines(text, line, first):
     with pytest.raises(ConfigError) as err:
-        parse_native(text)
+        parse_native(text)({})
     assert (err.value.code, err.value.line) == ("key-syntax", line)
     assert first in str(err.value)
 
@@ -269,7 +272,7 @@ def test_missing_key_message_ignores_hash_seed():
     # iteration order of the interpreter
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("from conespec.formats import ConfigError, parse_native\n"
-            "try:\n    parse_native('component\\n')\n"
+            "try:\n    parse_native('component\\n')({})\n"
             "except ConfigError as exc:\n    print(exc)\n")
     messages = set()
     for seed in range(8):
@@ -282,46 +285,109 @@ def test_missing_key_message_ignores_hash_seed():
 
 def test_parse_native_incidence_forms():
     cfg = parse_native("component degree=1 mult=1 count=2\nnodes 1\n"
-                       "incidence 2x1\n")
+                       "incidence 2x1\n")({})
     assert cfg.incidence.pairs == ((2, 1),)
     cfg = parse_native("component degree=1 mult=1 count=2\nnodes 1\n"
-                       "incidence-matrix 1 1\n")
+                       "incidence-matrix 1 1\n")({})
     assert cfg.incidence.matrix == ((1, 1),)
     cfg = parse_native("component degree=3 mult=1 count=2\nnodes 9\n"
-                       "incidence-matrix 1 1 ; 1 1\n")
+                       "incidence-matrix 1 1 ; 1 1\n")({})
     assert cfg.incidence.matrix == ((1, 1), (1, 1))
 
 
 def test_parse_native_templates():
-    cfg = parse_native("component degree=1 mult=a count=c+1\n",
-                       {"a": 4, "c": 1})
+    cfg = parse_native("component degree=1 mult=a count=c+1\n")(
+        {"a": 4, "c": 1})
     assert [c.multiplicity for c in cfg.components] == [4, 4]
     with pytest.raises(ConfigError) as err:
-        parse_native("component degree=1 mult=a count=1\n")
+        parse_native("component degree=1 mult=a count=1\n")({})
     assert err.value.code == "unbound-name"
 
 
 def test_parse_native_reports_line_numbers():
     with pytest.raises(ConfigError) as err:
-        parse_native("# comment\ncomponent degree=1 mult=1\nnonsense 3\n")
+        parse_native("# comment\ncomponent degree=1 mult=1\nnonsense 3\n")({})
     assert err.value.line == 3
     assert err.value.code == "bad-keyword"
+
+
+def test_parse_native_parses_once(monkeypatch):
+    """The text is tokenized and its slots compiled when parse_native is
+    called; evaluating the result at a binding does neither."""
+    template = parse_native("ambient 2\n"
+                            "component degree=a mult=b count=2\n"
+                            "component degree=1 mult=b*a\n"
+                            "point weights=1,1 branches=(1:a)(1:b) count=a\n"
+                            "point weights=2,3 branches=(6:b)\n"
+                            "nodes a+1\n")
+
+    def forbidden(*args):
+        raise AssertionError("native text parsed again")
+    monkeypatch.setattr(formats, "_tokenize_line", forbidden)
+    monkeypatch.setattr(formats, "parse_expr", forbidden)
+    for a, b in ((1, 1), (2, 3), (4, 2)):
+        node_pair = SingularPoint((1, 1),
+                                  (LocalBranch(1, a), LocalBranch(1, b)))
+        cusp = SingularPoint((2, 3), (LocalBranch(6, b),))
+        assert template({"a": a, "b": b}) == CurveConfig(
+            components=(GlobalComponent(a, b),) * 2
+            + (GlobalComponent(1, b * a),),
+            points=(node_pair,) * a + (cusp,), nodes=a + 1)
+
+
+@pytest.mark.parametrize("text, code", [
+    ("nodes a+1\nincidence 3x1\ncomponent degree=1 mult=1 count=2\n"
+     "component degree=a mult=1\n", "value-nonpositive"),
+    ("reduced n=2 degree=3 power=a+1\nlocalwh weights=2,3 degree=6\n"
+     "localwh weights=a,1 degree=2*a\n", "point-invalid"),
+], ids=["curve", "reduced"])
+def test_parse_native_keeps_no_state_between_calls(text, code):
+    # the call at a = 0 fails on the last line, after the earlier lines
+    # have filled in their fields
+    template = parse_native(text)
+    with pytest.raises(ConfigError) as err:
+        template({"a": 0})
+    assert (err.value.code, err.value.line) == (code, text.count("\n"))
+    first, second = template({"a": 2}), template({"a": 2})
+    assert first == second == parse_native(text)({"a": 2})
+
+
+def test_binding_independent_error_comes_first():
+    # an unbound name on line 1, an unknown keyword on line 2: the text is
+    # rejected before any binding is tried
+    with pytest.raises(ConfigError) as err:
+        parse_native("component degree=a mult=1\nnonsense 3\n")
+    assert (err.value.code, err.value.line) == ("bad-keyword", 2)
+
+
+def test_templated_multiplicity_matches_thickening():
+    rng = random.Random(2020)
+    for _ in range(30):
+        cfg = random_reduced_swh_config(rng)
+        text = re.sub(r":\d+\)", ":m)",
+                      re.sub(r"mult=\d+", "mult=m", emit_native(cfg)))
+        template = parse_native(text)
+        for m in range(1, 5):
+            literal = text.replace("mult=m", f"mult={m}").replace(
+                ":m)", f":{m})")
+            assert template({"m": m}) == thicken(cfg, m) == \
+                parse_native(literal)({})
 
 
 def test_round_trip_curve_configs():
     rng = random.Random(42)
     for trial in range(50):
         cfg = random_ordinary_config(rng, with_matrix=(trial % 2 == 0))
-        assert parse_native(emit_native(cfg)) == cfg
+        assert parse_native(emit_native(cfg))({}) == cfg
     for _ in range(50):
         cfg = random_reduced_swh_config(rng)
-        assert parse_native(emit_native(cfg)) == cfg
+        assert parse_native(emit_native(cfg))({}) == cfg
 
 
 def test_round_trip_reduced_config():
     cfg = ReducedConeConfig(
         2, 4, (SpectrumVector({F(5, 6): 1, F(7, 6): 1}, 2),), power=3)
-    assert parse_native(emit_native(cfg)) == cfg
+    assert parse_native(emit_native(cfg))({}) == cfg
 
 
 # -- input errors, pinned --------------------------------------------------
@@ -455,7 +521,7 @@ def input_outcome(dialect, text):
         if dialect == "vector":
             parse_singular(parse_vector_text(text), {})
         else:
-            parse_native(text)
+            parse_native(text)({})
     except ConfigError as exc:
         return str(exc)
     except Exception as exc:
@@ -493,7 +559,7 @@ def _native_total(text, binding=None):
     """Parse native `text`; a rejection must be a ConfigError, and it must
     name a line unless it is about the whole config."""
     try:
-        parse_native(text, binding)
+        parse_native(text)(binding or {})
     except ConfigError as exc:
         assert exc.line is not None or exc.code == "config-invalid", exc
 

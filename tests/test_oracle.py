@@ -150,7 +150,7 @@ def test_branch_multiplicities_leave_the_reduced_path():
     # reduced components, but branches of multiplicity > 1: the local-spectra
     # table ignores branch multiplicities, so it must not be compared
     cfg = parse_native("component degree=2 mult=1\n"
-                       "point weights=3,5 branches=(3:4)(5:2)(15:4)\n")
+                       "point weights=3,5 branches=(3:4)(5:2)(15:4)\n")({})
     assert not cfg.is_reduced()
     report = cross_check(cfg)
     assert report.passed, report.render()
@@ -165,7 +165,7 @@ def test_as_reduced_cone_reads_the_power():
     node = SpectrumVector({Fraction(1): 1}, 2)
     cusp = weighted_spectrum(WeightSystem((2, 3), 6))
     triple = weighted_spectrum(WeightSystem((1, 1), 3))
-    native = {name: parse_native((FIXTURES / name).read_text())
+    native = {name: parse_native((FIXTURES / name).read_text())({})
               for name in ("two-lines.cfg", "doubled-cuspidal-cubic.cfg")}
     assert as_reduced_cone(native["two-lines.cfg"]) == \
         ReducedConeConfig(2, 2, (node,), 1)
@@ -212,7 +212,7 @@ def test_check_kinds():
     }
     cusp = CurveConfig(components=(GlobalComponent(3, 1),),
                        points=(SingularPoint((2, 3), (LocalBranch(6, 1),)),))
-    native = {name: parse_native((FIXTURES / name).read_text())
+    native = {name: parse_native((FIXTURES / name).read_text())({})
               for name in ("two-lines.cfg", "doubled-cuspidal-cubic.cfg",
                            "conic-squared.cfg", "cuspidal-cubic.cfg")}
     pencil = load("conic-pencil.vectors", a=2, b=5, c=2)

@@ -9,17 +9,18 @@ Two input dialects are supported:
   negative entries acting as group separators.
 
 Integer slots in both dialects accept template expressions (literals are the
-degenerate case). Each expression is compiled once into a function of the
-parameter binding, and a whole config text is parsed once into one such
-function (`parse_native`, `config_template`). The exceptions are native
-``incidence`` and ``incidence-matrix`` entries, which are literal integers,
-and native ``localspectrum`` entries, which are literal fractions, both read
-through `_ascii_int` when the text is parsed.
+degenerate case). A config text is compiled once into a function of the
+parameter binding (`parse_native`, `config_template`). A slot that is one
+ASCII literal or name becomes a constant or a lookup; any other goes through
+one `re` lexer, whose name rule `cli._split_name` shares, and the parser.
+Native ``incidence``, ``incidence-matrix`` and ``localspectrum`` entries are
+literals, read through `_ascii_int` when the text is parsed.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
@@ -59,10 +60,6 @@ class _coded:
             raise ConfigError(self.code, str(exc), self.line) from exc
 
 
-def _strip_comment(line: str) -> str:
-    return line.partition("#")[0]
-
-
 # ---------------------------------------------------------------------------
 # template expressions
 # ---------------------------------------------------------------------------
@@ -97,40 +94,42 @@ def _quote(text: str) -> str:
     return repr(cut) + ("..." if cut != text else "")
 
 
+# a lexeme: an ASCII digit run, a word or one other character; `\s` is
+# `str.isspace` and `\w` is `str.isalnum` or '_', code point for code point
+_LEXEME = re.compile(r"([0-9]+)|(\w+)|(\S)")
+
+
+def _literal(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ConfigError("expr-limit", f"integer literal of {len(digits)} "
+                          "digits is too long") from exc
+
+
 def _lex_expr(text: str) -> list[tuple[str, object]]:
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if "0" <= ch <= "9":
-            start = pos
-            while pos < n and "0" <= text[pos] <= "9":
-                pos += 1
-            try:
-                tokens.append(("int", int(text[start:pos])))
-            except ValueError as exc:
-                raise ConfigError("expr-limit",
-                                  f"integer literal of {pos - start} digits "
-                                  "is too long") from exc
-            continue
-        if ch.isalpha() or ch == "_":
-            start = pos
-            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            word = text[start:pos]
+    for digits, word, char in _LEXEME.findall(text):
+        if digits:
+            tokens.append(("int", _literal(digits)))
+        elif word[:1].isalpha() or word[:1] == "_":
             tokens.append(("div", None) if word == "div" else ("name", word))
-            continue
-        if ch in "+-*()":
-            tokens.append((ch, None))
-            pos += 1
-            continue
-        raise ConfigError("expr-char", f"unexpected character {ch!r} in "
-                          f"expression {_quote(text)}")
+        elif char and char in "+-*()":
+            tokens.append((char, None))
+        else:
+            raise ConfigError("expr-char", "unexpected character "
+                              f"{(word or char)[0]!r} in expression "
+                              f"{_quote(text)}")
     return tokens
+
+
+def _lookup(ident: str) -> Expr:
+    def lookup(binding):
+        if ident not in binding:
+            raise ConfigError("unbound-name",
+                              f"parameter {ident!r} is not bound")
+        return int(binding[ident])
+    return lookup
 
 
 class _ExprParser:
@@ -175,14 +174,7 @@ class _ExprParser:
             value = self.take()[1]
             return lambda binding: value
         if kind == "name":
-            ident = self.take()[1]
-
-            def lookup(binding):
-                if ident not in binding:
-                    raise ConfigError("unbound-name",
-                                      f"parameter {ident!r} is not bound")
-                return int(binding[ident])
-            return lookup
+            return _lookup(self.take()[1])
         if kind not in ("-", "("):
             raise ConfigError("expr-syntax",
                               f"malformed expression {_quote(self.text)}")
@@ -207,9 +199,16 @@ def parse_expr(text: str) -> Expr:
     floor-division ``div``, with unary minus binding tightest; ``div`` is
     defined only for a nonnegative dividend and a positive divisor. Digits
     are ASCII. An unbound name or a bad ``div`` is an error of the call,
-    not of the compilation."""
-    if not text.strip():
+    not of the compilation. A slot that is one ASCII literal or name needs
+    no parser."""
+    slot = text.strip()
+    if not slot:
         raise ConfigError("expr-empty", "empty expression")
+    if slot.isascii() and slot.isdigit():
+        value = _literal(slot)
+        return lambda binding: value
+    if slot.isascii() and slot.isidentifier() and slot != "div":
+        return _lookup(slot)
     parser = _ExprParser(text)
     expr = parser.chain(0)
     if parser.peek() is not None:
@@ -235,7 +234,7 @@ class SingularVectors:
 
 def parse_vector_text(text: str) -> SingularVectors:
     """Parse ``GlCmp=...; Si=...; OD=...; LG=...`` (order free, '#' comments)."""
-    body = " ".join(_strip_comment(line) for line in text.splitlines())
+    body = " ".join(line.partition("#")[0] for line in text.splitlines())
     fields: dict[str, str] = {}
     for chunk in body.split(";"):
         chunk = chunk.strip()
@@ -441,23 +440,26 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _tokenize_line(line: str) -> list[str]:
-    """Whitespace split, except that parenthesized groups stay together."""
-    tokens = []
-    current = []
-    depth = 0
-    for ch in line:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch.isspace() and depth == 0:
-            if current:
-                tokens.append("".join(current))
-                current = []
+    """Whitespace split, except that a word that starts inside an open '('
+    joins the token before it, and a ')' with none open closes nothing."""
+    words = line.split()
+    if "(" not in line:
+        return words
+    tokens, depth, end = [], 0, 0
+    for word in words:
+        start = line.find(word, end)
+        if depth:
+            tokens[-1] += line[end:start] + word
         else:
-            current.append(ch)
-    if current:
-        tokens.append("".join(current))
+            tokens.append(word)
+        end = start + len(word)
+        if "(" in word or ")" in word:
+            *closed, last = word.split(")")
+            for piece in closed:
+                depth = max(0, depth + piece.count("(") - 1)
+            depth += last.count("(")
+    if depth:                           # white space left open at the end
+        tokens[-1] += line[end:]
     return tokens
 
 
@@ -675,27 +677,26 @@ Template = Callable[[Mapping[str, int]], Union[CurveConfig, ReducedConeConfig]]
 
 def parse_native(text: str) -> Template:
     """Compile the native config format into a function of the parameter
-    binding.
+    binding that returns a `ReducedConeConfig` when a ``reduced`` header
+    line is present, otherwise a `CurveConfig`.
 
-    The function returns a `ReducedConeConfig` when a ``reduced`` header
-    line is present, otherwise a `CurveConfig`. All violations raise
-    `ConfigError` with a machine-readable code. What holds at every binding
-    is checked here, once: keywords, keys, repeated lines, mode conflicts,
-    the syntax of expressions and branches, literal incidence and spectrum
-    entries, and a curve config without components. What depends on the
-    binding is checked at each call: unbound names, ``div``, values, and
-    the objects built from them. The error carries the line number where
-    one line is at fault; errors about the whole config (no components, an
-    incidence matrix of the wrong width) carry none. Each stage has one
-    place that sets it: an error raised while line N is compiled or
-    evaluated, and that names no line of its own, gets N.
+    All violations raise `ConfigError` with a machine-readable code. What
+    holds at every binding is checked here, once: keywords, keys, repeated
+    lines, mode conflicts, the syntax of expressions and branches, literal
+    incidence and spectrum entries, and a curve config without components.
+    What depends on the binding is checked at each call: unbound names,
+    ``div``, values, and the objects built from them. The error carries the
+    line number where one line is at fault; errors about the whole config
+    (no components, an incidence matrix of the wrong width) carry none. Each
+    stage has one place that sets it: an error raised while line N is
+    compiled or evaluated, and that names no line of its own, gets N.
     """
     steps: list[tuple[int, Step]] = []
     first_line: dict[str, int] = {}     # single-valued slot -> its line
     seen = set()                        # keywords of the lines read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
-            tokens = _tokenize_line(_strip_comment(raw))
+            tokens = _tokenize_line(raw.partition("#")[0])
             if not tokens:
                 continue
             keyword, args = tokens[0], tokens[1:]
@@ -763,15 +764,13 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
     """
     if mode == "rows":
         d = table.d
-        lines = [
-            "e=0: " + ",".join(str(v) for v in table.rows[0]),
-            "e=1: " + ",".join(str(v) for v in table.rows[1]),
-            "e=2: " + ",".join(str(v) for v in table.rows[2][: d - 1]),
-            f"chi(U)={table.chi_u}",
-            f"# note: omitted e=2,i={d} value {table.rows[2][d - 1]}; "
-            "integer-exponent entries are formula values (no +1 adjustment "
-            "applied at alpha=3)",
-        ]
+        rows = (table.rows[0], table.rows[1], table.rows[2][: d - 1])
+        lines = [f"e={e}: " + ",".join(map(str, row))
+                 for e, row in enumerate(rows)]
+        lines += [f"chi(U)={table.chi_u}",
+                  f"# note: omitted e=2,i={d} value {table.rows[2][d - 1]}; "
+                  "integer-exponent entries are formula values (no +1 "
+                  "adjustment applied at alpha=3)"]
         return "\n".join(lines) + "\n"
     if mode == "csv":
         d = table.d
@@ -786,7 +785,8 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
 
 def looks_like_vectors(text: str) -> bool:
     """Dialect sniff: vector text names ``GlCmp`` outside comments."""
-    return any("GlCmp" in _strip_comment(line) for line in text.splitlines())
+    return any("GlCmp" in line.partition("#")[0]
+               for line in text.splitlines())
 
 
 def config_template(text: str) -> Template:

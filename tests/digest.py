@@ -24,8 +24,10 @@ be compared. The inputs are written to a temporary directory:
 ``verify`` and ``oracle`` on a reduced view, ``reduced`` and ``verify`` on a
 Brieskorn-Pham cone. ``scan`` runs on the vector fixtures over small grids,
 with and without a predicate; on each reduced generator curve written as a
-native template whose every multiplicity is ``m``, over m = 1..3; and on
-one native template that fails at one grid point only. The script prints
+native template whose every multiplicity is ``m``, over m = 1..3; on one
+native template whose slots are parenthesized expressions with spaces,
+``div``, unary minus and a non-ASCII name; and on one native template that
+fails at one grid point only. The script prints
 the number of calls and one SHA-256 over (case, argv, exit code, stdout,
 stderr) of every call. It uses only the standard library and is not
 collected by pytest.
@@ -61,6 +63,12 @@ BRIESKORN_CONFIGS = 6           # per dimension; every other one at power 1
 BRIESKORN_COMMANDS = (("reduced",), ("verify",))
 SCAN_GRID = ("--range", "a=1..3", "--range", "b=1..2", "--param", "c=1")
 SCAN_PREDICATES = ((), ("--predicate", "n3d_zero"))
+# slots that are not one literal or name: the tokenizer keeps each
+# parenthesized group whole and the expression parser compiles it
+PAREN_SCAN = ("component degree=( m + 1 ) mult=(\u00e9 div 2)\n"
+              "component degree=-(-(m)) mult=1 count=( 2 - 1 )\n"
+              "point weights=1,1 branches=(1:( \u00e9 div 2 ))(1: 1)\n"
+              "nodes (m * (\u00e9 - 1) div 3)\n")
 # the last grid point, a = 2, gives a component of degree 0
 FAILING_SCAN = "component degree=1 mult=1\ncomponent degree=2-a mult=1\n"
 
@@ -148,6 +156,9 @@ def cases(workdir: Path, seed: int):
             power = 1 if k % 2 == 0 else rng.randint(2, 12)
             (workdir / f"{name}.cfg").write_text(brieskorn_text(rng, n, power))
             out += [(name, [*cmd, f"{name}.cfg"]) for cmd in BRIESKORN_COMMANDS]
+    (workdir / "paren-scan.cfg").write_text(PAREN_SCAN)
+    out.append(("paren-scan", ["scan", "paren-scan.cfg", "--range", "m=1..3",
+                               "--param", "\u00e9=4"]))
     (workdir / "failing-scan.cfg").write_text(FAILING_SCAN)
     out.append(("failing-scan",
                 ["scan", "failing-scan.cfg", "--range", "a=0..2"]))

@@ -15,6 +15,7 @@ from typing import Sequence, Union
 
 from conespec.engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                              ReducedConeConfig, binom2)
+from conespec.formats import ConfigError, _quote
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             window_count)
 from conespec.oracle import ReferenceState
@@ -330,3 +331,65 @@ def emit_native(cfg) -> str:
         else:
             lines.append("incidence")
     return "\n".join(lines) + "\n"
+
+
+# The template lexer and the native line tokenizer as character loops, the
+# form they had before `formats` matched lexemes with one `re` pattern and
+# split lines on white space runs; the differential test holds the package
+# to them, tokens and error codes and messages alike.
+
+def lex_expr_by_chars(text: str) -> list[tuple[str, object]]:
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        if "0" <= ch <= "9":
+            start = pos
+            while pos < n and "0" <= text[pos] <= "9":
+                pos += 1
+            try:
+                tokens.append(("int", int(text[start:pos])))
+            except ValueError as exc:
+                raise ConfigError("expr-limit",
+                                  f"integer literal of {pos - start} digits "
+                                  "is too long") from exc
+            continue
+        if ch.isalpha() or ch == "_":
+            start = pos
+            while pos < n and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            word = text[start:pos]
+            tokens.append(("div", None) if word == "div" else ("name", word))
+            continue
+        if ch in "+-*()":
+            tokens.append((ch, None))
+            pos += 1
+            continue
+        raise ConfigError("expr-char", f"unexpected character {ch!r} in "
+                          f"expression {_quote(text)}")
+    return tokens
+
+
+def tokenize_line_by_chars(line: str) -> list[str]:
+    """Whitespace split, except that parenthesized groups stay together."""
+    tokens = []
+    current = []
+    depth = 0
+    for ch in line:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth = max(0, depth - 1)
+        if ch.isspace() and depth == 0:
+            if current:
+                tokens.append("".join(current))
+                current = []
+        else:
+            current.append(ch)
+    if current:
+        tokens.append("".join(current))
+    return tokens

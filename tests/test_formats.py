@@ -18,8 +18,9 @@ from conespec.formats import (MAX_DEPTH, ConfigError, emit_table,
 from conespec.local import LocalBranch, SingularPoint
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
-from reference import (BinOp, Name, Neg, Num, emit_native, render_expr,
-                       thicken)
+from reference import (BinOp, Name, Neg, Num, emit_native,
+                       lex_expr_by_chars, render_expr, thicken,
+                       tokenize_line_by_chars)
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -132,6 +133,85 @@ def test_eval_matches_direct_evaluator_on_random_trees():
         assert reparsed(binding) == want
         agreed += 1
     assert agreed > 5000
+
+
+# -- compiling in token time --------------------------------------------------
+
+def test_trivial_slots_skip_the_parser(monkeypatch):
+    """A slot that is one ASCII literal or name compiles without the
+    expression parser; every other slot still goes through it."""
+    built = []
+
+    class CountingParser(formats._ExprParser):
+        def __init__(self, text):
+            built.append(text)
+            super().__init__(text)
+    monkeypatch.setattr(formats, "_ExprParser", CountingParser)
+    template = parse_native("ambient 2\n"
+                            "component degree=a mult=007 count=2\n"
+                            "point weights=1,1 branches=(1:b)(1: 1 ) count=_n\n"
+                            "nodes b\n")
+    assert built == []
+    point = SingularPoint((1, 1), (LocalBranch(1, 3), LocalBranch(1, 1)))
+    assert template({"a": 2, "b": 3, "_n": 1}) == CurveConfig(
+        components=(GlobalComponent(2, 7),) * 2, points=(point,), nodes=3)
+    parse_native("component degree=a+1 mult=1\n")
+    assert built == ["a+1"]
+
+
+@pytest.mark.parametrize("slot, stage, outcome", [
+    ("007", "call", 7),
+    (" a ", "call", 5),
+    ("div", "compile", "[expr-syntax] malformed expression 'div'"),
+    ("b", "call", "[unbound-name] parameter 'b' is not bound"),
+], ids=["leading-zeros", "padded-name", "div-alone", "unbound-name"])
+def test_trivial_slot_outcomes(slot, stage, outcome):
+    """The stage (compile or call) and the value or error of a one-token
+    slot, alone and as the second line of a native text."""
+    def staged(compile_text, text, evaluate):
+        try:
+            compiled = compile_text(text)
+        except ConfigError as exc:
+            return "compile", str(exc)
+        try:
+            return "call", evaluate(compiled)
+        except ConfigError as exc:
+            return "call", str(exc)
+    binding = {"a": 5}
+    assert staged(parse_expr, slot, lambda e: e(binding)) == (stage, outcome)
+    native = staged(parse_native, f"component degree=1 mult=1\nnodes {slot}\n",
+                    lambda template: template(binding).nodes)
+    assert native == (stage, outcome if isinstance(outcome, int)
+                      else f"line 2: {outcome}")
+
+
+# the characters on which a regular expression and the character loops
+# could disagree: Unicode letters, digits of categories Nd, No and Nl,
+# white space outside ASCII and stray parentheses
+LEXER_ALPHABET = (list(string.ascii_letters + string.digits + "_+-*():")
+                  + ["div", "\u00e9", "\u0663", "\u00b2", "\u216b", " ",
+                     "\u00a0", "\u2003", "\x1c", ")", ")"])
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ConfigError as exc:
+        return exc.code, str(exc)
+
+
+def test_lexer_and_tokenizer_match_character_loops():
+    rng = random.Random(2104)
+    for trial in range(20_000):
+        pieces = [rng.choice(LEXER_ALPHABET)
+                  for _ in range(rng.randint(0, 24))]
+        if trial % 500 == 0:
+            pieces.insert(rng.randint(0, len(pieces)), "9" * 5000)
+        text = "".join(pieces)
+        assert _tokens_or_error(formats._lex_expr, text) == \
+            _tokens_or_error(lex_expr_by_chars, text), text
+        assert formats._tokenize_line(text) == \
+            tokenize_line_by_chars(text), text
 
 
 # -- vector dialect ----------------------------------------------------------

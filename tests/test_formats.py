@@ -149,7 +149,8 @@ def test_trivial_slots_skip_the_parser(monkeypatch):
     monkeypatch.setattr(formats, "_ExprParser", CountingParser)
     template = parse_native("ambient 2\n"
                             "component degree=a mult=007 count=2\n"
-                            "point weights=1,1 branches=(1:b)(1: 1 ) count=_n\n"
+                            "point weights=1,1 branches=(1:b)(1: 1 )"
+                            " count=_n\n"
                             "nodes b\n")
     assert built == []
     point = SingularPoint((1, 1), (LocalBranch(1, 3), LocalBranch(1, 1)))

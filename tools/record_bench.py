@@ -68,7 +68,8 @@ def fold(records: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="the BENCH_<n>.json to write")
-    parser.add_argument("--runs", type=Path, default=ROOT / "perfbench" / "out",
+    parser.add_argument("--runs", type=Path,
+                        default=ROOT / "perfbench" / "out",
                         help="directory of the run records")
     args = parser.parse_args(argv)
     paths = sorted(args.runs.glob("*-seed*-trace0.json"))

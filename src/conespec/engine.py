@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from .local import (SingularPoint, _window_row, lattice_row,
                     quotient_coeffs, validate_branches)
-from .spectrum import SpectrumVector
+from .spectrum import Numerators, SpectrumVector
 
 
 def binom2(n: int) -> int:
@@ -491,11 +491,14 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
 
     On the 1/(m d') grid the cell (i, l, p) is k = i + l*d' + p*m*d'; these
     k are pairwise distinct, so no two cells meet. Each (i, p) cell fills
-    its l-progression of a dense row with one strided slice, and the
-    entries are read off that row in increasing k."""
+    its l-progression of a dense row with one strided slice; the nonzero
+    ints of that row, in increasing k, are a canonical table, handed to the
+    vector as `Numerators`. `base` must live in n + 1 variables."""
     m = cfg.power
     n = cfg.ambient_dim
     dp = cfg.degree
+    if base.ambient_dim != n + 1:
+        raise ValueError(f"base must live in {n + 1} variables, not {base.ambient_dim}")
     correction = (-1) ** n
     grid = base.numerators(dp)      # i + p*d' -> value, on the 1/d' grid
     row = [0] * ((n + 1) * m * dp)
@@ -508,7 +511,7 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
             if v:
                 start = i + p * m * dp
                 row[start:start + spread * dp:dp] = [v] * spread
-    return SpectrumVector(dict(compress(enumerate(row), row)), n + 1,
+    return SpectrumVector(Numerators(compress(enumerate(row), row)), n + 1,
                           denominator=m * dp)
 
 

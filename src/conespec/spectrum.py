@@ -9,14 +9,17 @@ least one, so equality is structural. `fractions.Fraction` appears only at
 the edge: the constructor's exponent form and `multiplicity`. `numerators`
 and the ``denominator`` argument of the constructor are the integer way out
 and in, and `exponent_texts` writes a whole list of exponents k/den from
-their integers, as `render` and the csv writer print them.
+their integers, as `render` and the csv writer print them. The constructor
+copies the table it is given, except a `Numerators` table, canonical by
+construction, which it takes as it is: the power transform and `dual` build
+one, so their thousands of entries are written once, not twice.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 ExponentLike = Union[Fraction, int, str]
 
@@ -35,16 +38,29 @@ def _count(mult) -> int:
     return count
 
 
-def exponent_texts(nums: Sequence[int], den: int) -> list[str]:
+def exponent_texts(nums: Sequence[int], den: int,
+                   values: Optional[Iterable[int]] = None) -> list[str]:
     """The exponents k/den (den >= 1) for the numerators k of `nums`, each
-    in lowest terms, "p" or "p/q": the same text as
-    ``str(Fraction(k, den))``. k/den reduces by g = gcd(k mod den, den), so
-    g and the text "/q" are worked out once per residue present in `nums`."""
-    tails = {}
-    for r in {k % den for k in nums}:
-        g = math.gcd(r, den)
-        tails[r] = (g, "" if g == den else f"/{den // g}")
-    return [f"{k // g}{q}" for k in nums for g, q in (tails[k % den],)]
+    in lowest terms, "p" or "p/q" as ``str(Fraction(k, den))`` writes it,
+    followed by ":" and the value at the same place when `values` is given.
+    k/den reduces by g = gcd(k mod den, den), so g and "/q" are worked out
+    once per residue: in a list over every residue when den <= len(nums),
+    else in a dict over the residues present (few entries, huge den)."""
+    every = den <= len(nums)
+    residues = range(den) if every else {k % den for k in nums}
+    gs = list(map(math.gcd, residues, [den] * len(residues)))
+    qs = {g: "" if g == den else f"/{den // g}" for g in set(gs)}
+    tails = zip(gs, map(qs.__getitem__, gs))
+    tails = list(tails) if every else dict(zip(residues, tails))
+    if values is None:
+        return [f"{k // g}{q}" for k in nums for g, q in (tails[k % den],)]
+    return [f"{k // g}{q}:{m}" for k, m in zip(nums, values)
+            for g, q in (tails[k % den],)]
+
+
+class Numerators(dict):
+    """A canonical table {numerator: multiplicity}, int keys and nonzero int
+    values, that `SpectrumVector` takes as it is, without a copy."""
 
 
 class SpectrumVector:
@@ -57,12 +73,15 @@ class SpectrumVector:
         """`entries` maps exponents to multiplicities (a mapping or pairs).
         Exponents are `Fraction`/int/str, or integer numerators over
         `denominator` when that is given. A multiplicity must be integral
-        (ValueError otherwise)."""
+        (ValueError otherwise). `entries` is copied, except a `Numerators`
+        table over `denominator`: the vector owns that one as it is."""
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be a positive integer")
         if denominator is not None and denominator < 1:
             raise ValueError("denominator must be a positive integer")
-        if denominator is not None and isinstance(entries, Mapping):
+        if denominator is not None and type(entries) is Numerators:
+            table = entries
+        elif denominator is not None and isinstance(entries, Mapping):
             # distinct numerators: one pass, zeros dropped once counted
             table = {k: c for k, m in entries.items()
                      if (c := m if type(m) is int else _count(m))}
@@ -130,8 +149,8 @@ class SpectrumVector:
 
     def dual(self) -> "SpectrumVector":
         """Reflect every exponent a to ambient_dim - a."""
-        top = self._ambient_dim * self._den
-        return SpectrumVector({top - k: m for k, m in self._nums.items()},
+        top, nums = self._ambient_dim * self._den, self._nums
+        return SpectrumVector(Numerators(zip(map(top.__sub__, nums), nums.values())),
                               self._ambient_dim, denominator=self._den)
 
     def has_valid_support(self) -> bool:
@@ -147,8 +166,8 @@ class SpectrumVector:
         """Canonical text form: "p/q:m" entries, increasing exponents."""
         nums = self._nums
         keys = sorted(nums)
-        return ", ".join([f"{text}:{nums[k]}" for text, k
-                          in zip(exponent_texts(keys, self._den), keys)])
+        return ", ".join(exponent_texts(keys, self._den,
+                                        map(nums.__getitem__, keys)))
 
     def __str__(self) -> str:
         return self.render()

@@ -81,3 +81,57 @@ def test_tool_refuses_runs_of_two_revisions(tmp_path):
     with pytest.raises(SystemExit, match="revision"):
         load_tool().main([str(tmp_path / "BENCH_1.json"),
                           "--runs", str(tmp_path)])
+
+
+def write_runs(directory, revision, values):
+    """One untraced record per seed; `values` maps a metric to its value
+    on seeds 1, 2, ..."""
+    directory.mkdir()
+    units = {"reduced_p50_ms": "ms", "ops_per_s": "ops/s", "made_up": "s"}
+    for seed in range(1, len(next(iter(values.values()))) + 1):
+        record = dict(run_record("weighted-reduced", seed, 0.0),
+                      revision=revision)
+        record["metrics"] = {m: {"value": v[seed - 1], "unit": units[m],
+                                 "samples": 5} for m, v in values.items()}
+        (directory / f"weighted-reduced-seed{seed}-trace0.json").write_text(
+            json.dumps(record))
+    return directory
+
+
+def test_tool_compares_runs_pair_by_pair(tmp_path, capsys):
+    parent = write_runs(tmp_path / "parent", "abc", {
+        "reduced_p50_ms": [7.0, 7.5, 8.0, 7.2, 7.4, 7.1, 7.9, 7.3, 7.6, 7.8],
+        "ops_per_s": [100.0] * 10,
+        "made_up": [1.0] * 10})
+    change = write_runs(tmp_path / "change", "def", {
+        # lower is better: 9 wins and a tie; seed 11 has no parent run
+        "reduced_p50_ms": [5.0, 5.5, 6.0, 5.2, 5.4, 5.1, 7.9, 5.3, 5.6, 5.8,
+                           1.0],
+        "ops_per_s": [99.0] * 9 + [101.0, 500.0],
+        "made_up": [0.5] * 11})
+    tool = load_tool()
+    assert tool.main(["--compare", str(parent), str(change)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the metrics of BENCHMARK.json, in its order; others are left out
+    assert [line.split(":")[0] for line in lines] == [
+        "weighted-reduced ops_per_s", "weighted-reduced reduced_p50_ms"]
+    ops, reduced = lines
+    assert ops == ("weighted-reduced ops_per_s: parent 100 (Q1-Q3 100-100), "
+                   "change 99, ratio 0.990, wins 1 of 10, gain not shown")
+    assert reduced == (
+        "weighted-reduced reduced_p50_ms: parent 7.45 (Q1-Q3 7.175-7.825), "
+        "change 5.45, ratio 0.732, wins 9 of 10, gain shown")
+
+
+def test_compare_needs_a_gap_wider_than_the_parent_spread(tmp_path):
+    old = [7.0, 9.0, 7.5, 8.5, 7.2, 8.8, 7.4, 8.6, 7.6, 8.4]
+    better = {"reduced_p50_ms": "lower"}
+    records = {}
+    for side, values in (("parent", old), ("change", [v - 0.3 for v in old])):
+        records[side] = [{"workload": "w", "seed": seed, "revision": side,
+                          "metrics": {"reduced_p50_ms": {"value": v}}}
+                         for seed, v in enumerate(values, start=1)]
+    line, = load_tool().compare(records["parent"], records["change"], better)
+    assert "wins 10 of 10, gain not shown" in line
+    with pytest.raises(SystemExit, match="one pair"):
+        load_tool().compare(records["parent"][:1], records["change"], better)

@@ -267,6 +267,13 @@ def test_thickened_hyperplane(m):
     assert sv == SpectrumVector({2 + F(k, m): 1 for k in range(1, m)}, 3)
 
 
+def test_thickened_refuses_a_base_of_another_dimension():
+    cfg = ReducedConeConfig(1, 2, (), power=3)
+    with pytest.raises(ValueError, match="base must live in 2 variables, not 5"):
+        thickened_spectrum(SpectrumVector({1: 1}, 5), cfg)
+    assert thickened_spectrum(SpectrumVector({1: 1}, 2), cfg).ambient_dim == 2
+
+
 def test_reduced_cone_higher_dimension():
     # smooth quadric threefold cone: single exponent 2 with multiplicity 1
     sv = reduced_cone_spectrum(ReducedConeConfig(3, 2))

@@ -7,7 +7,7 @@ import pytest
 
 from conespec import formats
 from conespec.engine import ReducedConeConfig, thickened_spectrum
-from conespec.spectrum import SpectrumVector, exponent_texts
+from conespec.spectrum import Numerators, SpectrumVector, exponent_texts
 from reference import (FractionSpectrum, add, empty_spectrum, fraction_items,
                        fraction_render, max_exponent, min_exponent, product)
 
@@ -243,13 +243,54 @@ def test_integral_multiplicity_of_any_type_is_counted():
         assert b.denominator == 2 and len(b) == 2
 
 
+class _Table(dict):
+    pass
+
+
 def test_mapping_path_keeps_a_reduced_grid():
-    entries = {1: 3, 4: -1, 10: 2}
-    vec = SpectrumVector(entries, 3, denominator=9)
-    assert vec.denominator == 9
-    assert vec.numerators() == entries
-    entries[1] = 5                  # the vector does not share the mapping
-    assert vec.multiplicity(F(1, 9)) == 3
+    for kind in (dict, _Table, Numerators):
+        entries = kind({1: 3, 4: -1, 10: 2})
+        vec = SpectrumVector(entries, 3, denominator=9)
+        assert vec.denominator == 9
+        assert vec.numerators() == entries
+        if kind is Numerators:      # canonical: taken as it is
+            assert vec._nums is entries
+            continue
+        entries[1] = 5              # the vector does not share the mapping
+        entries[2] = 1
+        assert vec.multiplicity(F(1, 9)) == 3 and len(vec) == 3
+    # with no denominator, the keys of a Numerators table are exponents
+    assert SpectrumVector(Numerators({2: 1}), 3) == SpectrumVector({F(2): 1}, 3)
+
+
+def test_canonical_tables_match_the_public_constructor():
+    """`thickened_spectrum` and `dual` hand over `Numerators`; their vectors
+    are the ones the validating constructor builds from the same
+    exponents, the denominator reduced when the gcd is above 1."""
+    # keys 2, 4, 6, 8, 10 over 6 come out over 3
+    cases = [(SpectrumVector({1: 1}, 2), ReducedConeConfig(1, 2, (), power=3))]
+    rng = random.Random(909)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        vec = SpectrumVector(_random_entries(rng, n + 1), n + 1)
+        cfg = ReducedConeConfig(n, rng.randint(1, 9), (),
+                                power=rng.randint(1, 6))
+        cases.append((vec, cfg))
+    reduced = 0
+    for vec, cfg in cases:
+        power = thickened_spectrum(vec, cfg)
+        ref = FractionSpectrum(fraction_items(vec), vec.ambient_dim).dual()
+        for got, items in ((power, fraction_items(power)),
+                           (vec.dual(), ref.items())):
+            public = SpectrumVector(items, got.ambient_dim)
+            assert got == public and hash(got) == hash(public)
+            assert got.denominator == public.denominator
+            assert got.numerators() == public.numerators()
+        reduced += power.denominator < cfg.power * cfg.degree
+    assert reduced > 20
+    power = thickened_spectrum(*cases[0])
+    assert power.denominator == 3
+    assert power.numerators() == {1: 1, 2: 1, 3: 1, 4: -1, 5: -1}
 
 
 def _fraction_texts(nums, den):
@@ -283,6 +324,38 @@ def test_exponent_text_matches_fraction():
     for den in range(1, 25):
         assert exponent_texts(nums, den) == _fraction_texts(nums, den)
     assert exponent_texts([], 7) == []
+
+
+def test_exponent_texts_with_values():
+    """With values, each text is the exponent's text, ":" and its value;
+    the residue table is a list when den <= len(nums), else a dict."""
+    rng = random.Random(717)
+    for den in (1, 2, 7, 12, 40, 1800):
+        for size in (den - 1, den, den + 1, 3 * den):
+            nums = [rng.randint(-3 * den, 5 * den) for _ in range(size)]
+            values = [rng.choice([-4, -1, 1, 2, 9]) for _ in nums]
+            texts = [f"{t}:{v}" for t, v
+                     in zip(_fraction_texts(nums, den), values)]
+            assert exponent_texts(nums, den, values) == texts, (den, size)
+            assert exponent_texts(nums, den, iter(values)) == texts
+            assert exponent_texts(nums, den) == _fraction_texts(nums, den)
+
+
+def test_render_at_the_residue_table_threshold():
+    """Vectors of den and den - 1 entries over den: the list and the dict
+    residue table of `render` print what the Fraction transcription does,
+    negative numerators included."""
+    rng = random.Random(727)
+    for dim in range(1, 5):
+        for den in (3, 4, 6, 10, 36, 97):
+            for size in (den, den - 1):
+                keys = {1, -1}
+                while len(keys) < size:
+                    keys.add(rng.randint(-2 * den, (dim + 2) * den))
+                vec = SpectrumVector({k: rng.choice([-3, -1, 1, 2])
+                                      for k in keys}, dim, denominator=den)
+                assert vec.denominator == den and len(vec) == size
+                assert vec.render() == fraction_render(vec), (dim, den)
 
 
 def test_render_of_a_sparse_vector_on_a_huge_denominator():

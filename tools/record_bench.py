@@ -1,8 +1,10 @@
-"""Fold benchmark run records into one ``BENCH_<n>.json``.
+"""Fold benchmark run records into one ``BENCH_<n>.json``, or compare two
+sets of them.
 
 Usage::
 
     python3 tools/record_bench.py BENCH_21.json [--runs perfbench/out]
+    python3 tools/record_bench.py --compare PARENT_RUNS CHANGE_RUNS
 
 Reads every untraced run record ``<workload>-seed<n>-trace0.json`` that
 ``perfbench/run.py`` wrote to the runs directory and writes one JSON file:
@@ -14,7 +16,16 @@ Reads every untraced run record ``<workload>-seed<n>-trace0.json`` that
   (``statistics.quantiles(n=4)``, as ``perfbench/RESULTS.md`` uses), and
   ``fail_ratio`` as ``failed`` over ``attempted`` summed over the runs.
 
-A workload needs at least two runs. Only the standard library is used.
+A workload needs at least two runs.
+
+``--compare`` pairs the untraced records of two runs directories, the
+parent's and the change's, by workload and seed. For each workload and each
+end-to-end metric of ``BENCHMARK.json`` (which says whether higher or lower
+is better) it prints the parent's median with its quartiles, the change's
+median and its ratio to the parent's, how many pairs the change wins (ties
+count for neither), and whether a gain is shown: the change wins at least
+nine tenths of the pairs and the medians differ by more than the parent's
+interquartile range. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -65,20 +76,79 @@ def fold(records: list[dict]) -> dict:
             "workloads": workloads}
 
 
+def compare(parent: list[dict], change: list[dict], better: dict) -> list[str]:
+    """One line per workload and metric of `better` (name -> "higher" or
+    "lower"): the paired comparison of the `change` runs with the `parent`
+    runs of the same workload and seed."""
+    for side in (parent, change):
+        one([r["revision"] for r in side], "revision")
+    after = {(r["workload"], r["seed"]): r for r in change}
+    pairs: dict[str, list[tuple[dict, dict]]] = {}
+    for run in sorted(parent, key=lambda r: (r["workload"], r["seed"])):
+        if (run["workload"], run["seed"]) in after:
+            pairs.setdefault(run["workload"], []).append(
+                (run, after[run["workload"], run["seed"]]))
+    lines = []
+    for workload, runs in sorted(pairs.items()):
+        if len(runs) < 2:
+            raise SystemExit(f"record_bench: {workload} has one pair; "
+                             "quartiles need at least two")
+        for metric, direction in better.items():
+            if metric not in runs[0][0]["metrics"]:
+                continue
+            old, new = ([run["metrics"][metric]["value"] for run in side]
+                        for side in zip(*runs))
+            sign = 1 if direction == "higher" else -1
+            wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+            q1, median, q3 = statistics.quantiles(old, n=4)
+            changed = statistics.median(new)
+            shown = wins * 10 >= 9 * len(runs) and sign * (changed - median) > q3 - q1
+            ratio = f"{changed / median:.3f}" if median else "n/a"
+            lines.append(
+                f"{workload} {metric}: parent {median:.6g} (Q1-Q3 {q1:.6g}-"
+                f"{q3:.6g}), change {changed:.6g}, ratio {ratio}, wins "
+                f"{wins} of {len(runs)}, gain {'shown' if shown else 'not shown'}")
+    return lines
+
+
+def read_runs(directory: Path) -> list[dict]:
+    """The untraced run records in `directory`."""
+    return [json.loads(p.read_text())
+            for p in sorted(directory.glob("*-seed*-trace0.json"))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out", type=Path, help="the BENCH_<n>.json to write")
+    parser.add_argument("out", type=Path, nargs="?",
+                        help="the BENCH_<n>.json to write")
     parser.add_argument("--runs", type=Path,
                         default=ROOT / "perfbench" / "out",
                         help="directory of the run records")
+    parser.add_argument("--compare", type=Path, nargs=2,
+                        metavar=("PARENT_RUNS", "CHANGE_RUNS"),
+                        help="compare two runs directories pair by pair")
     args = parser.parse_args(argv)
-    paths = sorted(args.runs.glob("*-seed*-trace0.json"))
-    if not paths:
-        print(f"record_bench: no run records in {args.runs}", file=sys.stderr)
-        return 2
-    bench = fold([json.loads(p.read_text()) for p in paths])
+    if (args.out is None) == (args.compare is None):
+        parser.error("give either the BENCH_<n>.json to write or --compare")
+    directories = args.compare or [args.runs]
+    sides = [read_runs(directory) for directory in directories]
+    for directory, records in zip(directories, sides):
+        if not records:
+            print(f"record_bench: no run records in {directory}", file=sys.stderr)
+            return 2
+    if args.compare:
+        end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+        lines = compare(*sides, {m["name"]: m["better"] for m in end_to_end})
+        if not lines:
+            print("record_bench: no workload and seed was run on both sides",
+                  file=sys.stderr)
+            return 2
+        print("\n".join(lines))
+        return 0
+    records, = sides
+    bench = fold(records)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
-    print(f"{args.out}: {len(paths)} runs, workloads "
+    print(f"{args.out}: {len(records)} runs, workloads "
           f"{', '.join(bench['workloads'])}, seeds {bench['seeds']}")
     return 0
 

@@ -2,11 +2,14 @@
 
 `reference_ordinary` is a deliberately literal array-walking program for
 ordinary-singularity configurations, kept independent of the engine module.
-It walks every component, point and branch separately, in integers over the
-degree d: a value v = num/d is carried as its numerator. Its only deviation
-from a straight scripted transliteration is that ceilings are computed
-exactly instead of through a bounded 100 - int(100 - v) trick; the trick is
-still evaluated, in integer form, and asserted to agree on its valid domain.
+It walks every component, point and branch separately, row by row over the
+columns i in [1, d], in integers over the degree d: a value v = num/d is
+carried as its numerator. It deviates from a straight scripted
+transliteration in two ways. Ceilings are computed exactly instead of
+through a bounded 100 - int(100 - v) trick; the trick is still evaluated,
+in integer form, and asserted to agree on every cell of every row in its
+valid domain. And the ceiling row of a multiplicity is computed once per
+call, however many components and branches carry it.
 `cross_check` runs the engine against it and against the brute-force
 counters and reports the first differing cell; `verify` runs the invariants
 that apply to a config. Both return a `CheckReport` of kinded checks.
@@ -82,14 +85,16 @@ def brute_coeffs(dprime: int, n: int) -> list[int]:
 _IDIOM_BOUND = 100
 
 
-def _idiom_ceil(num: int, d: int) -> int:
-    """Exact ceiling of v = num/d, with the bounded 100 - int(100 - v) idiom
-    asserted to agree wherever that idiom is valid (v < 100). There
-    100 - v > 0, so int() is floor division of its numerator by d."""
-    exact = -(-num // d)
-    if num < _IDIOM_BOUND * d:
-        trick = _IDIOM_BOUND - (_IDIOM_BOUND * d - num) // d
-        assert trick == exact, (num, d, trick, exact)
+def _idiom_ceil_row(nums: list[int], d: int) -> list[int]:
+    """Exact ceilings of the values v = num/d of a row, with the bounded
+    100 - int(100 - v) idiom asserted to agree on every cell where that
+    idiom is valid (v < 100). There 100 - v > 0, so int() is floor division
+    of its numerator by d."""
+    exact = [-(-num // d) for num in nums]
+    top = _IDIOM_BOUND * d
+    bad = next(((num, c) for num, c in zip(nums, exact)
+                if num < top and _IDIOM_BOUND - (top - num) // d != c), None)
+    assert bad is None, (bad, d)
     return exact
 
 
@@ -110,7 +115,11 @@ class ReferenceState:
 
 
 def reference_state(cfg: CurveConfig) -> ReferenceState:
-    """Run the reference computation for an ordinary configuration."""
+    """Run the reference computation for an ordinary configuration, a whole
+    row over i in [1, d] at a time: one exact ceiling row per distinct
+    multiplicity, every component adding its own shift row and every branch
+    its own residue row to its point, and the idiom asserted on every cell
+    of every ceiling row (components, branches and points)."""
     if not cfg.is_ordinary():
         raise ValueError("the reference program handles ordinary points only")
     if cfg.incidence is None:
@@ -135,27 +144,34 @@ def reference_state(cfg: CurveConfig) -> ReferenceState:
 
     d = sum(dk * ak for dk, ak in zip(state.ds, state.as_))
     dr = sum(state.ds)
-    sp = [[0] * d for _ in range(4)]
-    for i in range(1, d + 1):
-        s = 0
-        for dk, ak in zip(state.ds, state.as_):
-            s += dk * (_idiom_ceil(ak * i, d) - 1)
-        io = i - s
-        sp[0][i - 1] = (io - 1) * (io - 2) // 2
-        sp[1][i - 1] = state.dsq + (io - 1) * (dr - io - 1)
-        sp[2][i - 1] = (dr - io - 1) * (dr - io - 2) // 2
-        for row in state.al:
-            ga = 0      # d times the sum of the (0, 1] residues
-            for mult in row[1:]:
-                v = mult * i
-                ga += v - d * _idiom_ceil(v, d) + d
-            p = _idiom_ceil(ga, d)
-            sp[0][i - 1] -= (p - 1) * (p - 2) // 2
-            sp[1][i - 1] -= (p - 1) * (row[0] - p)
-            sp[2][i - 1] -= (row[0] - p) * (row[0] - p - 1) // 2
-        for e in range(3):
-            sp[3][i - 1] += sp[e][i - 1]
-    state.sp = sp
+    cols = range(1, d + 1)
+    # the ceilings of a*i/d over i in [1, d] once per distinct multiplicity
+    # a of a component or a branch, and d times the (0, 1] residue
+    # a*i/d - ceil + 1 once per distinct branch multiplicity
+    ceils: dict[int, list[int]] = {}
+    residues: dict[int, list[int]] = {}
+    branch_mults = {m for row in state.al for m in row[1:]}
+    for a in branch_mults | set(state.as_):
+        nums = [a * i for i in cols]
+        ceils[a] = _idiom_ceil_row(nums, d)
+        if a in branch_mults:
+            residues[a] = [v - d * c + d for v, c in zip(nums, ceils[a])]
+    s = [0] * d
+    for dk, ak in zip(state.ds, state.as_):
+        s = [sk + dk * (c - 1) for sk, c in zip(s, ceils[ak])]
+    io = [i - sk for i, sk in zip(cols, s)]
+    sp0 = [(t - 1) * (t - 2) // 2 for t in io]
+    sp1 = [state.dsq + (t - 1) * (dr - t - 1) for t in io]
+    sp2 = [(dr - t - 1) * (dr - t - 2) // 2 for t in io]
+    for row in state.al:
+        # d times the sum of the residues of the point's branches
+        ga = list(map(sum, zip(*(residues[mult] for mult in row[1:]))))
+        p = _idiom_ceil_row(ga, d)
+        n = row[0]
+        sp0 = [x - (q - 1) * (q - 2) // 2 for x, q in zip(sp0, p)]
+        sp1 = [x - (q - 1) * (n - q) for x, q in zip(sp1, p)]
+        sp2 = [x - (n - q) * (n - q - 1) // 2 for x, q in zip(sp2, p)]
+    state.sp = [sp0, sp1, sp2, [x + y + z for x, y, z in zip(sp0, sp1, sp2)]]
 
     p = sum((row[0] - 1) ** 2 for row in state.al)
     state.chi = dr * (dr - 3) + 3 - p - state.od
@@ -218,12 +234,16 @@ class CheckReport:
 
 
 def _first_row_mismatch(name, got, want, e):
-    for i, (g, w) in enumerate(zip(got, want), start=1):
-        if g != w:
-            return CheckResult(name, False,
-                               f"first mismatch at (i={i}, e={e}, "
-                               f"expected={w}, actual={g})")
-    return CheckResult(name, True)
+    got, want = tuple(got), tuple(want)
+    if got == want:
+        return CheckResult(name, True)
+    if len(got) != len(want):
+        return CheckResult(name, False, f"row lengths differ (e={e}, "
+                           f"expected={len(want)}, actual={len(got)})")
+    i, w, g = next((i, w, g) for i, (g, w) in enumerate(zip(got, want), start=1)
+                   if g != w)
+    return CheckResult(name, False, f"first mismatch at (i={i}, e={e}, "
+                                    f"expected={w}, actual={g})")
 
 
 def has_reference(cfg: CurveConfig) -> bool:

@@ -112,26 +112,69 @@ def test_tool_compares_runs_pair_by_pair(tmp_path, capsys):
     tool = load_tool()
     assert tool.main(["--compare", str(parent), str(change)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # the metrics of BENCHMARK.json, in its order; others are left out
+    # the failure shares, then the metrics of BENCHMARK.json in its order;
+    # others are left out
     assert [line.split(":")[0] for line in lines] == [
-        "weighted-reduced ops_per_s", "weighted-reduced reduced_p50_ms"]
-    ops, reduced = lines
+        "weighted-reduced fail_ratio", "weighted-reduced ops_per_s",
+        "weighted-reduced reduced_p50_ms"]
+    fails, ops, reduced = lines
+    assert fails == ("weighted-reduced fail_ratio: parent 0 (0 of 100), "
+                     "change 0 (0 of 100), share kept")
     assert ops == ("weighted-reduced ops_per_s: parent 100 (Q1-Q3 100-100), "
-                   "change 99, ratio 0.990, wins 1 of 10, gain not shown")
+                   "change 99, ratio 0.990, wins 1 of 10, gain not shown, "
+                   "bound 0.25 kept")
     assert reduced == (
         "weighted-reduced reduced_p50_ms: parent 7.45 (Q1-Q3 7.175-7.825), "
-        "change 5.45, ratio 0.732, wins 9 of 10, gain shown")
+        "change 5.45, ratio 0.732, wins 9 of 10, gain shown, bound 0.25 kept")
+
+
+def paired_records(values, failed=(0, 0)):
+    """Run records of workload ``w`` per side: `values` maps "parent" and
+    "change" to one value of the metric ``m`` per seed, and each side's
+    runs fail `failed` of 10 operations."""
+    return [[{"workload": "w", "seed": seed, "revision": side,
+              "fail_ratio": {"failed": fails, "attempted": 10},
+              "metrics": {"m": {"value": v}}}
+             for seed, v in enumerate(values[side], start=1)]
+            for side, fails in zip(("parent", "change"), failed)]
+
+
+@pytest.mark.parametrize("better, parent, change, verdict", [
+    # lower is better: the median 12.6 is worse by 26 % of 10
+    ("lower", [10.0] * 10, [12.6] * 10, "exceeded"),
+    ("lower", [10.0] * 10, [12.4] * 10, "kept"),
+    # higher is better: 7.4 is worse by 26 % of 10
+    ("higher", [10.0] * 10, [7.4] * 10, "exceeded"),
+    ("higher", [10.0] * 10, [7.6] * 10, "kept"),
+    # the parent's quartiles 8-12 lie wider apart than the bound allows
+    ("lower", [8.0, 12.0] * 5, [10.0, 10.5] * 5, "unresolved"),
+    # unless every run of the change reads better than every parent run
+    ("lower", [8.0, 12.0] * 5, [7.0, 7.5] * 5, "kept"),
+])
+def test_compare_checks_each_bound(better, parent, change, verdict):
+    old, new = paired_records({"parent": parent, "change": change})
+    metrics = {"m": {"better": better, "bound": 0.25}}
+    _, line = load_tool().compare(old, new, metrics)
+    assert line.endswith(f", bound 0.25 {verdict}")
+
+
+def test_compare_prints_each_side_failure_share():
+    old, new = paired_records({"parent": [1.0] * 4, "change": [1.0] * 4},
+                              failed=(1, 2))
+    metrics = {"m": {"better": "lower", "bound": 0.25}}
+    line, _ = load_tool().compare(old, new, metrics)
+    assert line == ("w fail_ratio: parent 0.1 (4 of 40), change 0.2 (8 of 40), "
+                    "share grew")
+    line, _ = load_tool().compare(new, old, metrics)
+    assert line.endswith("share kept")
 
 
 def test_compare_needs_a_gap_wider_than_the_parent_spread(tmp_path):
     old = [7.0, 9.0, 7.5, 8.5, 7.2, 8.8, 7.4, 8.6, 7.6, 8.4]
-    better = {"reduced_p50_ms": "lower"}
-    records = {}
-    for side, values in (("parent", old), ("change", [v - 0.3 for v in old])):
-        records[side] = [{"workload": "w", "seed": seed, "revision": side,
-                          "metrics": {"reduced_p50_ms": {"value": v}}}
-                         for seed, v in enumerate(values, start=1)]
-    line, = load_tool().compare(records["parent"], records["change"], better)
+    metrics = {"m": {"better": "lower", "bound": 0.25}}
+    parent, change = paired_records({"parent": old,
+                                     "change": [v - 0.3 for v in old]})
+    _, line = load_tool().compare(parent, change, metrics)
     assert "wins 10 of 10, gain not shown" in line
     with pytest.raises(SystemExit, match="one pair"):
-        load_tool().compare(records["parent"][:1], records["change"], better)
+        load_tool().compare(parent[:1], change, metrics)

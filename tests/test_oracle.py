@@ -1,5 +1,7 @@
+import inspect
 import math
 import random
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,10 +19,10 @@ from conespec.formats import (config_template, parse_native, parse_singular,
                               parse_vector_text)
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             lattice_row, weighted_spectrum)
-from conespec.oracle import (_idiom_ceil, as_reduced_cone, brute_coeffs,
-                             brute_lattice, brute_lattice_row, cross_check,
-                             has_reference, reference_ordinary,
-                             reference_state, verify)
+from conespec.oracle import (_first_row_mismatch, _idiom_ceil_row,
+                             as_reduced_cone, brute_coeffs, brute_lattice,
+                             brute_lattice_row, cross_check, has_reference,
+                             reference_ordinary, reference_state, verify)
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config)
@@ -351,23 +353,103 @@ def test_reference_state_matches_fraction_transcription():
         assert vars(reference_state(cfg)) == vars(fraction_reference_state(cfg))
 
 
+def random_shared_multiplicity_config(rng: random.Random) -> CurveConfig:
+    """An ordinary config whose multiplicities come from a small set, so
+    that components share one, branches of a point repeat one, and a point
+    may have a single branch. The reference reads no geometry beyond these
+    fields, so the points need not be realisable."""
+    mults = rng.sample(range(1, 8), rng.randint(1, 3))
+    comps = [GlobalComponent(rng.randint(1, 4), rng.choice(mults))
+             for _ in range(rng.randint(2, 6))]
+    points = [SingularPoint((1, 1), tuple(
+        LocalBranch(1, rng.choice(mults)) for _ in range(rng.randint(1, 6))))
+        for _ in range(rng.randint(1, 5))]
+    pairs = [(rng.randint(1, 3), rng.randint(1, 4))
+             for _ in range(rng.randint(0, 3))]
+    return CurveConfig(tuple(comps), tuple(points), rng.randint(0, 4),
+                       Incidence.from_pairs(pairs))
+
+
+def test_row_reference_matches_fraction_transcription():
+    """What the per-multiplicity rows and the per-point row sums must get
+    right: components that share a multiplicity, points that repeat a branch
+    multiplicity, one-branch points, and two configs of the size of the
+    ordinary-large workload, at d = 1500 and d = 1501."""
+    rng = random.Random(20261019)
+    corpus = [random_shared_multiplicity_config(rng) for _ in range(60)]
+    comp_mults = [[c.multiplicity for c in cfg.components] for cfg in corpus]
+    branch_mults = [[b.multiplicity for b in p.branches]
+                    for cfg in corpus for p in cfg.points]
+    assert sum(len(set(m)) < len(m) for m in comp_mults) >= 30
+    assert sum(len(set(m)) < len(m) for m in branch_mults) >= 30
+    assert sum(len(m) == 1 for m in branch_mults) >= 10
+    large = [load("five-lines.vectors", a=700, b=500, c=297),
+             load("sextic-pencil.vectors", a=120, b=129, c=1)]
+    assert [cfg.degree for cfg in large] == [1500, 1501]
+    for cfg in corpus + large:
+        assert vars(reference_state(cfg)) == vars(fraction_reference_state(cfg))
+
+
 @pytest.mark.parametrize("d", [1, 2, 7, 1819])
 def test_idiom_ceil(d):
     # exact multiples k*d and their neighbours k*d -+ 1, up to both edges of
-    # the idiom's domain v < 100: 100*d - 1 and 100*d
-    for k in range(102):
-        for num in (k * d - 1, k * d, k * d + 1):
-            if num >= 1:
-                assert _idiom_ceil(num, d) == math.ceil(Fraction(num, d))
+    # the idiom's domain v < 100: 100*d - 1 and 100*d, as one row per d
+    nums = [num for k in range(102) for num in (k * d - 1, k * d, k * d + 1)
+            if num >= 1]
+    assert _idiom_ceil_row(nums, d) == [math.ceil(Fraction(num, d))
+                                        for num in nums]
+
+
+def code_names(code: types.CodeType) -> set[str]:
+    """The global and attribute names `code` and every code object nested in
+    it (comprehensions, closures, inner functions) refer to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= code_names(const)
+    return names
+
+
+def test_code_names_sees_nested_helpers():
+    def outer():
+        def helper():
+            return real_floor_row
+        return helper
+
+    assert "real_floor_row" not in outer.__code__.co_names
+    assert "real_floor_row" in code_names(outer.__code__)
 
 
 def test_reference_stays_literal():
-    names = set(reference_state.__code__.co_names)
-    assert "Fraction" not in names
     forbidden = {"_shift", "_residue", "_rows", "_floor_row", "binom2"}
     # a renamed engine helper fails here rather than weakening the guard
     assert all(hasattr(conespec.engine, name) for name in forbidden)
-    assert not names & forbidden
+    kernels = {name for module in (conespec.engine, conespec.local)
+               for name, value in vars(module).items()
+               if inspect.isfunction(value)
+               and value.__module__ == module.__name__}
+    assert forbidden <= kernels
+    for function in (reference_state, _idiom_ceil_row):
+        names = code_names(function.__code__)
+        assert "Fraction" not in names
+        assert not names & forbidden
+        assert not names & kernels
+
+
+def test_row_mismatch_names_the_first_cell():
+    assert _first_row_mismatch("x", (1, 2, 3), [1, 2, 3], 0).passed
+    result = _first_row_mismatch("x", (1, 5, 7), (1, 2, 3), 2)
+    assert not result.passed
+    assert result.detail == "first mismatch at (i=2, e=2, expected=2, actual=5)"
+
+
+@pytest.mark.parametrize("got, want", [((1, 2, 3), (1, 2)),
+                                       ((1, 2), (1, 2, 3)), ((), (1,))])
+def test_row_mismatch_fails_rows_of_different_lengths(got, want):
+    result = _first_row_mismatch("x", got, want, 0)
+    assert not result.passed
+    assert result.detail == (f"row lengths differ (e=0, expected={len(want)}, "
+                             f"actual={len(got)})")
 
 
 def test_rows_checks_are_evidence(monkeypatch, capsys):

@@ -19,13 +19,25 @@ Reads every untraced run record ``<workload>-seed<n>-trace0.json`` that
 A workload needs at least two runs.
 
 ``--compare`` pairs the untraced records of two runs directories, the
-parent's and the change's, by workload and seed. For each workload and each
-end-to-end metric of ``BENCHMARK.json`` (which says whether higher or lower
-is better) it prints the parent's median with its quartiles, the change's
-median and its ratio to the parent's, how many pairs the change wins (ties
-count for neither), and whether a gain is shown: the change wins at least
-nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range. Only the standard library is used.
+parent's and the change's, by workload and seed. For each workload it
+prints each side's ``fail_ratio`` over the paired runs, and whether the
+change's share of failed operations grew. For each end-to-end metric of
+``BENCHMARK.json`` (which says whether higher or lower is better, and by
+what share of the parent's median a metric may worsen, its ``bound``) it
+prints the parent's median with its quartiles, the change's median and its
+ratio to the parent's, how many pairs the change wins (ties count for
+neither), whether a gain is shown (the change wins at least nine tenths of
+the pairs and the medians differ by more than the parent's interquartile
+range) and whether the bound holds:
+
+* ``exceeded``: the change's median is worse than the parent's by more than
+  the bound times the parent's median;
+* ``unresolved``: it is not, but the parent's interquartile range is wider
+  than that, and some run of the change reads no better than some run of
+  the parent;
+* ``kept`` otherwise.
+
+``BENCHMARK.json`` is only read. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -76,10 +88,13 @@ def fold(records: list[dict]) -> dict:
             "workloads": workloads}
 
 
-def compare(parent: list[dict], change: list[dict], better: dict) -> list[str]:
-    """One line per workload and metric of `better` (name -> "higher" or
-    "lower"): the paired comparison of the `change` runs with the `parent`
-    runs of the same workload and seed."""
+def compare(parent: list[dict], change: list[dict],
+            metrics: dict[str, dict]) -> list[str]:
+    """Per workload, one line for the `fail_ratio` of both sides and one
+    line per metric of `metrics` (name -> its ``BENCHMARK.json`` entry, with
+    `better` "higher" or "lower" and a `bound`): the paired comparison of
+    the `change` runs with the `parent` runs of the same workload and
+    seed."""
     for side in (parent, change):
         one([r["revision"] for r in side], "revision")
     after = {(r["workload"], r["seed"]): r for r in change}
@@ -93,21 +108,38 @@ def compare(parent: list[dict], change: list[dict], better: dict) -> list[str]:
         if len(runs) < 2:
             raise SystemExit(f"record_bench: {workload} has one pair; "
                              "quartiles need at least two")
-        for metric, direction in better.items():
+        shares, texts = [], []
+        for name, side in zip(("parent", "change"), zip(*runs)):
+            failed = sum(run["fail_ratio"]["failed"] for run in side)
+            attempted = sum(run["fail_ratio"]["attempted"] for run in side)
+            shares.append(failed / attempted)
+            texts.append(f"{name} {shares[-1]:.6g} ({failed} of {attempted})")
+        grew = "grew" if shares[1] > shares[0] else "kept"
+        lines.append(f"{workload} fail_ratio: {', '.join(texts)}, share {grew}")
+        for metric, entry in metrics.items():
             if metric not in runs[0][0]["metrics"]:
                 continue
             old, new = ([run["metrics"][metric]["value"] for run in side]
                         for side in zip(*runs))
-            sign = 1 if direction == "higher" else -1
+            sign = 1 if entry["better"] == "higher" else -1
             wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
             q1, median, q3 = statistics.quantiles(old, n=4)
             changed = statistics.median(new)
             shown = wins * 10 >= 9 * len(runs) and sign * (changed - median) > q3 - q1
+            allowed = entry["bound"] * abs(median)
+            if sign * (median - changed) > allowed:
+                bound = "exceeded"
+            elif q3 - q1 > allowed and not all(sign * (b - a) > 0
+                                               for a in old for b in new):
+                bound = "unresolved"
+            else:
+                bound = "kept"
             ratio = f"{changed / median:.3f}" if median else "n/a"
             lines.append(
                 f"{workload} {metric}: parent {median:.6g} (Q1-Q3 {q1:.6g}-"
                 f"{q3:.6g}), change {changed:.6g}, ratio {ratio}, wins "
-                f"{wins} of {len(runs)}, gain {'shown' if shown else 'not shown'}")
+                f"{wins} of {len(runs)}, gain {'shown' if shown else 'not shown'}"
+                f", bound {entry['bound']:g} {bound}")
     return lines
 
 
@@ -138,7 +170,7 @@ def main(argv=None) -> int:
             return 2
     if args.compare:
         end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-        lines = compare(*sides, {m["name"]: m["better"] for m in end_to_end})
+        lines = compare(*sides, {m["name"]: m for m in end_to_end})
         if not lines:
             print("record_bench: no workload and seed was run on both sides",
                   file=sys.stderr)

@@ -1,0 +1,49 @@
+"""The base of the package's immutable value records.
+
+A record class lists its fields in ``__slots__``, in the order its
+``__init__`` takes them, and its ``__init__`` checks its arguments and sets
+each field once with ``object.__setattr__``. Equality (with records of the
+same class only), hash and repr read the fields named in ``_compared``,
+every field unless the class says otherwise; the repr reads
+``Name(field=value, ...)``. Assigning or deleting a field raises
+`AttributeError`. Copy and pickle rebuild a record by calling its class on
+its fields.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    """Slot storage, value equality, hash and repr, and no mutation."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._compared)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name)
+                                     for name in self.__slots__)

@@ -10,6 +10,8 @@ Exit codes: 0 success, 1 verification or oracle mismatch, 2 input error.
 
 `main(argv)` may be called many times in one process: every call shares
 one argument parser, built on the first call and not at import.
+`conespec.oracle` is imported by ``verify`` and ``oracle`` on their first
+call, not at import, so the other commands never load the checker.
 """
 
 from __future__ import annotations
@@ -19,14 +21,13 @@ import csv
 import functools
 import itertools
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      _spectrum_table, curve_table, ordinary_middle_row,
                      reduced_cone_spectrum, scan_values, thickened_spectrum)
 from .formats import (ConfigError, _ascii_int, _lex_expr, config_template,
                       emit_table)
-from .oracle import cross_check, verify
 from .spectrum import SpectrumVector
 
 OK, MISMATCH, INPUT_ERROR = 0, 1, 2
@@ -149,28 +150,33 @@ def cmd_reduced(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import verify
     report = verify(_read_config(args))
     sys.stdout.write(report.render(("pass", "FAIL"), "({})"))
     return OK if report.passed else MISMATCH
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import cross_check
     report = cross_check(_read_config(args, CurveConfig,
                                       "oracle expects a curve config"))
     sys.stdout.write(report.render())
     return OK if report.passed else MISMATCH
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(Record):
     """A parameter sweep: template text, inclusive ranges, fixed bindings,
     required predicates, and the grid-size cap."""
 
-    template: str
-    ranges: dict
-    fixed: dict
-    predicates: tuple[str, ...] = ()
-    cap: int = DEFAULT_CAP
+    __slots__ = ("template", "ranges", "fixed", "predicates", "cap")
+
+    def __init__(self, template: str, ranges: dict, fixed: dict,
+                 predicates: tuple[str, ...] = (), cap: int = DEFAULT_CAP):
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "ranges", ranges)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "predicates", predicates)
+        object.__setattr__(self, "cap", cap)
 
 
 def run_scan(spec: ScanSpec, out) -> int:

@@ -21,11 +21,11 @@ spectrum as a table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress
 from typing import Optional, Sequence
 
+from ._record import Record
 from .local import (SingularPoint, _window_row, lattice_row,
                     quotient_coeffs, validate_branches)
 from .spectrum import Numerators, SpectrumVector
@@ -36,41 +36,39 @@ def binom2(n: int) -> int:
     return n * (n - 1) // 2
 
 
-@dataclass(frozen=True)
-class GlobalComponent:
+class GlobalComponent(Record):
     """One irreducible component of the curve: degree and multiplicity."""
 
-    degree: int
-    multiplicity: int
+    __slots__ = ("degree", "multiplicity")
 
-    def __post_init__(self):
-        if self.degree < 1:
+    def __init__(self, degree: int, multiplicity: int):
+        if degree < 1:
             raise ValueError("component degree must be positive")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("component multiplicity must be positive")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(Record):
     """Component multiplicities at singular points, either as a bare multiset
     of (count, value) pairs or as a full point-by-component matrix."""
 
-    pairs: tuple[tuple[int, int], ...]
-    matrix: Optional[tuple[tuple[int, ...], ...]] = None
+    __slots__ = ("pairs", "matrix")
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs",
-                           tuple((int(c), int(v)) for c, v in self.pairs))
-        for count, value in self.pairs:
+    def __init__(self, pairs: tuple[tuple[int, int], ...],
+                 matrix: Optional[tuple[tuple[int, ...], ...]] = None):
+        pairs = tuple((int(c), int(v)) for c, v in pairs)
+        for count, value in pairs:
             if count < 1 or value < 1:
                 raise ValueError("incidence pairs need positive count and value")
-        if self.matrix is not None:
-            object.__setattr__(self, "matrix",
-                               tuple(tuple(int(v) for v in row)
-                                     for row in self.matrix))
-            for row in self.matrix:
+        if matrix is not None:
+            matrix = tuple(tuple(int(v) for v in row) for row in matrix)
+            for row in matrix:
                 if any(v < 0 for v in row):
                     raise ValueError("incidence matrix entries must be >= 0")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_pairs(cls, pairs) -> "Incidence":
@@ -88,8 +86,7 @@ class Incidence:
         return cls(pairs, matrix)
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Record):
     """Combinatorial description of a plane curve with multiplicities.
 
     `points` lists the singular points of the reduced curve that carry local
@@ -99,27 +96,30 @@ class CurveConfig:
     global/local intersection check.
     """
 
-    components: tuple[GlobalComponent, ...]
-    points: tuple[SingularPoint, ...] = ()
-    nodes: int = 0
-    incidence: Optional[Incidence] = None
+    __slots__ = ("components", "points", "nodes", "incidence")
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "points", tuple(self.points))
-        if not self.components:
+    def __init__(self, components: tuple[GlobalComponent, ...],
+                 points: tuple[SingularPoint, ...] = (), nodes: int = 0,
+                 incidence: Optional[Incidence] = None):
+        components = tuple(components)
+        points = tuple(points)
+        if not components:
             raise ValueError("a curve needs at least one component")
-        if self.nodes < 0:
+        if nodes < 0:
             raise ValueError("node count must be >= 0")
-        if self.incidence is not None and self.incidence.matrix is not None:
-            r = len(self.components)
-            for row in self.incidence.matrix:
+        if incidence is not None and incidence.matrix is not None:
+            r = len(components)
+            for row in incidence.matrix:
                 if len(row) != r:
                     raise ValueError("incidence matrix rows must have one "
                                      "column per component")
-            if len(self.incidence.matrix) < len(self.points):
+            if len(incidence.matrix) < len(points):
                 raise ValueError("incidence matrix needs at least one row per "
                                  "listed point")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "incidence", incidence)
 
     @property
     def degree(self) -> int:
@@ -143,8 +143,7 @@ class CurveConfig:
         return all(p.is_ordinary() for p in self.points)
 
 
-@dataclass(frozen=True)
-class ConeSpectrumTable:
+class ConeSpectrumTable(Record):
     """The three multiplicity rows of a cone over a plane curve.
 
     rows[e][i-1] is the value at exponent i/d + e for i in [1, d]. Entries
@@ -158,15 +157,21 @@ class ConeSpectrumTable:
     `incidence_middle` is the middle row from incidence data, set by
     `curve_table` on configs with ordinary points and incidence data (see
     `ordinary_middle_row`) and None elsewhere. It is not part of the table's
-    value: equality and repr leave it out.
+    value: equality, hash and repr leave it out.
     """
 
-    d: int
-    dprime: int
-    chi_u: int
-    rows: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    incidence_middle: Optional[tuple[int, ...]] = field(
-        default=None, compare=False, repr=False)
+    __slots__ = ("d", "dprime", "chi_u", "rows", "incidence_middle")
+    _compared = ("d", "dprime", "chi_u", "rows")
+
+    def __init__(self, d: int, dprime: int, chi_u: int,
+                 rows: tuple[tuple[int, ...], tuple[int, ...],
+                             tuple[int, ...]],
+                 incidence_middle: Optional[tuple[int, ...]] = None):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "dprime", dprime)
+        object.__setattr__(self, "chi_u", chi_u)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "incidence_middle", incidence_middle)
 
     def as_spectrum(self) -> SpectrumVector:
         """Flatten the table into one vector over exponents in (0, 3]."""
@@ -187,37 +192,39 @@ class ConeSpectrumTable:
         return all(min(row[:self.d - 1], default=0) >= 0 for row in self.rows)
 
 
-@dataclass(frozen=True)
-class ReducedConeConfig:
+class ReducedConeConfig(Record):
     """Input for the reduced-hypersurface route: ambient projective dimension
     n, degree, the local spectra at the singular points (each living in n
     variables), and the power m for the thickened cone f^m."""
 
-    ambient_dim: int
-    degree: int
-    local_spectra: tuple[SpectrumVector, ...] = ()
-    power: int = 1
+    __slots__ = ("ambient_dim", "degree", "local_spectra", "power")
 
-    def __post_init__(self):
-        object.__setattr__(self, "local_spectra", tuple(self.local_spectra))
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, degree: int,
+                 local_spectra: tuple[SpectrumVector, ...] = (),
+                 power: int = 1):
+        local_spectra = tuple(local_spectra)
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        if self.degree < 1:
+        if degree < 1:
             raise ValueError("degree must be positive")
-        if self.power < 1:
+        if power < 1:
             raise ValueError("power must be positive")
-        for spec in self.local_spectra:
-            if spec.ambient_dim != self.ambient_dim:
+        for spec in local_spectra:
+            if spec.ambient_dim != ambient_dim:
                 raise ValueError("local spectra must live in the ambient "
-                                 f"dimension {self.ambient_dim}")
+                                 f"dimension {ambient_dim}")
             if not spec.has_valid_support():
                 raise ValueError(f"local spectrum {spec} has exponents outside "
-                                 f"(0, {self.ambient_dim})")
+                                 f"(0, {ambient_dim})")
             if not spec.is_symmetric():
                 raise ValueError(f"local spectrum {spec} is not symmetric")
             if any(m < 0 for m in spec.numerators().values()):
                 raise ValueError(f"local spectrum {spec} has a negative "
                                  "multiplicity")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "local_spectra", local_spectra)
+        object.__setattr__(self, "power", power)
 
 
 def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:

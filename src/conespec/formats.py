@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Union
 
+from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      Incidence, ReducedConeConfig)
 from .local import (LocalBranch, SingularPoint, WeightSystem,
@@ -221,15 +221,18 @@ def parse_expr(text: str) -> Expr:
 # four-vector compatibility format
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SingularVectors:
+class SingularVectors(Record):
     """The four template vectors: global components, singular points,
     aggregated double points, incidence values."""
 
-    glcmp: tuple[Expr, ...]
-    si: tuple[Expr, ...]
-    od: Expr
-    lg: tuple[Expr, ...]
+    __slots__ = ("glcmp", "si", "od", "lg")
+
+    def __init__(self, glcmp: tuple[Expr, ...], si: tuple[Expr, ...],
+                 od: Expr, lg: tuple[Expr, ...]):
+        object.__setattr__(self, "glcmp", glcmp)
+        object.__setattr__(self, "si", si)
+        object.__setattr__(self, "od", od)
+        object.__setattr__(self, "lg", lg)
 
 
 def parse_vector_text(text: str) -> SingularVectors:

@@ -12,32 +12,32 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .spectrum import SpectrumVector
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(Record):
     """Positive integer weights (gcd 1) together with a weighted degree."""
 
-    weights: tuple[int, ...]
-    degree: int
+    __slots__ = ("weights", "degree")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if not self.weights:
+    def __init__(self, weights: tuple[int, ...], degree: int):
+        weights = tuple(int(w) for w in weights)
+        if not weights:
             raise ValueError("weight system needs at least one weight")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
         # gcd 1 is required of a genuine weight system; single-variable
         # systems appear only as factors of the product formula, where the
         # weight may share a factor with the joint degree.
-        if len(self.weights) > 1 and math.gcd(*self.weights) != 1:
+        if len(weights) > 1 and math.gcd(*weights) != 1:
             raise ValueError("weights must have gcd 1")
-        if self.degree < 1:
+        if degree < 1:
             raise ValueError("weighted degree must be positive")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "degree", degree)
 
     def _require_isolated(self):
         if any(self.degree <= w for w in self.weights):
@@ -147,38 +147,39 @@ def _window_row(spectra, d: int, top: int) -> list[int]:
     return list(itertools.accumulate(diff[:-1]))
 
 
-@dataclass(frozen=True)
-class LocalBranch:
+class LocalBranch(Record):
     """One local irreducible component: its weighted degree and the
     multiplicity the ambient (possibly non-reduced) curve carries on it."""
 
-    weighted_degree: int
-    multiplicity: int
+    __slots__ = ("weighted_degree", "multiplicity")
 
-    def __post_init__(self):
-        if self.weighted_degree < 1:
+    def __init__(self, weighted_degree: int, multiplicity: int):
+        if weighted_degree < 1:
             raise ValueError("branch weighted degree must be positive")
-        if self.multiplicity < 1:
+        if multiplicity < 1:
             raise ValueError("branch multiplicity must be positive")
+        object.__setattr__(self, "weighted_degree", weighted_degree)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(Record):
     """A singular point of the reduced curve, described by its local weights
     and its branches. Ordinary points have weights (1, 1)."""
 
-    weights: tuple[int, int]
-    branches: tuple[LocalBranch, ...]
+    __slots__ = ("weights", "branches")
 
-    def __post_init__(self):
-        w, wp = self.weights
+    def __init__(self, weights: tuple[int, int],
+                 branches: tuple[LocalBranch, ...]):
+        w, wp = weights
         if w < 1 or wp < 1:
             raise ValueError("point weights must be positive")
         if math.gcd(w, wp) != 1:
-            raise ValueError(f"point weights {self.weights} must be coprime")
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
+            raise ValueError(f"point weights {weights} must be coprime")
+        branches = tuple(branches)
+        if not branches:
             raise ValueError("a singular point needs at least one branch")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "branches", branches)
 
     @property
     def weighted_degree(self) -> int:

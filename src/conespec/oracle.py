@@ -22,9 +22,9 @@ function; `brute_coeffs` convolves where `smooth_cone_coeffs` divides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      _component_terms, _floor_row, _spectrum_table,
                      curve_table, incidence_consistent, local_data_table,
@@ -98,20 +98,20 @@ def _idiom_ceil_row(nums: list[int], d: int) -> list[int]:
     return exact
 
 
-@dataclass
 class ReferenceState:
     """Raw working arrays of the reference program: one row per point in
     `al` (branch count followed by branch multiplicities), expanded degree
     and multiplicity lists, the 4 x d result matrix `sp` (three rows plus
     their running sum), and the `dsq`, `od`, `chi` accumulators."""
 
-    al: list[list[int]] = field(default_factory=list)
-    ds: list[int] = field(default_factory=list)
-    as_: list[int] = field(default_factory=list)
-    sp: list[list[int]] = field(default_factory=list)
-    dsq: int = 0
-    od: int = 0
-    chi: int = 0
+    def __init__(self):
+        self.al: list[list[int]] = []
+        self.ds: list[int] = []
+        self.as_: list[int] = []
+        self.sp: list[list[int]] = []
+        self.dsq = 0
+        self.od = 0
+        self.chi = 0
 
 
 def reference_state(cfg: CurveConfig) -> ReferenceState:
@@ -192,21 +192,26 @@ def reference_ordinary(cfg: CurveConfig) -> ConeSpectrumTable:
                               tuple(row2)))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named check. `kind` is "identity" (holds by construction),
     "oracle" (independent recomputation) or "expectation" (may fail)."""
 
-    name: str
-    passed: bool
-    detail: str = ""
-    kind: str = "oracle"
+    __slots__ = ("name", "passed", "detail", "kind")
+
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 kind: str = "oracle"):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checks: tuple[CheckResult, ...]
-    note: str = ""
+class CheckReport(Record):
+    __slots__ = ("checks", "note")
+
+    def __init__(self, checks: tuple[CheckResult, ...], note: str = ""):
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "note", note)
 
     @property
     def passed(self) -> bool:

@@ -1,0 +1,180 @@
+"""The value records of the package behave as immutable values.
+
+One instance of each record class is checked for its repr text, equality
+and hash of equal values, refused assignment and deletion, keyword
+construction with defaults, and copy and pickle round trips.
+`ConeSpectrumTable.incidence_middle` is carried along but is not part of
+the table's value.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from conespec.cli import DEFAULT_CAP, ScanSpec
+from conespec.engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
+                             Incidence, ReducedConeConfig)
+from conespec.formats import SingularVectors
+from conespec.local import LocalBranch, SingularPoint, WeightSystem
+from conespec.oracle import CheckReport, CheckResult
+from conespec.spectrum import SpectrumVector
+
+
+def curve_config():
+    return CurveConfig(
+        [GlobalComponent(1, 2), GlobalComponent(1, 1)],
+        [SingularPoint((1, 1), [LocalBranch(1, 2), LocalBranch(1, 1)])],
+        nodes=1, incidence=Incidence([(1, 1), (1, 2)], [[2, 1]]))
+
+
+def table():
+    return ConeSpectrumTable(3, 2, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                             incidence_middle=(0, 1, 0))
+
+
+def report():
+    return CheckReport((CheckResult("row-sum", True, kind="identity"),
+                        CheckResult("rows-agree", False, "at (i=1, e=0)")),
+                       "ordinary")
+
+
+# (constructor of one instance, its repr)
+CASES = [
+    (lambda: GlobalComponent(2, 3),
+     "GlobalComponent(degree=2, multiplicity=3)"),
+    (lambda: Incidence([(1, 2)], [[2, 0]]),
+     "Incidence(pairs=((1, 2),), matrix=((2, 0),))"),
+    (curve_config,
+     "CurveConfig(components=(GlobalComponent(degree=1, multiplicity=2), "
+     "GlobalComponent(degree=1, multiplicity=1)), "
+     "points=(SingularPoint(weights=(1, 1), "
+     "branches=(LocalBranch(weighted_degree=1, multiplicity=2), "
+     "LocalBranch(weighted_degree=1, multiplicity=1))),), nodes=1, "
+     "incidence=Incidence(pairs=((1, 1), (1, 2)), matrix=((2, 1),)))"),
+    (table,
+     "ConeSpectrumTable(d=3, dprime=2, chi_u=1, "
+     "rows=((1, 0, 0), (0, 1, 0), (0, 0, 1)))"),
+    (lambda: ReducedConeConfig(2, 4, [SpectrumVector({1: 1}, 2)], 2),
+     "ReducedConeConfig(ambient_dim=2, degree=4, "
+     "local_spectra=(SpectrumVector({1:1}, ambient_dim=2),), power=2)"),
+    (lambda: WeightSystem([2, 3], 6),
+     "WeightSystem(weights=(2, 3), degree=6)"),
+    (lambda: LocalBranch(3, 2),
+     "LocalBranch(weighted_degree=3, multiplicity=2)"),
+    (lambda: SingularPoint((2, 3), [LocalBranch(6, 1)]),
+     "SingularPoint(weights=(2, 3), "
+     "branches=(LocalBranch(weighted_degree=6, multiplicity=1),))"),
+    (lambda: SingularVectors((1, 2), (), 0, (3,)),
+     "SingularVectors(glcmp=(1, 2), si=(), od=0, lg=(3,))"),
+    (lambda: CheckResult("row-sum", True),
+     "CheckResult(name='row-sum', passed=True, detail='', kind='oracle')"),
+    (report,
+     "CheckReport(checks=(CheckResult(name='row-sum', passed=True, "
+     "detail='', kind='identity'), CheckResult(name='rows-agree', "
+     "passed=False, detail='at (i=1, e=0)', kind='oracle')), "
+     "note='ordinary')"),
+    (lambda: ScanSpec("GlCmp=1,a;", {"a": (1, 2)}, {"b": 3}),
+     "ScanSpec(template='GlCmp=1,a;', ranges={'a': (1, 2)}, "
+     "fixed={'b': 3}, predicates=(), cap=1000000)"),
+]
+
+IDS = [text.partition("(")[0] for _, text in CASES]
+
+
+@pytest.mark.parametrize("make, text", CASES, ids=IDS)
+def test_repr_equality_and_hash(make, text):
+    one, two = make(), make()
+    assert repr(one) == text
+    assert one == two and not one != two
+    assert one is not two
+    if isinstance(one, ScanSpec):
+        # its ranges and bindings are dicts
+        with pytest.raises(TypeError):
+            hash(one)
+    else:
+        assert hash(one) == hash(two)
+
+
+@pytest.mark.parametrize("make, text", CASES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(make, text):
+    record = make()
+    field = text.partition("(")[2].partition("=")[0]
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.unknown_field = 0
+    assert repr(record) == before
+
+
+def test_records_of_different_classes_differ():
+    assert LocalBranch(3, 2) != GlobalComponent(3, 2)
+    assert not LocalBranch(3, 2) == GlobalComponent(3, 2)
+    assert LocalBranch(3, 2) != (3, 2)
+
+
+def test_keyword_construction_with_defaults():
+    cfg = CurveConfig(components=[GlobalComponent(degree=2, multiplicity=1)])
+    assert (cfg.points, cfg.nodes, cfg.incidence) == ((), 0, None)
+    assert cfg.components == (GlobalComponent(2, 1),)
+    assert Incidence(pairs=[(1, 2)]).matrix is None
+    assert ConeSpectrumTable(d=1, dprime=1, chi_u=2,
+                             rows=((0,), (0,), (1,))).incidence_middle is None
+    reduced = ReducedConeConfig(ambient_dim=3, degree=2)
+    assert (reduced.local_spectra, reduced.power) == ((), 1)
+    check = CheckResult(name="x", passed=False)
+    assert (check.detail, check.kind) == ("", "oracle")
+    assert CheckReport(checks=()).note == ""
+    spec = ScanSpec(template="", ranges={}, fixed={})
+    assert (spec.predicates, spec.cap) == ((), DEFAULT_CAP)
+
+
+def test_incidence_middle_is_not_part_of_the_value():
+    with_middle = table()
+    plain = ConeSpectrumTable(3, 2, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    other = ConeSpectrumTable(3, 2, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                              incidence_middle=(9, 9, 9))
+    assert with_middle == plain == other
+    assert hash(with_middle) == hash(plain) == hash(other)
+    assert repr(with_middle) == repr(plain)
+    assert "incidence_middle" not in repr(with_middle)
+    assert with_middle.incidence_middle == (0, 1, 0)
+
+
+def round_trips(record):
+    return [copy.copy(record), copy.deepcopy(record),
+            pickle.loads(pickle.dumps(record))]
+
+
+@pytest.mark.parametrize("make, text", CASES, ids=IDS)
+def test_copy_and_pickle_keep_the_value(make, text):
+    record = make()
+    for clone in round_trips(record):
+        assert type(clone) is type(record)
+        assert clone == record
+        assert repr(clone) == text
+
+
+def test_curve_config_round_trip_keeps_points_and_incidence():
+    cfg = curve_config()
+    for clone in round_trips(cfg):
+        assert clone.points == cfg.points
+        assert clone.incidence == cfg.incidence
+        assert clone.incidence.matrix == ((2, 1),)
+        assert clone.nodes == 1
+
+
+def test_table_round_trip_keeps_incidence_middle():
+    for clone in round_trips(table()):
+        assert clone.incidence_middle == (0, 1, 0)
+
+
+def test_report_round_trip_keeps_its_checks():
+    original = report()
+    for clone in round_trips(original):
+        assert clone.checks == original.checks
+        assert clone.render() == original.render()
+        assert clone.record() == original.record()

@@ -5,9 +5,16 @@ A module-level function, or a method whose name is not of the form
 anywhere under ``src/conespec/`` carries its name. Every other one must be
 in `UNREFERENCED` with the reason it stays; removing such a function means
 removing it here too, and a new one that nothing calls fails this test.
+
+Nor does a command load what it does not use: importing `conespec.cli` in a
+fresh interpreter loads neither `dataclasses` (and `inspect` with it) nor
+the checker module `conespec.oracle`, which only ``verify`` and ``oracle``
+import, and no package module imports `dataclasses` at all.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conespec"
@@ -59,3 +66,30 @@ def unreferenced_functions() -> set[str]:
 def test_every_unreferenced_function_is_allowed():
     assert unreferenced_functions() == set(UNREFERENCED)
     assert all(UNREFERENCED.values())
+
+
+def test_cold_import_of_the_cli_loads_no_unused_module():
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import conespec.cli; "
+             "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', "
+             "'conespec.oracle') if m in sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", probe,
+                           str(PACKAGE.parent)],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.split() == []
+
+
+def test_no_package_module_imports_dataclasses():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                importers.append(path.name)
+    assert importers == []

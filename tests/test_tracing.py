@@ -8,7 +8,8 @@ import importlib.util
 from pathlib import Path
 
 import conespec
-import conespec.cli  # noqa: F401  (imports every traced module)
+import conespec.cli  # noqa: F401
+import conespec.oracle  # noqa: F401  (cli loads it only for verify, oracle)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 

@@ -9,7 +9,12 @@ counted together, each distinct one given one row of lattice counts) and
 computes the columns i in [lo, hi], each from its index alone. One column
 (what ``scan`` asks for) runs a scalar body, which costs least per call; a
 longer range is built as whole rows, which cost least per column, its floor
-sums as step functions of i (`_floor_row`). `curve_table` runs it on [1, d]
+sums as step functions of i (`_floor_row`). A column depends on i only
+through the residues (m*i - 1) mod d of the multiplicities m, and when g
+divides every m these repeat with period P = d // g, since m*P is then a
+multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a
+curve g*Z are built on one period of P columns and tiled; only the -1 of
+row 2 at i = d breaks the period. `curve_table` runs it on [1, d]
 and keeps that pass's incidence middle row on the table, which
 `ordinary_middle_row` reads, so `verify`, ``oracle`` and ``compute --middle
 cor2`` make one pass. `scan_values` runs it on the one cell that ``scan``
@@ -21,9 +26,10 @@ spectrum as a table.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate, compress
-from typing import Optional, Sequence
+from math import gcd
 
 from ._record import Record
 from .local import (SingularPoint, _window_row, lattice_row,
@@ -57,7 +63,7 @@ class Incidence(Record):
     __slots__ = ("pairs", "matrix")
 
     def __init__(self, pairs: tuple[tuple[int, int], ...],
-                 matrix: Optional[tuple[tuple[int, ...], ...]] = None):
+                 matrix: tuple[tuple[int, ...], ...] | None = None):
         pairs = tuple((int(c), int(v)) for c, v in pairs)
         for count, value in pairs:
             if count < 1 or value < 1:
@@ -100,7 +106,7 @@ class CurveConfig(Record):
 
     def __init__(self, components: tuple[GlobalComponent, ...],
                  points: tuple[SingularPoint, ...] = (), nodes: int = 0,
-                 incidence: Optional[Incidence] = None):
+                 incidence: Incidence | None = None):
         components = tuple(components)
         points = tuple(points)
         if not components:
@@ -166,7 +172,7 @@ class ConeSpectrumTable(Record):
     def __init__(self, d: int, dprime: int, chi_u: int,
                  rows: tuple[tuple[int, ...], tuple[int, ...],
                              tuple[int, ...]],
-                 incidence_middle: Optional[tuple[int, ...]] = None):
+                 incidence_middle: tuple[int, ...] | None = None):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "dprime", dprime)
         object.__setattr__(self, "chi_u", chi_u)
@@ -306,7 +312,7 @@ def _floor_row(terms, cols, d: int) -> list[int]:
     return list(accumulate(steps))
 
 
-def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: Optional[dict] = None
+def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
           ) -> tuple[int, list[int], list[int], list[int]]:
     """chi(U), then rows 0 and 2 and the incidence middle row without its
     constant (component pairs minus incidence pairs) for the columns i in
@@ -326,7 +332,13 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: Optional[dict] = None
     (``scan``) runs the scalar column body. A longer range builds every row
     as whole lists, with the floor sums from `_floor_row`: that costs less
     per column but more per call, so on one column the scalar body is
-    faster."""
+    faster. The whole rows are built on one period only: with g the gcd of
+    every component and branch multiplicity (g divides d = sum degree *
+    multiplicity), (m*(i + P) - 1) mod d == (m*i - 1) mod d for P = d // g,
+    so each floor sum rises by a constant over P columns (by P for the
+    components, by mass / g for a point's ceiling) and the twist and the
+    ceilings repeat. The first min(hi - lo + 1, P) columns are computed and
+    tiled; then row 2 takes its -1 at i = d."""
     counts: dict = {}
     milnor = cfg.nodes
     for p in cfg.points:
@@ -363,7 +375,10 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: Optional[dict] = None
             row2.append(r2)
             middle.append(mid)
         return chi, row0, row2, middle
-    cols = range(lo, hi + 1)
+    g = gcd(*(m for m, _ in comps),
+            *(m for *_, terms in points for m, _ in terms))
+    width = hi - lo + 1
+    cols = range(lo, lo + min(width, d // g))
     twist = [i - s for i, s in zip(cols, _floor_row(comps, cols, d))]
     row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
     row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
@@ -377,6 +392,10 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: Optional[dict] = None
         row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
         middle = [m - k * c * (top - c) for m, c in zip(middle, ceil)]
+    if len(cols) < width:
+        reps = -(-width // len(cols))
+        row0, row2, middle = [(row * reps)[:width]
+                              for row in (row0, row2, middle)]
     if hi == d:
         row2[-1] -= 1
     return chi, row0, row2, middle
@@ -417,8 +436,8 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
                              incidence)
 
 
-def scan_values(cfg: CurveConfig, lattice: Optional[dict] = None
-                ) -> tuple[int, int, Optional[int], int]:
+def scan_values(cfg: CurveConfig, lattice: dict | None = None
+                ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point. The points are checked as by
     `curve_table`, also when d < 3, but only column 3 is computed: past
@@ -431,7 +450,7 @@ def scan_values(cfg: CurveConfig, lattice: Optional[dict] = None
 
 
 def ordinary_middle_row(cfg: CurveConfig,
-                        table: Optional[ConeSpectrumTable] = None) -> list[int]:
+                        table: ConeSpectrumTable | None = None) -> list[int]:
     """Middle row computed from incidence data instead of the Euler-number
     balance. Only valid when every listed point is ordinary; requires
     incidence data (the multiset form is enough). Both are checked before

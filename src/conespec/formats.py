@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import operator
 import re
+from collections.abc import Callable, Mapping
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Union
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
@@ -35,7 +35,7 @@ from .spectrum import SpectrumVector, exponent_texts
 class ConfigError(ValueError):
     """Input rejection with a machine-readable code and source location."""
 
-    def __init__(self, code: str, message: str, line: Optional[int] = None):
+    def __init__(self, code: str, message: str, line: int | None = None):
         self.code = code
         self.line = line
         super().__init__(message)
@@ -49,7 +49,7 @@ class _coded:
     """Block in which a constructor's ValueError becomes a ConfigError with
     `code` at `line`; a ConfigError passes unchanged."""
 
-    def __init__(self, code: str, line: Optional[int] = None):
+    def __init__(self, code: str, line: int | None = None):
         self.code, self.line = code, line
 
     def __enter__(self):
@@ -475,8 +475,8 @@ class _Fields:
         self.points: list[SingularPoint] = []
         self.spectra: list[SpectrumVector] = []
         self.nodes = 0
-        self.incidence: Optional[Incidence] = None
-        self.header: Optional[tuple[int, int, int]] = None  # n, degree, power
+        self.incidence: Incidence | None = None
+        self.header: tuple[int, int, int] | None = None  # n, degree, power
 
 
 # A compiled line: it evaluates its slots at the binding and records what
@@ -675,7 +675,7 @@ _KEYWORDS = {
 }
 
 # a config text as a function of its parameter binding
-Template = Callable[[Mapping[str, int]], Union[CurveConfig, ReducedConeConfig]]
+Template = Callable[[Mapping[str, int]], CurveConfig | ReducedConeConfig]
 
 
 def parse_native(text: str) -> Template:

@@ -18,10 +18,10 @@ one, so their thousands of entries are written once, not twice.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
 
-ExponentLike = Union[Fraction, int, str]
+ExponentLike = Fraction | int | str
 
 
 def _as_fraction(value: ExponentLike) -> Fraction:
@@ -39,7 +39,7 @@ def _count(mult) -> int:
 
 
 def exponent_texts(nums: Sequence[int], den: int,
-                   values: Optional[Iterable[int]] = None) -> list[str]:
+                   values: Iterable[int] | None = None) -> list[str]:
     """The exponents k/den (den >= 1) for the numerators k of `nums`, each
     in lowest terms, "p" or "p/q" as ``str(Fraction(k, den))`` writes it,
     followed by ":" and the value at the same place when `values` is given.
@@ -69,7 +69,7 @@ class SpectrumVector:
     __slots__ = ("_den", "_nums", "_ambient_dim")
 
     def __init__(self, entries=None, ambient_dim: int = 1, *,
-                 denominator: Optional[int] = None):
+                 denominator: int | None = None):
         """`entries` maps exponents to multiplicities (a mapping or pairs).
         Exponents are `Fraction`/int/str, or integer numerators over
         `denominator` when that is given. A multiplicity must be integral
@@ -114,7 +114,7 @@ class SpectrumVector:
         """Least common denominator of the exponents (1 when empty)."""
         return self._den
 
-    def numerators(self, denominator: Optional[int] = None) -> dict[int, int]:
+    def numerators(self, denominator: int | None = None) -> dict[int, int]:
         """Entries as {k: multiplicity} for exponents k/denominator (default:
         the vector's own); exponents off that grid are left out."""
         if denominator is None:

@@ -163,3 +163,18 @@ def random_mixed_swh_config(rng: random.Random,
                             for b in p.branches))
         for p in base.points)
     return CurveConfig(components=comps, points=points, nodes=base.nodes)
+
+
+def scale_multiplicities(cfg: CurveConfig, g: int) -> CurveConfig:
+    """cfg with every component and branch multiplicity multiplied by g and
+    its incidence kept: the curve g*Z of the curve Z that cfg describes,
+    whose table repeats every deg Z columns."""
+    comps = tuple(GlobalComponent(c.degree, g * c.multiplicity)
+                  for c in cfg.components)
+    points = tuple(
+        SingularPoint(p.weights,
+                      tuple(LocalBranch(b.weighted_degree, g * b.multiplicity)
+                            for b in p.branches))
+        for p in cfg.points)
+    return CurveConfig(components=comps, points=points, nodes=cfg.nodes,
+                       incidence=cfg.incidence)

@@ -24,7 +24,7 @@ from conespec.local import (LocalBranch, SingularPoint, lattice_count,
 from conespec.oracle import as_reduced_cone, brute_coeffs
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
-                        random_reduced_swh_config)
+                        random_reduced_swh_config, scale_multiplicities)
 from reference import (binomial_local_table, emit_native, euler_generic_union,
                        fraction_items, reduced_multiplicity, thicken,
                        weighted_milnor)
@@ -445,9 +445,18 @@ def fraction_columns(cfg):
             None if middle[0] is None else list(middle))
 
 
+def random_scaled_config(rng):
+    """An ordinary or a mixed config with every multiplicity multiplied by
+    a seeded g in 2..6, incidence kept: its columns repeat every d // g,
+    and `_rows` builds one such period and tiles it."""
+    make = rng.choice((random_ordinary_config, random_mixed_swh_config))
+    return scale_multiplicities(make(rng), rng.randint(2, 6))
+
+
 @pytest.mark.parametrize("make", [random_ordinary_config,
                                   random_reduced_swh_config,
-                                  random_mixed_swh_config])
+                                  random_mixed_swh_config,
+                                  random_scaled_config])
 def test_integer_kernel_matches_fraction_arithmetic(make):
     rng = random.Random(4242)
     for _ in range(60):
@@ -510,7 +519,8 @@ def test_scan_cell_matches_fraction_column(make):
 
 @pytest.mark.parametrize("make", [random_ordinary_config,
                                   random_reduced_swh_config,
-                                  random_mixed_swh_config])
+                                  random_mixed_swh_config,
+                                  random_scaled_config])
 def test_rows_on_a_range_slice_the_rows_on_all_columns(make):
     """`_rows(cfg, lo, hi)` is the [lo, hi] slice of `_rows(cfg, 1, d)`:
     on a random range, on one that ends at d (the -1 of row 2 at i = d),
@@ -567,6 +577,25 @@ def test_scan_builds_each_lattice_row_once(monkeypatch):
         run_scan(spec, out)
         assert out.getvalue() == want.getvalue()
         assert calls == [(1, 1, 2)]
+
+
+def test_table_rows_build_one_period(monkeypatch):
+    """With every multiplicity a multiple of g, `curve_table` builds each
+    floor row on d // g columns at most and tiles it; with g = 1 on all d."""
+    lengths = []
+
+    def recording(terms, cols, d):
+        lengths.append(len(cols))
+        return _floor_row(terms, cols, d)
+
+    monkeypatch.setattr(conespec.engine, "_floor_row", recording)
+    cfg = pencil_config(2, 3, 1)
+    fat = thicken(cfg, 6)
+    curve_table(fat)
+    assert lengths and max(lengths) <= fat.degree // 6
+    lengths.clear()
+    curve_table(cfg)
+    assert lengths and set(lengths) == {cfg.degree}
 
 
 def test_scan_cell_builds_no_table(monkeypatch):

@@ -25,7 +25,7 @@ from conespec.oracle import (_first_row_mismatch, _idiom_ceil_row,
                              reference_ordinary, reference_state, verify)
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
-                        random_reduced_swh_config)
+                        random_reduced_swh_config, scale_multiplicities)
 from reference import fraction_reference_state, thicken
 from test_acceptance import golden_configs
 
@@ -299,6 +299,18 @@ def test_randomized_configs_agree_with_reference():
     rng = random.Random(20260810)
     for trial in range(120):
         cfg = random_ordinary_config(rng, with_matrix=(trial % 3 == 0))
+        report = cross_check(cfg)
+        assert report.passed, report.render()
+
+
+def test_scaled_configs_agree_with_reference():
+    """Every multiplicity a multiple of g: the engine tiles one period of
+    d // g columns, the reference computes every column."""
+    rng = random.Random(20261025)
+    for trial in range(100):
+        cfg = scale_multiplicities(
+            random_ordinary_config(rng, with_matrix=(trial % 3 == 0)),
+            rng.randint(2, 6))
         report = cross_check(cfg)
         assert report.passed, report.render()
 

@@ -72,7 +72,7 @@ def test_cold_import_of_the_cli_loads_no_unused_module():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "import conespec.cli; "
              "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', "
-             "'conespec.oracle') if m in sys.modules)))")
+             "'conespec.oracle', 'typing') if m in sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe,
                            str(PACKAGE.parent)],
                           capture_output=True, text=True, timeout=60,

@@ -274,21 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p)
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("reduced", help="reduced-cone spectrum and table")
-    p.add_argument("path")
-    add_params(p)
-    p.set_defaults(func=cmd_reduced)
-
-    p = sub.add_parser("verify", help="run the applicable invariants")
-    p.add_argument("path")
-    add_params(p)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("oracle", help="differential report against the "
-                                      "independent reference")
-    p.add_argument("path")
-    add_params(p)
-    p.set_defaults(func=cmd_oracle)
+    for name, func, text in (
+            ("reduced", cmd_reduced, "reduced-cone spectrum and table"),
+            ("verify", cmd_verify, "run the applicable invariants"),
+            ("oracle", cmd_oracle,
+             "differential report against the independent reference")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("path")
+        add_params(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("scan", help="sweep template parameters to CSV")
     p.add_argument("path")

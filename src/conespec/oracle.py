@@ -22,7 +22,7 @@ function; `brute_coeffs` convolves where `smooth_cone_coeffs` divides.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
@@ -364,10 +364,13 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
                               "expectation"))
     # in integers over d, from whole rows: 0 <= shift < i (so
     # 0 < twist <= i), residues mult*i - d*((mult*i - 1) // d) in (0, d], and
-    # the twist i - shift at i = d is the reduced degree
+    # the twist i - shift at i = d is the reduced degree. With g the gcd of
+    # the component multiplicities, over P = d // g columns each shift rises
+    # by P and each residue repeats, so [1, P] covers [1, d] and the twist
+    # at P is the twist at d.
     d = cfg.degree
     comps = _component_terms(cfg)
-    cols = range(1, d + 1)
+    cols = range(1, d // gcd(*(m for m, _ in comps)) + 1)
     shifts = _floor_row(comps, cols, d)
     twists = [i - s for i, s in zip(cols, shifts)]
     residues = [mult * i - s for mult, _ in comps
@@ -376,10 +379,12 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
         "index-ranges", min(shifts) >= 0 and min(twists) > 0
         and 0 < min(residues) and max(residues) <= d
         and twists[-1] == cfg.reduced_degree, kind="identity"))
-    spectra = [p.local_spectrum() for p in cfg.points]
+    cone = as_reduced_cone(cfg)
+    spectra = (dict(zip(cfg.points, cone.local_spectra)) if cone is not None
+               else {p: p.local_spectrum() for p in dict.fromkeys(cfg.points)})
     checks.append(CheckResult("local-spectra", all(
         s.has_valid_support() and s.is_symmetric() and s.total() == p.milnor()
-        for p, s in zip(cfg.points, spectra))))
+        for p, s in spectra.items())))
     if cfg.incidence is not None and cfg.incidence.matrix is not None:
         checks.append(CheckResult(
             "incidence-product", incidence_consistent(cfg),
@@ -388,7 +393,6 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
         checks.append(CheckResult(
             "middle-agreement", table.rows[1] == table.incidence_middle,
             "incidence route disagrees with the balance route"))
-    cone = as_reduced_cone(cfg)
     if cone is not None and cone.power == 1:
         alt = local_data_table(cone.degree, cone.local_spectra)
         checks.append(CheckResult("local-table-agreement", alt.rows == table.rows,
@@ -403,11 +407,13 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
 
 def as_reduced_cone(cfg: CurveConfig) -> ReducedConeConfig | None:
     """The reduced-cone input of a curve whose multiplicities are all m: its
-    local spectra, one {1:1} per node, and power m; None if they differ."""
+    local spectra, each built once per distinct point, one {1:1} per node,
+    and power m; None if they differ."""
     mults = cfg.multiplicities()
     if len(mults) > 1:
         return None
-    spectra = [p.local_spectrum() for p in cfg.points]
-    spectra += [SpectrumVector({Fraction(1): 1}, ambient_dim=2)] * cfg.nodes
+    built = {p: p.local_spectrum() for p in dict.fromkeys(cfg.points)}
+    spectra = [built[p] for p in cfg.points]
+    spectra += [SpectrumVector({1: 1}, ambient_dim=2)] * cfg.nodes
     return ReducedConeConfig(ambient_dim=2, degree=cfg.reduced_degree,
                              local_spectra=tuple(spectra), power=mults.pop())

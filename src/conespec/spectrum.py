@@ -24,12 +24,6 @@ from fractions import Fraction
 ExponentLike = Fraction | int | str
 
 
-def _as_fraction(value: ExponentLike) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 def _count(mult) -> int:
     """`mult` as an int; ValueError when it is not integral."""
     count = int(mult)
@@ -89,7 +83,7 @@ class SpectrumVector:
             pairs = (entries.items() if isinstance(entries, Mapping)
                      else entries or ())
             if denominator is None:
-                pairs = [(_as_fraction(e), m) for e, m in pairs]
+                pairs = [(Fraction(e), m) for e, m in pairs]
                 denominator = math.lcm(*(e.denominator for e, _ in pairs))
                 pairs = [(e.numerator * (denominator // e.denominator), m)
                          for e, m in pairs]
@@ -123,7 +117,7 @@ class SpectrumVector:
                 if k * denominator % self._den == 0}
 
     def multiplicity(self, exponent: ExponentLike) -> int:
-        e = _as_fraction(exponent)
+        e = Fraction(exponent)
         scale, off_grid = divmod(self._den, e.denominator)
         return 0 if off_grid else self._nums.get(e.numerator * scale, 0)
 

@@ -178,3 +178,14 @@ def scale_multiplicities(cfg: CurveConfig, g: int) -> CurveConfig:
         for p in cfg.points)
     return CurveConfig(components=comps, points=points, nodes=cfg.nodes,
                        incidence=cfg.incidence)
+
+
+def binary_power_curve(e: int, m: int) -> CurveConfig:
+    """The reduced curve h^m + z^(m*e) of degree m*e, for a binary form h of
+    degree e with distinct roots: the m smooth components h - c*z^e with
+    c^m = -1, each of degree e, meet only at the e roots of h, in the
+    singularity u^m + w^(m*e) of weights (1, e) with m branches of weighted
+    degree e."""
+    return CurveConfig(
+        components=(GlobalComponent(e, 1),) * m,
+        points=(SingularPoint((1, e), (LocalBranch(e, 1),) * m),) * e)

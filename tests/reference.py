@@ -102,6 +102,18 @@ def add(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
     return SpectrumVector(pairs, a.ambient_dim, denominator=den)
 
 
+def join(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
+    """The Thom-Sebastiani join a * b: one entry n_a*n_b at x+y for every
+    pair of entries, in a.ambient_dim + b.ambient_dim variables. By the
+    Thom-Sebastiani theorem for spectra, Sp(f(x) + g(y)) = Sp(f) * Sp(g).
+    Multiplicities may be negative, as in the spectrum of a cone table."""
+    den = math.lcm(a.denominator, b.denominator)
+    return SpectrumVector([(x + y, ma * mb)
+                           for x, ma in a.numerators(den).items()
+                           for y, mb in b.numerators(den).items()],
+                          a.ambient_dim + b.ambient_dim, denominator=den)
+
+
 def product(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
     """Exponent convolution: joining two germs in disjoint variables
     multiplies their spectra, so the result has one entry n_a*n_b at x+y
@@ -109,9 +121,7 @@ def product(a: SpectrumVector, b: SpectrumVector) -> SpectrumVector:
     if any(m < 0 for vec in (a, b) for m in vec.numerators().values()):
         raise ValueError("product requires genuine spectra "
                          "(nonnegative multiplicities)")
-    return SpectrumVector([(x + y, ma * mb) for x, ma in fraction_items(a)
-                           for y, mb in fraction_items(b)],
-                          a.ambient_dim + b.ambient_dim)
+    return join(a, b)
 
 
 def min_exponent(spec: SpectrumVector) -> Fraction:

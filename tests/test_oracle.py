@@ -28,6 +28,7 @@ from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config, scale_multiplicities)
 from reference import fraction_reference_state, thicken
 from test_acceptance import golden_configs
+from test_engine import pencil_config
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -548,3 +549,57 @@ def test_one_lattice_row_per_distinct_point(monkeypatch):
         calls.clear()
         run(cfg)
         assert calls == [(1, 1, 3)] * 2, run.__name__
+
+
+def test_verify_builds_index_rows_on_one_period(monkeypatch):
+    """On a curve 6*Z, every floor row that `verify` builds, in the table
+    and in `index-ranges`, has at most d // 6 columns."""
+    lengths = []
+
+    def recording(terms, cols, d):
+        lengths.append(len(cols))
+        return real_floor_row(terms, cols, d)
+
+    monkeypatch.setattr(conespec.engine, "_floor_row", recording)
+    monkeypatch.setattr(conespec.oracle, "_floor_row", recording)
+    fat = thicken(pencil_config(2, 3, 1), 6)
+    report = verify(fat)
+    assert all(c.passed for c in report.checks if c.kind != "expectation")
+    assert lengths and max(lengths) <= fat.degree // 6
+
+
+def test_one_local_spectrum_per_distinct_point(monkeypatch):
+    """`verify` and `cross_check` build each distinct point's spectrum once,
+    on constant and on mixed multiplicities."""
+    calls = []
+    real = SingularPoint.local_spectrum
+
+    def counted(point):
+        calls.append(point)
+        return real(point)
+
+    monkeypatch.setattr(SingularPoint, "local_spectrum", counted)
+    cusp = SingularPoint((2, 3), (LocalBranch(6, 1),))
+    points = (cusp, cusp, SingularPoint((1, 2), (LocalBranch(2, 1),) * 2),
+              SingularPoint((1, 3), (LocalBranch(3, 1),) * 2),
+              SingularPoint((3, 4), (LocalBranch(12, 1),)),
+              SingularPoint((1, 1), (LocalBranch(1, 1),) * 3))
+    six = CurveConfig(components=(GlobalComponent(9, 1),), points=points,
+                      nodes=2)
+    mixed = CurveConfig(components=six.components + (GlobalComponent(1, 2),),
+                        points=points, nodes=2)
+    for cfg in (six, thicken(six, 3), mixed, thicken(pencil_config(2, 3, 1), 6),
+                pencil_config(2, 3, 1)):
+        distinct = list(dict.fromkeys(cfg.points))
+        calls.clear()
+        verify(cfg)
+        assert calls == distinct, cfg
+        calls.clear()
+        cross_check(cfg)
+        assert len(calls) == len(set(calls)), cfg
+    calls.clear()
+    verify(six)
+    assert len(six.points) == 6 and len(calls) == 5
+    calls.clear()
+    cross_check(six)
+    assert len(calls) == 5

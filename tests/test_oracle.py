@@ -597,9 +597,8 @@ def test_one_local_spectrum_per_distinct_point(monkeypatch):
         calls.clear()
         cross_check(cfg)
         assert len(calls) == len(set(calls)), cfg
-    calls.clear()
-    verify(six)
-    assert len(six.points) == 6 and len(calls) == 5
+    # six points, five distinct: the reduced route of `cross_check` too
+    assert len(six.points) == 6 and len(set(six.points)) == 5
     calls.clear()
     cross_check(six)
     assert len(calls) == 5

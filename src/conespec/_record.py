@@ -3,8 +3,7 @@
 A record class lists its fields in ``__slots__``, in the order its
 ``__init__`` takes them, and its ``__init__`` checks its arguments and sets
 each field once with ``object.__setattr__``. Equality (with records of the
-same class only), hash and repr read the fields named in ``_compared``,
-every field unless the class says otherwise; the repr reads
+same class only), hash and repr read every field; the repr reads
 ``Name(field=value, ...)``. Assigning or deleting a field raises
 `AttributeError`. Copy and pickle rebuild a record by calling its class on
 its fields.
@@ -18,12 +17,8 @@ class Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._compared = cls.__dict__.get("_compared", cls.__slots__)
-
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared)
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -35,7 +30,7 @@ class Record:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self._compared)
+                           for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -45,5 +40,4 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name)
-                                     for name in self.__slots__)
+        return self.__class__, self._values()

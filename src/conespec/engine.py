@@ -14,11 +14,11 @@ through the residues (m*i - 1) mod d of the multiplicities m, and when g
 divides every m these repeat with period P = d // g, since m*P is then a
 multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a
 curve g*Z are built on one period of P columns and tiled; only the -1 of
-row 2 at i = d breaks the period. `curve_table` runs it on [1, d]
-and keeps that pass's incidence middle row on the table, which
-`ordinary_middle_row` reads, so `verify`, ``oracle`` and ``compute --middle
-cor2`` make one pass. `scan_values` runs it on the one cell that ``scan``
-reports, and `euler_complement` on no column at all. The reduced
+row 2 at i = d breaks the period. `curve_table` runs it on [1, d],
+and `ordinary_middle_row` reads the incidence middle row off that table as
+its balance row plus one constant, so `verify`, ``oracle`` and ``compute
+--middle cor2`` make one pass. `scan_values` runs it on the one cell that
+``scan`` reports, and `euler_complement` on no column at all. The reduced
 any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum`,
 which consume local spectra directly; `local_data_table` lays out its n = 2
 spectrum as a table.
@@ -159,25 +159,17 @@ class ConeSpectrumTable(Record):
     (i = d), and for sufficiently special geometry (pencils of curves
     through shared points, thickenings of curves with chi-defect) also at
     i < d.
-
-    `incidence_middle` is the middle row from incidence data, set by
-    `curve_table` on configs with ordinary points and incidence data (see
-    `ordinary_middle_row`) and None elsewhere. It is not part of the table's
-    value: equality, hash and repr leave it out.
     """
 
-    __slots__ = ("d", "dprime", "chi_u", "rows", "incidence_middle")
-    _compared = ("d", "dprime", "chi_u", "rows")
+    __slots__ = ("d", "dprime", "chi_u", "rows")
 
     def __init__(self, d: int, dprime: int, chi_u: int,
                  rows: tuple[tuple[int, ...], tuple[int, ...],
-                             tuple[int, ...]],
-                 incidence_middle: tuple[int, ...] | None = None):
+                             tuple[int, ...]]):
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "dprime", dprime)
         object.__setattr__(self, "chi_u", chi_u)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "incidence_middle", incidence_middle)
 
     def as_spectrum(self) -> SpectrumVector:
         """Flatten the table into one vector over exponents in (0, 3]."""
@@ -215,7 +207,7 @@ class ReducedConeConfig(Record):
             raise ValueError("degree must be positive")
         if power < 1:
             raise ValueError("power must be positive")
-        for spec in local_spectra:
+        for spec in dict.fromkeys(local_spectra):
             if spec.ambient_dim != ambient_dim:
                 raise ValueError("local spectra must live in the ambient "
                                  f"dimension {ambient_dim}")
@@ -313,10 +305,9 @@ def _floor_row(terms, cols, d: int) -> list[int]:
 
 
 def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
-          ) -> tuple[int, list[int], list[int], list[int]]:
-    """chi(U), then rows 0 and 2 and the incidence middle row without its
-    constant (component pairs minus incidence pairs) for the columns i in
-    [lo, hi]; an empty range still checks every point.
+          ) -> tuple[int, list[int], list[int]]:
+    """chi(U), then rows 0 and 2 for the columns i in [lo, hi]; an empty
+    range still checks every point.
 
     Each point is checked (branch degrees, then Milnor number) as it is
     grouped, and its Milnor number enters chi(U). Points with equal weights
@@ -359,30 +350,25 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
     d, dp, comps = cfg.degree, cfg.reduced_degree, _component_terms(cfg)
     chi = _chi_complement(dp, milnor)
     if hi - lo < 1:
-        row0, row2, middle = [], [], []
+        row0, row2 = [], []
         for i in range(lo, hi + 1):
             twist = i - _shift(comps, i, d)
             r0 = binom2(twist - 1)
             r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
-            mid = (twist - 1) * (dp - twist - 1)
             for k, row, dj, mass, terms in points:
                 # ceiling of the residue degree i*mass/d - shift
                 ceil_g = -(-i * mass // d) - _shift(terms, i, d)
                 r0 -= k * row[ceil_g - 1]
                 r2 -= k * row[dj - ceil_g]
-                mid -= k * (ceil_g - 1) * (dj - ceil_g)
             row0.append(r0)
             row2.append(r2)
-            middle.append(mid)
-        return chi, row0, row2, middle
-    g = gcd(*(m for m, _ in comps),
-            *(m for *_, terms in points for m, _ in terms))
+        return chi, row0, row2
+    g = gcd(*cfg.multiplicities())
     width = hi - lo + 1
     cols = range(lo, lo + min(width, d // g))
     twist = [i - s for i, s in zip(cols, _floor_row(comps, cols, d))]
     row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
     row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
-    middle = [(t - 1) * (dp - t - 1) for t in twist]
     for k, row, dj, mass, terms in points:
         # that ceiling less one, (i*mass - 1) // d - shift, is the floor sum
         # of the term (mass, 1) and the branch terms negated
@@ -391,14 +377,12 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
         top = dj - 1
         row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
-        middle = [m - k * c * (top - c) for m, c in zip(middle, ceil)]
     if len(cols) < width:
         reps = -(-width // len(cols))
-        row0, row2, middle = [(row * reps)[:width]
-                              for row in (row0, row2, middle)]
+        row0, row2 = (row0 * reps)[:width], (row2 * reps)[:width]
     if hi == d:
         row2[-1] -= 1
-    return chi, row0, row2, middle
+    return chi, row0, row2
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -418,22 +402,14 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
     Rows 0 and 2 come from twisted-line-bundle counts minus lattice counts at
     the singular points; row 1 closes each column against the Euler number of
-    the complement. One `_rows` pass computes every column, and with it the
-    incidence middle row where `ordinary_middle_row` applies.
+    the complement. One `_rows` pass computes every column.
     """
     d = cfg.degree
-    chi, row0, row2, middle = _rows(cfg, 1, d)
+    chi, row0, row2 = _rows(cfg, 1, d)
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
     row1[-1] -= 1
-    incidence = None
-    if cfg.is_ordinary() and cfg.incidence is not None:
-        pairs = (sum(binom2(c.degree) for c in cfg.components)
-                 - sum(count * binom2(value)
-                       for count, value in cfg.incidence.pairs))
-        incidence = tuple([mid + pairs for mid in middle])
     return ConeSpectrumTable(d, cfg.reduced_degree, chi,
-                             (tuple(row0), tuple(row1), tuple(row2)),
-                             incidence)
+                             (tuple(row0), tuple(row1), tuple(row2)))
 
 
 def scan_values(cfg: CurveConfig, lattice: dict | None = None
@@ -445,7 +421,7 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
     d. `lattice` is a mapping that the points of one scan share, so that
     each lattice row is built once per scan (see `_rows`)."""
     d = cfg.degree
-    chi, row0, _, _ = _rows(cfg, 3, min(3, d), lattice)
+    chi, row0, _ = _rows(cfg, 3, min(3, d), lattice)
     return d, cfg.reduced_degree, row0[0] if row0 else None, chi
 
 
@@ -455,14 +431,29 @@ def ordinary_middle_row(cfg: CurveConfig,
     balance. Only valid when every listed point is ordinary; requires
     incidence data (the multiset form is enough). Both are checked before
     anything is computed. `table`, if given, is `curve_table(cfg)`, and the
-    row is read from it instead of being computed again."""
+    row is read from it instead of being computed again.
+
+    At column i, with t the twist, c_p the ceiling of point p's residue
+    degree and r_p its branch count, the incidence row is pairs +
+    (t-1)(d'-t-1) - sum_p (c_p-1)(r_p-c_p), where pairs = sum_k
+    binom2(deg_k) - sum count*binom2(value). The balance row is chi(U) -
+    row0 - row2, with row 2 taken before its -1 at i = d; on ordinary points
+    row0 = binom2(t-1) - sum_p binom2(c_p-1) and row2 = binom2(d'-t-1) -
+    sum_p binom2(r_p-c_p). As binom2(x + y) = binom2(x) + binom2(y) + x*y,
+    the incidence row is the balance row plus delta = pairs + binom2(d'-2)
+    - sum_p binom2(r_p-1) - chi(U), one constant for every column."""
     if not cfg.is_ordinary():
         raise ValueError("incidence-based middle row needs ordinary points only")
     if cfg.incidence is None:
         raise ValueError("incidence-based middle row needs incidence data")
     if table is None:
         table = curve_table(cfg)
-    return list(table.incidence_middle)
+    delta = (sum(binom2(c.degree) for c in cfg.components)
+             - sum(count * binom2(value) for count, value in cfg.incidence.pairs)
+             + binom2(cfg.reduced_degree - 2)
+             - sum(binom2(p.branch_count - 1) for p in cfg.points)
+             - table.chi_u)
+    return [r + delta for r in table.rows[1]]
 
 
 def incidence_consistent(cfg: CurveConfig) -> bool:

@@ -28,8 +28,8 @@ from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      _component_terms, _floor_row, _spectrum_table,
                      curve_table, incidence_consistent, local_data_table,
-                     reduced_cone_spectrum, smooth_cone_coeffs,
-                     thickened_spectrum)
+                     ordinary_middle_row, reduced_cone_spectrum,
+                     smooth_cone_coeffs, thickened_spectrum)
 from .local import lattice_row
 from .spectrum import SpectrumVector
 
@@ -281,7 +281,7 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
         for e in (0, 2):
             checks.append(_first_row_mismatch(f"rows-e{e}", table.rows[e],
                                               ref.rows[e], e))
-        middle = table.incidence_middle
+        middle = ordinary_middle_row(cfg, table)
         checks.append(_first_row_mismatch("middle-incidence", middle,
                                           ref.rows[1], 1))
         checks.append(_first_row_mismatch("middle-balance", table.rows[1],
@@ -391,10 +391,11 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
             "a component pair meets the matrix inconsistently"))
     if has_reference(cfg):
         checks.append(CheckResult(
-            "middle-agreement", table.rows[1] == table.incidence_middle,
+            "middle-agreement",
+            list(table.rows[1]) == ordinary_middle_row(cfg, table),
             "incidence route disagrees with the balance route"))
     if cone is not None and cone.power == 1:
-        alt = local_data_table(cone.degree, cone.local_spectra)
+        alt = _spectrum_table(cone, reduced_cone_spectrum(cone))
         checks.append(CheckResult("local-table-agreement", alt.rows == table.rows,
                                   "table from local spectra disagrees"))
     elif cone is not None:

@@ -17,17 +17,20 @@ be compared. The inputs are written to a temporary directory:
   all equal;
 * seeded reduced cones at n = 1, 3 and 4 whose points are Brieskorn-Pham
   germs (``localwh`` lines), half of them at power 1 and half at a power
-  above 1.
+  above 1;
+* seeded ordinary configs whose incidence pairs are redrawn, so that the
+  incidence middle row differs from the balance row by a nonzero constant.
 
 `conespec.cli.main` runs in-process on each: ``compute`` (rows, csv and
 ``--middle cor2``), ``verify`` and ``oracle`` on a curve, ``reduced``,
 ``verify`` and ``oracle`` on a reduced view, ``reduced`` and ``verify`` on a
-Brieskorn-Pham cone. ``scan`` runs on the vector fixtures over small grids,
-with and without a predicate; on each reduced generator curve written as a
-native template whose every multiplicity is ``m``, over m = 1..3; on one
-native template whose slots are parenthesized expressions with spaces,
-``div``, unary minus and a non-ASCII name; and on one native template that
-fails at one grid point only. The script prints
+Brieskorn-Pham cone, and ``compute --middle cor2``, ``verify`` and
+``oracle`` on a redrawn-incidence config. ``scan`` runs on the vector
+fixtures over small grids, with and without a predicate; on each reduced
+generator curve written as a native template whose every multiplicity is
+``m``, over m = 1..3; on one native template whose slots are parenthesized
+expressions with spaces, ``div``, unary minus and a non-ASCII name; and on
+one native template that fails at one grid point only. The script prints
 the number of calls and one SHA-256 over (case, argv, exit code, stdout,
 stderr) of every call. It uses only the standard library and is not
 collected by pytest.
@@ -61,6 +64,8 @@ REDUCED_COMMANDS = (("reduced",), ("verify",), ("oracle",))
 BRIESKORN_DIMS = (1, 3, 4)
 BRIESKORN_CONFIGS = 6           # per dimension; every other one at power 1
 BRIESKORN_COMMANDS = (("reduced",), ("verify",))
+REDRAWN_CONFIGS = 4
+REDRAWN_COMMANDS = (("compute", "--middle", "cor2"), ("verify",), ("oracle",))
 SCAN_GRID = ("--range", "a=1..3", "--range", "b=1..2", "--param", "c=1")
 SCAN_PREDICATES = ((), ("--predicate", "n3d_zero"))
 # slots that are not one literal or name: the tokenizer keeps each
@@ -106,6 +111,7 @@ def cases(workdir: Path, seed: int):
     """(case, argv) of every call, with the input files written to workdir
     and named relative to it."""
     from generators import (random_mixed_swh_config, random_ordinary_config,
+                            random_redrawn_incidence_config,
                             random_reduced_swh_config)
     from reference import emit_native, thicken
 
@@ -156,6 +162,11 @@ def cases(workdir: Path, seed: int):
             power = 1 if k % 2 == 0 else rng.randint(2, 12)
             (workdir / f"{name}.cfg").write_text(brieskorn_text(rng, n, power))
             out += [(name, [*cmd, f"{name}.cfg"]) for cmd in BRIESKORN_COMMANDS]
+    for k in range(REDRAWN_CONFIGS):
+        name = f"redrawn-incidence-{k}"
+        (workdir / f"{name}.cfg").write_text(
+            emit_native(random_redrawn_incidence_config(rng)))
+        out += [(name, [*cmd, f"{name}.cfg"]) for cmd in REDRAWN_COMMANDS]
     (workdir / "paren-scan.cfg").write_text(PAREN_SCAN)
     out.append(("paren-scan", ["scan", "paren-scan.cfg", "--range", "m=1..3",
                                "--param", "\u00e9=4"]))

@@ -111,6 +111,23 @@ def random_ordinary_config(rng: random.Random,
                        nodes=nodes, incidence=incidence)
 
 
+def random_redrawn_incidence_config(rng: random.Random) -> CurveConfig:
+    """A `random_ordinary_config` whose incidence pairs are redrawn at random
+    until sum count*binom2(value) differs from the construction's: the
+    incidence middle row is then its balance row plus a nonzero constant."""
+    cfg = random_ordinary_config(rng)
+
+    def weight(pairs):
+        return sum(count * binom2(value) for count, value in pairs)
+
+    while True:
+        pairs = [(rng.randint(1, 6), rng.randint(1, 5))
+                 for _ in range(rng.randint(0, 4))]
+        if weight(pairs) != weight(cfg.incidence.pairs):
+            return CurveConfig(cfg.components, cfg.points, cfg.nodes,
+                               Incidence.from_pairs(pairs))
+
+
 _SWH_WEIGHTS = ((1, 1), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 5), (3, 5))
 
 

@@ -24,6 +24,7 @@ from conespec.local import (LocalBranch, SingularPoint, lattice_count,
 from conespec.oracle import as_reduced_cone, brute_coeffs
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
+                        random_redrawn_incidence_config,
                         random_reduced_swh_config, scale_multiplicities)
 from reference import (binomial_local_table, emit_native, euler_generic_union,
                        fraction_items, reduced_multiplicity, thicken,
@@ -454,6 +455,7 @@ def random_scaled_config(rng):
 
 
 @pytest.mark.parametrize("make", [random_ordinary_config,
+                                  random_redrawn_incidence_config,
                                   random_reduced_swh_config,
                                   random_mixed_swh_config,
                                   random_scaled_config])

@@ -602,3 +602,24 @@ def test_one_local_spectrum_per_distinct_point(monkeypatch):
     calls.clear()
     cross_check(six)
     assert len(calls) == 5
+
+
+def test_verify_checks_each_distinct_spectrum_once(monkeypatch):
+    """In one `verify` of a constant-multiplicity curve, symmetry is checked
+    once per distinct spectrum as the reduced cone is built and once per
+    distinct point by ``local-spectra``: the table from the local spectra
+    builds no second config."""
+    calls = []
+    real = SpectrumVector.is_symmetric
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(SpectrumVector, "is_symmetric", counted)
+    cfg = load("five-lines.vectors", a=1, b=1, c=0)
+    cone = as_reduced_cone(cfg)
+    calls.clear()
+    report = verify(cfg)
+    assert "local-table-agreement" in {c.name for c in report.checks}
+    assert len(calls) == len(set(cone.local_spectra)) + len(set(cfg.points))

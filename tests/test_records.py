@@ -3,8 +3,6 @@
 One instance of each record class is checked for its repr text, equality
 and hash of equal values, refused assignment and deletion, keyword
 construction with defaults, and copy and pickle round trips.
-`ConeSpectrumTable.incidence_middle` is carried along but is not part of
-the table's value.
 """
 
 import copy
@@ -29,8 +27,7 @@ def curve_config():
 
 
 def table():
-    return ConeSpectrumTable(3, 2, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                             incidence_middle=(0, 1, 0))
+    return ConeSpectrumTable(3, 2, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
 def report():
@@ -121,8 +118,6 @@ def test_keyword_construction_with_defaults():
     assert (cfg.points, cfg.nodes, cfg.incidence) == ((), 0, None)
     assert cfg.components == (GlobalComponent(2, 1),)
     assert Incidence(pairs=[(1, 2)]).matrix is None
-    assert ConeSpectrumTable(d=1, dprime=1, chi_u=2,
-                             rows=((0,), (0,), (1,))).incidence_middle is None
     reduced = ReducedConeConfig(ambient_dim=3, degree=2)
     assert (reduced.local_spectra, reduced.power) == ((), 1)
     check = CheckResult(name="x", passed=False)
@@ -130,18 +125,6 @@ def test_keyword_construction_with_defaults():
     assert CheckReport(checks=()).note == ""
     spec = ScanSpec(template="", ranges={}, fixed={})
     assert (spec.predicates, spec.cap) == ((), DEFAULT_CAP)
-
-
-def test_incidence_middle_is_not_part_of_the_value():
-    with_middle = table()
-    plain = ConeSpectrumTable(3, 2, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    other = ConeSpectrumTable(3, 2, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                              incidence_middle=(9, 9, 9))
-    assert with_middle == plain == other
-    assert hash(with_middle) == hash(plain) == hash(other)
-    assert repr(with_middle) == repr(plain)
-    assert "incidence_middle" not in repr(with_middle)
-    assert with_middle.incidence_middle == (0, 1, 0)
 
 
 def round_trips(record):
@@ -165,11 +148,6 @@ def test_curve_config_round_trip_keeps_points_and_incidence():
         assert clone.incidence == cfg.incidence
         assert clone.incidence.matrix == ((2, 1),)
         assert clone.nodes == 1
-
-
-def test_table_round_trip_keeps_incidence_middle():
-    for clone in round_trips(table()):
-        assert clone.incidence_middle == (0, 1, 0)
 
 
 def test_report_round_trip_keeps_its_checks():

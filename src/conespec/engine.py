@@ -5,18 +5,19 @@ description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. One kernel,
 `_rows(cfg, lo, hi)`, checks and groups the points once (identical points
-counted together, each distinct one given one row of lattice counts) and
-computes the columns i in [lo, hi], each from its index alone. One column
-(what ``scan`` asks for) runs a scalar body, which costs least per call; a
-longer range is built as whole rows, which cost least per column, its floor
-sums as step functions of i (`_floor_row`). A column depends on i only
-through the residues (m*i - 1) mod d of the multiplicities m, and when g
-divides every m these repeat with period P = d // g, since m*P is then a
-multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a
-curve g*Z are built on one period of P columns and tiled; only the -1 of
-row 2 at i = d breaks the period. `curve_table` runs it on [1, d],
-and `ordinary_middle_row` reads the incidence middle row off that table as
-its balance row plus one constant, so `verify`, ``oracle`` and ``compute
+counted together, each distinct (w, w', d_j - 1) given one row of lattice
+counts) and computes the columns i in [lo, hi], each from its index alone.
+One column (what ``scan`` asks for) runs a scalar body, which costs least
+per call; a longer range is built as whole rows, which cost least per
+column, its floor sums as step functions of i (`_floor_row`). A column
+depends on i only through the residues (m*i - 1) mod d of the
+multiplicities m, and when g divides every m these repeat with period
+P = d // g, since m*P is then a multiple of d: (m*(i + P) - 1) mod d ==
+(m*i - 1) mod d. So the rows of a curve g*Z are built on one period of P
+columns, tiled g times to [1, d] and sliced to the range; only the -1 of
+row 2 at i = d breaks the period. `curve_table` runs it on [1, d], and
+`ordinary_middle_row` reads the incidence middle row off that table as its
+balance row plus one constant, so `verify`, ``oracle`` and ``compute
 --middle cor2`` make one pass. `scan_values` runs it on the one cell that
 ``scan`` reports, and `euler_complement` on no column at all. The reduced
 any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum`,
@@ -314,10 +315,11 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
     and branch terms share one entry, keyed on plain tuples, and one
     `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
     lies in [1, d_j], so every count its columns use has a bound in
-    [0, d_j - 1]. On ordinary points d_j is the number of branches. Given a
-    `lattice` mapping, rows are looked up in it by (w, w', d_j - 1) and added
-    to it, so that the callers sharing it build each row once; they only
-    read the rows.
+    [0, d_j - 1]. On ordinary points d_j is the number of branches. The rows
+    are looked up by (w, w', d_j - 1) in `lattice`, a fresh mapping unless
+    the caller shares one, and added to it, so that each distinct row is
+    built once per call, or once for all the callers sharing the mapping;
+    they only read the rows.
 
     The length of the range picks the path. A range of at most one column
     (``scan``) runs the scalar column body. A longer range builds every row
@@ -328,8 +330,8 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
     multiplicity), (m*(i + P) - 1) mod d == (m*i - 1) mod d for P = d // g,
     so each floor sum rises by a constant over P columns (by P for the
     components, by mass / g for a point's ceiling) and the twist and the
-    ceilings repeat. The first min(hi - lo + 1, P) columns are computed and
-    tiled; then row 2 takes its -1 at i = d."""
+    ceilings repeat. Columns [1, P] are computed and tiled g times to
+    [1, d]; row 2 takes its -1 at i = d, and [lo, hi] is sliced out."""
     counts: dict = {}
     milnor = cfg.nodes
     for p in cfg.points:
@@ -338,14 +340,14 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
         milnor += p.milnor()
         key = (p.weights, _branch_terms(p))
         counts[key] = counts.get(key, 0) + 1
+    if lattice is None:
+        lattice = {}
     points = []
     for ((w, wp), terms), k in counts.items():
         dj = sum(deg for _, deg in terms)
-        row = None if lattice is None else lattice.get((w, wp, dj - 1))
+        row = lattice.get((w, wp, dj - 1))
         if row is None:
-            row = lattice_row(w, wp, dj - 1)
-            if lattice is not None:
-                lattice[w, wp, dj - 1] = row
+            row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
         points.append((k, row, dj, _mass(terms), terms))
     d, dp, comps = cfg.degree, cfg.reduced_degree, _component_terms(cfg)
     chi = _chi_complement(dp, milnor)
@@ -364,8 +366,7 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
             row2.append(r2)
         return chi, row0, row2
     g = gcd(*cfg.multiplicities())
-    width = hi - lo + 1
-    cols = range(lo, lo + min(width, d // g))
+    cols = range(1, d // g + 1)
     twist = [i - s for i, s in zip(cols, _floor_row(comps, cols, d))]
     row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
     row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
@@ -377,12 +378,9 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
         top = dj - 1
         row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
-    if len(cols) < width:
-        reps = -(-width // len(cols))
-        row0, row2 = (row0 * reps)[:width], (row2 * reps)[:width]
-    if hi == d:
-        row2[-1] -= 1
-    return chi, row0, row2
+    row0, row2 = row0 * g, row2 * g
+    row2[-1] -= 1
+    return chi, row0[lo - 1:hi], row2[lo - 1:hi]
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:

@@ -278,6 +278,13 @@ def parse_vector_text(text: str) -> SingularVectors:
                            lg=entries(fields["LG"], "LG"))
 
 
+def _negated_count(vector: str, k: int, sep: int) -> None:
+    """Reject a group separator, entry k (from 0) of `vector`, above 0."""
+    if sep > 0:
+        raise ConfigError("separator", f"{vector} entry {k + 1} should be a "
+                          f"negated count, got {sep}")
+
+
 def parse_singular(vectors: SingularVectors,
                    binding: Mapping[str, int]) -> CurveConfig:
     """Expand the four vectors into a curve configuration.
@@ -298,10 +305,7 @@ def parse_singular(vectors: SingularVectors,
     components = []
     for k in range(0, len(glcmp), 3):
         sep, degree, mult = glcmp[k: k + 3]
-        if sep > 0:
-            raise ConfigError("separator",
-                              f"GlCmp entry {k + 1} should be a negated count,"
-                              f" got {sep}")
+        _negated_count("GlCmp", k, sep)
         if sep == 0:
             continue
         if degree < 1 or mult < 1:
@@ -314,10 +318,7 @@ def parse_singular(vectors: SingularVectors,
     pos = 0
     while pos < len(si):
         sep = si[pos]
-        if sep > 0:
-            raise ConfigError("separator",
-                              f"Si entry {pos + 1} should be a negated count,"
-                              f" got {sep}")
+        _negated_count("Si", pos, sep)
         if pos + 1 >= len(si):
             raise ConfigError("separator", "Si ends before a branch count")
         branch_count = si[pos + 1]
@@ -352,10 +353,7 @@ def parse_singular(vectors: SingularVectors,
                               "entry 0")
         for k in range(0, len(lg), 2):
             sep, value = lg[k: k + 2]
-            if sep > 0:
-                raise ConfigError("separator",
-                                  f"LG entry {k + 1} should be a negated count,"
-                                  f" got {sep}")
+            _negated_count("LG", k, sep)
             if sep == 0:
                 continue
             if value < 1:

@@ -27,9 +27,9 @@ from math import gcd
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      _component_terms, _floor_row, _spectrum_table,
-                     curve_table, incidence_consistent, local_data_table,
-                     ordinary_middle_row, reduced_cone_spectrum,
-                     smooth_cone_coeffs, thickened_spectrum)
+                     curve_table, incidence_consistent, ordinary_middle_row,
+                     reduced_cone_spectrum, smooth_cone_coeffs,
+                     thickened_spectrum)
 from .local import lattice_row
 from .spectrum import SpectrumVector
 
@@ -301,7 +301,8 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
             "column sums disagree with chi(U)", "identity"))
         local = "local-spectra table, " if cfg.is_reduced() else ""
         if local:
-            alt = local_data_table(cfg.degree, as_reduced_cone(cfg).local_spectra)
+            cone = as_reduced_cone(cfg)
+            alt = _spectrum_table(cone, reduced_cone_spectrum(cone))
             for e in (0, 2, 1):
                 checks.append(_first_row_mismatch(
                     f"local-table-e{e}", table.rows[e], alt.rows[e], e))
@@ -339,9 +340,9 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     checks: list[CheckResult] = []
     if isinstance(cfg, ReducedConeConfig):
         # ReducedConeConfig rejects such spectra when it is built
-        checks.append(CheckResult(
-            "local-spectra", all(s.has_valid_support() and s.is_symmetric()
-                                 for s in cfg.local_spectra), kind="identity"))
+        checks.append(CheckResult("local-spectra", all(
+            s.has_valid_support() and s.is_symmetric()
+            for s in dict.fromkeys(cfg.local_spectra)), kind="identity"))
         base = reduced_cone_spectrum(cfg)
         if cfg.ambient_dim == 2:
             table = _spectrum_table(cfg, base)
@@ -364,13 +365,13 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
                               "expectation"))
     # in integers over d, from whole rows: 0 <= shift < i (so
     # 0 < twist <= i), residues mult*i - d*((mult*i - 1) // d) in (0, d], and
-    # the twist i - shift at i = d is the reduced degree. With g the gcd of
-    # the component multiplicities, over P = d // g columns each shift rises
-    # by P and each residue repeats, so [1, P] covers [1, d] and the twist
-    # at P is the twist at d.
+    # the twist i - shift at i = d is the reduced degree. On the period
+    # that `_rows` tiles, P = d // g for g the gcd of every multiplicity,
+    # each shift rises by P and each residue repeats, so [1, P] covers
+    # [1, d] and the twist at P is the twist at d.
     d = cfg.degree
     comps = _component_terms(cfg)
-    cols = range(1, d // gcd(*(m for m, _ in comps)) + 1)
+    cols = range(1, d // gcd(*cfg.multiplicities()) + 1)
     shifts = _floor_row(comps, cols, d)
     twists = [i - s for i, s in zip(cols, shifts)]
     residues = [mult * i - s for mult, _ in comps

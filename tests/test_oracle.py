@@ -542,13 +542,14 @@ def test_one_lattice_row_per_distinct_point(monkeypatch):
         calls.clear()
         run(LARGE_POINT)
         assert calls == [(2, 3, 599)], run.__name__
-    # four points, two distinct ones: two rows per table, cell or row
+    # four points, two distinct ones sharing (w, w', d_j - 1): one row per
+    # table, cell or row
     cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
     assert len(cfg.points) == 4
     for run in (curve_table, scan_values, ordinary_middle_row):
         calls.clear()
         run(cfg)
-        assert calls == [(1, 1, 3)] * 2, run.__name__
+        assert calls == [(1, 1, 3)], run.__name__
 
 
 def test_verify_builds_index_rows_on_one_period(monkeypatch):
@@ -623,3 +624,80 @@ def test_verify_checks_each_distinct_spectrum_once(monkeypatch):
     report = verify(cfg)
     assert "local-table-agreement" in {c.name for c in report.checks}
     assert len(calls) == len(set(cone.local_spectra)) + len(set(cfg.points))
+
+
+def test_rows_tile_the_period_of_every_multiplicity(monkeypatch):
+    """A conic of multiplicity 2 with an ordinary point whose two branches
+    carry multiplicity 1: the gcd of every multiplicity is 1, below the
+    components' 2, so every floor row that `verify` builds, in the table
+    and in `index-ranges`, spans the d // 1 = 4 columns of one period."""
+    lengths = []
+
+    def recording(terms, cols, d):
+        lengths.append(len(cols))
+        return real_floor_row(terms, cols, d)
+
+    monkeypatch.setattr(conespec.engine, "_floor_row", recording)
+    monkeypatch.setattr(conespec.oracle, "_floor_row", recording)
+    cfg = CurveConfig((GlobalComponent(2, 2),),
+                      (SingularPoint((1, 1), (LocalBranch(1, 1),) * 2),))
+    assert (cfg.degree, math.gcd(*cfg.multiplicities())) == (4, 1)
+    report = verify(cfg)
+    assert set(lengths) == {4}
+    assert report.render() == ("row-sum: PASS\n"
+                               "rows-nonnegative: FAIL a genuine-multiplicity "
+                               "cell is negative\n"
+                               "index-ranges: PASS\n"
+                               "local-spectra: PASS\n"
+                               "result: MISMATCH\n")
+
+
+@pytest.fixture
+def symmetry_calls(monkeypatch):
+    """The spectra `SpectrumVector.is_symmetric` is called on, in order."""
+    calls = []
+    real = SpectrumVector.is_symmetric
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(SpectrumVector, "is_symmetric", counted)
+    return calls
+
+
+def six_point_curve():
+    """A reduced weighted curve: six points, five distinct, and 7 nodes, so
+    its n = 2 view holds 13 spectra, 6 distinct."""
+    cusp = SingularPoint((2, 3), (LocalBranch(6, 1),))
+    points = (cusp, cusp, SingularPoint((1, 2), (LocalBranch(2, 1),) * 2),
+              SingularPoint((1, 3), (LocalBranch(3, 1),) * 2),
+              SingularPoint((3, 4), (LocalBranch(12, 1),)),
+              SingularPoint((1, 1), (LocalBranch(1, 1),) * 3))
+    return CurveConfig(components=(GlobalComponent(9, 1),), points=points,
+                       nodes=7)
+
+
+def test_cross_check_validates_its_reduced_view_once(symmetry_calls):
+    """The reduced route of `cross_check` lays out the view that
+    `as_reduced_cone` built and validated: one symmetry check per distinct
+    spectrum, and no second config."""
+    cfg = six_point_curve()
+    spectra = as_reduced_cone(cfg).local_spectra
+    assert (len(spectra), len(set(spectra))) == (13, 6)
+    symmetry_calls.clear()
+    report = cross_check(cfg)
+    assert "local-table-e0" in {c.name for c in report.checks}
+    assert len(symmetry_calls) == 6
+
+
+def test_reduced_verify_checks_each_distinct_spectrum_once(symmetry_calls):
+    """On an n = 2 reduced config with repeated spectra, symmetry is checked
+    once per distinct spectrum as the config is built and once more by
+    ``local-spectra``."""
+    spectra = as_reduced_cone(six_point_curve()).local_spectra
+    symmetry_calls.clear()
+    cone = ReducedConeConfig(2, 9, spectra)
+    report = verify(cone)
+    assert "local-spectra" in {c.name for c in report.checks}
+    assert len(symmetry_calls) == 2 * len(set(spectra)) == 12

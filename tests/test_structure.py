@@ -27,6 +27,8 @@ UNREFERENCED = {
                                  "builds on",
     "engine.euler_complement": "public API; the curve route reads chi(U) "
                                "from `_rows`",
+    "engine.local_data_table": "public API: in `conespec.__all__`, in "
+                               "README and in perfbench/tracing.py TARGETS",
     "engine.index_data": TRACED,
     "engine.residue_degree": TRACED,
     "local.lattice_count": TRACED,

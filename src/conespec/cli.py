@@ -184,9 +184,11 @@ def run_scan(spec: ScanSpec, out) -> int:
     n[3/d] and chi(U) from `scan_values`, which computes one cell and not
     the table, so a point's cost does not grow with d; the points share
     their lattice rows through one mapping that lives for this call only.
-    An input error names the grid point and keeps its code and line. A name
-    may be fixed or ranged, not both. A repeated predicate counts once, in
-    the order it was first given."""
+    A point is the template evaluated at its binding, one `scan_values`
+    call and one CSV row; the predicates are evaluated only when some are
+    given. An input error names the grid point and keeps its code and line.
+    A name may be fixed or ranged, not both. A repeated predicate counts
+    once, in the order it was first given."""
     predicates = tuple(dict.fromkeys(spec.predicates))
     for name in predicates:
         if name not in PREDICATES:
@@ -227,16 +229,17 @@ def run_scan(spec: ScanSpec, out) -> int:
             raise ConfigError(exc.code,
                               f"at grid point ({exc_point}): {exc.args[0]}",
                               exc.line) from exc
-        values = {"n3d_zero": (None if n3d is None else n3d == 0),
-                  "chi_nonzero": chi_u != 0}
-        satisfied = [p for p in predicates if values[p] is True]
-        undefined = [p for p in predicates if values[p] is None]
-        if predicates and not undefined and len(satisfied) != len(predicates):
-            continue
-        flags = "n/a" if undefined else ";".join(satisfied)
-        writer.writerow(list(combo)
-                        + [d, dprime, "n/a" if n3d is None else n3d, chi_u,
-                           flags])
+        flags = ""
+        if predicates:
+            values = {"n3d_zero": (None if n3d is None else n3d == 0),
+                      "chi_nonzero": chi_u != 0}
+            satisfied = [p for p in predicates if values[p] is True]
+            undefined = [p for p in predicates if values[p] is None]
+            if not undefined and len(satisfied) != len(predicates):
+                continue
+            flags = "n/a" if undefined else ";".join(satisfied)
+        writer.writerow((*combo, d, dprime, "n/a" if n3d is None else n3d,
+                         chi_u, flags))
     return OK
 
 

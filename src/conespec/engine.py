@@ -65,7 +65,7 @@ class Incidence(Record):
 
     def __init__(self, pairs: tuple[tuple[int, int], ...],
                  matrix: tuple[tuple[int, ...], ...] | None = None):
-        pairs = tuple((int(c), int(v)) for c, v in pairs)
+        pairs = tuple([(int(c), int(v)) for c, v in pairs])
         for count, value in pairs:
             if count < 1 or value < 1:
                 raise ValueError("incidence pairs need positive count and value")
@@ -233,10 +233,10 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
     shift is sum_k deg_k*(ceil(a_k*i/d) - 1), and twist = i - shift is the
     degree offset of the twisted line bundle attached to index i.
     """
-    d = cfg.degree
+    d, _, comps = _components(cfg)
     if not 1 <= i <= d:
         raise ValueError(f"index {i} out of range [1, {d}]")
-    shift = _shift(_component_terms(cfg), i, d)
+    shift = _shift(comps, i, d)
     return shift, i - shift, [Fraction(_residue(c.multiplicity, i, d), d)
                               for c in cfg.components]
 
@@ -244,8 +244,8 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
 def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
     """Branch residues weighted by branch degrees; lies in (0, d_j] and
     equals d_j exactly at i = d."""
-    terms = _branch_terms(point)
-    return Fraction(i * _mass(terms), d) - _shift(terms, i, d)
+    terms, _, mass = _branch_terms(point)
+    return Fraction(i * mass, d) - _shift(terms, i, d)
 
 
 # Integers over d: for a, i >= 1, ceil(a*i/d) - 1 == (a*i - 1) // d, and d
@@ -254,11 +254,10 @@ def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
 # (multiplicity, total weighted degree) pairs. The residue of x is
 # x - (ceil(x) - 1), so a point's residue degree is i*mass/d - shift.
 def _shift(terms, i: int, d: int) -> int:
-    return sum(degree * ((mult * i - 1) // d) for mult, degree in terms)
-
-
-def _mass(terms) -> int:
-    return sum(mult * degree for mult, degree in terms)
+    total = 0
+    for mult, degree in terms:
+        total += degree * ((mult * i - 1) // d)
+    return total
 
 
 def _residue(mult: int, i: int, d: int) -> int:
@@ -268,20 +267,32 @@ def _residue(mult: int, i: int, d: int) -> int:
 _Terms = tuple[tuple[int, int], ...]
 
 
-def _totals(pairs) -> _Terms:
-    """(multiplicity, degree) pairs summed per multiplicity, sorted."""
+def _components(cfg: CurveConfig) -> tuple[int, int, _Terms]:
+    """(d, d', terms) from one walk of the components: the degree and the
+    reduced degree of the curve, and its (multiplicity, degree) pairs
+    summed per multiplicity, sorted."""
+    d = dprime = 0
     totals: dict[int, int] = {}
-    for mult, degree in pairs:
+    for c in cfg.components:
+        degree, mult = c.degree, c.multiplicity
+        d += degree * mult
+        dprime += degree
         totals[mult] = totals.get(mult, 0) + degree
-    return tuple(sorted(totals.items()))
+    return d, dprime, tuple(sorted(totals.items()))
 
 
-def _component_terms(cfg: CurveConfig) -> _Terms:
-    return _totals((c.multiplicity, c.degree) for c in cfg.components)
-
-
-def _branch_terms(point: SingularPoint) -> _Terms:
-    return _totals((b.multiplicity, b.weighted_degree) for b in point.branches)
+def _branch_terms(point: SingularPoint) -> tuple[_Terms, int, int]:
+    """(terms, d_j, mass) from one walk of the branches: the point's
+    (multiplicity, weighted degree) pairs summed per multiplicity, sorted,
+    their total weighted degree and the sum of multiplicity * degree."""
+    dj = mass = 0
+    totals: dict[int, int] = {}
+    for b in point.branches:
+        degree, mult = b.weighted_degree, b.multiplicity
+        dj += degree
+        mass += mult * degree
+        totals[mult] = totals.get(mult, 0) + degree
+    return tuple(sorted(totals.items())), dj, mass
 
 
 def _floor_row(terms, cols, d: int) -> list[int]:
@@ -306,13 +317,16 @@ def _floor_row(terms, cols, d: int) -> list[int]:
 
 
 def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
-          ) -> tuple[int, list[int], list[int]]:
-    """chi(U), then rows 0 and 2 for the columns i in [lo, hi]; an empty
-    range still checks every point.
+          ) -> tuple[int, int, int, list[int], list[int]]:
+    """d, d', chi(U), then rows 0 and 2 for the columns i in [lo, hi] that
+    lie in [1, d]; an empty range still checks every point.
 
     Each point is checked (branch degrees, then Milnor number) as it is
-    grouped, and its Milnor number enters chi(U). Points with equal weights
-    and branch terms share one entry, keyed on plain tuples, and one
+    grouped, and its Milnor number enters chi(U). Past those two checks, a
+    call walks each point's branches once (`_branch_terms`: its terms, d_j
+    and mass) and the component list once (`_components`: d, d' and the
+    component terms). Points with equal weights and branch terms share one
+    entry, keyed on plain tuples, and one
     `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
     lies in [1, d_j], so every count its columns use has a bound in
     [0, d_j - 1]. On ordinary points d_j is the number of branches. The rows
@@ -338,18 +352,18 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
         if not validate_branches(p):
             raise ValueError(f"invalid branch data at point {p}")
         milnor += p.milnor()
-        key = (p.weights, _branch_terms(p))
+        key = (p.weights, *_branch_terms(p))
         counts[key] = counts.get(key, 0) + 1
     if lattice is None:
         lattice = {}
     points = []
-    for ((w, wp), terms), k in counts.items():
-        dj = sum(deg for _, deg in terms)
+    for ((w, wp), terms, dj, mass), k in counts.items():
         row = lattice.get((w, wp, dj - 1))
         if row is None:
             row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
-        points.append((k, row, dj, _mass(terms), terms))
-    d, dp, comps = cfg.degree, cfg.reduced_degree, _component_terms(cfg)
+        points.append((k, row, dj, mass, terms))
+    d, dp, comps = _components(cfg)
+    hi = min(hi, d)
     chi = _chi_complement(dp, milnor)
     if hi - lo < 1:
         row0, row2 = [], []
@@ -364,7 +378,7 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
                 r2 -= k * row[dj - ceil_g]
             row0.append(r0)
             row2.append(r2)
-        return chi, row0, row2
+        return d, dp, chi, row0, row2
     g = gcd(*cfg.multiplicities())
     cols = range(1, d // g + 1)
     twist = [i - s for i, s in zip(cols, _floor_row(comps, cols, d))]
@@ -380,7 +394,7 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
     row0, row2 = row0 * g, row2 * g
     row2[-1] -= 1
-    return chi, row0[lo - 1:hi], row2[lo - 1:hi]
+    return d, dp, chi, row0[lo - 1:hi], row2[lo - 1:hi]
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -391,7 +405,7 @@ def _chi_complement(dprime: int, milnor_total: int) -> int:
 def euler_complement(cfg: CurveConfig) -> int:
     """Euler number of the complement of the reduced curve in the plane;
     the points are checked as by `curve_table`."""
-    return _rows(cfg, 1, 0)[0]
+    return _rows(cfg, 1, 0)[2]
 
 
 def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
@@ -402,25 +416,25 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
     the singular points; row 1 closes each column against the Euler number of
     the complement. One `_rows` pass computes every column.
     """
-    d = cfg.degree
-    chi, row0, row2 = _rows(cfg, 1, d)
+    d, dprime, chi, row0, row2 = _rows(cfg, 1, cfg.degree)
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
     row1[-1] -= 1
-    return ConeSpectrumTable(d, cfg.reduced_degree, chi,
+    return ConeSpectrumTable(d, dprime, chi,
                              (tuple(row0), tuple(row1), tuple(row2)))
 
 
 def scan_values(cfg: CurveConfig, lattice: dict | None = None
                 ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
-    what ``scan`` reports per grid point. The points are checked as by
-    `curve_table`, also when d < 3, but only column 3 is computed: past
-    one O(d_j) lattice row per distinct point, the cost does not grow with
-    d. `lattice` is a mapping that the points of one scan share, so that
-    each lattice row is built once per scan (see `_rows`)."""
-    d = cfg.degree
-    chi, row0, _ = _rows(cfg, 3, min(3, d), lattice)
-    return d, cfg.reduced_degree, row0[0] if row0 else None, chi
+    what ``scan`` reports per grid point, all four from one `_rows` call.
+    The points are checked as by `curve_table`, also when d < 3, but only
+    column 3 is computed, by the scalar body: one walk of each point's
+    branches and one of the component list, so past one O(d_j) lattice row
+    per distinct point the cost does not grow with d. `lattice` is a
+    mapping that the points of one scan share, so that each lattice row is
+    built once per scan (see `_rows`)."""
+    d, dprime, chi, row0, _ = _rows(cfg, 3, 3, lattice)
+    return d, dprime, row0[0] if row0 else None, chi
 
 
 def ordinary_middle_row(cfg: CurveConfig,

@@ -285,6 +285,10 @@ def _negated_count(vector: str, k: int, sep: int) -> None:
                           f"negated count, got {sep}")
 
 
+# the branch that pads a point's multiplicity list
+_SIMPLE_BRANCH = LocalBranch(1, 1)
+
+
 def parse_singular(vectors: SingularVectors,
                    binding: Mapping[str, int]) -> CurveConfig:
     """Expand the four vectors into a curve configuration.
@@ -315,18 +319,17 @@ def parse_singular(vectors: SingularVectors,
         components.extend([GlobalComponent(degree, mult)] * (-sep))
 
     points = []
-    pos = 0
-    while pos < len(si):
+    pos, end = 0, len(si)
+    while pos < end:
         sep = si[pos]
         _negated_count("Si", pos, sep)
-        if pos + 1 >= len(si):
+        if pos + 1 >= end:
             raise ConfigError("separator", "Si ends before a branch count")
         branch_count = si[pos + 1]
-        pos += 2
-        mults = []
-        while pos < len(si) and si[pos] > 0:
-            mults.append(si[pos])
+        pos = start = pos + 2
+        while pos < end and si[pos] > 0:
             pos += 1
+        mults = si[start:pos]
         if sep == 0:
             continue
         if branch_count < 1:
@@ -336,9 +339,9 @@ def parse_singular(vectors: SingularVectors,
             raise ConfigError("si-overflow",
                               f"point lists {len(mults)} multiplicities for "
                               f"{branch_count} branches")
-        mults += [1] * (branch_count - len(mults))
-        point = SingularPoint((1, 1),
-                              tuple(LocalBranch(1, m) for m in mults))
+        branches = [LocalBranch(1, m) for m in mults]
+        branches += [_SIMPLE_BRANCH] * (branch_count - len(mults))
+        point = SingularPoint((1, 1), branches)
         points.extend([point] * (-sep))
 
     if od < 0:

@@ -184,7 +184,10 @@ class SingularPoint(Record):
     @property
     def weighted_degree(self) -> int:
         """Sum of the branch weighted degrees."""
-        return sum(b.weighted_degree for b in self.branches)
+        total = 0
+        for b in self.branches:
+            total += b.weighted_degree
+        return total
 
     @property
     def branch_count(self) -> int:
@@ -217,7 +220,8 @@ def validate_branches(point: SingularPoint) -> bool:
     """True iff every branch weighted degree is one of w, w', w*w' (and all
     equal 1 at an ordinary point)."""
     w, wp = point.weights
-    allowed = {w, wp, w * wp}
-    if point.is_ordinary():
-        allowed = {1}
-    return all(b.weighted_degree in allowed for b in point.branches)
+    allowed = (1,) if point.is_ordinary() else (w, wp, w * wp)
+    for b in point.branches:
+        if b.weighted_degree not in allowed:
+            return False
+    return True

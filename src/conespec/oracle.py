@@ -26,7 +26,7 @@ from math import gcd
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     _component_terms, _floor_row, _spectrum_table,
+                     _components, _floor_row, _spectrum_table,
                      curve_table, incidence_consistent, ordinary_middle_row,
                      reduced_cone_spectrum, smooth_cone_coeffs,
                      thickened_spectrum)
@@ -369,8 +369,7 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     # that `_rows` tiles, P = d // g for g the gcd of every multiplicity,
     # each shift rises by P and each residue repeats, so [1, P] covers
     # [1, d] and the twist at P is the twist at d.
-    d = cfg.degree
-    comps = _component_terms(cfg)
+    d, _, comps = _components(cfg)
     cols = range(1, d // gcd(*cfg.multiplicities()) + 1)
     shifts = _floor_row(comps, cols, d)
     twists = [i - s for i, s in zip(cols, shifts)]

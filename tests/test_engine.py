@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 import re
@@ -165,21 +166,33 @@ BAD_MILNOR_MESSAGE = ("invalid point data: Milnor number (7-2)(7-3)/6 is not "
                       "a nonnegative integer")
 
 
+# a cusp, valid; each tuple of points is listed in point order, and a
+# repeated name is one point object listed twice
+GOOD = SingularPoint((2, 3), (LocalBranch(6, 1),))
+BAD_POINTS = {
+    "degree": ((BAD_DEGREE,), BAD_DEGREE_MESSAGE),
+    "milnor": ((BAD_MILNOR,), BAD_MILNOR_MESSAGE),
+    "first": ((BAD_MILNOR, BAD_DEGREE), BAD_MILNOR_MESSAGE),
+    "good-twice": ((GOOD, GOOD, BAD_DEGREE), BAD_DEGREE_MESSAGE),
+    "milnor-twice": ((BAD_MILNOR, BAD_MILNOR, BAD_DEGREE), BAD_MILNOR_MESSAGE),
+    "degree-twice": ((GOOD, BAD_DEGREE, BAD_DEGREE, BAD_MILNOR),
+                     BAD_DEGREE_MESSAGE),
+}
+ENTRIES = {"table": curve_table, "scan": scan_values,
+           "euler": euler_complement}
+
+
 @pytest.mark.parametrize("entry, points, message", [
-    *[(entry, points, message)
-      for entry in (curve_table, scan_values, euler_complement)
-      for points, message in (((BAD_DEGREE,), BAD_DEGREE_MESSAGE),
-                              ((BAD_MILNOR,), BAD_MILNOR_MESSAGE),
-                              ((BAD_MILNOR, BAD_DEGREE), BAD_MILNOR_MESSAGE))],
+    *[(entry, *BAD_POINTS[case]) for entry in ENTRIES.values()
+      for case in BAD_POINTS],
     (ordinary_middle_row,
      (opoint(1, 1), SingularPoint((1, 1), (LocalBranch(2, 1),
                                            LocalBranch(1, 1)))),
      "invalid branch data at point SingularPoint(weights=(1, 1), "
      "branches=(LocalBranch(weighted_degree=2, multiplicity=1), "
      "LocalBranch(weighted_degree=1, multiplicity=1)))"),
-], ids=["table-degree", "table-milnor", "table-first", "scan-degree",
-        "scan-milnor", "scan-first", "euler-degree", "euler-milnor",
-        "euler-first", "middle-degree"])
+], ids=[*(f"{name}-{case}" for name in ENTRIES for case in BAD_POINTS),
+        "middle-degree"])
 def test_curve_table_rejects_bad_branches(entry, points, message):
     """Every curve entry point rejects a bad point with the message of the
     first bad point in point order."""
@@ -501,22 +514,85 @@ def multiplicity_template(cfg):
     return "\n".join(lines) + "\n", build
 
 
-@pytest.mark.parametrize("make", [random_ordinary_config,
-                                  random_reduced_swh_config,
-                                  random_mixed_swh_config])
-def test_scan_cell_matches_fraction_column(make):
+def random_templates(make):
+    """25 seeded multiplicity templates of `make`, each swept over m in
+    [1, 6], as (text, ranges, fixed, config of a binding)."""
     rng = random.Random(5151)
     for _ in range(25):
         text, build = multiplicity_template(make(rng))
+        yield text, {"m": (1, 6)}, {}, lambda binding, b=build: b(binding["m"])
+
+
+def vector_template(name, ranges, fixed):
+    """The shipped vector fixture `name` on a small grid."""
+    text = (FIXTURES / f"{name}.vectors").read_text()
+    vectors = parse_vector_text(text)
+    return [(text, ranges, fixed,
+             lambda binding: parse_singular(vectors, binding))]
+
+
+def expected_scan_row(combo, cfg, predicates):
+    """The CSV row of `scan` at the grid point `combo` of `cfg`, from
+    `fraction_column` and `milnor_chi`; None where a predicate drops it."""
+    d, chi = cfg.degree, milnor_chi(cfg)
+    n3d = fraction_column(cfg, 3)[0] if d >= 3 else None
+    holds = {"n3d_zero": None if n3d is None else n3d == 0,
+             "chi_nonzero": chi != 0}
+    if any(holds[p] is None for p in predicates):
+        flags = "n/a"
+    elif all(holds[p] for p in predicates):
+        flags = ";".join(predicates)
+    else:
+        return None
+    return [*map(str, combo), str(d), str(cfg.reduced_degree),
+            "n/a" if n3d is None else str(n3d), str(chi), flags]
+
+
+# native multiplicity templates, and the six shipped vector fixtures: the
+# -2 groups of sextic-pencil and conic-pencil list one point object twice,
+# and cubic-pencil and quartic-pencil count their nodes with div
+SCAN_TEMPLATES = {
+    **{make.__name__: lambda make=make: random_templates(make)
+       for make in (random_ordinary_config, random_reduced_swh_config,
+                    random_mixed_swh_config)},
+    "five-lines": lambda: vector_template(
+        "five-lines", {"a": (1, 3), "c": (0, 2)}, {"b": 2}),
+    "lines-conic": lambda: vector_template(
+        "lines-conic", {"a": (1, 3), "b": (1, 3)}, {"c": 1}),
+    "conic-pencil": lambda: vector_template(
+        "conic-pencil", {"a": (1, 3), "b": (1, 2), "c": (0, 2)}, {}),
+    "cubic-pencil": lambda: vector_template(
+        "cubic-pencil", {"a": (1, 2), "b": (1, 2), "c": (0, 3)}, {}),
+    "quartic-pencil": lambda: vector_template(
+        "quartic-pencil", {"a": (1, 2), "b": (1, 2), "c": (0, 3)}, {}),
+    "sextic-pencil": lambda: vector_template(
+        "sextic-pencil", {"a": (1, 2), "b": (1, 2), "c": (0, 2)}, {}),
+}
+SCAN_CASES = [(name, predicates) for name in SCAN_TEMPLATES
+              for predicates in ((), ("n3d_zero",), ("chi_nonzero",),
+                                 ("n3d_zero", "chi_nonzero"))]
+
+
+@pytest.mark.parametrize("name, predicates", SCAN_CASES,
+                         ids=["-".join((name, *predicates))
+                              for name, predicates in SCAN_CASES])
+def test_scan_cell_matches_fraction_column(name, predicates):
+    """Every CSV row of `scan`, and which rows a predicate keeps, against
+    the Fraction column and the Milnor numbers of the weight systems."""
+    for text, ranges, fixed, build in SCAN_TEMPLATES[name]():
         out = io.StringIO()
-        run_scan(ScanSpec(template=text, ranges={"m": (1, 6)}, fixed={}), out)
-        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
-        assert [int(row[0]) for row in rows] == list(range(1, 7))
-        for m, d, dprime, n3d, chi_u, _ in rows:
-            cfg = build(int(m))
-            want = fraction_column(cfg, 3)[0] if cfg.degree >= 3 else "n/a"
-            assert (int(d), int(dprime)) == (cfg.degree, cfg.reduced_degree)
-            assert (n3d, int(chi_u)) == (str(want), milnor_chi(cfg)), text
+        run_scan(ScanSpec(template=text, ranges=ranges, fixed=fixed,
+                          predicates=predicates), out)
+        names = sorted(ranges)
+        want = []
+        for combo in itertools.product(*(range(lo, hi + 1) for lo, hi
+                                          in (ranges[n] for n in names))):
+            cfg = build({**fixed, **dict(zip(names, combo))})
+            row = expected_scan_row(combo, cfg, predicates)
+            if row is not None:
+                want.append(row)
+        got = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert got == want, text
 
 
 @pytest.mark.parametrize("make", [random_ordinary_config,
@@ -526,20 +602,22 @@ def test_scan_cell_matches_fraction_column(make):
 def test_rows_on_a_range_slice_the_rows_on_all_columns(make):
     """`_rows(cfg, lo, hi)` is the [lo, hi] slice of `_rows(cfg, 1, d)`:
     on a random range, on one that ends at d (the -1 of row 2 at i = d),
-    on an empty range and on every single column [i, i], with the same
-    chi(U) each time. A single column takes the scalar path and a longer
+    on an empty range, on one that runs past d (cut at d) and on every
+    single column [i, i], with the same d, d' and chi(U) each time. A single column takes the scalar path and a longer
     range the whole-row path, so this pins the two paths equal."""
     rng = random.Random(1616)
     for _ in range(40):
         cfg = make(rng)
         d = cfg.degree
-        chi, *full = _rows(cfg, 1, d)
+        rows = _rows(cfg, 1, d)
+        head, full = rows[:3], rows[3:]
+        assert head == (d, cfg.reduced_degree, euler_complement(cfg))
         lo = rng.randint(1, d)
         hi = rng.randint(lo, d)
-        for a, b in ((lo, hi), (lo, d), (lo, lo - 1)):
-            assert _rows(cfg, a, b) == (chi, *(row[a - 1:b] for row in full))
+        for a, b in ((lo, hi), (lo, d), (lo, lo - 1), (lo, d + 2)):
+            assert _rows(cfg, a, b) == (*head, *(row[a - 1:b] for row in full))
         for i in range(1, d + 1):
-            assert _rows(cfg, i, i) == (chi, *(row[i - 1:i] for row in full))
+            assert _rows(cfg, i, i) == (*head, *(row[i - 1:i] for row in full))
 
 
 def test_floor_row_is_shift_on_every_column():

@@ -11,7 +11,7 @@ import conespec.engine
 import conespec.oracle
 from conespec.cli import main
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
-                             ReducedConeConfig, _component_terms,
+                             ReducedConeConfig, _components,
                              _floor_row as real_floor_row, curve_table,
                              incidence_consistent, ordinary_middle_row,
                              scan_values)
@@ -470,7 +470,7 @@ def test_rows_checks_are_evidence(monkeypatch, capsys):
     against the reference program, and ``conespec oracle`` exits 1."""
     cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
     assert cross_check(cfg).passed
-    comps = _component_terms(cfg)
+    comps = _components(cfg)[2]
 
     def mutant(terms, cols, d):
         row = real_floor_row(terms, cols, d)

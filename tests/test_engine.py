@@ -166,8 +166,8 @@ BAD_MILNOR_MESSAGE = ("invalid point data: Milnor number (7-2)(7-3)/6 is not "
                       "a nonnegative integer")
 
 
-# a cusp, valid; each tuple of points is listed in point order, and a
-# repeated name is one point object listed twice
+# GOOD is a valid cusp. Each case lists its points in point order, and a
+# name repeated in one case is one point object listed twice.
 GOOD = SingularPoint((2, 3), (LocalBranch(6, 1),))
 BAD_POINTS = {
     "degree": ((BAD_DEGREE,), BAD_DEGREE_MESSAGE),

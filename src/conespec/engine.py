@@ -4,25 +4,25 @@ The plane-curve entry point is `curve_table`, which takes a combinatorial
 description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. One kernel,
-`_rows(cfg, lo, hi)`, checks and groups the points once (identical points
+`_rows(cfg, column)`, checks and groups the points once (identical points
 counted together, each distinct (w, w', d_j - 1) given one row of lattice
-counts) and computes the columns i in [lo, hi], each from its index alone.
-One column (what ``scan`` asks for) runs a scalar body, which costs least
-per call; a longer range is built as whole rows, which cost least per
-column, its floor sums as step functions of i (`_floor_row`). A column
-depends on i only through the residues (m*i - 1) mod d of the
+counts) and computes each column i from its index alone. One column (what
+``scan`` asks for) runs a scalar body, which costs least per call; every
+column [1, d] (what `curve_table` asks for) is built as whole rows, which
+cost least per column, their floor sums step functions of i (`_floor_row`).
+A column depends on i only through the residues (m*i - 1) mod d of the
 multiplicities m, and when g divides every m these repeat with period
 P = d // g, since m*P is then a multiple of d: (m*(i + P) - 1) mod d ==
 (m*i - 1) mod d. So the rows of a curve g*Z are built on one period of P
-columns, tiled g times to [1, d] and sliced to the range; only the -1 of
-row 2 at i = d breaks the period. `curve_table` runs it on [1, d], and
-`ordinary_middle_row` reads the incidence middle row off that table as its
-balance row plus one constant, so `verify`, ``oracle`` and ``compute
---middle cor2`` make one pass. `scan_values` runs it on the one cell that
-``scan`` reports, and `euler_complement` on no column at all. The reduced
-any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum`,
-which consume local spectra directly; `local_data_table` lays out its n = 2
-spectrum as a table.
+columns and tiled g times to [1, d]; only the -1 of row 2 at i = d breaks
+the period. `ordinary_middle_row` reads the incidence middle row off the
+table as its balance row plus one constant, so `verify`, ``oracle`` and
+``compute --middle cor2`` make one pass. `scan_values` runs the kernel on
+column 3, the one cell that ``scan`` reports, and `euler_complement` on
+column 0, which is no column at all. The reduced any-dimension route is
+`reduced_cone_spectrum` / `thickened_spectrum`, which consume local
+spectra directly; `local_data_table` lays out its n = 2 spectrum as a
+table.
 """
 
 from __future__ import annotations
@@ -316,10 +316,12 @@ def _floor_row(terms, cols, d: int) -> list[int]:
     return list(accumulate(steps))
 
 
-def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
+def _rows(cfg: CurveConfig, column: int | None = None,
+          lattice: dict | None = None
           ) -> tuple[int, int, int, list[int], list[int]]:
-    """d, d', chi(U), then rows 0 and 2 for the columns i in [lo, hi] that
-    lie in [1, d]; an empty range still checks every point.
+    """d, d', chi(U), then rows 0 and 2: on every column [1, d] when
+    `column` is None, on that one column when it lies in [1, d], and on no
+    column otherwise. Every point is checked in each case.
 
     Each point is checked (branch degrees, then Milnor number) as it is
     grouped, and its Milnor number enters chi(U). Past those two checks, a
@@ -335,17 +337,16 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
     built once per call, or once for all the callers sharing the mapping;
     they only read the rows.
 
-    The length of the range picks the path. A range of at most one column
-    (``scan``) runs the scalar column body. A longer range builds every row
-    as whole lists, with the floor sums from `_floor_row`: that costs less
-    per column but more per call, so on one column the scalar body is
-    faster. The whole rows are built on one period only: with g the gcd of
+    One column (``scan``) runs the scalar column body. With none given,
+    all are built as whole lists, with the floor sums from `_floor_row`:
+    that costs less per column but more per call, so on one column the
+    scalar body is faster. The whole rows are built on one period only: with g the gcd of
     every component and branch multiplicity (g divides d = sum degree *
     multiplicity), (m*(i + P) - 1) mod d == (m*i - 1) mod d for P = d // g,
     so each floor sum rises by a constant over P columns (by P for the
     components, by mass / g for a point's ceiling) and the twist and the
     ceilings repeat. Columns [1, P] are computed and tiled g times to
-    [1, d]; row 2 takes its -1 at i = d, and [lo, hi] is sliced out."""
+    [1, d], and row 2 takes its -1 at i = d."""
     counts: dict = {}
     milnor = cfg.nodes
     for p in cfg.points:
@@ -363,22 +364,20 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
             row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
         points.append((k, row, dj, mass, terms))
     d, dp, comps = _components(cfg)
-    hi = min(hi, d)
     chi = _chi_complement(dp, milnor)
-    if hi - lo < 1:
-        row0, row2 = [], []
-        for i in range(lo, hi + 1):
-            twist = i - _shift(comps, i, d)
-            r0 = binom2(twist - 1)
-            r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
-            for k, row, dj, mass, terms in points:
-                # ceiling of the residue degree i*mass/d - shift
-                ceil_g = -(-i * mass // d) - _shift(terms, i, d)
-                r0 -= k * row[ceil_g - 1]
-                r2 -= k * row[dj - ceil_g]
-            row0.append(r0)
-            row2.append(r2)
-        return d, dp, chi, row0, row2
+    if column is not None:
+        i = column
+        if not 1 <= i <= d:
+            return d, dp, chi, [], []
+        twist = i - _shift(comps, i, d)
+        r0 = binom2(twist - 1)
+        r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
+        for k, row, dj, mass, terms in points:
+            # ceiling of the residue degree i*mass/d - shift
+            ceil_g = -(-i * mass // d) - _shift(terms, i, d)
+            r0 -= k * row[ceil_g - 1]
+            r2 -= k * row[dj - ceil_g]
+        return d, dp, chi, [r0], [r2]
     g = gcd(*cfg.multiplicities())
     cols = range(1, d // g + 1)
     twist = [i - s for i, s in zip(cols, _floor_row(comps, cols, d))]
@@ -394,7 +393,7 @@ def _rows(cfg: CurveConfig, lo: int, hi: int, lattice: dict | None = None
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
     row0, row2 = row0 * g, row2 * g
     row2[-1] -= 1
-    return d, dp, chi, row0[lo - 1:hi], row2[lo - 1:hi]
+    return d, dp, chi, row0, row2
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -403,9 +402,9 @@ def _chi_complement(dprime: int, milnor_total: int) -> int:
 
 
 def euler_complement(cfg: CurveConfig) -> int:
-    """Euler number of the complement of the reduced curve in the plane;
-    the points are checked as by `curve_table`."""
-    return _rows(cfg, 1, 0)[2]
+    """Euler number of the complement of the reduced curve in the plane:
+    `_rows` on column 0, no column, with the points checked all the same."""
+    return _rows(cfg, 0)[2]
 
 
 def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
@@ -414,9 +413,9 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
     Rows 0 and 2 come from twisted-line-bundle counts minus lattice counts at
     the singular points; row 1 closes each column against the Euler number of
-    the complement. One `_rows` pass computes every column.
+    the complement. One `_rows` call with no column given builds them all.
     """
-    d, dprime, chi, row0, row2 = _rows(cfg, 1, cfg.degree)
+    d, dprime, chi, row0, row2 = _rows(cfg)
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
     row1[-1] -= 1
     return ConeSpectrumTable(d, dprime, chi,
@@ -427,13 +426,13 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
                 ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point, all four from one `_rows` call.
-    The points are checked as by `curve_table`, also when d < 3, but only
-    column 3 is computed, by the scalar body: one walk of each point's
-    branches and one of the component list, so past one O(d_j) lattice row
-    per distinct point the cost does not grow with d. `lattice` is a
-    mapping that the points of one scan share, so that each lattice row is
-    built once per scan (see `_rows`)."""
-    d, dprime, chi, row0, _ = _rows(cfg, 3, 3, lattice)
+    The points are checked as by `curve_table`, also when d < 3 and column
+    3 lies past d. Only column 3 is computed, by the scalar body: one walk
+    of each point's branches and one of the component list, so past one
+    O(d_j) lattice row per distinct point the cost does not grow with d.
+    `lattice` is a mapping that the points of one scan share, so that each
+    lattice row is built once per scan (see `_rows`)."""
+    d, dprime, chi, row0, _ = _rows(cfg, 3, lattice)
     return d, dprime, row0[0] if row0 else None, chi
 
 

@@ -178,3 +178,28 @@ def test_compare_needs_a_gap_wider_than_the_parent_spread(tmp_path):
     assert "wins 10 of 10, gain not shown" in line
     with pytest.raises(SystemExit, match="one pair"):
         load_tool().compare(parent[:1], change, metrics)
+
+
+@pytest.mark.parametrize("parent, change, failed, verdict, code", [
+    ([100.0] * 4, [100.0] * 4, 0, "bound 0.25 kept", 0),
+    # ops_per_s worse by 26 %
+    ([100.0] * 4, [74.0] * 4, 0, "bound 0.25 exceeded", 1),
+    ([100.0] * 4, [100.0] * 4, 1, "share grew", 1),
+    # the parent's quartiles 60-140 lie wider apart than the bound allows
+    ([60.0, 140.0] * 2, [100.0] * 4, 0, "bound 0.25 unresolved", 0),
+], ids=["kept", "exceeded", "share-grew", "unresolved"])
+def test_compare_exit_code(tmp_path, capsys, parent, change, failed, verdict,
+                           code):
+    """``--compare`` exits 1 on an exceeded bound or a grown failure share
+    and 0 otherwise: an unresolved bound is printed and does not fail."""
+    sides = {"parent": (parent, 0), "change": (change, failed)}
+    for side, (values, fails) in sides.items():
+        (tmp_path / side).mkdir()
+        for seed, value in enumerate(values, start=1):
+            record = dict(run_record("scan-grid", seed, value, fails),
+                          revision=side)
+            (tmp_path / side / f"scan-grid-seed{seed}-trace0.json").write_text(
+                json.dumps(record))
+    assert load_tool().main(["--compare", str(tmp_path / "parent"),
+                             str(tmp_path / "change")]) == code
+    assert verdict in capsys.readouterr().out

@@ -108,13 +108,16 @@ def test_compute_cor2_checks_points_first(capsys, monkeypatch):
                                      ["compute", "--middle", "cor2"]])
 def test_one_row_pass_per_command(capsys, monkeypatch, command):
     """``verify``, ``oracle`` and ``compute --middle cor2`` take the table
-    and the incidence middle row from one `_rows` pass over all d columns."""
-    spans = []
+    and the incidence middle row from one whole-row `_rows` pass over all d
+    columns."""
+    whole = []
     real = conespec.engine._rows
 
-    def counted(cfg, lo, hi, *rest):
-        spans.append(hi - lo + 1)
-        return real(cfg, lo, hi, *rest)
+    def counted(cfg, column=None, *rest):
+        rows = real(cfg, column, *rest)
+        if column is None:
+            whole.append(len(rows[3]))
+        return rows
 
     monkeypatch.setattr(conespec.engine, "_rows", counted)
     code, out, _ = run(capsys, command[0], FIXTURES / "conic-pencil.vectors",
@@ -122,7 +125,7 @@ def test_one_row_pass_per_command(capsys, monkeypatch, command):
                        "--param", "c=2")
     assert code == 0
     assert "middle-" in out or command[0] == "compute"
-    assert [n for n in spans if n > 1] == [14]      # d = 14
+    assert whole == [14]      # d = 14
 
 
 def test_compute_rejects_reduced_config(capsys):
@@ -472,8 +475,13 @@ def test_run_scan_rejects_unknown_predicate():
      "[range-syntax] --range bounds for 'a' must be integers"),
     (["--range", "a=1..1_0", "--param", "b=1"],
      "[range-syntax] --range bounds for 'a' must be integers"),
+    (["--param", "a", "--param", "b=1"],
+     "[param-syntax] --param expects NAME=VALUE, got 'a'"),
+    (["--range", "a=1", "--param", "b=1"],
+     "[range-syntax] --range expects NAME=LO..HI, got 'a=1'"),
 ], ids=["param-twice", "range-twice", "param-and-range", "param-non-ascii",
-        "param-underscore", "range-non-ascii", "range-underscore"])
+        "param-underscore", "range-non-ascii", "range-underscore",
+        "param-no-equals", "range-no-dots"])
 def test_scan_binds_each_name_once(capsys, argv, message):
     code, out, err = run(capsys, "scan", FIXTURES / "five-lines.vectors",
                          "--param", "c=0", *argv)

@@ -232,6 +232,9 @@ def test_smooth_cone_coeffs():
     assert smooth_cone_coeffs(3, 2) == [1, 3, 3, 1]
     assert smooth_cone_coeffs(2, 2) == [1]
     assert smooth_cone_coeffs(1, 3) == []
+    for dprime, n in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="need dprime >= 1 and n >= 1"):
+            smooth_cone_coeffs(dprime, n)
     for dprime in range(2, 13):
         for n in (1, 2, 3, 4):
             coeffs = smooth_cone_coeffs(dprime, n)
@@ -599,25 +602,24 @@ def test_scan_cell_matches_fraction_column(name, predicates):
                                   random_reduced_swh_config,
                                   random_mixed_swh_config,
                                   random_scaled_config])
-def test_rows_on_a_range_slice_the_rows_on_all_columns(make):
-    """`_rows(cfg, lo, hi)` is the [lo, hi] slice of `_rows(cfg, 1, d)`:
-    on a random range, on one that ends at d (the -1 of row 2 at i = d),
-    on an empty range, on one that runs past d (cut at d) and on every
-    single column [i, i], with the same d, d' and chi(U) each time. A single column takes the scalar path and a longer
-    range the whole-row path, so this pins the two paths equal."""
+def test_rows_on_one_column_match_the_rows_on_all_columns(make):
+    """`_rows(cfg, i)` is column i of `_rows(cfg)` for every i in [1, d]
+    (the -1 of row 2 at i = d included), and columns 0 and d + 1 give no
+    column, with the same d, d' and chi(U) each time. One column takes the
+    scalar path and no column given the whole-row path, so this pins the
+    two paths equal."""
     rng = random.Random(1616)
     for _ in range(40):
         cfg = make(rng)
         d = cfg.degree
-        rows = _rows(cfg, 1, d)
+        rows = _rows(cfg)
         head, full = rows[:3], rows[3:]
         assert head == (d, cfg.reduced_degree, euler_complement(cfg))
-        lo = rng.randint(1, d)
-        hi = rng.randint(lo, d)
-        for a, b in ((lo, hi), (lo, d), (lo, lo - 1), (lo, d + 2)):
-            assert _rows(cfg, a, b) == (*head, *(row[a - 1:b] for row in full))
+        assert all(len(row) == d for row in full)
+        for i in (0, d + 1):
+            assert _rows(cfg, i) == (*head, [], [])
         for i in range(1, d + 1):
-            assert _rows(cfg, i, i) == (*head, *(row[i - 1:i] for row in full))
+            assert _rows(cfg, i) == (*head, *(row[i - 1:i] for row in full))
 
 
 def test_floor_row_is_shift_on_every_column():

@@ -732,6 +732,12 @@ def test_emit_table_csv():
     assert lines[1] == "1,1/2,0,0"
 
 
+def test_emit_table_rejects_unknown_mode():
+    table = curve_table(CurveConfig((GlobalComponent(2, 1),)))
+    with pytest.raises(ValueError, match="unknown table mode 'json'"):
+        emit_table(table, "json")
+
+
 def test_looks_like_vectors():
     assert looks_like_vectors(PENCIL)
     assert not looks_like_vectors("component degree=1 mult=1\n")

@@ -101,6 +101,13 @@ def test_reference_rejects_weighted_points():
         reference_ordinary(cfg)
 
 
+def test_reference_rejects_missing_incidence():
+    cfg = CurveConfig(components=(GlobalComponent(1, 1), GlobalComponent(1, 1)),
+                      nodes=1)
+    with pytest.raises(ValueError, match="needs incidence data"):
+        reference_ordinary(cfg)
+
+
 def test_cross_check_fixture_passes():
     report = cross_check(load("five-lines.vectors", a=5, b=1, c=0))
     assert report.passed

@@ -2,7 +2,8 @@
 
 One instance of each record class is checked for its repr text, equality
 and hash of equal values, refused assignment and deletion, keyword
-construction with defaults, and copy and pickle round trips.
+construction with defaults, and copy and pickle round trips. The
+constructors, `SpectrumVector`'s too, reject a bad field with its message.
 """
 
 import copy
@@ -125,6 +126,36 @@ def test_keyword_construction_with_defaults():
     assert CheckReport(checks=()).note == ""
     spec = ScanSpec(template="", ranges={}, fixed={})
     assert (spec.predicates, spec.cap) == ((), DEFAULT_CAP)
+
+
+# (constructor call with one bad field, its message)
+REJECTED = [
+    (lambda: GlobalComponent(0, 1), "component degree must be positive"),
+    (lambda: GlobalComponent(1, 0), "component multiplicity must be positive"),
+    (lambda: Incidence([(0, 1)]),
+     "incidence pairs need positive count and value"),
+    (lambda: Incidence([(1, 0)]),
+     "incidence pairs need positive count and value"),
+    (lambda: CurveConfig([GlobalComponent(1, 1)], nodes=-1),
+     "node count must be >= 0"),
+    (lambda: WeightSystem([], 1), "weight system needs at least one weight"),
+    (lambda: LocalBranch(0, 1), "branch weighted degree must be positive"),
+    (lambda: LocalBranch(1, 0), "branch multiplicity must be positive"),
+    (lambda: SingularPoint((1, 1), []),
+     "a singular point needs at least one branch"),
+    (lambda: SpectrumVector({1: 1}, 2, denominator=0),
+     "denominator must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("make, message", REJECTED, ids=[
+    "component-degree", "component-multiplicity", "incidence-count",
+    "incidence-value", "curve-nodes", "weights-empty", "branch-degree",
+    "branch-multiplicity", "point-no-branch", "spectrum-denominator"])
+def test_constructor_rejects_a_bad_field(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def round_trips(record):

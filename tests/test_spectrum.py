@@ -211,6 +211,9 @@ def test_equal_across_grids():
         assert again == vec and hash(again) == hash(vec)
         assert again.denominator == vec.denominator
     assert SpectrumVector(None, 3).denominator == 1
+    # a vector is never equal to a value of another type
+    one = SpectrumVector({1: 1}, 2)
+    assert not one == 1 and one != 1 and one != {1: 1}
 
 
 def test_numerators_leave_out_off_grid_exponents():

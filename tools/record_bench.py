@@ -37,6 +37,10 @@ range) and whether the bound holds:
   the parent;
 * ``kept`` otherwise.
 
+``--compare`` exits 1 when some bound is ``exceeded`` or some workload's
+failure share grew, and 0 otherwise; ``unresolved`` is printed and does not
+fail.
+
 ``BENCHMARK.json`` is only read. Only the standard library is used.
 """
 
@@ -176,7 +180,8 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         print("\n".join(lines))
-        return 0
+        return int(any(line.endswith((" exceeded", "share grew"))
+                       for line in lines))
     records, = sides
     bench = fold(records)
     args.out.write_text(json.dumps(bench, indent=1) + "\n")

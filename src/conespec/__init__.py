@@ -18,8 +18,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      euler_complement, incidence_consistent, local_data_table,
                      ordinary_middle_row, reduced_cone_spectrum,
                      smooth_cone_coeffs, thickened_spectrum)
-from .local import (LocalBranch, SingularPoint, WeightSystem,
-                    validate_branches, weighted_spectrum)
+from .local import LocalBranch, SingularPoint, WeightSystem, weighted_spectrum
 from .spectrum import SpectrumVector
 
 __version__ = "0.1.0"
@@ -29,6 +28,5 @@ __all__ = [
     "LocalBranch", "ReducedConeConfig", "SingularPoint", "SpectrumVector",
     "WeightSystem", "curve_table", "euler_complement", "incidence_consistent",
     "local_data_table", "ordinary_middle_row", "reduced_cone_spectrum",
-    "smooth_cone_coeffs", "thickened_spectrum", "validate_branches",
-    "weighted_spectrum",
+    "smooth_cone_coeffs", "thickened_spectrum", "weighted_spectrum",
 ]

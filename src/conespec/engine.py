@@ -4,25 +4,25 @@ The plane-curve entry point is `curve_table`, which takes a combinatorial
 description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. One kernel,
-`_rows(cfg, column)`, checks and groups the points once (identical points
-counted together, each distinct (w, w', d_j - 1) given one row of lattice
-counts) and computes each column i from its index alone. One column (what
-``scan`` asks for) runs a scalar body, which costs least per call; every
-column [1, d] (what `curve_table` asks for) is built as whole rows, which
-cost least per column, their floor sums step functions of i (`_floor_row`).
-A column depends on i only through the residues (m*i - 1) mod d of the
-multiplicities m, and when g divides every m these repeat with period
-P = d // g, since m*P is then a multiple of d: (m*(i + P) - 1) mod d ==
-(m*i - 1) mod d. So the rows of a curve g*Z are built on one period of P
-columns and tiled g times to [1, d]; only the -1 of row 2 at i = d breaks
-the period. `ordinary_middle_row` reads the incidence middle row off the
-table as its balance row plus one constant, so `verify`, ``oracle`` and
-``compute --middle cor2`` make one pass. `scan_values` runs the kernel on
-column 3, the one cell that ``scan`` reports, and `euler_complement` on
-column 0, which is no column at all. The reduced any-dimension route is
-`reduced_cone_spectrum` / `thickened_spectrum`, which consume local
-spectra directly; `local_data_table` lays out its n = 2 spectrum as a
-table.
+`_rows(cfg, column)`, groups the points once (identical points counted
+together, each distinct (w, w', d_j - 1) given one row of lattice counts;
+each point was checked when it was built) and computes each column i from
+its index alone. One column (what ``scan`` asks for) runs a scalar body,
+which costs least per call; every column [1, d] (what `curve_table` asks
+for) is built as whole rows, which cost least per column, their floor sums
+step functions of i (`_floor_row`). A column depends on i only through the
+residues (m*i - 1) mod d of the multiplicities m, and when g divides every m
+these repeat with period P = d // g, since m*P is then a multiple of d:
+(m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a curve g*Z are
+built on one period of P columns and tiled g times to [1, d]; only the -1 of
+row 2 at i = d breaks the period. `ordinary_middle_row` reads the incidence
+middle row off the table as its balance row plus one constant, so `verify`,
+``oracle`` and ``compute --middle cor2`` make one pass. `scan_values` runs
+the kernel on column 3, the one cell that ``scan`` reports, and
+`euler_complement` on column 0, which is no column at all. The reduced
+any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum`, which
+consume local spectra directly; `local_data_table` lays out its n = 2
+spectrum as a table.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from itertools import accumulate, compress
 from math import gcd
 
 from ._record import Record
-from .local import (SingularPoint, _window_row, lattice_row,
-                    quotient_coeffs, validate_branches)
+from .local import (SingularPoint, _window_row, lattice_row, milnor_number,
+                    quotient_coeffs)
 from .spectrum import Numerators, SpectrumVector
 
 
@@ -321,14 +321,13 @@ def _rows(cfg: CurveConfig, column: int | None = None,
           ) -> tuple[int, int, int, list[int], list[int]]:
     """d, d', chi(U), then rows 0 and 2: on every column [1, d] when
     `column` is None, on that one column when it lies in [1, d], and on no
-    column otherwise. Every point is checked in each case.
+    column otherwise.
 
-    Each point is checked (branch degrees, then Milnor number) as it is
-    grouped, and its Milnor number enters chi(U). Past those two checks, a
-    call walks each point's branches once (`_branch_terms`: its terms, d_j
-    and mass) and the component list once (`_components`: d, d' and the
-    component terms). Points with equal weights and branch terms share one
-    entry, keyed on plain tuples, and one
+    The points were checked when they were built. A call walks each point's
+    branches once (`_branch_terms`: its terms, d_j and mass) and the
+    component list once (`_components`: d, d' and the component terms).
+    Points with equal weights and branch terms share one entry, keyed on
+    plain tuples, whose Milnor number enters chi(U) once per point, and one
     `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
     lies in [1, d_j], so every count its columns use has a bound in
     [0, d_j - 1]. On ordinary points d_j is the number of branches. The rows
@@ -348,17 +347,14 @@ def _rows(cfg: CurveConfig, column: int | None = None,
     ceilings repeat. Columns [1, P] are computed and tiled g times to
     [1, d], and row 2 takes its -1 at i = d."""
     counts: dict = {}
-    milnor = cfg.nodes
     for p in cfg.points:
-        if not validate_branches(p):
-            raise ValueError(f"invalid branch data at point {p}")
-        milnor += p.milnor()
         key = (p.weights, *_branch_terms(p))
         counts[key] = counts.get(key, 0) + 1
     if lattice is None:
         lattice = {}
-    points = []
+    milnor, points = cfg.nodes, []
     for ((w, wp), terms, dj, mass), k in counts.items():
+        milnor += k * milnor_number(w, wp, dj)
         row = lattice.get((w, wp, dj - 1))
         if row is None:
             row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
@@ -403,7 +399,7 @@ def _chi_complement(dprime: int, milnor_total: int) -> int:
 
 def euler_complement(cfg: CurveConfig) -> int:
     """Euler number of the complement of the reduced curve in the plane:
-    `_rows` on column 0, no column, with the points checked all the same."""
+    `_rows` on column 0, no column."""
     return _rows(cfg, 0)[2]
 
 
@@ -425,9 +421,9 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 def scan_values(cfg: CurveConfig, lattice: dict | None = None
                 ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
-    what ``scan`` reports per grid point, all four from one `_rows` call.
-    The points are checked as by `curve_table`, also when d < 3 and column
-    3 lies past d. Only column 3 is computed, by the scalar body: one walk
+    what ``scan`` reports per grid point, all four from one `_rows` call;
+    when d < 3, column 3 lies past d and no column is computed. Only column
+    3 is computed, by the scalar body: one walk
     of each point's branches and one of the component list, so past one
     O(d_j) lattice row per distinct point the cost does not grow with d.
     `lattice` is a mapping that the points of one scan share, so that each

@@ -27,8 +27,8 @@ from fractions import Fraction
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      Incidence, ReducedConeConfig)
-from .local import (LocalBranch, SingularPoint, WeightSystem,
-                    validate_branches, weighted_spectrum)
+from .local import (BranchDegreeError, LocalBranch, SingularPoint,
+                    WeightSystem, weighted_spectrum)
 from .spectrum import SpectrumVector, exponent_texts
 
 
@@ -556,13 +556,10 @@ def _point(args: list[str]) -> Step:
             branches.append(LocalBranch(deg, mult))
         copies = _count(count, binding)
         with _coded("point-invalid"):
-            point = SingularPoint((w, wp), tuple(branches))
-            if not validate_branches(point):
-                raise ConfigError(
-                    "branch-degree",
-                    f"branch degrees must lie in {{w, w', w*w'}} = "
-                    f"{{{w}, {wp}, {w * wp}}}")
-            point.milnor()
+            try:
+                point = SingularPoint((w, wp), tuple(branches))
+            except BranchDegreeError as exc:
+                raise ConfigError("branch-degree", str(exc)) from exc
         out.points += [point] * copies
     return step
 

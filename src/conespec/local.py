@@ -1,6 +1,7 @@
 """Local invariants of plane-curve (and hypersurface) germs: quasihomogeneous
 spectra, Milnor numbers, lattice counts under a line, and spectral window
-counts. Everything is exact integer/rational arithmetic.
+counts. Everything is exact integer/rational arithmetic. A `SingularPoint`
+is checked once, when it is built, so no caller checks a point again.
 
 The curve route reads its lattice counts from `lattice_row`, every bound of a
 point at once (partial sums of the two-coin representation numbers), and its
@@ -162,9 +163,25 @@ class LocalBranch(Record):
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
+class BranchDegreeError(ValueError):
+    """A branch weighted degree outside {w, w', w*w'} ({1} at (1, 1))."""
+
+
+def milnor_number(w: int, wp: int, dj: int) -> int:
+    """(d_j-w)(d_j-w')/(w*w') at weights (w, w') and weighted degree d_j,
+    checked to be a nonnegative integer (Milnor and Orlik, Topology 1970)."""
+    value, rest = divmod((dj - w) * (dj - wp), w * wp)
+    if rest or value < 0:
+        raise ValueError(f"invalid point data: Milnor number ({dj}-{w})"
+                         f"({dj}-{wp})/{w * wp} is not a nonnegative integer")
+    return value
+
+
 class SingularPoint(Record):
-    """A singular point of the reduced curve, described by its local weights
-    and its branches. Ordinary points have weights (1, 1)."""
+    """A singular point of the reduced curve: its local weights (ordinary
+    points have (1, 1)) and its branches. Every built point is valid: the
+    constructor checks its weights, then in one walk of the branches each
+    degree against {w, w', w*w'} ({1} at (1, 1)), then its Milnor number."""
 
     __slots__ = ("weights", "branches")
 
@@ -178,6 +195,15 @@ class SingularPoint(Record):
         branches = tuple(branches)
         if not branches:
             raise ValueError("a singular point needs at least one branch")
+        allowed = (1,) if w == wp == 1 else (w, wp, w * wp)
+        dj = 0
+        for b in branches:
+            if b.weighted_degree not in allowed:
+                raise BranchDegreeError(
+                    f"branch degrees must lie in {{w, w', w*w'}} = "
+                    f"{{{w}, {wp}, {w * wp}}}")
+            dj += b.weighted_degree
+        milnor_number(w, wp, dj)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "branches", branches)
 
@@ -197,15 +223,8 @@ class SingularPoint(Record):
         return self.weights == (1, 1)
 
     def milnor(self) -> int:
-        """(d-w)(d-w')/(w*w') for the local weighted degree d, checked to be
-        a nonnegative integer."""
-        w, wp = self.weights
-        d = self.weighted_degree
-        value, rest = divmod((d - w) * (d - wp), w * wp)
-        if rest or value < 0:
-            raise ValueError(f"invalid point data: Milnor number ({d}-{w})"
-                             f"({d}-{wp})/{w * wp} is not a nonnegative integer")
-        return value
+        """`milnor_number` of the point's weights and weighted degree."""
+        return milnor_number(*self.weights, self.weighted_degree)
 
     def local_spectrum(self) -> SpectrumVector:
         """Spectrum of the germ, from its weights and weighted degree; empty
@@ -214,14 +233,3 @@ class SingularPoint(Record):
         if self.milnor() == 0:
             return SpectrumVector((), ambient_dim=2)
         return weighted_spectrum(WeightSystem(self.weights, self.weighted_degree))
-
-
-def validate_branches(point: SingularPoint) -> bool:
-    """True iff every branch weighted degree is one of w, w', w*w' (and all
-    equal 1 at an ordinary point)."""
-    w, wp = point.weights
-    allowed = (1,) if point.is_ordinary() else (w, wp, w * wp)
-    for b in point.branches:
-        if b.weighted_degree not in allowed:
-            return False
-    return True

@@ -1,7 +1,9 @@
-"""Randomized configurations for the differential and property suites."""
+"""Randomized configurations for the differential and property suites, and
+curves built from geometry for the suites that need realizable inputs."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from conespec.engine import CurveConfig, GlobalComponent, Incidence, binom2
@@ -206,3 +208,32 @@ def binary_power_curve(e: int, m: int) -> CurveConfig:
     return CurveConfig(
         components=(GlobalComponent(e, 1),) * m,
         points=(SingularPoint((1, e), (LocalBranch(e, 1),) * m),) * e)
+
+
+def triangle_curve(a: int, b: int, c: int) -> CurveConfig:
+    """The triangle a*L1 + b*L2 + c*L3 of the coordinate lines, whose cone
+    is the monomial x^a y^b z^c: three weight-(1, 1) points, each where two
+    lines meet, with one branch on each of the two lines."""
+    lines = (a, b, c)
+    return CurveConfig(
+        components=tuple(GlobalComponent(1, m) for m in lines),
+        points=tuple(SingularPoint((1, 1), (LocalBranch(1, lines[s]),
+                                            LocalBranch(1, lines[t])))
+                     for s, t in ((0, 1), (0, 2), (1, 2))))
+
+
+def monomial_join_curve(a: int, b: int) -> CurveConfig:
+    """The reduced curve x^a y^b + z^d with d = a + b. With g = gcd(a, b)
+    it has g components of degree d/g, which meet only at [1:0:0] and
+    [0:1:0], where the curve is u^e + v^d with e = b and e = a. Where
+    e >= 2 that point has, with h = gcd(e, d), weights (d/h, e/h) and h
+    branches of weighted degree d*e/h^2."""
+    d, g = a + b, math.gcd(a, b)
+    points = []
+    for e in (b, a):
+        if e >= 2:
+            h = math.gcd(e, d)
+            points.append(SingularPoint(
+                (d // h, e // h), (LocalBranch(d * e // h ** 2, 1),) * h))
+    return CurveConfig(components=(GlobalComponent(d // g, 1),) * g,
+                       points=tuple(points))

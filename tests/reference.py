@@ -148,6 +148,25 @@ def weighted_milnor(ws: WeightSystem) -> int:
     return value.numerator
 
 
+def monomial_spectrum(exponents: Sequence[int]) -> SpectrumVector:
+    """Spectrum of the monomial x_0^(a_0)...x_n^(a_n), from topology alone.
+
+    Its Milnor fibre is the group mu_g x (C*)^n, g = gcd(a_k): each H^j is
+    pure of type (j, j) (Deligne, Theorie de Hodge II, Publ. IHES 40, 1971),
+    and the monodromy permutes the g components cyclically, so the
+    eigenvalue exp(2 pi i k/g) has dimension binom(n, j) in H^j. With
+    n_alpha = sum_j (-1)^(j-n) dim Gr_F^p H~^j(F)_lambda at
+    p = floor(n + 1 - alpha) and lambda = exp(-2 pi i alpha) (Steenbrink,
+    Asterisque 179-180, 1989), each k in [0, g) adds (-1)^(j-n) binom(n, j)
+    at alpha = n - j + f_k, where f_k = k/g, or 1 at k = 0; j = 0 is skipped
+    at k = 0, because the cohomology is reduced. No lattice or window count
+    enters, and nothing of the engine."""
+    n, g = len(exponents) - 1, math.gcd(*exponents)
+    entries = [((n - j) * g + (k or g), (-1) ** (n - j) * math.comb(n, j))
+               for k in range(g) for j in range(n + 1) if j or k]
+    return SpectrumVector(entries, n + 1, denominator=g)
+
+
 def euler_generic_union(degrees) -> int:
     """Euler number of the complement of a generic nodal union of smooth
     curves with the given degrees."""

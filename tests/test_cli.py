@@ -10,9 +10,8 @@ import conespec.engine
 import conespec.oracle
 from conespec.cli import (DEFAULT_CAP, ScanSpec, _parse_params, _parse_ranges,
                           main, run_scan)
-from conespec.engine import CurveConfig, GlobalComponent, reduced_cone_spectrum
+from conespec.engine import reduced_cone_spectrum
 from conespec.formats import ConfigError
-from conespec.local import LocalBranch, SingularPoint
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -82,23 +81,6 @@ def test_compute_csv_format(capsys):
 def test_compute_cor2_rejects_weighted_config(capsys):
     code, _, err = run(capsys, "compute",
                        FIXTURES / "doubled-cuspidal-cubic.cfg",
-                       "--middle=cor2")
-    assert code == 2
-    assert "error" in err
-
-
-def test_compute_cor2_checks_points_first(capsys, monkeypatch):
-    """``--middle cor2`` reports an invalid point before it reports that
-    the incidence route does not apply. The parsers reject such a point
-    themselves, so the config is handed to the command directly."""
-    bad = CurveConfig((GlobalComponent(4, 1),),
-                      (SingularPoint((2, 3), (LocalBranch(5, 1),)),))
-    monkeypatch.setattr(conespec.cli, "_read_config", lambda *args: bad)
-    code, _, err = run(capsys, "compute", "unread.cfg", "--middle=cor2")
-    assert code == 2
-    assert err.startswith("error: invalid branch data")
-    monkeypatch.undo()
-    code, _, err = run(capsys, "compute", FIXTURES / "doubled-cuspidal-cubic.cfg",
                        "--middle=cor2")
     assert code == 2
     assert "[middle-unavailable]" in err

@@ -17,8 +17,8 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              euler_complement, incidence_consistent,
                              index_data, local_data_table,
                              ordinary_middle_row, reduced_cone_spectrum,
-                             residue_degree, scan_values,
-                             smooth_cone_coeffs, thickened_spectrum)
+                             residue_degree, smooth_cone_coeffs,
+                             thickened_spectrum)
 from conespec.formats import parse_singular, parse_vector_text
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
                             lattice_row, weighted_spectrum, WeightSystem)
@@ -152,55 +152,6 @@ def test_curve_table_smooth_conic():
     assert all(v == 0 for v in t.rows[0]) and all(v == 0 for v in t.rows[2])
     oracle = weighted_spectrum(WeightSystem((1, 1, 1), 2))
     assert t.as_spectrum() == SpectrumVector(dict(fraction_items(oracle)), 3)
-
-
-# a branch degree outside {w, w', w*w'}, and a Milnor number
-# (7-2)(7-3)/6 that is not an integer
-BAD_DEGREE = SingularPoint((2, 3), (LocalBranch(4, 1),))
-BAD_MILNOR = SingularPoint((2, 3), (LocalBranch(2, 1), LocalBranch(2, 1),
-                                    LocalBranch(3, 1)))
-BAD_DEGREE_MESSAGE = ("invalid branch data at point SingularPoint(weights=(2, "
-                      "3), branches=(LocalBranch(weighted_degree=4, "
-                      "multiplicity=1),))")
-BAD_MILNOR_MESSAGE = ("invalid point data: Milnor number (7-2)(7-3)/6 is not "
-                      "a nonnegative integer")
-
-
-# GOOD is a valid cusp. Each case lists its points in point order, and a
-# name repeated in one case is one point object listed twice.
-GOOD = SingularPoint((2, 3), (LocalBranch(6, 1),))
-BAD_POINTS = {
-    "degree": ((BAD_DEGREE,), BAD_DEGREE_MESSAGE),
-    "milnor": ((BAD_MILNOR,), BAD_MILNOR_MESSAGE),
-    "first": ((BAD_MILNOR, BAD_DEGREE), BAD_MILNOR_MESSAGE),
-    "good-twice": ((GOOD, GOOD, BAD_DEGREE), BAD_DEGREE_MESSAGE),
-    "milnor-twice": ((BAD_MILNOR, BAD_MILNOR, BAD_DEGREE), BAD_MILNOR_MESSAGE),
-    "degree-twice": ((GOOD, BAD_DEGREE, BAD_DEGREE, BAD_MILNOR),
-                     BAD_DEGREE_MESSAGE),
-}
-ENTRIES = {"table": curve_table, "scan": scan_values,
-           "euler": euler_complement}
-
-
-@pytest.mark.parametrize("entry, points, message", [
-    *[(entry, *BAD_POINTS[case]) for entry in ENTRIES.values()
-      for case in BAD_POINTS],
-    (ordinary_middle_row,
-     (opoint(1, 1), SingularPoint((1, 1), (LocalBranch(2, 1),
-                                           LocalBranch(1, 1)))),
-     "invalid branch data at point SingularPoint(weights=(1, 1), "
-     "branches=(LocalBranch(weighted_degree=2, multiplicity=1), "
-     "LocalBranch(weighted_degree=1, multiplicity=1)))"),
-], ids=[*(f"{name}-{case}" for name in ENTRIES for case in BAD_POINTS),
-        "middle-degree"])
-def test_curve_table_rejects_bad_branches(entry, points, message):
-    """Every curve entry point rejects a bad point with the message of the
-    first bad point in point order."""
-    cfg = CurveConfig(components=comps((3, 1)), points=points,
-                      incidence=Incidence.from_pairs([]))
-    with pytest.raises(ValueError) as info:
-        entry(cfg)
-    assert str(info.value) == message
 
 
 def test_middle_row_requires_ordinary_and_incidence():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
-                            _window_row, lattice_count, lattice_row,
-                            validate_branches, weighted_spectrum, window_count)
+from conespec.local import (BranchDegreeError, LocalBranch, SingularPoint,
+                            WeightSystem, _window_row, lattice_count,
+                            lattice_row, weighted_spectrum, window_count)
 from conespec.oracle import brute_lattice, brute_lattice_row
 from conespec.spectrum import SpectrumVector
 from reference import product, reduced_multiplicity, weighted_milnor
@@ -117,14 +117,15 @@ def test_window_boundaries_half_open():
 
 
 def test_validate_branches():
-    cusp = SingularPoint((2, 3), (LocalBranch(6, 1),))
-    assert validate_branches(cusp)
+    """The constructor accepts branch degrees in {w, w', w*w'} ({1} at
+    weights (1, 1)) and rejects any other."""
+    assert SingularPoint((2, 3), (LocalBranch(6, 1),)).milnor() == 2
     ordinary = SingularPoint((1, 1), tuple(LocalBranch(1, 1) for _ in range(4)))
-    assert validate_branches(ordinary)
-    bad = SingularPoint((2, 3), (LocalBranch(4, 1),))
-    assert not validate_branches(bad)
-    fat_ordinary = SingularPoint((1, 1), (LocalBranch(2, 1), LocalBranch(1, 1)))
-    assert not validate_branches(fat_ordinary)
+    assert ordinary.milnor() == 9
+    with pytest.raises(BranchDegreeError):
+        SingularPoint((2, 3), (LocalBranch(4, 1),))
+    with pytest.raises(BranchDegreeError):
+        SingularPoint((1, 1), (LocalBranch(2, 1), LocalBranch(1, 1)))
 
 
 def test_point_accessors():

@@ -3,7 +3,9 @@
 One instance of each record class is checked for its repr text, equality
 and hash of equal values, refused assignment and deletion, keyword
 construction with defaults, and copy and pickle round trips. The
-constructors, `SpectrumVector`'s too, reject a bad field with its message.
+constructors, `SpectrumVector`'s too, reject a bad field with its message,
+and `SingularPoint` a bad branch degree or Milnor number with the message
+the CLI prints.
 """
 
 import copy
@@ -143,6 +145,14 @@ REJECTED = [
     (lambda: LocalBranch(1, 0), "branch multiplicity must be positive"),
     (lambda: SingularPoint((1, 1), []),
      "a singular point needs at least one branch"),
+    (lambda: SingularPoint((2, 3), [LocalBranch(4, 1)]),
+     "branch degrees must lie in {w, w', w*w'} = {2, 3, 6}"),
+    (lambda: SingularPoint((2, 3), [LocalBranch(2, 1), LocalBranch(2, 1),
+                                    LocalBranch(3, 1)]),
+     "invalid point data: Milnor number (7-2)(7-3)/6 is not a nonnegative "
+     "integer"),
+    (lambda: SingularPoint((1, 1), [LocalBranch(2, 1), LocalBranch(1, 1)]),
+     "branch degrees must lie in {w, w', w*w'} = {1, 1, 1}"),
     (lambda: SpectrumVector({1: 1}, 2, denominator=0),
      "denominator must be a positive integer"),
 ]
@@ -151,7 +161,8 @@ REJECTED = [
 @pytest.mark.parametrize("make, message", REJECTED, ids=[
     "component-degree", "component-multiplicity", "incidence-count",
     "incidence-value", "curve-nodes", "weights-empty", "branch-degree",
-    "branch-multiplicity", "point-no-branch", "spectrum-denominator"])
+    "branch-multiplicity", "point-no-branch", "point-branch-degree",
+    "point-milnor", "point-fat-ordinary", "spectrum-denominator"])
 def test_constructor_rejects_a_bad_field(make, message):
     with pytest.raises(ValueError) as info:
         make()

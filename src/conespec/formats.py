@@ -14,7 +14,9 @@ parameter binding (`parse_native`, `config_template`). A slot that is one
 ASCII literal or name becomes a constant or a lookup; any other goes through
 one `re` lexer, whose name rule `cli._split_name` shares, and the parser.
 Native ``incidence``, ``incidence-matrix`` and ``localspectrum`` entries are
-literals, read through `_ascii_int` when the text is parsed.
+literals, read through `_ascii_int` when the text is parsed. A compiled
+vector template keeps the records it has built, keyed by the ints of their
+evaluated slots, up to `MEMO_BOUND` of each kind (`parse_singular`).
 """
 
 from __future__ import annotations
@@ -288,16 +290,33 @@ def _negated_count(vector: str, k: int, sep: int) -> None:
 # the branch that pads a point's multiplicity list
 _SIMPLE_BRANCH = LocalBranch(1, 1)
 
+# records of one kind that a vector template keeps; one more empties them
+MEMO_BOUND = 4096
 
-def parse_singular(vectors: SingularVectors,
-                   binding: Mapping[str, int]) -> CurveConfig:
+
+def _stored(records: dict, key: tuple, built):
+    if len(records) >= MEMO_BOUND:
+        records.clear()
+    records[key] = built
+    return built
+
+
+def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
+                   memo: tuple[dict, dict, dict] | None = None) -> CurveConfig:
     """Expand the four vectors into a curve configuration.
 
     Negative entries are group separators carrying repeat counts. Points in
     this dialect are always ordinary (weights (1,1), branch degrees 1); the
     point multiplicity lists may be shorter than the branch count and are
     padded with 1.
+
+    `memo` holds the records already built, one dict per kind so that keys
+    of two kinds never meet: components by (degree, mult), points by
+    (branch count, *mults), the incidence by its pairs (fresh dicts when
+    none is given). Every check runs before the lookup, and a record is
+    stored once its constructor has returned.
     """
+    component_memo, point_memo, incidence_memo = memo or ({}, {}, {})
     glcmp = [e(binding) for e in vectors.glcmp]
     si = [e(binding) for e in vectors.si]
     od = vectors.od(binding)
@@ -316,7 +335,11 @@ def parse_singular(vectors: SingularVectors,
             raise ConfigError("value-nonpositive",
                               f"component degree/multiplicity must be positive,"
                               f" got ({degree}, {mult})")
-        components.extend([GlobalComponent(degree, mult)] * (-sep))
+        component = component_memo.get((degree, mult))
+        if component is None:
+            component = _stored(component_memo, (degree, mult),
+                                GlobalComponent(degree, mult))
+        components.extend([component] * (-sep))
 
     points = []
     pos, end = 0, len(si)
@@ -339,9 +362,12 @@ def parse_singular(vectors: SingularVectors,
             raise ConfigError("si-overflow",
                               f"point lists {len(mults)} multiplicities for "
                               f"{branch_count} branches")
-        branches = [LocalBranch(1, m) for m in mults]
-        branches += [_SIMPLE_BRANCH] * (branch_count - len(mults))
-        point = SingularPoint((1, 1), branches)
+        key = tuple(si[start - 1:pos])              # (branch_count, *mults)
+        point = point_memo.get(key)
+        if point is None:
+            branches = [LocalBranch(1, m) for m in mults]
+            branches += [_SIMPLE_BRANCH] * (branch_count - len(mults))
+            point = _stored(point_memo, key, SingularPoint((1, 1), branches))
         points.extend([point] * (-sep))
 
     if od < 0:
@@ -363,10 +389,14 @@ def parse_singular(vectors: SingularVectors,
                 raise ConfigError("value-nonpositive",
                                   f"incidence value must be positive, got {value}")
             pairs.append((-sep, value))
+    key = tuple(pairs)
+    incidence = incidence_memo.get(key)
+    if incidence is None:
+        incidence = _stored(incidence_memo, key, Incidence.from_pairs(pairs))
 
     with _coded("config-invalid"):
         return CurveConfig(components=tuple(components), points=tuple(points),
-                           nodes=od, incidence=Incidence.from_pairs(pairs))
+                           nodes=od, incidence=incidence)
 
 
 # ---------------------------------------------------------------------------
@@ -793,8 +823,11 @@ def looks_like_vectors(text: str) -> bool:
 def config_template(text: str) -> Template:
     """The config of `text` as a function of its parameter binding, in the
     dialect `looks_like_vectors` picks. Either dialect is parsed here, once;
-    each call only evaluates the compiled slots and builds the config."""
+    each call only evaluates the compiled slots and builds the config. A
+    vector template passes one memo to all its calls, so a component, point
+    or incidence whose slot values recur is built once (`parse_singular`)."""
     if looks_like_vectors(text):
         vectors = parse_vector_text(text)
-        return lambda binding: parse_singular(vectors, binding)
+        memo = ({}, {}, {})
+        return lambda binding: parse_singular(vectors, binding, memo)
     return parse_native(text)

@@ -201,7 +201,7 @@ class SingularPoint(Record):
             if b.weighted_degree not in allowed:
                 raise BranchDegreeError(
                     f"branch degrees must lie in {{w, w', w*w'}} = "
-                    f"{{{w}, {wp}, {w * wp}}}")
+                    f"{{{', '.join(map(str, allowed))}}}")
             dj += b.weighted_degree
         milnor_number(w, wp, dj)
         object.__setattr__(self, "weights", weights)

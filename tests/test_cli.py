@@ -639,6 +639,24 @@ def test_scan_grid_point_error_names_code_once(capsys, tmp_path, template,
     assert err == f"error: {message}\n"
 
 
+def test_scan_error_after_stored_records(capsys, tmp_path):
+    """A vector scan that fails at a later grid point, whose component the
+    earlier points already built, writes the earlier rows and then the
+    error that `compute` gives at that binding."""
+    path = tmp_path / "template.vectors"
+    path.write_text("GlCmp=-1,1,2-a, -1,1,1, -1,2,1; Si=-1,2-a,2,1; OD=0; "
+                    "LG=0;\n")
+    code, out, err = run(capsys, "scan", path, "--range", "a=0..1")
+    assert code == 2
+    assert out == run(capsys, "scan", path, "--range", "a=0..0")[1]
+    assert out.count("\n") == 2                 # the header and a=0
+    assert err == ("error: [si-overflow] at grid point (a=1): point lists 2 "
+                   "multiplicities for 1 branches\n")
+    assert run(capsys, "compute", path, "--param", "a=1") == (
+        2, "", "error: [si-overflow] point lists 2 multiplicities for 1 "
+               "branches\n")
+
+
 @pytest.mark.parametrize("template,message", [
     ("component degree=a mult=1\nnonsense 3\n",
      "line 2: [bad-keyword] unknown keyword 'nonsense'"),

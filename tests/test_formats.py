@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import re
@@ -12,9 +13,9 @@ import pytest
 from conespec import formats
 from conespec.engine import (CurveConfig, GlobalComponent,
                              ReducedConeConfig, curve_table)
-from conespec.formats import (MAX_DEPTH, ConfigError, emit_table,
-                              looks_like_vectors, parse_expr, parse_native,
-                              parse_singular, parse_vector_text)
+from conespec.formats import (MAX_DEPTH, ConfigError, config_template,
+                              emit_table, looks_like_vectors, parse_expr,
+                              parse_native, parse_singular, parse_vector_text)
 from conespec.local import LocalBranch, SingularPoint
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
@@ -281,6 +282,84 @@ def test_fixture_grids_never_error():
                 for c in range(0, 5):
                     cfg = parse_singular(vectors, dict(a=a, b=b, c=c))
                     assert cfg.degree >= 1
+
+
+FIVE_LINES = (FIXTURES / "five-lines.vectors").read_text()
+
+
+def test_vector_template_shares_recurring_records():
+    """One compiled template builds a component, point or incidence once
+    for each set of slot values and hands the same object to every config
+    that has it."""
+    template = config_template(FIVE_LINES)
+    first = template(dict(a=2, b=3, c=0))
+    second = template(dict(a=2, b=5, c=0))
+    assert first.components[0] is second.components[0]    # (1, a=2)
+    assert first.components[2] is second.components[2]    # (1, c+1=1)
+    assert first.points[1] is second.points[1]            # (3, c+1=1)
+    assert first.incidence is second.incidence            # LG = -6,1
+    assert first.points[0] is not second.points[0]        # (3, 2, 3), (3, 2, 5)
+    assert first.points[0] == SingularPoint((1, 1), [LocalBranch(1, 2),
+                                                     LocalBranch(1, 3),
+                                                     LocalBranch(1, 1)])
+
+
+def test_vector_memo_stays_within_its_bound():
+    """Over more distinct points than `MEMO_BOUND`, every config equals a
+    fresh build and no kind ever holds more than the bound."""
+    vectors = parse_vector_text(FIVE_LINES)
+    memo = ({}, {}, {})
+    side = math.isqrt(formats.MEMO_BOUND) + 1
+    most = 0
+    for a in range(1, side + 1):
+        for b in range(1, side + 1):
+            binding = dict(a=a, b=b, c=a % 3)
+            assert parse_singular(vectors, binding, memo) == \
+                parse_singular(parse_vector_text(FIVE_LINES), binding)
+            assert max(map(len, memo)) <= formats.MEMO_BOUND
+            most = max(most, *map(len, memo))
+    assert most == formats.MEMO_BOUND
+    assert len(memo[1]) < formats.MEMO_BOUND            # points, emptied
+
+
+def outcome(build, binding):
+    """The config `build` makes at `binding`, or its error's code, line and
+    text."""
+    try:
+        return build(binding)
+    except ConfigError as exc:
+        return exc.code, exc.line, str(exc)
+
+
+def test_vector_memo_keeps_errors_at_each_binding():
+    """A binding that fails raises as a fresh parse does, after valid
+    bindings have stored their records; valid bindings after it still
+    build."""
+    text = "GlCmp=-1,1,a-1, -1,1,b; Si=-1,c+1,a,b; OD=0; LG=-2,a-1;"
+    template = config_template(text)
+    bindings = [dict(a=2, b=2, c=1), dict(a=3, b=2, c=1),
+                dict(a=2, b=2, c=0), dict(a=1, b=2, c=1),
+                dict(a=2, b=2, c=1), dict(a=3, b=3, c=2),
+                dict(a=2, b=2, c=2)]                 # mults of the first
+    seen = [outcome(template, b) for b in bindings]
+    assert seen == [outcome(lambda b: parse_singular(
+        parse_vector_text(text), b), b) for b in bindings]
+    assert seen[2] == ("si-overflow", None, "[si-overflow] point lists 2 "
+                       "multiplicities for 1 branches")
+    assert seen[3] == ("value-nonpositive", None, "[value-nonpositive] "
+                       "component degree/multiplicity must be positive, got "
+                       "(1, 0)")
+    assert isinstance(seen[4], CurveConfig) and seen[4] == seen[0]
+
+
+def test_vector_memo_kinds_do_not_collide():
+    """A component (3, 1) and a point keyed (3, 1) are each their own
+    record, in one call and across calls."""
+    template = config_template("GlCmp=-1,3,a; Si=-1,3,a; OD=0; LG=0;")
+    for _ in range(2):
+        cfg = template(dict(a=1))
+        assert cfg.components == (GlobalComponent(3, 1),)
+        assert cfg.points == (SingularPoint((1, 1), [LocalBranch(1, 1)] * 3),)
 
 
 # -- native dialect ----------------------------------------------------------

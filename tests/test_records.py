@@ -152,7 +152,7 @@ REJECTED = [
      "invalid point data: Milnor number (7-2)(7-3)/6 is not a nonnegative "
      "integer"),
     (lambda: SingularPoint((1, 1), [LocalBranch(2, 1), LocalBranch(1, 1)]),
-     "branch degrees must lie in {w, w', w*w'} = {1, 1, 1}"),
+     "branch degrees must lie in {w, w', w*w'} = {1}"),
     (lambda: SpectrumVector({1: 1}, 2, denominator=0),
      "denominator must be a positive integer"),
 ]

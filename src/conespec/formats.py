@@ -310,11 +310,12 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
     point multiplicity lists may be shorter than the branch count and are
     padded with 1.
 
-    `memo` holds the records already built, one dict per kind so that keys
-    of two kinds never meet: components by (degree, mult), points by
-    (branch count, *mults), the incidence by its pairs (fresh dicts when
-    none is given). Every check runs before the lookup, and a record is
-    stored once its constructor has returned.
+    `memo` holds the records already built (fresh dicts when none is
+    given), one dict per kind so that keys of two kinds never meet:
+    components by (degree, mult), points by (branch count, *mults), the
+    incidence by its pairs. Every check runs before the lookup; a record is
+    stored once its constructor has returned, and a dict that holds
+    `MEMO_BOUND` records is emptied first.
     """
     component_memo, point_memo, incidence_memo = memo or ({}, {}, {})
     glcmp = [e(binding) for e in vectors.glcmp]

@@ -14,15 +14,15 @@ step functions of i (`_floor_row`). A column depends on i only through the
 residues (m*i - 1) mod d of the multiplicities m, and when g divides every m
 these repeat with period P = d // g, since m*P is then a multiple of d:
 (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a curve g*Z are
-built on one period of P columns and tiled g times to [1, d]; only the -1 of
-row 2 at i = d breaks the period. `ordinary_middle_row` reads the incidence
-middle row off the table as its balance row plus one constant, so `verify`,
-``oracle`` and ``compute --middle cor2`` make one pass. `scan_values` runs
-the kernel on column 3, the one cell that ``scan`` reports, and
-`euler_complement` on column 0, which is no column at all. The reduced
-any-dimension route is `reduced_cone_spectrum` / `thickened_spectrum`, which
-consume local spectra directly; `local_data_table` lays out its n = 2
-spectrum as a table.
+built on columns [1, P], one period, and tiled g times to [1, d]; only the
+-1 of row 2 at i = d breaks the period. `ordinary_middle_row` reads the
+incidence middle row off the table it is given, as its balance row plus one
+constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make one
+pass. `scan_values` runs the kernel on column 3, the one cell that ``scan``
+reports, and `euler_complement` on column 0, which is no column at all. The
+reduced any-dimension route is `reduced_cone_spectrum` /
+`thickened_spectrum`, which consume local spectra directly;
+`local_data_table` lays out its n = 2 spectrum as a table.
 """
 
 from __future__ import annotations
@@ -295,24 +295,23 @@ def _branch_terms(point: SingularPoint) -> tuple[_Terms, int, int]:
     return tuple(sorted(totals.items())), dj, mass
 
 
-def _floor_row(terms, cols, d: int) -> list[int]:
-    """`_shift(terms, i, d)` for every column i of the non-empty range
-    `cols`, built as a step function. With mult = q*d + r, a term
-    degree * ((mult*i - 1) // d) is degree*q*i plus degree * ((r*i - 1) // d),
-    which rises by degree at i = j*d // r + 1 for each j it reaches: fewer
-    than one step a column. The steps of all terms go into one list whose
-    running sums, plus the slope times i, are the row."""
-    lo, hi = cols[0], cols[-1]
-    slope, steps = 0, [0] * len(cols)
+def _floor_row(terms, width: int, d: int) -> list[int]:
+    """`_shift(terms, i, d)` for every column i in [1, width], built as a
+    step function. With mult = q*d + r, a term degree * ((mult*i - 1) // d)
+    is degree*q*i plus degree * ((r*i - 1) // d): -degree on every column
+    when r == 0, else 0 at i = 1, rising by degree at i = j*d // r + 1 for
+    each j it reaches: fewer than one step a column. The steps of all terms
+    go into one list whose running sums, plus the slope times i, are the
+    row."""
+    slope, steps = 0, [0] * width
     for mult, degree in terms:
         q, r = divmod(mult, d)
         slope += degree * q
-        low = (r * lo - 1) // d
-        steps[0] += degree * low
-        for j in range(low + 1, (r * hi - 1) // d + 1):
-            steps[j * d // r + 1 - lo] += degree
+        steps[0] += degree * ((r - 1) // d)
+        for j in range(1, (r * width - 1) // d + 1):
+            steps[j * d // r] += degree
     if slope:
-        return [s + slope * i for s, i in zip(accumulate(steps), cols)]
+        return [s + slope * i for i, s in enumerate(accumulate(steps), 1)]
     return list(accumulate(steps))
 
 
@@ -344,8 +343,9 @@ def _rows(cfg: CurveConfig, column: int | None = None,
     multiplicity), (m*(i + P) - 1) mod d == (m*i - 1) mod d for P = d // g,
     so each floor sum rises by a constant over P columns (by P for the
     components, by mass / g for a point's ceiling) and the twist and the
-    ceilings repeat. Columns [1, P] are computed and tiled g times to
-    [1, d], and row 2 takes its -1 at i = d."""
+    ceilings repeat. Columns [1, P] are computed, each floor sum by one
+    `_floor_row` of width P, and tiled g times to [1, d], and row 2 takes
+    its -1 at i = d."""
     counts: dict = {}
     for p in cfg.points:
         key = (p.weights, *_branch_terms(p))
@@ -375,15 +375,15 @@ def _rows(cfg: CurveConfig, column: int | None = None,
             r2 -= k * row[dj - ceil_g]
         return d, dp, chi, [r0], [r2]
     g = gcd(*cfg.multiplicities())
-    cols = range(1, d // g + 1)
-    twist = [i - s for i, s in zip(cols, _floor_row(comps, cols, d))]
+    period = d // g
+    twist = [i - s for i, s in enumerate(_floor_row(comps, period, d), 1)]
     row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
     row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
     for k, row, dj, mass, terms in points:
         # that ceiling less one, (i*mass - 1) // d - shift, is the floor sum
         # of the term (mass, 1) and the branch terms negated
         ceil = _floor_row(((mass, 1), *((m, -deg) for m, deg in terms)),
-                          cols, d)
+                          period, d)
         top = dj - 1
         row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
@@ -433,12 +433,12 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
 
 
 def ordinary_middle_row(cfg: CurveConfig,
-                        table: ConeSpectrumTable | None = None) -> list[int]:
+                        table: ConeSpectrumTable) -> list[int]:
     """Middle row computed from incidence data instead of the Euler-number
     balance. Only valid when every listed point is ordinary; requires
     incidence data (the multiset form is enough). Both are checked before
-    anything is computed. `table`, if given, is `curve_table(cfg)`, and the
-    row is read from it instead of being computed again.
+    anything is read. `table` is `curve_table(cfg)`, and the row is read
+    from it instead of being computed again.
 
     At column i, with t the twist, c_p the ceiling of point p's residue
     degree and r_p its branch count, the incidence row is pairs +
@@ -453,8 +453,6 @@ def ordinary_middle_row(cfg: CurveConfig,
         raise ValueError("incidence-based middle row needs ordinary points only")
     if cfg.incidence is None:
         raise ValueError("incidence-based middle row needs incidence data")
-    if table is None:
-        table = curve_table(cfg)
     delta = (sum(binom2(c.degree) for c in cfg.components)
              - sum(count * binom2(value) for count, value in cfg.incidence.pairs)
              + binom2(cfg.reduced_degree - 2)

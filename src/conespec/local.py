@@ -4,9 +4,10 @@ counts. Everything is exact integer/rational arithmetic. A `SingularPoint`
 is checked once, when it is built, so no caller checks a point again.
 
 The curve route reads its lattice counts from `lattice_row`, every bound of a
-point at once (partial sums of the two-coin representation numbers), and its
-window counts from `_window_row`; `lattice_count` and `window_count` give one
-value each.
+point at once (partial sums of the two-coin representation numbers), and the
+reduced route its window counts from `_window_row`, over local spectra whose
+exponents `ReducedConeConfig` keeps in (0, n); `lattice_count` and
+`window_count` give one value each.
 """
 
 from __future__ import annotations
@@ -135,16 +136,16 @@ def _window_row(spectra, d: int, top: int) -> list[int]:
     """row[i] = sum of window_count(s, i/d) over the spectra, for i in
     [0, top]. An exponent k/D lies in [i/d - 1, i/d) exactly for the d
     integers i in (k*d/D, k*d/D + d], so each entry adds its multiplicity to
-    one run of a difference array, clipped to [0, top]."""
+    one run of a difference array. Every exponent must lie in (0, n) for
+    top = (n + 1)*d - 1, as it does in the local spectra of a
+    `ReducedConeConfig`: then each run lies inside [1, top]."""
     diff = [0] * (top + 2)
     for spec in spectra:
         den = spec.denominator
         for k, m in spec.numerators().items():
             start = k * d // den + 1
-            first, last = max(start, 0), min(start + d - 1, top)
-            if first <= last:
-                diff[first] += m
-                diff[last + 1] -= m
+            diff[start] += m
+            diff[start + d] -= m
     return list(itertools.accumulate(diff[:-1]))
 
 

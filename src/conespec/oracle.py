@@ -370,11 +370,11 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     # each shift rises by P and each residue repeats, so [1, P] covers
     # [1, d] and the twist at P is the twist at d.
     d, _, comps = _components(cfg)
-    cols = range(1, d // gcd(*cfg.multiplicities()) + 1)
-    shifts = _floor_row(comps, cols, d)
-    twists = [i - s for i, s in zip(cols, shifts)]
+    period = d // gcd(*cfg.multiplicities())
+    shifts = _floor_row(comps, period, d)
+    twists = [i - s for i, s in enumerate(shifts, 1)]
     residues = [mult * i - s for mult, _ in comps
-                for i, s in zip(cols, _floor_row(((mult, d),), cols, d))]
+                for i, s in enumerate(_floor_row(((mult, d),), period, d), 1)]
     checks.append(CheckResult(
         "index-ranges", min(shifts) >= 0 and min(twists) > 0
         and 0 < min(residues) and max(residues) <= d

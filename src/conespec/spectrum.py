@@ -6,10 +6,10 @@ over one denominator, the least common denominator of its exponents, and its
 multiplicities as (possibly negative) Python ints. A vector is canonical:
 entries with multiplicity 0 are never stored and the denominator is the
 least one, so equality is structural. `fractions.Fraction` appears only at
-the edge: the constructor's exponent form and `multiplicity`. `numerators`
-and the ``denominator`` argument of the constructor are the integer way out
-and in, and `exponent_texts` writes a whole list of exponents k/den from
-their integers, as `render` and the csv writer print them. The constructor
+the edge: the constructor's exponent form. `numerators` and the
+``denominator`` argument of the constructor are the integer way out and in,
+and `exponent_texts` writes a whole list of exponents k/den from their
+integers, as `render` and the csv writer print them. The constructor
 copies the table it is given, except a `Numerators` table, canonical by
 construction, which it takes as it is: the power transform and `dual` build
 one, so their thousands of entries are written once, not twice.
@@ -20,9 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-
-ExponentLike = Fraction | int | str
-
 
 def _count(mult) -> int:
     """`mult` as an int; ValueError when it is not integral."""
@@ -115,11 +112,6 @@ class SpectrumVector:
             denominator = self._den
         return {k * denominator // self._den: m for k, m in self._nums.items()
                 if k * denominator % self._den == 0}
-
-    def multiplicity(self, exponent: ExponentLike) -> int:
-        e = Fraction(exponent)
-        scale, off_grid = divmod(self._den, e.denominator)
-        return 0 if off_grid else self._nums.get(e.numerator * scale, 0)
 
     def total(self) -> int:
         """Sum of all multiplicities (the Milnor number for a genuine germ)."""

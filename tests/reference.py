@@ -82,6 +82,12 @@ def fraction_items(spec: SpectrumVector) -> list[tuple[Fraction, int]]:
             for k, m in sorted(spec.numerators().items())]
 
 
+def multiplicity(spec: SpectrumVector, exponent) -> int:
+    """Multiplicity of `spec` at a `Fraction`/int/str exponent, 0 off its
+    support, through `fraction_items`."""
+    return dict(fraction_items(spec)).get(Fraction(exponent), 0)
+
+
 def fraction_render(spec: SpectrumVector) -> str:
     """`SpectrumVector.render` as first written: one `Fraction` per entry,
     through `fraction_items`."""

@@ -149,7 +149,7 @@ def test_criterion_5_oracle_equivalence(capsys):
         nonlocal mismatches, detail
         table = curve_table(cfg)
         ref = reference_ordinary(cfg)
-        middle = ordinary_middle_row(cfg)
+        middle = ordinary_middle_row(cfg, table)
         if (table.rows[0] != ref.rows[0] or table.rows[2] != ref.rows[2]
                 or list(ref.rows[1]) != middle):
             mismatches += 1

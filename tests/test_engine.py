@@ -159,23 +159,24 @@ def test_middle_row_requires_ordinary_and_incidence():
         components=comps((3, 1)),
         points=(SingularPoint((2, 3), (LocalBranch(6, 1),)),))
     with pytest.raises(ValueError):
-        ordinary_middle_row(weighted)
+        ordinary_middle_row(weighted, curve_table(weighted))
     no_inc = pencil_config(2, 5, 2)
     no_inc = CurveConfig(no_inc.components, no_inc.points, no_inc.nodes, None)
     with pytest.raises(ValueError):
-        ordinary_middle_row(no_inc)
+        ordinary_middle_row(no_inc, curve_table(no_inc))
 
 
 def test_middle_row_matches_balance_row():
     for (a, b, c) in ((2, 5, 2), (1, 1, 0), (3, 4, 1)):
         cfg = pencil_config(a, b, c)
-        assert ordinary_middle_row(cfg) == list(curve_table(cfg).rows[1])
+        table = curve_table(cfg)
+        assert ordinary_middle_row(cfg, table) == list(table.rows[1])
 
 
 def test_middle_row_two_lines():
     cfg = CurveConfig(components=comps((1, 1), (1, 1)), nodes=1,
                       incidence=Incidence.from_pairs([(2, 1)]))
-    row = ordinary_middle_row(cfg)
+    row = ordinary_middle_row(cfg, curve_table(cfg))
     assert row[: cfg.degree - 1] == [0] * (cfg.degree - 1)
 
 
@@ -362,13 +363,24 @@ def test_thickening_consistency_cusp():
         assert sv == curve_table(fat).as_spectrum()
 
 
-def test_reduced_config_validates_spectra():
+def test_reduced_config_validates_spectra(tmp_path, capsys):
     asym = SpectrumVector({F(1, 2): 1}, 2)
     with pytest.raises(ValueError):
         ReducedConeConfig(2, 3, (asym,))
     out_of_range = SpectrumVector({F(5, 2): 1, F(-1, 2): 1}, 2)
     with pytest.raises(ValueError):
         ReducedConeConfig(2, 3, (out_of_range,))
+    # the boundary exponents 0, n and n + 1/d, which `_window_row` relies
+    # on never seeing, refused by the constructor and by ``compute``
+    path = tmp_path / "boundary.txt"
+    for exponent in (F(0), F(2), F(7, 3)):
+        message = f"local spectrum {exponent}:1 has exponents outside (0, 2)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReducedConeConfig(2, 3, (SpectrumVector({exponent: 1}, 2),))
+        path.write_text(f"reduced n=2 degree=3\nlocalspectrum {exponent}:1\n")
+        assert cli.main(["compute", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 1: [config-invalid] {message}\n")
     wrong_dim = SpectrumVector({F(3, 2): 1}, 3)
     with pytest.raises(ValueError):
         ReducedConeConfig(2, 3, (wrong_dim,))
@@ -434,7 +446,7 @@ def test_integer_kernel_matches_fraction_arithmetic(make):
         table = curve_table(cfg)
         assert (list(table.rows[0]), list(table.rows[2])) == (row0, row2), cfg
         if middle is not None:
-            assert ordinary_middle_row(cfg) == middle, cfg
+            assert ordinary_middle_row(cfg, table) == middle, cfg
 
 
 def milnor_chi(cfg):
@@ -574,18 +586,17 @@ def test_rows_on_one_column_match_the_rows_on_all_columns(make):
 
 
 def test_floor_row_is_shift_on_every_column():
-    """`_floor_row` gives `_shift` column by column, also for a
-    multiplicity above d (a slope of several steps per column), a negative
-    degree and a range that starts past column 1."""
+    """`_floor_row` gives `_shift` column by column on [1, width], also for
+    a multiplicity above d (a slope of several steps per column), a
+    multiplicity that d divides and a negative degree."""
     rng = random.Random(2929)
     for _ in range(2000):
         d = rng.randint(1, 60)
         terms = tuple((rng.randint(1, 4 * d), rng.randint(-5, 9))
                       for _ in range(rng.randint(1, 4)))
-        lo = rng.randint(1, d)
-        cols = range(lo, rng.randint(lo, d) + 1)
-        assert _floor_row(terms, cols, d) == [_shift(terms, i, d)
-                                              for i in cols], (terms, cols, d)
+        width = rng.randint(1, d)
+        assert _floor_row(terms, width, d) == [
+            _shift(terms, i, d) for i in range(1, width + 1)], (terms, d)
 
 
 def test_scan_builds_each_lattice_row_once(monkeypatch):
@@ -617,9 +628,9 @@ def test_table_rows_build_one_period(monkeypatch):
     floor row on d // g columns at most and tiles it; with g = 1 on all d."""
     lengths = []
 
-    def recording(terms, cols, d):
-        lengths.append(len(cols))
-        return _floor_row(terms, cols, d)
+    def recording(terms, width, d):
+        lengths.append(width)
+        return _floor_row(terms, width, d)
 
     monkeypatch.setattr(conespec.engine, "_floor_row", recording)
     cfg = pencil_config(2, 3, 1)
@@ -651,10 +662,10 @@ def fraction_thickened(base, cfg):
     cells and dropping those at or beyond n + 1: the form the engine used
     before it emitted cells on the 1/(m d') grid."""
     m, n, dp = cfg.power, cfg.ambient_dim, cfg.degree
-    entries = {}
+    entries, grid = {}, dict(fraction_items(base))
     for i in range(1, dp + 1):
         for p in range(n + 1):
-            v_base = base.multiplicity(F(i, dp) + p)
+            v_base = grid.get(F(i, dp) + p, 0)
             for l in range(m):
                 v = v_base
                 if i == dp and p == n and l != m - 1:

@@ -206,9 +206,11 @@ def test_bridge_identity_small():
 
 
 def test_window_row_matches_window_count():
-    """The difference-array row against one window at a time, on spectra
-    with negative, off-grid and out-of-range exponents and a d that their
-    denominators do not divide."""
+    """The difference-array row against one window at a time, for the top
+    (n + 1)*d - 1 that `reduced_cone_spectrum` passes, on spectra with
+    negative multiplicities, off-grid exponents and a d that their
+    denominators do not divide. The exponents lie in (0, n), as the row
+    requires."""
     rng = random.Random(6060)
     for _ in range(300):
         n = rng.randint(1, 3)
@@ -217,11 +219,10 @@ def test_window_row_matches_window_count():
         for _ in range(rng.randint(0, 3)):
             entries = {}
             for _ in range(rng.randint(0, 8)):
-                q = rng.choice([d + 1, 2 * d + 1, rng.randint(1, 12)])
-                entries[F(rng.randint(-2 * q, (n + 2) * q), q)] = \
-                    rng.randint(-3, 3)
+                q = rng.choice([d + 1, 2 * d + 1, rng.randint(2, 12)])
+                entries[F(rng.randint(1, n * q - 1), q)] = rng.randint(-3, 3)
             spectra.append(SpectrumVector(entries, ambient_dim=n))
-        top = (n + 1) * d
+        top = (n + 1) * d - 1
         row = _window_row(spectra, d, top)
         assert len(row) == top + 1
         for i in range(top + 1):

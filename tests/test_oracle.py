@@ -479,10 +479,10 @@ def test_rows_checks_are_evidence(monkeypatch, capsys):
     assert cross_check(cfg).passed
     comps = _components(cfg)[2]
 
-    def mutant(terms, cols, d):
-        row = real_floor_row(terms, cols, d)
-        if terms == comps and 7 in cols:
-            row[cols.index(7)] += 1
+    def mutant(terms, width, d):
+        row = real_floor_row(terms, width, d)
+        if terms == comps and width >= 7:
+            row[6] += 1
         return row
 
     monkeypatch.setattr(conespec.engine, "_floor_row", mutant)
@@ -553,7 +553,11 @@ def test_one_lattice_row_per_distinct_point(monkeypatch):
     # table, cell or row
     cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
     assert len(cfg.points) == 4
-    for run in (curve_table, scan_values, ordinary_middle_row):
+
+    def middle_row(cfg):
+        return ordinary_middle_row(cfg, curve_table(cfg))
+
+    for run in (curve_table, scan_values, middle_row):
         calls.clear()
         run(cfg)
         assert calls == [(1, 1, 3)], run.__name__
@@ -564,9 +568,9 @@ def test_verify_builds_index_rows_on_one_period(monkeypatch):
     and in `index-ranges`, has at most d // 6 columns."""
     lengths = []
 
-    def recording(terms, cols, d):
-        lengths.append(len(cols))
-        return real_floor_row(terms, cols, d)
+    def recording(terms, width, d):
+        lengths.append(width)
+        return real_floor_row(terms, width, d)
 
     monkeypatch.setattr(conespec.engine, "_floor_row", recording)
     monkeypatch.setattr(conespec.oracle, "_floor_row", recording)
@@ -640,9 +644,9 @@ def test_rows_tile_the_period_of_every_multiplicity(monkeypatch):
     and in `index-ranges`, spans the d // 1 = 4 columns of one period."""
     lengths = []
 
-    def recording(terms, cols, d):
-        lengths.append(len(cols))
-        return real_floor_row(terms, cols, d)
+    def recording(terms, width, d):
+        lengths.append(width)
+        return real_floor_row(terms, width, d)
 
     monkeypatch.setattr(conespec.engine, "_floor_row", recording)
     monkeypatch.setattr(conespec.oracle, "_floor_row", recording)

@@ -9,7 +9,8 @@ from conespec import formats
 from conespec.engine import ReducedConeConfig, thickened_spectrum
 from conespec.spectrum import Numerators, SpectrumVector, exponent_texts
 from reference import (FractionSpectrum, add, empty_spectrum, fraction_items,
-                       fraction_render, max_exponent, min_exponent, product)
+                       fraction_render, max_exponent, min_exponent,
+                       multiplicity, product)
 
 F = Fraction
 
@@ -150,7 +151,7 @@ def test_product_support_shifts():
 def test_canonical_no_zero_entries():
     a = SpectrumVector({F(1): 0, F(2): 1}, ambient_dim=3)
     assert fraction_items(a) == [(F(2), 1)]
-    assert a.multiplicity(F(1)) == 0
+    assert multiplicity(a, F(1)) == 0
 
 
 def _random_entries(rng, dim):
@@ -187,7 +188,7 @@ def test_matches_fraction_reference():
             assert len(vec) == len(ref)
             probes = [e for e, _ in ea + eb] + [F(rng.randint(-9, 30), 7)]
             for e in probes:
-                assert vec.multiplicity(e) == ref.multiplicity(e)
+                assert multiplicity(vec, e) == ref.multiplicity(e)
             symmetric += ref.is_symmetric()
     assert symmetric > 50
 
@@ -261,7 +262,7 @@ def test_mapping_path_keeps_a_reduced_grid():
             continue
         entries[1] = 5              # the vector does not share the mapping
         entries[2] = 1
-        assert vec.multiplicity(F(1, 9)) == 3 and len(vec) == 3
+        assert vec.numerators() == {1: 3, 4: -1, 10: 2}
     # with no denominator, the keys of a Numerators table are exponents
     assert SpectrumVector(Numerators({2: 1}), 3) == SpectrumVector({F(2): 1}, 3)
 

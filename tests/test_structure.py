@@ -1,10 +1,13 @@
 """No function ships in the package unless something in it refers to it.
 
-A module-level function, or a method whose name is not of the form
-``__x__``, counts as referred to when an ``ast.Name`` or ``ast.Attribute``
-anywhere under ``src/conespec/`` carries its name. Every other one must be
-in `UNREFERENCED` with the reason it stays; removing such a function means
-removing it here too, and a new one that nothing calls fails this test.
+A module-level function counts as referred to when an ``ast.Name`` or
+``ast.Attribute`` anywhere under ``src/conespec/`` carries its name. A
+method whose name is not of the form ``__x__`` counts only when package
+code calls it as ``x.name(...)``, or, for a ``@property``, when it reads
+``x.name``: a field read of the same name (``c.multiplicity``) does not
+keep a method of that name. Every other one must be in `UNREFERENCED` with
+the reason it stays; removing such a function means removing it here too,
+and a new one that nothing calls fails this test.
 
 Nor does a command load what it does not use: importing `conespec.cli` in a
 fresh interpreter loads neither `dataclasses` (and `inspect` with it) nor
@@ -41,33 +44,67 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def unreferenced_functions() -> set[str]:
-    defined: dict[str, str] = {}       # qualified name -> bare name
-    referred: set[str] = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+_FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_property(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "property"
+               for d in node.decorator_list)
+
+
+def unreferenced_functions(sources: dict[str, str] | None = None
+                           ) -> set[str]:
+    """Qualified names of the functions, methods and properties nothing
+    refers to; `sources` maps module names to their text, the package's own
+    modules when not given."""
+    if sources is None:
+        sources = {path.stem: path.read_text(encoding="utf-8")
+                   for path in sorted(PACKAGE.glob("*.py"))}
+    defined: dict[str, tuple[str, str]] = {}   # qualified -> (name, kind)
+    referred = {"function": set(), "method": set(), "property": set()}
+    for stem, text in sources.items():
+        tree = ast.parse(text)
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, _FUNCTION):
+                defined[f"{stem}.{node.name}"] = (node.name, "function")
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if (isinstance(item, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
+                    if (isinstance(item, _FUNCTION)
                             and not _is_dunder(item.name)):
-                        defined[f"{path.stem}.{node.name}.{item.name}"] = \
-                            item.name
+                        kind = "property" if _is_property(item) else "method"
+                        defined[f"{stem}.{node.name}.{item.name}"] = \
+                            (item.name, kind)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referred.add(node.id)
+                referred["function"].add(node.id)
             elif isinstance(node, ast.Attribute):
-                referred.add(node.attr)
-    return {qualified for qualified, name in defined.items()
-            if name not in referred}
+                referred["function"].add(node.attr)
+                referred["property"].add(node.attr)
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                referred["method"].add(node.func.attr)
+    return {qualified for qualified, (name, kind) in defined.items()
+            if name not in referred[kind]}
 
 
 def test_every_unreferenced_function_is_allowed():
     assert unreferenced_functions() == set(UNREFERENCED)
     assert all(UNREFERENCED.values())
+
+
+def test_a_field_read_keeps_no_method():
+    """A method is kept by a call, a property by a read, a function by its
+    name: a field read that shares a method's name keeps nothing."""
+    source = ("class Branch:\n"
+              "    def multiplicity(self): ...\n"
+              "    def total(self): ...\n"
+              "    @property\n"
+              "    def degree(self): ...\n"
+              "def helper(): ...\n"
+              "def use(b):\n"
+              "    return b.multiplicity, b.degree, b.total(), helper\n")
+    assert unreferenced_functions({"m": source}) == {
+        "m.Branch.multiplicity", "m.use"}
 
 
 def test_cold_import_of_the_cli_loads_no_unused_module():

@@ -2,9 +2,10 @@
 
 A record class lists its fields in ``__slots__``, in the order its
 ``__init__`` takes them, and its ``__init__`` checks its arguments and sets
-each field once with ``object.__setattr__``. Equality (with records of the
-same class only), hash and repr read every field; the repr reads
-``Name(field=value, ...)``. Assigning or deleting a field raises
+each field once with ``object.__setattr__``. A slot named ``_x`` is no
+field: it holds what the constructor derives from the fields. Equality
+(with records of the same class only), hash and repr read every field; the
+repr reads ``Name(field=value, ...)``. Assigning or deleting a field raises
 `AttributeError`. Copy and pickle rebuild a record by calling its class on
 its fields.
 """
@@ -17,8 +18,14 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field list, computed once per class
+        cls._fields = tuple(name for name in cls.__slots__
+                            if not name.startswith("_"))
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -30,7 +37,7 @@ class Record:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):

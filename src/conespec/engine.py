@@ -6,7 +6,8 @@ semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. One kernel,
 `_rows(cfg, column)`, groups the points once (identical points counted
 together, each distinct (w, w', d_j - 1) given one row of lattice counts;
-each point was checked when it was built) and computes each column i from
+each point was checked, and its terms derived, when it was built, so the
+kernel reads them off its key) and computes each column i from
 its index alone. One column (what ``scan`` asks for) runs a scalar body,
 which costs least per call; every column [1, d] (what `curve_table` asks
 for) is built as whole rows, which cost least per column, their floor sums
@@ -244,7 +245,7 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
 def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
     """Branch residues weighted by branch degrees; lies in (0, d_j] and
     equals d_j exactly at i = d."""
-    terms, _, mass = _branch_terms(point)
+    _, terms, _, mass = point._key
     return Fraction(i * mass, d) - _shift(terms, i, d)
 
 
@@ -264,10 +265,7 @@ def _residue(mult: int, i: int, d: int) -> int:
     return (mult * i - 1) % d + 1
 
 
-_Terms = tuple[tuple[int, int], ...]
-
-
-def _components(cfg: CurveConfig) -> tuple[int, int, _Terms]:
+def _components(cfg: CurveConfig) -> tuple[int, int, tuple]:
     """(d, d', terms) from one walk of the components: the degree and the
     reduced degree of the curve, and its (multiplicity, degree) pairs
     summed per multiplicity, sorted."""
@@ -279,20 +277,6 @@ def _components(cfg: CurveConfig) -> tuple[int, int, _Terms]:
         dprime += degree
         totals[mult] = totals.get(mult, 0) + degree
     return d, dprime, tuple(sorted(totals.items()))
-
-
-def _branch_terms(point: SingularPoint) -> tuple[_Terms, int, int]:
-    """(terms, d_j, mass) from one walk of the branches: the point's
-    (multiplicity, weighted degree) pairs summed per multiplicity, sorted,
-    their total weighted degree and the sum of multiplicity * degree."""
-    dj = mass = 0
-    totals: dict[int, int] = {}
-    for b in point.branches:
-        degree, mult = b.weighted_degree, b.multiplicity
-        dj += degree
-        mass += mult * degree
-        totals[mult] = totals.get(mult, 0) + degree
-    return tuple(sorted(totals.items())), dj, mass
 
 
 def _floor_row(terms, width: int, d: int) -> list[int]:
@@ -322,11 +306,11 @@ def _rows(cfg: CurveConfig, column: int | None = None,
     `column` is None, on that one column when it lies in [1, d], and on no
     column otherwise.
 
-    The points were checked when they were built. A call walks each point's
-    branches once (`_branch_terms`: its terms, d_j and mass) and the
-    component list once (`_components`: d, d' and the component terms).
-    Points with equal weights and branch terms share one entry, keyed on
-    plain tuples, whose Milnor number enters chi(U) once per point, and one
+    The points were checked when they were built, and each carries the
+    key its constructor derived (`SingularPoint._key`: weights, terms, d_j
+    and mass), so a call walks no branches, only the component list once
+    (`_components`: d, d' and the component terms). Points with equal keys
+    share one entry, whose Milnor number enters chi(U) once per point, and one
     `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
     lies in [1, d_j], so every count its columns use has a bound in
     [0, d_j - 1]. On ordinary points d_j is the number of branches. The rows
@@ -348,8 +332,7 @@ def _rows(cfg: CurveConfig, column: int | None = None,
     its -1 at i = d."""
     counts: dict = {}
     for p in cfg.points:
-        key = (p.weights, *_branch_terms(p))
-        counts[key] = counts.get(key, 0) + 1
+        counts[p._key] = counts.get(p._key, 0) + 1
     if lattice is None:
         lattice = {}
     milnor, points = cfg.nodes, []
@@ -423,8 +406,8 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point, all four from one `_rows` call;
     when d < 3, column 3 lies past d and no column is computed. Only column
-    3 is computed, by the scalar body: one walk
-    of each point's branches and one of the component list, so past one
+    3 is computed, by the scalar body: one dict lookup per point and one
+    walk of the component list, so past one
     O(d_j) lattice row per distinct point the cost does not grow with d.
     `lattice` is a mapping that the points of one scan share, so that each
     lattice row is built once per scan (see `_rows`)."""

@@ -21,6 +21,7 @@ evaluated slots, up to `MEMO_BOUND` of each kind (`parse_singular`).
 
 from __future__ import annotations
 
+import contextlib
 import operator
 import re
 from collections.abc import Callable, Mapping
@@ -225,20 +226,32 @@ def parse_expr(text: str) -> Expr:
 
 class SingularVectors(Record):
     """The four template vectors: global components, singular points,
-    aggregated double points, incidence values."""
+    aggregated double points, incidence values. A slot is an int when it
+    names no parameter, else an `Expr`; the derived `_plan` lists the
+    distinct `Expr`s and where each slot finds its value."""
 
-    __slots__ = ("glcmp", "si", "od", "lg")
+    __slots__ = ("glcmp", "si", "od", "lg", "_plan")
 
-    def __init__(self, glcmp: tuple[Expr, ...], si: tuple[Expr, ...],
-                 od: Expr, lg: tuple[Expr, ...]):
+    def __init__(self, glcmp: tuple[int | Expr, ...],
+                 si: tuple[int | Expr, ...], od: int | Expr,
+                 lg: tuple[int | Expr, ...]):
         object.__setattr__(self, "glcmp", glcmp)
         object.__setattr__(self, "si", si)
         object.__setattr__(self, "od", od)
         object.__setattr__(self, "lg", lg)
+        slots = (*glcmp, *si, od, *lg)
+        exprs = {e: k for k, e in enumerate(dict.fromkeys(filter(callable,
+                                                                 slots)))}
+        index = tuple(exprs[s] if callable(s) else len(exprs) + k
+                      for k, s in enumerate(slots))
+        object.__setattr__(self, "_plan", (tuple(exprs), list(slots), index,
+                                           len(glcmp), len(glcmp) + len(si)))
 
 
 def parse_vector_text(text: str) -> SingularVectors:
-    """Parse ``GlCmp=...; Si=...; OD=...; LG=...`` (order free, '#' comments)."""
+    """Parse ``GlCmp=...; Si=...; OD=...; LG=...`` (order free, '#' comments).
+    Each distinct slot text is compiled once; one that names no parameter
+    and does not raise (``1 div 0`` does) is kept as its value."""
     body = " ".join(line.partition("#")[0] for line in text.splitlines())
     fields: dict[str, str] = {}
     for chunk in body.split(";"):
@@ -258,17 +271,23 @@ def parse_vector_text(text: str) -> SingularVectors:
     for key in ("GlCmp", "Si", "OD", "LG"):
         if key not in fields:
             raise ConfigError("vector-key", f"missing vector {key!r}")
+    compiled: dict[str, int | Expr] = {}
 
-    def entries(raw: str, key: str) -> tuple[Expr, ...]:
+    def entries(raw: str, key: str) -> tuple[int | Expr, ...]:
         raw = raw.strip()
         if not raw:
             return ()
         out = []
         for piece in raw.split(","):
-            if not piece.strip():
+            slot = piece.strip()
+            if not slot:
                 raise ConfigError("vector-syntax",
                                   f"empty entry in {key}={_quote(raw)}")
-            out.append(parse_expr(piece))
+            if slot not in compiled:
+                compiled[slot] = expr = parse_expr(piece)
+                with contextlib.suppress(ConfigError):
+                    compiled[slot] = expr({})
+            out.append(compiled[slot])
         return tuple(out)
 
     od_entries = entries(fields["OD"], "OD")
@@ -318,10 +337,10 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
     `MEMO_BOUND` records is emptied first.
     """
     component_memo, point_memo, incidence_memo = memo or ({}, {}, {})
-    glcmp = [e(binding) for e in vectors.glcmp]
-    si = [e(binding) for e in vectors.si]
-    od = vectors.od(binding)
-    lg = [e(binding) for e in vectors.lg]
+    exprs, constants, index, g, s = vectors._plan
+    pool = [e(binding) for e in exprs] + constants
+    slots = list(map(pool.__getitem__, index))
+    glcmp, si, od, lg = slots[:g], slots[g:s], slots[s], slots[s + 1:]
 
     if not glcmp or len(glcmp) % 3 != 0:
         raise ConfigError("separator",
@@ -509,6 +528,7 @@ class _Fields:
         self.nodes = 0
         self.incidence: Incidence | None = None
         self.header: tuple[int, int, int] | None = None  # n, degree, power
+        self.weighted: dict = {}        # (weights, degree) -> its spectrum
 
 
 # A compiled line: it evaluates its slots at the binding and records what
@@ -682,9 +702,11 @@ def _localwh(args: list[str]) -> Step:
         if len(weights) != n:
             raise ConfigError("weights-syntax", f"localwh needs {n} weights "
                               "(one per variable)")
-        d = degree(binding)
-        with _coded("point-invalid"):
-            out.spectra.append(weighted_spectrum(WeightSystem(weights, d)))
+        key = weights, degree(binding)
+        if key not in out.weighted:
+            with _coded("point-invalid"):
+                out.weighted[key] = weighted_spectrum(WeightSystem(*key))
+        out.spectra.append(out.weighted[key])
     return step
 
 
@@ -725,6 +747,7 @@ def parse_native(text: str) -> Template:
     """
     steps: list[tuple[int, Step]] = []
     first_line: dict[str, int] = {}     # single-valued slot -> its line
+    local_lines = []                    # one line per local spectrum
     seen = set()                        # keywords of the lines read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         try:
@@ -748,6 +771,8 @@ def parse_native(text: str) -> Template:
                                   "preceding 'reduced' header")
             seen.add(keyword)
             steps.append((lineno, compile_line(args)))
+            if mode == "local":
+                local_lines.append(lineno)
         except ConfigError as exc:
             if exc.line is None:
                 exc.line = lineno
@@ -772,10 +797,17 @@ def parse_native(text: str) -> Template:
                 raise
         if header_line is not None:
             n, degree, power = out.header
-            with _coded("config-invalid", header_line):
-                return ReducedConeConfig(ambient_dim=n, degree=degree,
-                                         local_spectra=tuple(out.spectra),
-                                         power=power)
+            try:
+                return ReducedConeConfig(n, degree, tuple(out.spectra), power)
+            except ValueError as exc:
+                # at fault: the header or the first spectrum refused alone
+                for line, spectra in ((header_line, ()), *zip(
+                        local_lines, ((s,) for s in out.spectra))):
+                    try:
+                        ReducedConeConfig(n, degree, spectra, power)
+                    except ValueError:
+                        break
+                raise ConfigError("config-invalid", str(exc), line) from exc
         with _coded("config-invalid"):
             return CurveConfig(components=tuple(out.components),
                                points=tuple(out.points), nodes=out.nodes,

@@ -1,7 +1,8 @@
 """Local invariants of plane-curve (and hypersurface) germs: quasihomogeneous
 spectra, Milnor numbers, lattice counts under a line, and spectral window
 counts. Everything is exact integer/rational arithmetic. A `SingularPoint`
-is checked once, when it is built, so no caller checks a point again.
+is checked once, when it is built, and its terms derived in the same walk,
+so no caller checks a point or walks its branches again.
 
 The curve route reads its lattice counts from `lattice_row`, every bound of a
 point at once (partial sums of the two-coin representation numbers), and the
@@ -182,9 +183,12 @@ class SingularPoint(Record):
     """A singular point of the reduced curve: its local weights (ordinary
     points have (1, 1)) and its branches. Every built point is valid: the
     constructor checks its weights, then in one walk of the branches each
-    degree against {w, w', w*w'} ({1} at (1, 1)), then its Milnor number."""
+    degree against {w, w', w*w'} ({1} at (1, 1)), then its Milnor number.
+    The walk also derives `_key`, no field: ((w, w'), terms, d_j, mass),
+    the (multiplicity, weighted degree) pairs summed per multiplicity,
+    sorted, as terms, and the sum of multiplicity * degree as mass."""
 
-    __slots__ = ("weights", "branches")
+    __slots__ = ("weights", "branches", "_key")
 
     def __init__(self, weights: tuple[int, int],
                  branches: tuple[LocalBranch, ...]):
@@ -197,24 +201,27 @@ class SingularPoint(Record):
         if not branches:
             raise ValueError("a singular point needs at least one branch")
         allowed = (1,) if w == wp == 1 else (w, wp, w * wp)
-        dj = 0
+        dj = mass = 0
+        totals: dict[int, int] = {}
         for b in branches:
-            if b.weighted_degree not in allowed:
+            degree, mult = b.weighted_degree, b.multiplicity
+            if degree not in allowed:
                 raise BranchDegreeError(
                     f"branch degrees must lie in {{w, w', w*w'}} = "
                     f"{{{', '.join(map(str, allowed))}}}")
-            dj += b.weighted_degree
+            dj += degree
+            mass += mult * degree
+            totals[mult] = totals.get(mult, 0) + degree
         milnor_number(w, wp, dj)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "branches", branches)
+        terms = tuple(sorted(totals.items()))
+        object.__setattr__(self, "_key", ((w, wp), terms, dj, mass))
 
     @property
     def weighted_degree(self) -> int:
         """Sum of the branch weighted degrees."""
-        total = 0
-        for b in self.branches:
-            total += b.weighted_degree
-        return total
+        return self._key[2]
 
     @property
     def branch_count(self) -> int:

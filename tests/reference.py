@@ -191,6 +191,21 @@ def reduced_multiplicity(point: SingularPoint) -> int:
     return point.branch_count
 
 
+def branch_terms(point: SingularPoint) -> tuple[tuple, int, int]:
+    """(terms, d_j, mass) from one walk of the branches, as the curve
+    kernel once derived them at every call: the point's (multiplicity,
+    weighted degree) pairs summed per multiplicity, sorted, their total
+    weighted degree and the sum of multiplicity * degree."""
+    dj = mass = 0
+    totals: dict[int, int] = {}
+    for b in point.branches:
+        degree, mult = b.weighted_degree, b.multiplicity
+        dj += degree
+        mass += mult * degree
+        totals[mult] = totals.get(mult, 0) + degree
+    return tuple(sorted(totals.items())), dj, mass
+
+
 def thicken(cfg: CurveConfig, m: int) -> CurveConfig:
     """Set every multiplicity to m; m = 1 gives the reduced curve."""
     comps = tuple(GlobalComponent(c.degree, m) for c in cfg.components)

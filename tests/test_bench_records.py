@@ -1,5 +1,6 @@
 """The committed benchmark records, ``BENCH_*.json`` at the root of the
-checkout, and the tool that writes them, ``tools/record_bench.py``.
+checkout, the tool that writes them, ``tools/record_bench.py``, and the
+in-process timer ``tools/alternate.py``.
 
 A record is checked for its fields only, never for its values: the numbers
 belong to the machine and the revision they were measured on.
@@ -7,6 +8,9 @@ belong to the machine and the revision they were measured on.
 
 import importlib.util
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -203,3 +207,18 @@ def test_compare_exit_code(tmp_path, capsys, parent, change, failed, verdict,
     assert load_tool().main(["--compare", str(tmp_path / "parent"),
                              str(tmp_path / "change")]) == code
     assert verdict in capsys.readouterr().out
+
+
+def test_alternate_times_one_case_on_two_trees():
+    """One round of the tiny case, this tree against itself: one line for
+    the round, then the median ratio and the win count."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "alternate.py"), "tiny",
+         str(ROOT), str(ROOT), "--rounds", "1", "--repeat", "1"],
+        capture_output=True, text=True, timeout=120, check=True)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 3
+    assert re.fullmatch(r"round 1: A \d+\.\d{6} s  B \d+\.\d{6} s  "
+                        r"B/A \d+\.\d{3}", lines[0])
+    assert re.fullmatch(r"median B/A: \d+\.\d{3}", lines[1])
+    assert re.fullmatch(r"B faster: [01] of 1", lines[2])

@@ -27,9 +27,9 @@ from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_redrawn_incidence_config,
                         random_reduced_swh_config, scale_multiplicities)
-from reference import (binomial_local_table, emit_native, euler_generic_union,
-                       fraction_items, reduced_multiplicity, thicken,
-                       weighted_milnor)
+from reference import (binomial_local_table, branch_terms, emit_native,
+                       euler_generic_union, fraction_items,
+                       reduced_multiplicity, thicken, weighted_milnor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -122,6 +122,31 @@ def test_residue_degree_examples():
     assert residue_degree(p, 14, 14) == 4
     cusp = SingularPoint((2, 3), (LocalBranch(6, 2),))
     assert residue_degree(cusp, 6, 6) == 6
+
+
+def test_stored_point_terms_match_the_branch_walk():
+    """Every point of the generator corpora carries the terms, d_j and mass
+    of one walk of its branches (`reference.branch_terms`), so the kernel,
+    `residue_degree`, `weighted_degree` and `milnor()` read what that walk
+    gives."""
+    rng = random.Random(2034)
+    makers = (random_ordinary_config, random_reduced_swh_config,
+              random_mixed_swh_config, random_redrawn_incidence_config)
+    seen = 0
+    for k in range(240):
+        cfg = makers[k % 4](rng)
+        for p in scale_multiplicities(cfg, 1 + k % 3).points + cfg.points:
+            terms, dj, mass = branch_terms(p)
+            assert p._key == (tuple(p.weights), terms, dj, mass)
+            assert p.weighted_degree == dj
+            w, wp = p.weights
+            assert p.milnor() == (dj - w) * (dj - wp) // (w * wp)
+            d = cfg.degree
+            i = 1 + k % d
+            assert residue_degree(p, i, d) == F(i * mass, d) - sum(
+                deg * ((m * i - 1) // d) for m, deg in terms)
+            seen += 1
+    assert seen > 500
 
 
 def test_curve_table_golden_pencil():
@@ -380,7 +405,7 @@ def test_reduced_config_validates_spectra(tmp_path, capsys):
         path.write_text(f"reduced n=2 degree=3\nlocalspectrum {exponent}:1\n")
         assert cli.main(["compute", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: line 1: [config-invalid] {message}\n")
+            f"error: line 2: [config-invalid] {message}\n")
     wrong_dim = SpectrumVector({F(3, 2): 1}, 3)
     with pytest.raises(ValueError):
         ReducedConeConfig(2, 3, (wrong_dim,))

@@ -1,3 +1,6 @@
+import collections
+import io
+import itertools
 import math
 import os
 import random
@@ -5,12 +8,14 @@ import re
 import string
 import subprocess
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conespec import formats
+from conespec import formats, local
+from conespec.cli import ScanSpec, run_scan
 from conespec.engine import (CurveConfig, GlobalComponent,
                              ReducedConeConfig, curve_table)
 from conespec.formats import (MAX_DEPTH, ConfigError, config_template,
@@ -362,6 +367,104 @@ def test_vector_memo_kinds_do_not_collide():
         assert cfg.points == (SingularPoint((1, 1), [LocalBranch(1, 1)] * 3),)
 
 
+def unfolded(text):
+    """The vectors of `text` with every slot its own `Expr`: nothing
+    evaluated at compile time, nothing shared between equal texts."""
+    vectors = parse_vector_text(text)
+    fields = dict(chunk.split("=", 1) for chunk in
+                  "".join(line.partition("#")[0]
+                          for line in text.splitlines()).split(";")
+                  if chunk.strip())
+    fields = {k.strip(): v for k, v in fields.items()}
+
+    def exprs(key):
+        raw = fields[key].strip()
+        return tuple(map(parse_expr, raw.split(","))) if raw else ()
+    folded = type(vectors)(exprs("GlCmp"), exprs("Si"),
+                           parse_expr(fields["OD"]), exprs("LG"))
+    assert len(folded._plan[0]) == len(folded._plan[2])   # no sharing
+    return folded
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.vectors")),
+                         ids=lambda p: p.stem)
+def test_folded_template_builds_the_unfolded_configs(path):
+    """Slots that name no parameter are ints of the compiled template, and
+    every config it builds equals the one of the template whose every slot
+    is evaluated at each binding."""
+    text = path.read_text()
+    vectors = parse_vector_text(text)
+    slots = (*vectors.glcmp, *vectors.si, vectors.od, *vectors.lg)
+    constant = [s for s in slots if isinstance(s, int)]
+    assert 0 < len(constant) < len(slots)
+    reference = unfolded(text)
+    for a, b, c in itertools.product((1, 2, 7), (1, 3), (0, 1, 4)):
+        binding = dict(a=a, b=b, c=c)
+        assert parse_singular(vectors, binding) == \
+            parse_singular(reference, binding)
+
+
+def test_raising_slot_raises_at_every_binding():
+    """A slot that names no parameter but raises stays a function of the
+    binding: each call raises with its code and message, and a scan over
+    it names the grid point."""
+    text = "GlCmp=-1,1,a, -1,1 div 0,1; Si=; OD=0; LG=0;"
+    vectors = parse_vector_text(text)
+    assert callable(vectors.glcmp[4])
+    template = config_template(text)
+    for a in (1, 2, 1):
+        with pytest.raises(ConfigError) as err:
+            template(dict(a=a))
+        assert (err.value.code, err.value.line, err.value.args[0]) == \
+            ("div-zero", None, "division by zero in template")
+    spec = ScanSpec(template=text, ranges={"a": (2, 3)}, fixed={})
+    with pytest.raises(ConfigError) as err:
+        run_scan(spec, io.StringIO())
+    assert str(err.value) == \
+        "[div-zero] at grid point (a=2): division by zero in template"
+
+
+@pytest.mark.parametrize("binding, name", [
+    ({}, "y"), ({"y": 1}, "x"), ({"x": 1, "y": 1}, "z"),
+    ({"x": 1, "y": 1, "z": 1}, "w")])
+def test_unbound_names_are_reported_in_slot_order(binding, name):
+    text = "GlCmp=-1,1,y, -1,x,1; Si=-1,3,x,z; OD=y+w; LG=0;"
+    with pytest.raises(ConfigError) as err:
+        parse_singular(parse_vector_text(text), binding)
+    assert str(err.value) == f"[unbound-name] parameter {name!r} is not bound"
+
+
+class CountingBinding(Mapping):
+    """A binding that counts the reads of each name."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, collections.Counter()
+
+    def __contains__(self, name):
+        return name in self.values
+
+    def __getitem__(self, name):
+        self.reads[name] += 1
+        return self.values[name]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+@pytest.mark.parametrize("name", ["five-lines", "lines-conic"])
+def test_each_variable_slot_text_is_read_once_per_binding(name):
+    """`a`, `b` and `c+1` occur two or three times each; each is evaluated
+    once per binding, so each name is read once."""
+    template = config_template((FIXTURES / f"{name}.vectors").read_text())
+    for a, b in ((2, 3), (4, 1), (2, 3)):
+        binding = CountingBinding(dict(a=a, b=b, c=1))
+        template(binding)
+        assert binding.reads == {"a": 1, "b": 1, "c": 1}
+
+
 # -- native dialect ----------------------------------------------------------
 
 def test_parse_native_component():
@@ -510,6 +613,53 @@ def test_parse_native_keeps_no_state_between_calls(text, code):
     assert (err.value.code, err.value.line) == (code, text.count("\n"))
     first, second = template({"a": 2}), template({"a": 2})
     assert first == second == parse_native(text)({"a": 2})
+
+
+HEADER = "reduced n=2 degree=3\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    (HEADER + "localspectrum 1/2:1 3/2:1\nlocalspectrum 1:1\n"
+     "localspectrum 7/3:1\n", 4,
+     "local spectrum 7/3:1 has exponents outside (0, 2)"),
+    (HEADER + "localwh weights=2,3 degree=6\nlocalspectrum 1/2:1\n"
+     "localspectrum 1/2:1\n", 3, "local spectrum 1/2:1 is not symmetric"),
+    (HEADER + "localspectrum 1:1\nlocalspectrum 1:-1\n", 3,
+     "local spectrum 1:-1 has a negative multiplicity"),
+    ("reduced n=2 degree=a\nlocalspectrum 7/3:1\n", 1,
+     "degree must be positive"),
+], ids=["support", "symmetry-repeated", "negative", "header-first"])
+def test_refused_spectrum_names_its_line(text, line, message):
+    """`ReducedConeConfig` refuses a spectrum at the line that gave it, the
+    first such line when it repeats; a refused header stays at its own."""
+    with pytest.raises(ConfigError) as err:
+        parse_native(text)({"a": 0})
+    assert (err.value.code, err.value.line, err.value.args[0]) == \
+        ("config-invalid", line, message)
+
+
+def test_localwh_spectrum_built_once_per_call(monkeypatch):
+    """Repeated (weights, degree) lines share one spectrum within a call;
+    each call builds its own, and a bad line still fails at its line."""
+    calls = []
+
+    def counting(ws):
+        calls.append(ws)
+        return local.weighted_spectrum(ws)
+    monkeypatch.setattr(formats, "weighted_spectrum", counting)
+    text = (HEADER + "localwh weights=1,1 degree=2\n" * 3
+            + "localwh weights=2,3 degree=a\nlocalwh weights=1,1 degree=2\n")
+    template = parse_native(text)
+    cfg = template({"a": 6})
+    assert len(calls) == 2
+    assert cfg.local_spectra == (local.weighted_spectrum(
+        local.WeightSystem((1, 1), 2)),) * 3 + (local.weighted_spectrum(
+            local.WeightSystem((2, 3), 6)),) + cfg.local_spectra[:1]
+    template({"a": 6})
+    assert len(calls) == 4
+    with pytest.raises(ConfigError) as err:
+        template({"a": 7})
+    assert (err.value.code, err.value.line) == ("point-invalid", 5)
 
 
 def test_binding_independent_error_comes_first():

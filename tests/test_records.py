@@ -198,3 +198,23 @@ def test_report_round_trip_keeps_its_checks():
         assert clone.checks == original.checks
         assert clone.render() == original.render()
         assert clone.record() == original.record()
+
+
+def test_derived_slot_is_no_field():
+    """`SingularPoint._key` is derived by the constructor: equality, hash,
+    repr, copy and pickle read the fields only, and a rebuilt point derives
+    the same key."""
+    point = SingularPoint((2, 3), [LocalBranch(6, 2), LocalBranch(2, 1),
+                                   LocalBranch(6, 1)])
+    assert SingularPoint._fields == ("weights", "branches")
+    assert point._key == ((2, 3), ((1, 8), (2, 6)), 14, 20)
+    assert "_key" not in repr(point)
+    assert point.__reduce__() == (SingularPoint,
+                                  (point.weights, point.branches))
+    twin = SingularPoint(point.weights, point.branches)
+    assert twin == point and hash(twin) == hash(point)
+    assert hash(point) == hash(point._values())
+    for clone in round_trips(point):
+        assert clone == point and clone._key == point._key
+    with pytest.raises(AttributeError):
+        setattr(point, "_key", None)

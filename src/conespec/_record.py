@@ -2,10 +2,10 @@
 
 A record class lists its fields in ``__slots__``, in the order its
 ``__init__`` takes them, and its ``__init__`` checks its arguments and sets
-each field once with ``object.__setattr__``. A slot named ``_x`` is no
-field: it holds what the constructor derives from the fields. Equality
-(with records of the same class only), hash and repr read every field; the
-repr reads ``Name(field=value, ...)``. Assigning or deleting a field raises
+each field once with ``object.__setattr__``; a slot named ``_x`` holds what
+it derives from them. Equality (with records of the same class only), hash
+and repr read the fields, listed once per class; the repr reads
+``Name(field=value, ...)``. Assigning or deleting a field raises
 `AttributeError`. Copy and pickle rebuild a record by calling its class on
 its fields.
 """
@@ -20,7 +20,6 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the field list, computed once per class
         cls._fields = tuple(name for name in cls.__slots__
                             if not name.startswith("_"))
 

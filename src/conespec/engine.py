@@ -6,22 +6,21 @@ semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. One kernel,
 `_rows(cfg, column)`, groups the points once (identical points counted
 together, each distinct (w, w', d_j - 1) given one row of lattice counts;
-each point was checked, and its terms derived, when it was built, so the
-kernel reads them off its key) and computes each column i from
-its index alone. One column (what ``scan`` asks for) runs a scalar body,
-which costs least per call; every column [1, d] (what `curve_table` asks
-for) is built as whole rows, which cost least per column, their floor sums
-step functions of i (`_floor_row`). A column depends on i only through the
-residues (m*i - 1) mod d of the multiplicities m, and when g divides every m
-these repeat with period P = d // g, since m*P is then a multiple of d:
-(m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a curve g*Z are
-built on columns [1, P], one period, and tiled g times to [1, d]; only the
--1 of row 2 at i = d breaks the period. `ordinary_middle_row` reads the
-incidence middle row off the table it is given, as its balance row plus one
-constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make one
-pass. `scan_values` runs the kernel on column 3, the one cell that ``scan``
-reports, and `euler_complement` on column 0, which is no column at all. The
-reduced any-dimension route is `reduced_cone_spectrum` /
+each point was checked, and its terms derived, when it was built) and
+computes each column i from its index alone. One column (what ``scan`` asks
+for) runs a scalar body, which costs least per call; every column [1, d]
+(what `curve_table` asks for) is built as whole rows, which cost least per
+column, their floor sums step functions of i (`_floor_row`). A column depends
+on i only through the residues (m*i - 1) mod d of the multiplicities m, and
+when g divides every m these repeat with period P = d // g, since m*P is then
+a multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a
+curve g*Z are built on columns [1, P], one period, and tiled g times to
+[1, d]; only the -1 of row 2 at i = d breaks the period. `ordinary_middle_row`
+reads the incidence middle row off the table it is given, as its balance row
+plus one constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make
+one pass. `scan_values` runs the kernel on column 3, the one cell that
+``scan`` reports, and `euler_complement` on column 0, which is no column at
+all. The reduced any-dimension route is `reduced_cone_spectrum` /
 `thickened_spectrum`, which consume local spectra directly;
 `local_data_table` lays out its n = 2 spectrum as a table.
 """
@@ -407,8 +406,8 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
     what ``scan`` reports per grid point, all four from one `_rows` call;
     when d < 3, column 3 lies past d and no column is computed. Only column
     3 is computed, by the scalar body: one dict lookup per point and one
-    walk of the component list, so past one
-    O(d_j) lattice row per distinct point the cost does not grow with d.
+    walk of the component list, so past one O(d_j) lattice row per
+    distinct point the cost does not grow with d.
     `lattice` is a mapping that the points of one scan share, so that each
     lattice row is built once per scan (see `_rows`)."""
     d, dprime, chi, row0, _ = _rows(cfg, 3, lattice)

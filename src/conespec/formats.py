@@ -15,8 +15,9 @@ ASCII literal or name becomes a constant or a lookup; any other goes through
 one `re` lexer, whose name rule `cli._split_name` shares, and the parser.
 Native ``incidence``, ``incidence-matrix`` and ``localspectrum`` entries are
 literals, read through `_ascii_int` when the text is parsed. A compiled
-vector template keeps the records it has built, keyed by the ints of their
-evaluated slots, up to `MEMO_BOUND` of each kind (`parse_singular`).
+vector template keeps its constant slots as ints, evaluates each distinct
+other slot text once per binding, and keeps the records it has built, keyed
+by their slot values, up to `MEMO_BOUND` of each kind (`parse_singular`).
 """
 
 from __future__ import annotations
@@ -741,8 +742,9 @@ def parse_native(text: str) -> Template:
     What depends on the binding is checked at each call: unbound names,
     ``div``, values, and the objects built from them. The error carries the
     line number where one line is at fault; errors about the whole config
-    (no components, an incidence matrix of the wrong width) carry none. Each
-    stage has one place that sets it: an error raised while line N is
+    (no components, an incidence matrix of the wrong width) carry none, and a
+    refused reduced config that of its header or of the spectrum at fault.
+    Each stage has one place that sets it: an error raised while line N is
     compiled or evaluated, and that names no line of its own, gets N.
     """
     steps: list[tuple[int, Step]] = []
@@ -801,8 +803,8 @@ def parse_native(text: str) -> Template:
                 return ReducedConeConfig(n, degree, tuple(out.spectra), power)
             except ValueError as exc:
                 # at fault: the header or the first spectrum refused alone
-                for line, spectra in ((header_line, ()), *zip(
-                        local_lines, ((s,) for s in out.spectra))):
+                for line, spectra in ((header_line, ()),
+                                      *zip(local_lines, zip(out.spectra))):
                     try:
                         ReducedConeConfig(n, degree, spectra, power)
                     except ValueError:

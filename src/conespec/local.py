@@ -184,7 +184,7 @@ class SingularPoint(Record):
     points have (1, 1)) and its branches. Every built point is valid: the
     constructor checks its weights, then in one walk of the branches each
     degree against {w, w', w*w'} ({1} at (1, 1)), then its Milnor number.
-    The walk also derives `_key`, no field: ((w, w'), terms, d_j, mass),
+    The walk also derives `_key`, no field: (weights, terms, d_j, mass),
     the (multiplicity, weighted degree) pairs summed per multiplicity,
     sorted, as terms, and the sum of multiplicity * degree as mass."""
 
@@ -216,7 +216,7 @@ class SingularPoint(Record):
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "branches", branches)
         terms = tuple(sorted(totals.items()))
-        object.__setattr__(self, "_key", ((w, wp), terms, dj, mass))
+        object.__setattr__(self, "_key", (weights, terms, dj, mass))
 
     @property
     def weighted_degree(self) -> int:

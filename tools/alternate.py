@@ -109,11 +109,11 @@ def main(argv=None) -> int:
     ratios, wins = [], 0
     for k in range(args.rounds):
         if k % 2:
-            tb, ta = run(args.case, b, args.repeat), run(args.case, a,
-                                                         args.repeat)
+            tb = run(args.case, b, args.repeat)
+            ta = run(args.case, a, args.repeat)
         else:
-            ta, tb = run(args.case, a, args.repeat), run(args.case, b,
-                                                         args.repeat)
+            ta = run(args.case, a, args.repeat)
+            tb = run(args.case, b, args.repeat)
         ratios.append(tb / ta)
         wins += tb < ta
         print(f"round {k + 1}: A {ta:.6f} s  B {tb:.6f} s  B/A {tb / ta:.3f}")

@@ -66,8 +66,8 @@ def child(case: str, tree: str, repeat: int) -> None:
     `tree`, after one untimed run."""
     sys.path.insert(0, str(Path(tree) / "src"))
     from conespec.cli import main
-    with tempfile.TemporaryDirectory() as scratch:
-        reduced = Path(scratch) / "case.cfg"
+    with tempfile.TemporaryDirectory() as workdir:
+        reduced = Path(workdir) / "case.cfg"
         reduced.write_text(REDUCED)
         argv = [arg.format(reduced=reduced) for arg in CASES[case]]
         best = float("inf")

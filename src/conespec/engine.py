@@ -3,11 +3,11 @@
 The plane-curve entry point is `curve_table`, which takes a combinatorial
 description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
-together with the Euler number of the curve complement. One kernel,
-`_rows(cfg, column)`, groups the points once (identical points counted
-together, each distinct (w, w', d_j - 1) given one row of lattice counts;
-each point was checked, and its terms derived, when it was built) and
-computes each column i from its index alone. One column (what ``scan`` asks
+together with the Euler number of the curve complement. A `CurveConfig`
+derives d, d', its component terms, its counted distinct points and chi(U)
+when it is built. One kernel, `_rows(cfg, column)`, reads them, gives each
+distinct (w, w', d_j - 1) one row of lattice counts and computes rows 0 and
+2 on each column i from its index alone. One column (what ``scan`` asks
 for) runs a scalar body, which costs least per call; every column [1, d]
 (what `curve_table` asks for) is built as whole rows, which cost least per
 column, their floor sums step functions of i (`_floor_row`). A column depends
@@ -19,8 +19,8 @@ curve g*Z are built on columns [1, P], one period, and tiled g times to
 reads the incidence middle row off the table it is given, as its balance row
 plus one constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make
 one pass. `scan_values` runs the kernel on column 3, the one cell that
-``scan`` reports, and `euler_complement` on column 0, which is no column at
-all. The reduced any-dimension route is `reduced_cone_spectrum` /
+``scan`` reports, and `euler_complement` reads chi(U) off the config. The
+reduced any-dimension route is `reduced_cone_spectrum` /
 `thickened_spectrum`, which consume local spectra directly;
 `local_data_table` lays out its n = 2 spectrum as a table.
 """
@@ -33,8 +33,7 @@ from itertools import accumulate, compress
 from math import gcd
 
 from ._record import Record
-from .local import (SingularPoint, _window_row, lattice_row, milnor_number,
-                    quotient_coeffs)
+from .local import SingularPoint, _window_row, lattice_row, quotient_coeffs
 from .spectrum import Numerators, SpectrumVector
 
 
@@ -101,9 +100,15 @@ class CurveConfig(Record):
     contribute Milnor number 1 apiece and nothing else). `incidence` is
     optional and only needed for the incidence-based middle row and the
     global/local intersection check.
+
+    The constructor walks the components and the points once into
+    `_derived`, no field: (d, d', terms, points, chi(U)), with terms the
+    component (multiplicity, degree) pairs summed per multiplicity, sorted,
+    and points each distinct `SingularPoint._key` with its count, in the
+    order first seen.
     """
 
-    __slots__ = ("components", "points", "nodes", "incidence")
+    __slots__ = ("components", "points", "nodes", "incidence", "_derived")
 
     def __init__(self, components: tuple[GlobalComponent, ...],
                  points: tuple[SingularPoint, ...] = (), nodes: int = 0,
@@ -127,15 +132,29 @@ class CurveConfig(Record):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "incidence", incidence)
+        d = dprime = 0
+        totals: dict[int, int] = {}
+        for c in components:
+            degree, mult = c.degree, c.multiplicity
+            d += degree * mult
+            dprime += degree
+            totals[mult] = totals.get(mult, 0) + degree
+        milnor, counts = nodes, {}
+        for p in points:
+            counts[p._key] = counts.get(p._key, 0) + 1
+            milnor += p._key[4]
+        object.__setattr__(self, "_derived", (
+            d, dprime, tuple(sorted(totals.items())), tuple(counts.items()),
+            _chi_complement(dprime, milnor)))
 
     @property
     def degree(self) -> int:
         """Total degree, multiplicities included."""
-        return sum(c.degree * c.multiplicity for c in self.components)
+        return self._derived[0]
 
     @property
     def reduced_degree(self) -> int:
-        return sum(c.degree for c in self.components)
+        return self._derived[1]
 
     def multiplicities(self) -> set[int]:
         """Every component and every branch multiplicity."""
@@ -233,7 +252,7 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
     shift is sum_k deg_k*(ceil(a_k*i/d) - 1), and twist = i - shift is the
     degree offset of the twisted line bundle attached to index i.
     """
-    d, _, comps = _components(cfg)
+    d, _, comps, _, _ = cfg._derived
     if not 1 <= i <= d:
         raise ValueError(f"index {i} out of range [1, {d}]")
     shift = _shift(comps, i, d)
@@ -244,7 +263,7 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
 def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
     """Branch residues weighted by branch degrees; lies in (0, d_j] and
     equals d_j exactly at i = d."""
-    _, terms, _, mass = point._key
+    _, terms, _, mass, _ = point._key
     return Fraction(i * mass, d) - _shift(terms, i, d)
 
 
@@ -262,20 +281,6 @@ def _shift(terms, i: int, d: int) -> int:
 
 def _residue(mult: int, i: int, d: int) -> int:
     return (mult * i - 1) % d + 1
-
-
-def _components(cfg: CurveConfig) -> tuple[int, int, tuple]:
-    """(d, d', terms) from one walk of the components: the degree and the
-    reduced degree of the curve, and its (multiplicity, degree) pairs
-    summed per multiplicity, sorted."""
-    d = dprime = 0
-    totals: dict[int, int] = {}
-    for c in cfg.components:
-        degree, mult = c.degree, c.multiplicity
-        d += degree * mult
-        dprime += degree
-        totals[mult] = totals.get(mult, 0) + degree
-    return d, dprime, tuple(sorted(totals.items()))
 
 
 def _floor_row(terms, width: int, d: int) -> list[int]:
@@ -299,54 +304,44 @@ def _floor_row(terms, width: int, d: int) -> list[int]:
 
 
 def _rows(cfg: CurveConfig, column: int | None = None,
-          lattice: dict | None = None
-          ) -> tuple[int, int, int, list[int], list[int]]:
-    """d, d', chi(U), then rows 0 and 2: on every column [1, d] when
-    `column` is None, on that one column when it lies in [1, d], and on no
-    column otherwise.
+          lattice: dict | None = None) -> tuple[list[int], list[int]]:
+    """Rows 0 and 2: on every column [1, d] when `column` is None, on that
+    one column when it lies in [1, d], and on no column otherwise.
 
-    The points were checked when they were built, and each carries the
-    key its constructor derived (`SingularPoint._key`: weights, terms, d_j
-    and mass), so a call walks no branches, only the component list once
-    (`_components`: d, d' and the component terms). Points with equal keys
-    share one entry, whose Milnor number enters chi(U) once per point, and one
-    `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
-    lies in [1, d_j], so every count its columns use has a bound in
-    [0, d_j - 1]. On ordinary points d_j is the number of branches. The rows
-    are looked up by (w, w', d_j - 1) in `lattice`, a fresh mapping unless
-    the caller shares one, and added to it, so that each distinct row is
-    built once per call, or once for all the callers sharing the mapping;
-    they only read the rows.
+    A call walks no component and no branch: d, d', the component terms and
+    the counted point keys come from `CurveConfig._derived`, and each key
+    holds its point's terms, d_j and mass (`SingularPoint._key`). Equal
+    keys share one `lattice_row(w, w', d_j - 1)`: the ceiling of a point's
+    residue degree lies in [1, d_j], so every count its columns use has a
+    bound in [0, d_j - 1] (on ordinary points d_j is the branch count). The
+    rows are looked up by (w, w', d_j - 1) in `lattice`, a fresh mapping
+    unless the caller shares one, and added to it, so that each distinct
+    row is built once per call, or once for all the callers sharing it.
 
     One column (``scan``) runs the scalar column body. With none given,
     all are built as whole lists, with the floor sums from `_floor_row`:
-    that costs less per column but more per call, so on one column the
-    scalar body is faster. The whole rows are built on one period only: with g the gcd of
-    every component and branch multiplicity (g divides d = sum degree *
-    multiplicity), (m*(i + P) - 1) mod d == (m*i - 1) mod d for P = d // g,
+    that costs less per column but more per call. The whole rows are built
+    on one period only: with g the gcd of every component and branch
+    multiplicity (g divides d = sum degree * multiplicity),
+    (m*(i + P) - 1) mod d == (m*i - 1) mod d for P = d // g,
     so each floor sum rises by a constant over P columns (by P for the
     components, by mass / g for a point's ceiling) and the twist and the
     ceilings repeat. Columns [1, P] are computed, each floor sum by one
     `_floor_row` of width P, and tiled g times to [1, d], and row 2 takes
     its -1 at i = d."""
-    counts: dict = {}
-    for p in cfg.points:
-        counts[p._key] = counts.get(p._key, 0) + 1
+    d, dp, comps, keys, _ = cfg._derived
+    if column is not None and not 1 <= column <= d:
+        return [], []
     if lattice is None:
         lattice = {}
-    milnor, points = cfg.nodes, []
-    for ((w, wp), terms, dj, mass), k in counts.items():
-        milnor += k * milnor_number(w, wp, dj)
+    points = []
+    for ((w, wp), terms, dj, mass, _), k in keys:
         row = lattice.get((w, wp, dj - 1))
         if row is None:
             row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
         points.append((k, row, dj, mass, terms))
-    d, dp, comps = _components(cfg)
-    chi = _chi_complement(dp, milnor)
     if column is not None:
         i = column
-        if not 1 <= i <= d:
-            return d, dp, chi, [], []
         twist = i - _shift(comps, i, d)
         r0 = binom2(twist - 1)
         r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
@@ -355,7 +350,7 @@ def _rows(cfg: CurveConfig, column: int | None = None,
             ceil_g = -(-i * mass // d) - _shift(terms, i, d)
             r0 -= k * row[ceil_g - 1]
             r2 -= k * row[dj - ceil_g]
-        return d, dp, chi, [r0], [r2]
+        return [r0], [r2]
     g = gcd(*cfg.multiplicities())
     period = d // g
     twist = [i - s for i, s in enumerate(_floor_row(comps, period, d), 1)]
@@ -371,7 +366,7 @@ def _rows(cfg: CurveConfig, column: int | None = None,
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
     row0, row2 = row0 * g, row2 * g
     row2[-1] -= 1
-    return d, dp, chi, row0, row2
+    return row0, row2
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -380,9 +375,8 @@ def _chi_complement(dprime: int, milnor_total: int) -> int:
 
 
 def euler_complement(cfg: CurveConfig) -> int:
-    """Euler number of the complement of the reduced curve in the plane:
-    `_rows` on column 0, no column."""
-    return _rows(cfg, 0)[2]
+    """chi(U) of the complement U of the reduced curve, derived with `cfg`."""
+    return cfg._derived[4]
 
 
 def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
@@ -391,9 +385,11 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
     Rows 0 and 2 come from twisted-line-bundle counts minus lattice counts at
     the singular points; row 1 closes each column against the Euler number of
-    the complement. One `_rows` call with no column given builds them all.
+    the complement. One `_rows` call with no column given builds them all;
+    d, d' and chi(U) are read off the config.
     """
-    d, dprime, chi, row0, row2 = _rows(cfg)
+    d, dprime, _, _, chi = cfg._derived
+    row0, row2 = _rows(cfg)
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
     row1[-1] -= 1
     return ConeSpectrumTable(d, dprime, chi,
@@ -403,14 +399,15 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 def scan_values(cfg: CurveConfig, lattice: dict | None = None
                 ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
-    what ``scan`` reports per grid point, all four from one `_rows` call;
-    when d < 3, column 3 lies past d and no column is computed. Only column
-    3 is computed, by the scalar body: one dict lookup per point and one
-    walk of the component list, so past one O(d_j) lattice row per
-    distinct point the cost does not grow with d.
+    what ``scan`` reports per grid point. d, d' and chi(U) are read off the
+    config and n[3/d] comes from one `_rows` call; when d < 3, column 3 lies
+    past d and no column is computed. Only column 3 is computed, by the
+    scalar body: one dict lookup per distinct point, so past one O(d_j)
+    lattice row per distinct point the cost does not grow with d.
     `lattice` is a mapping that the points of one scan share, so that each
     lattice row is built once per scan (see `_rows`)."""
-    d, dprime, chi, row0, _ = _rows(cfg, 3, lattice)
+    d, dprime, _, _, chi = cfg._derived
+    row0, _ = _rows(cfg, 3, lattice)
     return d, dprime, row0[0] if row0 else None, chi
 
 

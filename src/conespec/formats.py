@@ -51,17 +51,17 @@ class ConfigError(ValueError):
 
 class _coded:
     """Block in which a constructor's ValueError becomes a ConfigError with
-    `code` at `line`; a ConfigError passes unchanged."""
+    `code`; a ConfigError passes unchanged."""
 
-    def __init__(self, code: str, line: int | None = None):
-        self.code, self.line = code, line
+    def __init__(self, code: str):
+        self.code = code
 
     def __enter__(self):
         pass
 
     def __exit__(self, kind, exc, tb):
         if isinstance(exc, ValueError) and not isinstance(exc, ConfigError):
-            raise ConfigError(self.code, str(exc), self.line) from exc
+            raise ConfigError(self.code, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +129,11 @@ def _lex_expr(text: str) -> list[tuple[str, object]]:
 
 def _lookup(ident: str) -> Expr:
     def lookup(binding):
-        if ident not in binding:
+        try:
+            return int(binding[ident])
+        except KeyError:
             raise ConfigError("unbound-name",
-                              f"parameter {ident!r} is not bound")
-        return int(binding[ident])
+                              f"parameter {ident!r} is not bound") from None
     return lookup
 
 

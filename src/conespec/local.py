@@ -1,8 +1,8 @@
 """Local invariants of plane-curve (and hypersurface) germs: quasihomogeneous
 spectra, Milnor numbers, lattice counts under a line, and spectral window
 counts. Everything is exact integer/rational arithmetic. A `SingularPoint`
-is checked once, when it is built, and its terms derived in the same walk,
-so no caller checks a point or walks its branches again.
+is checked once, when it is built, and its terms and Milnor number derived
+in the same walk; no caller checks a point or walks its branches again.
 
 The curve route reads its lattice counts from `lattice_row`, every bound of a
 point at once (partial sums of the two-coin representation numbers), and the
@@ -32,9 +32,9 @@ class WeightSystem(Record):
             raise ValueError("weight system needs at least one weight")
         if any(w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        # gcd 1 is required of a genuine weight system; single-variable
-        # systems appear only as factors of the product formula, where the
-        # weight may share a factor with the joint degree.
+        # gcd 1 is required of a genuine weight system; a single-variable
+        # one (the germ x^a of a ``localwh`` line in a ``reduced n=1``
+        # config) may share a factor with its degree.
         if len(weights) > 1 and math.gcd(*weights) != 1:
             raise ValueError("weights must have gcd 1")
         if degree < 1:
@@ -184,9 +184,9 @@ class SingularPoint(Record):
     points have (1, 1)) and its branches. Every built point is valid: the
     constructor checks its weights, then in one walk of the branches each
     degree against {w, w', w*w'} ({1} at (1, 1)), then its Milnor number.
-    The walk also derives `_key`, no field: (weights, terms, d_j, mass),
+    The walk also derives `_key`, no field: (weights, terms, d_j, mass, mu),
     the (multiplicity, weighted degree) pairs summed per multiplicity,
-    sorted, as terms, and the sum of multiplicity * degree as mass."""
+    sorted, as terms, the sum of multiplicity * degree as mass, and mu."""
 
     __slots__ = ("weights", "branches", "_key")
 
@@ -212,11 +212,11 @@ class SingularPoint(Record):
             dj += degree
             mass += mult * degree
             totals[mult] = totals.get(mult, 0) + degree
-        milnor_number(w, wp, dj)
+        mu = milnor_number(w, wp, dj)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "branches", branches)
         terms = tuple(sorted(totals.items()))
-        object.__setattr__(self, "_key", (weights, terms, dj, mass))
+        object.__setattr__(self, "_key", (weights, terms, dj, mass, mu))
 
     @property
     def weighted_degree(self) -> int:
@@ -231,8 +231,8 @@ class SingularPoint(Record):
         return self.weights == (1, 1)
 
     def milnor(self) -> int:
-        """`milnor_number` of the point's weights and weighted degree."""
-        return milnor_number(*self.weights, self.weighted_degree)
+        """The Milnor number the constructor derived (`milnor_number`)."""
+        return self._key[4]
 
     def local_spectrum(self) -> SpectrumVector:
         """Spectrum of the germ, from its weights and weighted degree; empty

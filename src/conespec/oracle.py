@@ -26,8 +26,8 @@ from math import gcd
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     _components, _floor_row, _spectrum_table,
-                     curve_table, incidence_consistent, ordinary_middle_row,
+                     _floor_row, _spectrum_table, curve_table,
+                     incidence_consistent, ordinary_middle_row,
                      reduced_cone_spectrum, smooth_cone_coeffs,
                      thickened_spectrum)
 from .local import lattice_row
@@ -369,7 +369,7 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     # that `_rows` tiles, P = d // g for g the gcd of every multiplicity,
     # each shift rises by P and each residue repeats, so [1, P] covers
     # [1, d] and the twist at P is the twist at d.
-    d, _, comps = _components(cfg)
+    d, dprime, comps, _, _ = cfg._derived
     period = d // gcd(*cfg.multiplicities())
     shifts = _floor_row(comps, period, d)
     twists = [i - s for i, s in enumerate(shifts, 1)]
@@ -378,7 +378,7 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
     checks.append(CheckResult(
         "index-ranges", min(shifts) >= 0 and min(twists) > 0
         and 0 < min(residues) and max(residues) <= d
-        and twists[-1] == cfg.reduced_degree, kind="identity"))
+        and twists[-1] == dprime, kind="identity"))
     cone = as_reduced_cone(cfg)
     spectra = (dict(zip(cfg.points, cone.local_spectra)) if cone is not None
                else {p: p.local_spectrum() for p in dict.fromkeys(cfg.points)})

@@ -33,7 +33,8 @@ expressions with spaces, ``div``, unary minus and a non-ASCII name; and on
 one native template that fails at one grid point only. The script prints
 the number of calls and one SHA-256 over (case, argv, exit code, stdout,
 stderr) of every call. It uses only the standard library and is not
-collected by pytest.
+collected by pytest; ``tests/test_digest.py`` runs `corpus_digest` on this
+checkout at the default seed and pins both values.
 """
 
 from __future__ import annotations
@@ -189,12 +190,9 @@ def run(main, argv) -> tuple[object, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", help="directory that holds the conespec package")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    sys.path[:0] = [str(Path(args.src).resolve()), str(TESTS)]
+def corpus_digest(seed: int = 0) -> tuple[int, str]:
+    """(number of calls, SHA-256 hex digest) of the corpus at `seed`, run
+    through the `conespec` and the generators that are importable now."""
     from conespec.cli import main as cli_main
 
     digest = hashlib.sha256()
@@ -202,15 +200,25 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            calls = cases(Path(tmp), args.seed)
+            calls = cases(Path(tmp), seed)
             for case, call in calls:
                 code, out, err = run(cli_main, call)
                 record = json.dumps([case, call, code, out, err])
                 digest.update(record.encode() + b"\n")
         finally:
             os.chdir(here)
-    print(f"calls: {len(calls)}")
-    print(f"sha256: {digest.hexdigest()}")
+    return len(calls), digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", help="directory that holds the conespec package")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(TESTS)]
+    calls, hexdigest = corpus_digest(args.seed)
+    print(f"calls: {calls}")
+    print(f"sha256: {hexdigest}")
     return 0
 
 

@@ -206,6 +206,33 @@ def branch_terms(point: SingularPoint) -> tuple[tuple, int, int]:
     return tuple(sorted(totals.items())), dj, mass
 
 
+def curve_data(cfg: CurveConfig) -> tuple:
+    """(d, d', terms, points, chi(U)) from one literal walk of a config, as
+    the curve kernel once derived them at every call: the degree and the
+    reduced degree, the component (multiplicity, degree) pairs summed per
+    multiplicity, sorted, each distinct point key (weights, terms, d_j,
+    mass, Milnor number) with its count, in first-seen order, and 3 minus
+    the Euler number (3 - d')d' + sum of Milnor numbers of the curve."""
+    d = dprime = 0
+    totals: dict[int, int] = {}
+    for c in cfg.components:
+        d += c.degree * c.multiplicity
+        dprime += c.degree
+        totals[c.multiplicity] = totals.get(c.multiplicity, 0) + c.degree
+    counts: dict[tuple, int] = {}
+    milnor = cfg.nodes
+    for p in cfg.points:
+        terms, dj, mass = branch_terms(p)
+        w, wp = p.weights
+        mu = (dj - w) * (dj - wp) // (w * wp)
+        key = (tuple(p.weights), terms, dj, mass, mu)
+        counts[key] = counts.get(key, 0) + 1
+        milnor += mu
+    chi = 3 - ((3 - dprime) * dprime + milnor)
+    return (d, dprime, tuple(sorted(totals.items())), tuple(counts.items()),
+            chi)
+
+
 def thicken(cfg: CurveConfig, m: int) -> CurveConfig:
     """Set every multiplicity to m; m = 1 gives the reduced curve."""
     comps = tuple(GlobalComponent(c.degree, m) for c in cfg.components)
@@ -381,6 +408,21 @@ def emit_native(cfg) -> str:
         else:
             lines.append("incidence")
     return "\n".join(lines) + "\n"
+
+
+def emit_vectors(cfg: CurveConfig) -> str:
+    """Render a config whose points are all ordinary into the vector
+    dialect, one group per component, point and incidence pair; parsing the
+    result gives the same components, points and nodes, and an incidence
+    with the same pairs."""
+    glcmp = ",".join(f"-1,{c.degree},{c.multiplicity}"
+                     for c in cfg.components)
+    si = ",".join(f"-1,{p.branch_count},"
+                  + ",".join(str(b.multiplicity) for b in p.branches)
+                  for p in cfg.points)
+    pairs = cfg.incidence.pairs if cfg.incidence is not None else ()
+    lg = ",".join(f"-{c},{v}" for c, v in pairs) or "0"
+    return f"GlCmp={glcmp}; Si={si}; OD={cfg.nodes}; LG={lg};\n"
 
 
 # The template lexer and the native line tokenizer as character loops, the

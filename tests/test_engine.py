@@ -1,6 +1,8 @@
+import copy
 import io
 import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import conespec.engine
-from conespec import cli
+from conespec import cli, formats, local, oracle
 from conespec.cli import ScanSpec, run_scan
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ReducedConeConfig, _floor_row, _rows, _shift,
@@ -17,19 +19,21 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              euler_complement, incidence_consistent,
                              index_data, local_data_table,
                              ordinary_middle_row, reduced_cone_spectrum,
-                             residue_degree, smooth_cone_coeffs,
+                             residue_degree, scan_values, smooth_cone_coeffs,
                              thickened_spectrum)
-from conespec.formats import parse_singular, parse_vector_text
+from conespec.formats import parse_native, parse_singular, parse_vector_text
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
-                            lattice_row, weighted_spectrum, WeightSystem)
-from conespec.oracle import as_reduced_cone, brute_coeffs
+                            lattice_row, milnor_number, weighted_spectrum,
+                            WeightSystem)
+from conespec.oracle import as_reduced_cone, brute_coeffs, cross_check, verify
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_redrawn_incidence_config,
                         random_reduced_swh_config, scale_multiplicities)
-from reference import (binomial_local_table, branch_terms, emit_native,
-                       euler_generic_union, fraction_items,
-                       reduced_multiplicity, thicken, weighted_milnor)
+from reference import (binomial_local_table, branch_terms, curve_data,
+                       emit_native, emit_vectors, euler_generic_union,
+                       fraction_items, reduced_multiplicity, thicken,
+                       weighted_milnor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -137,7 +141,7 @@ def test_stored_point_terms_match_the_branch_walk():
         cfg = makers[k % 4](rng)
         for p in scale_multiplicities(cfg, 1 + k % 3).points + cfg.points:
             terms, dj, mass = branch_terms(p)
-            assert p._key == (tuple(p.weights), terms, dj, mass)
+            assert p._key == (tuple(p.weights), terms, dj, mass, p.milnor())
             assert p.weighted_degree == dj
             w, wp = p.weights
             assert p.milnor() == (dj - w) * (dj - wp) // (w * wp)
@@ -147,6 +151,60 @@ def test_stored_point_terms_match_the_branch_walk():
                 deg * ((m * i - 1) // d) for m, deg in terms)
             seen += 1
     assert seen > 500
+
+
+CORPUS_MAKERS = (random_ordinary_config, random_reduced_swh_config,
+                 random_mixed_swh_config, random_redrawn_incidence_config)
+
+
+def test_config_derives_the_data_of_one_walk():
+    """Every config of the generator corpora, scaled, derives the d, d',
+    component terms, counted point keys and chi(U) of one literal walk
+    (`reference.curve_data`): built directly, parsed from native text and,
+    when its points are ordinary, from vector text, and after copy and
+    pickle round trips of each. `degree`, `reduced_degree` and
+    `euler_complement` read what it derived."""
+    rng = random.Random(3035)
+    vectors = 0
+    for k in range(160):
+        cfg = scale_multiplicities(CORPUS_MAKERS[k % 4](rng), 1 + k % 3)
+        want = curve_data(cfg)
+        built = [cfg, parse_native(emit_native(cfg))({})]
+        if cfg.is_ordinary():
+            built.append(parse_singular(
+                parse_vector_text(emit_vectors(cfg)), {}))
+            vectors += 1
+        for parsed in built:
+            assert parsed.components == cfg.components
+            assert parsed.points == cfg.points
+            for clone in (parsed, copy.copy(parsed), copy.deepcopy(parsed),
+                          pickle.loads(pickle.dumps(parsed))):
+                assert clone._derived == want
+        assert (cfg.degree, cfg.reduced_degree, euler_complement(cfg)) == (
+            want[0], want[1], want[4])
+    assert vectors >= 80
+
+
+def test_built_config_computes_no_milnor_number(monkeypatch):
+    """Once a config is built, its table, scan values, chi(U), `verify` and
+    `cross_check` read each Milnor number its points derived: none of them
+    calls `milnor_number`."""
+    rng = random.Random(3036)
+    configs = [CORPUS_MAKERS[k % 4](rng) for k in range(40)]
+    assert sum(len(cfg.points) for cfg in configs) > 40
+
+    def refuse(*args):
+        raise AssertionError("milnor_number called on a built config")
+
+    for module in (local, conespec.engine, oracle, formats, cli):
+        if getattr(module, "milnor_number", None) is milnor_number:
+            monkeypatch.setattr(module, "milnor_number", refuse)
+    for cfg in configs:
+        curve_table(cfg)
+        scan_values(cfg, {})
+        euler_complement(cfg)
+        assert verify(cfg).checks
+        assert cross_check(cfg).checks
 
 
 def test_curve_table_golden_pencil():
@@ -593,21 +651,19 @@ def test_scan_cell_matches_fraction_column(name, predicates):
 def test_rows_on_one_column_match_the_rows_on_all_columns(make):
     """`_rows(cfg, i)` is column i of `_rows(cfg)` for every i in [1, d]
     (the -1 of row 2 at i = d included), and columns 0 and d + 1 give no
-    column, with the same d, d' and chi(U) each time. One column takes the
+    column. One column takes the
     scalar path and no column given the whole-row path, so this pins the
     two paths equal."""
     rng = random.Random(1616)
     for _ in range(40):
         cfg = make(rng)
         d = cfg.degree
-        rows = _rows(cfg)
-        head, full = rows[:3], rows[3:]
-        assert head == (d, cfg.reduced_degree, euler_complement(cfg))
+        full = _rows(cfg)
         assert all(len(row) == d for row in full)
         for i in (0, d + 1):
-            assert _rows(cfg, i) == (*head, [], [])
+            assert _rows(cfg, i) == ([], [])
         for i in range(1, d + 1):
-            assert _rows(cfg, i) == (*head, *(row[i - 1:i] for row in full))
+            assert _rows(cfg, i) == tuple(row[i - 1:i] for row in full)
 
 
 def test_floor_row_is_shift_on_every_column():

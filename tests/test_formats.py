@@ -465,6 +465,31 @@ def test_each_variable_slot_text_is_read_once_per_binding(name):
         assert binding.reads == {"a": 1, "b": 1, "c": 1}
 
 
+class ReadingBinding(CountingBinding):
+    """A counting binding whose membership test is `Mapping`'s own, which
+    reads the name through `__getitem__`."""
+
+    __contains__ = Mapping.__contains__
+
+
+def test_a_name_is_read_once_per_evaluation():
+    """A name is looked up by one read of the binding, not by a membership
+    test and a read: a binding whose membership test reads counts one read
+    per name per evaluation, and an unbound name is still `unbound-name`."""
+    expr = parse_expr("a * (b + 1)")
+    for a, b in ((2, 3), (4, 1)):
+        binding = ReadingBinding(dict(a=a, b=b))
+        assert expr(binding) == a * (b + 1)
+        assert binding.reads == {"a": 1, "b": 1}
+    template = config_template((FIXTURES / "five-lines.vectors").read_text())
+    binding = ReadingBinding(dict(a=2, b=3, c=1))
+    template(binding)
+    assert binding.reads == {"a": 1, "b": 1, "c": 1}
+    with pytest.raises(ConfigError) as err:
+        expr(ReadingBinding(dict(a=2)))
+    assert str(err.value) == "[unbound-name] parameter 'b' is not bound"
+
+
 # -- native dialect ----------------------------------------------------------
 
 def test_parse_native_component():

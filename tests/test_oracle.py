@@ -11,7 +11,7 @@ import conespec.engine
 import conespec.oracle
 from conespec.cli import main
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
-                             ReducedConeConfig, _components,
+                             ReducedConeConfig,
                              _floor_row as real_floor_row, curve_table,
                              incidence_consistent, ordinary_middle_row,
                              scan_values)
@@ -477,7 +477,7 @@ def test_rows_checks_are_evidence(monkeypatch, capsys):
     against the reference program, and ``conespec oracle`` exits 1."""
     cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
     assert cross_check(cfg).passed
-    comps = _components(cfg)[2]
+    comps = cfg._derived[2]
 
     def mutant(terms, width, d):
         row = real_floor_row(terms, width, d)

@@ -207,7 +207,7 @@ def test_derived_slot_is_no_field():
     point = SingularPoint((2, 3), [LocalBranch(6, 2), LocalBranch(2, 1),
                                    LocalBranch(6, 1)])
     assert SingularPoint._fields == ("weights", "branches")
-    assert point._key == ((2, 3), ((1, 8), (2, 6)), 14, 20)
+    assert point._key == ((2, 3), ((1, 8), (2, 6)), 14, 20, 22)
     assert "_key" not in repr(point)
     assert point.__reduce__() == (SingularPoint,
                                   (point.weights, point.branches))

@@ -29,7 +29,7 @@ UNREFERENCED = {
     "oracle.CheckReport.record": "the machine-readable report ROADMAP item 6 "
                                  "builds on",
     "engine.euler_complement": "public API; the curve route reads chi(U) "
-                               "from `_rows`",
+                               "off the config",
     "engine.local_data_table": "public API: in `conespec.__all__`, in "
                                "README and in perfbench/tracing.py TARGETS",
     "engine.index_data": TRACED,

@@ -22,7 +22,8 @@ one pass. `scan_values` runs the kernel on column 3, the one cell that
 ``scan`` reports, and `euler_complement` reads chi(U) off the config. The
 reduced any-dimension route is `reduced_cone_spectrum` /
 `thickened_spectrum`, which consume local spectra directly;
-`local_data_table` lays out its n = 2 spectrum as a table.
+every command lays out its n = 2 spectrum as a table with `_spectrum_table`,
+which `local_data_table` wraps for a degree and local spectra alone.
 """
 
 from __future__ import annotations
@@ -157,9 +158,12 @@ class CurveConfig(Record):
         return self._derived[1]
 
     def multiplicities(self) -> set[int]:
-        """Every component and every branch multiplicity."""
-        return ({c.multiplicity for c in self.components}
-                | {b.multiplicity for p in self.points for b in p.branches})
+        """Every component and every branch multiplicity, a new set per
+        call, read off the terms of `_derived` and of each distinct point
+        key (each term's degree is positive, so no multiplicity is lost)."""
+        _, _, comps, keys, _ = self._derived
+        return ({m for m, _ in comps}
+                | {m for key, _ in keys for m, _ in key[1]})
 
     def is_reduced(self) -> bool:
         """Every component and every branch has multiplicity 1."""

@@ -27,6 +27,7 @@ import operator
 import re
 from collections.abc import Callable, Mapping
 from fractions import Fraction
+from itertools import chain, repeat
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
@@ -827,26 +828,32 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
 
     ``rows``: four lines (e=0, e=1, e=2 truncated at i = d-1, chi) plus a
     note line reporting the suppressed integer-exponent cell. ``csv``: all
-    3*d cells as ``i,alpha,e,value`` with exact fractional exponents.
+    3*d cells as ``i,alpha,e,value`` with exact fractional exponents. Either
+    mode writes a row's values in one ``%`` call, whose ``%s`` gives each
+    cell's ``str``: over a repeated ``"%s,"`` in ``rows``; in ``csv`` over
+    the row's lines, joined from the column heads, built once for all three
+    rows, and the ``alpha`` texts, with a ``%s`` in each value's place.
     """
+    d = table.d
+    r0, r1, r2 = table.rows
     if mode == "rows":
-        d = table.d
-        rows = (table.rows[0], table.rows[1], table.rows[2][: d - 1])
-        lines = [f"e={e}: " + ",".join(map(str, row))
-                 for e, row in enumerate(rows)]
-        lines += [f"chi(U)={table.chi_u}",
-                  f"# note: omitted e=2,i={d} value {table.rows[2][d - 1]}; "
-                  "integer-exponent entries are formula values (no +1 "
-                  "adjustment applied at alpha=3)"]
-        return "\n".join(lines) + "\n"
+        cells = "%s," * d
+        return (f"e=0: {cells[:-1] % tuple(r0)}\n"
+                f"e=1: {cells[:-1] % tuple(r1)}\n"
+                f"e=2: {cells[:-4] % tuple(r2[:d - 1])}\n"
+                f"chi(U)={table.chi_u}\n"
+                f"# note: omitted e=2,i={d} value {r2[d - 1]}; "
+                "integer-exponent entries are formula values (no +1 "
+                "adjustment applied at alpha=3)\n")
     if mode == "csv":
-        d = table.d
+        heads = [f"\n{i}," for i in range(1, d + 1)]
         alphas = exponent_texts(range(1, 3 * d + 1), d)
-        lines = ["i,alpha,e,value"]
+        parts = ["i,alpha,e,value"]
         for e, row in enumerate(table.rows):
-            lines += [f"{i},{alpha},{e},{v}" for i, alpha, v
-                      in zip(range(1, d + 1), alphas[e * d:], row)]
-        return "\n".join(lines) + "\n"
+            lines = zip(heads, alphas[e * d:], repeat(f",{e},%s"))
+            parts.append("".join(chain.from_iterable(lines)) % tuple(row))
+        parts.append("\n")
+        return "".join(parts)
     raise ValueError(f"unknown table mode {mode!r}")
 
 

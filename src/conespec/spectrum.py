@@ -21,6 +21,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
+
 def _count(mult) -> int:
     """`mult` as an int; ValueError when it is not integral."""
     count = int(mult)

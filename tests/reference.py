@@ -269,6 +269,26 @@ def binomial_local_table(degree: int,
     return ConeSpectrumTable(d, d, chi, (row0, row1, row2))
 
 
+def emit_table_by_cells(table: ConeSpectrumTable, mode: str) -> str:
+    """`formats.emit_table` transcribed cell by cell: one f-string per line,
+    each value through `str`, each csv exponent through `Fraction`."""
+    d = table.d
+    if mode == "rows":
+        rows = (table.rows[0], table.rows[1], table.rows[2][: d - 1])
+        lines = [f"e={e}: " + ",".join(str(v) for v in row)
+                 for e, row in enumerate(rows)]
+        lines += [f"chi(U)={table.chi_u}",
+                  f"# note: omitted e=2,i={d} value {table.rows[2][d - 1]}; "
+                  "integer-exponent entries are formula values (no +1 "
+                  "adjustment applied at alpha=3)"]
+        return "\n".join(lines) + "\n"
+    lines = ["i,alpha,e,value"]
+    for e, row in enumerate(table.rows):
+        lines += [f"{i},{Fraction(i + e * d, d)},{e},{v}"
+                  for i, v in enumerate(row, 1)]
+    return "\n".join(lines) + "\n"
+
+
 def _fraction_idiom_ceil(v: Fraction) -> int:
     """Exact ceiling, with the bounded 100 - int(100 - v) idiom asserted to
     agree wherever that idiom is valid (v < 100)."""

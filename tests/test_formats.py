@@ -16,8 +16,8 @@ import pytest
 
 from conespec import formats, local
 from conespec.cli import ScanSpec, run_scan
-from conespec.engine import (CurveConfig, GlobalComponent,
-                             ReducedConeConfig, curve_table)
+from conespec.engine import (ConeSpectrumTable, CurveConfig,
+                             GlobalComponent, ReducedConeConfig, curve_table)
 from conespec.formats import (MAX_DEPTH, ConfigError, config_template,
                               emit_table, looks_like_vectors, parse_expr,
                               parse_native, parse_singular, parse_vector_text)
@@ -25,7 +25,7 @@ from conespec.local import LocalBranch, SingularPoint
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
 from reference import (BinOp, Name, Neg, Num, emit_native,
-                       lex_expr_by_chars, render_expr, thicken,
+                       emit_table_by_cells, lex_expr_by_chars, render_expr, thicken,
                        tokenize_line_by_chars)
 
 F = Fraction
@@ -984,6 +984,29 @@ def test_emit_table_csv():
     assert len(lines) == 1 + 3 * table.d
     assert "1,3/2,1,1" in lines
     assert lines[1] == "1,1/2,0,0"
+
+
+def test_emit_table_matches_cell_transcription():
+    """Both modes against a per-cell writer, on tables no golden has: d = 1
+    and 2, negative cells, values past 10**6, rows of distinct values, list
+    rows, and real tables."""
+    rng = random.Random(3636)
+    tables = [curve_table(CurveConfig((GlobalComponent(1, 1),))),
+              curve_table(CurveConfig((GlobalComponent(2, 1),))),
+              ConeSpectrumTable(1, 1, -7, ((-3,), (10**7,), (-10**9,))),
+              ConeSpectrumTable(2, 2, 0, ((0, -1), (1, -10**6 - 1),
+                                          (10**6 + 1, 0)))]
+    for d in (3, 7, 60, 1500):
+        values = rng.sample(range(-10**12, 10**12), 3 * d)
+        rows = tuple(tuple(values[e * d:(e + 1) * d]) for e in range(3))
+        tables.append(ConeSpectrumTable(d, d, rng.randint(-99, 99), rows))
+    tables.append(ConeSpectrumTable(4, 3, 2, ([1, -2, 3, 4], [0, 0, 0, 0],
+                                              [5, -6, 7, -1])))
+    for _ in range(20):
+        tables.append(curve_table(random_ordinary_config(rng)))
+    for table in tables:
+        for mode in ("rows", "csv"):
+            assert emit_table(table, mode) == emit_table_by_cells(table, mode)
 
 
 def test_emit_table_rejects_unknown_mode():

@@ -12,12 +12,19 @@ from round to round. The inputs are this checkout's fixtures, the same for
 both trees. Printed: one line per round (A's and B's seconds and B/A), then
 the median of B/A and the number of rounds in which B took less time.
 
+One round is not evidence. On a shared machine a whole process lands in a
+fast or a slow cluster, about 1.5x apart, on either tree (the ``FOUND:``
+line on this tool in CHANGES.md), so a single round can read anywhere
+from 0.6 to 1.7. Read the median and the win count of many rounds.
+
 Cases (``CASES``):
 
 * ``scan``: ``scan`` of ``five-lines`` over a = 1..30, b = 1..30, c = 1;
 * ``reduced``: ``reduced`` at n = 3, d' = 40, power 45, four points;
 * ``csv``: ``compute --format csv`` of ``sextic-pencil`` at a = 148,
   b = c = 1 (d = 901);
+* ``rows``: ``compute --format rows`` of ``five-lines`` at a = 996,
+  b = 500, c = 1 (d = 1500);
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid.
 
 Only the standard library is used.
@@ -57,6 +64,9 @@ CASES = {
     "csv": ["compute", str(FIXTURES / "sextic-pencil.vectors"),
             "--param", "a=148", "--param", "b=1", "--param", "c=1",
             "--format", "csv"],
+    "rows": ["compute", str(FIXTURES / "five-lines.vectors"),
+             "--param", "a=996", "--param", "b=500", "--param", "c=1",
+             "--format", "rows"],
     "tiny": _scan(2),
 }
 

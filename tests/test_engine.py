@@ -162,13 +162,16 @@ def test_config_derives_the_data_of_one_walk():
     component terms, counted point keys and chi(U) of one literal walk
     (`reference.curve_data`): built directly, parsed from native text and,
     when its points are ordinary, from vector text, and after copy and
-    pickle round trips of each. `degree`, `reduced_degree` and
-    `euler_complement` read what it derived."""
+    pickle round trips of each. `degree`, `reduced_degree`,
+    `euler_complement` and `multiplicities` read what it derived; each
+    `multiplicities` call returns a set of its own."""
     rng = random.Random(3035)
     vectors = 0
     for k in range(160):
         cfg = scale_multiplicities(CORPUS_MAKERS[k % 4](rng), 1 + k % 3)
         want = curve_data(cfg)
+        mults = ({c.multiplicity for c in cfg.components}
+                 | {b.multiplicity for p in cfg.points for b in p.branches})
         built = [cfg, parse_native(emit_native(cfg))({})]
         if cfg.is_ordinary():
             built.append(parse_singular(
@@ -180,6 +183,8 @@ def test_config_derives_the_data_of_one_walk():
             for clone in (parsed, copy.copy(parsed), copy.deepcopy(parsed),
                           pickle.loads(pickle.dumps(parsed))):
                 assert clone._derived == want
+                clone.multiplicities().pop()
+                assert clone.multiplicities() == mults
         assert (cfg.degree, cfg.reduced_degree, euler_complement(cfg)) == (
             want[0], want[1], want[4])
     assert vectors >= 80

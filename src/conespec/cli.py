@@ -17,7 +17,6 @@ call, not at import, so the other commands never load the checker.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import sys
@@ -184,11 +183,14 @@ def run_scan(spec: ScanSpec, out) -> int:
     n[3/d] and chi(U) from `scan_values`, which computes one cell and not
     the table, so a point's cost does not grow with d; the points share
     their lattice rows through one mapping that lives for this call only.
-    A point is the template evaluated at its binding, one `scan_values`
-    call and one CSV row; the predicates are evaluated only when some are
-    given. An input error names the grid point and keeps its code and line.
-    A name may be fixed or ranged, not both. A repeated predicate counts
-    once, in the order it was first given."""
+    A point is its values set in the one binding of the scan, the template
+    evaluated at it, one `scan_values` call and one CSV row written by one
+    ``%`` over the scan's row template of ``%s`` fields: a name is one name
+    token, a flag a predicate name and every other field an int or
+    ``n/a``, so no field needs CSV quoting. The predicates are evaluated
+    only when some are given. An input error names the grid point and keeps
+    its code and line. A name may be fixed or ranged, not both. A repeated
+    predicate counts once, in the order it was first given."""
     predicates = tuple(dict.fromkeys(spec.predicates))
     for name in predicates:
         if name not in PREDICATES:
@@ -212,11 +214,11 @@ def run_scan(spec: ScanSpec, out) -> int:
                           f"grid has {size} points, cap is {spec.cap}")
 
     template = config_template(spec.template)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names + ["d", "dprime", "n_3_over_d", "chi_u", "flags"])
+    row = "%s," * (len(names) + 4) + "%s\n"
+    out.write(row % (*names, "d", "dprime", "n_3_over_d", "chi_u", "flags"))
     lattice: dict = {}
+    binding = dict(spec.fixed)
     for combo in itertools.product(*spans):
-        binding = dict(spec.fixed)
         binding.update(zip(names, combo))
         try:
             cfg = template(binding)
@@ -238,7 +240,7 @@ def run_scan(spec: ScanSpec, out) -> int:
             if not undefined and len(satisfied) != len(predicates):
                 continue
             flags = "n/a" if undefined else ";".join(satisfied)
-        writer.writerow((*combo, d, dprime, "n/a" if n3d is None else n3d,
+        out.write(row % (*combo, d, dprime, "n/a" if n3d is None else n3d,
                          chi_u, flags))
     return OK
 

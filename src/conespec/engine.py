@@ -170,7 +170,9 @@ class CurveConfig(Record):
         return self.multiplicities() == {1}
 
     def is_ordinary(self) -> bool:
-        return all(p.is_ordinary() for p in self.points)
+        """Every point has weights (1, 1), read off the distinct point keys
+        of `_derived`."""
+        return all(key[0] == (1, 1) for key, _ in self._derived[3])
 
 
 class ConeSpectrumTable(Record):
@@ -338,23 +340,26 @@ def _rows(cfg: CurveConfig, column: int | None = None,
         return [], []
     if lattice is None:
         lattice = {}
+    if column is not None:
+        i = column
+        twist = i - _shift(comps, i, d)
+        r0 = (twist - 1) * (twist - 2) // 2             # binom2(twist - 1)
+        r2 = (dp - twist - 1) * (dp - twist - 2) // 2 - (1 if i == d else 0)
+        for ((w, wp), terms, dj, mass, _), k in keys:
+            row = lattice.get((w, wp, dj - 1))
+            if row is None:
+                row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
+            # ceiling of the residue degree i*mass/d - shift
+            ceil_g = -(-i * mass // d) - _shift(terms, i, d)
+            r0 -= k * row[ceil_g - 1]
+            r2 -= k * row[dj - ceil_g]
+        return [r0], [r2]
     points = []
     for ((w, wp), terms, dj, mass, _), k in keys:
         row = lattice.get((w, wp, dj - 1))
         if row is None:
             row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
         points.append((k, row, dj, mass, terms))
-    if column is not None:
-        i = column
-        twist = i - _shift(comps, i, d)
-        r0 = binom2(twist - 1)
-        r2 = binom2(dp - twist - 1) - (1 if i == d else 0)
-        for k, row, dj, mass, terms in points:
-            # ceiling of the residue degree i*mass/d - shift
-            ceil_g = -(-i * mass // d) - _shift(terms, i, d)
-            r0 -= k * row[ceil_g - 1]
-            r2 -= k * row[dj - ceil_g]
-        return [r0], [r2]
     g = gcd(*cfg.multiplicities())
     period = d // g
     twist = [i - s for i, s in enumerate(_floor_row(comps, period, d), 1)]

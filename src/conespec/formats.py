@@ -16,8 +16,10 @@ one `re` lexer, whose name rule `cli._split_name` shares, and the parser.
 Native ``incidence``, ``incidence-matrix`` and ``localspectrum`` entries are
 literals, read through `_ascii_int` when the text is parsed. A compiled
 vector template keeps its constant slots as ints, evaluates each distinct
-other slot text once per binding, and keeps the records it has built, keyed
-by their slot values, up to `MEMO_BOUND` of each kind (`parse_singular`).
+other slot text once per binding, reads the four vectors in one walk, and
+keeps the records it has built, keyed by their slot values, up to
+`MEMO_BOUND` of each of four kinds: components, points, incidences and
+branches (`parse_singular`).
 """
 
 from __future__ import annotations
@@ -309,14 +311,11 @@ def _negated_count(vector: str, k: int, sep: int) -> None:
                           f"negated count, got {sep}")
 
 
-# the branch that pads a point's multiplicity list
-_SIMPLE_BRANCH = LocalBranch(1, 1)
-
 # records of one kind that a vector template keeps; one more empties them
 MEMO_BOUND = 4096
 
 
-def _stored(records: dict, key: tuple, built):
+def _stored(records: dict, key, built):
     if len(records) >= MEMO_BOUND:
         records.clear()
     records[key] = built
@@ -324,36 +323,40 @@ def _stored(records: dict, key: tuple, built):
 
 
 def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
-                   memo: tuple[dict, dict, dict] | None = None) -> CurveConfig:
+                   memo: tuple[dict, dict, dict, dict] | None = None
+                   ) -> CurveConfig:
     """Expand the four vectors into a curve configuration.
 
     Negative entries are group separators carrying repeat counts. Points in
     this dialect are always ordinary (weights (1,1), branch degrees 1); the
     point multiplicity lists may be shorter than the branch count and are
-    padded with 1.
+    padded with 1. A separator is checked only when it is not negative, a
+    record of count 1 is appended once, and the `Si` walk reads values: a
+    multiplicity slot that evaluates to 0 or less ends its point's group.
 
     `memo` holds the records already built (fresh dicts when none is
     given), one dict per kind so that keys of two kinds never meet:
     components by (degree, mult), points by (branch count, *mults), the
-    incidence by its pairs. Every check runs before the lookup; a record is
-    stored once its constructor has returned, and a dict that holds
-    `MEMO_BOUND` records is emptied first.
+    incidence by its pairs and branches by their multiplicity. Every check
+    runs before the lookup; a record is stored once its constructor has
+    returned, and a dict that holds `MEMO_BOUND` records is emptied first.
     """
-    component_memo, point_memo, incidence_memo = memo or ({}, {}, {})
+    component_memo, point_memo, incidence_memo, branch_memo = \
+        memo or ({}, {}, {}, {})
     exprs, constants, index, g, s = vectors._plan
     pool = [e(binding) for e in exprs] + constants
-    slots = list(map(pool.__getitem__, index))
-    glcmp, si, od, lg = slots[:g], slots[g:s], slots[s], slots[s + 1:]
+    slots = list(map(pool.__getitem__, index))      # GlCmp, Si, OD, LG
 
-    if not glcmp or len(glcmp) % 3 != 0:
+    if not g or g % 3 != 0:
         raise ConfigError("separator",
                           "GlCmp must consist of (-count, degree, mult) triples")
     components = []
-    for k in range(0, len(glcmp), 3):
-        sep, degree, mult = glcmp[k: k + 3]
-        _negated_count("GlCmp", k, sep)
-        if sep == 0:
+    for k in range(0, g, 3):
+        sep = slots[k]
+        if sep >= 0:
+            _negated_count("GlCmp", k, sep)
             continue
+        degree, mult = slots[k + 1], slots[k + 2]
         if degree < 1 or mult < 1:
             raise ConfigError("value-nonpositive",
                               f"component degree/multiplicity must be positive,"
@@ -362,51 +365,63 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
         if component is None:
             component = _stored(component_memo, (degree, mult),
                                 GlobalComponent(degree, mult))
-        components.extend([component] * (-sep))
+        if sep == -1:
+            components.append(component)
+        else:
+            components.extend([component] * -sep)
 
     points = []
-    pos, end = 0, len(si)
+    si = slots[g:s]
+    pos, end = 0, s - g
     while pos < end:
         sep = si[pos]
-        _negated_count("Si", pos, sep)
+        if sep >= 0:
+            _negated_count("Si", pos, sep)
         if pos + 1 >= end:
             raise ConfigError("separator", "Si ends before a branch count")
         branch_count = si[pos + 1]
         pos = start = pos + 2
         while pos < end and si[pos] > 0:
             pos += 1
-        mults = si[start:pos]
         if sep == 0:
             continue
         if branch_count < 1:
             raise ConfigError("value-nonpositive",
                               f"branch count must be positive, got {branch_count}")
-        if len(mults) > branch_count:
+        if pos - start > branch_count:
             raise ConfigError("si-overflow",
-                              f"point lists {len(mults)} multiplicities for "
+                              f"point lists {pos - start} multiplicities for "
                               f"{branch_count} branches")
         key = tuple(si[start - 1:pos])              # (branch_count, *mults)
         point = point_memo.get(key)
         if point is None:
-            branches = [LocalBranch(1, m) for m in mults]
-            branches += [_SIMPLE_BRANCH] * (branch_count - len(mults))
+            mults = si[start:pos] + [1] * (branch_count - (pos - start))
+            # a record is never false, so `or` builds only what is missing
+            branches = [branch_memo.get(m)
+                        or _stored(branch_memo, m, LocalBranch(1, m))
+                        for m in mults]
             point = _stored(point_memo, key, SingularPoint((1, 1), branches))
-        points.extend([point] * (-sep))
+        if sep == -1:
+            points.append(point)
+        else:
+            points.extend([point] * -sep)
 
+    od = slots[s]
     if od < 0:
         raise ConfigError("value-nonpositive",
                           f"aggregated double point count must be >= 0, got {od}")
 
     pairs = []
+    lg = slots[s + 1:]
     if lg != [0]:
         if len(lg) % 2 != 0:
             raise ConfigError("separator",
                               "LG must be (-count, value) pairs or the single "
                               "entry 0")
         for k in range(0, len(lg), 2):
-            sep, value = lg[k: k + 2]
-            _negated_count("LG", k, sep)
-            if sep == 0:
+            sep, value = lg[k], lg[k + 1]
+            if sep >= 0:
+                _negated_count("LG", k, sep)
                 continue
             if value < 1:
                 raise ConfigError("value-nonpositive",
@@ -417,9 +432,11 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
     if incidence is None:
         incidence = _stored(incidence_memo, key, Incidence.from_pairs(pairs))
 
-    with _coded("config-invalid"):
+    try:
         return CurveConfig(components=tuple(components), points=tuple(points),
                            nodes=od, incidence=incidence)
+    except ValueError as exc:
+        raise ConfigError("config-invalid", str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +884,11 @@ def config_template(text: str) -> Template:
     """The config of `text` as a function of its parameter binding, in the
     dialect `looks_like_vectors` picks. Either dialect is parsed here, once;
     each call only evaluates the compiled slots and builds the config. A
-    vector template passes one memo to all its calls, so a component, point
-    or incidence whose slot values recur is built once (`parse_singular`)."""
+    vector template passes one memo to all its calls, so a component, point,
+    incidence or branch whose slot values recur is built once
+    (`parse_singular`)."""
     if looks_like_vectors(text):
         vectors = parse_vector_text(text)
-        memo = ({}, {}, {})
+        memo = ({}, {}, {}, {})
         return lambda binding: parse_singular(vectors, binding, memo)
     return parse_native(text)

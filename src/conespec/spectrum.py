@@ -142,8 +142,9 @@ class SpectrumVector:
 
     def has_valid_support(self) -> bool:
         """True iff every exponent lies strictly inside (0, ambient_dim)."""
-        top = self._ambient_dim * self._den
-        return all(0 < k < top for k in self._nums)
+        nums = self._nums
+        return not nums or (min(nums) > 0
+                            and max(nums) < self._ambient_dim * self._den)
 
     def is_symmetric(self) -> bool:
         """True iff the vector equals its own dual."""

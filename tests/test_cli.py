@@ -415,6 +415,62 @@ def test_scan_repeated_predicate_counts_once(capsys):
         ["chi_nonzero;n3d_zero"] * 3
 
 
+def csv_scan(text, ranges, fixed, predicates):
+    """The CSV that `csv.writer(out, lineterminator="\\n")` writes for the
+    rows of the scan, each computed from `config_template` and
+    `scan_values`, kept and flagged as the predicates say."""
+    import csv
+    import io
+    import itertools
+    from conespec.engine import scan_values
+    from conespec.formats import config_template
+    template = config_template(text)
+    names = sorted(ranges)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(names + ["d", "dprime", "n_3_over_d", "chi_u", "flags"])
+    for combo in itertools.product(*(range(lo, hi + 1)
+                                     for lo, hi in map(ranges.get, names))):
+        d, dprime, n3d, chi_u = scan_values(
+            template({**fixed, **dict(zip(names, combo))}))
+        values = {"n3d_zero": None if n3d is None else n3d == 0,
+                  "chi_nonzero": chi_u != 0}
+        if None in map(values.get, predicates):
+            flags = "n/a"
+        elif all(values[p] for p in predicates):
+            flags = ";".join(predicates)
+        else:
+            continue
+        writer.writerow((*combo, d, dprime, "n/a" if n3d is None else n3d,
+                         chi_u, flags))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("predicates", [
+    (), ("n3d_zero",), ("chi_nonzero", "n3d_zero"),
+    ("n3d_zero", "chi_nonzero")])
+def test_scan_rows_are_what_csv_writer_writes(predicates):
+    """`run_scan` writes each row's fields itself; the bytes are the ones
+    `csv.writer` writes for the same rows: with a Unicode parameter name,
+    `n/a` cells (d < 3), empty flags and flags joined by ';'."""
+    import io
+    text = "GlCmp=-1,1,größe, -1,1,b; Si=-1,2,größe,b; OD=größe-1; LG=-1,1;"
+    ranges, fixed = {"größe": (1, 4), "b": (1, 2)}, {}
+    if predicates:
+        ranges, fixed = {"größe": (1, 4)}, {"b": 1}
+    spec = ScanSpec(template=text, ranges=ranges, fixed=fixed,
+                    predicates=predicates)
+    out = io.StringIO()
+    assert run_scan(spec, out) == 0
+    assert out.getvalue() == csv_scan(text, ranges, fixed, predicates)
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("b,größe," if not predicates else "größe,")
+    flags = {line.rsplit(",", 1)[1] for line in lines[1:]}
+    assert flags == ({""} if not predicates else
+                     {"n/a", ";".join(predicates)})
+    assert any(",n/a," in line for line in lines[1:])
+
+
 def test_scan_results_deterministic(tmp_path):
     import io
     spec = ScanSpec(template=(FIXTURES / "lines-conic.vectors").read_text(),

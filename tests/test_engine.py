@@ -163,8 +163,8 @@ def test_config_derives_the_data_of_one_walk():
     (`reference.curve_data`): built directly, parsed from native text and,
     when its points are ordinary, from vector text, and after copy and
     pickle round trips of each. `degree`, `reduced_degree`,
-    `euler_complement` and `multiplicities` read what it derived; each
-    `multiplicities` call returns a set of its own."""
+    `euler_complement`, `multiplicities` and `is_ordinary` read what it
+    derived; each `multiplicities` call returns a set of its own."""
     rng = random.Random(3035)
     vectors = 0
     for k in range(160):
@@ -172,8 +172,9 @@ def test_config_derives_the_data_of_one_walk():
         want = curve_data(cfg)
         mults = ({c.multiplicity for c in cfg.components}
                  | {b.multiplicity for p in cfg.points for b in p.branches})
+        ordinary = all(p.weights == (1, 1) for p in cfg.points)
         built = [cfg, parse_native(emit_native(cfg))({})]
-        if cfg.is_ordinary():
+        if ordinary:
             built.append(parse_singular(
                 parse_vector_text(emit_vectors(cfg)), {}))
             vectors += 1
@@ -185,9 +186,10 @@ def test_config_derives_the_data_of_one_walk():
                 assert clone._derived == want
                 clone.multiplicities().pop()
                 assert clone.multiplicities() == mults
+                assert clone.is_ordinary() == ordinary
         assert (cfg.degree, cfg.reduced_degree, euler_complement(cfg)) == (
             want[0], want[1], want[4])
-    assert vectors >= 80
+    assert 80 <= vectors < 160
 
 
 def test_built_config_computes_no_milnor_number(monkeypatch):

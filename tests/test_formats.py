@@ -313,7 +313,7 @@ def test_vector_memo_stays_within_its_bound():
     """Over more distinct points than `MEMO_BOUND`, every config equals a
     fresh build and no kind ever holds more than the bound."""
     vectors = parse_vector_text(FIVE_LINES)
-    memo = ({}, {}, {})
+    memo = ({}, {}, {}, {})
     side = math.isqrt(formats.MEMO_BOUND) + 1
     most = 0
     for a in range(1, side + 1):
@@ -325,6 +325,182 @@ def test_vector_memo_stays_within_its_bound():
             most = max(most, *map(len, memo))
     assert most == formats.MEMO_BOUND
     assert len(memo[1]) < formats.MEMO_BOUND            # points, emptied
+
+
+def test_vector_memo_shares_one_branch_per_multiplicity():
+    """Every branch of multiplicity m that one template builds is one
+    object, listed or padded, across points and grid points; a fresh
+    template builds its own."""
+    template = config_template(FIVE_LINES)
+    configs = [template(dict(a=a, b=b, c=c))
+               for a, b, c in itertools.product((1, 2, 5), (1, 2, 7), (0, 1))]
+    by_mult = collections.defaultdict(set)
+    for cfg in configs:
+        for point in cfg.points:
+            for branch in point.branches:
+                by_mult[branch.multiplicity].add(id(branch))
+    assert sorted(by_mult) == [1, 2, 5, 7]
+    assert all(len(ids) == 1 for ids in by_mult.values())
+    fresh = config_template(FIVE_LINES)(dict(a=2, b=2, c=1))
+    assert fresh == template(dict(a=2, b=2, c=1))
+    assert fresh.points[0].branches[0] is not \
+        template(dict(a=2, b=2, c=1)).points[0].branches[0]
+
+
+def test_vector_branch_memo_stays_within_its_bound():
+    """Over more distinct multiplicities than `MEMO_BOUND`, each of the
+    four memo dicts stays within the bound and the branch dict is emptied
+    and refilled; every config equals a fresh build."""
+    text = "GlCmp=-1,1,2; Si=-1,2,m, -1,1,m+1; OD=0; LG=0;"
+    vectors = parse_vector_text(text)
+    memo = ({}, {}, {}, {})
+    most = 0
+    for m in range(1, formats.MEMO_BOUND + 10):
+        cfg = parse_singular(vectors, dict(m=m), memo)
+        assert max(map(len, memo)) <= formats.MEMO_BOUND
+        most = max(most, len(memo[3]))
+        if m % 997 == 0:
+            assert cfg == parse_singular(parse_vector_text(text), dict(m=m))
+    assert most == formats.MEMO_BOUND
+    assert len(memo[3]) < formats.MEMO_BOUND            # branches, emptied
+    assert [b.multiplicity for p in cfg.points for b in p.branches] == \
+        [m, 1, m + 1]
+
+
+def test_one_template_at_bindings_in_turn_builds_fresh_configs():
+    """One vector template evaluated at binding after binding, records kept
+    in its memo, gives the configs of a fresh template at each."""
+    for path in sorted(FIXTURES.glob("*.vectors")):
+        text = path.read_text()
+        template = config_template(text)
+        for a, b, c in itertools.product((1, 3), (2, 1), (0, 2, 0)):
+            binding = dict(a=a, b=b, c=c)
+            assert template(binding) == config_template(text)(binding)
+
+
+# A vector template whose `Si` multiplicity slot m evaluates to a positive
+# value, 0 and a negative value across one grid, so the point groups change
+# with the binding, and templates with a separator slot s at each position
+# of GlCmp, Si and LG. Each outcome is the scan's output and its error, as
+# written by the code before the `Si` walk and the separators were read in
+# one pass, and kept as the expectation.
+WALK = "GlCmp=-1,1,a, -1,1,2, -2,1,1; Si=-1,3,m,a, -1,2,a; OD=1; LG=-4,1;"
+WALK_SCANS = [
+    ((WALK, {"m": (-2, 2), "a": (1, 3)}, {}, ()),
+     ("a,m,d,dprime,n_3_over_d,chi_u,flags\n1,-2,5,4,0,1,\n1,-1,5,4,0,1,\n"
+      "1,0,5,4,0,1,\n1,1,5,4,0,1,\n1,2,5,4,0,1,\n2,-2,6,4,1,-1,\n"
+      "2,-1,6,4,1,0,\n2,0,6,4,1,1,\n2,1,6,4,1,1,\n2,2,6,4,0,1,\n"
+      "3,-2,7,4,0,-7,\n3,-1,7,4,0,-3,\n3,0,7,4,0,1,\n3,1,7,4,0,1,\n"
+      "3,2,7,4,0,1,\n", None)),
+    ((WALK, {"m": (-2, 2), "a": (1, 3)}, {}, ("n3d_zero", "chi_nonzero")),
+     ("a,m,d,dprime,n_3_over_d,chi_u,flags\n"
+      "1,-2,5,4,0,1,n3d_zero;chi_nonzero\n1,-1,5,4,0,1,n3d_zero;chi_nonzero\n"
+      "1,0,5,4,0,1,n3d_zero;chi_nonzero\n1,1,5,4,0,1,n3d_zero;chi_nonzero\n"
+      "1,2,5,4,0,1,n3d_zero;chi_nonzero\n2,2,6,4,0,1,n3d_zero;chi_nonzero\n"
+      "3,-2,7,4,0,-7,n3d_zero;chi_nonzero\n"
+      "3,-1,7,4,0,-3,n3d_zero;chi_nonzero\n"
+      "3,0,7,4,0,1,n3d_zero;chi_nonzero\n3,1,7,4,0,1,n3d_zero;chi_nonzero\n"
+      "3,2,7,4,0,1,n3d_zero;chi_nonzero\n", None)),
+    (("GlCmp=-1,1,2; Si=-1,2,m,a,b; OD=0; LG=0;", {"m": (-2, 1)},
+      {"a": 2, "b": 3}, ()),
+     ("m,d,dprime,n_3_over_d,chi_u,flags\n-2,2,1,n/a,-2,\n-1,2,1,n/a,-1,\n"
+      "0,2,1,n/a,0,\n",
+      ("si-overflow", None, "[si-overflow] at grid point (m=1): point lists "
+       "3 multiplicities for 2 branches"))),
+    (("GlCmp=s,1,2, -1,1,3; Si=-1,3,2; OD=0; LG=0;", {"s": (-2, 1)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n-2,7,3,0,-1,\n-1,5,2,0,-3,\n"
+      "0,3,1,-1,-3,\n",
+      ("separator", None, "[separator] at grid point (s=1): GlCmp entry 1 "
+       "should be a negated count, got 1"))),
+    (("GlCmp=-1,1,2, s,1,3; Si=-1,3,2; OD=0; LG=0;", {"s": (-2, 1)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n-2,8,3,0,-1,\n-1,5,2,0,-3,\n"
+      "0,2,1,n/a,-3,\n",
+      ("separator", None, "[separator] at grid point (s=1): GlCmp entry 4 "
+       "should be a negated count, got 1"))),
+    (("GlCmp=s,1,2; Si=; OD=0; LG=0;", {"s": (-1, 0)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n-1,2,1,n/a,1,\n",
+      ("config-invalid", None, "[config-invalid] at grid point (s=0): a "
+       "curve needs at least one component"))),
+    (("GlCmp=-1,1,4; Si=s,3,2, -1,2; OD=0; LG=0;", {"s": (-2, 1)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n-2,4,1,0,-8,\n-1,4,1,0,-4,\n"
+      "0,4,1,0,0,\n",
+      ("separator", None, "[separator] at grid point (s=1): Si entry 1 "
+       "should be a negated count, got 1"))),
+    (("GlCmp=-1,1,4; Si=-1,3,2, s,2; OD=0; LG=0;", {"s": (-2, 3)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n-2,4,1,0,-5,\n-1,4,1,0,-4,\n"
+      "0,4,1,0,-3,\n1,4,1,0,-3,\n2,4,1,0,-3,\n3,4,1,0,-3,\n", None)),
+    (("GlCmp=-1,1,4; Si=-1,3,2, 2-s; OD=0; LG=0;", {"s": (0, 3)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n0,4,1,0,-3,\n1,4,1,0,-3,\n",
+      ("separator", None, "[separator] at grid point (s=2): Si ends before a "
+       "branch count"))),
+    (("GlCmp=-1,1,4; Si=-1,3,2; OD=0; LG=s,1, -1,2;", {"s": (-2, 1)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n-2,4,1,0,-3,\n-1,4,1,0,-3,\n"
+      "0,4,1,0,-3,\n",
+      ("separator", None, "[separator] at grid point (s=1): LG entry 1 "
+       "should be a negated count, got 1"))),
+    (("GlCmp=-1,1,4; Si=-1,3,2; OD=0; LG=-1,1, s,2;", {"s": (-2, 1)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n-2,4,1,0,-3,\n-1,4,1,0,-3,\n"
+      "0,4,1,0,-3,\n",
+      ("separator", None, "[separator] at grid point (s=1): LG entry 3 "
+       "should be a negated count, got 1"))),
+    (("GlCmp=-1,1,4; Si=-1,3,2; OD=0; LG=s-1;", {"s": (1, 2)}, {}, ()),
+     ("s,d,dprime,n_3_over_d,chi_u,flags\n1,4,1,0,-3,\n",
+      ("separator", None, "[separator] at grid point (s=2): LG must be "
+       "(-count, value) pairs or the single entry 0"))),
+]
+
+
+@pytest.mark.parametrize("scan, expected", WALK_SCANS)
+def test_vector_walk_follows_the_binding(scan, expected):
+    """Rows, grid points, codes and messages of scans whose group structure
+    or separators change with the binding."""
+    out = io.StringIO()
+    try:
+        run_scan(ScanSpec(*scan), out)
+        error = None
+    except ConfigError as exc:
+        error = (exc.code, exc.line, str(exc))
+    assert (out.getvalue(), error) == expected
+
+
+# (g, p, o, l) -> the config's (d, points, nodes, pairs) or its error, for
+# a template in which every stage can fail: the first failing stage in
+# GlCmp, Si, OD, LG order is the one reported, as before the rewrite
+STACKED = "GlCmp=-1,1,2, -1,1,g; Si=-1,p,2,3; OD=o; LG=-1,l;"
+NONPOSITIVE = "[value-nonpositive] "
+STACKED_OUTCOMES = {
+    (1, 3, 0, 1): (3, 1, 0, ((1, 1),)),
+    (1, 3, 0, 0): ("value-nonpositive",
+                   NONPOSITIVE + "incidence value must be positive, got 0"),
+    (1, 3, -1, 1): ("value-nonpositive", NONPOSITIVE + "aggregated double "
+                    "point count must be >= 0, got -1"),
+    (1, 3, -1, 0): ("value-nonpositive", NONPOSITIVE + "aggregated double "
+                    "point count must be >= 0, got -1"),
+    **{(1, 1, o, l): ("si-overflow", "[si-overflow] point lists 2 "
+                      "multiplicities for 1 branches")
+       for o in (0, -1) for l in (1, 0)},
+    **{(1, 0, o, l): ("value-nonpositive",
+                      NONPOSITIVE + "branch count must be positive, got 0")
+       for o in (0, -1) for l in (1, 0)},
+    **{(0, p, o, l): ("value-nonpositive", NONPOSITIVE + "component "
+                      "degree/multiplicity must be positive, got (1, 0)")
+       for p in (3, 1, 0) for o in (0, -1) for l in (1, 0)},
+}
+
+
+def test_vector_errors_keep_their_order():
+    template = config_template(STACKED)
+    seen = {}
+    for key in STACKED_OUTCOMES:
+        g, p, o, l = key
+        try:
+            cfg = template(dict(g=g, p=p, o=o, l=l))
+            seen[key] = (cfg.degree, len(cfg.points), cfg.nodes,
+                         cfg.incidence.pairs)
+        except ConfigError as exc:
+            assert exc.line is None
+            seen[key] = (exc.code, str(exc))
+    assert seen == STACKED_OUTCOMES
 
 
 def outcome(build, binding):

@@ -84,6 +84,11 @@ def test_support_check():
     assert sv({F(5, 6): 1, F(7, 6): 1}, 2).has_valid_support()
     assert not sv({F(2): 1}, 2).has_valid_support()
     assert sv({F(3, 2): 1}, 3).has_valid_support()
+    assert sv({}, 2).has_valid_support()                # no exponent at all
+    assert not sv({F(0): 1, F(1): 1}, 2).has_valid_support()
+    assert not sv({F(-1, 3): 1, F(1): 1}, 2).has_valid_support()
+    assert not sv({F(1): 1, F(7, 3): 1}, 2).has_valid_support()
+    assert sv({F(1, 300): 1, F(599, 300): -2}, 2).has_valid_support()
 
 
 def test_symmetry_check_counterexample():

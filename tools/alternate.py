@@ -25,6 +25,11 @@ Cases (``CASES``):
   b = c = 1 (d = 901);
 * ``rows``: ``compute --format rows`` of ``five-lines`` at a = 996,
   b = 500, c = 1 (d = 1500);
+* ``scan-grid``: the three scans of the first cycle of the benchmark's
+  ``scan-grid`` workload, 2025 grid points: ``five-lines`` over
+  a, b = 1..30 at c = 0; ``five-lines`` over a = 1..30, c = 0..29 at
+  b = 1 with ``--predicate n3d_zero``; ``lines-conic`` over a = 1..15,
+  b = 11..25 at c = 2;
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid.
 
 Only the standard library is used.
@@ -52,22 +57,34 @@ REDUCED = ("reduced n=3 degree=40 power=45\n"
            "localwh weights=3,2,2 degree=6\n")
 
 
-def _scan(hi: int) -> list[str]:
-    return ["scan", str(FIXTURES / "five-lines.vectors"), "--range",
-            f"a=1..{hi}", "--range", f"b=1..{hi}", "--param", "c=1"]
+def _scan(name: str, *args: str) -> list[str]:
+    return ["scan", str(FIXTURES / f"{name}.vectors"), *args]
 
 
-# case -> argv of `conespec.cli.main`; "{reduced}" is a file holding REDUCED
+def _five_lines(hi: int) -> list[str]:
+    return _scan("five-lines", "--range", f"a=1..{hi}", "--range",
+                 f"b=1..{hi}", "--param", "c=1")
+
+
+# case -> the argvs of `conespec.cli.main` that one run makes, in turn;
+# "{reduced}" is a file holding REDUCED
 CASES = {
-    "scan": _scan(30),
-    "reduced": ["reduced", "{reduced}"],
-    "csv": ["compute", str(FIXTURES / "sextic-pencil.vectors"),
-            "--param", "a=148", "--param", "b=1", "--param", "c=1",
-            "--format", "csv"],
-    "rows": ["compute", str(FIXTURES / "five-lines.vectors"),
-             "--param", "a=996", "--param", "b=500", "--param", "c=1",
-             "--format", "rows"],
-    "tiny": _scan(2),
+    "scan": [_five_lines(30)],
+    "scan-grid": [
+        _scan("five-lines", "--range", "a=1..30", "--range", "b=1..30",
+              "--param", "c=0"),
+        _scan("five-lines", "--range", "a=1..30", "--range", "c=0..29",
+              "--param", "b=1", "--predicate", "n3d_zero"),
+        _scan("lines-conic", "--range", "a=1..15", "--range", "b=11..25",
+              "--param", "c=2")],
+    "reduced": [["reduced", "{reduced}"]],
+    "csv": [["compute", str(FIXTURES / "sextic-pencil.vectors"),
+             "--param", "a=148", "--param", "b=1", "--param", "c=1",
+             "--format", "csv"]],
+    "rows": [["compute", str(FIXTURES / "five-lines.vectors"),
+              "--param", "a=996", "--param", "b=500", "--param", "c=1",
+              "--format", "rows"]],
+    "tiny": [_five_lines(2)],
 }
 
 
@@ -79,16 +96,17 @@ def child(case: str, tree: str, repeat: int) -> None:
     with tempfile.TemporaryDirectory() as workdir:
         reduced = Path(workdir) / "case.cfg"
         reduced.write_text(REDUCED)
-        argv = [arg.format(reduced=reduced) for arg in CASES[case]]
+        argvs = [[arg.format(reduced=reduced) for arg in argv]
+                 for argv in CASES[case]]
         best = float("inf")
         for k in range(repeat + 1):
             sink = io.StringIO()
             start = time.perf_counter()
             with contextlib.redirect_stdout(sink):
-                status = main(argv)
+                statuses = [main(argv) for argv in argvs]
             took = time.perf_counter() - start
-            if status != 0:
-                raise SystemExit(f"alternate: {case} exited {status}")
+            if any(statuses):
+                raise SystemExit(f"alternate: {case} exited {statuses}")
             if k:
                 best = min(best, took)
     print(best)

@@ -381,9 +381,8 @@ def test_one_template_at_bindings_in_turn_builds_fresh_configs():
 # A vector template whose `Si` multiplicity slot m evaluates to a positive
 # value, 0 and a negative value across one grid, so the point groups change
 # with the binding, and templates with a separator slot s at each position
-# of GlCmp, Si and LG. Each outcome is the scan's output and its error, as
-# written by the code before the `Si` walk and the separators were read in
-# one pass, and kept as the expectation.
+# of GlCmp, Si and LG. Each expected outcome, the scan's output and its
+# error, is a literal: none is derived from the code under test.
 WALK = "GlCmp=-1,1,a, -1,1,2, -2,1,1; Si=-1,3,m,a, -1,2,a; OD=1; LG=-4,1;"
 WALK_SCANS = [
     ((WALK, {"m": (-2, 2), "a": (1, 3)}, {}, ()),
@@ -465,7 +464,7 @@ def test_vector_walk_follows_the_binding(scan, expected):
 
 # (g, p, o, l) -> the config's (d, points, nodes, pairs) or its error, for
 # a template in which every stage can fail: the first failing stage in
-# GlCmp, Si, OD, LG order is the one reported, as before the rewrite
+# GlCmp, Si, OD, LG order is the one reported
 STACKED = "GlCmp=-1,1,2, -1,1,g; Si=-1,p,2,3; OD=o; LG=-1,l;"
 NONPOSITIVE = "[value-nonpositive] "
 STACKED_OUTCOMES = {

@@ -13,9 +13,12 @@ for) runs a scalar body, which costs least per call; every column [1, d]
 column, their floor sums step functions of i (`_floor_row`). A column depends
 on i only through the residues (m*i - 1) mod d of the multiplicities m, and
 when g divides every m these repeat with period P = d // g, since m*P is then
-a multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the rows of a
-curve g*Z are built on columns [1, P], one period, and tiled g times to
-[1, d]; only the -1 of row 2 at i = d breaks the period. `ordinary_middle_row`
+a multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the floor
+rows of a curve g*Z are built on columns [1, P], one period
+(`_period_rows`), and rows 0 and 2 are assembled from them and tiled g
+times to [1, d]; only the -1 of row 2 at i = d breaks the period. `verify`
+builds the period rows once, lays out its table from them (`_table`) and
+checks ``index-ranges`` on their twist row. `ordinary_middle_row`
 reads the incidence middle row off the table it is given, as its balance row
 plus one constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make
 one pass. `scan_values` runs the kernel on column 3, the one cell that
@@ -29,7 +32,6 @@ which `local_data_table` wraps for a degree and local spectra alone.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import accumulate, compress
 from math import gcd
 
@@ -258,6 +260,7 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
     shift is sum_k deg_k*(ceil(a_k*i/d) - 1), and twist = i - shift is the
     degree offset of the twisted line bundle attached to index i.
     """
+    from fractions import Fraction
     d, _, comps, _, _ = cfg._derived
     if not 1 <= i <= d:
         raise ValueError(f"index {i} out of range [1, {d}]")
@@ -269,6 +272,7 @@ def index_data(cfg: CurveConfig, i: int) -> tuple[int, int, list[Fraction]]:
 def residue_degree(point: SingularPoint, i: int, d: int) -> Fraction:
     """Branch residues weighted by branch degrees; lies in (0, d_j] and
     equals d_j exactly at i = d."""
+    from fractions import Fraction
     _, terms, _, mass, _ = point._key
     return Fraction(i * mass, d) - _shift(terms, i, d)
 
@@ -309,8 +313,35 @@ def _floor_row(terms, width: int, d: int) -> list[int]:
     return list(accumulate(steps))
 
 
+def _period_rows(cfg: CurveConfig, lattice: dict) -> tuple[list[int], list]:
+    """The floor rows of one period, on the columns [1, P]: the twist row
+    i - shift and, per distinct point, (count, lattice row, d_j, ceiling
+    row), the ceiling of the residue degree taken less one. With g the gcd
+    of every component and branch multiplicity (g divides d = sum degree *
+    multiplicity), P = d // g and (m*(i + P) - 1) mod d == (m*i - 1) mod d,
+    so each floor sum rises by a constant over P columns (by P for the
+    components, by mass / g for a point's ceiling): the twist and the
+    ceilings repeat, and the twist at P is the twist at d. Each floor sum
+    is one `_floor_row` of width P. Lattice rows are looked up in and added
+    to `lattice` (see `_rows`)."""
+    d, _, comps, keys, _ = cfg._derived
+    period = d // gcd(*cfg.multiplicities())
+    twist = [i - s for i, s in enumerate(_floor_row(comps, period, d), 1)]
+    points = []
+    for ((w, wp), terms, dj, mass, _), k in keys:
+        row = lattice.get((w, wp, dj - 1))
+        if row is None:
+            row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
+        # that ceiling less one, (i*mass - 1) // d - shift, is the floor sum
+        # of the term (mass, 1) and the branch terms negated
+        points.append((k, row, dj, _floor_row(
+            ((mass, 1), *((m, -deg) for m, deg in terms)), period, d)))
+    return twist, points
+
+
 def _rows(cfg: CurveConfig, column: int | None = None,
-          lattice: dict | None = None) -> tuple[list[int], list[int]]:
+          lattice: dict | None = None,
+          period: tuple | None = None) -> tuple[list[int], list[int]]:
     """Rows 0 and 2: on every column [1, d] when `column` is None, on that
     one column when it lies in [1, d], and on no column otherwise.
 
@@ -325,16 +356,10 @@ def _rows(cfg: CurveConfig, column: int | None = None,
     row is built once per call, or once for all the callers sharing it.
 
     One column (``scan``) runs the scalar column body. With none given,
-    all are built as whole lists, with the floor sums from `_floor_row`:
-    that costs less per column but more per call. The whole rows are built
-    on one period only: with g the gcd of every component and branch
-    multiplicity (g divides d = sum degree * multiplicity),
-    (m*(i + P) - 1) mod d == (m*i - 1) mod d for P = d // g,
-    so each floor sum rises by a constant over P columns (by P for the
-    components, by mass / g for a point's ceiling) and the twist and the
-    ceilings repeat. Columns [1, P] are computed, each floor sum by one
-    `_floor_row` of width P, and tiled g times to [1, d], and row 2 takes
-    its -1 at i = d."""
+    all are built as whole lists from the floor rows of one period,
+    `period` when the caller has built them (`_period_rows`), which costs
+    less per column but more per call: rows 0 and 2 on [1, P] are tiled g
+    times to [1, d], and row 2 takes its -1 at i = d."""
     d, dp, comps, keys, _ = cfg._derived
     if column is not None and not 1 <= column <= d:
         return [], []
@@ -354,25 +379,14 @@ def _rows(cfg: CurveConfig, column: int | None = None,
             r0 -= k * row[ceil_g - 1]
             r2 -= k * row[dj - ceil_g]
         return [r0], [r2]
-    points = []
-    for ((w, wp), terms, dj, mass, _), k in keys:
-        row = lattice.get((w, wp, dj - 1))
-        if row is None:
-            row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
-        points.append((k, row, dj, mass, terms))
-    g = gcd(*cfg.multiplicities())
-    period = d // g
-    twist = [i - s for i, s in enumerate(_floor_row(comps, period, d), 1)]
+    twist, points = period or _period_rows(cfg, lattice)
     row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
     row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
-    for k, row, dj, mass, terms in points:
-        # that ceiling less one, (i*mass - 1) // d - shift, is the floor sum
-        # of the term (mass, 1) and the branch terms negated
-        ceil = _floor_row(((mass, 1), *((m, -deg) for m, deg in terms)),
-                          period, d)
+    for k, row, dj, ceil in points:
         top = dj - 1
         row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
+    g = d // len(twist)
     row0, row2 = row0 * g, row2 * g
     row2[-1] -= 1
     return row0, row2
@@ -397,8 +411,15 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
     the complement. One `_rows` call with no column given builds them all;
     d, d' and chi(U) are read off the config.
     """
+    return _table(cfg)
+
+
+def _table(cfg: CurveConfig,
+           period: tuple | None = None) -> ConeSpectrumTable:
+    """`curve_table(cfg)`, its rows built from `period`, the floor rows of
+    `_period_rows(cfg)`, when the caller has built them."""
     d, dprime, _, _, chi = cfg._derived
-    row0, row2 = _rows(cfg)
+    row0, row2 = _rows(cfg, None, None, period)
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
     row1[-1] -= 1
     return ConeSpectrumTable(d, dprime, chi,

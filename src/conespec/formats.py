@@ -28,7 +28,6 @@ import contextlib
 import operator
 import re
 from collections.abc import Callable, Mapping
-from fractions import Fraction
 from itertools import chain, repeat
 
 from ._record import Record
@@ -506,6 +505,7 @@ def _ascii_int(text: str) -> int:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
     num, slash, den = text.partition("/")
     try:
         return Fraction(_ascii_int(num), _ascii_int(den) if slash else 1)

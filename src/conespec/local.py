@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from ._record import Record
 from .spectrum import SpectrumVector
@@ -125,6 +124,7 @@ def lattice_row(w: int, wp: int, top: int) -> list[int]:
 
 def window_count(spec: SpectrumVector, beta: Fraction) -> int:
     """Total multiplicity of exponents in the half-open window [beta-1, beta)."""
+    from fractions import Fraction
     beta = Fraction(beta)
     # k/D in [p/q - 1, p/q)  <=>  (p - q)*D <= k*q < p*D
     top = beta.numerator * spec.denominator
@@ -227,9 +227,6 @@ class SingularPoint(Record):
     def branch_count(self) -> int:
         return len(self.branches)
 
-    def is_ordinary(self) -> bool:
-        return self.weights == (1, 1)
-
     def milnor(self) -> int:
         """The Milnor number the constructor derived (`milnor_number`)."""
         return self._key[4]
@@ -239,5 +236,5 @@ class SingularPoint(Record):
         when the Milnor number is 0 (the weighted degree is w or w', so the
         germ is smooth)."""
         if self.milnor() == 0:
-            return SpectrumVector((), ambient_dim=2)
+            return SpectrumVector((), 2, denominator=1)
         return weighted_spectrum(WeightSystem(self.weights, self.weighted_degree))

@@ -22,11 +22,11 @@ function; `brute_coeffs` convolves where `smooth_cone_coeffs` divides.
 
 from __future__ import annotations
 
-from math import gcd
+from operator import le
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     _floor_row, _spectrum_table, curve_table,
+                     _period_rows, _spectrum_table, _table, curve_table,
                      incidence_consistent, ordinary_middle_row,
                      reduced_cone_spectrum, smooth_cone_coeffs,
                      thickened_spectrum)
@@ -358,27 +358,22 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
                                       kind="identity"))
         return CheckReport(tuple(checks))
 
-    table = curve_table(cfg)
+    period = _period_rows(cfg, {})
+    table = _table(cfg, period)
     checks.append(CheckResult("row-sum", table.row_sums_ok(), kind="identity"))
     checks.append(CheckResult("rows-nonnegative", table.nonnegative_ok(),
                               "a genuine-multiplicity cell is negative",
                               "expectation"))
-    # in integers over d, from whole rows: 0 <= shift < i (so
-    # 0 < twist <= i), residues mult*i - d*((mult*i - 1) // d) in (0, d], and
-    # the twist i - shift at i = d is the reduced degree. On the period
-    # that `_rows` tiles, P = d // g for g the gcd of every multiplicity,
-    # each shift rises by P and each residue repeats, so [1, P] covers
-    # [1, d] and the twist at P is the twist at d.
-    d, dprime, comps, _, _ = cfg._derived
-    period = d // gcd(*cfg.multiplicities())
-    shifts = _floor_row(comps, period, d)
-    twists = [i - s for i, s in enumerate(shifts, 1)]
-    residues = [mult * i - s for mult, _ in comps
-                for i, s in enumerate(_floor_row(((mult, d),), period, d), 1)]
+    # on the twist row the table was built from, over the period [1, P]
+    # that `_rows` tiles: 0 < t_i <= min(i, d') and t_P = d'. t_i <= i is
+    # shift >= 0, and t_i <= d' is each component residue's (0, 1] bound
+    # weighted by its degree, as sum_k deg_k*res_k(i) = t_i; past column
+    # d' the first bound follows from the second
+    twist, dprime = period[0], cfg.reduced_degree
     checks.append(CheckResult(
-        "index-ranges", min(shifts) >= 0 and min(twists) > 0
-        and 0 < min(residues) and max(residues) <= d
-        and twists[-1] == dprime, kind="identity"))
+        "index-ranges", min(twist) > 0 and max(twist) <= dprime
+        and all(map(le, twist[:dprime], range(1, dprime + 1)))
+        and twist[-1] == dprime, kind="identity"))
     cone = as_reduced_cone(cfg)
     spectra = (dict(zip(cfg.points, cone.local_spectra)) if cone is not None
                else {p: p.local_spectrum() for p in dict.fromkeys(cfg.points)})
@@ -415,6 +410,6 @@ def as_reduced_cone(cfg: CurveConfig) -> ReducedConeConfig | None:
         return None
     built = {p: p.local_spectrum() for p in dict.fromkeys(cfg.points)}
     spectra = [built[p] for p in cfg.points]
-    spectra += [SpectrumVector({1: 1}, ambient_dim=2)] * cfg.nodes
+    spectra += [SpectrumVector({1: 1}, 2, denominator=1)] * cfg.nodes
     return ReducedConeConfig(ambient_dim=2, degree=cfg.reduced_degree,
                              local_spectra=tuple(spectra), power=mults.pop())

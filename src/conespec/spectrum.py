@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 
 
 def _count(mult) -> int:
@@ -81,6 +80,7 @@ class SpectrumVector:
             pairs = (entries.items() if isinstance(entries, Mapping)
                      else entries or ())
             if denominator is None:
+                from fractions import Fraction
                 pairs = [(Fraction(e), m) for e, m in pairs]
                 denominator = math.lcm(*(e.denominator for e, _ in pairs))
                 pairs = [(e.numerator * (denominator // e.denominator), m)

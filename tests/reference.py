@@ -185,7 +185,7 @@ def euler_generic_union(degrees) -> int:
 def reduced_multiplicity(point: SingularPoint) -> int:
     """Multiplicity of the reduced curve at the point; for an ordinary
     point this is just the number of branches."""
-    if not point.is_ordinary():
+    if point.weights != (1, 1):
         raise ValueError("reduced multiplicity is only tracked for "
                          "ordinary points")
     return point.branch_count

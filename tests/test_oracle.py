@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -564,8 +565,8 @@ def test_one_lattice_row_per_distinct_point(monkeypatch):
 
 
 def test_verify_builds_index_rows_on_one_period(monkeypatch):
-    """On a curve 6*Z, every floor row that `verify` builds, in the table
-    and in `index-ranges`, has at most d // 6 columns."""
+    """On a curve 6*Z, every floor row that `verify` builds, which the
+    table and `index-ranges` both read, has at most d // 6 columns."""
     lengths = []
 
     def recording(terms, width, d):
@@ -573,7 +574,6 @@ def test_verify_builds_index_rows_on_one_period(monkeypatch):
         return real_floor_row(terms, width, d)
 
     monkeypatch.setattr(conespec.engine, "_floor_row", recording)
-    monkeypatch.setattr(conespec.oracle, "_floor_row", recording)
     fat = thicken(pencil_config(2, 3, 1), 6)
     report = verify(fat)
     assert all(c.passed for c in report.checks if c.kind != "expectation")
@@ -640,8 +640,9 @@ def test_verify_checks_each_distinct_spectrum_once(monkeypatch):
 def test_rows_tile_the_period_of_every_multiplicity(monkeypatch):
     """A conic of multiplicity 2 with an ordinary point whose two branches
     carry multiplicity 1: the gcd of every multiplicity is 1, below the
-    components' 2, so every floor row that `verify` builds, in the table
-    and in `index-ranges`, spans the d // 1 = 4 columns of one period."""
+    components' 2, so every floor row that `verify` builds, which the
+    table and `index-ranges` both read, spans the d // 1 = 4 columns of one
+    period."""
     lengths = []
 
     def recording(terms, width, d):
@@ -649,7 +650,6 @@ def test_rows_tile_the_period_of_every_multiplicity(monkeypatch):
         return real_floor_row(terms, width, d)
 
     monkeypatch.setattr(conespec.engine, "_floor_row", recording)
-    monkeypatch.setattr(conespec.oracle, "_floor_row", recording)
     cfg = CurveConfig((GlobalComponent(2, 2),),
                       (SingularPoint((1, 1), (LocalBranch(1, 1),) * 2),))
     assert (cfg.degree, math.gcd(*cfg.multiplicities())) == (4, 1)
@@ -661,6 +661,71 @@ def test_rows_tile_the_period_of_every_multiplicity(monkeypatch):
                                "index-ranges: PASS\n"
                                "local-spectra: PASS\n"
                                "result: MISMATCH\n")
+
+
+def floor_rows_built(run, *args):
+    """(terms, width) of every `_floor_row` call that `run(*args)` makes,
+    in order, whichever module makes it."""
+    calls = []
+    code = real_floor_row.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append((frame.f_locals["terms"], frame.f_locals["width"]))
+
+    sys.setprofile(profile)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_verify_builds_the_floor_rows_of_one_table():
+    """One `verify` builds exactly the floor rows that one `curve_table`
+    builds: the twist row and one ceiling row per distinct point, each at
+    most d // g wide for g the gcd of every multiplicity. `index-ranges`
+    reads the rows the table is built from and builds none of its own."""
+    cfgs = (load("conic-pencil.vectors", a=2, b=5, c=2), six_point_curve(),
+            thicken(pencil_config(2, 3, 1), 6),
+            scale_multiplicities(six_point_curve(), 3),
+            CurveConfig((GlobalComponent(2, 2), GlobalComponent(1, 3)),
+                        (SingularPoint((1, 1), (LocalBranch(1, 2),) * 2),)))
+    for cfg in cfgs:
+        table_rows = floor_rows_built(curve_table, cfg)
+        assert floor_rows_built(verify, cfg) == table_rows, cfg
+        assert len(table_rows) == 1 + len(set(cfg.points)), cfg
+        period = cfg.degree // math.gcd(*cfg.multiplicities())
+        assert {width for _, width in table_rows} == {period}, cfg
+
+
+@pytest.mark.parametrize("column, step, fails", [
+    (-1, 1, ["index-ranges"]),          # t_P = d' - 1
+    (-1, -1, ["index-ranges"]),         # t_P = d' + 1
+    (0, -1, ["rows-nonnegative", "index-ranges"])])     # t_1 = 2 > 1
+def test_index_ranges_is_evidence(monkeypatch, capsys, column, step, fails):
+    """A shift row moved by one in one column of the period makes
+    ``index-ranges`` fail and ``conespec verify`` exit 1: at the last
+    column (P = d = 14) the twist leaves d' = 8, and at the first it passes
+    i, where a table cell turns negative too."""
+    cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
+    assert verify(cfg).passed
+    comps = cfg._derived[2]
+
+    def mutant(terms, width, d):
+        row = real_floor_row(terms, width, d)
+        if terms == comps:
+            row[column] += step
+        return row
+
+    monkeypatch.setattr(conespec.engine, "_floor_row", mutant)
+    code = main(["verify", str(FIXTURES / "conic-pencil.vectors"),
+                 "--param", "a=2", "--param", "b=5", "--param", "c=2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.partition(":")[0] for line in lines
+            if ": FAIL" in line and line != "result: FAIL"] == fails
+    assert lines[-1] == "result: FAIL"
 
 
 @pytest.fixture

@@ -30,6 +30,10 @@ Cases (``CASES``):
   a, b = 1..30 at c = 0; ``five-lines`` over a = 1..30, c = 0..29 at
   b = 1 with ``--predicate n3d_zero``; ``lines-conic`` over a = 1..15,
   b = 11..25 at c = 2;
+* ``verify``: ``verify`` of ordinary vector fixtures that pass every
+  check: ``sextic-pencil`` at a = 148, b = c = 1 (d = 901),
+  ``quartic-pencil`` at a = 300, b = c = 1 (d = 1206) and
+  ``sextic-pencil`` at a = 248, b = c = 1 (d = 1501);
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid.
 
 Only the standard library is used.
@@ -61,6 +65,11 @@ def _scan(name: str, *args: str) -> list[str]:
     return ["scan", str(FIXTURES / f"{name}.vectors"), *args]
 
 
+def _verify(name: str, a: int) -> list[str]:
+    return ["verify", str(FIXTURES / f"{name}.vectors"), "--param", f"a={a}",
+            "--param", "b=1", "--param", "c=1"]
+
+
 def _five_lines(hi: int) -> list[str]:
     return _scan("five-lines", "--range", f"a=1..{hi}", "--range",
                  f"b=1..{hi}", "--param", "c=1")
@@ -84,6 +93,8 @@ CASES = {
     "rows": [["compute", str(FIXTURES / "five-lines.vectors"),
               "--param", "a=996", "--param", "b=500", "--param", "c=1",
               "--format", "rows"]],
+    "verify": [_verify("sextic-pencil", 148), _verify("quartic-pencil", 300),
+               _verify("sextic-pencil", 248)],
     "tiny": [_five_lines(2)],
 }
 

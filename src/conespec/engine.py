@@ -5,23 +5,23 @@ description of a possibly non-reduced curve whose reduced singularities are
 semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
 together with the Euler number of the curve complement. A `CurveConfig`
 derives d, d', its component terms, its counted distinct points and chi(U)
-when it is built. One kernel, `_rows(cfg, column)`, reads them, gives each
-distinct (w, w', d_j - 1) one row of lattice counts and computes rows 0 and
-2 on each column i from its index alone. One column (what ``scan`` asks
-for) runs a scalar body, which costs least per call; every column [1, d]
-(what `curve_table` asks for) is built as whole rows, which cost least per
-column, their floor sums step functions of i (`_floor_row`). A column depends
+when it is built. Two kernels read them, give each distinct (w, w', d_j - 1)
+one row of lattice counts and compute rows 0 and 2 on each column i from its
+index alone. `_column` computes one column (what ``scan`` asks for) with a
+scalar body, which costs least per call; `_table` builds every column [1, d]
+(what `curve_table` asks for) as whole rows, which cost least per column,
+their floor sums step functions of i (`_floor_row`). A column depends
 on i only through the residues (m*i - 1) mod d of the multiplicities m, and
 when g divides every m these repeat with period P = d // g, since m*P is then
 a multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the floor
 rows of a curve g*Z are built on columns [1, P], one period
-(`_period_rows`), and rows 0 and 2 are assembled from them and tiled g
-times to [1, d]; only the -1 of row 2 at i = d breaks the period. `verify`
-builds the period rows once, lays out its table from them (`_table`) and
+(`_period_rows`), and `_table` assembles rows 0 and 2 from them and tiles
+them g times to [1, d]; only the -1 of row 2 at i = d breaks the period.
+`verify` builds the period rows once, lays out its table from them and
 checks ``index-ranges`` on their twist row. `ordinary_middle_row`
 reads the incidence middle row off the table it is given, as its balance row
 plus one constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make
-one pass. `scan_values` runs the kernel on column 3, the one cell that
+one pass. `scan_values` runs `_column` on column 3, the one cell that
 ``scan`` reports, and `euler_complement` reads chi(U) off the config. The
 reduced any-dimension route is `reduced_cone_spectrum` /
 `thickened_spectrum`, which consume local spectra directly;
@@ -313,7 +313,7 @@ def _floor_row(terms, width: int, d: int) -> list[int]:
     return list(accumulate(steps))
 
 
-def _period_rows(cfg: CurveConfig, lattice: dict) -> tuple[list[int], list]:
+def _period_rows(cfg: CurveConfig) -> tuple[list[int], list]:
     """The floor rows of one period, on the columns [1, P]: the twist row
     i - shift and, per distinct point, (count, lattice row, d_j, ceiling
     row), the ceiling of the residue degree taken less one. With g the gcd
@@ -322,12 +322,12 @@ def _period_rows(cfg: CurveConfig, lattice: dict) -> tuple[list[int], list]:
     so each floor sum rises by a constant over P columns (by P for the
     components, by mass / g for a point's ceiling): the twist and the
     ceilings repeat, and the twist at P is the twist at d. Each floor sum
-    is one `_floor_row` of width P. Lattice rows are looked up in and added
-    to `lattice` (see `_rows`)."""
+    is one `_floor_row` of width P. Equal point keys share one lattice row
+    (see `_column`)."""
     d, _, comps, keys, _ = cfg._derived
     period = d // gcd(*cfg.multiplicities())
     twist = [i - s for i, s in enumerate(_floor_row(comps, period, d), 1)]
-    points = []
+    points, lattice = [], {}
     for ((w, wp), terms, dj, mass, _), k in keys:
         row = lattice.get((w, wp, dj - 1))
         if row is None:
@@ -339,11 +339,9 @@ def _period_rows(cfg: CurveConfig, lattice: dict) -> tuple[list[int], list]:
     return twist, points
 
 
-def _rows(cfg: CurveConfig, column: int | None = None,
-          lattice: dict | None = None,
-          period: tuple | None = None) -> tuple[list[int], list[int]]:
-    """Rows 0 and 2: on every column [1, d] when `column` is None, on that
-    one column when it lies in [1, d], and on no column otherwise.
+def _column(cfg: CurveConfig, i: int, lattice: dict) -> tuple[int, int]:
+    """Rows 0 and 2 on the one column i in [1, d], by a scalar body that
+    costs least per call (``scan``).
 
     A call walks no component and no branch: d, d', the component terms and
     the counted point keys come from `CurveConfig._derived`, and each key
@@ -351,45 +349,21 @@ def _rows(cfg: CurveConfig, column: int | None = None,
     keys share one `lattice_row(w, w', d_j - 1)`: the ceiling of a point's
     residue degree lies in [1, d_j], so every count its columns use has a
     bound in [0, d_j - 1] (on ordinary points d_j is the branch count). The
-    rows are looked up by (w, w', d_j - 1) in `lattice`, a fresh mapping
-    unless the caller shares one, and added to it, so that each distinct
-    row is built once per call, or once for all the callers sharing it.
-
-    One column (``scan``) runs the scalar column body. With none given,
-    all are built as whole lists from the floor rows of one period,
-    `period` when the caller has built them (`_period_rows`), which costs
-    less per column but more per call: rows 0 and 2 on [1, P] are tiled g
-    times to [1, d], and row 2 takes its -1 at i = d."""
+    rows are looked up by (w, w', d_j - 1) in `lattice`, which the callers
+    sharing it fill, so that each distinct row is built once for them all."""
     d, dp, comps, keys, _ = cfg._derived
-    if column is not None and not 1 <= column <= d:
-        return [], []
-    if lattice is None:
-        lattice = {}
-    if column is not None:
-        i = column
-        twist = i - _shift(comps, i, d)
-        r0 = (twist - 1) * (twist - 2) // 2             # binom2(twist - 1)
-        r2 = (dp - twist - 1) * (dp - twist - 2) // 2 - (1 if i == d else 0)
-        for ((w, wp), terms, dj, mass, _), k in keys:
-            row = lattice.get((w, wp, dj - 1))
-            if row is None:
-                row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
-            # ceiling of the residue degree i*mass/d - shift
-            ceil_g = -(-i * mass // d) - _shift(terms, i, d)
-            r0 -= k * row[ceil_g - 1]
-            r2 -= k * row[dj - ceil_g]
-        return [r0], [r2]
-    twist, points = period or _period_rows(cfg, lattice)
-    row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
-    row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
-    for k, row, dj, ceil in points:
-        top = dj - 1
-        row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
-        row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
-    g = d // len(twist)
-    row0, row2 = row0 * g, row2 * g
-    row2[-1] -= 1
-    return row0, row2
+    twist = i - _shift(comps, i, d)
+    r0 = (twist - 1) * (twist - 2) // 2             # binom2(twist - 1)
+    r2 = (dp - twist - 1) * (dp - twist - 2) // 2 - (1 if i == d else 0)
+    for ((w, wp), terms, dj, mass, _), k in keys:
+        row = lattice.get((w, wp, dj - 1))
+        if row is None:
+            row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
+        # ceiling of the residue degree i*mass/d - shift
+        ceil_g = -(-i * mass // d) - _shift(terms, i, d)
+        r0 -= k * row[ceil_g - 1]
+        r2 -= k * row[dj - ceil_g]
+    return r0, r2
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -408,21 +382,31 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 
     Rows 0 and 2 come from twisted-line-bundle counts minus lattice counts at
     the singular points; row 1 closes each column against the Euler number of
-    the complement. One `_rows` call with no column given builds them all;
-    d, d' and chi(U) are read off the config.
+    the complement. `_table` builds them all from the floor rows of one
+    period (`_period_rows`); d, d' and chi(U) are read off the config.
     """
-    return _table(cfg)
+    return _table(cfg, _period_rows(cfg))
 
 
-def _table(cfg: CurveConfig,
-           period: tuple | None = None) -> ConeSpectrumTable:
-    """`curve_table(cfg)`, its rows built from `period`, the floor rows of
-    `_period_rows(cfg)`, when the caller has built them."""
-    d, dprime, _, _, chi = cfg._derived
-    row0, row2 = _rows(cfg, None, None, period)
+def _table(cfg: CurveConfig, period: tuple) -> ConeSpectrumTable:
+    """The table of `cfg` built as whole rows from `period`, its floor rows
+    (`_period_rows`), which costs less per column than `_column` but more
+    per call: rows 0 and 2 on [1, P] are tiled g times to [1, d], row 2
+    takes its -1 at i = d, and row 1 closes each column against chi(U)."""
+    d, dp, _, _, chi = cfg._derived
+    twist, points = period
+    row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
+    row2 = [(dp - t - 1) * (dp - t - 2) // 2 for t in twist]
+    for k, row, dj, ceil in points:
+        top = dj - 1
+        row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
+        row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
+    g = d // len(twist)
+    row0, row2 = row0 * g, row2 * g
+    row2[-1] -= 1
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
     row1[-1] -= 1
-    return ConeSpectrumTable(d, dprime, chi,
+    return ConeSpectrumTable(d, dp, chi,
                              (tuple(row0), tuple(row1), tuple(row2)))
 
 
@@ -430,15 +414,17 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
                 ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point. d, d' and chi(U) are read off the
-    config and n[3/d] comes from one `_rows` call; when d < 3, column 3 lies
-    past d and no column is computed. Only column 3 is computed, by the
-    scalar body: one dict lookup per distinct point, so past one O(d_j)
+    config; when d < 3, column 3 lies past d and no column is computed, and
+    otherwise n[3/d] is row 0 of one `_column` call. Only column 3 is
+    computed: one dict lookup per distinct point, so past one O(d_j)
     lattice row per distinct point the cost does not grow with d.
     `lattice` is a mapping that the points of one scan share, so that each
-    lattice row is built once per scan (see `_rows`)."""
+    lattice row is built once per scan (see `_column`)."""
     d, dprime, _, _, chi = cfg._derived
-    row0, _ = _rows(cfg, 3, lattice)
-    return d, dprime, row0[0] if row0 else None, chi
+    if d < 3:
+        return d, dprime, None, chi
+    r0, _ = _column(cfg, 3, {} if lattice is None else lattice)
+    return d, dprime, r0, chi
 
 
 def ordinary_middle_row(cfg: CurveConfig,

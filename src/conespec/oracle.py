@@ -358,14 +358,14 @@ def verify(cfg: CurveConfig | ReducedConeConfig) -> CheckReport:
                                       kind="identity"))
         return CheckReport(tuple(checks))
 
-    period = _period_rows(cfg, {})
+    period = _period_rows(cfg)
     table = _table(cfg, period)
     checks.append(CheckResult("row-sum", table.row_sums_ok(), kind="identity"))
     checks.append(CheckResult("rows-nonnegative", table.nonnegative_ok(),
                               "a genuine-multiplicity cell is negative",
                               "expectation"))
     # on the twist row the table was built from, over the period [1, P]
-    # that `_rows` tiles: 0 < t_i <= min(i, d') and t_P = d'. t_i <= i is
+    # that `_table` tiles: 0 < t_i <= min(i, d') and t_P = d'. t_i <= i is
     # shift >= 0, and t_i <= d' is each component residue's (0, 1] bound
     # weighted by its degree, as sum_k deg_k*res_k(i) = t_i; past column
     # d' the first bound follows from the second

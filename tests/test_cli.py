@@ -10,8 +10,9 @@ import conespec.engine
 import conespec.oracle
 from conespec.cli import (DEFAULT_CAP, ScanSpec, _parse_params, _parse_ranges,
                           main, run_scan)
-from conespec.engine import reduced_cone_spectrum
+from conespec.engine import curve_table, reduced_cone_spectrum
 from conespec.formats import ConfigError
+from test_oracle import floor_rows_built, load
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -86,28 +87,23 @@ def test_compute_cor2_rejects_weighted_config(capsys):
     assert "[middle-unavailable]" in err
 
 
-@pytest.mark.parametrize("command", [["verify"], ["oracle"],
+@pytest.mark.parametrize("command", [["compute"], ["verify"], ["oracle"],
                                      ["compute", "--middle", "cor2"]])
-def test_one_row_pass_per_command(capsys, monkeypatch, command):
-    """``verify``, ``oracle`` and ``compute --middle cor2`` take the table
-    and the incidence middle row from one whole-row `_rows` pass over all d
-    columns."""
-    whole = []
-    real = conespec.engine._rows
-
-    def counted(cfg, column=None, *rest):
-        rows = real(cfg, column, *rest)
-        if column is None:
-            whole.append(len(rows[0]))
-        return rows
-
-    monkeypatch.setattr(conespec.engine, "_rows", counted)
-    code, out, _ = run(capsys, command[0], FIXTURES / "conic-pencil.vectors",
-                       *command[1:], "--param", "a=2", "--param", "b=5",
-                       "--param", "c=2")
+def test_one_row_pass_per_command(capsys, command):
+    """``compute``, ``verify``, ``oracle`` and ``compute --middle cor2``
+    build exactly the floor rows of one `curve_table`, the incidence middle
+    row included, whichever module imported the function that builds them:
+    the rows are counted at `_floor_row` itself."""
+    table_rows = floor_rows_built(curve_table,
+                                  load("conic-pencil.vectors", a=2, b=5, c=2))
+    assert len(table_rows) == 3     # the twist row, two distinct points
+    ran = []
+    assert floor_rows_built(lambda: ran.append(run(
+        capsys, command[0], FIXTURES / "conic-pencil.vectors", *command[1:],
+        "--param", "a=2", "--param", "b=5", "--param", "c=2"))) == table_rows
+    code, out, _ = ran[0]
     assert code == 0
     assert "middle-" in out or command[0] == "compute"
-    assert whole == [14]      # d = 14
 
 
 def test_compute_rejects_reduced_config(capsys):

@@ -14,7 +14,7 @@ import conespec.engine
 from conespec import cli, formats, local, oracle
 from conespec.cli import ScanSpec, run_scan
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
-                             ReducedConeConfig, _floor_row, _rows, _shift,
+                             ReducedConeConfig, _column, _floor_row, _shift,
                              binom2, curve_table,
                              euler_complement, incidence_consistent,
                              index_data, local_data_table,
@@ -518,7 +518,7 @@ def fraction_columns(cfg):
 def random_scaled_config(rng):
     """An ordinary or a mixed config with every multiplicity multiplied by
     a seeded g in 2..6, incidence kept: its columns repeat every d // g,
-    and `_rows` builds one such period and tiles it."""
+    `_period_rows` builds one such period and `_table` tiles it."""
     make = rng.choice((random_ordinary_config, random_mixed_swh_config))
     return scale_multiplicities(make(rng), rng.randint(2, 6))
 
@@ -656,21 +656,17 @@ def test_scan_cell_matches_fraction_column(name, predicates):
                                   random_mixed_swh_config,
                                   random_scaled_config])
 def test_rows_on_one_column_match_the_rows_on_all_columns(make):
-    """`_rows(cfg, i)` is column i of `_rows(cfg)` for every i in [1, d]
-    (the -1 of row 2 at i = d included), and columns 0 and d + 1 give no
-    column. One column takes the
-    scalar path and no column given the whole-row path, so this pins the
-    two paths equal."""
+    """`_column(cfg, i, {})` is column i of rows 0 and 2 of
+    `curve_table(cfg)` for every i in [1, d], the -1 of row 2 at i = d
+    included. `_column` is the scalar path and `curve_table` the whole-row
+    path, so this pins the two paths equal."""
     rng = random.Random(1616)
     for _ in range(40):
         cfg = make(rng)
-        d = cfg.degree
-        full = _rows(cfg)
-        assert all(len(row) == d for row in full)
-        for i in (0, d + 1):
-            assert _rows(cfg, i) == ([], [])
-        for i in range(1, d + 1):
-            assert _rows(cfg, i) == tuple(row[i - 1:i] for row in full)
+        rows = curve_table(cfg).rows
+        assert all(len(row) == cfg.degree for row in rows)
+        for i in range(1, cfg.degree + 1):
+            assert _column(cfg, i, {}) == (rows[0][i - 1], rows[2][i - 1])
 
 
 def test_floor_row_is_shift_on_every_column():

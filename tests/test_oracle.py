@@ -442,7 +442,8 @@ def test_code_names_sees_nested_helpers():
 
 
 def test_reference_stays_literal():
-    forbidden = {"_shift", "_residue", "_rows", "_floor_row", "binom2"}
+    forbidden = {"_shift", "_residue", "_column", "_period_rows", "_table",
+                 "_floor_row", "binom2"}
     # a renamed engine helper fails here rather than weakening the guard
     assert all(hasattr(conespec.engine, name) for name in forbidden)
     kernels = {name for module in (conespec.engine, conespec.local)

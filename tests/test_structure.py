@@ -13,14 +13,19 @@ Nor does a command load what it does not use: importing `conespec.cli` in a
 fresh interpreter loads neither `dataclasses` (and `inspect` with it) nor
 the checker module `conespec.oracle`, which only ``verify`` and ``oracle``
 import, and no package module imports `dataclasses` at all.
+
+Nor do README and the package's docstrings and comments name a private
+helper that the package no longer defines.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conespec"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "conespec"
 
 TRACED = "named by perfbench/tracing.py and used by the tests as a reference"
 
@@ -132,3 +137,66 @@ def test_no_package_module_imports_dataclasses():
             if any(name.partition(".")[0] == "dataclasses" for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+# a private name, neither a dunder nor a bare `_`, right after a backtick or
+# after the dot of a backticked dotted name (`cli._split_name`)
+_PRIVATE_MENTION = re.compile(r"`+(?:\w+\.)*(_(?!_)\w+)")
+
+
+def defined_names(sources: dict[str, str]) -> set[str]:
+    """Every name that `sources` (module name -> text) define: functions
+    and classes at any depth, module-level assignments and `__slots__`
+    entries."""
+    names = set()
+    for text in sources.values():
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                names |= {t.id for t in node.targets
+                          if isinstance(t, ast.Name)}
+            elif (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.target, ast.Name)):
+                names.add(node.target.id)
+        for node in ast.walk(tree):
+            if isinstance(node, (*_FUNCTION, ast.ClassDef)):
+                names.add(node.name)
+            elif (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__slots__"
+                            for t in node.targets)):
+                names |= {e.value for e in ast.walk(node.value)
+                          if isinstance(e, ast.Constant)}
+    return names
+
+
+def stale_private_mentions(texts: dict[str, str],
+                           sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(where, name) of every backticked private name in `texts` (where ->
+    text) that `sources` do not define."""
+    defined = defined_names(sources)
+    return {(where, name) for where, text in texts.items()
+            for name in _PRIVATE_MENTION.findall(text)
+            if name not in defined}
+
+
+def test_every_backticked_private_name_is_defined():
+    """README and the package's docstrings and comments name no private
+    helper the package does not define; `_record.py`'s `_x` stands for any
+    slot."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    texts = {**sources,
+             "README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
+    assert stale_private_mentions(texts, sources) == {("_record.py", "_x")}
+
+
+def test_stale_private_mentions_sees_every_definition_kind():
+    source = ("_LIMIT = 3\n"
+              "class _Box:\n"
+              "    __slots__ = ('_held',)\n"
+              "    def _open(self):\n"
+              "        def _inner(): ...\n")
+    text = ("`_LIMIT`, ``_Box``, `_Box._held`, `_open(x)`, `_inner`, "
+            "`m._gone`, `_rows(cfg)`, `__init__`, `_`")
+    assert stale_private_mentions({"t": text}, {"m": source}) == {
+        ("t", "_gone"), ("t", "_rows")}

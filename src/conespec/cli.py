@@ -23,11 +23,11 @@ import sys
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     _spectrum_table, curve_table, ordinary_middle_row,
-                     reduced_cone_spectrum, scan_values, thickened_spectrum)
+                     _power_row, _spectrum_table, curve_table,
+                     ordinary_middle_row, reduced_cone_spectrum, scan_values)
 from .formats import (ConfigError, _ascii_int, _lex_expr, config_template,
                       emit_table)
-from .spectrum import SpectrumVector
+from .spectrum import render_row
 
 OK, MISMATCH, INPUT_ERROR = 0, 1, 2
 
@@ -115,10 +115,6 @@ def _parse_ranges(items) -> dict:
     return ranges
 
 
-def _render_spectrum(spec: SpectrumVector) -> str:
-    return spec.render() if spec else "(empty)"
-
-
 def cmd_compute(args) -> int:
     cfg = _read_config(args, CurveConfig,
                        "compute expects a curve config; use 'reduced' for "
@@ -139,10 +135,12 @@ def cmd_reduced(args) -> int:
     cfg = _read_config(args, ReducedConeConfig,
                        "reduced expects a config with a 'reduced' header")
     base = reduced_cone_spectrum(cfg)
-    print(_render_spectrum(base))
+    print(base.render() or "(empty)")
     if cfg.power > 1:
-        print(f"power m={cfg.power}: "
-              f"{_render_spectrum(thickened_spectrum(base, cfg))}")
+        # never "(empty)": the base has no exponent n + 1, so the cells at
+        # i = d', p = n hold the correction (-1)^n alone, m - 1 >= 1 of them
+        row = _power_row(base, cfg)
+        print(f"power m={cfg.power}: {render_row(row, cfg.power * cfg.degree)}")
     if cfg.ambient_dim == 2:
         sys.stdout.write(emit_table(_spectrum_table(cfg, base), "rows"))
     return OK

@@ -24,9 +24,11 @@ plus one constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make
 one pass. `scan_values` runs `_column` on column 3, the one cell that
 ``scan`` reports, and `euler_complement` reads chi(U) off the config. The
 reduced any-dimension route is `reduced_cone_spectrum` /
-`thickened_spectrum`, which consume local spectra directly;
-every command lays out its n = 2 spectrum as a table with `_spectrum_table`,
-which `local_data_table` wraps for a degree and local spectra alone.
+`thickened_spectrum`, which consume local spectra directly; the power
+transform fills one dense row (`_power_row`), which ``reduced`` prints
+as it is and `thickened_spectrum` makes a vector; every command lays out
+its n = 2 spectrum as a table with `_spectrum_table`, which
+`local_data_table` wraps for a degree and local spectra alone.
 """
 
 from __future__ import annotations
@@ -501,16 +503,26 @@ def reduced_cone_spectrum(cfg: ReducedConeConfig) -> SpectrumVector:
 
 def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> SpectrumVector:
     """Transform the reduced-cone spectrum into the spectrum of the m-th
-    power cone: each cell i/d' + p spreads over i/(m d') + l/m + p for
-    l in [0, m-1], with a (-1)^n correction on the cells at i = d', p = n,
-    l != m-1. The cell i = d', p = n, l = m-1 is the support boundary n+1
-    and is dropped.
+    power cone (`_power_row`): the nonzero ints of the power row, in
+    increasing k, are a canonical table, handed to the vector as
+    `Numerators`. `base` must live in n + 1 variables."""
+    row = _power_row(base, cfg)
+    return SpectrumVector(Numerators(compress(enumerate(row), row)),
+                          cfg.ambient_dim + 1,
+                          denominator=cfg.power * cfg.degree)
 
-    On the 1/(m d') grid the cell (i, l, p) is k = i + l*d' + p*m*d'; these
-    k are pairwise distinct, so no two cells meet. Each (i, p) cell fills
-    its l-progression of a dense row with one strided slice; the nonzero
-    ints of that row, in increasing k, are a canonical table, handed to the
-    vector as `Numerators`. `base` must live in n + 1 variables."""
+
+def _power_row(base: SpectrumVector, cfg: ReducedConeConfig) -> list[int]:
+    """The m-th power cone's spectrum as a dense row over the 1/(m d') grid,
+    row[k] the value at k/(m d'): each cell i/d' + p of the reduced-cone
+    spectrum `base` spreads over i/(m d') + l/m + p for l in [0, m-1],
+    with a (-1)^n correction on the cells at i = d', p = n, l != m-1. The
+    cell i = d', p = n, l = m-1 is the support boundary n+1 and is dropped.
+
+    The cell (i, l, p) is k = i + l*d' + p*m*d'; these k are pairwise
+    distinct, so no two cells meet, and each (i, p) cell fills its
+    l-progression with one strided slice. `cmd_reduced` writes the row as
+    it is (`spectrum.render_row`), `thickened_spectrum` makes it a vector."""
     m = cfg.power
     n = cfg.ambient_dim
     dp = cfg.degree
@@ -528,8 +540,7 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
             if v:
                 start = i + p * m * dp
                 row[start:start + spread * dp:dp] = [v] * spread
-    return SpectrumVector(Numerators(compress(enumerate(row), row)), n + 1,
-                          denominator=m * dp)
+    return row
 
 
 def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> ConeSpectrumTable:

@@ -9,16 +9,21 @@ least one, so equality is structural. `fractions.Fraction` appears only at
 the edge: the constructor's exponent form. `numerators` and the
 ``denominator`` argument of the constructor are the integer way out and in,
 and `exponent_texts` writes a whole list of exponents k/den from their
-integers, as `render` and the csv writer print them. The constructor
-copies the table it is given, except a `Numerators` table, canonical by
-construction, which it takes as it is: the power transform and `dual` build
-one, so their thousands of entries are written once, not twice.
+integers, as `render` and the csv writer print them. `render_row` writes
+the `render` text of a dense row of values over one denominator with no
+vector built: ``reduced`` prints its power line from the power transform's
+row that way. Both writers read one per-residue table of the lowest-terms
+rule (`_tails`). The constructor copies the table it is given, except a
+`Numerators` table, canonical by construction, which it takes as it is:
+`thickened_spectrum` and `dual` build one, so their thousands of entries
+are written once, not twice.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
+from itertools import compress, count, cycle
 
 
 def _count(mult) -> int:
@@ -29,24 +34,46 @@ def _count(mult) -> int:
     return count
 
 
+def _tails(residues: Collection[int], den: int) -> list[tuple[int, str]]:
+    """(g, "/q") for each residue r of `residues`, in their order: k/den
+    with k mod den == r is k // g over q = den // g in lowest terms, where
+    g = gcd(r, den), and "/q" is "" when q == 1. The one place of the
+    lowest-terms rule, which both writers read."""
+    gs = list(map(math.gcd, residues, [den] * len(residues)))
+    qs = {g: "" if g == den else f"/{den // g}" for g in set(gs)}
+    return list(zip(gs, map(qs.__getitem__, gs)))
+
+
 def exponent_texts(nums: Sequence[int], den: int,
                    values: Iterable[int] | None = None) -> list[str]:
     """The exponents k/den (den >= 1) for the numerators k of `nums`, each
     in lowest terms, "p" or "p/q" as ``str(Fraction(k, den))`` writes it,
     followed by ":" and the value at the same place when `values` is given.
     k/den reduces by g = gcd(k mod den, den), so g and "/q" are worked out
-    once per residue: in a list over every residue when den <= len(nums),
-    else in a dict over the residues present (few entries, huge den)."""
+    once per residue (`_tails`): in a list over every residue when
+    den <= len(nums), else in a dict over the residues present (few
+    entries, huge den)."""
     every = den <= len(nums)
     residues = range(den) if every else {k % den for k in nums}
-    gs = list(map(math.gcd, residues, [den] * len(residues)))
-    qs = {g: "" if g == den else f"/{den // g}" for g in set(gs)}
-    tails = zip(gs, map(qs.__getitem__, gs))
-    tails = list(tails) if every else dict(zip(residues, tails))
+    tails = _tails(residues, den)
+    if not every:
+        tails = dict(zip(residues, tails))
     if values is None:
         return [f"{k // g}{q}" for k in nums for g, q in (tails[k % den],)]
     return [f"{k // g}{q}:{m}" for k, m in zip(nums, values)
             for g, q in (tails[k % den],)]
+
+
+def render_row(row: Sequence[int], den: int) -> str:
+    """The `render` text of the vector whose value at k/den is row[k]:
+    "k/den:v" for every nonzero row[k], in increasing k, written straight
+    from the dense row. The residue table (`_tails`) is walked alongside the
+    row, one lap per den cells, so no entry takes k % den; and no gcd over
+    the whole row is needed, since each entry is reduced on its own, so the
+    text is the same over den as over the vector's least denominator."""
+    cells = zip(count(), row, cycle(_tails(range(den), den)))
+    return ", ".join([f"{k // g}{q}:{v}"
+                      for k, v, (g, q) in compress(cells, row)])
 
 
 class Numerators(dict):

@@ -15,13 +15,15 @@ from pathlib import Path
 
 import pytest
 
+from conespec.formats import config_template
+
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
-def load_tool():
+def load_tool(name="record_bench"):
     spec = importlib.util.spec_from_file_location(
-        "record_bench", ROOT / "tools" / "record_bench.py")
+        name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -222,3 +224,18 @@ def test_alternate_times_one_case_on_two_trees():
                         r"B/A \d+\.\d{3}", lines[0])
     assert re.fullmatch(r"median B/A: \d+\.\d{3}", lines[1])
     assert re.fullmatch(r"B faster: [01] of 1", lines[2])
+
+
+def test_ordinary_reduced_case_is_the_sextic_pencil_view():
+    """The ``ordinary-reduced`` case of ``tools/alternate.py`` is the n = 2
+    view of ``sextic-pencil`` at a = b = c = 1, as the benchmark writes its
+    reduced views: the reduced degree, then one ``localwh`` line per point
+    (the curve has no nodes), at power 53."""
+    text = (ROOT / "fixtures" / "sextic-pencil.vectors").read_text()
+    cfg = config_template(text)({"a": 1, "b": 1, "c": 1})
+    assert cfg.nodes == 0
+    lines = [f"reduced n=2 degree={cfg.reduced_degree} power=53"]
+    lines += [f"localwh weights={','.join(map(str, p.weights))} "
+              f"degree={sum(b.weighted_degree for b in p.branches)}"
+              for p in cfg.points]
+    assert load_tool("alternate").ORDINARY_REDUCED == "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from conespec.cli import (DEFAULT_CAP, ScanSpec, _parse_params, _parse_ranges,
                           main, run_scan)
 from conespec.engine import curve_table, reduced_cone_spectrum
 from conespec.formats import ConfigError
+from conespec.spectrum import SpectrumVector
 from test_oracle import floor_rows_built, load
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,6 +137,53 @@ def test_reduced_conic_power(capsys):
     lines = out.splitlines()
     assert lines[0] == "3/2:1"
     assert lines[1] == "power m=2: 5/4:1, 7/4:1, 5/2:1"
+
+
+def test_reduced_builds_no_power_vector(capsys, monkeypatch):
+    """``reduced`` writes its power line from the power row: once the base
+    spectrum is built, no `SpectrumVector` is built or rendered but the
+    base, and `thickened_spectrum` is never called."""
+    built = []
+
+    def base_once(cfg):
+        built.append(reduced_cone_spectrum(cfg))
+        return built[-1]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("reduced built a power vector")
+
+    init, render = SpectrumVector.__init__, SpectrumVector.render
+
+    def guarded_init(self, *args, **kwargs):
+        if built:
+            refused()
+        init(self, *args, **kwargs)
+
+    def guarded_render(self):
+        if not built or self is not built[0]:
+            refused()
+        return render(self)
+
+    monkeypatch.setattr(conespec.cli, "reduced_cone_spectrum", base_once)
+    for module in (conespec.cli, conespec.engine, conespec.oracle):
+        monkeypatch.setattr(module, "thickened_spectrum", refused,
+                            raising=False)
+    monkeypatch.setattr(SpectrumVector, "__init__", guarded_init)
+    monkeypatch.setattr(SpectrumVector, "render", guarded_render)
+    code, out, _ = run(capsys, "reduced", FIXTURES / "conic-squared.cfg")
+    assert code == 0
+    assert len(built) == 1
+    assert out == (GOLDEN / "conic-squared.reduced").read_text()
+
+
+def test_reduced_prints_empty_base(capsys, tmp_path):
+    """A hyperplane (d' = 1) has the empty reduced-cone spectrum, printed as
+    "(empty)"; its power line holds the m - 1 correction cells alone."""
+    path = tmp_path / "plane.cfg"
+    path.write_text("reduced n=2 degree=1 power=3\n")
+    code, out, _ = run(capsys, "reduced", path)
+    assert code == 0
+    assert out.splitlines()[:2] == ["(empty)", "power m=3: 7/3:1, 8/3:1"]
 
 
 def test_reduced_smooth_fermat(capsys, tmp_path):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conespec import formats
-from conespec.engine import ReducedConeConfig, thickened_spectrum
-from conespec.spectrum import Numerators, SpectrumVector, exponent_texts
+from conespec import formats, spectrum
+from conespec.engine import (ReducedConeConfig, _power_row,
+                             reduced_cone_spectrum, thickened_spectrum)
+from conespec.spectrum import (Numerators, SpectrumVector, exponent_texts,
+                               render_row)
 from reference import (FractionSpectrum, add, empty_spectrum, fraction_items,
                        fraction_render, max_exponent, min_exponent,
                        multiplicity, product)
@@ -395,13 +397,52 @@ def _names(code: types.CodeType) -> set[str]:
 
 
 def test_writers_stay_integer():
-    """Both writers print exponents through the one list writer, which owns
-    the lowest-terms rule: neither builds a `Fraction` or takes a gcd."""
-    for writer in (SpectrumVector.render, formats.emit_table):
+    """Every writer prints exponents through the one residue table
+    (`_tails`), which owns the lowest-terms rule: `render` and `emit_table`
+    through the list writer `exponent_texts`, the list writer and the row
+    writer `render_row` by reading the table. None of them builds a
+    `Fraction` or takes a gcd; the table alone does."""
+    for writer, through in ((SpectrumVector.render, "exponent_texts"),
+                            (formats.emit_table, "exponent_texts"),
+                            (exponent_texts, "_tails"),
+                            (render_row, "_tails")):
         names = _names(writer.__code__)
         assert "Fraction" not in names
         assert "gcd" not in names
-        assert "exponent_texts" in names
+        assert through in names
+    assert "gcd" in _names(spectrum._tails.__code__)
+
+
+def test_row_writer_matches_the_power_vector():
+    """`render_row` on the power row writes what the vector built from that
+    row renders, and what one `Fraction` per entry writes: random bases on
+    the 1/d' grid at n = 1..4, d' <= 12, powers 2..60, values of both signs
+    (the boundary cell n + 1 among them, which meets the correction), and
+    the empty base of d' = 1, whose row holds the correction cells alone."""
+    rng = random.Random(4040)
+    cases = [(reduced_cone_spectrum(cfg), cfg)
+             for cfg in (ReducedConeConfig(n, 1, (), power=m)
+                         for n in range(1, 5) for m in (2, 3, 60))]
+    for base, cfg in cases:
+        assert not base
+        row = _power_row(base, cfg)
+        assert sum(map(bool, row)) == cfg.power - 1
+    for _ in range(150):
+        n, dp, m = rng.randint(1, 4), rng.randint(1, 12), rng.randint(2, 60)
+        top = (n + 1) * dp
+        entries = {rng.randint(1, top): rng.choice((-3, -2, -1, 1, 2, 3))
+                   for _ in range(rng.randint(0, 2 * top))}
+        cases.append((SpectrumVector(entries, n + 1, denominator=dp),
+                      ReducedConeConfig(n, dp, (), power=m)))
+    negative = 0
+    for base, cfg in cases:
+        row = _power_row(base, cfg)
+        power = thickened_spectrum(base, cfg)
+        text = render_row(row, cfg.power * cfg.degree)
+        assert text == power.render() == fraction_render(power), (base, cfg)
+        negative += any(v < 0 for v in row)
+    assert negative > 100
+    assert render_row([0, 0, 0], 3) == ""
 
 
 def test_render_matches_fraction_transcription():

@@ -21,6 +21,10 @@ Cases (``CASES``):
 
 * ``scan``: ``scan`` of ``five-lines`` over a = 1..30, b = 1..30, c = 1;
 * ``reduced``: ``reduced`` at n = 3, d' = 40, power 45, four points;
+* ``ordinary-reduced``: ``reduced`` on the n = 2 view of
+  ``sextic-pencil`` (its reduced curve, d' = 19, with four ordinary
+  points of multiplicities 10, 10, 9 and 9) at power 53, the
+  d' * power ~ 1000 of the benchmark's ``ordinary-large`` reduced views;
 * ``csv``: ``compute --format csv`` of ``sextic-pencil`` at a = 148,
   b = c = 1 (d = 901);
 * ``rows``: ``compute --format rows`` of ``five-lines`` at a = 996,
@@ -59,6 +63,11 @@ REDUCED = ("reduced n=3 degree=40 power=45\n"
            "localwh weights=15,10,6 degree=30\n"
            "localwh weights=3,3,2 degree=6\n"
            "localwh weights=3,2,2 degree=6\n")
+ORDINARY_REDUCED = ("reduced n=2 degree=19 power=53\n"
+                    "localwh weights=1,1 degree=10\n"
+                    "localwh weights=1,1 degree=10\n"
+                    "localwh weights=1,1 degree=9\n"
+                    "localwh weights=1,1 degree=9\n")
 
 
 def _scan(name: str, *args: str) -> list[str]:
@@ -76,7 +85,8 @@ def _five_lines(hi: int) -> list[str]:
 
 
 # case -> the argvs of `conespec.cli.main` that one run makes, in turn;
-# "{reduced}" is a file holding REDUCED
+# "{reduced}" is a file holding REDUCED, "{ordinary}" one holding
+# ORDINARY_REDUCED
 CASES = {
     "scan": [_five_lines(30)],
     "scan-grid": [
@@ -87,6 +97,7 @@ CASES = {
         _scan("lines-conic", "--range", "a=1..15", "--range", "b=11..25",
               "--param", "c=2")],
     "reduced": [["reduced", "{reduced}"]],
+    "ordinary-reduced": [["reduced", "{ordinary}"]],
     "csv": [["compute", str(FIXTURES / "sextic-pencil.vectors"),
              "--param", "a=148", "--param", "b=1", "--param", "c=1",
              "--format", "csv"]],
@@ -107,8 +118,10 @@ def child(case: str, tree: str, repeat: int) -> None:
     with tempfile.TemporaryDirectory() as workdir:
         reduced = Path(workdir) / "case.cfg"
         reduced.write_text(REDUCED)
-        argvs = [[arg.format(reduced=reduced) for arg in argv]
-                 for argv in CASES[case]]
+        ordinary = Path(workdir) / "ordinary.cfg"
+        ordinary.write_text(ORDINARY_REDUCED)
+        argvs = [[arg.format(reduced=reduced, ordinary=ordinary)
+                  for arg in argv] for argv in CASES[case]]
         best = float("inf")
         for k in range(repeat + 1):
             sink = io.StringIO()

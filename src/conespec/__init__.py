@@ -11,6 +11,12 @@ The package is organized as:
 * `conespec.oracle` -- independent brute-force and reference implementations
   for differential testing,
 * `conespec.cli` -- the ``conespec`` command.
+
+All arithmetic is exact, in integers over a known denominator.
+`fractions.Fraction` appears only at the edges, and is imported only where
+one is built: in the exponent form of the `SpectrumVector` constructor
+(which a ``localspectrum`` line uses), and in `window_count`, `index_data`
+and `residue_degree`, which no command calls.
 """
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,

@@ -8,8 +8,7 @@ independent reference), ``scan`` (parameter grids to CSV). The checks of
 
 Exit codes: 0 success, 1 verification or oracle mismatch, 2 input error.
 
-`main(argv)` may be called many times in one process: every call shares
-one argument parser, built on the first call and not at import.
+`main(argv)` may be called many times in one process (see `build_parser`).
 `conespec.oracle` is imported by ``verify`` and ``oracle`` on their first
 call, not at import, so the other commands never load the checker.
 """

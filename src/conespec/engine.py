@@ -1,34 +1,19 @@
 """Spectrum multiplicities of cones over projective hypersurfaces.
 
-The plane-curve entry point is `curve_table`, which takes a combinatorial
-description of a possibly non-reduced curve whose reduced singularities are
-semi-weighted-homogeneous and produces the three rows n[i/d + e] (e = 0,1,2)
-together with the Euler number of the curve complement. A `CurveConfig`
-derives d, d', its component terms, its counted distinct points and chi(U)
-when it is built. Two kernels read them, give each distinct (w, w', d_j - 1)
-one row of lattice counts and compute rows 0 and 2 on each column i from its
-index alone. `_column` computes one column (what ``scan`` asks for) with a
-scalar body, which costs least per call; `_table` builds every column [1, d]
-(what `curve_table` asks for) as whole rows, which cost least per column,
-their floor sums step functions of i (`_floor_row`). A column depends
-on i only through the residues (m*i - 1) mod d of the multiplicities m, and
-when g divides every m these repeat with period P = d // g, since m*P is then
-a multiple of d: (m*(i + P) - 1) mod d == (m*i - 1) mod d. So the floor
-rows of a curve g*Z are built on columns [1, P], one period
-(`_period_rows`), and `_table` assembles rows 0 and 2 from them and tiles
-them g times to [1, d]; only the -1 of row 2 at i = d breaks the period.
-`verify` builds the period rows once, lays out its table from them and
-checks ``index-ranges`` on their twist row. `ordinary_middle_row`
-reads the incidence middle row off the table it is given, as its balance row
-plus one constant, so `verify`, ``oracle`` and ``compute --middle cor2`` make
-one pass. `scan_values` runs `_column` on column 3, the one cell that
-``scan`` reports, and `euler_complement` reads chi(U) off the config. The
-reduced any-dimension route is `reduced_cone_spectrum` /
-`thickened_spectrum`, which consume local spectra directly; the power
-transform fills one dense row (`_power_row`), which ``reduced`` prints
-as it is and `thickened_spectrum` makes a vector; every command lays out
-its n = 2 spectrum as a table with `_spectrum_table`, which
-`local_data_table` wraps for a degree and local spectra alone.
+The entry points, and the function that owns each route:
+
+* `curve_table`: the plane-curve table, as whole rows (`_table`) from the
+  floor rows of one period (`_period_rows`);
+* `scan_values`: the one cell ``scan`` reports, from `_column`;
+* `ordinary_middle_row`: the incidence middle row, read off a table;
+* `reduced_cone_spectrum` and its power transform `thickened_spectrum`,
+  whose dense row `_power_row` fills;
+* `local_data_table`: an n = 2 spectrum as a table (`_spectrum_table`).
+
+Both routes compute in integers over one denominator: the curve route over
+d, the reduced route over d', m*d' and the local weighted degrees d_j.
+`index_data` and `residue_degree` give per-index `Fraction` values; no
+command calls them.
 """
 
 from __future__ import annotations
@@ -345,14 +330,19 @@ def _column(cfg: CurveConfig, i: int, lattice: dict) -> tuple[int, int]:
     """Rows 0 and 2 on the one column i in [1, d], by a scalar body that
     costs least per call (``scan``).
 
-    A call walks no component and no branch: d, d', the component terms and
-    the counted point keys come from `CurveConfig._derived`, and each key
-    holds its point's terms, d_j and mass (`SingularPoint._key`). Equal
-    keys share one `lattice_row(w, w', d_j - 1)`: the ceiling of a point's
-    residue degree lies in [1, d_j], so every count its columns use has a
-    bound in [0, d_j - 1] (on ordinary points d_j is the branch count). The
-    rows are looked up by (w, w', d_j - 1) in `lattice`, which the callers
-    sharing it fill, so that each distinct row is built once for them all."""
+    d, d', the component terms and the counted point keys come from
+    `CurveConfig._derived`, and each key holds its point's terms, d_j and
+    mass (`SingularPoint._key`), so no component, point or branch record is
+    read. A call walks the component terms, one per distinct component
+    multiplicity, and the distinct point keys: per key one lookup of its
+    lattice row and one term per distinct branch multiplicity. So its cost
+    does not grow with d, past building each distinct lattice row once, in
+    O(d_j). Equal keys share one `lattice_row(w, w', d_j - 1)`: the ceiling
+    of a point's residue degree lies in [1, d_j], so every count its columns
+    use has a bound in [0, d_j - 1] (on ordinary points d_j is the branch
+    count). The rows are looked up by (w, w', d_j - 1) in `lattice`, which
+    the callers sharing it fill, so that each distinct row is built once for
+    them all."""
     d, dp, comps, keys, _ = cfg._derived
     twist = i - _shift(comps, i, d)
     r0 = (twist - 1) * (twist - 2) // 2             # binom2(twist - 1)
@@ -417,11 +407,9 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point. d, d' and chi(U) are read off the
     config; when d < 3, column 3 lies past d and no column is computed, and
-    otherwise n[3/d] is row 0 of one `_column` call. Only column 3 is
-    computed: one dict lookup per distinct point, so past one O(d_j)
-    lattice row per distinct point the cost does not grow with d.
-    `lattice` is a mapping that the points of one scan share, so that each
-    lattice row is built once per scan (see `_column`)."""
+    otherwise n[3/d] is row 0 of one `_column` call, whose docstring gives
+    its cost. `lattice` is a mapping that the points of one scan share, so
+    that each lattice row is built once per scan."""
     d, dprime, _, _, chi = cfg._derived
     if d < 3:
         return d, dprime, None, chi
@@ -554,7 +542,9 @@ def local_data_table(degree: int, local_spectra: Sequence[SpectrumVector]) -> Co
 def _spectrum_table(cfg: ReducedConeConfig,
                     base: SpectrumVector) -> ConeSpectrumTable:
     """The n = 2 spectrum `base` of `cfg` laid out on the 1/d grid, row e
-    holding the exponents i/d + e, with chi(U) from the local spectra."""
+    holding the exponents i/d + e, with chi(U) from the local spectra.
+    ``reduced``, ``verify`` and ``oracle`` lay out the spectrum they have
+    already built through this, so none builds it twice."""
     d = cfg.degree
     grid = base.numerators(d)
     rows = tuple(tuple(grid.get(i + e * d, 0) for i in range(1, d + 1))

@@ -1,25 +1,13 @@
 """Input and output formats.
 
-Two input dialects are supported:
-
-* the native line-oriented config format (components, weighted points,
-  nodes, incidence, reduced-cone headers), and
-* the four-vector compatibility format ``GlCmp=...; Si=...; OD=...; LG=...``
-  whose entries are small arithmetic templates over named parameters, with
-  negative entries acting as group separators.
-
-Integer slots in both dialects accept template expressions (literals are the
-degenerate case). A config text is compiled once into a function of the
-parameter binding (`parse_native`, `config_template`). A slot that is one
-ASCII literal or name becomes a constant or a lookup; any other goes through
-one `re` lexer, whose name rule `cli._split_name` shares, and the parser.
-Native ``incidence``, ``incidence-matrix`` and ``localspectrum`` entries are
-literals, read through `_ascii_int` when the text is parsed. A compiled
-vector template keeps its constant slots as ints, evaluates each distinct
-other slot text once per binding, reads the four vectors in one walk, and
-keeps the records it has built, keyed by their slot values, up to
-`MEMO_BOUND` of each of four kinds: components, points, incidences and
-branches (`parse_singular`).
+Two input dialects, which `config_template` tells apart: the native
+line-oriented config format (`parse_native`) and the four-vector
+compatibility format ``GlCmp=...; Si=...; OD=...; LG=...``
+(`parse_vector_text`, `parse_singular`). Integer slots of both accept
+template expressions (`parse_expr`). A config text is compiled once, in
+time proportional to its tokens, into a function of the parameter binding.
+Every input error is a `ConfigError` with a code. `emit_table` writes a
+table as ``rows`` or ``csv``.
 """
 
 from __future__ import annotations
@@ -712,6 +700,8 @@ def _localspectrum(args: list[str]) -> Step:
 
 
 def _localwh(args: list[str]) -> Step:
+    """A ``localwh`` line: the spectrum of its weights and degree, built
+    once per evaluation of the config for all lines that repeat them."""
     kv = _keyvals(args, ("weights", "degree"), ())
     weight_exprs = [parse_expr(p) for p in kv["weights"].split(",")]
     degree = parse_expr(kv["degree"])

@@ -1,14 +1,10 @@
 """Local invariants of plane-curve (and hypersurface) germs: quasihomogeneous
 spectra, Milnor numbers, lattice counts under a line, and spectral window
-counts. Everything is exact integer/rational arithmetic. A `SingularPoint`
-is checked once, when it is built, and its terms and Milnor number derived
-in the same walk; no caller checks a point or walks its branches again.
-
-The curve route reads its lattice counts from `lattice_row`, every bound of a
-point at once (partial sums of the two-coin representation numbers), and the
-reduced route its window counts from `_window_row`, over local spectra whose
-exponents `ReducedConeConfig` keeps in (0, n); `lattice_count` and
-`window_count` give one value each.
+counts. A `SingularPoint` is checked once, when it is built; no caller
+checks a point or walks its branches again. The curve route reads its
+lattice counts from `lattice_row` and the reduced route its window counts
+from `_window_row`; `lattice_count` and `window_count` give one value each,
+and no command calls them.
 """
 
 from __future__ import annotations

@@ -4,20 +4,16 @@
 ordinary-singularity configurations, kept independent of the engine module.
 It walks every component, point and branch separately, row by row over the
 columns i in [1, d], in integers over the degree d: a value v = num/d is
-carried as its numerator. It deviates from a straight scripted
-transliteration in two ways. Ceilings are computed exactly instead of
-through a bounded 100 - int(100 - v) trick; the trick is still evaluated,
-in integer form, and asserted to agree on every cell of every row in its
-valid domain. And the ceiling row of a multiplicity is computed once per
-call, however many components and branches carry it.
-`cross_check` runs the engine against it and against the brute-force
-counters and reports the first differing cell; `verify` runs the invariants
-that apply to a config. Both return a `CheckReport` of kinded checks.
+carried as its numerator. It computes every column, with no period tiled
+when the multiplicities share a factor, so `cross_check` checks the
+engine's tiling cell by cell. `cross_check` runs the engine against it and
+against the brute-force counters and reports the first differing cell;
+`verify` runs the invariants that apply to a config. Both return a
+`CheckReport` of kinded checks.
 
-The brute-force counters are literal too. `brute_lattice_row` lists every
-lattice pair under the line once, histograms its value and takes a running
-sum, with no floor division, where `local.lattice_row` divides a generating
-function; `brute_coeffs` convolves where `smooth_cone_coeffs` divides.
+The brute-force counters are literal too: `brute_lattice_row` enumerates
+where `local.lattice_row` divides a generating function, and `brute_coeffs`
+convolves where `smooth_cone_coeffs` divides.
 """
 
 from __future__ import annotations

@@ -2,21 +2,11 @@
 multiplicities, tagged with the number of variables they live in.
 
 All arithmetic is exact. A vector keeps its exponents as integer numerators
-over one denominator, the least common denominator of its exponents, and its
-multiplicities as (possibly negative) Python ints. A vector is canonical:
-entries with multiplicity 0 are never stored and the denominator is the
-least one, so equality is structural. `fractions.Fraction` appears only at
-the edge: the constructor's exponent form. `numerators` and the
-``denominator`` argument of the constructor are the integer way out and in,
-and `exponent_texts` writes a whole list of exponents k/den from their
-integers, as `render` and the csv writer print them. `render_row` writes
-the `render` text of a dense row of values over one denominator with no
-vector built: ``reduced`` prints its power line from the power transform's
-row that way. Both writers read one per-residue table of the lowest-terms
-rule (`_tails`). The constructor copies the table it is given, except a
-`Numerators` table, canonical by construction, which it takes as it is:
-`thickened_spectrum` and `dual` build one, so their thousands of entries
-are written once, not twice.
+over their least common denominator and its multiplicities as (possibly
+negative) ints; it stores no zero entry, so equality is structural. This
+module alone converts between those integers and `fractions.Fraction`
+exponents, which appear only in the constructor's exponent form. The
+writers, `exponent_texts` and `render_row`, work on the integers.
 """
 
 from __future__ import annotations

@@ -700,6 +700,19 @@ print(counts)
     assert counts == str([6] * 5)
 
 
+def test_python_m_conespec_runs_the_command(capsys):
+    """``python -m conespec`` from a checkout is the ``conespec`` command:
+    same stdout and exit code as `main` in process."""
+    config = FIXTURES / "two-lines.cfg"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "conespec", "compute",
+                           str(config)], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == run(capsys, "compute",
+                                                 config)[:2]
+    assert done.stdout.startswith("e=0: ")
+
+
 def test_compute_deep_and_long_templates(capsys, tmp_path):
     """A slot nested past the bound is a coded input error; a flat chain of
     any length evaluates."""

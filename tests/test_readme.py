@@ -1,6 +1,6 @@
 """README's claims, run: the library example's printed values, the command
-examples against the shipped fixtures, and what a cold `import conespec.cli`
-loads."""
+examples against the shipped fixtures, what a cold `import conespec.cli`
+loads, and the table of error codes."""
 
 import contextlib
 import io
@@ -64,3 +64,15 @@ def test_cold_import_loads_what_the_readme_says():
                           check=True)
     assert len(names) == 8
     assert json.loads(done.stdout) == names
+
+
+def test_error_code_table_lists_every_code():
+    """README's table of error codes lists each code the package raises,
+    once, and no other."""
+    table = re.findall(r"^\| `([a-z0-9-]+)` \|", README, re.M)
+    raised = set()
+    for path in (ROOT / "src" / "conespec").glob("*.py"):
+        raised |= set(re.findall(r'(?:ConfigError|_coded)\(\s*"([a-z0-9-]+)"',
+                                 path.read_text(encoding="utf-8")))
+    assert len(raised) > 30
+    assert sorted(table) == sorted(raised)

@@ -37,7 +37,8 @@ DEFAULT_CAP = 10 ** 6
 
 def _read_text(path: str) -> str:
     """The text of the file at `path` in text mode, less a UTF-8 byte-order
-    mark; text that is not UTF-8 is an input-encoding error."""
+    mark; text that is not UTF-8 is an input-encoding error, and a file
+    that cannot be opened or read an input-unreadable one."""
     try:
         with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
@@ -46,6 +47,9 @@ def _read_text(path: str) -> str:
                           f"{path!r} is not UTF-8 text: byte "
                           f"0x{exc.object[exc.start]:02x}, {exc.reason}") \
             from exc
+    except OSError as exc:
+        raise ConfigError("input-unreadable", f"cannot read {path!r}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _read_config(args, kind=None, conflict: str = ""):
@@ -311,8 +315,4 @@ def main(argv=None) -> int:
 
 
 def console() -> None:
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
     raise SystemExit(main())

@@ -189,9 +189,9 @@ class ConeSpectrumTable(Record):
     def as_spectrum(self) -> SpectrumVector:
         """Flatten the table into one vector over exponents in (0, 3]."""
         d = self.d
-        entries = {i + e * d: v for e, row in enumerate(self.rows)
-                   for i, v in enumerate(row, start=1)}
-        return SpectrumVector(entries, 3, denominator=d)
+        return SpectrumVector(Numerators(
+            (i + e * d, v) for e, row in enumerate(self.rows)
+            for i, v in enumerate(row, start=1) if v), 3, denominator=d)
 
     def row_sums_ok(self) -> bool:
         """Column identity: sum_e rows[e][i] + [i == d] equals chi_u."""
@@ -402,7 +402,7 @@ def _table(cfg: CurveConfig, period: tuple) -> ConeSpectrumTable:
                              (tuple(row0), tuple(row1), tuple(row2)))
 
 
-def scan_values(cfg: CurveConfig, lattice: dict | None = None
+def scan_values(cfg: CurveConfig, lattice: dict
                 ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point. d, d' and chi(U) are read off the
@@ -413,7 +413,7 @@ def scan_values(cfg: CurveConfig, lattice: dict | None = None
     d, dprime, _, _, chi = cfg._derived
     if d < 3:
         return d, dprime, None, chi
-    r0, _ = _column(cfg, 3, {} if lattice is None else lattice)
+    r0, _ = _column(cfg, 3, lattice)
     return d, dprime, r0, chi
 
 
@@ -480,13 +480,12 @@ def reduced_cone_spectrum(cfg: ReducedConeConfig) -> SpectrumVector:
     coefficient at each i/d' minus the window counts of the local spectra."""
     n = cfg.ambient_dim
     dp = cfg.degree
-    top = (n + 1) * dp
-    windows = _window_row(cfg.local_spectra, dp, top - 1)
-    entries = {i: -windows[i] for i in range(1, top)}
+    row = [-w for w in _window_row(cfg.local_spectra, dp, (n + 1) * dp - 1)]
     # coefficient j sits at i = n + 1 + j, and i < (n + 1) * dp
     for i, c in enumerate(smooth_cone_coeffs(dp, n), start=n + 1):
-        entries[i] += c
-    return SpectrumVector(entries, n + 1, denominator=dp)
+        row[i] += c
+    return SpectrumVector(Numerators(compress(enumerate(row), row)), n + 1,
+                          denominator=dp)
 
 
 def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> SpectrumVector:

@@ -9,11 +9,11 @@ and no command calls them.
 
 from __future__ import annotations
 
-import itertools
 import math
+from itertools import accumulate, compress
 
 from ._record import Record
-from .spectrum import SpectrumVector
+from .spectrum import Numerators, SpectrumVector
 
 
 class WeightSystem(Record):
@@ -86,8 +86,8 @@ def weighted_spectrum(ws: WeightSystem) -> SpectrumVector:
     if any(c < 0 for c in coeffs):
         raise ValueError(f"weights {ws.weights} with degree {d} do not "
                          "describe an isolated germ (negative multiplicity)")
-    entries = dict(enumerate(coeffs, start=sum(ws.weights)))
-    return SpectrumVector(entries, len(ws.weights), denominator=d)
+    cells = compress(enumerate(coeffs, start=sum(ws.weights)), coeffs)
+    return SpectrumVector(Numerators(cells), len(ws.weights), denominator=d)
 
 
 def lattice_count(w: int, wp: int, bound: int) -> int:
@@ -114,8 +114,8 @@ def lattice_row(w: int, wp: int, top: int) -> list[int]:
     row = [0] * (top + 1)
     row[w + wp::wp] = [1] * len(row[w + wp::wp])
     for r in range(min(w, top + 1)):
-        row[r::w] = itertools.accumulate(row[r::w])
-    return list(itertools.accumulate(row))
+        row[r::w] = accumulate(row[r::w])
+    return list(accumulate(row))
 
 
 def window_count(spec: SpectrumVector, beta: Fraction) -> int:
@@ -143,7 +143,7 @@ def _window_row(spectra, d: int, top: int) -> list[int]:
             start = k * d // den + 1
             diff[start] += m
             diff[start + d] -= m
-    return list(itertools.accumulate(diff[:-1]))
+    return list(accumulate(diff[:-1]))
 
 
 class LocalBranch(Record):
@@ -232,5 +232,5 @@ class SingularPoint(Record):
         when the Milnor number is 0 (the weighted degree is w or w', so the
         germ is smooth)."""
         if self.milnor() == 0:
-            return SpectrumVector((), 2, denominator=1)
+            return SpectrumVector(Numerators(), 2, denominator=1)
         return weighted_spectrum(WeightSystem(self.weights, self.weighted_degree))

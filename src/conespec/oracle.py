@@ -27,7 +27,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      reduced_cone_spectrum, smooth_cone_coeffs,
                      thickened_spectrum)
 from .local import lattice_row
-from .spectrum import SpectrumVector
+from .spectrum import Numerators, SpectrumVector
 
 
 def brute_lattice(w: int, wp: int, bound: int) -> int:
@@ -406,6 +406,6 @@ def as_reduced_cone(cfg: CurveConfig) -> ReducedConeConfig | None:
         return None
     built = {p: p.local_spectrum() for p in dict.fromkeys(cfg.points)}
     spectra = [built[p] for p in cfg.points]
-    spectra += [SpectrumVector({1: 1}, 2, denominator=1)] * cfg.nodes
+    spectra += [SpectrumVector(Numerators({1: 1}), 2, denominator=1)] * cfg.nodes
     return ReducedConeConfig(ambient_dim=2, degree=cfg.reduced_degree,
                              local_spectra=tuple(spectra), power=mults.pop())

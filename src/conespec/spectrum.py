@@ -68,7 +68,9 @@ def render_row(row: Sequence[int], den: int) -> str:
 
 class Numerators(dict):
     """A canonical table {numerator: multiplicity}, int keys and nonzero int
-    values, that `SpectrumVector` takes as it is, without a copy."""
+    values, that `SpectrumVector` takes as it is, without a copy: what
+    `weighted_spectrum`, `reduced_cone_spectrum`, `thickened_spectrum`,
+    `as_spectrum`, `dual` and the node and smooth-point spectra hand over."""
 
 
 class SpectrumVector:
@@ -80,19 +82,15 @@ class SpectrumVector:
                  denominator: int | None = None):
         """`entries` maps exponents to multiplicities (a mapping or pairs).
         Exponents are `Fraction`/int/str, or integer numerators over
-        `denominator` when that is given. A multiplicity must be integral
-        (ValueError otherwise). `entries` is copied, except a `Numerators`
-        table over `denominator`: the vector owns that one as it is."""
+        `denominator` when that is given. A `Numerators` table over
+        `denominator` is owned as it is; anything else is copied, each
+        multiplicity checked integral (ValueError otherwise), zeros dropped."""
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be a positive integer")
         if denominator is not None and denominator < 1:
             raise ValueError("denominator must be a positive integer")
         if denominator is not None and type(entries) is Numerators:
             table = entries
-        elif denominator is not None and isinstance(entries, Mapping):
-            # distinct numerators: one pass, zeros dropped once counted
-            table = {k: c for k, m in entries.items()
-                     if (c := m if type(m) is int else _count(m))}
         else:
             pairs = (entries.items() if isinstance(entries, Mapping)
                      else entries or ())

@@ -222,6 +222,44 @@ def triangle_curve(a: int, b: int, c: int) -> CurveConfig:
                      for s, t in ((0, 1), (0, 2), (1, 2))))
 
 
+def binomial_pencil_curve(a: int, b: int, c: int, p: int, q: int,
+                          members: tuple[int, ...]) -> CurveConfig:
+    """Family A: x^a y^b z^c * prod_j (x^p - c_j y^q z^(p-q))^(e_j), for
+    p > q >= 1 and distinct c_j != 0, with e_j the entries of `members`.
+    With g = gcd(p, q), each member has g components of degree p/g; the
+    curve meets itself at the three coordinate points only: at [0:0:1]
+    with weights (q/g, p/g), at [0:1:0] with weights ((p-q)/g, p/g), where
+    the lines x = 0 and y = 0 (resp. z = 0) and g branches of each member
+    meet, and at [1:0:0], where the lines y = 0 and z = 0 cross."""
+    g = math.gcd(p, q)
+
+    def pencil_point(u: int, v: int, line_u: int, line_v: int):
+        """The point of weights (u/g, v/g) where the lines of weighted
+        degree u/g and v/g, of multiplicities line_u and line_v, meet g
+        branches of weighted degree u*v/g^2 of each member."""
+        fibres = [LocalBranch(u * v // g ** 2, e)
+                  for e in members for _ in range(g)]
+        return SingularPoint((u // g, v // g),
+                             (LocalBranch(u // g, line_u),
+                              LocalBranch(v // g, line_v), *fibres))
+
+    lines = tuple(GlobalComponent(1, m) for m in (a, b, c))
+    comps = tuple(GlobalComponent(p // g, e) for e in members for _ in range(g))
+    return CurveConfig(
+        components=lines + comps,
+        points=(pencil_point(q, p, a, b), pencil_point(p - q, p, a, c),
+                SingularPoint((1, 1), (LocalBranch(1, b), LocalBranch(1, c)))))
+
+
+def concurrent_lines_curve(mults: tuple[int, ...]) -> CurveConfig:
+    """Family B: prod_k l_k^(m_k) for distinct lines l_k through one point,
+    the one singular point, of weights (1, 1) and one branch per line."""
+    return CurveConfig(
+        components=tuple(GlobalComponent(1, m) for m in mults),
+        points=(SingularPoint((1, 1), tuple(LocalBranch(1, m)
+                                             for m in mults)),))
+
+
 def monomial_join_curve(a: int, b: int) -> CurveConfig:
     """The reduced curve x^a y^b + z^d with d = a + b. With g = gcd(a, b)
     it has g components of degree d/g, which meet only at [1:0:0] and

@@ -173,6 +173,78 @@ def monomial_spectrum(exponents: Sequence[int]) -> SpectrumVector:
     return SpectrumVector(entries, n + 1, denominator=g)
 
 
+def _hodge_counts(systems, punctures: int) -> tuple[int, int, int, int]:
+    """(h0, h10, h01, h11): the dimensions of H^0 and of the parts of type
+    (1, 0), (0, 1) and (1, 1) of H^1, summed over rank-one local systems on
+    P^1 minus `punctures` points, each given by its exponents mod 1 in
+    [0, 1), one per puncture, of integral sum. A trivial system (every
+    exponent 0) has H^0 of dimension 1 and H^1 of type (1, 1) of dimension
+    punctures - 1. Any other, with t nonzero exponents of sum s, has no
+    H^0 and an H^1 of dimension punctures - 2: punctures - t classes of
+    type (1, 1), t - 1 - s of type (1, 0) and s - 1 of type (0, 1)
+    (Deligne and Mostow, Publ. IHES 63, 1986)."""
+    h0 = h10 = h01 = h11 = 0
+    for exponents in systems:
+        t = sum(map(bool, exponents))
+        if not t:
+            h0 += 1
+            h11 += punctures - 1
+            continue
+        s = int(sum(exponents))
+        h11 += punctures - t
+        h10 += t - 1 - s
+        h01 += s - 1
+    return h0, h10, h01, h11
+
+
+def binomial_pencil_count(a: int, b: int, c: int, p: int, q: int,
+                          members: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The three rows of the table of family A (`binomial_pencil_curve`),
+    from topology alone. xyz divides f, so the Milnor fibre F lies in the
+    torus, where s = y^q z^(p-q)/x^p maps it onto P^1 minus the N = k + 2
+    points 0, oo and 1/c_j, for k members: F is a torsor under C* x K over
+    it, for a finite group K, and H^j(F) = H^j(D) + H^(j-1)(D)(-1), where D
+    is the K-cover. Column i has one rank-one local system per r in Q/Z
+    with r*q = -i*b/d and r*(p-q) = -i*c/d (mod 1), with exponents r at 0,
+    -e_j*i/d at 1/c_j and minus their sum at oo. With the dimensions of
+    `_hodge_counts` summed over them, and Steenbrink's n_alpha as in
+    `monomial_spectrum`: row 0 = h10 + h11, row 1 = h01 - h10 - h11 - h0
+    and row 2 = h0 - [i = d] - h01. Nothing of the engine enters."""
+    d = a + b + c + p * sum(members)
+    rows = ([], [], [])
+    for i in range(1, d + 1):
+        systems = []
+        for t in range(q):
+            r = (Fraction(-i * b, d) + t) / q % 1
+            if (r * (p - q) + Fraction(i * c, d)) % 1 == 0:
+                at = [Fraction(-e * i, d) % 1 for e in members]
+                systems.append([r, *at, -(r + sum(at)) % 1])
+        h0, h10, h01, h11 = _hodge_counts(systems, len(members) + 2)
+        rows[0].append(h10 + h11)
+        rows[1].append(h01 - h10 - h11 - h0)
+        rows[2].append(h0 - (i == d) - h01)
+    return tuple(map(tuple, rows))
+
+
+def concurrent_lines_count(mults: Sequence[int]
+                           ) -> tuple[tuple[int, ...], ...]:
+    """The three rows of the table of family B (`concurrent_lines_curve`),
+    from topology alone. f involves two variables only, so F = F_h x C,
+    and F_h is a Z/d-cover of P^1 minus the N lines: column i has one
+    rank-one local system, with exponent -i*m_k/d at the k-th line. With
+    the dimensions of `_hodge_counts`: row 0 = 0, row 1 = -(h10 + h11) and
+    row 2 = h0 - [i = d] - h01. Nothing of the engine enters."""
+    d = sum(mults)
+    rows = ([], [], [])
+    for i in range(1, d + 1):
+        exponents = [Fraction(-i * m, d) % 1 for m in mults]
+        h0, h10, h01, h11 = _hodge_counts([exponents], len(mults))
+        rows[0].append(0)
+        rows[1].append(-(h10 + h11))
+        rows[2].append(h0 - (i == d) - h01)
+    return tuple(map(tuple, rows))
+
+
 def euler_generic_union(degrees) -> int:
     """Euler number of the complement of a generic nodal union of smooth
     curves with the given degrees."""

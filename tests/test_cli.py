@@ -120,8 +120,21 @@ def test_compute_missing_param(capsys):
 
 
 def test_compute_missing_file(capsys):
-    code, _, err = run(capsys, "compute", FIXTURES / "no-such-file.cfg")
+    path = FIXTURES / "no-such-file.cfg"
+    code, out, err = run(capsys, "compute", path)
     assert code == 2
+    assert out == ""
+    assert err == (f"error: [input-unreadable] cannot read {str(path)!r}: "
+                   "No such file or directory\n")
+
+
+def test_unreadable_file_has_a_code(capsys, tmp_path):
+    """A directory given as FILE cannot be read: coded like a missing file."""
+    code, out, err = run(capsys, "scan", tmp_path, "--range", "a=1..2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: [input-unreadable] cannot read "
+                          f"{str(tmp_path)!r}: ")
 
 
 def test_reduced_cuspidal_cubic(capsys):
@@ -476,7 +489,7 @@ def csv_scan(text, ranges, fixed, predicates):
     for combo in itertools.product(*(range(lo, hi + 1)
                                      for lo, hi in map(ranges.get, names))):
         d, dprime, n3d, chi_u = scan_values(
-            template({**fixed, **dict(zip(names, combo))}))
+            template({**fixed, **dict(zip(names, combo))}), {})
         values = {"n3d_zero": None if n3d is None else n3d == 0,
                   "chi_nonzero": chi_u != 0}
         if None in map(values.get, predicates):

@@ -547,7 +547,11 @@ def test_one_lattice_row_per_distinct_point(monkeypatch):
         return lattice_row(w, wp, top)
 
     monkeypatch.setattr(conespec.engine, "lattice_row", counted)
-    for run in (scan_values, curve_table):
+
+    def scan(cfg):              # one scan, one shared lattice mapping
+        return scan_values(cfg, {})
+
+    for run in (scan, curve_table):
         calls.clear()
         run(LARGE_POINT)
         assert calls == [(2, 3, 599)], run.__name__
@@ -559,7 +563,7 @@ def test_one_lattice_row_per_distinct_point(monkeypatch):
     def middle_row(cfg):
         return ordinary_middle_row(cfg, curve_table(cfg))
 
-    for run in (curve_table, scan_values, middle_row):
+    for run in (curve_table, scan, middle_row):
         calls.clear()
         run(cfg)
         assert calls == [(1, 1, 3)], run.__name__

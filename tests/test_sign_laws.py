@@ -20,8 +20,9 @@ import pytest
 from conespec.engine import (ReducedConeConfig, curve_table,
                              reduced_cone_spectrum, thickened_spectrum)
 from conespec.formats import parse_singular, parse_vector_text
-from generators import (binary_power_curve, monomial_join_curve,
-                        scale_multiplicities, triangle_curve)
+from generators import (binary_power_curve, binomial_pencil_curve,
+                        monomial_join_curve, scale_multiplicities,
+                        triangle_curve)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 VECTORS = sorted(path.name for path in FIXTURES.glob("*.vectors"))
@@ -41,6 +42,11 @@ CORPORA = {
                               for a in range(1, 13) for b in range(1, 13)],
     "binary-power": lambda: [binary_power_curve(e, m) for e in range(1, 7)
                              for m in range(1, 7)],
+    "binomial-pencil": lambda: [
+        binomial_pencil_curve(a, b, c, p, q, members)
+        for a in range(1, 3) for b in range(1, 4) for c in range(1, 3)
+        for p in range(2, 6) for q in range(1, p)
+        for members in ((1,), (2,), (1, 2), (3, 1, 2))],
     **{name: lambda name=name: fixture_curves(name) for name in VECTORS},
 }
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 import types
@@ -6,10 +7,16 @@ from fractions import Fraction
 import pytest
 
 from conespec import formats, spectrum
-from conespec.engine import (ReducedConeConfig, _power_row,
-                             reduced_cone_spectrum, thickened_spectrum)
+from conespec.engine import (ReducedConeConfig, _power_row, curve_table,
+                             reduced_cone_spectrum, smooth_cone_coeffs,
+                             thickened_spectrum)
+from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
+                            quotient_coeffs, weighted_spectrum, window_count)
+from conespec.oracle import as_reduced_cone
 from conespec.spectrum import (Numerators, SpectrumVector, exponent_texts,
                                render_row)
+from generators import (random_mixed_swh_config, random_reduced_swh_config,
+                        random_swh_point)
 from reference import (FractionSpectrum, add, empty_spectrum, fraction_items,
                        fraction_render, max_exponent, min_exponent,
                        multiplicity, product)
@@ -277,7 +284,8 @@ def test_mapping_path_keeps_a_reduced_grid():
 def test_canonical_tables_match_the_public_constructor():
     """`thickened_spectrum` and `dual` hand over `Numerators`; their vectors
     are the ones the validating constructor builds from the same
-    exponents, the denominator reduced when the gcd is above 1."""
+    exponents, the denominator reduced when the gcd is above 1. The other
+    producers follow (`_other_producers`)."""
     # keys 2, 4, 6, 8, 10 over 6 come out over 3
     cases = [(SpectrumVector({1: 1}, 2), ReducedConeConfig(1, 2, (), power=3))]
     rng = random.Random(909)
@@ -302,6 +310,83 @@ def test_canonical_tables_match_the_public_constructor():
     power = thickened_spectrum(*cases[0])
     assert power.denominator == 3
     assert power.numerators() == {1: 1, 2: 1, 3: 1, 4: -1, 5: -1}
+    kept = 0
+    for vec, cfg in cases:
+        produced = [(thickened_spectrum(vec, cfg), cfg.power * cfg.degree),
+                    (vec.dual(), vec.denominator)]
+        for got, den in produced:
+            if got.denominator == den:
+                assert type(got._nums) is Numerators
+                kept += 1
+    assert kept > 150
+    _other_producers()
+
+
+def _brieskorn(exponents):
+    """The weight system of x_1^a_1 + ... + x_n^a_n."""
+    degree = math.lcm(*exponents)
+    return WeightSystem(tuple(degree // a for a in exponents), degree)
+
+
+def _other_producers():
+    """`weighted_spectrum` (Brieskorn germs in 1 to 3 variables and the
+    points of `random_swh_point`), `reduced_cone_spectrum` (n = 2 and 3),
+    `as_spectrum` (random curves), the node spectra of `as_reduced_cone`
+    and the empty spectrum of a smooth point each hand over `Numerators`:
+    each vector equals the checked constructor's vector on the same
+    exponents, written out here from the producer's input, and holds the
+    table it was handed whenever its grid is the producer's own."""
+    rng = random.Random(919)
+    produced = []           # (vector, producer's grid, the same exponents)
+    systems = [_brieskorn([rng.randint(2, 7) for _ in range(rng.randint(1, 3))])
+               for _ in range(60)]
+    points = [random_swh_point(rng) for _ in range(60)]
+    systems += [WeightSystem(p.weights, p.weighted_degree) for p in points]
+    for ws in systems:
+        cells = enumerate(quotient_coeffs(ws.weights, ws.degree),
+                          start=sum(ws.weights))
+        produced.append((weighted_spectrum(ws), ws.degree,
+                         [(F(k, ws.degree), c) for k, c in cells]))
+    for _ in range(60):
+        n, dp = rng.randint(2, 3), rng.randint(1, 8)
+        if n == 2:
+            spectra = [p.local_spectrum() for p in points[:rng.randint(0, 3)]]
+        else:
+            spectra = [weighted_spectrum(ws) for ws in systems[:40]
+                       if len(ws.weights) == 3][:rng.randint(0, 3)]
+        cone = ReducedConeConfig(n, dp, spectra)
+        items = [(F(i, dp), c) for i, c
+                 in enumerate(smooth_cone_coeffs(dp, n), start=n + 1)]
+        items += [(F(i, dp), -sum(window_count(s, F(i, dp)) for s in spectra))
+                  for i in range(1, (n + 1) * dp)]
+        produced.append((reduced_cone_spectrum(cone), dp, items))
+    for _ in range(60):
+        cfg = random_mixed_swh_config(rng)
+        table = curve_table(cfg)
+        d = table.d
+        produced.append((table.as_spectrum(), d,
+                         [(F(i, d) + e, v) for e, row in enumerate(table.rows)
+                          for i, v in enumerate(row, start=1)]))
+        reduced = random_reduced_swh_config(rng)
+        spectra = as_reduced_cone(reduced).local_spectra
+        produced += [(node, 1, [(1, 1)])
+                     for node in spectra[len(spectra) - reduced.nodes:]]
+    smooth = SingularPoint((1, 2), (LocalBranch(2, 1),))
+    assert smooth.milnor() == 0
+    produced.append((smooth.local_spectrum(), 1, []))
+    kept = 0
+    for got, den, items in produced:
+        public = SpectrumVector(items, got.ambient_dim)
+        assert got == public and hash(got) == hash(public)
+        assert got.denominator == public.denominator
+        assert got.numerators() == public.numerators()
+        if got.denominator == den:
+            assert type(got._nums) is Numerators, (got, den)
+            kept += 1
+    assert kept > 150
+    assert any(not got for got, _, _ in produced)
+    assert any(got.numerators() == {1: 1} and got.denominator == 1
+               for got, _, _ in produced)
 
 
 def _fraction_texts(nums, den):

@@ -14,6 +14,10 @@ fresh interpreter loads neither `dataclasses` (and `inspect` with it) nor
 the checker module `conespec.oracle`, which only ``verify`` and ``oracle``
 import, and no package module imports `dataclasses` at all.
 
+Nor does a package module carry its own ``if __name__ == "__main__"``
+block: ``python -m conespec`` (`__main__.py`) and the ``conespec`` script
+are the ways to run the command.
+
 Nor do README and the package's docstrings and comments name a private
 helper that the package no longer defines, and README names no private
 name at all: it states what a user can rely on, and the mechanism lives in
@@ -138,6 +142,23 @@ def test_no_package_module_imports_dataclasses():
             if any(name.partition(".")[0] == "dataclasses" for name in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def main_guards(text: str) -> int:
+    """How many comparisons of ``__name__`` with "__main__" `text` holds."""
+    return sum(isinstance(node, ast.Compare)
+               and isinstance(node.left, ast.Name)
+               and node.left.id == "__name__"
+               and any(isinstance(c, ast.Constant) and c.value == "__main__"
+                       for c in node.comparators)
+               for node in ast.walk(ast.parse(text)))
+
+
+def test_no_package_module_has_a_main_guard():
+    guarded = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if main_guards(path.read_text(encoding="utf-8"))]
+    assert guarded == []
+    assert main_guards('if __name__ == "__main__":\n    main()\n') == 1
 
 
 # a private name, neither a dunder nor a bare `_`, right after a backtick or

@@ -189,9 +189,11 @@ class ConeSpectrumTable(Record):
     def as_spectrum(self) -> SpectrumVector:
         """Flatten the table into one vector over exponents in (0, 3]."""
         d = self.d
-        return SpectrumVector(Numerators(
-            (i + e * d, v) for e, row in enumerate(self.rows)
-            for i, v in enumerate(row, start=1) if v), 3, denominator=d)
+        cells = Numerators((i + e * d, v) for e, row in enumerate(self.rows)
+                           for i, v in enumerate(row, start=1) if v)
+        if type(sum(cells.values())) is not int:    # a caller's non-int cells
+            cells = dict(cells)     # take the checked path, which refuses 1.5
+        return SpectrumVector(cells, 3, denominator=d)
 
     def row_sums_ok(self) -> bool:
         """Column identity: sum_e rows[e][i] + [i == d] equals chi_u."""

@@ -9,8 +9,8 @@ and no command calls them.
 
 from __future__ import annotations
 
+import itertools
 import math
-from itertools import accumulate, compress
 
 from ._record import Record
 from .spectrum import Numerators, SpectrumVector
@@ -86,7 +86,7 @@ def weighted_spectrum(ws: WeightSystem) -> SpectrumVector:
     if any(c < 0 for c in coeffs):
         raise ValueError(f"weights {ws.weights} with degree {d} do not "
                          "describe an isolated germ (negative multiplicity)")
-    cells = compress(enumerate(coeffs, start=sum(ws.weights)), coeffs)
+    cells = itertools.compress(enumerate(coeffs, sum(ws.weights)), coeffs)
     return SpectrumVector(Numerators(cells), len(ws.weights), denominator=d)
 
 
@@ -114,8 +114,8 @@ def lattice_row(w: int, wp: int, top: int) -> list[int]:
     row = [0] * (top + 1)
     row[w + wp::wp] = [1] * len(row[w + wp::wp])
     for r in range(min(w, top + 1)):
-        row[r::w] = accumulate(row[r::w])
-    return list(accumulate(row))
+        row[r::w] = itertools.accumulate(row[r::w])
+    return list(itertools.accumulate(row))
 
 
 def window_count(spec: SpectrumVector, beta: Fraction) -> int:
@@ -143,7 +143,7 @@ def _window_row(spectra, d: int, top: int) -> list[int]:
             start = k * d // den + 1
             diff[start] += m
             diff[start + d] -= m
-    return list(accumulate(diff[:-1]))
+    return list(itertools.accumulate(diff[:-1]))
 
 
 class LocalBranch(Record):

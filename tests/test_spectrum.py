@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conespec import formats, spectrum
-from conespec.engine import (ReducedConeConfig, _power_row, curve_table,
-                             reduced_cone_spectrum, smooth_cone_coeffs,
-                             thickened_spectrum)
+from conespec.engine import (ConeSpectrumTable, ReducedConeConfig, _power_row,
+                             curve_table, reduced_cone_spectrum,
+                             smooth_cone_coeffs, thickened_spectrum)
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             quotient_coeffs, weighted_spectrum, window_count)
 from conespec.oracle import as_reduced_cone
@@ -320,6 +320,25 @@ def test_canonical_tables_match_the_public_constructor():
                 kept += 1
     assert kept > 150
     _other_producers()
+
+
+def test_a_table_with_other_cells_takes_the_checked_path():
+    """`ConeSpectrumTable` takes its rows unchecked, so `as_spectrum` hands
+    over `Numerators` only when every cell is an int: a caller's float or
+    `Fraction` cells are counted as the checked constructor counts them,
+    and a cell that is not integral is refused."""
+    rows = ((1, 0), (0, -2), (0, 3))
+    want = ConeSpectrumTable(2, 2, 0, rows).as_spectrum()
+    assert type(want._nums) is Numerators
+    for kind in (float, F):
+        table = ConeSpectrumTable(2, 2, 0, tuple(tuple(map(kind, row))
+                                                 for row in rows))
+        assert table.as_spectrum() == want
+        assert table.as_spectrum().render() == want.render() == "1/2:1, 2:-2, 3:3"
+    for cell in (1.5, F(1, 2)):
+        table = ConeSpectrumTable(2, 2, 0, ((1, cell), (0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="not an integer"):
+            table.as_spectrum()
 
 
 def _brieskorn(exponents):

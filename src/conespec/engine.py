@@ -191,7 +191,7 @@ class ConeSpectrumTable(Record):
         d = self.d
         cells = Numerators((i + e * d, v) for e, row in enumerate(self.rows)
                            for i, v in enumerate(row, start=1) if v)
-        if type(sum(cells.values())) is not int:    # a caller's non-int cells
+        if set(map(type, cells.values())) - {int}:  # a caller's non-int cells
             cells = dict(cells)     # take the checked path, which refuses 1.5
         return SpectrumVector(cells, 3, denominator=d)
 

@@ -324,9 +324,9 @@ def test_canonical_tables_match_the_public_constructor():
 
 def test_a_table_with_other_cells_takes_the_checked_path():
     """`ConeSpectrumTable` takes its rows unchecked, so `as_spectrum` hands
-    over `Numerators` only when every cell is an int: a caller's float or
-    `Fraction` cells are counted as the checked constructor counts them,
-    and a cell that is not integral is refused."""
+    over `Numerators` only when every cell is an int: a caller's float,
+    `Fraction` or bool cells are counted as the checked constructor counts
+    them, and a cell that is not integral is refused."""
     rows = ((1, 0), (0, -2), (0, 3))
     want = ConeSpectrumTable(2, 2, 0, rows).as_spectrum()
     assert type(want._nums) is Numerators
@@ -335,6 +335,8 @@ def test_a_table_with_other_cells_takes_the_checked_path():
                                                  for row in rows))
         assert table.as_spectrum() == want
         assert table.as_spectrum().render() == want.render() == "1/2:1, 2:-2, 3:3"
+    flags = ConeSpectrumTable(2, 2, 0, ((True, False), (False, True), (0, 0)))
+    assert flags.as_spectrum().render() == "1/2:1, 2:1"
     for cell in (1.5, F(1, 2)):
         table = ConeSpectrumTable(2, 2, 0, ((1, cell), (0, 0), (0, 0)))
         with pytest.raises(ValueError, match="not an integer"):

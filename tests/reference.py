@@ -182,7 +182,9 @@ def _hodge_counts(systems, punctures: int) -> tuple[int, int, int, int]:
     punctures - 1. Any other, with t nonzero exponents of sum s, has no
     H^0 and an H^1 of dimension punctures - 2: punctures - t classes of
     type (1, 1), t - 1 - s of type (1, 0) and s - 1 of type (0, 1)
-    (Deligne and Mostow, Publ. IHES 63, 1986)."""
+    (Deligne and Mostow, Publ. IHES 63, 1986, give the two dimensions;
+    which one is of type (1, 0) was fitted on one case, as
+    `test_covering_closed_forms` says)."""
     h0 = h10 = h01 = h11 = 0
     for exponents in systems:
         t = sum(map(bool, exponents))

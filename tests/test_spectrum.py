@@ -295,30 +295,25 @@ def test_canonical_tables_match_the_public_constructor():
         cfg = ReducedConeConfig(n, rng.randint(1, 9), (),
                                 power=rng.randint(1, 6))
         cases.append((vec, cfg))
-    reduced = 0
+    reduced = kept = 0
     for vec, cfg in cases:
         power = thickened_spectrum(vec, cfg)
         ref = FractionSpectrum(fraction_items(vec), vec.ambient_dim).dual()
-        for got, items in ((power, fraction_items(power)),
-                           (vec.dual(), ref.items())):
+        for got, items, den in (
+                (power, fraction_items(power), cfg.power * cfg.degree),
+                (vec.dual(), ref.items(), vec.denominator)):
             public = SpectrumVector(items, got.ambient_dim)
             assert got == public and hash(got) == hash(public)
             assert got.denominator == public.denominator
             assert got.numerators() == public.numerators()
+            if got.denominator == den:      # on its own grid: the table
+                assert type(got._nums) is Numerators
+                kept += 1
         reduced += power.denominator < cfg.power * cfg.degree
-    assert reduced > 20
+    assert reduced > 20 and kept > 150
     power = thickened_spectrum(*cases[0])
     assert power.denominator == 3
     assert power.numerators() == {1: 1, 2: 1, 3: 1, 4: -1, 5: -1}
-    kept = 0
-    for vec, cfg in cases:
-        produced = [(thickened_spectrum(vec, cfg), cfg.power * cfg.degree),
-                    (vec.dual(), vec.denominator)]
-        for got, den in produced:
-            if got.denominator == den:
-                assert type(got._nums) is Numerators
-                kept += 1
-    assert kept > 150
     _other_producers()
 
 
@@ -405,9 +400,8 @@ def _other_producers():
             assert type(got._nums) is Numerators, (got, den)
             kept += 1
     assert kept > 150
-    assert any(not got for got, _, _ in produced)
-    assert any(got.numerators() == {1: 1} and got.denominator == 1
-               for got, _, _ in produced)
+    assert any(items == [(1, 1)] for _, _, items in produced)     # a node
+    assert any(items == [] for _, _, items in produced)    # a smooth point
 
 
 def _fraction_texts(nums, den):

@@ -167,7 +167,8 @@ class CurveConfig(Record):
 class ConeSpectrumTable(Record):
     """The three multiplicity rows of a cone over a plane curve.
 
-    rows[e][i-1] is the value at exponent i/d + e for i in [1, d]. Entries
+    rows[e][i-1] is the value at exponent i/d + e for i in [1, d]; rows of
+    another count or length are refused with a ValueError. Entries
     are exact formula values. The cone germ has a non-isolated singularity
     whenever the curve is singular, so its multiplicities are alternating
     sums and can be negative: always a possibility at the integer exponents
@@ -181,6 +182,8 @@ class ConeSpectrumTable(Record):
     def __init__(self, d: int, dprime: int, chi_u: int,
                  rows: tuple[tuple[int, ...], tuple[int, ...],
                              tuple[int, ...]]):
+        if [len(row) for row in rows] != [d] * 3:
+            raise ValueError(f"a table has 3 rows of d = {d} cells")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "dprime", dprime)
         object.__setattr__(self, "chi_u", chi_u)

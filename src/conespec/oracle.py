@@ -6,10 +6,13 @@ It walks every component, point and branch separately, row by row over the
 columns i in [1, d], in integers over the degree d: a value v = num/d is
 carried as its numerator. It computes every column, with no period tiled
 when the multiplicities share a factor, so `cross_check` checks the
-engine's tiling cell by cell. `cross_check` runs the engine against it and
-against the brute-force counters and reports the first differing cell;
-`verify` runs the invariants that apply to a config. Both return a
-`CheckReport` of kinded checks.
+engine's tiling cell by cell. Within one call it shares only whole rows of
+equal inputs: a ceiling row per distinct multiplicity and a point's ceiling
+row per distinct branch list; every component still adds its own shift row
+and every point still subtracts its own three rows. `cross_check` runs the
+engine against it and against the brute-force counters and reports the
+first differing cell; `verify` runs the invariants that apply to a config.
+Both return a `CheckReport` of kinded checks.
 
 The brute-force counters are literal too: `brute_lattice_row` enumerates
 where `local.lattice_row` divides a generating function, and `brute_coeffs`
@@ -81,16 +84,28 @@ def brute_coeffs(dprime: int, n: int) -> list[int]:
 _IDIOM_BOUND = 100
 
 
-def _idiom_ceil_row(nums: list[int], d: int) -> list[int]:
+def _idiom_ceil_row(nums: list[int] | range, d: int) -> list[int]:
     """Exact ceilings of the values v = num/d of a row, with the bounded
     100 - int(100 - v) idiom asserted to agree on every cell where that
     idiom is valid (v < 100). There 100 - v > 0, so int() is floor division
-    of its numerator by d."""
+    of its numerator by d.
+
+    One list comparison checks the valid cells: the whole row when its
+    largest numerator is below 100*d, or the valid prefix of an increasing
+    `range`. The cells are walked one by one, naming the first bad cell,
+    only when that fails or a row that is no range reaches 100*d."""
     exact = [-(-num // d) for num in nums]
     top = _IDIOM_BOUND * d
-    bad = next(((num, c) for num, c in zip(nums, exact)
-                if num < top and _IDIOM_BOUND - (top - num) // d != c), None)
-    assert bad is None, (bad, d)
+    if isinstance(nums, range) and nums.step > 0:
+        valid = range(nums.start, min(nums.stop, top), nums.step)
+    else:
+        valid = nums if max(nums) < top else None
+    if valid is None or exact[:len(valid)] != [
+            _IDIOM_BOUND - (top - num) // d for num in valid]:
+        bad = next(((num, c) for num, c in zip(nums, exact)
+                    if num < top and _IDIOM_BOUND - (top - num) // d != c),
+                   None)
+        assert bad is None, (bad, d)
     return exact
 
 
@@ -112,10 +127,12 @@ class ReferenceState:
 
 def reference_state(cfg: CurveConfig) -> ReferenceState:
     """Run the reference computation for an ordinary configuration, a whole
-    row over i in [1, d] at a time: one exact ceiling row per distinct
-    multiplicity, every component adding its own shift row and every branch
-    its own residue row to its point, and the idiom asserted on every cell
-    of every ceiling row (components, branches and points)."""
+    row over i in [1, d] at a time. Shared within the call: one exact
+    ceiling row per distinct multiplicity, and one ceiling row of a point's
+    residue sum per distinct branch list (as given, not sorted). Every
+    component still adds its own shift row, and every point subtracts its
+    own three rows, reading its binomials from a table over q in [0, n].
+    The idiom is asserted on every cell below 100 of every ceiling row."""
     if not cfg.is_ordinary():
         raise ValueError("the reference program handles ordinary points only")
     if cfg.incidence is None:
@@ -148,7 +165,7 @@ def reference_state(cfg: CurveConfig) -> ReferenceState:
     residues: dict[int, list[int]] = {}
     branch_mults = {m for row in state.al for m in row[1:]}
     for a in branch_mults | set(state.as_):
-        nums = [a * i for i in cols]
+        nums = range(a, a * d + 1, a)
         ceils[a] = _idiom_ceil_row(nums, d)
         if a in branch_mults:
             residues[a] = [v - d * c + d for v, c in zip(nums, ceils[a])]
@@ -159,14 +176,21 @@ def reference_state(cfg: CurveConfig) -> ReferenceState:
     sp0 = [(t - 1) * (t - 2) // 2 for t in io]
     sp1 = [state.dsq + (t - 1) * (dr - t - 1) for t in io]
     sp2 = [(dr - t - 1) * (dr - t - 2) // 2 for t in io]
+    points: dict[tuple[int, ...], list[int]] = {}
     for row in state.al:
-        # d times the sum of the residues of the point's branches
-        ga = list(map(sum, zip(*(residues[mult] for mult in row[1:]))))
-        p = _idiom_ceil_row(ga, d)
+        key = tuple(row[1:])
+        if key not in points:
+            # d times the sum of the residues of the point's branches
+            ga = list(map(sum, zip(*(residues[mult] for mult in key))))
+            points[key] = _idiom_ceil_row(ga, d)
+        p = points[key]
         n = row[0]
-        sp0 = [x - (q - 1) * (q - 2) // 2 for x, q in zip(sp0, p)]
-        sp1 = [x - (q - 1) * (n - q) for x, q in zip(sp1, p)]
-        sp2 = [x - (n - q) * (n - q - 1) // 2 for x, q in zip(sp2, p)]
+        b0 = [(q - 1) * (q - 2) // 2 for q in range(n + 1)]
+        b1 = [(q - 1) * (n - q) for q in range(n + 1)]
+        b2 = [(n - q) * (n - q - 1) // 2 for q in range(n + 1)]
+        sp0 = [x - b0[q] for x, q in zip(sp0, p)]
+        sp1 = [x - b1[q] for x, q in zip(sp1, p)]
+        sp2 = [x - b2[q] for x, q in zip(sp2, p)]
     state.sp = [sp0, sp1, sp2, [x + y + z for x, y, z in zip(sp0, sp1, sp2)]]
 
     p = sum((row[0] - 1) ** 2 for row in state.al)

@@ -421,6 +421,18 @@ def test_idiom_ceil(d):
                                         for num in nums]
 
 
+@pytest.mark.parametrize("d", [1, 7, 1819])
+@pytest.mark.parametrize("a", [1, 99, 100, 101, 600])
+def test_idiom_ceil_range_row(a, d):
+    """A multiplicity row as a range, whose idiom is checked on its valid
+    prefix, against the same row as a list, checked cell by cell once it
+    reaches 100*d (a >= 100): the row a*i/d stays below 100 for a <= 99,
+    reaches it at i = d for a = 100 and passes it for 101 and 600."""
+    nums = range(a, a * d + 1, a)
+    want = [math.ceil(Fraction(num, d)) for num in nums]
+    assert _idiom_ceil_row(nums, d) == _idiom_ceil_row(list(nums), d) == want
+
+
 def code_names(code: types.CodeType) -> set[str]:
     """The global and attribute names `code` and every code object nested in
     it (comprehensions, closures, inner functions) refer to."""

@@ -338,6 +338,18 @@ def test_a_table_with_other_cells_takes_the_checked_path():
             table.as_spectrum()
 
 
+@pytest.mark.parametrize("rows", [
+    ((1, 2, 5), (0, 0), (0, 0)),        # a long row: its cells ran into row 1
+    ((1, 2), (0,), (0, 0)),
+    ((1, 2), (0, 0)),                    # row_sums_ok failed on unpacking
+    ((1, 2), (0, 0), (0, 0), (0, 0)),
+    (),
+])
+def test_a_table_of_the_wrong_shape_is_refused(rows):
+    with pytest.raises(ValueError, match="3 rows of d = 2 cells"):
+        ConeSpectrumTable(2, 2, 0, rows)
+
+
 def _brieskorn(exponents):
     """The weight system of x_1^a_1 + ... + x_n^a_n."""
     degree = math.lcm(*exponents)

@@ -38,6 +38,8 @@ Cases (``CASES``):
   check: ``sextic-pencil`` at a = 148, b = c = 1 (d = 901),
   ``quartic-pencil`` at a = 300, b = c = 1 (d = 1206) and
   ``sextic-pencil`` at a = 248, b = c = 1 (d = 1501);
+* ``oracle``: ``oracle`` of ``sextic-pencil`` at a = 300, b = c = 1
+  (d = 1813) and of ``five-lines`` at a = 996, b = 500, c = 1 (d = 1500);
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid.
 
 Only the standard library is used.
@@ -74,9 +76,9 @@ def _scan(name: str, *args: str) -> list[str]:
     return ["scan", str(FIXTURES / f"{name}.vectors"), *args]
 
 
-def _verify(name: str, a: int) -> list[str]:
-    return ["verify", str(FIXTURES / f"{name}.vectors"), "--param", f"a={a}",
-            "--param", "b=1", "--param", "c=1"]
+def _fixture(command: str, name: str, a: int, b: int = 1) -> list[str]:
+    return [command, str(FIXTURES / f"{name}.vectors"), "--param", f"a={a}",
+            "--param", f"b={b}", "--param", "c=1"]
 
 
 def _five_lines(hi: int) -> list[str]:
@@ -104,8 +106,11 @@ CASES = {
     "rows": [["compute", str(FIXTURES / "five-lines.vectors"),
               "--param", "a=996", "--param", "b=500", "--param", "c=1",
               "--format", "rows"]],
-    "verify": [_verify("sextic-pencil", 148), _verify("quartic-pencil", 300),
-               _verify("sextic-pencil", 248)],
+    "verify": [_fixture("verify", "sextic-pencil", 148),
+               _fixture("verify", "quartic-pencil", 300),
+               _fixture("verify", "sextic-pencil", 248)],
+    "oracle": [_fixture("oracle", "sextic-pencil", 300),
+               _fixture("oracle", "five-lines", 996, 500)],
     "tiny": [_five_lines(2)],
 }
 

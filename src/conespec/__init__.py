@@ -14,9 +14,10 @@ The package is organized as:
 
 All arithmetic is exact, in integers over a known denominator.
 `fractions.Fraction` appears only at the edges, and is imported only where
-one is built: in the exponent form of the `SpectrumVector` constructor
-(which a ``localspectrum`` line uses), and in `window_count`, `index_data`
-and `residue_degree`, which no command calls.
+one is built: in `formats._parse_fraction`, which builds the exponents of a
+``localspectrum`` line, in the exponent form of the `SpectrumVector`
+constructor (which that line uses), and in `window_count`, `index_data` and
+`residue_degree`, which no command calls.
 """
 
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,

@@ -24,7 +24,7 @@ from math import gcd
 
 from ._record import Record
 from .local import SingularPoint, _window_row, lattice_row, quotient_coeffs
-from .spectrum import Numerators, SpectrumVector
+from .spectrum import Numerators, SpectrumVector, _count
 
 
 def binom2(n: int) -> int:
@@ -46,23 +46,42 @@ class GlobalComponent(Record):
         object.__setattr__(self, "multiplicity", multiplicity)
 
 
+def _matrix_counts(matrix) -> dict[int, int]:
+    """How many entries of a point-by-component matrix take each positive
+    value: the multiset an `Incidence`'s pairs must add up to."""
+    counts: dict[int, int] = {}
+    for row in matrix:
+        for v in row:
+            if v >= 1:
+                counts[v] = counts.get(v, 0) + 1
+    return counts
+
+
 class Incidence(Record):
     """Component multiplicities at singular points, either as a bare multiset
-    of (count, value) pairs or as a full point-by-component matrix."""
+    of (count, value) pairs or as a full point-by-component matrix, whose
+    pairs then total, per value, the matrix's count of that value."""
 
     __slots__ = ("pairs", "matrix")
 
     def __init__(self, pairs: tuple[tuple[int, int], ...],
                  matrix: tuple[tuple[int, ...], ...] | None = None):
-        pairs = tuple([(int(c), int(v)) for c, v in pairs])
-        for count, value in pairs:
-            if count < 1 or value < 1:
-                raise ValueError("incidence pairs need positive count and value")
         if matrix is not None:
-            matrix = tuple(tuple(int(v) for v in row) for row in matrix)
+            matrix = tuple(tuple([_count(v, "incidence matrix entry")
+                                  for v in row]) for row in matrix)
             for row in matrix:
                 if any(v < 0 for v in row):
                     raise ValueError("incidence matrix entries must be >= 0")
+        pairs = tuple([(_count(c, "incidence count"),
+                        _count(v, "incidence value")) for c, v in pairs])
+        totals: dict[int, int] = {}
+        for count, value in pairs:
+            if count < 1 or value < 1:
+                raise ValueError("incidence pairs need positive count and value")
+            totals[value] = totals.get(value, 0) + count
+        if matrix is not None and totals != _matrix_counts(matrix):
+            raise ValueError("incidence pairs disagree with the matrix's "
+                             "count of each value")
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "matrix", matrix)
 
@@ -72,14 +91,11 @@ class Incidence(Record):
 
     @classmethod
     def from_matrix(cls, rows) -> "Incidence":
-        matrix = tuple(tuple(int(v) for v in row) for row in rows)
-        counts: dict[int, int] = {}
-        for row in matrix:
-            for v in row:
-                if v >= 1:
-                    counts[v] = counts.get(v, 0) + 1
-        pairs = tuple(sorted((c, v) for v, c in counts.items()))
-        return cls(pairs, matrix)
+        """The matrix with its pairs, sorted; the constructor alone checks
+        its entries and makes them ints."""
+        rows = tuple(map(tuple, rows))
+        return cls(tuple(sorted((c, v) for v, c in
+                                _matrix_counts(rows).items())), rows)
 
 
 class CurveConfig(Record):
@@ -107,6 +123,8 @@ class CurveConfig(Record):
         points = tuple(points)
         if not components:
             raise ValueError("a curve needs at least one component")
+        if type(nodes) is not int:
+            nodes = _count(nodes, "node count")
         if nodes < 0:
             raise ValueError("node count must be >= 0")
         if incidence is not None and incidence.matrix is not None:

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from ._record import Record
-from .spectrum import Numerators, SpectrumVector
+from .spectrum import Numerators, SpectrumVector, _count
 
 
 class WeightSystem(Record):
@@ -22,7 +22,7 @@ class WeightSystem(Record):
     __slots__ = ("weights", "degree")
 
     def __init__(self, weights: tuple[int, ...], degree: int):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple([_count(w, "weight") for w in weights])
         if not weights:
             raise ValueError("weight system needs at least one weight")
         if any(w < 1 for w in weights):
@@ -32,6 +32,7 @@ class WeightSystem(Record):
         # config) may share a factor with its degree.
         if len(weights) > 1 and math.gcd(*weights) != 1:
             raise ValueError("weights must have gcd 1")
+        degree = _count(degree, "weighted degree")
         if degree < 1:
             raise ValueError("weighted degree must be positive")
         object.__setattr__(self, "weights", weights)

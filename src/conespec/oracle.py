@@ -4,15 +4,16 @@
 ordinary-singularity configurations, kept independent of the engine module.
 It walks every component, point and branch separately, row by row over the
 columns i in [1, d], in integers over the degree d: a value v = num/d is
-carried as its numerator. It computes every column, with no period tiled
-when the multiplicities share a factor, so `cross_check` checks the
-engine's tiling cell by cell. Within one call it shares only whole rows of
-equal inputs: a ceiling row per distinct multiplicity and a point's ceiling
-row per distinct branch list; every component still adds its own shift row
-and every point still subtracts its own three rows. `cross_check` runs the
-engine against it and against the brute-force counters and reports the
-first differing cell; `verify` runs the invariants that apply to a config.
-Both return a `CheckReport` of kinded checks.
+carried as its numerator, and its ceiling is the exact -(-num // d). It
+computes every column, with no period tiled when the multiplicities share a
+factor, so `cross_check` checks the engine's tiling cell by cell. Within
+one call it shares only whole rows of equal inputs: a ceiling row per
+distinct multiplicity and a point's ceiling row per distinct branch list;
+every component still adds its own shift row and every point still
+subtracts its own three rows. `cross_check` runs the engine against it and
+against the brute-force counters and reports the first differing cell;
+`verify` runs the invariants that apply to a config. Both return a
+`CheckReport` of kinded checks.
 
 The brute-force counters are literal too: `brute_lattice_row` enumerates
 where `local.lattice_row` divides a generating function, and `brute_coeffs`
@@ -81,34 +82,6 @@ def brute_coeffs(dprime: int, n: int) -> list[int]:
     return coeffs[n + 1:]
 
 
-_IDIOM_BOUND = 100
-
-
-def _idiom_ceil_row(nums: list[int] | range, d: int) -> list[int]:
-    """Exact ceilings of the values v = num/d of a row, with the bounded
-    100 - int(100 - v) idiom asserted to agree on every cell where that
-    idiom is valid (v < 100). There 100 - v > 0, so int() is floor division
-    of its numerator by d.
-
-    One list comparison checks the valid cells: the whole row when its
-    largest numerator is below 100*d, or the valid prefix of an increasing
-    `range`. The cells are walked one by one, naming the first bad cell,
-    only when that fails or a row that is no range reaches 100*d."""
-    exact = [-(-num // d) for num in nums]
-    top = _IDIOM_BOUND * d
-    if isinstance(nums, range) and nums.step > 0:
-        valid = range(nums.start, min(nums.stop, top), nums.step)
-    else:
-        valid = nums if max(nums) < top else None
-    if valid is None or exact[:len(valid)] != [
-            _IDIOM_BOUND - (top - num) // d for num in valid]:
-        bad = next(((num, c) for num, c in zip(nums, exact)
-                    if num < top and _IDIOM_BOUND - (top - num) // d != c),
-                   None)
-        assert bad is None, (bad, d)
-    return exact
-
-
 class ReferenceState:
     """Raw working arrays of the reference program: one row per point in
     `al` (branch count followed by branch multiplicities), expanded degree
@@ -132,7 +105,7 @@ def reference_state(cfg: CurveConfig) -> ReferenceState:
     residue sum per distinct branch list (as given, not sorted). Every
     component still adds its own shift row, and every point subtracts its
     own three rows, reading its binomials from a table over q in [0, n].
-    The idiom is asserted on every cell below 100 of every ceiling row."""
+    A ceiling of num/d is the exact integer division -(-num // d)."""
     if not cfg.is_ordinary():
         raise ValueError("the reference program handles ordinary points only")
     if cfg.incidence is None:
@@ -166,7 +139,7 @@ def reference_state(cfg: CurveConfig) -> ReferenceState:
     branch_mults = {m for row in state.al for m in row[1:]}
     for a in branch_mults | set(state.as_):
         nums = range(a, a * d + 1, a)
-        ceils[a] = _idiom_ceil_row(nums, d)
+        ceils[a] = [-(-num // d) for num in nums]
         if a in branch_mults:
             residues[a] = [v - d * c + d for v, c in zip(nums, ceils[a])]
     s = [0] * d
@@ -182,7 +155,7 @@ def reference_state(cfg: CurveConfig) -> ReferenceState:
         if key not in points:
             # d times the sum of the residues of the point's branches
             ga = list(map(sum, zip(*(residues[mult] for mult in key))))
-            points[key] = _idiom_ceil_row(ga, d)
+            points[key] = [-(-num // d) for num in ga]
         p = points[key]
         n = row[0]
         b0 = [(q - 1) * (q - 2) // 2 for q in range(n + 1)]

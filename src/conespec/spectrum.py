@@ -16,11 +16,12 @@ from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import compress, count, cycle
 
 
-def _count(mult) -> int:
-    """`mult` as an int; ValueError when it is not integral."""
-    count = int(mult)
-    if count != mult:
-        raise ValueError(f"multiplicity {mult!r} is not an integer")
+def _count(value, what: str = "multiplicity") -> int:
+    """`value` as an int (2 and 2.0 alike); ValueError naming `what` when it
+    is not integral."""
+    count = int(value)
+    if count != value:
+        raise ValueError(f"{what} {value!r} is not an integer")
     return count
 
 
@@ -110,7 +111,7 @@ class SpectrumVector:
             table = {k // g: m for k, m in table.items()}
         self._den = denominator
         self._nums = table
-        self._ambient_dim = int(ambient_dim)
+        self._ambient_dim = _count(ambient_dim, "ambient_dim")
 
     @property
     def ambient_dim(self) -> int:

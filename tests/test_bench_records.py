@@ -89,6 +89,33 @@ def test_tool_refuses_runs_of_two_revisions(tmp_path):
                           "--runs", str(tmp_path)])
 
 
+def test_tool_refuses_runs_without_a_revision(tmp_path):
+    """A run measured outside a git checkout reports a null revision; the
+    record folded from it could not say which tree it measured."""
+    for seed in (1, 2):
+        record = dict(run_record("scan-grid", seed, 1.0), revision=None)
+        (tmp_path / f"scan-grid-seed{seed}-trace0.json").write_text(
+            json.dumps(record))
+    out = tmp_path / "BENCH_1.json"
+    with pytest.raises(SystemExit, match="no revision; measure a git "
+                       "checkout of the commit"):
+        load_tool().main([str(out), "--runs", str(tmp_path)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("revision", ["abc", None])
+def test_compare_refuses_two_sides_of_one_revision(revision):
+    """Two sides that report one revision, null included, were not each
+    measured in a checkout of their own commit."""
+    old, new = paired_records({"parent": [1.0] * 4, "change": [1.0] * 4})
+    for record in old + new:
+        record["revision"] = revision
+    metrics = {"m": {"better": "lower", "bound": 0.25}}
+    with pytest.raises(SystemExit, match=f"both sides report revision "
+                       f"{revision}; measure each side in a git checkout"):
+        load_tool().compare(old, new, metrics)
+
+
 def write_runs(directory, revision, values):
     """One untraced record per seed; `values` maps a metric to its value
     on seeds 1, 2, ..."""

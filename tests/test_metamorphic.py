@@ -1,7 +1,8 @@
-"""Metamorphic relations of the ordinary route (Chen et al., "Metamorphic
+"""Metamorphic relations of the curve routes (Chen et al., "Metamorphic
 testing", 1998): rewrites of a config that describe the same curve must
-leave `curve_table`, `reference_ordinary` and the rendered `cross_check`
-report unchanged. The rewrites are
+leave its outputs unchanged. On the ordinary route the outputs are
+`curve_table`, `reference_ordinary` and the rendered `cross_check` report,
+and the rewrites are
 
 - permuting the components, with the incidence matrix's columns permuted
   alongside when the incidence is a matrix;
@@ -15,6 +16,18 @@ The corpus is seeded `random_ordinary_config` draws (with and without a
 matrix), draws whose incidence pairs were redrawn so that the report's
 ``middle-incidence`` check fails and names a cell, and the vector fixtures
 at two bindings.
+
+On the weighted route, which has no reference program, the output is
+`curve_table`, and the rewrites are
+
+- permuting the components, the points, and the branches within a point;
+- a round trip through the native dialect (`emit_native`);
+- in the native dialect, a ``count=k`` line in place of k equal lines;
+- a weight-(1, 1) point with two branches of multiplicity 1 in place of
+  one more node.
+
+Its corpus is seeded `random_mixed_swh_config` and
+`random_reduced_swh_config` draws.
 """
 
 import random
@@ -24,9 +37,12 @@ import pytest
 
 from conespec.engine import CurveConfig, Incidence, curve_table
 from conespec.formats import config_template
-from conespec.local import SingularPoint
+from conespec.local import LocalBranch, SingularPoint
 from conespec.oracle import cross_check, reference_ordinary
-from generators import random_ordinary_config, random_redrawn_incidence_config
+from generators import (random_mixed_swh_config, random_ordinary_config,
+                        random_redrawn_incidence_config,
+                        random_reduced_swh_config)
+from reference import emit_native
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -50,7 +66,7 @@ def outputs(cfg: CurveConfig):
 def permute_components(cfg: CurveConfig, rng: random.Random) -> CurveConfig:
     order = rng.sample(range(len(cfg.components)), len(cfg.components))
     incidence = cfg.incidence
-    if incidence.matrix is not None:
+    if incidence is not None and incidence.matrix is not None:
         incidence = Incidence.from_matrix([[row[k] for k in order]
                                            for row in incidence.matrix])
     return CurveConfig(tuple(cfg.components[k] for k in order), cfg.points,
@@ -61,7 +77,7 @@ def permute_points(cfg: CurveConfig, rng: random.Random) -> CurveConfig:
     n = len(cfg.points)
     order = rng.sample(range(n), n)
     incidence = cfg.incidence
-    if incidence.matrix is not None:
+    if incidence is not None and incidence.matrix is not None:
         matrix = incidence.matrix
         incidence = Incidence.from_matrix([matrix[k] for k in order]
                                           + list(matrix[n:]))
@@ -148,3 +164,83 @@ def test_repeat_counts_leave_the_outputs_unchanged(corpus):
             for text in texts:
                 assert outputs(config_template(text)({})) == want, text
     assert grouped_runs >= 120
+
+
+@pytest.fixture(scope="module")
+def weighted_corpus():
+    rng = random.Random(20261021)
+    cfgs = [draw(rng) for _ in range(200)
+            for draw in (random_mixed_swh_config, random_reduced_swh_config)]
+    assert sum(not cfg.is_ordinary() for cfg in cfgs) >= 200
+    assert sum(not cfg.is_reduced() for cfg in cfgs) >= 100
+    return cfgs
+
+
+@pytest.mark.parametrize("permute", [permute_components, permute_points,
+                                     permute_branches])
+def test_weighted_permutations_leave_the_table_unchanged(weighted_corpus,
+                                                         permute):
+    rng = random.Random(permute.__name__)
+    for cfg in weighted_corpus:
+        moved = permute(cfg, rng)
+        assert curve_table(moved) == curve_table(cfg), (permute.__name__, cfg)
+
+
+def native_text(cfg: CurveConfig, grouped: bool) -> str:
+    """`cfg` in the native dialect, one ``count=1`` line per record as
+    `emit_native` writes it, or with each run of equal lines in a row as
+    one ``count=k`` line when `grouped`."""
+    runs = []
+    for line in emit_native(cfg).splitlines():
+        if grouped and runs and runs[-1][1] == line and line.endswith(
+                " count=1"):
+            runs[-1][0] += 1
+        else:
+            runs.append([1, line])
+    return "".join(line.removesuffix("count=1") + f"count={k}\n"
+                   if line.endswith(" count=1") else line + "\n"
+                   for k, line in runs)
+
+
+def sorted_weighted(cfg: CurveConfig) -> CurveConfig:
+    """`cfg` with its components and points sorted, so that equal records
+    stand in a row."""
+    def point_key(p):
+        return p.weights, [(b.weighted_degree, b.multiplicity)
+                           for b in p.branches]
+
+    return CurveConfig(
+        tuple(sorted(cfg.components, key=lambda c: (c.degree, c.multiplicity))),
+        tuple(sorted(cfg.points, key=point_key)), cfg.nodes, cfg.incidence)
+
+
+def test_native_round_trip_and_counts_leave_the_table_unchanged(
+        weighted_corpus):
+    """Each config and its records sorted, read back from native text once
+    with k equal lines and once with one ``count=k`` line."""
+    grouped_runs = 0
+    for cfg in weighted_corpus:
+        want = curve_table(cfg)
+        back = config_template(emit_native(cfg))({})
+        assert back == cfg and curve_table(back) == want, cfg
+        for base in (cfg, sorted_weighted(cfg)):
+            texts = [native_text(base, grouped) for grouped in (False, True)]
+            grouped_runs += texts[0] != texts[1]
+            for text in texts:
+                assert curve_table(config_template(text)({})) == want, text
+    assert grouped_runs >= 40
+
+
+NODE = SingularPoint((1, 1), (LocalBranch(1, 1), LocalBranch(1, 1)))
+
+
+def test_a_node_as_a_point_leaves_the_table_unchanged(weighted_corpus):
+    """One more node, or one more point of weights (1, 1) with two branches
+    of multiplicity 1 and degree 1, at the end or at the front of the
+    points."""
+    for cfg in weighted_corpus:
+        more = CurveConfig(cfg.components, cfg.points, cfg.nodes + 1)
+        want = curve_table(more)
+        for points in (cfg.points + (NODE,), (NODE,) + cfg.points):
+            folded = CurveConfig(cfg.components, points, cfg.nodes)
+            assert curve_table(folded) == want, cfg

@@ -20,14 +20,15 @@ from conespec.formats import (config_template, parse_native, parse_singular,
                               parse_vector_text)
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             lattice_row, weighted_spectrum)
-from conespec.oracle import (_first_row_mismatch, _idiom_ceil_row,
-                             as_reduced_cone, brute_coeffs, brute_lattice,
-                             brute_lattice_row, cross_check, has_reference,
-                             reference_ordinary, reference_state, verify)
+from conespec.oracle import (_first_row_mismatch, as_reduced_cone,
+                             brute_coeffs, brute_lattice, brute_lattice_row,
+                             cross_check, has_reference, reference_ordinary,
+                             reference_state, verify)
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config, scale_multiplicities)
-from reference import fraction_reference_state, thicken
+from reference import (_fraction_idiom_ceil, fraction_reference_state,
+                       thicken)
 from test_acceptance import golden_configs
 from test_engine import pencil_config
 
@@ -347,10 +348,10 @@ def test_randomized_swh_points_are_valid():
 
 
 def test_idiom_agreement_exercised():
-    # table indices drive many ceilings through the bounded-trick assertion;
-    # any disagreement below 100 would raise inside reference_ordinary
+    # the Fraction transcription asserts the bounded idiom on every ceiling
+    # below 100; the integer program takes the exact ceilings and agrees
     cfg = load("sextic-pencil.vectors", a=5, b=4, c=3)
-    reference_ordinary(cfg)
+    assert vars(reference_state(cfg)) == vars(fraction_reference_state(cfg))
 
 
 # 101 concurrent reduced lines: at i = d every residue is 1, so the sum of
@@ -411,26 +412,35 @@ def test_row_reference_matches_fraction_transcription():
         assert vars(reference_state(cfg)) == vars(fraction_reference_state(cfg))
 
 
+def assert_idiom_ceilings(nums, d):
+    """The transcription's idiom ceiling is the exact integer ceiling, and
+    the integer form of the idiom, 100 - (100*d - num) // d, equals it for
+    every num, 100*d and beyond included: floor(100 - x) = 100 - ceil(x)
+    for every real x, so a check of it in integers could never fail."""
+    for num in nums:
+        exact = -(-num // d)
+        assert _fraction_idiom_ceil(Fraction(num, d)) == exact
+        assert 100 - (100 * d - num) // d == exact
+
+
 @pytest.mark.parametrize("d", [1, 2, 7, 1819])
 def test_idiom_ceil(d):
     # exact multiples k*d and their neighbours k*d -+ 1, up to both edges of
     # the idiom's domain v < 100: 100*d - 1 and 100*d, as one row per d
     nums = [num for k in range(102) for num in (k * d - 1, k * d, k * d + 1)
             if num >= 1]
-    assert _idiom_ceil_row(nums, d) == [math.ceil(Fraction(num, d))
-                                        for num in nums]
+    assert max(nums) > 100 * d
+    assert_idiom_ceilings(nums, d)
 
 
 @pytest.mark.parametrize("d", [1, 7, 1819])
 @pytest.mark.parametrize("a", [1, 99, 100, 101, 600])
 def test_idiom_ceil_range_row(a, d):
-    """A multiplicity row as a range, whose idiom is checked on its valid
-    prefix, against the same row as a list, checked cell by cell once it
-    reaches 100*d (a >= 100): the row a*i/d stays below 100 for a <= 99,
-    reaches it at i = d for a = 100 and passes it for 101 and 600."""
-    nums = range(a, a * d + 1, a)
-    want = [math.ceil(Fraction(num, d)) for num in nums]
-    assert _idiom_ceil_row(nums, d) == _idiom_ceil_row(list(nums), d) == want
+    """A multiplicity row a*i/d over i in [1, d]: it stays below 100 for
+    a <= 99, reaches it at i = d for a = 100 and passes it for 101 and 600.
+    On the cells at 100 and above the transcription checks no idiom, and
+    the integer form still holds."""
+    assert_idiom_ceilings(range(a, a * d + 1, a), d)
 
 
 def code_names(code: types.CodeType) -> set[str]:
@@ -463,11 +473,10 @@ def test_reference_stays_literal():
                if inspect.isfunction(value)
                and value.__module__ == module.__name__}
     assert forbidden <= kernels
-    for function in (reference_state, _idiom_ceil_row):
-        names = code_names(function.__code__)
-        assert "Fraction" not in names
-        assert not names & forbidden
-        assert not names & kernels
+    names = code_names(reference_state.__code__)
+    assert "Fraction" not in names
+    assert not names & forbidden
+    assert not names & kernels
 
 
 def test_row_mismatch_names_the_first_cell():

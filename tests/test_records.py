@@ -218,3 +218,58 @@ def test_derived_slot_is_no_field():
         assert clone == point and clone._key == point._key
     with pytest.raises(AttributeError):
         setattr(point, "_key", None)
+
+
+# (constructor call with one non-integral field, its message); the parent
+# truncated or kept each of these values
+NOT_INTEGRAL = [
+    (lambda: CurveConfig([GlobalComponent(1, 1)], nodes=0.5),
+     "node count 0.5 is not an integer"),
+    (lambda: Incidence([(1, 2.7)]), "incidence value 2.7 is not an integer"),
+    (lambda: Incidence([(1.5, 2)]), "incidence count 1.5 is not an integer"),
+    (lambda: Incidence.from_matrix([[2.5, 1]]),
+     "incidence matrix entry 2.5 is not an integer"),
+    (lambda: WeightSystem((1.9, 3), 7), "weight 1.9 is not an integer"),
+    (lambda: WeightSystem((2, 3), 6.5),
+     "weighted degree 6.5 is not an integer"),
+    (lambda: SpectrumVector({1: 1}, 2.5), "ambient_dim 2.5 is not an integer"),
+]
+
+
+def test_integer_fields_refuse_other_numbers():
+    """An integral value (2 or 2.0) is taken as an int, as
+    `SpectrumVector` takes a multiplicity; any other is refused."""
+    for make, message in NOT_INTEGRAL:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    cfg = CurveConfig([GlobalComponent(1, 1)], nodes=2.0)
+    assert type(cfg.nodes) is int and cfg._derived[4] == -1
+    assert repr(Incidence([(1, 2.0)], [[2.0, 0]])) == repr(
+        Incidence([(1, 2)], [[2, 0]]))
+    assert repr(WeightSystem((2.0, 3), 6.0)) == repr(WeightSystem((2, 3), 6))
+    assert type(SpectrumVector({1: 1}, 2.0).ambient_dim) is int
+
+
+@pytest.mark.parametrize("pairs, matrix", [
+    (((1, 2),), ((3, 3),)),
+    (((1, 2),), ((2, 2),)),
+    (((2, 2), (1, 1)), ((2, 2),)),
+    ((), ((1, 0),)),
+    (((1, 1),), ((0, 0),)),
+])
+def test_incidence_refuses_pairs_that_disagree_with_its_matrix(pairs, matrix):
+    with pytest.raises(ValueError) as info:
+        Incidence(pairs, matrix)
+    assert str(info.value) == ("incidence pairs disagree with the matrix's "
+                               "count of each value")
+
+
+def test_incidence_pairs_may_split_a_count_of_the_matrix():
+    """The check compares the total count per value, so pairs in any order
+    and split over several entries agree with the matrix, and
+    `from_matrix` gives the sorted pairs."""
+    matrix = ((2, 1), (2, 0), (0, 2))
+    assert Incidence(((1, 2), (1, 1), (2, 2)), matrix).matrix == matrix
+    assert Incidence.from_matrix(matrix).pairs == ((1, 1), (3, 2))
+    assert Incidence.from_matrix([[0, 0]]).pairs == ()

@@ -9,7 +9,9 @@ Usage::
 Reads every untraced run record ``<workload>-seed<n>-trace0.json`` that
 ``perfbench/run.py`` wrote to the runs directory and writes one JSON file:
 
-* ``revision`` and ``machine``, which every run must share;
+* ``revision`` and ``machine``, which every run must share; a run whose
+  ``revision`` is null (``perfbench/run.py`` measured a tree outside a git
+  checkout) is refused, since the record could not say what it measured;
 * ``seeds``, every seed read;
 * ``workloads``: per workload, the number of ``runs``, per metric its
   ``unit`` and the ``median``, ``q1`` and ``q3`` over the runs
@@ -19,7 +21,10 @@ Reads every untraced run record ``<workload>-seed<n>-trace0.json`` that
 A workload needs at least two runs.
 
 ``--compare`` pairs the untraced records of two runs directories, the
-parent's and the change's, by workload and seed. For each workload it
+parent's and the change's, by workload and seed. Each side's runs must
+share one revision, and the two sides must report different ones: two
+equal revisions (two nulls included) mean at least one side was not
+measured in a git checkout of its own commit. For each workload it
 prints each side's ``fail_ratio`` over the paired runs, and whether the
 change's share of failed operations grew. For each end-to-end metric of
 ``BENCHMARK.json`` (which says whether higher or lower is better, and by
@@ -86,7 +91,11 @@ def fold(records: list[dict]) -> dict:
             "runs": len(runs), "metrics": metrics,
             "fail_ratio": {"failed": failed, "attempted": attempted,
                            "value": failed / attempted}}
-    return {"revision": one([r["revision"] for r in records], "revision"),
+    revision = one([r["revision"] for r in records], "revision")
+    if revision is None:
+        raise SystemExit("record_bench: the runs have no revision; measure "
+                         "a git checkout of the commit")
+    return {"revision": revision,
             "machine": one([r["machine"] for r in records], "machine"),
             "seeds": sorted({r["seed"] for r in records}),
             "workloads": workloads}
@@ -99,8 +108,12 @@ def compare(parent: list[dict], change: list[dict],
     `better` "higher" or "lower" and a `bound`): the paired comparison of
     the `change` runs with the `parent` runs of the same workload and
     seed."""
-    for side in (parent, change):
-        one([r["revision"] for r in side], "revision")
+    revision, other = (one([r["revision"] for r in side], "revision")
+                       for side in (parent, change))
+    if revision == other:
+        raise SystemExit(f"record_bench: both sides report revision "
+                         f"{revision}; measure each side in a git checkout "
+                         "of its commit")
     after = {(r["workload"], r["seed"]): r for r in change}
     pairs: dict[str, list[tuple[dict, dict]]] = {}
     for run in sorted(parent, key=lambda r: (r["workload"], r["seed"])):

@@ -239,6 +239,9 @@ class ReducedConeConfig(Record):
                  local_spectra: tuple[SpectrumVector, ...] = (),
                  power: int = 1):
         local_spectra = tuple(local_spectra)
+        ambient_dim = _count(ambient_dim, "ambient_dim")
+        degree = _count(degree, "degree")
+        power = _count(power, "power")
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         if degree < 1:
@@ -406,8 +409,10 @@ def curve_table(cfg: CurveConfig) -> ConeSpectrumTable:
 def _table(cfg: CurveConfig, period: tuple) -> ConeSpectrumTable:
     """The table of `cfg` built as whole rows from `period`, its floor rows
     (`_period_rows`), which costs less per column than `_column` but more
-    per call: rows 0 and 2 on [1, P] are tiled g times to [1, d], row 2
-    takes its -1 at i = d, and row 1 closes each column against chi(U)."""
+    per call: on [1, P] row 1 is chi(U) - row0 - row2, the three rows are
+    tiled g times to [1, d], and row 2 takes its -1 at i = d. The column
+    identity (`row_sums_ok`) asks one less of row 1 at i = d, which row 2's
+    -1 gives back, so row 1 tiles as it is."""
     d, dp, _, _, chi = cfg._derived
     twist, points = period
     row0 = [(t - 1) * (t - 2) // 2 for t in twist]   # binom2(t - 1)
@@ -417,10 +422,9 @@ def _table(cfg: CurveConfig, period: tuple) -> ConeSpectrumTable:
         row0 = [r - k * row[c] for r, c in zip(row0, ceil)]
         row2 = [r - k * row[top - c] for r, c in zip(row2, ceil)]
     g = d // len(twist)
+    row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)] * g
     row0, row2 = row0 * g, row2 * g
     row2[-1] -= 1
-    row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)]
-    row1[-1] -= 1
     return ConeSpectrumTable(d, dp, chi,
                              (tuple(row0), tuple(row1), tuple(row2)))
 

@@ -15,13 +15,15 @@ against the brute-force counters and reports the first differing cell;
 `verify` runs the invariants that apply to a config. Both return a
 `CheckReport` of kinded checks.
 
-The brute-force counters are literal too: `brute_lattice_row` enumerates
-where `local.lattice_row` divides a generating function, and `brute_coeffs`
-convolves where `smooth_cone_coeffs` divides.
+The counters are independent of the engine's too: `brute_lattice_row`
+enumerates where `local.lattice_row` divides a generating function, and
+`composition_coeffs` counts compositions in closed form, a sum of
+binomials, where `smooth_cone_coeffs` divides a series.
 """
 
 from __future__ import annotations
 
+from math import comb
 from operator import le
 
 from ._record import Record
@@ -63,23 +65,22 @@ def brute_lattice_row(w: int, wp: int, top: int) -> list[int]:
     return row
 
 
-def brute_coeffs(dprime: int, n: int) -> list[int]:
-    """(n+1)-fold convolution of the indicator of [1, dprime-1], returned as
-    coefficients starting at exponent n+1 (same alignment as
-    `smooth_cone_coeffs`)."""
+def composition_coeffs(dprime: int, n: int) -> list[int]:
+    """The number of compositions of s into n+1 parts in [1, dprime-1], for
+    s from n+1 to (n+1)(dprime-1): the coefficients of
+    (t + ... + t^(dprime-1))^(n+1), aligned as `smooth_cone_coeffs` aligns
+    them. By inclusion-exclusion over the k parts that exceed dprime-1, the
+    count is sum_k (-1)^k C(n+1, k) C(s - k(dprime-1) - 1, n): one binomial
+    row for k = 0, then one correction pass per k >= 1."""
     if dprime == 1:
         return []
-    indicator = [0] + [1] * (dprime - 1)
-    coeffs = [1]
-    for _ in range(n + 1):
-        out = [0] * (len(coeffs) + len(indicator) - 1)
-        for a, ca in enumerate(coeffs):
-            if ca:
-                for b, cb in enumerate(indicator):
-                    if cb:
-                        out[a + b] += ca * cb
-        coeffs = out
-    return coeffs[n + 1:]
+    part, size = dprime - 1, (n + 1) * (dprime - 2) + 1
+    free = [comb(n + j, n) for j in range(size)]
+    coeffs = free.copy()
+    for k in range(1, (size - 1) // part + 1):      # k <= n
+        f, start = (-1) ** k * comb(n + 1, k), k * part
+        coeffs[start:] = [c + f * x for c, x in zip(coeffs[start:], free)]
+    return coeffs
 
 
 class ReferenceState:
@@ -257,7 +258,8 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
     checks, which the report's note names: the column-sum identity and (for
     reduced configs) the rows recomputed from the local spectra. Both also
     run the checks of the engine's counters: smooth-cone coefficients
-    against plain convolution, and lattice rows against literal enumeration.
+    against a closed-form composition count, and lattice rows against
+    literal enumeration.
 
     ``lattice-counts`` compares `lattice_row` with `brute_lattice_row` once
     per distinct weight pair (w, w'), up to the bound d_j - 1 of its largest
@@ -319,7 +321,7 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
     dp = cfg.reduced_degree
     checks.append(CheckResult(
         "smooth-coeffs",
-        smooth_cone_coeffs(dp, 2) == brute_coeffs(dp, 2),
+        smooth_cone_coeffs(dp, 2) == composition_coeffs(dp, 2),
         f"coefficient lists differ for degree {dp}"))
 
     return CheckReport(tuple(checks), note)

@@ -163,8 +163,10 @@ class SpectrumVector:
                             and max(nums) < self._ambient_dim * self._den)
 
     def is_symmetric(self) -> bool:
-        """True iff the vector equals its own dual."""
-        return self.dual() == self
+        """True iff the vector equals its own dual: its table equals the
+        table reflected k -> ambient_dim*den - k, on the same denominator."""
+        top, nums = self._ambient_dim * self._den, self._nums
+        return nums == {top - k: m for k, m in nums.items()}
 
     def render(self) -> str:
         """Canonical text form: "p/q:m" entries, increasing exponents."""

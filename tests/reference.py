@@ -154,6 +154,26 @@ def weighted_milnor(ws: WeightSystem) -> int:
     return value.numerator
 
 
+def convolution_coeffs(dprime: int, n: int) -> list[int]:
+    """(n+1)-fold convolution of the indicator of [1, dprime-1], returned as
+    coefficients starting at exponent n+1 (same alignment as
+    `smooth_cone_coeffs`): the literal witness of the closed-form count
+    `oracle.composition_coeffs`."""
+    if dprime == 1:
+        return []
+    indicator = [0] + [1] * (dprime - 1)
+    coeffs = [1]
+    for _ in range(n + 1):
+        out = [0] * (len(coeffs) + len(indicator) - 1)
+        for a, ca in enumerate(coeffs):
+            if ca:
+                for b, cb in enumerate(indicator):
+                    if cb:
+                        out[a + b] += ca * cb
+        coeffs = out
+    return coeffs[n + 1:]
+
+
 def monomial_spectrum(exponents: Sequence[int]) -> SpectrumVector:
     """Spectrum of the monomial x_0^(a_0)...x_n^(a_n), from topology alone.
 

@@ -25,15 +25,15 @@ from conespec.formats import parse_native, parse_singular, parse_vector_text
 from conespec.local import (LocalBranch, SingularPoint, lattice_count,
                             lattice_row, milnor_number, weighted_spectrum,
                             WeightSystem)
-from conespec.oracle import as_reduced_cone, brute_coeffs, cross_check, verify
+from conespec.oracle import as_reduced_cone, cross_check, verify
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_redrawn_incidence_config,
                         random_reduced_swh_config, scale_multiplicities)
-from reference import (binomial_local_table, branch_terms, curve_data,
-                       emit_native, emit_vectors, euler_generic_union,
-                       fraction_items, reduced_multiplicity, thicken,
-                       weighted_milnor)
+from reference import (binomial_local_table, branch_terms,
+                       convolution_coeffs, curve_data, emit_native,
+                       emit_vectors, euler_generic_union, fraction_items,
+                       reduced_multiplicity, thicken, weighted_milnor)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -280,7 +280,7 @@ def test_smooth_cone_coeffs():
     for dprime in range(2, 13):
         for n in (1, 2, 3, 4):
             coeffs = smooth_cone_coeffs(dprime, n)
-            assert coeffs == brute_coeffs(dprime, n)
+            assert coeffs == convolution_coeffs(dprime, n)
             assert coeffs == coeffs[::-1]            # palindromic
             assert sum(coeffs) == (dprime - 1) ** (n + 1)
 
@@ -537,6 +537,22 @@ def test_integer_kernel_matches_fraction_arithmetic(make):
         assert (list(table.rows[0]), list(table.rows[2])) == (row0, row2), cfg
         if middle is not None:
             assert ordinary_middle_row(cfg, table) == middle, cfg
+
+
+@pytest.mark.parametrize("g", [2, 3, 25])
+def test_tiled_middle_row_is_the_column_balance(g):
+    """Row 1 of `curve_table`, tiled from one period, is chi(U) - row0 -
+    row2 in every column, with row 2's -1 at i = d undone, on curves whose
+    multiplicities share the factor g."""
+    rng = random.Random(4500 + g)
+    for _ in range(12):
+        make = rng.choice((random_ordinary_config, random_mixed_swh_config))
+        cfg = scale_multiplicities(make(rng), g)
+        table = curve_table(cfg)
+        row0, row1, row2 = map(list, table.rows)
+        row2[-1] += 1
+        assert len(row1) == cfg.degree
+        assert row1 == [table.chi_u - a - b for a, b in zip(row0, row2)], cfg
 
 
 def milnor_chi(cfg):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import conespec.engine
+import conespec.local
 import conespec.oracle
 from conespec.cli import main
 from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
@@ -21,14 +22,15 @@ from conespec.formats import (config_template, parse_native, parse_singular,
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             lattice_row, weighted_spectrum)
 from conespec.oracle import (_first_row_mismatch, as_reduced_cone,
-                             brute_coeffs, brute_lattice, brute_lattice_row,
+                             brute_lattice, brute_lattice_row,
+                             composition_coeffs,
                              cross_check, has_reference, reference_ordinary,
                              reference_state, verify)
 from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config, scale_multiplicities)
-from reference import (_fraction_idiom_ceil, fraction_reference_state,
-                       thicken)
+from reference import (_fraction_idiom_ceil, convolution_coeffs,
+                       fraction_reference_state, thicken)
 from test_acceptance import golden_configs
 from test_engine import pencil_config
 
@@ -55,12 +57,29 @@ def test_brute_lattice_row_examples():
                                            for b in range(31)]
 
 
-def test_brute_coeffs_examples():
-    assert brute_coeffs(3, 2) == [1, 3, 3, 1]
-    assert brute_coeffs(2, 2) == [1]
+def test_composition_coeffs_examples():
+    assert composition_coeffs(3, 2) == [1, 3, 3, 1]
+    assert composition_coeffs(2, 2) == [1]
     for dprime in range(2, 9):
         for n in (1, 2, 3):
-            assert sum(brute_coeffs(dprime, n)) == (dprime - 1) ** (n + 1)
+            assert (sum(composition_coeffs(dprime, n))
+                    == (dprime - 1) ** (n + 1))
+
+
+def test_composition_coeffs_match_the_convolution():
+    """The closed-form count equals the literal (n+1)-fold convolution."""
+    for dprime in range(1, 61):
+        for n in range(1, 5):
+            assert (composition_coeffs(dprime, n)
+                    == convolution_coeffs(dprime, n)), (dprime, n)
+    assert composition_coeffs(1, 2) == []
+
+
+def test_composition_coeffs_share_nothing_with_the_engine():
+    """The closed form reads no name of `engine` or `local`: the check
+    `smooth-coeffs` compares two independent computations."""
+    names = set(composition_coeffs.__code__.co_names)
+    assert names <= {"comb", "copy", "range", "zip"}, names
 
 
 def test_reference_conic_pencil():
@@ -545,6 +564,44 @@ def test_lattice_counts_check_is_evidence(monkeypatch, capsys):
     assert code == 1
     assert "lattice-counts: FAIL" in out
     assert out.endswith("result: MISMATCH\n")
+
+
+def _shifted_pass(old, new):
+    """`local.quotient_coeffs` compiled with one of its passes moved by one
+    index: `old` replaced by `new` in its source."""
+    source = inspect.getsource(conespec.local.quotient_coeffs)
+    assert source.count(old) == 1
+    namespace = {}
+    exec(source.replace(old, new), namespace)
+    return namespace["quotient_coeffs"]
+
+
+# mutant -> (module, name, replacement) of the patch that makes it
+SMOOTH_MUTANTS = {
+    "kernel-off-by-one": lambda: (
+        conespec.oracle, "smooth_cone_coeffs",
+        lambda dp, n: [c + (j == 1) for j, c in
+                       enumerate(conespec.engine.smooth_cone_coeffs(dp, n))]),
+    "downward-pass": lambda: (
+        conespec.engine, "quotient_coeffs",
+        _shifted_pass("range(top, a - 1, -1)", "range(top, a, -1)")),
+    "upward-pass": lambda: (
+        conespec.engine, "quotient_coeffs",
+        _shifted_pass("range(w, top + 1)", "range(w + 1, top + 1)")),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SMOOTH_MUTANTS))
+def test_smooth_coeffs_check_is_evidence(monkeypatch, mutant):
+    """An off-by-one in the engine's smooth-cone coefficients, or in a pass
+    of the series division under them, fails ``smooth-coeffs`` and only
+    that check on an ordinary config, whose table does not read them."""
+    cfg = load("conic-pencil.vectors", a=2, b=5, c=2)
+    assert cross_check(cfg).passed
+    monkeypatch.setattr(*SMOOTH_MUTANTS[mutant]())
+    failed = [c for c in cross_check(cfg).checks if not c.passed]
+    assert [(c.name, c.detail) for c in failed] == [
+        ("smooth-coeffs", "coefficient lists differ for degree 8")]
 
 
 # one (2, 3) point with 100 cusp branches: d_j = 600

@@ -155,6 +155,9 @@ REJECTED = [
      "branch degrees must lie in {w, w', w*w'} = {1}"),
     (lambda: SpectrumVector({1: 1}, 2, denominator=0),
      "denominator must be a positive integer"),
+    (lambda: ReducedConeConfig(2.5, 4), "ambient_dim 2.5 is not an integer"),
+    (lambda: ReducedConeConfig(2, 4.5), "degree 4.5 is not an integer"),
+    (lambda: ReducedConeConfig(2, 4, (), 2.5), "power 2.5 is not an integer"),
 ]
 
 
@@ -162,11 +165,20 @@ REJECTED = [
     "component-degree", "component-multiplicity", "incidence-count",
     "incidence-value", "curve-nodes", "weights-empty", "branch-degree",
     "branch-multiplicity", "point-no-branch", "point-branch-degree",
-    "point-milnor", "point-fat-ordinary", "spectrum-denominator"])
+    "point-milnor", "point-fat-ordinary", "spectrum-denominator",
+    "reduced-ambient-dim", "reduced-degree", "reduced-power"])
 def test_constructor_rejects_a_bad_field(make, message):
     with pytest.raises(ValueError) as info:
         make()
     assert str(info.value) == message
+
+
+def test_reduced_cone_config_takes_integral_values_as_ints():
+    node = SpectrumVector({1: 1}, 2)
+    cfg = ReducedConeConfig(2.0, 4.0, [node], 2.0)
+    assert cfg == ReducedConeConfig(2, 4, [node], 2)
+    assert [type(v) for v in (cfg.ambient_dim, cfg.degree, cfg.power)] == [
+        int, int, int]
 
 
 def round_trips(record):

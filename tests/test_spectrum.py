@@ -109,6 +109,43 @@ def test_symmetry_fermat_cubic():
     assert a.is_symmetric()
 
 
+# (vector, whether it equals its dual)
+SYMMETRY_CASES = [
+    (sv({}, 2), True),
+    (sv({F(1): 2}, 2), True),                           # the centre alone
+    (sv({F(1, 2): 1, F(3, 2): 1}, 2), True),
+    (sv({F(1, 2): 1, F(3, 2): 2}, 2), False),           # unequal partners
+    (sv({F(1, 2): -1, F(3, 2): -1, F(1): 3}, 2), True),
+    (sv({F(1, 2): 1, F(1): 1}, 2), False),              # partner missing
+    (sv({F(1, 2): 1}, 1), True),
+    (sv({F(1, 3): 1}, 1), False),
+    # tables that reduce by their gcd: 2/6, 4/6 is 1/3, 2/3 and
+    # 3/12, 9/12 is 1/4, 3/4
+    (SpectrumVector({2: 1, 4: 1}, 1, denominator=6), True),
+    (SpectrumVector({2: 1, 4: 2}, 1, denominator=6), False),
+    (SpectrumVector(Numerators({3: 1, 9: 1}), 1, denominator=12), True),
+    (SpectrumVector(Numerators({6: 5, 18: 5}), 2, denominator=12), True),
+    (SpectrumVector(Numerators({6: 5, 18: 4}), 2, denominator=12), False),
+]
+
+
+@pytest.mark.parametrize("vec, symmetric", SYMMETRY_CASES)
+def test_symmetry_is_equality_with_the_dual(vec, symmetric):
+    assert vec.is_symmetric() is symmetric
+    assert (vec.dual() == vec) is symmetric
+
+
+def test_symmetry_agrees_with_the_dual_on_random_vectors():
+    rng = random.Random(404)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        a = _random_vector(rng, rng.randint(1, 3), signed=True)
+        for vec in (a, add(a, a.dual())):
+            assert vec.is_symmetric() == (vec.dual() == vec), vec
+            seen[vec.is_symmetric()] += 1
+    assert min(seen.values()) > 100
+
+
 def test_render():
     a = sv({F(7, 6): 1, F(5, 6): 1}, 2)
     assert a.render() == "5/6:1, 7/6:1"

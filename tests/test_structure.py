@@ -47,6 +47,9 @@ UNREFERENCED = {
     "local.lattice_count": TRACED,
     "local.window_count": TRACED,
     "oracle.brute_lattice": TRACED,
+    "spectrum.SpectrumVector.dual": "public API: the reflection that "
+                                    "`is_symmetric` compares with, without "
+                                    "building it",
 }
 
 

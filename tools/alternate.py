@@ -40,6 +40,11 @@ Cases (``CASES``):
   ``sextic-pencil`` at a = 248, b = c = 1 (d = 1501);
 * ``oracle``: ``oracle`` of ``sextic-pencil`` at a = 300, b = c = 1
   (d = 1813) and of ``five-lines`` at a = 996, b = 500, c = 1 (d = 1500);
+* ``weighted-oracle``: ``oracle`` of three native curves of reduced degree
+  d' = 24 with the semi-weighted-homogeneous points of the benchmark's
+  ``weighted-reduced`` workload: a reduced curve, a curve whose
+  components all have multiplicity 25 and one with multiplicities 30, 40
+  and 50;
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid.
 
 Only the standard library is used.
@@ -70,6 +75,29 @@ ORDINARY_REDUCED = ("reduced n=2 degree=19 power=53\n"
                     "localwh weights=1,1 degree=10\n"
                     "localwh weights=1,1 degree=9\n"
                     "localwh weights=1,1 degree=9\n")
+# the points of the weighted curves below, with their branch multiplicities
+WEIGHTED_POINTS = ("point weights=2,3 branches=(6:{0})\n"
+                   "point weights=2,3 branches=(6:{1})\n"
+                   "point weights=1,3 branches=(3:{2})(3:{3})\n"
+                   "point weights=1,1 branches=(1:{4})(1:{5})(1:{6})\n")
+WEIGHTED = ("component degree=12 mult=1\ncomponent degree=3 mult=1\n"
+            "component degree=9 mult=1\n"
+            + WEIGHTED_POINTS.format(*[1] * 7)
+            + "point weights=5,7 branches=(35:1)\n"
+            "point weights=2,7 branches=(2:1)(14:1)\nnodes 5\n")
+THICKENED = ("component degree=6 mult=25\ncomponent degree=9 mult=25\n"
+             "component degree=9 mult=25\n"
+             + WEIGHTED_POINTS.format(*[25] * 7)
+             + "point weights=5,7 branches=(35:25)\n"
+             "point weights=2,5 branches=(2:25)(10:25)\nnodes 8\n")
+MIXED = ("component degree=9 mult=30\ncomponent degree=9 mult=40\n"
+         "component degree=6 mult=50\n"
+         + WEIGHTED_POINTS.format(50, 40, 30, 50, 40, 50, 30)
+         + "point weights=4,7 branches=(28:30)\n"
+         "point weights=3,4 branches=(3:30)(12:50)\nnodes 7\n")
+# "{name}" in an argv of CASES is a file holding INPUTS[name]
+INPUTS = {"reduced": REDUCED, "ordinary": ORDINARY_REDUCED,
+          "weighted": WEIGHTED, "thickened": THICKENED, "mixed": MIXED}
 
 
 def _scan(name: str, *args: str) -> list[str]:
@@ -86,9 +114,7 @@ def _five_lines(hi: int) -> list[str]:
                  f"b=1..{hi}", "--param", "c=1")
 
 
-# case -> the argvs of `conespec.cli.main` that one run makes, in turn;
-# "{reduced}" is a file holding REDUCED, "{ordinary}" one holding
-# ORDINARY_REDUCED
+# case -> the argvs of `conespec.cli.main` that one run makes, in turn
 CASES = {
     "scan": [_five_lines(30)],
     "scan-grid": [
@@ -111,6 +137,8 @@ CASES = {
                _fixture("verify", "sextic-pencil", 248)],
     "oracle": [_fixture("oracle", "sextic-pencil", 300),
                _fixture("oracle", "five-lines", 996, 500)],
+    "weighted-oracle": [["oracle", "{weighted}"], ["oracle", "{thickened}"],
+                        ["oracle", "{mixed}"]],
     "tiny": [_five_lines(2)],
 }
 
@@ -121,12 +149,11 @@ def child(case: str, tree: str, repeat: int) -> None:
     sys.path.insert(0, str(Path(tree) / "src"))
     from conespec.cli import main
     with tempfile.TemporaryDirectory() as workdir:
-        reduced = Path(workdir) / "case.cfg"
-        reduced.write_text(REDUCED)
-        ordinary = Path(workdir) / "ordinary.cfg"
-        ordinary.write_text(ORDINARY_REDUCED)
-        argvs = [[arg.format(reduced=reduced, ordinary=ordinary)
-                  for arg in argv] for argv in CASES[case]]
+        paths = {name: Path(workdir) / f"{name}.cfg" for name in INPUTS}
+        for name, path in paths.items():
+            path.write_text(INPUTS[name])
+        argvs = [[arg.format(**paths) for arg in argv]
+                 for argv in CASES[case]]
         best = float("inf")
         for k in range(repeat + 1):
             sink = io.StringIO()

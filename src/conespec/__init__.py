@@ -8,7 +8,7 @@ The package is organized as:
   Milnor numbers, lattice and window counts),
 * `conespec.engine` -- the global table and reduced-cone formulas,
 * `conespec.formats` -- input dialects, template expressions, table output,
-* `conespec.oracle` -- independent brute-force and reference implementations
+* `conespec.oracle` -- independent counters and reference implementations
   for differential testing,
 * `conespec.cli` -- the ``conespec`` command.
 

@@ -11,7 +11,7 @@ one call it shares only whole rows of equal inputs: a ceiling row per
 distinct multiplicity and a point's ceiling row per distinct branch list;
 every component still adds its own shift row and every point still
 subtracts its own three rows. `cross_check` runs the engine against it and
-against the brute-force counters and reports the first differing cell;
+against the independent counters and reports the first differing cell;
 `verify` runs the invariants that apply to a config. Both return a
 `CheckReport` of kinded checks.
 

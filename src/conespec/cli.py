@@ -9,16 +9,19 @@ independent reference), ``scan`` (parameter grids to CSV). The checks of
 Exit codes: 0 success, 1 verification or oracle mismatch, 2 input error.
 
 `main(argv)` may be called many times in one process (see `build_parser`).
+It reads a well-formed argv itself (`_fast_args`) and hands any other, and
+every ``-h``, to the `argparse` parser, so help, usage and error texts are
+argparse's and `argparse` is loaded only when one of them may be needed.
 `conespec.oracle` is imported by ``verify`` and ``oracle`` on their first
 call, not at import, so the other commands never load the checker.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import itertools
 import sys
+from types import SimpleNamespace
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
@@ -254,58 +257,107 @@ def cmd_scan(args) -> int:
     return run_scan(spec, sys.stdout)
 
 
+# each command's function, help and options, after its one positional
+# ``path``; `build_parser` and `_fast_args` both read this table
+_PARAM = ("--param", {"action": "append", "metavar": "NAME=VALUE",
+                      "help": "bind a template parameter (repeatable)"})
+COMMANDS = {
+    "compute": (cmd_compute, "spectrum table of a curve config", (
+        ("--middle", {"choices": ("thm2", "cor2"), "default": "thm2",
+                      "help": "middle-row route: Euler balance (thm2) or "
+                              "incidence data (cor2)"}),
+        ("--format", {"choices": ("rows", "csv"), "default": "rows"}),
+        _PARAM)),
+    "reduced": (cmd_reduced, "reduced-cone spectrum and table", (_PARAM,)),
+    "verify": (cmd_verify, "run the applicable invariants", (_PARAM,)),
+    "oracle": (cmd_oracle,
+               "differential report against the independent reference",
+               (_PARAM,)),
+    "scan": (cmd_scan, "sweep template parameters to CSV", (
+        ("--range", {"action": "append", "metavar": "NAME=LO..HI",
+                     "help": "inclusive parameter range (repeatable)"}),
+        ("--predicate", {"action": "append", "choices": PREDICATES,
+                         "help": "keep only grid points satisfying every "
+                                 "predicate"}),
+        ("--cap", {"type": int, "default": DEFAULT_CAP,
+                   "help": "largest allowed grid size"}),
+        _PARAM)),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on the first call and returned to
     every later one. It is shared, so callers only parse with it: each
     `parse_args` starts from a fresh namespace, and the `append` options
     default to None, so no call leaves state for the next."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="conespec",
         description="Exact spectrum tables for cones over plane curves and "
                     "projective hypersurfaces with isolated reduced "
                     "singularities.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_params(p):
-        p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                       help="bind a template parameter (repeatable)")
-
-    p = sub.add_parser("compute", help="spectrum table of a curve config")
-    p.add_argument("path")
-    p.add_argument("--middle", choices=("thm2", "cor2"), default="thm2",
-                   help="middle-row route: Euler balance (thm2) or incidence "
-                        "data (cor2)")
-    p.add_argument("--format", choices=("rows", "csv"), default="rows")
-    add_params(p)
-    p.set_defaults(func=cmd_compute)
-
-    for name, func, text in (
-            ("reduced", cmd_reduced, "reduced-cone spectrum and table"),
-            ("verify", cmd_verify, "run the applicable invariants"),
-            ("oracle", cmd_oracle,
-             "differential report against the independent reference")):
+    for name, (func, text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("path")
-        add_params(p)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("scan", help="sweep template parameters to CSV")
-    p.add_argument("path")
-    p.add_argument("--range", action="append", metavar="NAME=LO..HI",
-                   help="inclusive parameter range (repeatable)")
-    p.add_argument("--predicate", action="append", choices=PREDICATES,
-                   help="keep only grid points satisfying every predicate")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                   help="largest allowed grid size")
-    add_params(p)
-    p.set_defaults(func=cmd_scan)
     return parser
 
 
+def _fast_args(argv) -> SimpleNamespace | None:
+    """The fields `build_parser().parse_args(argv)` would return, read
+    directly from a well-formed argv: a command of `COMMANDS`, then its one
+    path and its options, each spelled out in full and followed by its
+    value as a token of its own, in any order. A value must be one of the
+    option's choices, and ``--cap`` one that int() reads; a single-valued
+    option comes at most once. None, so that argparse reads the argv and
+    writes its usage, help or error, when the command or an option is
+    unknown or abbreviated, a token is ``--opt=value``, ``-h`` or ``--``,
+    a path or a value starts with '-', or the path is missing or
+    repeated."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    func, _, options = COMMANDS[argv[0]]
+    options = dict(options)
+    args = {flag[2:]: spec.get("default") for flag, spec in options.items()}
+    args.update(command=argv[0], path=None, func=func)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            if args["path"] is not None:
+                return None
+            args["path"] = token
+            continue
+        spec = options.get(token)
+        value = next(tokens, "-")
+        if spec is None or value[:1] == "-":
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if "action" in spec:
+            args[token[2:]] = (args[token[2:]] or []) + [value]
+        else:
+            del options[token]      # so that a second one declines
+            args[token[2:]] = value
+    return None if args["path"] is None else SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code. A well-formed argv is read
+    by `_fast_args`, which loads no `argparse`; every other argv, and every
+    ``-h``, goes unchanged to `build_parser`, so usage, help and error
+    texts are argparse's. `argv` None reads ``sys.argv[1:]``."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -12,7 +12,6 @@ table as ``rows`` or ``csv``.
 
 from __future__ import annotations
 
-import contextlib
 import operator
 import re
 from collections.abc import Callable, Mapping
@@ -194,22 +193,27 @@ def parse_expr(text: str) -> Expr:
     floor-division ``div``, with unary minus binding tightest; ``div`` is
     defined only for a nonnegative dividend and a positive divisor. Digits
     are ASCII. An unbound name or a bad ``div`` is an error of the call,
-    not of the compilation. A slot that is one ASCII literal or name needs
-    no parser."""
+    not of the compilation."""
+    return _compile(text)[0]
+
+
+def _compile(text: str) -> tuple[Expr, bool]:
+    """`parse_expr`'s function of `text`, and whether its tokens name a
+    parameter. A slot that is one ASCII literal or name needs no parser."""
     slot = text.strip()
     if not slot:
         raise ConfigError("expr-empty", "empty expression")
     if slot.isascii() and slot.isdigit():
         value = _literal(slot)
-        return lambda binding: value
+        return (lambda binding: value), False
     if slot.isascii() and slot.isidentifier() and slot != "div":
-        return _lookup(slot)
+        return _lookup(slot), True
     parser = _ExprParser(text)
     expr = parser.chain(0)
     if parser.peek() is not None:
         raise ConfigError("expr-trailing",
                           f"trailing input in expression {_quote(text)}")
-    return expr
+    return expr, any(kind == "name" for kind, _ in parser.tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +246,9 @@ class SingularVectors(Record):
 
 def parse_vector_text(text: str) -> SingularVectors:
     """Parse ``GlCmp=...; Si=...; OD=...; LG=...`` (order free, '#' comments).
-    Each distinct slot text is compiled once; one that names no parameter
-    and does not raise (``1 div 0`` does) is kept as its value."""
+    Each distinct slot text is compiled once; one whose tokens name no
+    parameter is evaluated once and kept as its value, unless that raises
+    (``1 div 0`` does), which each binding then raises again."""
     body = " ".join(line.partition("#")[0] for line in text.splitlines())
     fields: dict[str, str] = {}
     for chunk in body.split(";"):
@@ -276,9 +281,11 @@ def parse_vector_text(text: str) -> SingularVectors:
                 raise ConfigError("vector-syntax",
                                   f"empty entry in {key}={_quote(raw)}")
             if slot not in compiled:
-                compiled[slot] = expr = parse_expr(piece)
-                with contextlib.suppress(ConfigError):
-                    compiled[slot] = expr({})
+                expr, named = _compile(piece)
+                try:
+                    compiled[slot] = expr if named else expr({})
+                except ConfigError:     # 1 div 0: raised at each binding
+                    compiled[slot] = expr
             out.append(compiled[slot])
         return tuple(out)
 

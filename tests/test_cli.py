@@ -681,12 +681,22 @@ def test_shared_parser_keeps_no_state(capsys, monkeypatch):
     assert run(capsys, *config) == (0, (GOLDEN / golden).read_text(), "")
 
 
-def test_parser_is_built_on_first_call_only():
-    """Importing conespec.cli builds no parser; the first main call builds
-    it, and later calls build none."""
+def test_parser_is_built_on_first_fallback_only():
+    """Importing conespec.cli and running well-formed commands builds no
+    parser and loads no argparse; the first argv that the fast path hands
+    to argparse builds the parsers, and later ones build none."""
     src = ROOT / "src"
     code = f"""
-import argparse, contextlib, io
+import contextlib, io, sys
+import conespec.cli
+path = {str(FIXTURES / "two-lines.cfg")!r}
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return conespec.cli.main(argv)
+codes = [run([command, path])
+         for command in ["verify", "oracle", "compute", "scan", "compute"]]
+print(codes, "argparse" in sys.modules)
+import argparse
 built = 0
 init = argparse.ArgumentParser.__init__
 def counting(self, *args, **kwargs):
@@ -694,23 +704,21 @@ def counting(self, *args, **kwargs):
     built += 1
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counting
-import conespec.cli
-print(built)
 counts = []
-for command in ["verify", "oracle", "compute", "scan", "compute"]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        conespec.cli.main([command, {str(FIXTURES / "two-lines.cfg")!r}])
+for argv in [["compute", path, "--format=rows"], ["verify", path, "--par", "a=1"],
+             ["scan", path, "--cap=5"], ["compute", path, "--mid", "thm2"]]:
+    codes.append(run(argv))
     counts.append(built)
-print(counts)
+print(codes, counts)
 """
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=60)
-    at_import, counts = done.stdout.splitlines()
-    assert at_import == "0"
-    # the program parser and one per command, on the first call only
-    assert counts == str([6] * 5)
+    fast, fallback = done.stdout.splitlines()
+    assert fast == str([0] * 5) + " False"
+    # the program parser and one per command, on the first fallback only
+    assert fallback == f"{[0] * 9} {[6] * 4}"
 
 
 def test_python_m_conespec_runs_the_command(capsys):

@@ -38,6 +38,10 @@ class GlobalComponent(Record):
     __slots__ = ("degree", "multiplicity")
 
     def __init__(self, degree: int, multiplicity: int):
+        if type(degree) is not int:
+            degree = _count(degree, "component degree")
+        if type(multiplicity) is not int:
+            multiplicity = _count(multiplicity, "component multiplicity")
         if degree < 1:
             raise ValueError("component degree must be positive")
         if multiplicity < 1:

@@ -154,6 +154,10 @@ class LocalBranch(Record):
     __slots__ = ("weighted_degree", "multiplicity")
 
     def __init__(self, weighted_degree: int, multiplicity: int):
+        if type(weighted_degree) is not int:
+            weighted_degree = _count(weighted_degree, "branch weighted degree")
+        if type(multiplicity) is not int:
+            multiplicity = _count(multiplicity, "branch multiplicity")
         if weighted_degree < 1:
             raise ValueError("branch weighted degree must be positive")
         if multiplicity < 1:

@@ -15,7 +15,7 @@ import pytest
 
 from conespec.cli import DEFAULT_CAP, ScanSpec
 from conespec.engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
-                             Incidence, ReducedConeConfig)
+                             Incidence, ReducedConeConfig, curve_table)
 from conespec.formats import SingularVectors
 from conespec.local import LocalBranch, SingularPoint, WeightSystem
 from conespec.oracle import CheckReport, CheckResult
@@ -245,6 +245,12 @@ NOT_INTEGRAL = [
     (lambda: WeightSystem((2, 3), 6.5),
      "weighted degree 6.5 is not an integer"),
     (lambda: SpectrumVector({1: 1}, 2.5), "ambient_dim 2.5 is not an integer"),
+    (lambda: GlobalComponent(2.5, 1), "component degree 2.5 is not an integer"),
+    (lambda: GlobalComponent(2, 1.5),
+     "component multiplicity 1.5 is not an integer"),
+    (lambda: LocalBranch(6.5, 1),
+     "branch weighted degree 6.5 is not an integer"),
+    (lambda: LocalBranch(6, 0.5), "branch multiplicity 0.5 is not an integer"),
 ]
 
 
@@ -261,6 +267,10 @@ def test_integer_fields_refuse_other_numbers():
         Incidence([(1, 2)], [[2, 0]]))
     assert repr(WeightSystem((2.0, 3), 6.0)) == repr(WeightSystem((2, 3), 6))
     assert type(SpectrumVector({1: 1}, 2.0).ambient_dim) is int
+    assert repr(GlobalComponent(2.0, 3.0)) == repr(GlobalComponent(2, 3))
+    assert repr(LocalBranch(6.0, 2.0)) == repr(LocalBranch(6, 2))
+    assert curve_table(CurveConfig([GlobalComponent(2.0, 1)])) == \
+        curve_table(CurveConfig([GlobalComponent(2, 1)]))
 
 
 @pytest.mark.parametrize("pairs, matrix", [

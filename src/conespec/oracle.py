@@ -302,8 +302,8 @@ def cross_check(cfg: CurveConfig) -> CheckReport:
                 checks.append(_first_row_mismatch(
                     f"local-table-e{e}", table.rows[e], alt.rows[e], e))
         note = ("config is not ordinary-with-incidence; running the "
-                f"engine-side checks (column sums, {local}brute-force "
-                "counters)")
+                f"engine-side checks (column sums, {local}enumerated lattice "
+                "counts, closed-form smooth-cone coefficients)")
 
     # every bound the table can use: the ceiling of a point's residue
     # degree lies in [1, d_j], so both bounds lie in [0, d_j - 1]

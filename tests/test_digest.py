@@ -12,7 +12,7 @@ the new values.
 from digest import corpus_digest
 
 CALLS = 877
-SHA256 = "7e2b0a57585b4975245a350acd5bbe97c124d569be4605adc5da82ac4c3f61af"
+SHA256 = "2a426627ec91874c7b048b7697b5cff117b4796fe3c1948a9a9dbcfbb450bee9"
 
 
 def test_corpus_digest_is_unchanged():

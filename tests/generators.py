@@ -3,6 +3,7 @@ curves built from geometry for the suites that need realizable inputs."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -275,3 +276,84 @@ def monomial_join_curve(a: int, b: int) -> CurveConfig:
                 (d // h, e // h), (LocalBranch(d * e // h ** 2, 1),) * h))
     return CurveConfig(components=(GlobalComponent(d // g, 1),) * g,
                        points=tuple(points))
+
+
+def line_arrangement_curve(d: int, nu: dict[int, int]) -> CurveConfig:
+    """A reduced arrangement of d lines with nu[m] ordinary points of
+    multiplicity m: the points of multiplicity >= 3 listed, the nodes
+    aggregated. Only d and nu enter the table, so no incidence is given."""
+    points = tuple(SingularPoint((1, 1), (LocalBranch(1, 1),) * m)
+                   for m, count in sorted(nu.items()) if m >= 3
+                   for _ in range(count))
+    return CurveConfig(components=(GlobalComponent(1, 1),) * d,
+                       points=points, nodes=nu.get(2, 0))
+
+
+def _merged(*pairs: tuple[int, int]) -> dict[int, int]:
+    nu: dict[int, int] = {}
+    for m, count in pairs:
+        if count:
+            nu[m] = nu.get(m, 0) + count
+    return nu
+
+
+def named_line_arrangements() -> list[tuple[str, int, dict[int, int]]]:
+    """(name, d, nu) of arrangements that exist: generic, pencil and near-
+    pencil for d in [3, 29], Ceva's (x^k - y^k)(y^k - z^k)(z^k - x^k) for k
+    in [2, 7] (3 points of multiplicity k, k^2 triple points), the Hesse
+    arrangement (12 lines, 9 quadruple points, 12 nodes) and its dual
+    (9 lines, 12 triple points)."""
+    out = []
+    for d in range(3, 30):
+        out += [(f"generic-{d}", d, {2: math.comb(d, 2)}),
+                (f"pencil-{d}", d, {d: 1}),
+                (f"near-pencil-{d}", d, _merged((d - 1, 1), (2, d - 1)))]
+    out += [(f"ceva-{k}", 3 * k, _merged((k, 3), (3, k * k)))
+            for k in range(2, 8)]
+    out += [("hesse", 12, {4: 9, 2: 12}), ("dual-hesse", 9, {3: 12})]
+    return out
+
+
+def random_line_arrangement_data(rng: random.Random, max_lines: int = 40
+                                 ) -> tuple[int, dict[int, int]]:
+    """(d, nu) with d in [3, max_lines] and sum nu_m C(m, 2) = C(d, 2), the
+    count of pairs of lines, each pair meeting at one point: up to four
+    multiplicities of 3 to d drawn with counts that fit, then nodes for
+    the pairs left. Such data need not be an arrangement that exists."""
+    d = rng.randint(3, max_lines)
+    left = math.comb(d, 2)
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        m = rng.randint(3, d)
+        if math.comb(m, 2) <= left:
+            count = rng.randint(1, max(1, left // math.comb(m, 2) // 2))
+            pairs.append((m, count))
+            left -= count * math.comb(m, 2)
+    return d, _merged(*pairs, (2, left))
+
+
+def _primitive(v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The integer vector v scaled to coprime entries whose first nonzero
+    entry is positive: one name per point or line of the plane."""
+    g = math.gcd(*v)
+    sign = 1 if next(x for x in v if x) > 0 else -1
+    return tuple(sign * x // g for x in v)
+
+
+def random_line_arrangement(rng: random.Random, max_lines: int = 20
+                            ) -> tuple[int, dict[int, int]]:
+    """(d, nu) of an arrangement that exists: d distinct lines
+    ax + by + cz = 0 with a, b, c in [-2, 2], drawn by the seed, and
+    nu[m] points where exactly m of them meet, found by exact cross
+    products. Small coefficients make points of multiplicity 3 and more
+    common."""
+    lines = sorted({_primitive(v)
+                    for v in itertools.product(range(-2, 3), repeat=3)
+                    if any(v)})
+    chosen = rng.sample(lines, rng.randint(3, max_lines))
+    through: dict[tuple[int, int, int], set[int]] = {}
+    for j, k in itertools.combinations(range(len(chosen)), 2):
+        (a, b, c), (x, y, z) = chosen[j], chosen[k]
+        point = _primitive((b * z - c * y, c * x - a * z, a * y - b * x))
+        through.setdefault(point, set()).update((j, k))
+    return len(chosen), _merged(*((len(on), 1) for on in through.values()))

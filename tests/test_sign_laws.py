@@ -10,9 +10,16 @@ at 3/2), so only row 0 is asserted.
 The law holds for curves, so the corpora here are realizable: curves built
 from geometry, each branch carrying the multiplicity of a component. The
 random weighted generators draw data that need not be a curve, and are not
-used.
+used. Nor are the (d, nu) data of `random_line_arrangement_data`, even
+those that keep the two-point bound m_p + m_q - 1 <= d of an arrangement:
+d = 9 with one 6-fold point, three 4-fold points and one triple point keeps
+it, and row 0 is -1 at i = 7, but no 9 lines carry those points (a 4-fold
+point meets the 6-fold one in at most one line, so it lies on all three
+other lines, which two such points cannot share). The random arrangements
+here are lines that exist, drawn with small integer coefficients.
 """
 
+import random
 from pathlib import Path
 
 import pytest
@@ -21,8 +28,9 @@ from conespec.engine import (ReducedConeConfig, curve_table,
                              reduced_cone_spectrum, thickened_spectrum)
 from conespec.formats import parse_singular, parse_vector_text
 from generators import (binary_power_curve, binomial_pencil_curve,
-                        monomial_join_curve, scale_multiplicities,
-                        triangle_curve)
+                        line_arrangement_curve, monomial_join_curve,
+                        named_line_arrangements, random_line_arrangement,
+                        scale_multiplicities, triangle_curve)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 VECTORS = sorted(path.name for path in FIXTURES.glob("*.vectors"))
@@ -47,6 +55,11 @@ CORPORA = {
         for a in range(1, 3) for b in range(1, 4) for c in range(1, 3)
         for p in range(2, 6) for q in range(1, p)
         for members in ((1,), (2,), (1, 2), (3, 1, 2))],
+    "line-arrangements": lambda: [line_arrangement_curve(d, nu)
+                                  for _, d, nu in named_line_arrangements()],
+    "random-line-arrangements": lambda: [
+        line_arrangement_curve(*random_line_arrangement(rng))
+        for rng in [random.Random(31)] for _ in range(300)],
     **{name: lambda name=name: fixture_curves(name) for name in VECTORS},
 }
 

@@ -1,9 +1,9 @@
-"""Time one in-process case on two source trees, in alternating fresh
-interpreters.
+"""Time one case on two source trees, in alternating fresh interpreters.
 
 Usage::
 
     python3 tools/alternate.py CASE TREE_A TREE_B [--rounds N] [--repeat K]
+    python3 tools/alternate.py CASE TREE_A TREE_B --cold [--rounds N]
 
 Each round starts one fresh interpreter per tree, which imports
 ``conespec`` from the tree's ``src/``, runs the case once to warm up and
@@ -11,6 +11,15 @@ then K times, and reports its best time; which tree goes first alternates
 from round to round. The inputs are this checkout's fixtures, the same for
 both trees. Printed: one line per round (A's and B's seconds and B/A), then
 the median of B/A and the number of rounds in which B took less time.
+
+``--cold`` times whole commands instead: each round runs every argv of the
+case once per tree as a fresh ``python -m conespec`` process, trees in
+alternating order, and takes the summed wall time of that tree's
+processes. Bytecode is cached under a temporary ``PYTHONPYCACHEPREFIX``
+(``PYTHONDONTWRITEBYTECODE`` is dropped for these processes), written by
+one untimed run per tree, so every timed process finds it.
+Printed: one line per round, then each tree's median and minimum
+milliseconds and the median of B/A.
 
 One round is not evidence. On a shared machine a whole process lands in a
 fast or a slow cluster, about 1.5x apart, on either tree (the ``FOUND:``
@@ -45,7 +54,12 @@ Cases (``CASES``):
   ``weighted-reduced`` workload: a reduced curve, a curve whose
   components all have multiplicity 25 and one with multiplicities 30, 40
   and 50;
-* ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid.
+* ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid;
+* ``small``: ``compute``, ``verify`` and ``oracle`` of each of the three
+  pencils at d = 120 with three ``--param``, the small tables of the
+  benchmark's ``scan-grid`` workload: ``conic-pencil`` at a = 24, b = 69,
+  ``cubic-pencil`` at a = 20, b = 56 and ``quartic-pencil`` at a = 16,
+  b = 51, each with c = 1.
 
 Only the standard library is used.
 """
@@ -55,6 +69,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import statistics
 import subprocess
 import sys
@@ -140,7 +155,21 @@ CASES = {
     "weighted-oracle": [["oracle", "{weighted}"], ["oracle", "{thickened}"],
                         ["oracle", "{mixed}"]],
     "tiny": [_five_lines(2)],
+    "small": [_fixture(command, name, a, b)
+              for name, a, b in (("conic-pencil", 24, 69),
+                                 ("cubic-pencil", 20, 56),
+                                 ("quartic-pencil", 16, 51))
+              for command in ("compute", "verify", "oracle")],
 }
+
+
+def case_argvs(case: str, workdir: str) -> list[list[str]]:
+    """The argvs of `case`, each ``{name}`` a file of `workdir` written with
+    INPUTS[name]."""
+    paths = {name: Path(workdir) / f"{name}.cfg" for name in INPUTS}
+    for name, path in paths.items():
+        path.write_text(INPUTS[name])
+    return [[arg.format(**paths) for arg in argv] for argv in CASES[case]]
 
 
 def child(case: str, tree: str, repeat: int) -> None:
@@ -149,11 +178,7 @@ def child(case: str, tree: str, repeat: int) -> None:
     sys.path.insert(0, str(Path(tree) / "src"))
     from conespec.cli import main
     with tempfile.TemporaryDirectory() as workdir:
-        paths = {name: Path(workdir) / f"{name}.cfg" for name in INPUTS}
-        for name, path in paths.items():
-            path.write_text(INPUTS[name])
-        argvs = [[arg.format(**paths) for arg in argv]
-                 for argv in CASES[case]]
+        argvs = case_argvs(case, workdir)
         best = float("inf")
         for k in range(repeat + 1):
             sink = io.StringIO()
@@ -175,12 +200,54 @@ def run(case: str, tree: str, repeat: int) -> float:
     return float(done.stdout.split()[-1])
 
 
+def cold(case: str, trees: list[str], rounds: int) -> None:
+    """Print each round's wall milliseconds of the case's argvs as fresh
+    ``python -m conespec`` processes per tree, then per tree the median and
+    minimum, and the median of B/A."""
+    with tempfile.TemporaryDirectory() as workdir:
+        argvs = case_argvs(case, workdir)
+        cache = str(Path(workdir) / "pycache")
+
+        def run_tree(tree: str) -> float:
+            env = dict(os.environ, PYTHONPYCACHEPREFIX=cache,
+                       PYTHONPATH=str(Path(tree) / "src"))
+            env.pop("PYTHONDONTWRITEBYTECODE", None)
+            took = 0.0
+            for argv in argvs:
+                start = time.perf_counter()
+                done = subprocess.run([sys.executable, "-m", "conespec",
+                                       *argv], env=env,
+                                      stdout=subprocess.DEVNULL)
+                took += time.perf_counter() - start
+                if done.returncode:
+                    raise SystemExit(f"alternate: {' '.join(argv)} exited "
+                                     f"{done.returncode} on {tree}")
+            return took * 1000
+
+        for tree in trees:
+            run_tree(tree)
+        times: dict[str, list[float]] = {tree: [] for tree in trees}
+        for k in range(rounds):
+            for tree in (trees[::-1] if k % 2 else trees):
+                times[tree].append(run_tree(tree))
+            a, b = (times[tree][-1] for tree in trees)
+            print(f"round {k + 1}: A {a:.1f} ms  B {b:.1f} ms  "
+                  f"B/A {b / a:.3f}")
+    for label, tree in zip("AB", trees):
+        print(f"{label}: median {statistics.median(times[tree]):.1f} ms, "
+              f"minimum {min(times[tree]):.1f} ms")
+    ratios = [b / a for a, b in zip(*times.values())]
+    print(f"median B/A: {statistics.median(ratios):.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("case", choices=sorted(CASES))
     parser.add_argument("trees", nargs="+", metavar="TREE")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--cold", action="store_true",
+                        help="time fresh `python -m conespec` processes")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -189,6 +256,9 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         parser.error("give two trees, A and B")
+    if args.cold:
+        cold(args.case, args.trees, args.rounds)
+        return 0
     a, b = args.trees
     ratios, wins = [], 0
     for k in range(args.rounds):

@@ -18,8 +18,11 @@ from itertools import compress, count, cycle
 
 def _count(value, what: str = "multiplicity") -> int:
     """`value` as an int (2 and 2.0 alike); ValueError naming `what` when it
-    is not integral."""
-    count = int(value)
+    is not integral, an infinity or NaN included."""
+    try:
+        count = int(value)
+    except (OverflowError, ValueError):     # inf, nan
+        count = None
     if count != value:
         raise ValueError(f"{what} {value!r} is not an integer")
     return count

@@ -251,6 +251,12 @@ NOT_INTEGRAL = [
     (lambda: LocalBranch(6.5, 1),
      "branch weighted degree 6.5 is not an integer"),
     (lambda: LocalBranch(6, 0.5), "branch multiplicity 0.5 is not an integer"),
+    (lambda: GlobalComponent(float("inf"), 1),
+     "component degree inf is not an integer"),
+    (lambda: LocalBranch(6, float("nan")),
+     "branch multiplicity nan is not an integer"),
+    (lambda: CurveConfig([GlobalComponent(1, 1)], nodes=float("-inf")),
+     "node count -inf is not an integer"),
 ]
 
 

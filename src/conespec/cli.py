@@ -39,12 +39,17 @@ DEFAULT_CAP = 10 ** 6
 
 
 def _read_text(path: str) -> str:
-    """The text of the file at `path` in text mode, less a UTF-8 byte-order
-    mark; text that is not UTF-8 is an input-encoding error, and a file
-    that cannot be opened or read an input-unreadable one."""
+    """The text of the file at `path`, less a UTF-8 byte-order mark, with
+    its line ends read as text mode reads them (``\\r\\n`` and ``\\r`` are
+    ``\\n``). The bytes are decoded in one piece, so a file that is only
+    the start of a byte-order mark is not UTF-8 either. Text that is not
+    UTF-8 is an input-encoding error, and a file that cannot be opened or
+    read an input-unreadable one."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as handle:
-            return handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return (data.decode("utf-8-sig").replace("\r\n", "\n")
+                .replace("\r", "\n"))
     except UnicodeDecodeError as exc:
         raise ConfigError("input-encoding",
                           f"{path!r} is not UTF-8 text: byte "

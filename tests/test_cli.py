@@ -903,6 +903,32 @@ def test_undecodable_input_is_an_input_error(capsys, tmp_path, dialect,
                    "text: byte 0xff, invalid start byte\n")
 
 
+@pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb"])
+def test_a_cut_byte_order_mark_is_not_utf8(capsys, tmp_path, data):
+    """A file that is only the start of a byte-order mark is not UTF-8
+    text, and not an empty config."""
+    path = tmp_path / "cut.cfg"
+    path.write_bytes(data)
+    assert run(capsys, "compute", path) == (
+        2, "", f"error: [input-encoding] {str(path)!r} is not UTF-8 text: "
+               "byte 0xef, unexpected end of data\n")
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("dialect", sorted(ENCODING_TEMPLATES))
+@pytest.mark.parametrize("command", sorted(ENCODING_COMMANDS))
+def test_line_ends_read_as_newlines(capsys, tmp_path, dialect, command, end):
+    """\\r\\n and a lone \\r end a line as \\n does, after a byte-order
+    mark too."""
+    text = ENCODING_TEMPLATES[dialect]
+    plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+    plain.write_bytes(text.encode())
+    other.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", end).encode())
+    want = run(capsys, command, plain, *ENCODING_COMMANDS[command])
+    assert want[0] == 0 and want[1]
+    assert run(capsys, command, other, *ENCODING_COMMANDS[command]) == want
+
+
 # one literal slot per case, written "{}", with its error line
 LITERAL_SLOTS = {
     "incidence-count": (

@@ -18,12 +18,12 @@ from itertools import compress, count, cycle
 
 def _count(value, what: str = "multiplicity") -> int:
     """`value` as an int (2 and 2.0 alike); ValueError naming `what` when it
-    is not integral, an infinity or NaN included."""
+    is not integral, an infinity, NaN or a value int() refuses included."""
     try:
         count = int(value)
-    except (OverflowError, ValueError):     # inf, nan
+    except (OverflowError, TypeError, ValueError):
         count = None
-    if count != value:
+    if count is None or count != value:
         raise ValueError(f"{what} {value!r} is not an integer")
     return count
 

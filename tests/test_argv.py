@@ -43,7 +43,8 @@ def case_table_argvs(tmp_path):
         base = ["compute", str(FIXTURES / fixture)]
         for name, value in params.items():
             base += ["--param", f"{name}={value}"]
-        argvs += [base, base + ["--middle", "cor2"], base + ["--format", "csv"]]
+        argvs += [base, base + ["--middle", "cor2"],
+                  base + ["--format", "csv"]]
     argvs += [[str(a) for a in report_argv(case, command, tmp_path)]
               for case, (_, _, exits) in REPORT_CASES.items()
               for command in exits]
@@ -91,7 +92,8 @@ def variants(argv):
     out = [[command, *rest, path], [command, *sum(pairs[::-1], []), path],
            [command, *rest], [command, path, path, *rest],
            [command, "--", path, *rest], [command, path, *rest, "--"],
-           [command, path, *rest, "-h"], ["-h", *argv], [command[:4], *argv[1:]],
+           [command, path, *rest, "-h"], ["-h", *argv],
+           [command[:4], *argv[1:]],
            [command, "-" + path, *rest], [command, path, *rest, "-"]]
     for k, (flag, value) in enumerate(pairs):
         before, after = sum(pairs[:k], []), sum(pairs[k + 1:], [])
@@ -126,8 +128,9 @@ def test_fast_path_reads_what_argparse_reads(tmp_path, monkeypatch):
              + benchmark_argvs(tmp_path, monkeypatch))
     assert len(usual) > 150
     # variants of one argv per sequence of command and option names
-    shapes = {tuple(t for t in argv if t.startswith("--") or t in cli.COMMANDS):
-              argv for argv in usual}
+    shapes = {tuple(t for t in argv
+                    if t.startswith("--") or t in cli.COMMANDS): argv
+              for argv in usual}
     corpus = usual + [v for argv in shapes.values() for v in variants(argv)]
     corpus += [[], ["bogus", "x"], ["-h"], ["--", "compute", "x"]]
     accepted = refused = 0

@@ -257,8 +257,10 @@ NOT_INTEGRAL = [
      "branch multiplicity nan is not an integer"),
     (lambda: CurveConfig([GlobalComponent(1, 1)], nodes=float("-inf")),
      "node count -inf is not an integer"),
-    (lambda: GlobalComponent(None, 1), "component degree None is not an integer"),
-    (lambda: SpectrumVector({1: None}, 2), "multiplicity None is not an integer"),
+    (lambda: GlobalComponent(None, 1),
+     "component degree None is not an integer"),
+    (lambda: SpectrumVector({1: None}, 2),
+     "multiplicity None is not an integer"),
 ]
 
 

@@ -314,13 +314,13 @@ def named_line_arrangements() -> list[tuple[str, int, dict[int, int]]]:
     return out
 
 
-def random_line_arrangement_data(rng: random.Random, max_lines: int = 40
+def random_line_arrangement_data(rng: random.Random
                                  ) -> tuple[int, dict[int, int]]:
-    """(d, nu) with d in [3, max_lines] and sum nu_m C(m, 2) = C(d, 2), the
+    """(d, nu) with d in [3, 40] and sum nu_m C(m, 2) = C(d, 2), the
     count of pairs of lines, each pair meeting at one point: up to four
     multiplicities of 3 to d drawn with counts that fit, then nodes for
     the pairs left. Such data need not be an arrangement that exists."""
-    d = rng.randint(3, max_lines)
+    d = rng.randint(3, 40)
     left = math.comb(d, 2)
     pairs = []
     for _ in range(rng.randint(0, 4)):
@@ -340,9 +340,9 @@ def _primitive(v: tuple[int, int, int]) -> tuple[int, int, int]:
     return tuple(sign * x // g for x in v)
 
 
-def random_line_arrangement(rng: random.Random, max_lines: int = 20
+def random_line_arrangement(rng: random.Random
                             ) -> tuple[int, dict[int, int]]:
-    """(d, nu) of an arrangement that exists: d distinct lines
+    """(d, nu) of an arrangement that exists: d in [3, 20] distinct lines
     ax + by + cz = 0 with a, b, c in [-2, 2], drawn by the seed, and
     nu[m] points where exactly m of them meet, found by exact cross
     products. Small coefficients make points of multiplicity 3 and more
@@ -350,7 +350,7 @@ def random_line_arrangement(rng: random.Random, max_lines: int = 20
     lines = sorted({_primitive(v)
                     for v in itertools.product(range(-2, 3), repeat=3)
                     if any(v)})
-    chosen = rng.sample(lines, rng.randint(3, max_lines))
+    chosen = rng.sample(lines, rng.randint(3, 20))
     through: dict[tuple[int, int, int], set[int]] = {}
     for j, k in itertools.combinations(range(len(chosen)), 2):
         (a, b, c), (x, y, z) = chosen[j], chosen[k]

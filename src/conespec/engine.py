@@ -24,7 +24,7 @@ from math import gcd
 
 from ._record import Record
 from .local import SingularPoint, _window_row, lattice_row, quotient_coeffs
-from .spectrum import Numerators, SpectrumVector, _count
+from .spectrum import Numerators, SpectrumVector, _count, _positive
 
 
 def binom2(n: int) -> int:
@@ -38,16 +38,9 @@ class GlobalComponent(Record):
     __slots__ = ("degree", "multiplicity")
 
     def __init__(self, degree: int, multiplicity: int):
-        if type(degree) is not int:
-            degree = _count(degree, "component degree")
-        if type(multiplicity) is not int:
-            multiplicity = _count(multiplicity, "component multiplicity")
-        if degree < 1:
-            raise ValueError("component degree must be positive")
-        if multiplicity < 1:
-            raise ValueError("component multiplicity must be positive")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "degree", _positive(degree, "component degree"))
+        object.__setattr__(self, "multiplicity",
+                           _positive(multiplicity, "component multiplicity"))
 
 
 def _matrix_counts(matrix) -> dict[int, int]:
@@ -127,8 +120,7 @@ class CurveConfig(Record):
         points = tuple(points)
         if not components:
             raise ValueError("a curve needs at least one component")
-        if type(nodes) is not int:
-            nodes = _count(nodes, "node count")
+        nodes = _count(nodes, "node count")
         if nodes < 0:
             raise ValueError("node count must be >= 0")
         if incidence is not None and incidence.matrix is not None:
@@ -244,14 +236,10 @@ class ReducedConeConfig(Record):
                  power: int = 1):
         local_spectra = tuple(local_spectra)
         ambient_dim = _count(ambient_dim, "ambient_dim")
-        degree = _count(degree, "degree")
-        power = _count(power, "power")
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        if degree < 1:
-            raise ValueError("degree must be positive")
-        if power < 1:
-            raise ValueError("power must be positive")
+        degree = _positive(degree, "degree")
+        power = _positive(power, "power")
         for spec in dict.fromkeys(local_spectra):
             if spec.ambient_dim != ambient_dim:
                 raise ValueError("local spectra must live in the ambient "

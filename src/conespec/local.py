@@ -13,7 +13,7 @@ import itertools
 import math
 
 from ._record import Record
-from .spectrum import Numerators, SpectrumVector, _count
+from .spectrum import Numerators, SpectrumVector, _count, _positive
 
 
 class WeightSystem(Record):
@@ -32,11 +32,8 @@ class WeightSystem(Record):
         # config) may share a factor with its degree.
         if len(weights) > 1 and math.gcd(*weights) != 1:
             raise ValueError("weights must have gcd 1")
-        degree = _count(degree, "weighted degree")
-        if degree < 1:
-            raise ValueError("weighted degree must be positive")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "degree", _positive(degree, "weighted degree"))
 
     def _require_isolated(self):
         if any(self.degree <= w for w in self.weights):
@@ -154,16 +151,10 @@ class LocalBranch(Record):
     __slots__ = ("weighted_degree", "multiplicity")
 
     def __init__(self, weighted_degree: int, multiplicity: int):
-        if type(weighted_degree) is not int:
-            weighted_degree = _count(weighted_degree, "branch weighted degree")
-        if type(multiplicity) is not int:
-            multiplicity = _count(multiplicity, "branch multiplicity")
-        if weighted_degree < 1:
-            raise ValueError("branch weighted degree must be positive")
-        if multiplicity < 1:
-            raise ValueError("branch multiplicity must be positive")
-        object.__setattr__(self, "weighted_degree", weighted_degree)
-        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "weighted_degree",
+                           _positive(weighted_degree, "branch weighted degree"))
+        object.__setattr__(self, "multiplicity",
+                           _positive(multiplicity, "branch multiplicity"))
 
 
 class BranchDegreeError(ValueError):

@@ -18,13 +18,24 @@ from itertools import compress, count, cycle
 
 def _count(value, what: str = "multiplicity") -> int:
     """`value` as an int (2 and 2.0 alike); ValueError naming `what` when it
-    is not integral, an infinity, NaN or a value int() refuses included."""
+    is not integral, an infinity, NaN or a value int() refuses included.
+    Every record reads its integer fields through this or `_positive`."""
+    if type(value) is int:
+        return value
     try:
         count = int(value)
     except (OverflowError, TypeError, ValueError):
         count = None
     if count is None or count != value:
         raise ValueError(f"{what} {value!r} is not an integer")
+    return count
+
+
+def _positive(value, what: str) -> int:
+    """`_count(value, what)`, refused with "`what` must be positive" below 1."""
+    count = _count(value, what)
+    if count < 1:
+        raise ValueError(f"{what} must be positive")
     return count
 
 

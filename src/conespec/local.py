@@ -184,6 +184,9 @@ class SingularPoint(Record):
 
     def __init__(self, weights: tuple[int, int],
                  branches: tuple[LocalBranch, ...]):
+        weights = tuple([_count(w, "point weight") for w in weights])
+        if len(weights) != 2:
+            raise ValueError(f"point weights {weights} must be a pair")
         w, wp = weights
         if w < 1 or wp < 1:
             raise ValueError("point weights must be positive")

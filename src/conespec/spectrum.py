@@ -100,10 +100,13 @@ class SpectrumVector:
         `denominator` when that is given. A `Numerators` table over
         `denominator` is owned as it is; anything else is copied, each
         multiplicity checked integral (ValueError otherwise), zeros dropped."""
+        ambient_dim = _count(ambient_dim, "ambient_dim")
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be a positive integer")
-        if denominator is not None and denominator < 1:
-            raise ValueError("denominator must be a positive integer")
+        if denominator is not None:
+            denominator = _count(denominator, "denominator")
+            if denominator < 1:
+                raise ValueError("denominator must be a positive integer")
         if denominator is not None and type(entries) is Numerators:
             table = entries
         else:
@@ -125,7 +128,7 @@ class SpectrumVector:
             table = {k // g: m for k, m in table.items()}
         self._den = denominator
         self._nums = table
-        self._ambient_dim = _count(ambient_dim, "ambient_dim")
+        self._ambient_dim = ambient_dim
 
     @property
     def ambient_dim(self) -> int:

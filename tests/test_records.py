@@ -5,7 +5,8 @@ and hash of equal values, refused assignment and deletion, keyword
 construction with defaults, and copy and pickle round trips. The
 constructors, `SpectrumVector`'s too, reject a bad field with its message,
 and `SingularPoint` a bad branch degree or Milnor number with the message
-the CLI prints.
+the CLI prints. Every integer field takes 2.0 as 2 and refuses 2.5 and None
+with a message that names it; a call with two bad fields names the first.
 """
 
 import copy
@@ -158,6 +159,18 @@ REJECTED = [
     (lambda: ReducedConeConfig(2.5, 4), "ambient_dim 2.5 is not an integer"),
     (lambda: ReducedConeConfig(2, 4.5), "degree 4.5 is not an integer"),
     (lambda: ReducedConeConfig(2, 4, (), 2.5), "power 2.5 is not an integer"),
+    (lambda: SingularPoint((1, 1, 1), [LocalBranch(1, 1)]),
+     "point weights (1, 1, 1) must be a pair"),
+    (lambda: SingularPoint((0, 1), [LocalBranch(1, 1)]),
+     "point weights must be positive"),
+    (lambda: ConeSpectrumTable(0, 0, 0, ((), (), ())), "d must be positive"),
+    (lambda: SpectrumVector({1: 1}, 0),
+     "ambient_dim must be a positive integer"),
+    (lambda: WeightSystem((2, 3), 0), "weighted degree must be positive"),
+    (lambda: GlobalComponent(0, 2.5), "component degree must be positive"),
+    (lambda: LocalBranch(6.5, 0), "branch weighted degree 6.5 is not an "
+                                  "integer"),
+    (lambda: ReducedConeConfig(0, 4.5), "ambient dimension must be positive"),
 ]
 
 
@@ -166,7 +179,10 @@ REJECTED = [
     "incidence-value", "curve-nodes", "weights-empty", "branch-degree",
     "branch-multiplicity", "point-no-branch", "point-branch-degree",
     "point-milnor", "point-fat-ordinary", "spectrum-denominator",
-    "reduced-ambient-dim", "reduced-degree", "reduced-power"])
+    "reduced-ambient-dim", "reduced-degree", "reduced-power",
+    "point-weight-triple", "point-weight-zero", "table-d", "spectrum-ambient",
+    "weighted-degree", "first-of-two-component", "first-of-two-branch",
+    "first-of-two-reduced"])
 def test_constructor_rejects_a_bad_field(make, message):
     with pytest.raises(ValueError) as info:
         make()
@@ -261,6 +277,40 @@ NOT_INTEGRAL = [
      "component degree None is not an integer"),
     (lambda: SpectrumVector({1: None}, 2),
      "multiplicity None is not an integer"),
+    (lambda: SingularPoint((2.0, 1.5), [LocalBranch(1, 1)]),
+     "point weight 1.5 is not an integer"),
+    (lambda: SpectrumVector({}, None), "ambient_dim None is not an integer"),
+    (lambda: SpectrumVector({1: 1}, 1, denominator=1.5),
+     "denominator 1.5 is not an integer"),
+    (lambda: ConeSpectrumTable(2.5, 2, 0, ((1, 0), (0, 0), (0, 0))),
+     "d 2.5 is not an integer"),
+]
+
+# (a record built from one integer field's value, the field's name in the
+# messages): every integer field of every record the paper's inputs reach,
+# but `SpectrumVector`'s denominator, whose None means fraction exponents
+INTEGER_FIELDS = [
+    (lambda v: GlobalComponent(v, 1), "component degree"),
+    (lambda v: GlobalComponent(1, v), "component multiplicity"),
+    (lambda v: LocalBranch(v, 1), "branch weighted degree"),
+    (lambda v: LocalBranch(6, v), "branch multiplicity"),
+    (lambda v: WeightSystem((v, 3), 7), "weight"),
+    (lambda v: WeightSystem((2, 3), v), "weighted degree"),
+    (lambda v: SingularPoint((v, 3), [LocalBranch(6, 1)]), "point weight"),
+    (lambda v: SingularPoint((3, v), [LocalBranch(6, 1)]), "point weight"),
+    (lambda v: Incidence([(v, 1)]), "incidence count"),
+    (lambda v: Incidence([(1, v)]), "incidence value"),
+    (lambda v: Incidence([(1, 2)], [[v, 0]]), "incidence matrix entry"),
+    (lambda v: CurveConfig([GlobalComponent(1, 1)], nodes=v), "node count"),
+    (lambda v: ConeSpectrumTable(v, 2, 0, ((1, 0), (0, 0), (0, 0))), "d"),
+    (lambda v: ConeSpectrumTable(2, v, 0, ((1, 0), (0, 0), (0, 0))),
+     "dprime"),
+    (lambda v: ConeSpectrumTable(2, 2, v, ((1, 0), (0, 0), (0, 0))), "chi_u"),
+    (lambda v: ReducedConeConfig(v, 4), "ambient_dim"),
+    (lambda v: ReducedConeConfig(2, v), "degree"),
+    (lambda v: ReducedConeConfig(2, 4, (), v), "power"),
+    (lambda v: SpectrumVector({1: 1}, v), "ambient_dim"),
+    (lambda v: SpectrumVector({1: v}, 2), "multiplicity"),
 ]
 
 
@@ -281,6 +331,18 @@ def test_integer_fields_refuse_other_numbers():
     assert repr(LocalBranch(6.0, 2.0)) == repr(LocalBranch(6, 2))
     assert curve_table(CurveConfig([GlobalComponent(2.0, 1)])) == \
         curve_table(CurveConfig([GlobalComponent(2, 1)]))
+    for make, what in INTEGER_FIELDS:
+        assert repr(make(2.0)) == repr(make(2)), what
+        for value in (2.5, None):
+            with pytest.raises(ValueError) as info:
+                make(value)
+            assert str(info.value) == f"{what} {value!r} is not an integer"
+    point = SingularPoint((2.0, 3), [LocalBranch(6, 1)])
+    assert point == SingularPoint((2, 3), [LocalBranch(6, 1)])
+    assert point._key == SingularPoint((2, 3), [LocalBranch(6, 1)])._key
+    flat = ConeSpectrumTable(2.0, 2, 0, ((1, 0), (0, 0), (0, 0)))
+    assert flat.as_spectrum() == SpectrumVector({"1/2": 1}, 3)
+    assert SpectrumVector({1: 1}, 2, denominator=2.0).denominator == 2
 
 
 @pytest.mark.parametrize("pairs, matrix", [

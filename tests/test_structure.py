@@ -18,6 +18,11 @@ Nor does a package module carry its own ``if __name__ == "__main__"``
 block: ``python -m conespec`` (`__main__.py`) and the ``conespec`` script
 are the ways to run the command.
 
+Nor does a package module other than `spectrum` test for an exact int
+(``type(x) is int`` or ``is not int``): `spectrum._count` owns the
+integer-field rule, its fast path for an int included, and every record
+reads its integer fields through it or `spectrum._positive`.
+
 Nor do README and the package's docstrings and comments name a private
 helper that the package no longer defines, and README names no private
 name at all: it states what a user can rely on, and the mechanism lives in
@@ -162,6 +167,32 @@ def test_no_package_module_has_a_main_guard():
                if main_guards(path.read_text(encoding="utf-8"))]
     assert guarded == []
     assert main_guards('if __name__ == "__main__":\n    main()\n') == 1
+
+
+def exact_int_tests(text: str) -> int:
+    """How many comparisons of ``type(...)`` with ``int`` by ``is`` or
+    ``is not`` `text` holds, either side first."""
+    def is_type_call(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "type")
+    count = 0
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Compare) and all(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            sides = [node.left, *node.comparators]
+            count += (any(map(is_type_call, sides))
+                      and any(isinstance(side, ast.Name) and side.id == "int"
+                              for side in sides))
+    return count
+
+
+def test_only_spectrum_tests_for_an_exact_int():
+    testers = [path.name for path in sorted(PACKAGE.glob("*.py"))
+               if exact_int_tests(path.read_text(encoding="utf-8"))]
+    assert testers == ["spectrum.py"]
+    assert exact_int_tests("if type(x) is not int:\n    x = f(x)\n") == 1
+    assert exact_int_tests("ok = int is type(x)\n") == 1
+    assert exact_int_tests("ok = type(x) == int or type(x) is str\n") == 0
 
 
 # a private name, neither a dunder nor a bare `_`, right after a backtick or

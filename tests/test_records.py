@@ -161,12 +161,7 @@ REJECTED = [
     (lambda: ReducedConeConfig(2, 4, (), 2.5), "power 2.5 is not an integer"),
     (lambda: SingularPoint((1, 1, 1), [LocalBranch(1, 1)]),
      "point weights (1, 1, 1) must be a pair"),
-    (lambda: SingularPoint((0, 1), [LocalBranch(1, 1)]),
-     "point weights must be positive"),
     (lambda: ConeSpectrumTable(0, 0, 0, ((), (), ())), "d must be positive"),
-    (lambda: SpectrumVector({1: 1}, 0),
-     "ambient_dim must be a positive integer"),
-    (lambda: WeightSystem((2, 3), 0), "weighted degree must be positive"),
     (lambda: GlobalComponent(0, 2.5), "component degree must be positive"),
     (lambda: LocalBranch(6.5, 0), "branch weighted degree 6.5 is not an "
                                   "integer"),
@@ -180,9 +175,8 @@ REJECTED = [
     "branch-multiplicity", "point-no-branch", "point-branch-degree",
     "point-milnor", "point-fat-ordinary", "spectrum-denominator",
     "reduced-ambient-dim", "reduced-degree", "reduced-power",
-    "point-weight-triple", "point-weight-zero", "table-d", "spectrum-ambient",
-    "weighted-degree", "first-of-two-component", "first-of-two-branch",
-    "first-of-two-reduced"])
+    "point-weight-triple", "table-d", "first-of-two-component",
+    "first-of-two-branch", "first-of-two-reduced"])
 def test_constructor_rejects_a_bad_field(make, message):
     with pytest.raises(ValueError) as info:
         make()

@@ -137,7 +137,7 @@ def cmd_compute(args) -> int:
         except ValueError as exc:
             raise ConfigError("middle-unavailable", str(exc)) from exc
         table = ConeSpectrumTable(table.d, table.dprime, table.chi_u,
-                                  (table.rows[0], tuple(middle), table.rows[2]))
+                                  (table.rows[0], middle, table.rows[2]))
     sys.stdout.write(emit_table(table, args.format))
     return OK
 

@@ -69,12 +69,10 @@ class Incidence(Record):
             for row in matrix:
                 if any(v < 0 for v in row):
                     raise ValueError("incidence matrix entries must be >= 0")
-        pairs = tuple([(_count(c, "incidence count"),
-                        _count(v, "incidence value")) for c, v in pairs])
+        pairs = tuple([(_positive(c, "incidence count"),
+                        _positive(v, "incidence value")) for c, v in pairs])
         totals: dict[int, int] = {}
         for count, value in pairs:
-            if count < 1 or value < 1:
-                raise ValueError("incidence pairs need positive count and value")
             totals[value] = totals.get(value, 0) + count
         if matrix is not None and totals != _matrix_counts(matrix):
             raise ValueError("incidence pairs disagree with the matrix's "
@@ -182,8 +180,9 @@ class ConeSpectrumTable(Record):
     """The three multiplicity rows of a cone over a plane curve.
 
     rows[e][i-1] is the value at exponent i/d + e for i in [1, d], d >= 1;
-    rows of another count or length are refused with a ValueError. Entries
-    are exact formula values. The cone germ has a non-isolated singularity
+    rows of another count or length are refused, and rows are kept as
+    tuples. Entries are exact formula values, unchecked until `as_spectrum`
+    refuses a non-integral one. The cone germ has a non-isolated singularity
     whenever the curve is singular, so its multiplicities are alternating
     sums and can be negative: always a possibility at the integer exponents
     (i = d), and for sufficiently special geometry (pencils of curves
@@ -199,6 +198,7 @@ class ConeSpectrumTable(Record):
         d = _positive(d, "d")
         dprime = _count(dprime, "dprime")
         chi_u = _count(chi_u, "chi_u")
+        rows = tuple(map(tuple, rows))
         if [len(row) for row in rows] != [d] * 3:
             raise ValueError(f"a table has 3 rows of d = {d} cells")
         object.__setattr__(self, "d", d)
@@ -238,9 +238,7 @@ class ReducedConeConfig(Record):
                  local_spectra: tuple[SpectrumVector, ...] = (),
                  power: int = 1):
         local_spectra = tuple(local_spectra)
-        ambient_dim = _count(ambient_dim, "ambient_dim")
-        if ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
+        ambient_dim = _positive(ambient_dim, "ambient dimension")
         degree = _positive(degree, "degree")
         power = _positive(power, "power")
         for spec in dict.fromkeys(local_spectra):
@@ -420,8 +418,7 @@ def _table(cfg: CurveConfig, period: tuple) -> ConeSpectrumTable:
     row1 = [chi - r0 - r2 for r0, r2 in zip(row0, row2)] * g
     row0, row2 = row0 * g, row2 * g
     row2[-1] -= 1
-    return ConeSpectrumTable(d, dp, chi,
-                             (tuple(row0), tuple(row1), tuple(row2)))
+    return ConeSpectrumTable(d, dp, chi, (row0, row1, row2))
 
 
 def scan_values(cfg: CurveConfig, lattice: dict
@@ -568,7 +565,7 @@ def _spectrum_table(cfg: ReducedConeConfig,
     already built through this, so none builds it twice."""
     d = cfg.degree
     grid = base.numerators(d)
-    rows = tuple(tuple(grid.get(i + e * d, 0) for i in range(1, d + 1))
-                 for e in range(3))
+    rows = [[grid.get(i + e * d, 0) for i in range(1, d + 1)]
+            for e in range(3)]
     chi = _chi_complement(d, sum(s.total() for s in cfg.local_spectra))
     return ConeSpectrumTable(d, d, chi, rows)

@@ -22,7 +22,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
                      Incidence, ReducedConeConfig)
 from .local import (BranchDegreeError, LocalBranch, SingularPoint,
                     WeightSystem, weighted_spectrum)
-from .spectrum import SpectrumVector, exponent_texts
+from .spectrum import SpectrumVector, _positive, exponent_texts
 
 
 class ConfigError(ValueError):
@@ -40,7 +40,8 @@ class ConfigError(ValueError):
 
 class _coded:
     """Block in which a constructor's ValueError becomes a ConfigError with
-    `code`; a ConfigError passes unchanged."""
+    `code`; a ConfigError passes unchanged. It costs three calls, so no
+    per-grid-point path uses one."""
 
     def __init__(self, code: str):
         self.code = code
@@ -331,9 +332,10 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
     `memo` holds the records already built (fresh dicts when none is
     given), one dict per kind so that keys of two kinds never meet:
     components by (degree, mult), points by (branch count, *mults), the
-    incidence by its pairs and branches by their multiplicity. Every check
-    runs before the lookup; a record is stored once its constructor has
-    returned, and a dict that holds `MEMO_BOUND` records is emptied first.
+    incidence by its pairs and branches by their multiplicity. A component
+    is checked by its constructor on a miss, every other check before the
+    lookup; a record is stored once its constructor has returned, and a
+    dict that holds `MEMO_BOUND` records is emptied first.
     """
     component_memo, point_memo, incidence_memo, branch_memo = \
         memo or ({}, {}, {}, {})
@@ -351,14 +353,11 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
             _negated_count("GlCmp", k, sep)
             continue
         degree, mult = slots[k + 1], slots[k + 2]
-        if degree < 1 or mult < 1:
-            raise ConfigError("value-nonpositive",
-                              f"component degree/multiplicity must be positive,"
-                              f" got ({degree}, {mult})")
         component = component_memo.get((degree, mult))
         if component is None:
-            component = _stored(component_memo, (degree, mult),
-                                GlobalComponent(degree, mult))
+            with _coded("value-nonpositive"):
+                component = GlobalComponent(degree, mult)
+            _stored(component_memo, (degree, mult), component)
         if sep == -1:
             components.append(component)
         else:
@@ -551,14 +550,6 @@ class _Fields:
 Step = Callable[[Mapping[str, int], _Fields], None]
 
 
-def _count(count: Expr, binding) -> int:
-    value = count(binding)
-    if value < 1:
-        raise ConfigError("value-nonpositive",
-                          f"count must be positive, got {value}")
-    return value
-
-
 def _one_value(keyword: str, args: list[str]) -> Expr:
     if len(args) != 1:
         raise ConfigError("key-syntax", f"{keyword} takes one value")
@@ -593,11 +584,9 @@ def _component(args: list[str]) -> Step:
 
     def step(binding, out):
         d, m = degree(binding), mult(binding)
-        copies = _count(count, binding)
-        if d < 1 or m < 1:
-            raise ConfigError("value-nonpositive",
-                              "degree and mult must be positive")
-        out.components += [GlobalComponent(d, m)] * copies
+        with _coded("value-nonpositive"):
+            copies = _positive(count(binding), "component count")
+            out.components += [GlobalComponent(d, m)] * copies
     return step
 
 
@@ -612,18 +601,13 @@ def _point(args: list[str]) -> Step:
 
     def step(binding, out):
         w, wp = w_expr(binding), wp_expr(binding)
-        branches = []
-        for deg_expr, mult_expr in branch_exprs:
-            deg, mult = deg_expr(binding), mult_expr(binding)
-            if deg < 1 or mult < 1:
-                raise ConfigError(
-                    "value-nonpositive",
-                    "branch degree and multiplicity must be positive")
-            branches.append(LocalBranch(deg, mult))
-        copies = _count(count, binding)
+        with _coded("value-nonpositive"):
+            branches = tuple([LocalBranch(deg(binding), mult(binding))
+                              for deg, mult in branch_exprs])
+            copies = _positive(count(binding), "point count")
         with _coded("point-invalid"):
             try:
-                point = SingularPoint((w, wp), tuple(branches))
+                point = SingularPoint((w, wp), branches)
             except BranchDegreeError as exc:
                 raise ConfigError("branch-degree", str(exc)) from exc
         out.points += [point] * copies

@@ -13,7 +13,7 @@ import itertools
 import math
 
 from ._record import Record
-from .spectrum import Numerators, SpectrumVector, _count, _positive
+from .spectrum import Numerators, SpectrumVector, _positive
 
 
 class WeightSystem(Record):
@@ -22,11 +22,9 @@ class WeightSystem(Record):
     __slots__ = ("weights", "degree")
 
     def __init__(self, weights: tuple[int, ...], degree: int):
-        weights = tuple([_count(w, "weight") for w in weights])
+        weights = tuple([_positive(w, "weight") for w in weights])
         if not weights:
             raise ValueError("weight system needs at least one weight")
-        if any(w < 1 for w in weights):
-            raise ValueError("weights must be positive integers")
         # gcd 1 is required of a genuine weight system; a single-variable
         # one (the germ x^a of a ``localwh`` line in a ``reduced n=1``
         # config) may share a factor with its degree.
@@ -184,12 +182,10 @@ class SingularPoint(Record):
 
     def __init__(self, weights: tuple[int, int],
                  branches: tuple[LocalBranch, ...]):
-        weights = tuple([_count(w, "point weight") for w in weights])
+        weights = tuple([_positive(w, "point weight") for w in weights])
         if len(weights) != 2:
             raise ValueError(f"point weights {weights} must be a pair")
         w, wp = weights
-        if w < 1 or wp < 1:
-            raise ValueError("point weights must be positive")
         if math.gcd(w, wp) != 1:
             raise ValueError(f"point weights {weights} must be coprime")
         branches = tuple(branches)

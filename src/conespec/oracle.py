@@ -182,8 +182,7 @@ def reference_ordinary(cfg: CurveConfig) -> ConeSpectrumTable:
     row2 = list(state.sp[2])
     row2[d - 1] -= 1
     return ConeSpectrumTable(d, dr, state.chi,
-                             (tuple(state.sp[0]), tuple(state.sp[1]),
-                              tuple(row2)))
+                             (state.sp[0], state.sp[1], row2))
 
 
 class CheckResult(Record):

@@ -32,8 +32,9 @@ def _count(value, what: str = "multiplicity") -> int:
 
 
 def _positive(value, what: str) -> int:
-    """`_count(value, what)`, refused with "`what` must be positive" below 1."""
-    count = _count(value, what)
+    """`_count(value, what)`, refused with "`what` must be positive" below 1;
+    an exact int skips the `_count` call, so it costs one call frame."""
+    count = value if type(value) is int else _count(value, what)
     if count < 1:
         raise ValueError(f"{what} must be positive")
     return count
@@ -100,13 +101,9 @@ class SpectrumVector:
         `denominator` when that is given. A `Numerators` table over
         `denominator` is owned as it is; anything else is copied, each
         multiplicity checked integral (ValueError otherwise), zeros dropped."""
-        ambient_dim = _count(ambient_dim, "ambient_dim")
-        if ambient_dim < 1:
-            raise ValueError("ambient_dim must be a positive integer")
+        ambient_dim = _positive(ambient_dim, "ambient_dim")
         if denominator is not None:
-            denominator = _count(denominator, "denominator")
-            if denominator < 1:
-                raise ValueError("denominator must be a positive integer")
+            denominator = _positive(denominator, "denominator")
         if denominator is not None and type(entries) is Numerators:
             table = entries
         else:

@@ -1047,6 +1047,40 @@ def test_input_error_matches_golden(case, dialect, text):
     assert input_outcome(dialect, text) == golden[case]
 
 
+# (dialect, text, line, code, the record call that refuses the same value):
+# each case in every dialect that can write it
+RECORD_REFUSALS = [
+    ("vector", vec(glcmp="-1,0,1"), None, "value-nonpositive",
+     lambda: GlobalComponent(0, 1)),
+    ("native", "component degree=0 mult=1\n", 1, "value-nonpositive",
+     lambda: GlobalComponent(0, 1)),
+    ("vector", vec(glcmp="-1,1,0"), None, "value-nonpositive",
+     lambda: GlobalComponent(1, 0)),
+    ("native", "component degree=1 mult=0\n", 1, "value-nonpositive",
+     lambda: GlobalComponent(1, 0)),
+    ("native", C1 + "point weights=1,1 branches=(0:1)\n", 2,
+     "value-nonpositive", lambda: LocalBranch(0, 1)),
+    ("native", C1 + "point weights=1,1 branches=(1:0)\n", 2,
+     "value-nonpositive", lambda: LocalBranch(1, 0)),
+    ("native", C1 + "point weights=0,1 branches=(1:1)\n", 2, "point-invalid",
+     lambda: SingularPoint((0, 1), [LocalBranch(1, 1)])),
+]
+
+
+@pytest.mark.parametrize("dialect, text, line, code, build", RECORD_REFUSALS,
+                         ids=["component-degree-vector",
+                              "component-degree-native",
+                              "component-mult-vector", "component-mult-native",
+                              "branch-degree", "branch-mult", "point-weight"])
+def test_parser_refusal_is_the_records_own(dialect, text, line, code, build):
+    """A parser refuses a non-positive field with the record's own
+    message under its code, so the rule and its text live in one place."""
+    with pytest.raises(ValueError) as info:
+        build()
+    where = "" if line is None else f"line {line}: "
+    assert input_outcome(dialect, text) == f"{where}[{code}] {info.value}"
+
+
 # ASCII digits, the literal limit, and the 60-character quote of a long
 # expression, in a slot of each dialect
 @pytest.mark.parametrize("entry, outcome", [

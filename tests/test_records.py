@@ -191,6 +191,15 @@ def test_reduced_cone_config_takes_integral_values_as_ints():
         int, int, int]
 
 
+def test_table_keeps_its_rows_as_tuples():
+    """A table built from lists is the table built from tuples: equal,
+    with the same hash, its rows tuples."""
+    lists = ConeSpectrumTable(2, 2, 0, [[1, 0], [0, 0], [0, -1]])
+    tuples = ConeSpectrumTable(2, 2, 0, ((1, 0), (0, 0), (0, -1)))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    assert lists.rows == ((1, 0), (0, 0), (0, -1))
+
+
 def round_trips(record):
     return [copy.copy(record), copy.deepcopy(record),
             pickle.loads(pickle.dumps(record))]

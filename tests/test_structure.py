@@ -21,7 +21,11 @@ are the ways to run the command.
 Nor does a package module other than `spectrum` test for an exact int
 (``type(x) is int`` or ``is not int``): `spectrum._count` owns the
 integer-field rule, its fast path for an int included, and every record
-reads its integer fields through it or `spectrum._positive`.
+reads its integer fields through it or `spectrum._positive`. Nor does a
+string outside a docstring say "must be positive" but in `_positive`,
+which owns that refusal, and in the three `formats` checks that no record
+can take over: the vector branch count and ``LG`` value and the native
+incidence pairs.
 
 Nor do README and the package's docstrings and comments name a private
 helper that the package no longer defines, and README names no private
@@ -193,6 +197,36 @@ def test_only_spectrum_tests_for_an_exact_int():
     assert exact_int_tests("if type(x) is not int:\n    x = f(x)\n") == 1
     assert exact_int_tests("ok = int is type(x)\n") == 1
     assert exact_int_tests("ok = type(x) == int or type(x) is str\n") == 0
+
+
+def positive_refusals(text: str) -> list[str]:
+    """The innermost function holding each string constant of `text`, an
+    f-string part included and a docstring not, that says "must be
+    positive"."""
+    tree = ast.parse(text)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, *_FUNCTION))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+
+    def holders(node, name):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Constant) and id(child) not in docstrings
+                    and "must be positive" in str(child.value)):
+                yield name
+            yield from holders(child, child.name
+                               if isinstance(child, _FUNCTION) else name)
+    return list(holders(tree, None))
+
+
+def test_only_spectrum_and_three_parser_checks_refuse_a_nonpositive():
+    found = {path.name: positive_refusals(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: holders for name, holders in found.items() if holders} == {
+        "formats.py": ["parse_singular", "parse_singular", "_incidence"],
+        "spectrum.py": ["_positive"]}
+    assert found["engine.py"] == found["local.py"] == []
+    assert positive_refusals('def f(x):\n    "x must be positive"\n'
+                             '    return f"{x} must be positive"\n') == ["f"]
 
 
 # a private name, neither a dunder nor a bare `_`, right after a backtick or

@@ -754,10 +754,10 @@ def test_compute_deep_and_long_templates(capsys, tmp_path):
 @pytest.mark.parametrize("template,message", [
     ("component degree=1 mult=1\ncomponent degree=a mult=1\n",
      "line 2: [value-nonpositive] at grid point (a=0): "
-     "degree and mult must be positive"),
+     "component degree must be positive"),
     ((FIXTURES / "five-lines.vectors").read_text(),
      "[value-nonpositive] at grid point (a=0): component "
-     "degree/multiplicity must be positive, got (1, 0)"),
+     "multiplicity must be positive"),
     ("reduced n=2 degree=a+3\nlocalwh weights=2,3 degree=6\n",
      "[mode-conflict] at grid point (a=0): scan templates must describe "
      "curve configs"),

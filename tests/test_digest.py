@@ -12,7 +12,7 @@ the new values.
 from digest import corpus_digest
 
 CALLS = 877
-SHA256 = "2a426627ec91874c7b048b7697b5cff117b4796fe3c1948a9a9dbcfbb450bee9"
+SHA256 = "6c2bc843c83e2b38b7a583d5b74ea7afd0af2261b207c5bd271bf32aef5804e4"
 
 
 def test_corpus_digest_is_unchanged():

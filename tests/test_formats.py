@@ -482,7 +482,7 @@ STACKED_OUTCOMES = {
                       NONPOSITIVE + "branch count must be positive, got 0")
        for o in (0, -1) for l in (1, 0)},
     **{(0, p, o, l): ("value-nonpositive", NONPOSITIVE + "component "
-                      "degree/multiplicity must be positive, got (1, 0)")
+                      "multiplicity must be positive")
        for p in (3, 1, 0) for o in (0, -1) for l in (1, 0)},
 }
 
@@ -527,8 +527,7 @@ def test_vector_memo_keeps_errors_at_each_binding():
     assert seen[2] == ("si-overflow", None, "[si-overflow] point lists 2 "
                        "multiplicities for 1 branches")
     assert seen[3] == ("value-nonpositive", None, "[value-nonpositive] "
-                       "component degree/multiplicity must be positive, got "
-                       "(1, 0)")
+                       "component multiplicity must be positive")
     assert isinstance(seen[4], CurveConfig) and seen[4] == seen[0]
 
 

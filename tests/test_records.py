@@ -135,10 +135,8 @@ def test_keyword_construction_with_defaults():
 REJECTED = [
     (lambda: GlobalComponent(0, 1), "component degree must be positive"),
     (lambda: GlobalComponent(1, 0), "component multiplicity must be positive"),
-    (lambda: Incidence([(0, 1)]),
-     "incidence pairs need positive count and value"),
-    (lambda: Incidence([(1, 0)]),
-     "incidence pairs need positive count and value"),
+    (lambda: Incidence([(0, 1)]), "incidence count must be positive"),
+    (lambda: Incidence([(1, 0)]), "incidence value must be positive"),
     (lambda: CurveConfig([GlobalComponent(1, 1)], nodes=-1),
      "node count must be >= 0"),
     (lambda: WeightSystem([], 1), "weight system needs at least one weight"),
@@ -155,8 +153,9 @@ REJECTED = [
     (lambda: SingularPoint((1, 1), [LocalBranch(2, 1), LocalBranch(1, 1)]),
      "branch degrees must lie in {w, w', w*w'} = {1}"),
     (lambda: SpectrumVector({1: 1}, 2, denominator=0),
-     "denominator must be a positive integer"),
-    (lambda: ReducedConeConfig(2.5, 4), "ambient_dim 2.5 is not an integer"),
+     "denominator must be positive"),
+    (lambda: ReducedConeConfig(2.5, 4),
+     "ambient dimension 2.5 is not an integer"),
     (lambda: ReducedConeConfig(2, 4.5), "degree 4.5 is not an integer"),
     (lambda: ReducedConeConfig(2, 4, (), 2.5), "power 2.5 is not an integer"),
     (lambda: SingularPoint((1, 1, 1), [LocalBranch(1, 1)]),
@@ -309,7 +308,7 @@ INTEGER_FIELDS = [
     (lambda v: ConeSpectrumTable(2, v, 0, ((1, 0), (0, 0), (0, 0))),
      "dprime"),
     (lambda v: ConeSpectrumTable(2, 2, v, ((1, 0), (0, 0), (0, 0))), "chi_u"),
-    (lambda v: ReducedConeConfig(v, 4), "ambient_dim"),
+    (lambda v: ReducedConeConfig(v, 4), "ambient dimension"),
     (lambda v: ReducedConeConfig(2, v), "degree"),
     (lambda v: ReducedConeConfig(2, 4, (), v), "power"),
     (lambda v: SpectrumVector({1: 1}, v), "ambient_dim"),

@@ -181,13 +181,12 @@ class ConeSpectrumTable(Record):
 
     rows[e][i-1] is the value at exponent i/d + e for i in [1, d], d >= 1;
     rows of another count or length are refused, and rows are kept as
-    tuples. Entries are exact formula values, unchecked until `as_spectrum`
-    refuses a non-integral one. The cone germ has a non-isolated singularity
-    whenever the curve is singular, so its multiplicities are alternating
-    sums and can be negative: always a possibility at the integer exponents
-    (i = d), and for sufficiently special geometry (pencils of curves
-    through shared points, thickenings of curves with chi-defect) also at
-    i < d.
+    tuples of exact formula values, unchecked until `as_spectrum` refuses a
+    non-integral one. The cone germ has a non-isolated singularity whenever
+    the curve is singular, so its multiplicities are alternating sums and
+    can be negative: always a possibility at the integer exponents (i = d),
+    and for sufficiently special geometry (pencils of curves through shared
+    points, thickenings of curves with chi-defect) also at i < d.
     """
 
     __slots__ = ("d", "dprime", "chi_u", "rows")

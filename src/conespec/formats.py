@@ -40,8 +40,9 @@ class ConfigError(ValueError):
 
 class _coded:
     """Block in which a constructor's ValueError becomes a ConfigError with
-    `code`; a ConfigError passes unchanged. It costs three calls, so no
-    per-grid-point path uses one."""
+    `code`; a ConfigError passes unchanged. It costs three calls, so the
+    vector path, which a scan runs at every grid point, enters one only on
+    a memo miss."""
 
     def __init__(self, code: str):
         self.code = code

@@ -22,10 +22,10 @@ Nor does a package module other than `spectrum` test for an exact int
 (``type(x) is int`` or ``is not int``): `spectrum._count` owns the
 integer-field rule, its fast path for an int included, and every record
 reads its integer fields through it or `spectrum._positive`. Nor does a
-string outside a docstring say "must be positive" but in `_positive`,
+string outside a docstring say "must be positive", save in `_positive`,
 which owns that refusal, and in the three `formats` checks that no record
-can take over: the vector branch count and ``LG`` value and the native
-incidence pairs.
+can take over: the vector branch count, the vector ``LG`` value and the
+native incidence pairs.
 
 Nor do README and the package's docstrings and comments name a private
 helper that the package no longer defines, and README names no private

@@ -40,14 +40,28 @@ def _positive(value, what: str) -> int:
     return count
 
 
-def _tails(residues: Collection[int], den: int) -> list[tuple[int, str]]:
-    """(g, "/q") for each residue r of `residues`, in their order: k/den
-    with k mod den == r is k // g over q = den // g in lowest terms, where
-    g = gcd(r, den), and "/q" is "" when q == 1. The one place of the
-    lowest-terms rule, which both writers read."""
-    gs = list(map(math.gcd, residues, [den] * len(residues)))
-    qs = {g: "" if g == den else f"/{den // g}" for g in set(gs)}
-    return list(zip(gs, map(qs.__getitem__, gs)))
+def _tails(den: int, residues: Collection[int] | None = None):
+    """The residue table of den as two flat lists (gs, qs), indexed by the
+    residue r in range(den): k/den with k mod den == r is k // g over
+    q = den // g in lowest terms, where g = gs[r] = gcd(r, den), and
+    qs[r] = "/q", or "" when q == 1. The one place of the lowest-terms
+    rule, which both writers read. The lists are laid by a divisor sieve:
+    the divisors t of den (trial division up to isqrt(den)) are taken in
+    ascending order, each writing t and "/(den // t)" at every t-th place,
+    so the largest divisor of r is written last; that is sigma(den) element
+    writes at C speed and no gcd. Given `residues` (few entries over a huge
+    den), gs and qs are dicts over those residues alone, one gcd each."""
+    if residues is not None:
+        gs = {r: math.gcd(r, den) for r in residues}
+        return gs, {r: "" if g == den else f"/{den // g}"
+                    for r, g in gs.items()}
+    small = [t for t in range(1, math.isqrt(den) + 1) if den % t == 0]
+    gs, qs = [1] * den, [""] * den
+    for t in small + [den // t for t in reversed(small) if t * t != den]:
+        q = den // t
+        gs[::t] = [t] * q
+        qs[::t] = [f"/{q}" if q > 1 else ""] * q
+    return gs, qs
 
 
 def exponent_texts(nums: Sequence[int], den: int,
@@ -55,31 +69,30 @@ def exponent_texts(nums: Sequence[int], den: int,
     """The exponents k/den (den >= 1) for the numerators k of `nums`, each
     in lowest terms, "p" or "p/q" as ``str(Fraction(k, den))`` writes it,
     followed by ":" and the value at the same place when `values` is given.
-    k/den reduces by g = gcd(k mod den, den), so g and "/q" are worked out
-    once per residue (`_tails`): in a list over every residue when
-    den <= len(nums), else in a dict over the residues present (few
-    entries, huge den)."""
-    every = den <= len(nums)
-    residues = range(den) if every else {k % den for k in nums}
-    tails = _tails(residues, den)
-    if not every:
-        tails = dict(zip(residues, tails))
+    k/den reduces by g = gcd(k mod den, den), so g and "/q" are read from
+    the residue table (`_tails`) at r = k % den: its two flat lists over
+    every residue when den <= len(nums), else its dicts over the residues
+    present (few entries, huge den)."""
+    gs, qs = _tails(den, None if den <= len(nums)
+                    else {k % den for k in nums})
     if values is None:
-        return [f"{k // g}{q}" for k in nums for g, q in (tails[k % den],)]
-    return [f"{k // g}{q}:{m}" for k, m in zip(nums, values)
-            for g, q in (tails[k % den],)]
+        return [f"{k // gs[r]}{qs[r]}" for k in nums for r in (k % den,)]
+    return [f"{k // gs[r]}{qs[r]}:{m}" for k, m in zip(nums, values)
+            for r in (k % den,)]
 
 
 def render_row(row: Sequence[int], den: int) -> str:
     """The `render` text of the vector whose value at k/den is row[k]:
     "k/den:v" for every nonzero row[k], in increasing k, written straight
-    from the dense row. The residue table (`_tails`) is walked alongside the
-    row, one lap per den cells, so no entry takes k % den; and no gcd over
-    the whole row is needed, since each entry is reduced on its own, so the
-    text is the same over den as over the vector's least denominator."""
-    cells = zip(count(), row, cycle(_tails(range(den), den)))
-    return ", ".join([f"{k // g}{q}:{v}"
-                      for k, v, (g, q) in compress(cells, row)])
+    from the dense row. The two flat lists of the residue table (`_tails`)
+    are walked alongside the row, each a `cycle` that laps once per den
+    cells, and `compress` keeps the nonzero cells, so no entry takes
+    k % den; and no gcd over the whole row is needed, since each entry is
+    reduced on its own, so the text is the same over den as over the
+    vector's least denominator."""
+    gs, qs = _tails(den)
+    cells = compress(zip(count(), row, cycle(gs), cycle(qs)), row)
+    return ", ".join([f"{k // g}{q}:{v}" for k, v, g, q in cells])
 
 
 class Numerators(dict):

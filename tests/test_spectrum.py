@@ -562,6 +562,29 @@ def test_writers_stay_integer():
     assert "gcd" in _names(spectrum._tails.__code__)
 
 
+def test_residue_table_is_the_gcd_table():
+    """The divisor sieve of `_tails` lays gs[r] = gcd(r, den) and qs[r] =
+    "/(den // g)", or "" when g is den, at every residue r: for every den up
+    to 3000 and for dens with many divisors, a prime power, a prime and a
+    product of two primes. `render_row` over such dens, on seeded dense rows
+    of (n + 1) * den cells, writes one `Fraction` text per nonzero entry."""
+    for den in [*range(1, 3001), 5040, 55440, 2**16, 3**10, 7919, 1007,
+                1760]:
+        gs, qs = spectrum._tails(den)
+        want = list(map(math.gcd, range(den), [den] * den))
+        assert gs == want, den
+        texts = {g: "" if g == den else f"/{den // g}" for g in set(want)}
+        assert qs == list(map(texts.__getitem__, want)), den
+    rng = random.Random(5050)
+    for n in (1, 2, 3):
+        for den in (5040, 2**12, 1760):
+            row = [rng.choice((0, 0, 0, -2, -1, 1, 3))
+                   for _ in range((n + 1) * den)]
+            want = ", ".join(f"{F(k, den)}:{v}" for k, v in enumerate(row)
+                             if v)
+            assert render_row(row, den) == want, (n, den)
+
+
 def test_row_writer_matches_the_power_vector():
     """`render_row` on the power row writes what the vector built from that
     row renders, and what one `Fraction` per entry writes: random bases on

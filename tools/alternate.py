@@ -1,9 +1,12 @@
-"""Time one case on two source trees, in alternating fresh interpreters.
+"""Time one case on two source trees, alternating, in fresh interpreters
+or in one.
 
 Usage::
 
     python3 tools/alternate.py CASE TREE_A TREE_B [--rounds N] [--repeat K]
     python3 tools/alternate.py CASE TREE_A TREE_B --cold [--rounds N]
+    python3 tools/alternate.py CASE TREE_A TREE_B --in-process [--rounds N]
+                               [--repeat K]
 
 Each round starts one fresh interpreter per tree, which imports
 ``conespec`` from the tree's ``src/``, runs the case once to warm up and
@@ -26,6 +29,18 @@ fast or a slow cluster, about 1.5x apart, on either tree (the ``FOUND:``
 line on this tool in CHANGES.md), so a single round can read anywhere
 from 0.6 to 1.7. Read the median and the win count of many rounds.
 
+``--in-process`` times both trees in this one interpreter instead, which
+removes the process clusters: both sides of every round run in the same
+process, so they share its fast or slow phase. Each tree's
+``src/conespec`` is imported as a package of its own name
+(``conespec_a``, ``conespec_b``), and both are warmed before the first
+round; each round then gives each tree one untimed run and K timed ones
+and takes the best, which tree goes first alternating from round to
+round. The printed lines are those of the default mode. What the two trees share is one heap (and one
+garbage collector, and the import caches of the standard library), so an
+allocation pattern of one tree can move the other's timing; a tree
+against itself shows how much.
+
 Cases (``CASES``):
 
 * ``scan``: ``scan`` of ``five-lines`` over a = 1..30, b = 1..30, c = 1;
@@ -34,6 +49,12 @@ Cases (``CASES``):
   ``sextic-pencil`` (its reduced curve, d' = 19, with four ordinary
   points of multiplicities 10, 10, 9 and 9) at power 53, the
   d' * power ~ 1000 of the benchmark's ``ordinary-large`` reduced views;
+* ``reduced-views``: three ``reduced`` runs with the shapes of the
+  benchmark's ``ordinary-large`` reduced views: d' = 8 at power 125 with
+  four ordinary points of multiplicity 4 and one of multiplicity 2
+  (a conic pencil's view), d' = 5 at power 199 with two points of
+  multiplicity 3 and four of multiplicity 2, and the input of
+  ``ordinary-reduced``;
 * ``csv``: ``compute --format csv`` of ``sextic-pencil`` at a = 148,
   b = c = 1 (d = 901);
 * ``rows``: ``compute --format rows`` of ``five-lines`` at a = 996,
@@ -68,6 +89,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import os
 import statistics
@@ -90,6 +112,12 @@ ORDINARY_REDUCED = ("reduced n=2 degree=19 power=53\n"
                     "localwh weights=1,1 degree=10\n"
                     "localwh weights=1,1 degree=9\n"
                     "localwh weights=1,1 degree=9\n")
+CONIC_VIEW = ("reduced n=2 degree=8 power=125\n"
+              + "localwh weights=1,1 degree=4\n" * 4
+              + "localwh weights=1,1 degree=2\n")
+QUINTIC_VIEW = ("reduced n=2 degree=5 power=199\n"
+                + "localwh weights=1,1 degree=3\n" * 2
+                + "localwh weights=1,1 degree=2\n" * 4)
 # the points of the weighted curves below, with their branch multiplicities
 WEIGHTED_POINTS = ("point weights=2,3 branches=(6:{0})\n"
                    "point weights=2,3 branches=(6:{1})\n"
@@ -112,6 +140,7 @@ MIXED = ("component degree=9 mult=30\ncomponent degree=9 mult=40\n"
          "point weights=3,4 branches=(3:30)(12:50)\nnodes 7\n")
 # "{name}" in an argv of CASES is a file holding INPUTS[name]
 INPUTS = {"reduced": REDUCED, "ordinary": ORDINARY_REDUCED,
+          "conic": CONIC_VIEW, "quintic": QUINTIC_VIEW,
           "weighted": WEIGHTED, "thickened": THICKENED, "mixed": MIXED}
 
 
@@ -141,6 +170,8 @@ CASES = {
               "--param", "c=2")],
     "reduced": [["reduced", "{reduced}"]],
     "ordinary-reduced": [["reduced", "{ordinary}"]],
+    "reduced-views": [["reduced", "{conic}"], ["reduced", "{quintic}"],
+                      ["reduced", "{ordinary}"]],
     "csv": [["compute", str(FIXTURES / "sextic-pencil.vectors"),
              "--param", "a=148", "--param", "b=1", "--param", "c=1",
              "--format", "csv"]],
@@ -172,25 +203,30 @@ def case_argvs(case: str, workdir: str) -> list[list[str]]:
     return [[arg.format(**paths) for arg in argv] for argv in CASES[case]]
 
 
+def best_of(main, argvs: list[list[str]], repeat: int) -> float:
+    """The best of `repeat` timed runs of `argvs` through `main`, after one
+    untimed run."""
+    best = float("inf")
+    for k in range(repeat + 1):
+        sink = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(sink):
+            statuses = [main(argv) for argv in argvs]
+        took = time.perf_counter() - start
+        if any(statuses):
+            raise SystemExit(f"alternate: {argvs} exited {statuses}")
+        if k:
+            best = min(best, took)
+    return best
+
+
 def child(case: str, tree: str, repeat: int) -> None:
     """Print the best of `repeat` timed runs of `case` with the package of
     `tree`, after one untimed run."""
     sys.path.insert(0, str(Path(tree) / "src"))
     from conespec.cli import main
     with tempfile.TemporaryDirectory() as workdir:
-        argvs = case_argvs(case, workdir)
-        best = float("inf")
-        for k in range(repeat + 1):
-            sink = io.StringIO()
-            start = time.perf_counter()
-            with contextlib.redirect_stdout(sink):
-                statuses = [main(argv) for argv in argvs]
-            took = time.perf_counter() - start
-            if any(statuses):
-                raise SystemExit(f"alternate: {case} exited {statuses}")
-            if k:
-                best = min(best, took)
-    print(best)
+        print(best_of(main, case_argvs(case, workdir), repeat))
 
 
 def run(case: str, tree: str, repeat: int) -> float:
@@ -198,6 +234,18 @@ def run(case: str, tree: str, repeat: int) -> float:
                            "--repeat", str(repeat)],
                           capture_output=True, text=True, check=True)
     return float(done.stdout.split()[-1])
+
+
+def load_main(tree: str, name: str):
+    """`cli.main` of `tree`'s ``src/conespec``, imported as package `name`."""
+    package = Path(tree) / "src" / "conespec"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py",
+        submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli").main
 
 
 def cold(case: str, trees: list[str], rounds: int) -> None:
@@ -248,6 +296,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--cold", action="store_true",
                         help="time fresh `python -m conespec` processes")
+    parser.add_argument("--in-process", action="store_true",
+                        help="time both trees in this one interpreter")
     parser.add_argument("--child", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -259,18 +309,29 @@ def main(argv=None) -> int:
     if args.cold:
         cold(args.case, args.trees, args.rounds)
         return 0
-    a, b = args.trees
-    ratios, wins = [], 0
-    for k in range(args.rounds):
-        if k % 2:
-            tb = run(args.case, b, args.repeat)
-            ta = run(args.case, a, args.repeat)
+    with tempfile.TemporaryDirectory() as workdir:
+        if args.in_process:
+            argvs = case_argvs(args.case, workdir)
+            mains = [load_main(tree, f"conespec_{label}")
+                     for label, tree in zip("ab", args.trees)]
+            for tree_main in mains:
+                best_of(tree_main, argvs, 1)
+
+            def timed(side: int) -> float:
+                return best_of(mains[side], argvs, args.repeat)
         else:
-            ta = run(args.case, a, args.repeat)
-            tb = run(args.case, b, args.repeat)
-        ratios.append(tb / ta)
-        wins += tb < ta
-        print(f"round {k + 1}: A {ta:.6f} s  B {tb:.6f} s  B/A {tb / ta:.3f}")
+            def timed(side: int) -> float:
+                return run(args.case, args.trees[side], args.repeat)
+        ratios, wins = [], 0
+        for k in range(args.rounds):
+            if k % 2:
+                tb, ta = timed(1), timed(0)
+            else:
+                ta, tb = timed(0), timed(1)
+            ratios.append(tb / ta)
+            wins += tb < ta
+            print(f"round {k + 1}: A {ta:.6f} s  B {tb:.6f} s  "
+                  f"B/A {tb / ta:.3f}")
     print(f"median B/A: {statistics.median(ratios):.3f}")
     print(f"B faster: {wins} of {args.rounds}")
     return 0

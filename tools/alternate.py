@@ -33,13 +33,13 @@ from 0.6 to 1.7. Read the median and the win count of many rounds.
 removes the process clusters: both sides of every round run in the same
 process, so they share its fast or slow phase. Each tree's
 ``src/conespec`` is imported as a package of its own name
-(``conespec_a``, ``conespec_b``), and both are warmed before the first
-round; each round then gives each tree one untimed run and K timed ones
-and takes the best, which tree goes first alternating from round to
-round. The printed lines are those of the default mode. What the two trees share is one heap (and one
-garbage collector, and the import caches of the standard library), so an
-allocation pattern of one tree can move the other's timing; a tree
-against itself shows how much.
+(``conespec_a``, ``conespec_b``); each round gives each tree one untimed
+run, which warms it, and K timed ones and takes the best, which tree
+goes first alternating from round to round. The printed lines are those
+of the default mode. The two trees share one heap (and one garbage
+collector, and the standard library's modules), so an allocation pattern
+of one tree can move the other's timing; a tree against itself shows how
+much.
 
 Cases (``CASES``):
 
@@ -314,8 +314,6 @@ def main(argv=None) -> int:
             argvs = case_argvs(args.case, workdir)
             mains = [load_main(tree, f"conespec_{label}")
                      for label, tree in zip("ab", args.trees)]
-            for tree_main in mains:
-                best_of(tree_main, argvs, 1)
 
             def timed(side: int) -> float:
                 return best_of(mains[side], argvs, args.repeat)

@@ -40,7 +40,8 @@ def _positive(value, what: str) -> int:
     return count
 
 
-def _tails(den: int, residues: Collection[int] | None = None):
+def _tails(den: int, residues: Collection[int] | None = None) -> tuple[
+        Sequence[int] | Mapping[int, int], Sequence[str] | Mapping[int, str]]:
     """The residue table of den as two flat lists (gs, qs), indexed by the
     residue r in range(den): k/den with k mod den == r is k // g over
     q = den // g in lowest terms, where g = gs[r] = gcd(r, den), and

@@ -238,12 +238,13 @@ def test_compare_exit_code(tmp_path, capsys, parent, change, failed, verdict,
     assert verdict in capsys.readouterr().out
 
 
-def check_alternate_round(*options):
-    """One round of the tiny case, this tree against itself: one line for
-    the round, then the median ratio and the win count."""
+def test_alternate_times_one_case_on_two_trees():
+    """One round of the tiny case, this tree against itself, both imported
+    into one interpreter: one line for the round, then the median ratio and
+    the win count."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "alternate.py"), "tiny",
-         str(ROOT), str(ROOT), "--rounds", "1", "--repeat", "1", *options],
+         str(ROOT), str(ROOT), "--rounds", "1", "--repeat", "1"],
         capture_output=True, text=True, timeout=120, check=True)
     lines = done.stdout.splitlines()
     assert len(lines) == 3
@@ -251,16 +252,6 @@ def check_alternate_round(*options):
                         r"B/A \d+\.\d{3}", lines[0])
     assert re.fullmatch(r"median B/A: \d+\.\d{3}", lines[1])
     assert re.fullmatch(r"B faster: [01] of 1", lines[2])
-
-
-def test_alternate_times_one_case_on_two_trees():
-    check_alternate_round()
-
-
-def test_alternate_in_process_prints_the_same_summary():
-    """``--in-process`` imports both trees into one interpreter, each as a
-    package of its own name, and prints what the default mode prints."""
-    check_alternate_round("--in-process")
 
 
 def test_ordinary_reduced_case_is_the_sextic_pencil_view():

@@ -566,8 +566,7 @@ def test_residue_table_is_the_gcd_table():
     """The divisor sieve of `_tails` lays gs[r] = gcd(r, den) and qs[r] =
     "/(den // g)", or "" when g is den, at every residue r: for every den up
     to 3000 and for dens with many divisors, a prime power, a prime and a
-    product of two primes. `render_row` over such dens, on seeded dense rows
-    of (n + 1) * den cells, writes one `Fraction` text per nonzero entry."""
+    product of two primes."""
     for den in [*range(1, 3001), 5040, 55440, 2**16, 3**10, 7919, 1007,
                 1760]:
         gs, qs = spectrum._tails(den)
@@ -575,14 +574,6 @@ def test_residue_table_is_the_gcd_table():
         assert gs == want, den
         texts = {g: "" if g == den else f"/{den // g}" for g in set(want)}
         assert qs == list(map(texts.__getitem__, want)), den
-    rng = random.Random(5050)
-    for n in (1, 2, 3):
-        for den in (5040, 2**12, 1760):
-            row = [rng.choice((0, 0, 0, -2, -1, 1, 3))
-                   for _ in range((n + 1) * den)]
-            want = ", ".join(f"{F(k, den)}:{v}" for k, v in enumerate(row)
-                             if v)
-            assert render_row(row, den) == want, (n, den)
 
 
 def test_row_writer_matches_the_power_vector():
@@ -590,7 +581,9 @@ def test_row_writer_matches_the_power_vector():
     row renders, and what one `Fraction` per entry writes: random bases on
     the 1/d' grid at n = 1..4, d' <= 12, powers 2..60, values of both signs
     (the boundary cell n + 1 among them, which meets the correction), and
-    the empty base of d' = 1, whose row holds the correction cells alone."""
+    the empty base of d' = 1, whose row holds the correction cells alone;
+    and at n = 1..3 on the dens d' * m = 5040, 2**12 and 1760, above the
+    random ones' 720."""
     rng = random.Random(4040)
     cases = [(reduced_cone_spectrum(cfg), cfg)
              for cfg in (ReducedConeConfig(n, 1, (), power=m)
@@ -599,13 +592,19 @@ def test_row_writer_matches_the_power_vector():
         assert not base
         row = _power_row(base, cfg)
         assert sum(map(bool, row)) == cfg.power - 1
-    for _ in range(150):
-        n, dp, m = rng.randint(1, 4), rng.randint(1, 12), rng.randint(2, 60)
+
+    def random_case(n, dp, m):
         top = (n + 1) * dp
         entries = {rng.randint(1, top): rng.choice((-3, -2, -1, 1, 2, 3))
                    for _ in range(rng.randint(0, 2 * top))}
-        cases.append((SpectrumVector(entries, n + 1, denominator=dp),
-                      ReducedConeConfig(n, dp, (), power=m)))
+        return (SpectrumVector(entries, n + 1, denominator=dp),
+                ReducedConeConfig(n, dp, (), power=m))
+
+    for _ in range(150):
+        cases.append(random_case(rng.randint(1, 4), rng.randint(1, 12),
+                                 rng.randint(2, 60)))
+    cases += [random_case(n, dp, m) for n in (1, 2, 3)
+              for dp, m in ((12, 420), (8, 512), (11, 160))]
     negative = 0
     for base, cfg in cases:
         row = _power_row(base, cfg)

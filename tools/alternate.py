@@ -1,19 +1,29 @@
-"""Time one case on two source trees, alternating, in fresh interpreters
-or in one.
+"""Time one case on two source trees, alternating, in one interpreter or
+in fresh processes.
 
 Usage::
 
     python3 tools/alternate.py CASE TREE_A TREE_B [--rounds N] [--repeat K]
     python3 tools/alternate.py CASE TREE_A TREE_B --cold [--rounds N]
-    python3 tools/alternate.py CASE TREE_A TREE_B --in-process [--rounds N]
-                               [--repeat K]
 
-Each round starts one fresh interpreter per tree, which imports
-``conespec`` from the tree's ``src/``, runs the case once to warm up and
-then K times, and reports its best time; which tree goes first alternates
-from round to round. The inputs are this checkout's fixtures, the same for
-both trees. Printed: one line per round (A's and B's seconds and B/A), then
-the median of B/A and the number of rounds in which B took less time.
+Both trees are timed in this one interpreter: each tree's ``src/conespec``
+is imported as a package of its own name (``conespec_a``, ``conespec_b``),
+and each round gives each tree one untimed run, which warms it, and K
+timed ones, and takes the best; which tree goes first alternates from
+round to round. The inputs are this checkout's fixtures, the same for
+both trees. Printed: one line per round (A's and B's seconds and B/A),
+then the median of B/A and the number of rounds in which B took less time.
+
+One interpreter removes the process clusters: on a shared machine a whole
+process lands in a fast or a slow cluster, about 1.5x apart, on either
+tree, so a round that ran each tree in a fresh interpreter read anywhere
+from 0.6 to 1.7. Here both sides of every round run in the same process
+and share its fast or slow phase. They also share one heap (and one
+garbage collector, and the standard library's modules), so an allocation
+pattern of one tree can move the other's timing; a tree against itself
+shows how much. A change to interpreter-wide state (garbage-collector
+settings, ``sys`` flags, an import-time side effect) is not isolated here:
+time it with ``--cold``.
 
 ``--cold`` times whole commands instead: each round runs every argv of the
 case once per tree as a fresh ``python -m conespec`` process, trees in
@@ -22,24 +32,8 @@ processes. Bytecode is cached under a temporary ``PYTHONPYCACHEPREFIX``
 (``PYTHONDONTWRITEBYTECODE`` is dropped for these processes), written by
 one untimed run per tree, so every timed process finds it.
 Printed: one line per round, then each tree's median and minimum
-milliseconds and the median of B/A.
-
-One round is not evidence. On a shared machine a whole process lands in a
-fast or a slow cluster, about 1.5x apart, on either tree (the ``FOUND:``
-line on this tool in CHANGES.md), so a single round can read anywhere
-from 0.6 to 1.7. Read the median and the win count of many rounds.
-
-``--in-process`` times both trees in this one interpreter instead, which
-removes the process clusters: both sides of every round run in the same
-process, so they share its fast or slow phase. Each tree's
-``src/conespec`` is imported as a package of its own name
-(``conespec_a``, ``conespec_b``); each round gives each tree one untimed
-run, which warms it, and K timed ones and takes the best, which tree
-goes first alternating from round to round. The printed lines are those
-of the default mode. The two trees share one heap (and one garbage
-collector, and the standard library's modules), so an allocation pattern
-of one tree can move the other's timing; a tree against itself shows how
-much.
+milliseconds and the median of B/A. Single rounds land in the process
+clusters above; read the medians and minima of many rounds.
 
 Cases (``CASES``):
 
@@ -220,22 +214,6 @@ def best_of(main, argvs: list[list[str]], repeat: int) -> float:
     return best
 
 
-def child(case: str, tree: str, repeat: int) -> None:
-    """Print the best of `repeat` timed runs of `case` with the package of
-    `tree`, after one untimed run."""
-    sys.path.insert(0, str(Path(tree) / "src"))
-    from conespec.cli import main
-    with tempfile.TemporaryDirectory() as workdir:
-        print(best_of(main, case_argvs(case, workdir), repeat))
-
-
-def run(case: str, tree: str, repeat: int) -> float:
-    done = subprocess.run([sys.executable, __file__, "--child", case, tree,
-                           "--repeat", str(repeat)],
-                          capture_output=True, text=True, check=True)
-    return float(done.stdout.split()[-1])
-
-
 def load_main(tree: str, name: str):
     """`cli.main` of `tree`'s ``src/conespec``, imported as package `name`."""
     package = Path(tree) / "src" / "conespec"
@@ -291,36 +269,24 @@ def cold(case: str, trees: list[str], rounds: int) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("case", choices=sorted(CASES))
-    parser.add_argument("trees", nargs="+", metavar="TREE")
+    parser.add_argument("trees", nargs=2, metavar="TREE")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--cold", action="store_true",
                         help="time fresh `python -m conespec` processes")
-    parser.add_argument("--in-process", action="store_true",
-                        help="time both trees in this one interpreter")
-    parser.add_argument("--child", action="store_true",
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.child:
-        child(args.case, args.trees[0], args.repeat)
-        return 0
-    if len(args.trees) != 2:
-        parser.error("give two trees, A and B")
     if args.cold:
         cold(args.case, args.trees, args.rounds)
         return 0
+    mains = [load_main(tree, f"conespec_{label}")
+             for label, tree in zip("ab", args.trees)]
+    ratios, wins = [], 0
     with tempfile.TemporaryDirectory() as workdir:
-        if args.in_process:
-            argvs = case_argvs(args.case, workdir)
-            mains = [load_main(tree, f"conespec_{label}")
-                     for label, tree in zip("ab", args.trees)]
+        argvs = case_argvs(args.case, workdir)
 
-            def timed(side: int) -> float:
-                return best_of(mains[side], argvs, args.repeat)
-        else:
-            def timed(side: int) -> float:
-                return run(args.case, args.trees[side], args.repeat)
-        ratios, wins = [], 0
+        def timed(side: int) -> float:
+            return best_of(mains[side], argvs, args.repeat)
+
         for k in range(args.rounds):
             if k % 2:
                 tb, ta = timed(1), timed(0)

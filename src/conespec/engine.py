@@ -527,7 +527,8 @@ def _power_row(base: SpectrumVector, cfg: ReducedConeConfig) -> list[int]:
     The cell (i, l, p) is k = i + l*d' + p*m*d'; these k are pairwise
     distinct, so no two cells meet, and each (i, p) cell fills its
     l-progression with one strided slice. `cmd_reduced` writes the row as
-    it is (`spectrum.render_row`), `thickened_spectrum` makes it a vector."""
+    it is (`spectrum.render_row`), `oracle.verify` checks it as it is, and
+    `thickened_spectrum` makes it a vector."""
     m = cfg.power
     n = cfg.ambient_dim
     dp = cfg.degree

@@ -152,10 +152,25 @@ def test_reduced_conic_power(capsys):
     assert lines[1] == "power m=2: 5/4:1, 7/4:1, 5/2:1"
 
 
-def test_reduced_builds_no_power_vector(capsys, monkeypatch):
-    """``reduced`` writes its power line from the power row: once the base
-    spectrum is built, no `SpectrumVector` is built or rendered but the
-    base, and `thickened_spectrum` is never called."""
+# command, fixture and the denominator m*d' of its power grid: `reduced`
+# writes the power line, `verify` checks it on a reduced config (power 2)
+# and on a curve whose multiplicities all equal 2
+POWER_ROUTES = [("reduced", "conic-squared", 4),
+                ("verify", "conic-squared", 4),
+                ("verify", "doubled-cuspidal-cubic", 6)]
+
+
+@pytest.mark.parametrize("command,name,power_den", POWER_ROUTES,
+                         ids=[f"{c}-{n}" for c, n, _ in POWER_ROUTES])
+def test_reduced_builds_no_power_vector(capsys, monkeypatch, command, name,
+                                        power_den):
+    """``reduced`` writes its power line from the power row, and ``verify``
+    checks the power transform on it: once the base spectrum is built, no
+    `SpectrumVector` is built on the power grid and none is rendered but
+    the base, and `thickened_spectrum` is never called. A curve's base comes
+    from `oracle`; its cusp spectrum, also over 6, is built before it. The
+    table of `table-spectrum-agreement` is a vector over d', which is
+    allowed."""
     built = []
 
     def base_once(cfg):
@@ -163,12 +178,12 @@ def test_reduced_builds_no_power_vector(capsys, monkeypatch):
         return built[-1]
 
     def refused(*args, **kwargs):
-        raise AssertionError("reduced built a power vector")
+        raise AssertionError(f"{command} built a power vector")
 
     init, render = SpectrumVector.__init__, SpectrumVector.render
 
     def guarded_init(self, *args, **kwargs):
-        if built:
+        if built and kwargs.get("denominator") == power_den:
             refused()
         init(self, *args, **kwargs)
 
@@ -177,16 +192,17 @@ def test_reduced_builds_no_power_vector(capsys, monkeypatch):
             refused()
         return render(self)
 
-    monkeypatch.setattr(conespec.cli, "reduced_cone_spectrum", base_once)
+    for module in (conespec.cli, conespec.oracle):
+        monkeypatch.setattr(module, "reduced_cone_spectrum", base_once)
     for module in (conespec.cli, conespec.engine, conespec.oracle):
         monkeypatch.setattr(module, "thickened_spectrum", refused,
                             raising=False)
     monkeypatch.setattr(SpectrumVector, "__init__", guarded_init)
     monkeypatch.setattr(SpectrumVector, "render", guarded_render)
-    code, out, _ = run(capsys, "reduced", FIXTURES / "conic-squared.cfg")
+    code, out, _ = run(capsys, command, FIXTURES / f"{name}.cfg")
     assert code == 0
     assert len(built) == 1
-    assert out == (GOLDEN / "conic-squared.reduced").read_text()
+    assert out == (GOLDEN / f"{name}.{command}").read_text()
 
 
 def test_reduced_prints_empty_base(capsys, tmp_path):

@@ -16,7 +16,8 @@ from conespec.engine import (CurveConfig, GlobalComponent, Incidence,
                              ReducedConeConfig,
                              _floor_row as real_floor_row, curve_table,
                              incidence_consistent, ordinary_middle_row,
-                             scan_values)
+                             reduced_cone_spectrum, scan_values,
+                             thickened_spectrum)
 from conespec.formats import (config_template, parse_native, parse_singular,
                               parse_vector_text)
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
@@ -30,7 +31,7 @@ from conespec.spectrum import SpectrumVector
 from generators import (random_mixed_swh_config, random_ordinary_config,
                         random_reduced_swh_config, scale_multiplicities)
 from reference import (_fraction_idiom_ceil, convolution_coeffs,
-                       fraction_reference_state, thicken)
+                       emit_native, fraction_reference_state, thicken)
 from test_acceptance import golden_configs
 from test_engine import pencil_config
 
@@ -566,14 +567,19 @@ def test_lattice_counts_check_is_evidence(monkeypatch, capsys):
     assert out.endswith("result: MISMATCH\n")
 
 
-def _shifted_pass(old, new):
-    """`local.quotient_coeffs` compiled with one of its passes moved by one
-    index: `old` replaced by `new` in its source."""
-    source = inspect.getsource(conespec.local.quotient_coeffs)
+def _shifted(function, old, new):
+    """`function` compiled in its module's namespace with `old` replaced by
+    `new` in its source: one index moved by one."""
+    source = inspect.getsource(function)
     assert source.count(old) == 1
-    namespace = {}
+    namespace = dict(vars(inspect.getmodule(function)))
     exec(source.replace(old, new), namespace)
-    return namespace["quotient_coeffs"]
+    return namespace[function.__name__]
+
+
+def _shifted_pass(old, new):
+    """`local.quotient_coeffs` with one of its passes moved by one index."""
+    return _shifted(conespec.local.quotient_coeffs, old, new)
 
 
 # mutant -> (module, name, replacement) of the patch that makes it
@@ -602,6 +608,77 @@ def test_smooth_coeffs_check_is_evidence(monkeypatch, mutant):
     failed = [c for c in cross_check(cfg).checks if not c.passed]
     assert [(c.name, c.detail) for c in failed] == [
         ("smooth-coeffs", "coefficient lists differ for degree 8")]
+
+
+# mutant -> (module, name, replacement) of the patch that makes it: the
+# power row `verify` checks, where `oracle` looks it up
+POWER_MUTANTS = {
+    "spread-one-short": lambda: (
+        conespec.oracle, "_power_row",
+        _shifted(conespec.engine._power_row, "spread = m\n",
+                 "spread = m - 1\n")),
+    "start-one-late": lambda: (
+        conespec.oracle, "_power_row",
+        _shifted(conespec.engine._power_row, "start = i + p * m * dp",
+                 "start = i + 1 + p * m * dp")),
+}
+
+
+def _verify_lines(capsys, path):
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("mutant", sorted(POWER_MUTANTS))
+def test_thickening_agreement_is_evidence(monkeypatch, capsys, tmp_path,
+                                          mutant):
+    """A power row whose spread is one cell short, or whose start is one
+    cell late, fails ``thickening-agreement`` and only that check, and
+    ``conespec verify`` exits 1, on the doubled cusp and on a conic pencil
+    taken six times."""
+    fat = tmp_path / "fat.cfg"
+    fat.write_text(emit_native(thicken(pencil_config(2, 3, 1), 6)))
+    paths = (FIXTURES / "doubled-cuspidal-cubic.cfg", fat)
+    clean = [_verify_lines(capsys, path)[1] for path in paths]
+    monkeypatch.setattr(*POWER_MUTANTS[mutant]())
+    for path, lines in zip(paths, clean):
+        code, mutated = _verify_lines(capsys, path)
+        assert code == 1
+        changed = [(a, b) for a, b in zip(lines, mutated) if a != b]
+        assert changed[0] == (
+            "thickening-agreement: PASS",
+            "thickening-agreement: FAIL (power-transform route disagrees)")
+        assert changed[1:] == ([("result: pass", "result: FAIL")]
+                               if lines[-1] == "result: pass" else [])
+
+
+def test_thickening_rows_agree_with_vectors(monkeypatch):
+    """``thickening-agreement`` compares dense rows where it compared
+    vectors, and gives the same verdict: on every curve of `route_configs`
+    taken m = 2..6 times, with the engine's power row and with each
+    mutant's, the row check passes exactly when the power spectrum equals
+    the table's. Unmutated, both pass."""
+    rows = {"engine": conespec.engine._power_row}
+    rows.update((name, make()[2]) for name, make in POWER_MUTANTS.items())
+    fails = dict.fromkeys(rows, 0)
+    for name, cfg in route_configs():
+        for m in range(2, 7):
+            fat = thicken(cfg, m)
+            cone, table = as_reduced_cone(fat), curve_table(fat)
+            base = reduced_cone_spectrum(cone)
+            for variant, row in rows.items():
+                for module in (conespec.engine, conespec.oracle):
+                    monkeypatch.setattr(module, "_power_row", row)
+                try:
+                    want = thickened_spectrum(base, cone) == table.as_spectrum()
+                except ValueError:      # a late start runs off the row
+                    continue
+                check, = (c for c in verify(fat).checks
+                          if c.name == "thickening-agreement")
+                assert check.passed == want, (name, m, variant)
+                fails[variant] += not want
+    assert fails["engine"] == 0
+    assert min(fails.values()) == 0 < min(fails[v] for v in POWER_MUTANTS)
 
 
 # one (2, 3) point with 100 cusp branches: d_j = 600

@@ -12,7 +12,8 @@ and a new one that nothing calls fails this test.
 Nor does a command load what it does not use: importing `conespec.cli` in a
 fresh interpreter loads neither `dataclasses` (and `inspect` with it) nor
 the checker module `conespec.oracle`, which only ``verify`` and ``oracle``
-import, and no package module imports `dataclasses` at all.
+import, nor `re` (and `enum` with it), since the template lexer reads
+characters; and no package module imports `dataclasses` at all.
 
 Nor does a package module carry its own ``if __name__ == "__main__"``
 block: ``python -m conespec`` (`__main__.py`) and the ``conespec`` script
@@ -51,6 +52,10 @@ UNREFERENCED = {
                                "off the config",
     "engine.local_data_table": "public API: in `conespec.__all__`, in "
                                "README and in perfbench/tracing.py TARGETS",
+    "engine.thickened_spectrum": "public API: in `conespec.__all__`, in "
+                                 "README and in perfbench/tracing.py "
+                                 "TARGETS; `reduced` and `verify` read the "
+                                 "power row it wraps",
     "engine.index_data": TRACED,
     "engine.residue_degree": TRACED,
     "local.lattice_count": TRACED,
@@ -133,7 +138,8 @@ def test_cold_import_of_the_cli_loads_no_unused_module():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "import conespec.cli; "
              "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', "
-             "'conespec.oracle', 'typing') if m in sys.modules)))")
+             "'conespec.oracle', 'typing', 're', 'enum') "
+             "if m in sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe,
                            str(PACKAGE.parent)],
                           capture_output=True, text=True, timeout=60,

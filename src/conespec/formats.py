@@ -13,7 +13,6 @@ table as ``rows`` or ``csv``.
 from __future__ import annotations
 
 import operator
-import re
 from collections.abc import Callable, Mapping
 from itertools import chain, repeat
 
@@ -89,9 +88,6 @@ def _quote(text: str) -> str:
     return repr(cut) + ("..." if cut != text else "")
 
 
-# a lexeme: an ASCII digit run, a word or one other character; `\s` is
-# `str.isspace` and `\w` is `str.isalnum` or '_', code point for code point
-_LEXEME = re.compile(r"([0-9]+)|(\w+)|(\S)")
 
 
 def _literal(digits: str) -> int:
@@ -103,18 +99,30 @@ def _literal(digits: str) -> int:
 
 
 def _lex_expr(text: str) -> list[tuple[str, object]]:
+    """The lexemes of `text`, in one pass over its characters: an ASCII
+    digit run is an int, a run of `str.isalnum` or '_' that starts with a
+    letter or '_' is a name (or ``div``), one of ``+-*()`` is itself, and
+    `str.isspace` characters separate them; any other character is refused
+    where it stands."""
     tokens = []
-    for digits, word, char in _LEXEME.findall(text):
-        if digits:
-            tokens.append(("int", _literal(digits)))
-        elif word[:1].isalpha() or word[:1] == "_":
+    pos, end = 0, len(text)
+    while pos < end:
+        ch = text[pos]
+        start, pos = pos, pos + 1
+        if "0" <= ch <= "9":
+            while pos < end and "0" <= text[pos] <= "9":
+                pos += 1
+            tokens.append(("int", _literal(text[start:pos])))
+        elif ch.isalpha() or ch == "_":
+            while pos < end and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            word = text[start:pos]
             tokens.append(("div", None) if word == "div" else ("name", word))
-        elif char and char in "+-*()":
-            tokens.append((char, None))
-        else:
-            raise ConfigError("expr-char", "unexpected character "
-                              f"{(word or char)[0]!r} in expression "
-                              f"{_quote(text)}")
+        elif ch in "+-*()":
+            tokens.append((ch, None))
+        elif not ch.isspace():
+            raise ConfigError("expr-char", f"unexpected character {ch!r} in "
+                              f"expression {_quote(text)}")
     return tokens
 
 

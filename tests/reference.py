@@ -9,6 +9,7 @@ operations only the tests use, written over the public API.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -569,8 +570,10 @@ def emit_vectors(cfg: CurveConfig) -> str:
 
 # The template lexer and the native line tokenizer as character loops, the
 # form they had before `formats` matched lexemes with one `re` pattern and
-# split lines on white space runs; the differential test holds the package
-# to them, tokens and error codes and messages alike.
+# split lines on white space runs, and the lexer as that pattern, the form
+# it had before it went back to a character loop of its own; the
+# differential test holds the package to them, tokens and error codes and
+# messages alike.
 
 def lex_expr_by_chars(text: str) -> list[tuple[str, object]]:
     tokens = []
@@ -605,6 +608,32 @@ def lex_expr_by_chars(text: str) -> list[tuple[str, object]]:
             continue
         raise ConfigError("expr-char", f"unexpected character {ch!r} in "
                           f"expression {_quote(text)}")
+    return tokens
+
+
+# a lexeme: an ASCII digit run, a word or one other character; `\s` is
+# `str.isspace` and `\w` is `str.isalnum` or '_', code point for code point
+_LEXEME = re.compile(r"([0-9]+)|(\w+)|(\S)")
+
+
+def lex_expr_by_pattern(text: str) -> list[tuple[str, object]]:
+    tokens = []
+    for digits, word, char in _LEXEME.findall(text):
+        if digits:
+            try:
+                tokens.append(("int", int(digits)))
+            except ValueError as exc:
+                raise ConfigError("expr-limit",
+                                  f"integer literal of {len(digits)} digits "
+                                  "is too long") from exc
+        elif word[:1].isalpha() or word[:1] == "_":
+            tokens.append(("div", None) if word == "div" else ("name", word))
+        elif char and char in "+-*()":
+            tokens.append((char, None))
+        else:
+            raise ConfigError("expr-char", "unexpected character "
+                              f"{(word or char)[0]!r} in expression "
+                              f"{_quote(text)}")
     return tokens
 
 

@@ -25,7 +25,8 @@ from conespec.local import LocalBranch, SingularPoint
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
 from reference import (BinOp, Name, Neg, Num, emit_native,
-                       emit_table_by_cells, lex_expr_by_chars, render_expr, thicken,
+                       emit_table_by_cells, lex_expr_by_chars,
+                       lex_expr_by_pattern, render_expr, thicken,
                        tokenize_line_by_chars)
 
 F = Fraction
@@ -208,6 +209,9 @@ def _tokens_or_error(tokenize, text):
 
 
 def test_lexer_and_tokenizer_match_character_loops():
+    """The lexer gives the tokens, or the error, of both references: the
+    character loop and the `re` pattern it once was; the line tokenizer
+    splits as its character loop does."""
     rng = random.Random(2104)
     for trial in range(20_000):
         pieces = [rng.choice(LEXER_ALPHABET)
@@ -215,8 +219,9 @@ def test_lexer_and_tokenizer_match_character_loops():
         if trial % 500 == 0:
             pieces.insert(rng.randint(0, len(pieces)), "9" * 5000)
         text = "".join(pieces)
-        assert _tokens_or_error(formats._lex_expr, text) == \
-            _tokens_or_error(lex_expr_by_chars, text), text
+        tokens = _tokens_or_error(formats._lex_expr, text)
+        assert tokens == _tokens_or_error(lex_expr_by_chars, text), text
+        assert tokens == _tokens_or_error(lex_expr_by_pattern, text), text
         assert formats._tokenize_line(text) == \
             tokenize_line_by_chars(text), text
 

@@ -26,11 +26,14 @@ settings, ``sys`` flags, an import-time side effect) is not isolated here:
 time it with ``--cold``.
 
 ``--cold`` times whole commands instead: each round runs every argv of the
-case once per tree as a fresh ``python -m conespec`` process, trees in
+case once per tree as a fresh ``python -S -m conespec`` process, trees in
 alternating order, and takes the summed wall time of that tree's
-processes. Bytecode is cached under a temporary ``PYTHONPYCACHEPREFIX``
-(``PYTHONDONTWRITEBYTECODE`` is dropped for these processes), written by
-one untimed run per tree, so every timed process finds it.
+processes. ``-S`` keeps ``site`` out: a site-packages ``.pth`` file may
+import modules (``re``, ``enum``, ``functools``) before any command code
+runs, which would hide a cut of those imports. Bytecode is cached under a
+temporary ``PYTHONPYCACHEPREFIX`` (``PYTHONDONTWRITEBYTECODE`` is dropped
+for these processes), written by one untimed run per tree, so every timed
+process finds it.
 Printed: one line per round, then each tree's median and minimum
 milliseconds and the median of B/A. Single rounds land in the process
 clusters above; read the medians and minima of many rounds.
@@ -69,6 +72,12 @@ Cases (``CASES``):
   ``weighted-reduced`` workload: a reduced curve, a curve whose
   components all have multiplicity 25 and one with multiplicities 30, 40
   and 50;
+* ``weighted-verify``: ``verify`` of the five kinds of the benchmark's
+  ``weighted-reduced`` cycle: the three curves of ``weighted-oracle``, a
+  reduced input at n = 3, d' = 40, power 46 with four Brieskorn-Pham
+  points (exponents (2, 3, 7), (3, 3, 4), (2, 5, 5) and (3, 3, 5)), and
+  the n = 2 view of that reduced curve (d' = 24, one weight system per
+  point and one node spectrum per node) at power 25;
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid;
 * ``small``: ``compute``, ``verify`` and ``oracle`` of each of the three
   pencils at d = 120 with three ``--param``, the small tables of the
@@ -132,10 +141,23 @@ MIXED = ("component degree=9 mult=30\ncomponent degree=9 mult=40\n"
          + WEIGHTED_POINTS.format(50, 40, 30, 50, 40, 50, 30)
          + "point weights=4,7 branches=(28:30)\n"
          "point weights=3,4 branches=(3:30)(12:50)\nnodes 7\n")
+BRIESKORN_N3 = ("reduced n=3 degree=40 power=46\n"
+                "localwh weights=21,14,6 degree=42\n"
+                "localwh weights=4,4,3 degree=12\n"
+                "localwh weights=5,2,2 degree=10\n"
+                "localwh weights=5,5,3 degree=15\n")
+WEIGHTED_VIEW = ("reduced n=2 degree=24 power=25\n"
+                 + "localwh weights=2,3 degree=6\n" * 2
+                 + "localwh weights=1,3 degree=6\n"
+                 "localwh weights=1,1 degree=3\n"
+                 "localwh weights=5,7 degree=35\n"
+                 "localwh weights=2,7 degree=16\n"
+                 + "localwh weights=1,1 degree=2\n" * 5)
 # "{name}" in an argv of CASES is a file holding INPUTS[name]
 INPUTS = {"reduced": REDUCED, "ordinary": ORDINARY_REDUCED,
           "conic": CONIC_VIEW, "quintic": QUINTIC_VIEW,
-          "weighted": WEIGHTED, "thickened": THICKENED, "mixed": MIXED}
+          "weighted": WEIGHTED, "thickened": THICKENED, "mixed": MIXED,
+          "brieskorn": BRIESKORN_N3, "weighted_view": WEIGHTED_VIEW}
 
 
 def _scan(name: str, *args: str) -> list[str]:
@@ -179,6 +201,9 @@ CASES = {
                _fixture("oracle", "five-lines", 996, 500)],
     "weighted-oracle": [["oracle", "{weighted}"], ["oracle", "{thickened}"],
                         ["oracle", "{mixed}"]],
+    "weighted-verify": [["verify", "{weighted}"], ["verify", "{thickened}"],
+                        ["verify", "{mixed}"], ["verify", "{brieskorn}"],
+                        ["verify", "{weighted_view}"]],
     "tiny": [_five_lines(2)],
     "small": [_fixture(command, name, a, b)
               for name, a, b in (("conic-pencil", 24, 69),
@@ -228,7 +253,7 @@ def load_main(tree: str, name: str):
 
 def cold(case: str, trees: list[str], rounds: int) -> None:
     """Print each round's wall milliseconds of the case's argvs as fresh
-    ``python -m conespec`` processes per tree, then per tree the median and
+    ``python -S -m conespec`` processes per tree, then per tree the median and
     minimum, and the median of B/A."""
     with tempfile.TemporaryDirectory() as workdir:
         argvs = case_argvs(case, workdir)
@@ -241,8 +266,8 @@ def cold(case: str, trees: list[str], rounds: int) -> None:
             took = 0.0
             for argv in argvs:
                 start = time.perf_counter()
-                done = subprocess.run([sys.executable, "-m", "conespec",
-                                       *argv], env=env,
+                done = subprocess.run([sys.executable, "-S", "-m",
+                                       "conespec", *argv], env=env,
                                       stdout=subprocess.DEVNULL)
                 took += time.perf_counter() - start
                 if done.returncode:
@@ -273,7 +298,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--cold", action="store_true",
-                        help="time fresh `python -m conespec` processes")
+                        help="time fresh `python -S -m conespec` "
+                             "processes")
     args = parser.parse_args(argv)
     if args.cold:
         cold(args.case, args.trees, args.rounds)

@@ -88,8 +88,6 @@ def _quote(text: str) -> str:
     return repr(cut) + ("..." if cut != text else "")
 
 
-
-
 def _literal(digits: str) -> int:
     try:
         return int(digits)

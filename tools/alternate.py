@@ -76,8 +76,9 @@ Cases (``CASES``):
   ``weighted-reduced`` cycle: the three curves of ``weighted-oracle``, a
   reduced input at n = 3, d' = 40, power 46 with four Brieskorn-Pham
   points (exponents (2, 3, 7), (3, 3, 4), (2, 5, 5) and (3, 3, 5)), and
-  the n = 2 view of that reduced curve (d' = 24, one weight system per
-  point and one node spectrum per node) at power 25;
+  the n = 2 view of the reduced curve of ``weighted-oracle`` (d' = 24,
+  one weight system per point and one node spectrum per node) at power
+  25;
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid;
 * ``small``: ``compute``, ``verify`` and ``oracle`` of each of the three
   pencils at d = 120 with three ``--param``, the small tables of the
@@ -253,8 +254,8 @@ def load_main(tree: str, name: str):
 
 def cold(case: str, trees: list[str], rounds: int) -> None:
     """Print each round's wall milliseconds of the case's argvs as fresh
-    ``python -S -m conespec`` processes per tree, then per tree the median and
-    minimum, and the median of B/A."""
+    ``python -S -m conespec`` processes per tree, then per tree the median
+    and minimum, and the median of B/A."""
     with tempfile.TemporaryDirectory() as workdir:
         argvs = case_argvs(case, workdir)
         cache = str(Path(workdir) / "pycache")

@@ -577,11 +577,6 @@ def _shifted(function, old, new):
     return namespace[function.__name__]
 
 
-def _shifted_pass(old, new):
-    """`local.quotient_coeffs` with one of its passes moved by one index."""
-    return _shifted(conespec.local.quotient_coeffs, old, new)
-
-
 # mutant -> (module, name, replacement) of the patch that makes it
 SMOOTH_MUTANTS = {
     "kernel-off-by-one": lambda: (
@@ -590,10 +585,12 @@ SMOOTH_MUTANTS = {
                        enumerate(conespec.engine.smooth_cone_coeffs(dp, n))]),
     "downward-pass": lambda: (
         conespec.engine, "quotient_coeffs",
-        _shifted_pass("range(top, a - 1, -1)", "range(top, a, -1)")),
+        _shifted(conespec.local.quotient_coeffs, "range(top, a - 1, -1)",
+                 "range(top, a, -1)")),
     "upward-pass": lambda: (
         conespec.engine, "quotient_coeffs",
-        _shifted_pass("range(w, top + 1)", "range(w + 1, top + 1)")),
+        _shifted(conespec.local.quotient_coeffs, "range(w, top + 1)",
+                 "range(w + 1, top + 1)")),
 }
 
 

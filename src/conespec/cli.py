@@ -18,7 +18,6 @@ call, not at import, so the other commands never load the checker.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from types import SimpleNamespace
@@ -42,12 +41,14 @@ def _read_text(path: str) -> str:
     """The text of the file at `path`, less a UTF-8 byte-order mark, with
     its line ends read as text mode reads them (``\\r\\n`` and ``\\r`` are
     ``\\n``). The bytes are decoded in one piece, so a file that is only
-    the start of a byte-order mark is not UTF-8 either. Text that is not
-    UTF-8 is an input-encoding error, and a file that cannot be opened or
-    read an input-unreadable one."""
+    the start of a byte-order mark is not UTF-8 either. The file is read
+    unbuffered, in one `readall`: a buffered reader would add an ``isatty``
+    call and a copy. Text that is not UTF-8 is an input-encoding error, and
+    a file that cannot be opened (a directory fails at `open`) or read an
+    input-unreadable one."""
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.readall()
         return (data.decode("utf-8-sig").replace("\r\n", "\n")
                 .replace("\r", "\n"))
     except UnicodeDecodeError as exc:
@@ -290,12 +291,17 @@ COMMANDS = {
 }
 
 
-@functools.cache
+_parser = None      # what `build_parser` built
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, built on the first call and returned to
     every later one. It is shared, so callers only parse with it: each
     `parse_args` starts from a fresh namespace, and the `append` options
     default to None, so no call leaves state for the next."""
+    global _parser
+    if _parser is not None:
+        return _parser
     import argparse
     parser = argparse.ArgumentParser(
         prog="conespec",
@@ -309,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, spec in options:
             p.add_argument(flag, **spec)
         p.set_defaults(func=func)
+    _parser = parser
     return parser
 
 

@@ -18,13 +18,16 @@ command calls them.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import accumulate, compress
 from math import gcd
 
 from ._record import Record
 from .local import SingularPoint, _window_row, lattice_row, quotient_coeffs
 from .spectrum import Numerators, SpectrumVector, _count, _positive
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:       # annotations only: no `collections` at run time
+    from collections.abc import Sequence
 
 
 def binom2(n: int) -> int:

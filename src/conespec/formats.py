@@ -13,7 +13,6 @@ table as ``rows`` or ``csv``.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Mapping
 from itertools import chain, repeat
 
 from ._record import Record
@@ -22,6 +21,19 @@ from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
 from .local import (BranchDegreeError, LocalBranch, SingularPoint,
                     WeightSystem, weighted_spectrum)
 from .spectrum import SpectrumVector, _positive, exponent_texts
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:       # annotations only: no `collections` at run time
+    from collections.abc import Callable, Mapping
+
+    # a template as a function of its parameter binding
+    Expr = Callable[[Mapping[str, int]], int]
+    # a compiled native line: it evaluates its slots at the binding and
+    # records what it describes in the fields of that call
+    Step = Callable[[Mapping[str, int], "_Fields"], None]
+    # a config text as a function of its parameter binding
+    Template = Callable[[Mapping[str, int]],
+                        "CurveConfig | ReducedConeConfig"]
 
 
 class ConfigError(ValueError):
@@ -37,30 +49,20 @@ class ConfigError(ValueError):
         return f"{where}[{self.code}] {super().__str__()}"
 
 
-class _coded:
-    """Block in which a constructor's ValueError becomes a ConfigError with
-    `code`; a ConfigError passes unchanged. It costs three calls, so the
-    vector path, which a scan runs at every grid point, enters one only on
-    a memo miss."""
-
-    def __init__(self, code: str):
-        self.code = code
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, tb):
-        if isinstance(exc, ValueError) and not isinstance(exc, ConfigError):
-            raise ConfigError(self.code, str(exc)) from exc
+def _coded(code: str, exc: ValueError) -> ConfigError:
+    """What a handler raises for a constructor's ValueError `exc`: `exc`
+    itself when it is a ConfigError, else a ConfigError with `code` and its
+    message, caused by it."""
+    if isinstance(exc, ConfigError):
+        return exc
+    error = ConfigError(code, str(exc))
+    error.__cause__ = exc
+    return error
 
 
 # ---------------------------------------------------------------------------
 # template expressions
 # ---------------------------------------------------------------------------
-
-# a template as a function of its parameter binding
-Expr = Callable[[Mapping[str, int]], int]
-
 
 def _div(left: int, right: int) -> int:
     if right == 0:
@@ -134,65 +136,65 @@ def _lookup(ident: str) -> Expr:
     return lookup
 
 
-class _ExprParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _lex_expr(text)
-        self.pos = 0
+# the end of a token list: its kind continues no expression
+_END = ("end", None)
 
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _chain(tokens: list, text: str, depth: int, level: int = 0) -> Expr:
+    """The left-associative chain of the operators of `_LEVELS[level]` over
+    operands of the next level, unary ones after the last, taken from the
+    end of `tokens` (the lexemes of `text` in reverse order, above `_END`).
+    It compiles to one closure that folds the operands left to right, so its
+    length costs no stack."""
+    if level == len(_LEVELS):
+        return _unary(tokens, text, depth)
+    ops = _LEVELS[level]
+    first = _chain(tokens, text, depth, level + 1)
+    rest = []
+    while tokens[-1][0] in ops:
+        rest.append((ops[tokens.pop()[0]],
+                     _chain(tokens, text, depth, level + 1)))
+    if not rest:
+        return first
 
-    def chain(self, depth: int, level: int = 0) -> Expr:
-        """The left-associative chain of the operators of `_LEVELS[level]`
-        over operands of the next level, unary ones after the last. It
-        compiles to one closure that folds the operands left to right, so
-        its length costs no stack."""
-        if level == len(_LEVELS):
-            return self.unary(depth)
-        first = self.chain(depth, level + 1)
-        rest = []
-        while self.peek() in _LEVELS[level]:
-            op = _LEVELS[level][self.take()[0]]
-            rest.append((op, self.chain(depth, level + 1)))
-        if not rest:
-            return first
+    def fold(binding):
+        value = first(binding)
+        for op, operand in rest:
+            value = op(value, operand(binding))
+        return value
+    return fold
 
-        def fold(binding):
-            value = first(binding)
-            for op, operand in rest:
-                value = op(value, operand(binding))
-            return value
-        return fold
 
-    def unary(self, depth: int) -> Expr:
-        kind = self.peek()
-        if kind == "int":
-            value = self.take()[1]
-            return lambda binding: value
-        if kind == "name":
-            return _lookup(self.take()[1])
-        if kind not in ("-", "("):
-            raise ConfigError("expr-syntax",
-                              f"malformed expression {_quote(self.text)}")
-        if depth == MAX_DEPTH:
-            raise ConfigError("expr-limit", "expression nests deeper than "
-                              f"{MAX_DEPTH} levels")
-        self.take()
-        if kind == "-":
-            arg = self.unary(depth + 1)
-            return lambda binding: -arg(binding)
-        expr = self.chain(depth + 1)
-        if self.peek() != ")":
-            raise ConfigError("expr-paren", "unbalanced parentheses in "
-                              f"{_quote(self.text)}")
-        self.take()
-        return expr
+def _unary(tokens: list, text: str, depth: int) -> Expr:
+    kind, value = tokens.pop()
+    if kind == "int":
+        return lambda binding: value
+    if kind == "name":
+        return _lookup(value)
+    if kind not in ("-", "("):
+        raise ConfigError("expr-syntax", f"malformed expression {_quote(text)}")
+    if depth == MAX_DEPTH:
+        raise ConfigError("expr-limit", "expression nests deeper than "
+                          f"{MAX_DEPTH} levels")
+    if kind == "-":
+        arg = _unary(tokens, text, depth + 1)
+        return lambda binding: -arg(binding)
+    expr = _chain(tokens, text, depth + 1)
+    if tokens.pop()[0] != ")":
+        raise ConfigError("expr-paren", "unbalanced parentheses in "
+                          f"{_quote(text)}")
+    return expr
+
+
+def _parse(text: str) -> tuple[Expr, bool]:
+    """`_compile` of a slot that needs the parser."""
+    lexemes = _lex_expr(text)
+    tokens = [_END, *reversed(lexemes)]
+    expr = _chain(tokens, text, 0)
+    if len(tokens) > 1:
+        raise ConfigError("expr-trailing",
+                          f"trailing input in expression {_quote(text)}")
+    return expr, any(kind == "name" for kind, _ in lexemes)
 
 
 def parse_expr(text: str) -> Expr:
@@ -202,26 +204,33 @@ def parse_expr(text: str) -> Expr:
     defined only for a nonnegative dividend and a positive divisor. Digits
     are ASCII. An unbound name or a bad ``div`` is an error of the call,
     not of the compilation."""
-    return _compile(text)[0]
+    return _compile(text, {})[0]
 
 
-def _compile(text: str) -> tuple[Expr, bool]:
+def _compile(text: str, compiled: dict) -> tuple[Expr, bool]:
     """`parse_expr`'s function of `text`, and whether its tokens name a
-    parameter. A slot that is one ASCII literal or name needs no parser."""
+    parameter. `compiled` is a template's slot compiler: it maps each slot
+    text that the template has compiled, less its outer white space, to
+    that pair, so a text is compiled once per template. A slot that is one
+    ASCII literal or name, or one negated, needs no parser."""
     slot = text.strip()
+    found = compiled.get(slot)
+    if found is not None:
+        return found
     if not slot:
         raise ConfigError("expr-empty", "empty expression")
-    if slot.isascii() and slot.isdigit():
-        value = _literal(slot)
-        return (lambda binding: value), False
-    if slot.isascii() and slot.isidentifier() and slot != "div":
-        return _lookup(slot), True
-    parser = _ExprParser(text)
-    expr = parser.chain(0)
-    if parser.peek() is not None:
-        raise ConfigError("expr-trailing",
-                          f"trailing input in expression {_quote(text)}")
-    return expr, any(kind == "name" for kind, _ in parser.tokens)
+    negated = slot[0] == "-"
+    word = slot[1:] if negated else slot
+    if word.isascii() and word.isdigit():
+        value = -_literal(word) if negated else _literal(word)
+        found = (lambda binding: value), False
+    elif word.isascii() and word.isidentifier() and word != "div":
+        lookup = _lookup(word)
+        found = (lambda binding: -lookup(binding)) if negated else lookup, True
+    else:
+        found = _parse(text)
+    compiled[slot] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +264,7 @@ class SingularVectors(Record):
 def parse_vector_text(text: str) -> SingularVectors:
     """Parse ``GlCmp=...; Si=...; OD=...; LG=...`` (order free, '#' comments).
     Each distinct slot text is compiled once; one whose tokens name no
-    parameter is evaluated once and kept as its value, unless that raises
+    parameter is evaluated here and kept as its value, unless that raises
     (``1 div 0`` does), which each binding then raises again."""
     body = " ".join(line.partition("#")[0] for line in text.splitlines())
     fields: dict[str, str] = {}
@@ -276,7 +285,7 @@ def parse_vector_text(text: str) -> SingularVectors:
     for key in ("GlCmp", "Si", "OD", "LG"):
         if key not in fields:
             raise ConfigError("vector-key", f"missing vector {key!r}")
-    compiled: dict[str, int | Expr] = {}
+    compiled: dict[str, tuple[Expr, bool]] = {}
 
     def entries(raw: str, key: str) -> tuple[int | Expr, ...]:
         raw = raw.strip()
@@ -288,13 +297,13 @@ def parse_vector_text(text: str) -> SingularVectors:
             if not slot:
                 raise ConfigError("vector-syntax",
                                   f"empty entry in {key}={_quote(raw)}")
-            if slot not in compiled:
-                expr, named = _compile(piece)
+            expr, named = _compile(piece, compiled)
+            if not named:
                 try:
-                    compiled[slot] = expr if named else expr({})
+                    expr = expr({})
                 except ConfigError:     # 1 div 0: raised at each binding
-                    compiled[slot] = expr
-            out.append(compiled[slot])
+                    pass
+            out.append(expr)
         return tuple(out)
 
     od_entries = entries(fields["OD"], "OD")
@@ -313,7 +322,7 @@ def _negated_count(vector: str, k: int, sep: int) -> None:
                           f"negated count, got {sep}")
 
 
-# records of one kind that a vector template keeps; one more empties them
+# records of one kind that a template keeps; one more empties them
 MEMO_BOUND = 4096
 
 
@@ -362,8 +371,10 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
         degree, mult = slots[k + 1], slots[k + 2]
         component = component_memo.get((degree, mult))
         if component is None:
-            with _coded("value-nonpositive"):
+            try:
                 component = GlobalComponent(degree, mult)
+            except ValueError as exc:
+                raise _coded("value-nonpositive", exc)
             _stored(component_memo, (degree, mult), component)
         if sep == -1:
             components.append(component)
@@ -465,8 +476,9 @@ def _keyvals(parts: list[str], needed: tuple,
     return out
 
 
-def _compile_branches(text: str) -> list[tuple[Expr, Expr]]:
-    """The (degree, multiplicity) templates of ``(deg:mult)(deg:mult)...``."""
+def _compile_branches(text: str, compiled: dict) -> list[tuple[Expr, Expr]]:
+    """The (degree, multiplicity) templates of ``(deg:mult)(deg:mult)...``:
+    each branch is split at its last ':' outside nested parentheses."""
     branches = []
     pos = 0
     while pos < len(text):
@@ -474,23 +486,22 @@ def _compile_branches(text: str) -> list[tuple[Expr, Expr]]:
             raise ConfigError(
                 "branch-syntax",
                 "branches must look like (deg:mult)(deg:mult)...")
-        depth = 1
-        colon = None
-        end = pos + 1
-        while end < len(text) and depth:
-            ch = text[end]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == ":" and depth == 1:
-                colon = end
-            end += 1
-        if depth or colon is None:
+        depth, colon, end = 1, -1, pos + 1
+        while depth:        # from `end`, at `depth`, to the next '(' or ')'
+            close = text.find(")", end)
+            if close < 0:
+                break
+            opening = text.find("(", end, close)
+            stop = close if opening < 0 else opening
+            if depth == 1:
+                colon = max(colon, text.rfind(":", end, stop))
+            depth += -1 if opening < 0 else 1
+            end = stop + 1
+        if depth or colon < 0:
             raise ConfigError("branch-syntax",
                               f"malformed branch list {_quote(text)}")
-        branches.append((parse_expr(text[pos + 1: colon]),
-                         parse_expr(text[colon + 1: end - 1])))
+        branches.append((_compile(text[pos + 1: colon], compiled)[0],
+                         _compile(text[colon + 1: end - 1], compiled)[0]))
         pos = end
     if not branches:
         raise ConfigError("branch-syntax", "a point needs at least one branch")
@@ -514,11 +525,26 @@ def _parse_fraction(text: str) -> Fraction:
         raise ConfigError("fraction-syntax", f"bad fraction {text!r}") from exc
 
 
+def _depth_after(word: str, depth: int) -> int:
+    """The '(' left open after `word`, `depth` open before it; a ')' with
+    none open closes nothing."""
+    if "(" in word or ")" in word:
+        *closed, last = word.split(")")
+        for piece in closed:
+            depth = max(0, depth + piece.count("(") - 1)
+        depth += last.count("(")
+    return depth
+
+
 def _tokenize_line(line: str) -> list[str]:
     """Whitespace split, except that a word that starts inside an open '('
-    joins the token before it, and a ')' with none open closes nothing."""
+    joins the token before it; so a line whose every word closes its own
+    '(' is its split."""
     words = line.split()
-    if "(" not in line:
+    for word in words:
+        if "(" in word and _depth_after(word, 0):
+            break
+    else:
         return words
     tokens, depth, end = [], 0, 0
     for word in words:
@@ -528,11 +554,7 @@ def _tokenize_line(line: str) -> list[str]:
         else:
             tokens.append(word)
         end = start + len(word)
-        if "(" in word or ")" in word:
-            *closed, last = word.split(")")
-            for piece in closed:
-                depth = max(0, depth + piece.count("(") - 1)
-            depth += last.count("(")
+        depth = _depth_after(word, depth)
     if depth:                           # white space left open at the end
         tokens[-1] += line[end:]
     return tokens
@@ -552,19 +574,14 @@ class _Fields:
         self.weighted: dict = {}        # (weights, degree) -> its spectrum
 
 
-# A compiled line: it evaluates its slots at the binding and records what
-# it describes in the fields of that call.
-Step = Callable[[Mapping[str, int], _Fields], None]
-
-
-def _one_value(keyword: str, args: list[str]) -> Expr:
+def _one_value(keyword: str, args: list[str], compiled: dict) -> Expr:
     if len(args) != 1:
         raise ConfigError("key-syntax", f"{keyword} takes one value")
-    return parse_expr(args[0])
+    return _compile(args[0], compiled)[0]
 
 
-def _ambient(args: list[str]) -> Step:
-    value = _one_value("ambient", args)
+def _ambient(args: list[str], compiled: dict, *_) -> Step:
+    value = _one_value("ambient", args, compiled)
 
     def step(binding, out):
         if value(binding) != 2:
@@ -574,8 +591,8 @@ def _ambient(args: list[str]) -> Step:
     return step
 
 
-def _nodes(args: list[str]) -> Step:
-    value = _one_value("nodes", args)
+def _nodes(args: list[str], compiled: dict, *_) -> Step:
+    value = _one_value("nodes", args, compiled)
 
     def step(binding, out):
         out.nodes = value(binding)
@@ -584,39 +601,56 @@ def _nodes(args: list[str]) -> Step:
     return step
 
 
-def _component(args: list[str]) -> Step:
+def _component(args: list[str], compiled: dict, memo: tuple) -> Step:
     kv = _keyvals(args, ("degree", "mult"), ("count",))
-    degree, mult, count = map(parse_expr, (kv["degree"], kv["mult"],
-                                           kv.get("count", "1")))
+    degree, mult, count = (_compile(kv.get(key, "1"), compiled)[0]
+                           for key in ("degree", "mult", "count"))
+    components = memo[0]
 
     def step(binding, out):
-        d, m = degree(binding), mult(binding)
-        with _coded("value-nonpositive"):
+        key = degree(binding), mult(binding)
+        try:
             copies = _positive(count(binding), "component count")
-            out.components += [GlobalComponent(d, m)] * copies
+            component = (components.get(key)
+                         or _stored(components, key, GlobalComponent(*key)))
+        except ValueError as exc:
+            raise _coded("value-nonpositive", exc)
+        out.components += [component] * copies
     return step
 
 
-def _point(args: list[str]) -> Step:
+def _point(args: list[str], compiled: dict, memo: tuple) -> Step:
     kv = _keyvals(args, ("weights", "branches"), ("count",))
     weight_parts = kv["weights"].split(",")
     if len(weight_parts) != 2:
         raise ConfigError("weights-syntax", "point weights must be w,w'")
-    w_expr, wp_expr = map(parse_expr, weight_parts)
-    branch_exprs = _compile_branches(kv["branches"])
-    count = parse_expr(kv.get("count", "1"))
+    w_expr, wp_expr = (_compile(part, compiled)[0] for part in weight_parts)
+    branch_exprs = _compile_branches(kv["branches"], compiled)
+    count = _compile(kv.get("count", "1"), compiled)[0]
+    _, branches, points = memo
 
     def step(binding, out):
-        w, wp = w_expr(binding), wp_expr(binding)
-        with _coded("value-nonpositive"):
-            branches = tuple([LocalBranch(deg(binding), mult(binding))
-                              for deg, mult in branch_exprs])
+        weights = w_expr(binding), wp_expr(binding)
+        pairs, built = [], []
+        try:
+            for deg, mult in branch_exprs:
+                pair = deg(binding), mult(binding)
+                pairs.append(pair)
+                built.append(branches.get(pair) or
+                             _stored(branches, pair, LocalBranch(*pair)))
             copies = _positive(count(binding), "point count")
-        with _coded("point-invalid"):
+        except ValueError as exc:
+            raise _coded("value-nonpositive", exc)
+        key = weights, tuple(pairs)
+        point = points.get(key)
+        if point is None:
             try:
-                point = SingularPoint((w, wp), branches)
+                point = _stored(points, key,
+                                SingularPoint(weights, tuple(built)))
             except BranchDegreeError as exc:
                 raise ConfigError("branch-degree", str(exc)) from exc
+            except ValueError as exc:
+                raise _coded("point-invalid", exc)
         out.points += [point] * copies
     return step
 
@@ -627,7 +661,7 @@ def _set_incidence(incidence: Incidence) -> Step:
     return step
 
 
-def _incidence(args: list[str]) -> Step:
+def _incidence(args: list[str], *_) -> Step:
     pairs = []
     for token in args:
         try:
@@ -642,7 +676,7 @@ def _incidence(args: list[str]) -> Step:
     return _set_incidence(Incidence.from_pairs(pairs))
 
 
-def _incidence_matrix(args: list[str]) -> Step:
+def _incidence_matrix(args: list[str], *_) -> Step:
     rows: list[list[int]] = [[]]
     for token in args:
         for idx, part in enumerate(token.split(";")):
@@ -658,21 +692,23 @@ def _incidence_matrix(args: list[str]) -> Step:
     if not rows:
         raise ConfigError("incidence-syntax",
                           "incidence-matrix needs at least one row")
-    with _coded("value-nonpositive"):
+    try:
         return _set_incidence(Incidence.from_matrix(rows))
+    except ValueError as exc:
+        raise _coded("value-nonpositive", exc)
 
 
-def _reduced(args: list[str]) -> Step:
+def _reduced(args: list[str], compiled: dict, *_) -> Step:
     kv = _keyvals(args, ("n", "degree"), ("power",))
-    header = tuple(map(parse_expr, (kv["n"], kv["degree"],
-                                    kv.get("power", "1"))))
+    header = tuple(_compile(kv.get(key, "1"), compiled)[0]
+                   for key in ("n", "degree", "power"))
 
     def step(binding, out):
         out.header = tuple(e(binding) for e in header)
     return step
 
 
-def _localspectrum(args: list[str]) -> Step:
+def _localspectrum(args: list[str], *_) -> Step:
     entries = []
     for token in args:
         if ":" not in token:
@@ -691,18 +727,20 @@ def _localspectrum(args: list[str]) -> Step:
                           "localspectrum needs at least one entry")
 
     def step(binding, out):
-        with _coded("config-invalid"):
+        try:
             out.spectra.append(SpectrumVector(entries,
                                               ambient_dim=out.header[0]))
+        except ValueError as exc:
+            raise _coded("config-invalid", exc)
     return step
 
 
-def _localwh(args: list[str]) -> Step:
+def _localwh(args: list[str], compiled: dict, *_) -> Step:
     """A ``localwh`` line: the spectrum of its weights and degree, built
     once per evaluation of the config for all lines that repeat them."""
     kv = _keyvals(args, ("weights", "degree"), ())
-    weight_exprs = [parse_expr(p) for p in kv["weights"].split(",")]
-    degree = parse_expr(kv["degree"])
+    weight_exprs = [_compile(p, compiled)[0] for p in kv["weights"].split(",")]
+    degree = _compile(kv["degree"], compiled)[0]
 
     def step(binding, out):
         weights = tuple(e(binding) for e in weight_exprs)
@@ -712,8 +750,10 @@ def _localwh(args: list[str]) -> Step:
                               "(one per variable)")
         key = weights, degree(binding)
         if key not in out.weighted:
-            with _coded("point-invalid"):
+            try:
                 out.weighted[key] = weighted_spectrum(WeightSystem(*key))
+            except ValueError as exc:
+                raise _coded("point-invalid", exc)
         out.spectra.append(out.weighted[key])
     return step
 
@@ -733,9 +773,6 @@ _KEYWORDS = {
     "localwh": (_localwh, None, "local"),
 }
 
-# a config text as a function of its parameter binding
-Template = Callable[[Mapping[str, int]], CurveConfig | ReducedConeConfig]
-
 
 def parse_native(text: str) -> Template:
     """Compile the native config format into a function of the parameter
@@ -753,7 +790,15 @@ def parse_native(text: str) -> Template:
     refused reduced config that of its header or of the spectrum at fault.
     Each stage has one place that sets it: an error raised while line N is
     compiled or evaluated, and that names no line of its own, gets N.
+
+    The lines share one slot compiler (`_compile`) and one memo that keeps
+    records for every call, as `parse_singular`'s does: components and
+    branches by (degree, mult), points by (weights, branch pairs). A record
+    is stored once built, so a construction that raises does so at every
+    call; a line checks its branches, then its count, then its point.
     """
+    compiled: dict[str, tuple[Expr, bool]] = {}
+    memo = ({}, {}, {})                 # components, branches, points
     steps: list[tuple[int, Step]] = []
     first_line: dict[str, int] = {}     # single-valued slot -> its line
     local_lines = []                    # one line per local spectrum
@@ -779,7 +824,7 @@ def parse_native(text: str) -> Template:
                 raise ConfigError("mode-conflict", f"{keyword} needs a "
                                   "preceding 'reduced' header")
             seen.add(keyword)
-            steps.append((lineno, compile_line(args)))
+            steps.append((lineno, compile_line(args, compiled, memo)))
             if mode == "local":
                 local_lines.append(lineno)
         except ConfigError as exc:
@@ -817,10 +862,12 @@ def parse_native(text: str) -> Template:
                     except ValueError:
                         break
                 raise ConfigError("config-invalid", str(exc), line) from exc
-        with _coded("config-invalid"):
+        try:
             return CurveConfig(components=tuple(out.components),
                                points=tuple(out.points), nodes=out.nodes,
                                incidence=out.incidence)
+        except ValueError as exc:
+            raise _coded("config-invalid", exc)
     return build
 
 
@@ -872,9 +919,9 @@ def config_template(text: str) -> Template:
     """The config of `text` as a function of its parameter binding, in the
     dialect `looks_like_vectors` picks. Either dialect is parsed here, once;
     each call only evaluates the compiled slots and builds the config. A
-    vector template passes one memo to all its calls, so a component, point,
-    incidence or branch whose slot values recur is built once
-    (`parse_singular`)."""
+    template of either dialect keeps one memo for all its calls, so a record
+    whose slot values recur is built once (`parse_singular`,
+    `parse_native`)."""
     if looks_like_vectors(text):
         vectors = parse_vector_text(text)
         memo = ({}, {}, {}, {})

@@ -12,8 +12,11 @@ writers, `exponent_texts` and `render_row`, work on the integers.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Iterable, Mapping, Sequence
 from itertools import compress, count, cycle
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:       # annotations only: no `collections` at run time
+    from collections.abc import Collection, Iterable, Mapping, Sequence
 
 
 def _count(value, what: str = "multiplicity") -> int:
@@ -121,7 +124,7 @@ class SpectrumVector:
         if denominator is not None and type(entries) is Numerators:
             table = entries
         else:
-            pairs = (entries.items() if isinstance(entries, Mapping)
+            pairs = (entries.items() if hasattr(entries, "items")
                      else entries or ())
             if denominator is None:
                 from fractions import Fraction

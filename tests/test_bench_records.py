@@ -240,18 +240,20 @@ def test_compare_exit_code(tmp_path, capsys, parent, change, failed, verdict,
 
 def test_alternate_times_one_case_on_two_trees():
     """One round of the tiny case, this tree against itself, both imported
-    into one interpreter: one line for the round, then the median ratio and
-    the win count."""
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "alternate.py"), "tiny",
-         str(ROOT), str(ROOT), "--rounds", "1", "--repeat", "1"],
-        capture_output=True, text=True, timeout=120, check=True)
-    lines = done.stdout.splitlines()
-    assert len(lines) == 3
-    assert re.fullmatch(r"round 1: A \d+\.\d{6} s  B \d+\.\d{6} s  "
-                        r"B/A \d+\.\d{3}", lines[0])
-    assert re.fullmatch(r"median B/A: \d+\.\d{3}", lines[1])
-    assert re.fullmatch(r"B faster: [01] of 1", lines[2])
+    into one interpreter, with each call made directly and then through the
+    benchmark's `Runner.call`: one line for the round, then the median
+    ratio and the win count."""
+    for mode in ([], ["--runner"]):
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "alternate.py"), "tiny",
+             str(ROOT), str(ROOT), "--rounds", "1", "--repeat", "1", *mode],
+            capture_output=True, text=True, timeout=120, check=True)
+        lines = done.stdout.splitlines()
+        assert len(lines) == 3
+        assert re.fullmatch(r"round 1: A \d+\.\d{6} s  B \d+\.\d{6} s  "
+                            r"B/A \d+\.\d{3}", lines[0])
+        assert re.fullmatch(r"median B/A: \d+\.\d{3}", lines[1])
+        assert re.fullmatch(r"B faster: [01] of 1", lines[2])
 
 
 def test_ordinary_reduced_case_is_the_sextic_pencil_view():

@@ -164,7 +164,8 @@ def test_config_derives_the_data_of_one_walk():
     when its points are ordinary, from vector text, and after copy and
     pickle round trips of each. `degree`, `reduced_degree`,
     `euler_complement`, `multiplicities` and `is_ordinary` read what it
-    derived; each `multiplicities` call returns a set of its own."""
+    derived; each `multiplicities` call returns a set of its own. The native
+    parse keeps the incidence, and the vector parse its pairs."""
     rng = random.Random(3035)
     vectors = 0
     for k in range(160):
@@ -174,9 +175,12 @@ def test_config_derives_the_data_of_one_walk():
                  | {b.multiplicity for p in cfg.points for b in p.branches})
         ordinary = all(p.weights == (1, 1) for p in cfg.points)
         built = [cfg, parse_native(emit_native(cfg))({})]
+        assert built[1].incidence == cfg.incidence
         if ordinary:
             built.append(parse_singular(
                 parse_vector_text(emit_vectors(cfg)), {}))
+            assert built[2].incidence.pairs == (
+                () if cfg.incidence is None else built[1].incidence.pairs)
             vectors += 1
         for parsed in built:
             assert parsed.components == cfg.components

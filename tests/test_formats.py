@@ -145,15 +145,16 @@ def test_eval_matches_direct_evaluator_on_random_trees():
 # -- compiling in token time --------------------------------------------------
 
 def test_trivial_slots_skip_the_parser(monkeypatch):
-    """A slot that is one ASCII literal or name compiles without the
-    expression parser; every other slot still goes through it."""
+    """A slot that is one ASCII literal or name, negated or not, compiles
+    without the expression parser; every other slot still goes through
+    it."""
     built = []
+    parse = formats._parse
 
-    class CountingParser(formats._ExprParser):
-        def __init__(self, text):
-            built.append(text)
-            super().__init__(text)
-    monkeypatch.setattr(formats, "_ExprParser", CountingParser)
+    def counting_parse(text):
+        built.append(text)
+        return parse(text)
+    monkeypatch.setattr(formats, "_parse", counting_parse)
     template = parse_native("ambient 2\n"
                             "component degree=a mult=007 count=2\n"
                             "point weights=1,1 branches=(1:b)(1: 1 )"
@@ -165,6 +166,13 @@ def test_trivial_slots_skip_the_parser(monkeypatch):
         components=(GlobalComponent(2, 7),) * 2, points=(point,), nodes=3)
     parse_native("component degree=a+1 mult=1\n")
     assert built == ["a+1"]
+    assert [parse_expr(text)({"c": 4}) for text in ("-1", "-c", "-007")] == [
+        -1, -4, -7]
+    vectors = parse_vector_text("GlCmp=-1,c,-c; Si=; OD=0; LG=0")
+    assert vectors.glcmp[0] == -1 and vectors.glcmp[2]({"c": 4}) == -4
+    assert built == ["a+1"]
+    assert parse_expr("-(c+1)")({"c": 4}) == -5
+    assert built == ["a+1", "-(c+1)"]
 
 
 @pytest.mark.parametrize("slot, stage, outcome", [
@@ -191,6 +199,71 @@ def test_trivial_slot_outcomes(slot, stage, outcome):
                     lambda template: template(binding).nodes)
     assert native == (stage, outcome if isinstance(outcome, int)
                       else f"line 2: {outcome}")
+
+
+def test_native_template_builds_each_record_once_per_key():
+    """Equal point lines yield one `SingularPoint`, at one binding and again
+    at a later binding with the same values; a line whose record cannot be
+    built raises at every binding, with its code and line, whatever the
+    bindings between."""
+    template = parse_native("component degree=6 mult=m\n"
+                            "point weights=2,3 branches=(6:m)\n"
+                            "point weights=2,3 branches=(6:m) count=2\n")
+    first = template({"m": 2})
+    assert len(first.points) == 3
+    assert all(point is first.points[0] for point in first.points)
+    assert template({"m": 3}).points[0] != first.points[0]
+    again = template({"m": 2})
+    assert again.points[0] is first.points[0]
+    assert again.components[0] is first.components[0]
+    faulty = parse_native("component degree=6 mult=1\n"
+                          "point weights=2,3 branches=(6:1)\n"
+                          "point weights=2,3 branches=(a:1)\n")
+    for a in (5, 6, 5, 5):
+        if a == 6:
+            assert faulty({"a": a}).points[1].branches == (LocalBranch(6, 1),)
+            continue
+        with pytest.raises(ConfigError) as exc:
+            faulty({"a": a})
+        assert str(exc.value) == ("line 3: [branch-degree] branch degrees must "
+                                  "lie in {w, w', w*w'} = {2, 3, 6}")
+
+
+@pytest.mark.parametrize("text, error", [
+    ("component degree=0 mult=1\ncomponent degree=1 mult=0\n",
+     "line 1: [value-nonpositive] component degree must be positive"),
+    ("component degree=1 mult=1\npoint weights=1,1 branches=(1:0)\n"
+     "point weights=2,3 branches=(1:1)\n",
+     "line 2: [value-nonpositive] branch multiplicity must be positive"),
+    ("component degree=1 mult=1\nnodes -1\ncomponent degree=a mult=1\n",
+     "line 2: [value-nonpositive] node count must be >= 0"),
+    ("component degree=0 mult=1 count=0\n",
+     "line 1: [value-nonpositive] component count must be positive"),
+    ("component degree=1 mult=1\n"
+     "point weights=1,1 branches=(1:0)(1:b) count=0\n",
+     "line 2: [value-nonpositive] branch multiplicity must be positive"),
+    ("component degree=1 mult=1\n"
+     "point weights=1,1 branches=(1:1)(1:0) count=0\n",
+     "line 2: [value-nonpositive] branch multiplicity must be positive"),
+    ("component degree=1 mult=1\npoint weights=2,3 branches=(1:1) count=0\n",
+     "line 2: [value-nonpositive] point count must be positive"),
+    ("component degree=1 mult=1\npoint weights=2,3 branches=(6:1)(1:1)\n",
+     "line 2: [branch-degree] branch degrees must lie in {w, w', w*w'} = "
+     "{2, 3, 6}"),
+    ("component degree=1 mult=1\npoint weights=0,3 branches=(1:1) count=c\n",
+     "line 2: [point-invalid] point weight must be positive"),
+], ids=["two-components", "two-points", "nodes-then-unbound",
+        "degree-and-count", "branch-then-unbound", "branch-then-count",
+        "count-then-point", "two-branch-degrees", "weights-after-count"])
+def test_native_reports_the_first_of_two_faults(text, error):
+    """With two faulty lines the first line's error wins, and within a line
+    the branches are checked in order, then the count, then the point: at
+    the first binding and again at the next."""
+    template = parse_native(text)
+    for _ in range(2):
+        with pytest.raises(ConfigError) as exc:
+            template({"c": 1})
+        assert str(exc.value) == error
 
 
 # the characters on which a regular expression and the character loops

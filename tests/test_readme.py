@@ -4,7 +4,6 @@ loads, and the table of error codes."""
 
 import contextlib
 import io
-import json
 import re
 import shlex
 import subprocess
@@ -55,15 +54,16 @@ def test_cold_import_loads_what_the_readme_says():
     names |= {name: False for name in
               re.findall(r"`(\w+)`", rest.partition(".")[0])}
     names[re.search(r"live in `([\w.]+)`", rest).group(1)] = False
-    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+    # the probe imports nothing but `sys` before the package
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "import conespec.cli; "
-             "print(json.dumps({m: m in sys.modules for m in sys.argv[2:]}))")
+             "print(' '.join(m for m in sys.argv[2:] if m in sys.modules))")
     done = subprocess.run([sys.executable, "-S", "-c", probe,
                            str(ROOT / "src"), *names],
                           capture_output=True, text=True, timeout=60,
                           check=True)
-    assert len(names) == 8
-    assert json.loads(done.stdout) == names
+    assert len(names) == 14
+    assert done.stdout.split() == [name for name in names if names[name]]
 
 
 def test_error_code_table_lists_every_code():

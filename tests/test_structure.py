@@ -13,7 +13,9 @@ Nor does a command load what it does not use: importing `conespec.cli` in a
 fresh interpreter loads neither `dataclasses` (and `inspect` with it) nor
 the checker module `conespec.oracle`, which only ``verify`` and ``oracle``
 import, nor `re` (and `enum` with it), since the template lexer reads
-characters; and no package module imports `dataclasses` at all.
+characters, nor `functools` or `collections`, since the parser is kept in a
+module variable and `collections.abc` is imported for annotations only;
+and no package module imports `dataclasses` at all.
 
 Nor does a package module carry its own ``if __name__ == "__main__"``
 block: ``python -m conespec`` (`__main__.py`) and the ``conespec`` script
@@ -56,6 +58,9 @@ UNREFERENCED = {
                                  "README and in perfbench/tracing.py "
                                  "TARGETS; `reduced` and `verify` read the "
                                  "power row it wraps",
+    "formats.parse_expr": "public API: one template expression compiled "
+                          "alone; its docstring states the grammar of every "
+                          "slot",
     "engine.index_data": TRACED,
     "engine.residue_degree": TRACED,
     "local.lattice_count": TRACED,
@@ -138,7 +143,8 @@ def test_cold_import_of_the_cli_loads_no_unused_module():
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
              "import conespec.cli; "
              "print(' '.join(sorted(m for m in ('dataclasses', 'inspect', "
-             "'conespec.oracle', 'typing', 're', 'enum') "
+             "'conespec.oracle', 'typing', 're', 'enum', 'functools', "
+             "'collections') "
              "if m in sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", probe,
                            str(PACKAGE.parent)],

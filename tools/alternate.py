@@ -4,6 +4,7 @@ in fresh processes.
 Usage::
 
     python3 tools/alternate.py CASE TREE_A TREE_B [--rounds N] [--repeat K]
+    python3 tools/alternate.py CASE TREE_A TREE_B --runner [--rounds N] [--repeat K]
     python3 tools/alternate.py CASE TREE_A TREE_B --cold [--rounds N]
 
 Both trees are timed in this one interpreter: each tree's ``src/conespec``
@@ -24,6 +25,14 @@ pattern of one tree can move the other's timing; a tree against itself
 shows how much. A change to interpreter-wide state (garbage-collector
 settings, ``sys`` flags, an import-time side effect) is not isolated here:
 time it with ``--cold``.
+
+``--runner`` makes each call through the benchmark's own per-call path,
+``Runner.call`` of ``perfbench/run.py``: the heap is collected and the
+calibration kernel runs just before each call, so each call starts with
+cold caches, as every operation of a benchmark run does; a run's time is
+the sum of the calls' raw seconds. A small operation spends much of that
+time on its fixed cost (reading the input, compiling the template), which
+a warm loop of repeated calls hides.
 
 ``--cold`` times whole commands instead: each round runs every argv of the
 case once per tree as a fresh ``python -S -m conespec`` process, trees in
@@ -79,6 +88,13 @@ Cases (``CASES``):
   the n = 2 view of the reduced curve of ``weighted-oracle`` (d' = 24,
   one weight system per point and one node spectrum per node) at power
   25;
+* ``weighted-compute``: ``compute`` of the three curves of
+  ``weighted-oracle``;
+* ``weighted-scan``: the two scans of the benchmark's ``weighted-reduced``
+  cycle, each over m = 20..22 of a native template of a reduced curve
+  whose multiplicities are all m: the reduced curve of ``weighted-oracle``,
+  and one of the component degrees and last two points of its thickened
+  curve;
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid;
 * ``small``: ``compute``, ``verify`` and ``oracle`` of each of the three
   pencils at d = 120 with three ``--param``, the small tables of the
@@ -102,6 +118,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -142,6 +159,17 @@ MIXED = ("component degree=9 mult=30\ncomponent degree=9 mult=40\n"
          + WEIGHTED_POINTS.format(50, 40, 30, 50, 40, 50, 30)
          + "point weights=4,7 branches=(28:30)\n"
          "point weights=3,4 branches=(3:30)(12:50)\nnodes 7\n")
+# native templates of reduced curves, every multiplicity m
+WEIGHTED_TEMPLATE = ("component degree=12 mult=m\ncomponent degree=3 mult=m\n"
+                     "component degree=9 mult=m\n"
+                     + WEIGHTED_POINTS.format(*["m"] * 7)
+                     + "point weights=5,7 branches=(35:m)\n"
+                     "point weights=2,7 branches=(2:m)(14:m)\nnodes 5\n")
+THICKENED_TEMPLATE = ("component degree=6 mult=m\ncomponent degree=9 mult=m\n"
+                      "component degree=9 mult=m\n"
+                      + WEIGHTED_POINTS.format(*["m"] * 7)
+                      + "point weights=5,7 branches=(35:m)\n"
+                      "point weights=2,5 branches=(2:m)(10:m)\nnodes 8\n")
 BRIESKORN_N3 = ("reduced n=3 degree=40 power=46\n"
                 "localwh weights=21,14,6 degree=42\n"
                 "localwh weights=4,4,3 degree=12\n"
@@ -158,7 +186,9 @@ WEIGHTED_VIEW = ("reduced n=2 degree=24 power=25\n"
 INPUTS = {"reduced": REDUCED, "ordinary": ORDINARY_REDUCED,
           "conic": CONIC_VIEW, "quintic": QUINTIC_VIEW,
           "weighted": WEIGHTED, "thickened": THICKENED, "mixed": MIXED,
-          "brieskorn": BRIESKORN_N3, "weighted_view": WEIGHTED_VIEW}
+          "brieskorn": BRIESKORN_N3, "weighted_view": WEIGHTED_VIEW,
+          "weighted_template": WEIGHTED_TEMPLATE,
+          "thickened_template": THICKENED_TEMPLATE}
 
 
 def _scan(name: str, *args: str) -> list[str]:
@@ -205,6 +235,10 @@ CASES = {
     "weighted-verify": [["verify", "{weighted}"], ["verify", "{thickened}"],
                         ["verify", "{mixed}"], ["verify", "{brieskorn}"],
                         ["verify", "{weighted_view}"]],
+    "weighted-compute": [["compute", "{weighted}"], ["compute", "{thickened}"],
+                         ["compute", "{mixed}"]],
+    "weighted-scan": [["scan", "{weighted_template}", "--range", "m=20..22"],
+                      ["scan", "{thickened_template}", "--range", "m=20..22"]],
     "tiny": [_five_lines(2)],
     "small": [_fixture(command, name, a, b)
               for name, a, b in (("conic-pencil", 24, 69),
@@ -223,16 +257,12 @@ def case_argvs(case: str, workdir: str) -> list[list[str]]:
     return [[arg.format(**paths) for arg in argv] for argv in CASES[case]]
 
 
-def best_of(main, argvs: list[list[str]], repeat: int) -> float:
-    """The best of `repeat` timed runs of `argvs` through `main`, after one
+def best_of(run, argvs: list[list[str]], repeat: int) -> float:
+    """The best of `repeat` timed runs of `argvs` through `run`, after one
     untimed run."""
     best = float("inf")
     for k in range(repeat + 1):
-        sink = io.StringIO()
-        start = time.perf_counter()
-        with contextlib.redirect_stdout(sink):
-            statuses = [main(argv) for argv in argvs]
-        took = time.perf_counter() - start
+        took, statuses = run(argvs)
         if any(statuses):
             raise SystemExit(f"alternate: {argvs} exited {statuses}")
         if k:
@@ -240,8 +270,33 @@ def best_of(main, argvs: list[list[str]], repeat: int) -> float:
     return best
 
 
-def load_main(tree: str, name: str):
-    """`cli.main` of `tree`'s ``src/conespec``, imported as package `name`."""
+def direct(cli):
+    """A run of argvs as calls of `cli.main` in a row, timed as a whole:
+    its seconds and the exit codes."""
+    def run(argvs):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            statuses = [cli.main(argv) for argv in argvs]
+        return time.perf_counter() - start, statuses
+    return run
+
+
+def through_runner(cli):
+    """A run of argvs, each call made by ``perfbench/run.py``'s
+    `Runner.call` on `cli`: the sum of the calls' raw seconds, and the exit
+    codes."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run as bench
+    runner = SimpleNamespace(cli=cli, speed=bench.Speed(), kernels=[])
+
+    def run(argvs):
+        calls = [bench.Runner.call(runner, argv) for argv in argvs]
+        return sum(raw for _, _, raw, _ in calls), [c[0] for c in calls]
+    return run
+
+
+def load_cli(tree: str, name: str):
+    """`cli` of `tree`'s ``src/conespec``, imported as package `name`."""
     package = Path(tree) / "src" / "conespec"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py",
@@ -249,7 +304,7 @@ def load_main(tree: str, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.cli").main
+    return importlib.import_module(f"{name}.cli")
 
 
 def cold(case: str, trees: list[str], rounds: int) -> None:
@@ -298,21 +353,25 @@ def main(argv=None) -> int:
     parser.add_argument("trees", nargs=2, metavar="TREE")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--cold", action="store_true",
-                        help="time fresh `python -S -m conespec` "
-                             "processes")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--cold", action="store_true",
+                      help="time fresh `python -S -m conespec` processes")
+    mode.add_argument("--runner", action="store_true",
+                      help="make each call through the benchmark's "
+                           "Runner.call")
     args = parser.parse_args(argv)
     if args.cold:
         cold(args.case, args.trees, args.rounds)
         return 0
-    mains = [load_main(tree, f"conespec_{label}")
-             for label, tree in zip("ab", args.trees)]
+    runs = [(through_runner if args.runner else direct)(
+                load_cli(tree, f"conespec_{label}"))
+            for label, tree in zip("ab", args.trees)]
     ratios, wins = [], 0
     with tempfile.TemporaryDirectory() as workdir:
         argvs = case_argvs(args.case, workdir)
 
         def timed(side: int) -> float:
-            return best_of(mains[side], argvs, args.repeat)
+            return best_of(runs[side], argvs, args.repeat)
 
         for k in range(args.rounds):
             if k % 2:

@@ -91,10 +91,10 @@ Cases (``CASES``):
 * ``weighted-compute``: ``compute`` of the three curves of
   ``weighted-oracle``;
 * ``weighted-scan``: the two scans of the benchmark's ``weighted-reduced``
-  cycle, each over m = 20..22 of a native template of a reduced curve
-  whose multiplicities are all m: the reduced curve of ``weighted-oracle``,
-  and one of the component degrees and last two points of its thickened
-  curve;
+  cycle, each over m = 20..22 of a native template in which every
+  multiplicity is m: one on the reduced curve of ``weighted-oracle``, one
+  on a reduced curve with the component degrees, last two points and
+  nodes of its thickened curve;
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid;
 * ``small``: ``compute``, ``verify`` and ``oracle`` of each of the three
   pencils at d = 120 with three ``--param``, the small tables of the
@@ -285,7 +285,8 @@ def through_runner(cli):
     """A run of argvs, each call made by ``perfbench/run.py``'s
     `Runner.call` on `cli`: the sum of the calls' raw seconds, and the exit
     codes."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
     import run as bench
     runner = SimpleNamespace(cli=cli, speed=bench.Speed(), kernels=[])
 

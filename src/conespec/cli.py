@@ -197,10 +197,13 @@ def run_scan(spec: ScanSpec, out) -> int:
     evaluated at it, one `scan_values` call and one CSV row written by one
     ``%`` over the scan's row template of ``%s`` fields: a name is one name
     token, a flag a predicate name and every other field an int or
-    ``n/a``, so no field needs CSV quoting. The predicates are evaluated
-    only when some are given. An input error names the grid point and keeps
-    its code and line. A name may be fixed or ranged, not both. A repeated
-    predicate counts once, in the order it was first given."""
+    ``n/a``, so no field needs CSV quoting. The predicates are read off
+    n[3/d] and chi(U) directly: a point whose n[3/d] is ``n/a`` while
+    ``n3d_zero`` is asked for is kept with the flags ``n/a``, any other
+    point only when every predicate holds, flagged with them all. An input
+    error names the grid point and keeps its code and line. A name may be
+    fixed or ranged, not both. A repeated predicate counts once, in the
+    order it was first given."""
     predicates = tuple(dict.fromkeys(spec.predicates))
     for name in predicates:
         if name not in PREDICATES:
@@ -226,6 +229,8 @@ def run_scan(spec: ScanSpec, out) -> int:
     template = config_template(spec.template)
     row = "%s," * (len(names) + 4) + "%s\n"
     out.write(row % (*names, "d", "dprime", "n_3_over_d", "chi_u", "flags"))
+    zero, nonzero = "n3d_zero" in predicates, "chi_nonzero" in predicates
+    kept = ";".join(predicates)
     lattice: dict = {}
     binding = dict(spec.fixed)
     for combo in itertools.product(*spans):
@@ -241,15 +246,11 @@ def run_scan(spec: ScanSpec, out) -> int:
             raise ConfigError(exc.code,
                               f"at grid point ({exc_point}): {exc.args[0]}",
                               exc.line) from exc
-        flags = ""
-        if predicates:
-            values = {"n3d_zero": (None if n3d is None else n3d == 0),
-                      "chi_nonzero": chi_u != 0}
-            satisfied = [p for p in predicates if values[p] is True]
-            undefined = [p for p in predicates if values[p] is None]
-            if not undefined and len(satisfied) != len(predicates):
-                continue
-            flags = "n/a" if undefined else ";".join(satisfied)
+        flags = kept
+        if zero and n3d is None:
+            flags = "n/a"
+        elif zero and n3d or nonzero and not chi_u:
+            continue
         out.write(row % (*combo, d, dprime, "n/a" if n3d is None else n3d,
                          chi_u, flags))
     return OK

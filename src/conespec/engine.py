@@ -4,7 +4,8 @@ The entry points, and the function that owns each route:
 
 * `curve_table`: the plane-curve table, as whole rows (`_table`) from the
   floor rows of one period (`_period_rows`);
-* `scan_values`: the one cell ``scan`` reports, from `_column`;
+* `scan_values`: the one cell ``scan`` reports, row 0 at column 3, from
+  `_column`;
 * `ordinary_middle_row`: the incidence middle row, read off a table;
 * `reduced_cone_spectrum` and its power transform `thickened_spectrum`,
   whose dense row `_power_row` fills;
@@ -146,8 +147,9 @@ class CurveConfig(Record):
             totals[mult] = totals.get(mult, 0) + degree
         milnor, counts = nodes, {}
         for p in points:
-            counts[p._key] = counts.get(p._key, 0) + 1
-            milnor += p._key[4]
+            key = p._key
+            counts[key] = counts.get(key, 0) + 1
+            milnor += key[4]
         object.__setattr__(self, "_derived", (
             d, dprime, tuple(sorted(totals.items())), tuple(counts.items()),
             _chi_complement(dprime, milnor)))
@@ -347,9 +349,9 @@ def _period_rows(cfg: CurveConfig) -> tuple[list[int], list]:
     return twist, points
 
 
-def _column(cfg: CurveConfig, i: int, lattice: dict) -> tuple[int, int]:
-    """Rows 0 and 2 on the one column i in [1, d], by a scalar body that
-    costs least per call (``scan``).
+def _column(cfg: CurveConfig, i: int, lattice: dict) -> int:
+    """Row 0 on the one column i in [1, d], by a scalar body that costs
+    least per call (``scan``); row 2 and row 1 come only from `_table`.
 
     d, d', the component terms and the counted point keys come from
     `CurveConfig._derived`, and each key holds its point's terms, d_j and
@@ -364,19 +366,16 @@ def _column(cfg: CurveConfig, i: int, lattice: dict) -> tuple[int, int]:
     count). The rows are looked up by (w, w', d_j - 1) in `lattice`, which
     the callers sharing it fill, so that each distinct row is built once for
     them all."""
-    d, dp, comps, keys, _ = cfg._derived
+    d, _, comps, keys, _ = cfg._derived
     twist = i - _shift(comps, i, d)
     r0 = (twist - 1) * (twist - 2) // 2             # binom2(twist - 1)
-    r2 = (dp - twist - 1) * (dp - twist - 2) // 2 - (1 if i == d else 0)
     for ((w, wp), terms, dj, mass, _), k in keys:
         row = lattice.get((w, wp, dj - 1))
         if row is None:
             row = lattice[w, wp, dj - 1] = lattice_row(w, wp, dj - 1)
         # ceiling of the residue degree i*mass/d - shift
-        ceil_g = -(-i * mass // d) - _shift(terms, i, d)
-        r0 -= k * row[ceil_g - 1]
-        r2 -= k * row[dj - ceil_g]
-    return r0, r2
+        r0 -= k * row[-(-i * mass // d) - _shift(terms, i, d) - 1]
+    return r0
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -428,14 +427,14 @@ def scan_values(cfg: CurveConfig, lattice: dict
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
     what ``scan`` reports per grid point. d, d' and chi(U) are read off the
     config; when d < 3, column 3 lies past d and no column is computed, and
-    otherwise n[3/d] is row 0 of one `_column` call, whose docstring gives
-    its cost. `lattice` is a mapping that the points of one scan share, so
-    that each lattice row is built once per scan."""
+    otherwise n[3/d] is the one cell of one `_column` call, row 0 at column
+    3, whose docstring gives its cost. `lattice` is a mapping that the
+    points of one scan share, so that each lattice row is built once per
+    scan."""
     d, dprime, _, _, chi = cfg._derived
     if d < 3:
         return d, dprime, None, chi
-    r0, _ = _column(cfg, 3, lattice)
-    return d, dprime, r0, chi
+    return d, dprime, _column(cfg, 3, lattice), chi
 
 
 def ordinary_middle_row(cfg: CurveConfig,

@@ -241,7 +241,8 @@ class SingularVectors(Record):
     """The four template vectors: global components, singular points,
     aggregated double points, incidence values. A slot is an int when it
     names no parameter, else an `Expr`; the derived `_plan` lists the
-    distinct `Expr`s and where each slot finds its value."""
+    distinct `Expr`s, the compiled slots and, for each slot that holds an
+    `Expr`, its (position, `Expr` number)."""
 
     __slots__ = ("glcmp", "si", "od", "lg", "_plan")
 
@@ -255,8 +256,8 @@ class SingularVectors(Record):
         slots = (*glcmp, *si, od, *lg)
         exprs = {e: k for k, e in enumerate(dict.fromkeys(filter(callable,
                                                                  slots)))}
-        index = tuple(exprs[s] if callable(s) else len(exprs) + k
-                      for k, s in enumerate(slots))
+        index = tuple((k, exprs[s]) for k, s in enumerate(slots)
+                      if callable(s))
         object.__setattr__(self, "_plan", (tuple(exprs), list(slots), index,
                                            len(glcmp), len(glcmp) + len(si)))
 
@@ -344,6 +345,8 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
     padded with 1. A separator is checked only when it is not negative, a
     record of count 1 is appended once, and the `Si` walk reads values: a
     multiplicity slot that evaluates to 0 or less ends its point's group.
+    Each distinct `Expr` is evaluated once, in the order of its first slot,
+    and its value written at its positions in a copy of the compiled slots.
 
     `memo` holds the records already built (fresh dicts when none is
     given), one dict per kind so that keys of two kinds never meet:
@@ -355,9 +358,11 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
     """
     component_memo, point_memo, incidence_memo, branch_memo = \
         memo or ({}, {}, {}, {})
-    exprs, constants, index, g, s = vectors._plan
-    pool = [e(binding) for e in exprs] + constants
-    slots = list(map(pool.__getitem__, index))      # GlCmp, Si, OD, LG
+    exprs, compiled, index, g, s = vectors._plan
+    values = [e(binding) for e in exprs]
+    slots = compiled.copy()                         # GlCmp, Si, OD, LG
+    for k, n in index:
+        slots[k] = values[n]
 
     if not g or g % 3 != 0:
         raise ConfigError("separator",
@@ -444,8 +449,7 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
         incidence = _stored(incidence_memo, key, Incidence.from_pairs(pairs))
 
     try:
-        return CurveConfig(components=tuple(components), points=tuple(points),
-                           nodes=od, incidence=incidence)
+        return CurveConfig(tuple(components), tuple(points), od, incidence)
     except ValueError as exc:
         raise ConfigError("config-invalid", str(exc)) from exc
 

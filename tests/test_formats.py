@@ -17,7 +17,8 @@ import pytest
 from conespec import formats, local
 from conespec.cli import ScanSpec, run_scan
 from conespec.engine import (ConeSpectrumTable, CurveConfig,
-                             GlobalComponent, ReducedConeConfig, curve_table)
+                             GlobalComponent, Incidence, ReducedConeConfig,
+                             curve_table)
 from conespec.formats import (MAX_DEPTH, ConfigError, config_template,
                               emit_table, looks_like_vectors, parse_expr,
                               parse_native, parse_singular, parse_vector_text)
@@ -674,6 +675,50 @@ def test_raising_slot_raises_at_every_binding():
         run_scan(spec, io.StringIO())
     assert str(err.value) == \
         "[div-zero] at grid point (a=2): division by zero in template"
+
+
+def shared_slots_config(c):
+    """The config of `SHARED_SLOTS` at `c`, built from its records."""
+    return CurveConfig(
+        (GlobalComponent(1, c), GlobalComponent(c + 1, 1)),
+        (SingularPoint((1, 1), [LocalBranch(1, c)] + [LocalBranch(1, 1)] * 2),
+         SingularPoint((1, 1), [LocalBranch(1, c + 1), LocalBranch(1, 1)])),
+        c, Incidence(((c, 1),)))
+
+
+# `c` fills a slot of each vector (LG's as `-c`), and `c+1` two slots of
+# two vectors
+SHARED_SLOTS = "GlCmp=-1,1,c, -1,c+1,1; Si=-1,3,c, -1,2, c+1; OD=c; LG=-c,1;"
+
+
+def test_variable_slots_fill_every_position_of_a_copy():
+    """Each distinct variable slot text is one `Expr`, listed at each of
+    its positions; at every binding, a fresh one or a repeat, each position
+    takes its value, each name is read once per distinct text, and the
+    compiled slots are left as they were."""
+    vectors = parse_vector_text(SHARED_SLOTS)
+    exprs, compiled, index, _, _ = vectors._plan
+    before = list(compiled)
+    assert len(exprs) == 3
+    assert index == ((2, 0), (4, 1), (8, 0), (11, 1), (12, 0), (13, 2))
+    template = config_template(SHARED_SLOTS)
+    for c in (2, 5, 2):
+        binding = CountingBinding(dict(c=c))
+        assert template(binding) == shared_slots_config(c)
+        assert binding.reads == {"c": 3}
+        assert parse_singular(vectors, dict(c=c)) == shared_slots_config(c)
+    assert compiled == before
+    assert all(a is b for a, b in zip(compiled, before))
+
+
+def test_literal_slots_build_equal_configs_at_any_binding():
+    """A text whose slots name no parameter has no `Expr` to evaluate, and
+    builds one config at every binding."""
+    vectors = parse_vector_text("GlCmp=-1,1,2, -1,3,1; Si=-1,3,2, -1,2,3;"
+                                " OD=2; LG=-2,1;")
+    assert vectors._plan[0] == vectors._plan[2] == ()
+    assert parse_singular(vectors, {}) == \
+        parse_singular(vectors, dict(c=7)) == shared_slots_config(2)
 
 
 @pytest.mark.parametrize("binding, name", [

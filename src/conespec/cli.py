@@ -24,11 +24,11 @@ from types import SimpleNamespace
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
-                     _power_row, _spectrum_table, curve_table,
+                     _power_blocks, _spectrum_table, curve_table,
                      ordinary_middle_row, reduced_cone_spectrum, scan_values)
 from .formats import (ConfigError, _ascii_int, _lex_expr, config_template,
                       emit_table)
-from .spectrum import render_row
+from .spectrum import render_blocks
 
 OK, MISMATCH, INPUT_ERROR = 0, 1, 2
 
@@ -149,10 +149,11 @@ def cmd_reduced(args) -> int:
     base = reduced_cone_spectrum(cfg)
     print(base.render() or "(empty)")
     if cfg.power > 1:
-        # never "(empty)": the base has no exponent n + 1, so the cells at
-        # i = d', p = n hold the correction (-1)^n alone, m - 1 >= 1 of them
-        row = _power_row(base, cfg)
-        print(f"power m={cfg.power}: {render_row(row, cfg.power * cfg.degree)}")
+        # written from the blocks, with no dense row; never "(empty)": the
+        # base has no exponent n + 1, so block n's last value is the
+        # correction (-1)^n alone, and it is written m - 1 >= 1 times
+        blocks = _power_blocks(base, cfg)
+        print(f"power m={cfg.power}: {render_blocks(blocks, cfg.power)}")
     if cfg.ambient_dim == 2:
         sys.stdout.write(emit_table(_spectrum_table(cfg, base), "rows"))
     return OK

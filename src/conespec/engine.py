@@ -8,7 +8,8 @@ The entry points, and the function that owns each route:
   `_column`;
 * `ordinary_middle_row`: the incidence middle row, read off a table;
 * `reduced_cone_spectrum` and its power transform `thickened_spectrum`,
-  whose dense row `_power_row` fills;
+  whose cells `_power_blocks` owns and whose dense row `_power_row`
+  expands from them;
 * `local_data_table`: an n = 2 spectrum as a table (`_spectrum_table`).
 
 Both routes compute in integers over one denominator: the curve route over
@@ -510,7 +511,7 @@ def reduced_cone_spectrum(cfg: ReducedConeConfig) -> SpectrumVector:
 
 def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> SpectrumVector:
     """Transform the reduced-cone spectrum into the spectrum of the m-th
-    power cone (`_power_row`): the nonzero ints of the power row, in
+    power cone: the nonzero ints of the dense power row (`_power_row`), in
     increasing k, are a canonical table, handed to the vector as
     `Numerators`. `base` must live in n + 1 variables."""
     row = _power_row(base, cfg)
@@ -519,35 +520,33 @@ def thickened_spectrum(base: SpectrumVector, cfg: ReducedConeConfig) -> Spectrum
                           denominator=cfg.power * cfg.degree)
 
 
-def _power_row(base: SpectrumVector, cfg: ReducedConeConfig) -> list[int]:
-    """The m-th power cone's spectrum as a dense row over the 1/(m d') grid,
-    row[k] the value at k/(m d'): each cell i/d' + p of the reduced-cone
-    spectrum `base` spreads over i/(m d') + l/m + p for l in [0, m-1],
-    with a (-1)^n correction on the cells at i = d', p = n, l != m-1. The
-    cell i = d', p = n, l = m-1 is the support boundary n+1 and is dropped.
-
-    The cell (i, l, p) is k = i + l*d' + p*m*d'; these k are pairwise
-    distinct, so no two cells meet, and each (i, p) cell fills its
-    l-progression with one strided slice. `cmd_reduced` writes the row as
-    it is (`spectrum.render_row`), `oracle.verify` checks it as it is, and
-    `thickened_spectrum` makes it a vector."""
-    m = cfg.power
+def _power_blocks(base: SpectrumVector, cfg: ReducedConeConfig) -> list[list[int]]:
+    """The m-th power cone's spectrum in n + 1 blocks of d' values, the one
+    owner of the power transform's cells: block p holds `base` at i/d' + p
+    for i in [1, d'], block n's last value plus (-1)^n. Each cell i/d' + p
+    spreads over k = i + l*d' + p*m*d' on the 1/(m d') grid, l in [0, m-1],
+    so the blocks stand for a row of cell 0, then each block repeated m
+    times, less the last cell, the support boundary n + 1 (`_power_row`)."""
     n = cfg.ambient_dim
     dp = cfg.degree
     if base.ambient_dim != n + 1:
         raise ValueError(f"base must live in {n + 1} variables, not {base.ambient_dim}")
-    correction = (-1) ** n
     grid = base.numerators(dp)      # i + p*d' -> value, on the 1/d' grid
-    row = [0] * ((n + 1) * m * dp)
-    for p in range(n + 1):
-        for i in range(1, dp + 1):
-            v = grid.get(i + p * dp, 0)
-            spread = m
-            if i == dp and p == n:      # l = m - 1 is the boundary n + 1
-                spread, v = m - 1, v + correction
-            if v:
-                start = i + p * m * dp
-                row[start:start + spread * dp:dp] = [v] * spread
+    blocks = [[grid.get(k, 0) for k in range(p * dp + 1, (p + 1) * dp + 1)]
+              for p in range(n + 1)]
+    blocks[n][-1] += (-1) ** n
+    return blocks
+
+
+def _power_row(base: SpectrumVector, cfg: ReducedConeConfig) -> list[int]:
+    """The m-th power cone's spectrum as a dense row over the 1/(m d') grid,
+    row[k] the value at k/(m d'): `_power_blocks` expanded. `oracle.verify`
+    checks it as it is, and `thickened_spectrum` makes it a vector."""
+    m = cfg.power
+    row = [0]
+    for block in _power_blocks(base, cfg):
+        row += block * m
+    row.pop()       # k = (n+1) m d', the support boundary n + 1
     return row
 
 

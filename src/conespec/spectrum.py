@@ -6,13 +6,13 @@ over their least common denominator and its multiplicities as (possibly
 negative) ints; it stores no zero entry, so equality is structural. This
 module alone converts between those integers and `fractions.Fraction`
 exponents, which appear only in the constructor's exponent form. The
-writers, `exponent_texts` and `render_row`, work on the integers.
+writers, `exponent_texts` and `render_blocks`, work on the integers.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress, count, cycle
+from itertools import compress, count
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:       # annotations only: no `collections` at run time
@@ -49,12 +49,13 @@ def _tails(den: int, residues: Collection[int] | None = None) -> tuple[
     residue r in range(den): k/den with k mod den == r is k // g over
     q = den // g in lowest terms, where g = gs[r] = gcd(r, den), and
     qs[r] = "/q", or "" when q == 1. The one place of the lowest-terms
-    rule, which both writers read. The lists are laid by a divisor sieve:
-    the divisors t of den (trial division up to isqrt(den)) are taken in
-    ascending order, each writing t and "/(den // t)" at every t-th place,
-    so the largest divisor of r is written last; that is sigma(den) element
-    writes at C speed and no gcd. Given `residues` (few entries over a huge
-    den), gs and qs are dicts over those residues alone, one gcd each."""
+    rule, which both writers (`exponent_texts`, `render_blocks`) read. The
+    lists are laid by a divisor sieve: the divisors t of den (trial
+    division up to isqrt(den)) are taken in ascending order, each writing
+    t and "/(den // t)" at every t-th place, so the largest divisor of r
+    is written last; that is sigma(den) element writes at C speed and no
+    gcd. Given `residues` (few entries over a huge den), gs and qs are
+    dicts over those residues alone, one gcd each."""
     if residues is not None:
         gs = {r: math.gcd(r, den) for r in residues}
         return gs, {r: "" if g == den else f"/{den // g}"
@@ -85,18 +86,25 @@ def exponent_texts(nums: Sequence[int], den: int,
             for r in (k % den,)]
 
 
-def render_row(row: Sequence[int], den: int) -> str:
-    """The `render` text of the vector whose value at k/den is row[k]:
-    "k/den:v" for every nonzero row[k], in increasing k, written straight
-    from the dense row. The two flat lists of the residue table (`_tails`)
-    are walked alongside the row, each a `cycle` that laps once per den
-    cells, and `compress` keeps the nonzero cells, so no entry takes
-    k % den; and no gcd over the whole row is needed, since each entry is
-    reduced on its own, so the text is the same over den as over the
-    vector's least denominator."""
+def render_blocks(blocks: Sequence[Sequence[int]], m: int) -> str:
+    """The `render` text of the row that power blocks stand for (see
+    `engine._power_blocks`), over den = m * len(block). Block p fills cells
+    k = p*den + 1 + j, j in [0, den), at residue (1 + j) % den whatever p
+    is, so the residue table (`_tails`) shifted by one cell serves every
+    block; each block's ":v" texts are formatted once and repeated m times,
+    and `compress` keeps the nonzero cells."""
+    den = m * len(blocks[0])
     gs, qs = _tails(den)
-    cells = compress(zip(count(), row, cycle(gs), cycle(qs)), row)
-    return ", ".join([f"{k // g}{q}:{v}" for k, v, g, q in cells])
+    gs, qs = gs[1:] + gs[:1], qs[1:] + qs[:1]
+    entries = []
+    for p, block in enumerate(blocks):
+        keep = block * m
+        if p == len(blocks) - 1:
+            keep[-1] = 0        # the support boundary
+        texts = [f":{v}" for v in block] * m
+        cells = compress(zip(count(p * den + 1), gs, qs, texts), keep)
+        entries += [f"{k // g}{q}{t}" for k, g, q, t in cells]
+    return ", ".join(entries)
 
 
 class Numerators(dict):

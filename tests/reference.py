@@ -12,6 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, cycle
 from typing import Sequence, Union
 
 from conespec.engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
@@ -20,7 +21,7 @@ from conespec.formats import ConfigError, _quote
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             window_count)
 from conespec.oracle import ReferenceState
-from conespec.spectrum import SpectrumVector
+from conespec.spectrum import SpectrumVector, _tails
 
 
 class FractionSpectrum:
@@ -93,6 +94,18 @@ def fraction_render(spec: SpectrumVector) -> str:
     """`SpectrumVector.render` as first written: one `Fraction` per entry,
     through `fraction_items`."""
     return ", ".join(f"{e}:{m}" for e, m in fraction_items(spec))
+
+
+def render_row(row: Sequence[int], den: int) -> str:
+    """The `render` text of the vector whose value at k/den is row[k]:
+    "k/den:v" for every nonzero row[k], in increasing k, one formatted
+    value per entry; the dense reference that `spectrum.render_blocks` is
+    tested against. The two flat lists of the residue table (`_tails`) are
+    walked alongside the row, each a `cycle` that laps once per den cells,
+    and `compress` keeps the nonzero cells."""
+    gs, qs = _tails(den)
+    cells = compress(zip(count(), row, cycle(gs), cycle(qs)), row)
+    return ", ".join([f"{k // g}{q}:{v}" for k, v, g, q in cells])
 
 
 def empty_spectrum(ambient_dim: int) -> SpectrumVector:

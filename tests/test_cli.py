@@ -164,13 +164,14 @@ POWER_ROUTES = [("reduced", "conic-squared", 4),
                          ids=[f"{c}-{n}" for c, n, _ in POWER_ROUTES])
 def test_reduced_builds_no_power_vector(capsys, monkeypatch, command, name,
                                         power_den):
-    """``reduced`` writes its power line from the power row, and ``verify``
-    checks the power transform on it: once the base spectrum is built, no
-    `SpectrumVector` is built on the power grid and none is rendered but
-    the base, and `thickened_spectrum` is never called. A curve's base comes
-    from `oracle`; its cusp spectrum, also over 6, is built before it. The
-    table of `table-spectrum-agreement` is a vector over d', which is
-    allowed."""
+    """``reduced`` writes its power line from the power blocks, and
+    ``verify`` checks the power transform on the dense row they stand for:
+    once the base spectrum is built, no `SpectrumVector` is built on the
+    power grid and none is rendered but the base, `thickened_spectrum` is
+    never called, and ``reduced`` never expands the row (`_power_row`). A
+    curve's base comes from `oracle`; its cusp spectrum, also over 6, is
+    built before it. The table of `table-spectrum-agreement` is a vector
+    over d', which is allowed."""
     built = []
 
     def base_once(cfg):
@@ -178,7 +179,7 @@ def test_reduced_builds_no_power_vector(capsys, monkeypatch, command, name,
         return built[-1]
 
     def refused(*args, **kwargs):
-        raise AssertionError(f"{command} built a power vector")
+        raise AssertionError(f"{command} built a power vector or row")
 
     init, render = SpectrumVector.__init__, SpectrumVector.render
 
@@ -197,6 +198,8 @@ def test_reduced_builds_no_power_vector(capsys, monkeypatch, command, name,
     for module in (conespec.cli, conespec.engine, conespec.oracle):
         monkeypatch.setattr(module, "thickened_spectrum", refused,
                             raising=False)
+        if command == "reduced":
+            monkeypatch.setattr(module, "_power_row", refused, raising=False)
     monkeypatch.setattr(SpectrumVector, "__init__", guarded_init)
     monkeypatch.setattr(SpectrumVector, "render", guarded_render)
     code, out, _ = run(capsys, command, FIXTURES / f"{name}.cfg")

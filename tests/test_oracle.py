@@ -608,16 +608,17 @@ def test_smooth_coeffs_check_is_evidence(monkeypatch, mutant):
 
 
 # mutant -> (module, name, replacement) of the patch that makes it: the
-# power row `verify` checks, where `oracle` looks it up
+# power row `verify` checks, where `oracle` looks it up; each keeps the
+# row's length, so the check must read its values
 POWER_MUTANTS = {
     "spread-one-short": lambda: (
         conespec.oracle, "_power_row",
-        _shifted(conespec.engine._power_row, "spread = m\n",
-                 "spread = m - 1\n")),
+        _shifted(conespec.engine._power_row, "row += block * m",
+                 "row += block * (m - 1) + [0] * len(block)")),
     "start-one-late": lambda: (
         conespec.oracle, "_power_row",
-        _shifted(conespec.engine._power_row, "start = i + p * m * dp",
-                 "start = i + 1 + p * m * dp")),
+        _shifted(conespec.engine._power_row, "row += block * m",
+                 "row += [0] + (block * m)[:-1]")),
 }
 
 
@@ -629,10 +630,10 @@ def _verify_lines(capsys, path):
 @pytest.mark.parametrize("mutant", sorted(POWER_MUTANTS))
 def test_thickening_agreement_is_evidence(monkeypatch, capsys, tmp_path,
                                           mutant):
-    """A power row whose spread is one cell short, or whose start is one
-    cell late, fails ``thickening-agreement`` and only that check, and
-    ``conespec verify`` exits 1, on the doubled cusp and on a conic pencil
-    taken six times."""
+    """A power row in which every cell spreads one copy short, or every
+    block starts one cell late, fails ``thickening-agreement`` and only
+    that check, and ``conespec verify`` exits 1, on the doubled cusp and on
+    a conic pencil taken six times."""
     fat = tmp_path / "fat.cfg"
     fat.write_text(emit_native(thicken(pencil_config(2, 3, 1), 6)))
     paths = (FIXTURES / "doubled-cuspidal-cubic.cfg", fat)
@@ -666,10 +667,7 @@ def test_thickening_rows_agree_with_vectors(monkeypatch):
             for variant, row in rows.items():
                 for module in (conespec.engine, conespec.oracle):
                     monkeypatch.setattr(module, "_power_row", row)
-                try:
-                    want = thickened_spectrum(base, cone) == table.as_spectrum()
-                except ValueError:      # a late start runs off the row
-                    continue
+                want = thickened_spectrum(base, cone) == table.as_spectrum()
                 check, = (c for c in verify(fat).checks
                           if c.name == "thickening-agreement")
                 assert check.passed == want, (name, m, variant)

@@ -7,19 +7,19 @@ from fractions import Fraction
 import pytest
 
 from conespec import formats, spectrum
-from conespec.engine import (ConeSpectrumTable, ReducedConeConfig, _power_row,
-                             curve_table, reduced_cone_spectrum,
+from conespec.engine import (ConeSpectrumTable, ReducedConeConfig,
+                             _power_blocks, _power_row, curve_table, reduced_cone_spectrum,
                              smooth_cone_coeffs, thickened_spectrum)
 from conespec.local import (LocalBranch, SingularPoint, WeightSystem,
                             quotient_coeffs, weighted_spectrum, window_count)
 from conespec.oracle import as_reduced_cone
 from conespec.spectrum import (Numerators, SpectrumVector, exponent_texts,
-                               render_row)
+                               render_blocks)
 from generators import (random_mixed_swh_config, random_reduced_swh_config,
                         random_swh_point)
 from reference import (FractionSpectrum, add, empty_spectrum, fraction_items,
                        fraction_render, max_exponent, min_exponent,
-                       multiplicity, product)
+                       multiplicity, product, render_row)
 
 F = Fraction
 
@@ -548,13 +548,13 @@ def _names(code: types.CodeType) -> set[str]:
 def test_writers_stay_integer():
     """Every writer prints exponents through the one residue table
     (`_tails`), which owns the lowest-terms rule: `render` and `emit_table`
-    through the list writer `exponent_texts`, the list writer and the row
-    writer `render_row` by reading the table. None of them builds a
-    `Fraction` or takes a gcd; the table alone does."""
+    through the list writer `exponent_texts`, the list writer and the power
+    line's writer `render_blocks` by reading the table. None of them builds
+    a `Fraction` or takes a gcd; the table alone does."""
     for writer, through in ((SpectrumVector.render, "exponent_texts"),
                             (formats.emit_table, "exponent_texts"),
                             (exponent_texts, "_tails"),
-                            (render_row, "_tails")):
+                            (render_blocks, "_tails")):
         names = _names(writer.__code__)
         assert "Fraction" not in names
         assert "gcd" not in names
@@ -577,13 +577,14 @@ def test_residue_table_is_the_gcd_table():
 
 
 def test_row_writer_matches_the_power_vector():
-    """`render_row` on the power row writes what the vector built from that
-    row renders, and what one `Fraction` per entry writes: random bases on
-    the 1/d' grid at n = 1..4, d' <= 12, powers 2..60, values of both signs
-    (the boundary cell n + 1 among them, which meets the correction), and
-    the empty base of d' = 1, whose row holds the correction cells alone;
-    and at n = 1..3 on the dens d' * m = 5040, 2**12 and 1760, above the
-    random ones' 720."""
+    """`render_blocks` on the power blocks writes what the dense reference
+    `render_row` writes from the power row they stand for, what the vector
+    built from that row renders, and what one `Fraction` per entry writes:
+    random bases on the 1/d' grid at n = 1..4, d' <= 12, powers 2..60,
+    values of both signs (the boundary cell n + 1 among them, which meets
+    the correction), and the empty base of d' = 1, whose row holds the
+    correction cells alone; at n = 1..3 on the dens d' * m = 5040, 2**12
+    and 1760, above the random ones' 720; and at m = 1 and at d' = 1."""
     rng = random.Random(4040)
     cases = [(reduced_cone_spectrum(cfg), cfg)
              for cfg in (ReducedConeConfig(n, 1, (), power=m)
@@ -605,15 +606,19 @@ def test_row_writer_matches_the_power_vector():
                                  rng.randint(2, 60)))
     cases += [random_case(n, dp, m) for n in (1, 2, 3)
               for dp, m in ((12, 420), (8, 512), (11, 160))]
+    cases += [random_case(n, dp, m) for n in range(1, 5)
+              for dp, m in ((1, 1), (7, 1), (12, 1), (1, 2), (1, 45))
+              for _ in range(3)]
     negative = 0
     for base, cfg in cases:
         row = _power_row(base, cfg)
         power = thickened_spectrum(base, cfg)
-        text = render_row(row, cfg.power * cfg.degree)
+        text = render_blocks(_power_blocks(base, cfg), cfg.power)
+        assert text == render_row(row, cfg.power * cfg.degree), (base, cfg)
         assert text == power.render() == fraction_render(power), (base, cfg)
         negative += any(v < 0 for v in row)
     assert negative > 100
-    assert render_row([0, 0, 0], 3) == ""
+    assert render_blocks([[0, 0, 0]], 1) == render_row([0, 0, 0], 3) == ""
 
 
 def test_render_matches_fraction_transcription():

@@ -90,6 +90,10 @@ Cases (``CASES``):
   25;
 * ``weighted-compute``: ``compute`` of the three curves of
   ``weighted-oracle``;
+* ``weighted-reduced``: the three ``reduced`` runs of the benchmark's
+  ``weighted-reduced`` cycle: the n = 3 inputs of ``reduced`` and of
+  ``weighted-verify`` (d' = 40 at powers 45 and 46) and the n = 2 view of
+  ``weighted-verify`` (d' = 24 at power 25);
 * ``weighted-scan``: the two scans of the benchmark's ``weighted-reduced``
   cycle, each over m = 20..22 of a native template in which every
   multiplicity is m: one on the reduced curve of ``weighted-oracle``, one
@@ -237,6 +241,8 @@ CASES = {
                         ["verify", "{weighted_view}"]],
     "weighted-compute": [["compute", "{weighted}"], ["compute", "{thickened}"],
                          ["compute", "{mixed}"]],
+    "weighted-reduced": [["reduced", "{reduced}"], ["reduced", "{brieskorn}"],
+                         ["reduced", "{weighted_view}"]],
     "weighted-scan": [["scan", "{weighted_template}", "--range", "m=20..22"],
                       ["scan", "{thickened_template}", "--range", "m=20..22"]],
     "tiny": [_five_lines(2)],

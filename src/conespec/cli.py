@@ -27,7 +27,7 @@ from .engine import (ConeSpectrumTable, CurveConfig, ReducedConeConfig,
                      _power_blocks, _spectrum_table, curve_table,
                      ordinary_middle_row, reduced_cone_spectrum, scan_values)
 from .formats import (ConfigError, _ascii_int, _lex_expr, config_template,
-                      emit_table)
+                      emit_table, scan_template)
 from .spectrum import render_blocks
 
 OK, MISMATCH, INPUT_ERROR = 0, 1, 2
@@ -194,11 +194,16 @@ def run_scan(spec: ScanSpec, out) -> int:
     n[3/d] and chi(U) from `scan_values`, which computes one cell and not
     the table, so a point's cost does not grow with d; the points share
     their lattice rows through one mapping that lives for this call only.
-    A point is its values set in the one binding of the scan, the template
-    evaluated at it, one `scan_values` call and one CSV row written by one
-    ``%`` over the scan's row template of ``%s`` fields: a name is one name
-    token, a flag a predicate name and every other field an int or
-    ``n/a``, so no field needs CSV quoting. The predicates are read off
+    A point is its values set in the one binding of the scan, the curve's
+    `CurveConfig._derived` tuple at it (`formats.scan_template`), one
+    `scan_values` call and one CSV row written by one ``%`` over the scan's
+    row template of ``%s`` fields: a name is one name token, a flag a
+    predicate name and every other field an int or ``n/a``, so no field
+    needs CSV quoting. A vector template reads that tuple off its point
+    plan, compiled before the first point, and builds no config; it builds
+    one, as ``compute`` does, only at a point whose values the plan
+    declines, so that point's row or error is the built config's. A native
+    template builds a config at every point. The predicates are read off
     n[3/d] and chi(U) directly: a point whose n[3/d] is ``n/a`` while
     ``n3d_zero`` is asked for is kept with the flags ``n/a``, any other
     point only when every predicate holds, flagged with them all. An input
@@ -227,7 +232,7 @@ def run_scan(spec: ScanSpec, out) -> int:
         raise ConfigError("grid-too-large",
                           f"grid has {size} points, cap is {spec.cap}")
 
-    template = config_template(spec.template)
+    derived_at = scan_template(spec.template)
     row = "%s," * (len(names) + 4) + "%s\n"
     out.write(row % (*names, "d", "dprime", "n_3_over_d", "chi_u", "flags"))
     zero, nonzero = "n3d_zero" in predicates, "chi_nonzero" in predicates
@@ -237,11 +242,7 @@ def run_scan(spec: ScanSpec, out) -> int:
     for combo in itertools.product(*spans):
         binding.update(zip(names, combo))
         try:
-            cfg = template(binding)
-            if not isinstance(cfg, CurveConfig):
-                raise ConfigError("mode-conflict",
-                                  "scan templates must describe curve configs")
-            d, dprime, n3d, chi_u = scan_values(cfg, lattice)
+            d, dprime, n3d, chi_u = scan_values(derived_at(binding), lattice)
         except ConfigError as exc:
             exc_point = ", ".join(f"{n}={v}" for n, v in zip(names, combo))
             raise ConfigError(exc.code,

@@ -107,11 +107,10 @@ class CurveConfig(Record):
     optional and only needed for the incidence-based middle row and the
     global/local intersection check.
 
-    The constructor walks the components and the points once into
-    `_derived`, no field: (d, d', terms, points, chi(U)), with terms the
-    component (multiplicity, degree) pairs summed per multiplicity, sorted,
-    and points each distinct `SingularPoint._key` with its count, in the
-    order first seen.
+    The constructor derives `_derived`, no field, from its components,
+    points and nodes (`_derive`). ``scan`` reads that tuple off a vector
+    template's point plan instead, and builds no config, wherever the plan
+    takes the grid point (`formats.scan_template`).
     """
 
     __slots__ = ("components", "points", "nodes", "incidence", "_derived")
@@ -139,21 +138,13 @@ class CurveConfig(Record):
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "incidence", incidence)
-        d = dprime = 0
         totals: dict[int, int] = {}
         for c in components:
-            degree, mult = c.degree, c.multiplicity
-            d += degree * mult
-            dprime += degree
-            totals[mult] = totals.get(mult, 0) + degree
-        milnor, counts = nodes, {}
+            totals[c.multiplicity] = totals.get(c.multiplicity, 0) + c.degree
+        counts: dict[tuple, int] = {}
         for p in points:
-            key = p._key
-            counts[key] = counts.get(key, 0) + 1
-            milnor += key[4]
-        object.__setattr__(self, "_derived", (
-            d, dprime, tuple(sorted(totals.items())), tuple(counts.items()),
-            _chi_complement(dprime, milnor)))
+            counts[p._key] = counts.get(p._key, 0) + 1
+        object.__setattr__(self, "_derived", _derive(totals, counts, nodes))
 
     @property
     def degree(self) -> int:
@@ -350,24 +341,24 @@ def _period_rows(cfg: CurveConfig) -> tuple[list[int], list]:
     return twist, points
 
 
-def _column(cfg: CurveConfig, i: int, lattice: dict) -> int:
+def _column(derived: tuple, i: int, lattice: dict) -> int:
     """Row 0 on the one column i in [1, d], by a scalar body that costs
     least per call (``scan``); row 2 and row 1 come only from `_table`.
 
     d, d', the component terms and the counted point keys come from
-    `CurveConfig._derived`, and each key holds its point's terms, d_j and
-    mass (`SingularPoint._key`), so no component, point or branch record is
-    read. A call walks the component terms, one per distinct component
-    multiplicity, and the distinct point keys: per key one lookup of its
-    lattice row and one term per distinct branch multiplicity. So its cost
-    does not grow with d, past building each distinct lattice row once, in
-    O(d_j). Equal keys share one `lattice_row(w, w', d_j - 1)`: the ceiling
-    of a point's residue degree lies in [1, d_j], so every count its columns
-    use has a bound in [0, d_j - 1] (on ordinary points d_j is the branch
-    count). The rows are looked up by (w, w', d_j - 1) in `lattice`, which
-    the callers sharing it fill, so that each distinct row is built once for
-    them all."""
-    d, _, comps, keys, _ = cfg._derived
+    `derived`, a `CurveConfig._derived` tuple, and each key holds its
+    point's terms, d_j and mass (`SingularPoint._key`), so no component,
+    point or branch record is read. A call walks the component terms, one
+    per distinct component multiplicity, and the distinct point keys: per
+    key one lookup of its lattice row and one term per distinct branch
+    multiplicity. So its cost does not grow with d, past building each
+    distinct lattice row once, in O(d_j). Equal keys share one
+    `lattice_row(w, w', d_j - 1)`: the ceiling of a point's residue degree
+    lies in [1, d_j], so every count its columns use has a bound in
+    [0, d_j - 1] (on ordinary points d_j is the branch count). The rows are
+    looked up by (w, w', d_j - 1) in `lattice`, which the callers sharing
+    it fill, so that each distinct row is built once for them all."""
+    d, _, comps, keys, _ = derived
     twist = i - _shift(comps, i, d)
     r0 = (twist - 1) * (twist - 2) // 2             # binom2(twist - 1)
     for ((w, wp), terms, dj, mass, _), k in keys:
@@ -377,6 +368,25 @@ def _column(cfg: CurveConfig, i: int, lattice: dict) -> int:
         # ceiling of the residue degree i*mass/d - shift
         r0 -= k * row[-(-i * mass // d) - _shift(terms, i, d) - 1]
     return r0
+
+
+def _derive(totals: dict, counts: dict, nodes: int) -> tuple:
+    """What `CurveConfig._derived` holds, (d, d', terms, points, chi(U)),
+    from `totals`, each component multiplicity's summed degree, `counts`,
+    each distinct `SingularPoint._key`'s point count in the order first
+    seen, and the node count: terms are the (multiplicity, degree) items of
+    `totals`, sorted, and points the items of `counts`. A config sums its
+    records into them, and a point plan its groups with their repeat counts
+    (`formats.scan_template`)."""
+    d = dprime = 0
+    for mult, degree in totals.items():
+        d += degree * mult
+        dprime += degree
+    milnor = nodes
+    for key, count in counts.items():
+        milnor += count * key[4]
+    return (d, dprime, tuple(sorted(totals.items())), tuple(counts.items()),
+            _chi_complement(dprime, milnor))
 
 
 def _chi_complement(dprime: int, milnor_total: int) -> int:
@@ -423,19 +433,20 @@ def _table(cfg: CurveConfig, period: tuple) -> ConeSpectrumTable:
     return ConeSpectrumTable(d, dp, chi, (row0, row1, row2))
 
 
-def scan_values(cfg: CurveConfig, lattice: dict
+def scan_values(derived: tuple, lattice: dict
                 ) -> tuple[int, int, int | None, int]:
     """(d, d', n[3/d], chi(U)) of a curve, with n[3/d] = None when d < 3:
-    what ``scan`` reports per grid point. d, d' and chi(U) are read off the
-    config; when d < 3, column 3 lies past d and no column is computed, and
-    otherwise n[3/d] is the one cell of one `_column` call, row 0 at column
-    3, whose docstring gives its cost. `lattice` is a mapping that the
-    points of one scan share, so that each lattice row is built once per
-    scan."""
-    d, dprime, _, _, chi = cfg._derived
+    what ``scan`` reports per grid point, read off `derived`, the curve's
+    `CurveConfig._derived` tuple, whether a config holds it or a vector
+    template's point plan computed it (`formats.scan_template`). When
+    d < 3, column 3 lies past d and no column is computed, and otherwise
+    n[3/d] is the one cell of one `_column` call, row 0 at column 3, whose
+    docstring gives its cost. `lattice` is a mapping that the points of one
+    scan share, so that each lattice row is built once per scan."""
+    d, dprime, _, _, chi = derived
     if d < 3:
         return d, dprime, None, chi
-    return d, dprime, _column(cfg, 3, lattice), chi
+    return d, dprime, _column(derived, 3, lattice), chi
 
 
 def ordinary_middle_row(cfg: CurveConfig,

@@ -5,7 +5,10 @@ line-oriented config format (`parse_native`) and the four-vector
 compatibility format ``GlCmp=...; Si=...; OD=...; LG=...``
 (`parse_vector_text`, `parse_singular`). Integer slots of both accept
 template expressions (`parse_expr`). A config text is compiled once, in
-time proportional to its tokens, into a function of the parameter binding.
+time proportional to its tokens, into a function of the parameter binding;
+``scan`` compiles it into a function that returns the curve's
+`CurveConfig._derived` tuple (`scan_template`), which a vector template
+reads off a point plan without building the config.
 Every input error is a `ConfigError` with a code. `emit_table` writes a
 table as ``rows`` or ``csv``.
 """
@@ -17,9 +20,9 @@ from itertools import chain, repeat
 
 from ._record import Record
 from .engine import (ConeSpectrumTable, CurveConfig, GlobalComponent,
-                     Incidence, ReducedConeConfig)
+                     Incidence, ReducedConeConfig, _derive)
 from .local import (BranchDegreeError, LocalBranch, SingularPoint,
-                    WeightSystem, weighted_spectrum)
+                    WeightSystem, _point_key, weighted_spectrum)
 from .spectrum import SpectrumVector, _positive, exponent_texts
 
 TYPE_CHECKING = False
@@ -242,7 +245,11 @@ class SingularVectors(Record):
     aggregated double points, incidence values. A slot is an int when it
     names no parameter, else an `Expr`; the derived `_plan` lists the
     distinct `Expr`s, the compiled slots and, for each slot that holds an
-    `Expr`, its (position, `Expr` number)."""
+    `Expr`, its (position, `Expr` number). `parse_singular` builds the
+    config at a binding; a ``scan`` reads each grid point's
+    `CurveConfig._derived` tuple off a point plan (`_point_plan`) instead,
+    compiled once per scan, and builds the config only at a point that the
+    plan declines (`scan_template`)."""
 
     __slots__ = ("glcmp", "si", "od", "lg", "_plan")
 
@@ -323,7 +330,8 @@ def _negated_count(vector: str, k: int, sep: int) -> None:
                           f"negated count, got {sep}")
 
 
-# records of one kind that a template keeps; one more empties them
+# records of one kind that a native template keeps, or point keys that a
+# point plan keeps; one more empties them
 MEMO_BOUND = 4096
 
 
@@ -334,93 +342,114 @@ def _stored(records: dict, key, built):
     return built
 
 
-def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
-                   memo: tuple[dict, dict, dict, dict] | None = None
-                   ) -> CurveConfig:
+# The walk of the four vectors: the groups that `parse_singular` reads, by
+# the positions of their slots, in order, lazily, so that each group is
+# checked before the walk goes on. A slot that holds an `Expr` takes the
+# role its position gives it: it opens its group as a separator and
+# continues a point's multiplicity list, so that the point plan
+# (`_point_plan`) walks the compiled slots once.
+
+def _separated(slots: list, vector: str, start: int, stop: int, width: int):
+    """The position of each group of `width` slots of `vector`,
+    slots[start:stop], that the walk reads: a separator below 0 or an
+    `Expr` opens one, 0 skips one, and one above 0 is refused."""
+    for k in range(start, stop, width):
+        sep = slots[k]
+        if callable(sep) or sep < 0:
+            yield k
+        else:
+            _negated_count(vector, k - start, sep)
+
+
+def _triples(slots: list, g: int):
+    """The (-count, degree, mult) triples of ``GlCmp``, slots[:g]."""
+    if not g or g % 3 != 0:
+        raise ConfigError("separator",
+                          "GlCmp must consist of (-count, degree, mult) triples")
+    return _separated(slots, "GlCmp", 0, g, 3)
+
+
+def _groups(slots: list, g: int, s: int):
+    """(k, end) of each point group of ``Si``, slots[g:s], that the walk
+    reads: its separator at k, its branch count at k + 1 and its
+    multiplicities, the positive slots after it, up to end; a separator of
+    0 skips its group, after its multiplicities."""
+    pos = g
+    while pos < s:
+        sep = slots[pos]
+        if not callable(sep) and sep >= 0:
+            _negated_count("Si", pos - g, sep)
+        if pos + 1 >= s:
+            raise ConfigError("separator", "Si ends before a branch count")
+        k, pos = pos, pos + 2
+        while pos < s and (callable(slots[pos]) or slots[pos] > 0):
+            pos += 1
+        if sep != 0:
+            yield k, pos
+
+
+def _pairs(slots: list, s: int):
+    """The (-count, value) pairs of ``LG``, slots[s + 1:]: none in the
+    single entry 0."""
+    if slots[s + 1:] == [0]:
+        return ()
+    if (len(slots) - s - 1) % 2 != 0:
+        raise ConfigError("separator",
+                          "LG must be (-count, value) pairs or the single "
+                          "entry 0")
+    return _separated(slots, "LG", s + 1, len(slots), 2)
+
+
+def _slots(vectors: SingularVectors, binding: Mapping[str, int]) -> list:
+    """The compiled slots of `vectors` at `binding`: each distinct `Expr`
+    evaluated once, in the order of its first slot, and its value written
+    at its positions in a copy."""
+    exprs, compiled, index, _, _ = vectors._plan
+    values = [e(binding) for e in exprs]
+    slots = compiled.copy()                         # GlCmp, Si, OD, LG
+    for k, n in index:
+        slots[k] = values[n]
+    return slots
+
+
+def parse_singular(vectors: SingularVectors,
+                   binding: Mapping[str, int]) -> CurveConfig:
     """Expand the four vectors into a curve configuration.
 
     Negative entries are group separators carrying repeat counts. Points in
     this dialect are always ordinary (weights (1,1), branch degrees 1); the
     point multiplicity lists may be shorter than the branch count and are
-    padded with 1. A separator is checked only when it is not negative, a
-    record of count 1 is appended once, and the `Si` walk reads values: a
-    multiplicity slot that evaluates to 0 or less ends its point's group.
-    Each distinct `Expr` is evaluated once, in the order of its first slot,
-    and its value written at its positions in a copy of the compiled slots.
-
-    `memo` holds the records already built (fresh dicts when none is
-    given), one dict per kind so that keys of two kinds never meet:
-    components by (degree, mult), points by (branch count, *mults), the
-    incidence by its pairs and branches by their multiplicity. A component
-    is checked by its constructor on a miss, every other check before the
-    lookup; a record is stored once its constructor has returned, and a
-    dict that holds `MEMO_BOUND` records is emptied first.
+    padded with 1. A separator is checked only when it is not negative, and
+    the `Si` walk reads values: a multiplicity slot that evaluates to 0 or
+    less ends its point's group. The slots are read at the binding
+    (`_slots`), and each group the walk reads is checked, then built, before
+    the walk goes on; a record a group repeats is built once.
     """
-    component_memo, point_memo, incidence_memo, branch_memo = \
-        memo or ({}, {}, {}, {})
-    exprs, compiled, index, g, s = vectors._plan
-    values = [e(binding) for e in exprs]
-    slots = compiled.copy()                         # GlCmp, Si, OD, LG
-    for k, n in index:
-        slots[k] = values[n]
-
-    if not g or g % 3 != 0:
-        raise ConfigError("separator",
-                          "GlCmp must consist of (-count, degree, mult) triples")
+    _, _, _, g, s = vectors._plan
+    slots = _slots(vectors, binding)
     components = []
-    for k in range(0, g, 3):
-        sep = slots[k]
-        if sep >= 0:
-            _negated_count("GlCmp", k, sep)
-            continue
-        degree, mult = slots[k + 1], slots[k + 2]
-        component = component_memo.get((degree, mult))
-        if component is None:
-            try:
-                component = GlobalComponent(degree, mult)
-            except ValueError as exc:
-                raise _coded("value-nonpositive", exc)
-            _stored(component_memo, (degree, mult), component)
-        if sep == -1:
-            components.append(component)
-        else:
-            components.extend([component] * -sep)
+    for k in _triples(slots, g):
+        try:
+            component = GlobalComponent(slots[k + 1], slots[k + 2])
+        except ValueError as exc:
+            raise _coded("value-nonpositive", exc)
+        components += [component] * -slots[k]
 
-    points = []
-    si = slots[g:s]
-    pos, end = 0, s - g
-    while pos < end:
-        sep = si[pos]
-        if sep >= 0:
-            _negated_count("Si", pos, sep)
-        if pos + 1 >= end:
-            raise ConfigError("separator", "Si ends before a branch count")
-        branch_count = si[pos + 1]
-        pos = start = pos + 2
-        while pos < end and si[pos] > 0:
-            pos += 1
-        if sep == 0:
-            continue
+    points, branches = [], {}           # a branch per multiplicity
+    for k, end in _groups(slots, g, s):
+        branch_count, listed = slots[k + 1], end - k - 2
         if branch_count < 1:
             raise ConfigError("value-nonpositive",
                               f"branch count must be positive, got {branch_count}")
-        if pos - start > branch_count:
+        if listed > branch_count:
             raise ConfigError("si-overflow",
-                              f"point lists {pos - start} multiplicities for "
+                              f"point lists {listed} multiplicities for "
                               f"{branch_count} branches")
-        key = tuple(si[start - 1:pos])              # (branch_count, *mults)
-        point = point_memo.get(key)
-        if point is None:
-            mults = si[start:pos] + [1] * (branch_count - (pos - start))
-            # a record is never false, so `or` builds only what is missing
-            branches = [branch_memo.get(m)
-                        or _stored(branch_memo, m, LocalBranch(1, m))
-                        for m in mults]
-            point = _stored(point_memo, key, SingularPoint((1, 1), branches))
-        if sep == -1:
-            points.append(point)
-        else:
-            points.extend([point] * -sep)
+        mults = slots[k + 2:end] + [1] * (branch_count - listed)
+        for m in set(mults).difference(branches):
+            branches[m] = LocalBranch(1, m)
+        points += [SingularPoint((1, 1), [branches[m] for m in mults])] \
+            * -slots[k]
 
     od = slots[s]
     if od < 0:
@@ -428,30 +457,94 @@ def parse_singular(vectors: SingularVectors, binding: Mapping[str, int],
                           f"aggregated double point count must be >= 0, got {od}")
 
     pairs = []
-    lg = slots[s + 1:]
-    if lg != [0]:
-        if len(lg) % 2 != 0:
-            raise ConfigError("separator",
-                              "LG must be (-count, value) pairs or the single "
-                              "entry 0")
-        for k in range(0, len(lg), 2):
-            sep, value = lg[k], lg[k + 1]
-            if sep >= 0:
-                _negated_count("LG", k, sep)
-                continue
-            if value < 1:
-                raise ConfigError("value-nonpositive",
-                                  f"incidence value must be positive, got {value}")
-            pairs.append((-sep, value))
-    key = tuple(pairs)
-    incidence = incidence_memo.get(key)
-    if incidence is None:
-        incidence = _stored(incidence_memo, key, Incidence.from_pairs(pairs))
+    for k in _pairs(slots, s):
+        value = slots[k + 1]
+        if value < 1:
+            raise ConfigError("value-nonpositive",
+                              f"incidence value must be positive, got {value}")
+        pairs.append((-slots[k], value))
+    incidence = Incidence.from_pairs(pairs)
 
     try:
         return CurveConfig(tuple(components), tuple(points), od, incidence)
     except ValueError as exc:
         raise ConfigError("config-invalid", str(exc)) from exc
+
+
+def _point_plan(vectors: SingularVectors):
+    """The point plan of a vector template: a function of the binding that
+    returns the `CurveConfig._derived` tuple of `parse_singular(vectors,
+    binding)`, with no record built, or None where it declines the binding;
+    its Exprs raise as `parse_singular`'s do.
+
+    The walk runs once, here, over the compiled slots, and the components
+    whose slots are all literal are summed here. At a binding the plan
+    checks each value the walk reads against the role of its slot: a
+    separator at most 0, and a group whose separator is 0 is skipped,
+    unchecked but for its multiplicities; a degree, multiplicity, branch
+    count (no less than its group's multiplicities) or incidence value at
+    least 1; ``OD`` at least 0. It declines where a value or a literal
+    breaks its role, or the walk of the compiled slots raises: there the
+    walk may take another path or raise, and `parse_singular` says which.
+    The plan keeps the point keys (`local._point_key`) it reads by
+    (branch count, *multiplicities), `MEMO_BOUND` at most."""
+    _, compiled, _, g, s = vectors._plan
+    keys: dict = {}
+
+    def key_of(head: tuple):
+        # the key of the point (branch count, *multiplicities), or None
+        key = keys.get(head)
+        if key is None and len(head) - 1 <= head[0] and min(head) > 0:
+            key = _stored(keys, head, _point_key(
+                (1, 1), [(1, m) for m in head[1:]]
+                + [(1, 1)] * (head[0] + 1 - len(head))))
+        return key
+
+    def add_degrees(slots: list, triples: list, totals: dict) -> bool:
+        # each triple's degree times its count added to its multiplicity's
+        # total; False off a role
+        for k in triples:
+            sep, degree, mult = slots[k:k + 3]
+            if sep < 0 and degree > 0 and mult > 0:
+                totals[mult] = totals.get(mult, 0) - sep * degree
+            elif sep:
+                return False
+        return True
+
+    try:
+        triples, groups, pairs = (list(_triples(compiled, g)),
+                                  list(_groups(compiled, g, s)),
+                                  list(_pairs(compiled, s)))
+    except ConfigError:
+        return lambda binding: None
+    variable = [k for k in triples if any(map(callable, compiled[k:k + 3]))]
+    literal: dict[int, int] = {}
+    if not add_degrees(compiled, [k for k in triples if k not in variable],
+                       literal):
+        return lambda binding: None
+
+    def plan(binding):
+        slots = _slots(vectors, binding)
+        totals = literal.copy()
+        if (not add_degrees(slots, variable, totals) or not totals
+                or slots[s] < 0):
+            return None
+        for k in pairs:
+            if slots[k] > 0 or slots[k] < 0 and slots[k + 1] < 1:
+                return None
+        counts: dict[tuple, int] = {}
+        for k, end in groups:
+            head = tuple(slots[k + 1:end])
+            sep = slots[k]
+            if sep < 0:
+                key = key_of(head)
+                if key is None:
+                    return None
+                counts[key] = counts.get(key, 0) - sep
+            elif sep or min(head[1:], default=1) < 1:
+                return None
+        return _derive(totals, counts, slots[s])
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -796,10 +889,10 @@ def parse_native(text: str) -> Template:
     compiled or evaluated, and that names no line of its own, gets N.
 
     The lines share one slot compiler (`_compile`) and one memo that keeps
-    records for every call, as `parse_singular`'s does: components and
-    branches by (degree, mult), points by (weights, branch pairs). A record
-    is stored once built, so a construction that raises does so at every
-    call; a line checks its branches, then its count, then its point.
+    records for every call: components and branches by (degree, mult),
+    points by (weights, branch pairs). A record is stored once built, so a
+    construction that raises does so at every call; a line checks its
+    branches, then its count, then its point.
     """
     compiled: dict[str, tuple[Expr, bool]] = {}
     memo = ({}, {}, {})                 # components, branches, points
@@ -914,20 +1007,42 @@ def emit_table(table: ConeSpectrumTable, mode: str = "rows") -> str:
 
 
 def looks_like_vectors(text: str) -> bool:
-    """Dialect sniff: vector text names ``GlCmp`` outside comments."""
-    return any("GlCmp" in line.partition("#")[0]
-               for line in text.splitlines())
+    """Dialect sniff: vector text names ``GlCmp`` outside comments; text
+    that holds no ``GlCmp`` at all is not split into lines."""
+    return "GlCmp" in text and any("GlCmp" in line.partition("#")[0]
+                                   for line in text.splitlines())
 
 
 def config_template(text: str) -> Template:
     """The config of `text` as a function of its parameter binding, in the
     dialect `looks_like_vectors` picks. Either dialect is parsed here, once;
-    each call only evaluates the compiled slots and builds the config. A
-    template of either dialect keeps one memo for all its calls, so a record
-    whose slot values recur is built once (`parse_singular`,
-    `parse_native`)."""
+    each call only evaluates the compiled slots and builds the config
+    (`parse_singular`, `parse_native`)."""
     if looks_like_vectors(text):
         vectors = parse_vector_text(text)
-        memo = ({}, {}, {}, {})
-        return lambda binding: parse_singular(vectors, binding, memo)
+        return lambda binding: parse_singular(vectors, binding)
     return parse_native(text)
+
+
+def scan_template(text: str) -> Callable[[Mapping[str, int]], tuple]:
+    """What ``scan`` reads at each grid point: the `CurveConfig._derived`
+    tuple of the curve config of `text`, as a function of its parameter
+    binding. Vector text is read off its point plan (`_point_plan`),
+    compiled here, once per scan, and built by `parse_singular` only at a
+    binding that the plan declines, so that binding's error is the one it
+    raises; native text builds its config at each binding, and a config
+    that is not a curve's is a mode-conflict error."""
+    if looks_like_vectors(text):
+        vectors = parse_vector_text(text)
+        plan = _point_plan(vectors)
+        return lambda binding: (plan(binding)
+                                or parse_singular(vectors, binding)._derived)
+    template = parse_native(text)
+
+    def derived(binding):
+        cfg = template(binding)
+        if not isinstance(cfg, CurveConfig):
+            raise ConfigError("mode-conflict",
+                              "scan templates must describe curve configs")
+        return cfg._derived
+    return derived

@@ -169,14 +169,36 @@ def milnor_number(w: int, wp: int, dj: int) -> int:
     return value
 
 
+def _point_key(weights: tuple[int, int], branches) -> tuple:
+    """`SingularPoint._key` of a point with coprime positive `weights` and
+    the (weighted degree, multiplicity) pairs `branches`, in one walk that
+    checks each degree against {w, w', w*w'} ({1} at (1, 1)), then the
+    Milnor number: (weights, terms, d_j, mass, mu), the pairs summed per
+    multiplicity, sorted, as terms, the sum of multiplicity * degree as
+    mass, and mu. ``scan`` reads the keys of a vector template's points off
+    this, with no record built."""
+    w, wp = weights
+    allowed = (1,) if w == wp == 1 else (w, wp, w * wp)
+    dj = mass = 0
+    totals: dict[int, int] = {}
+    for degree, mult in branches:
+        if degree not in allowed:
+            raise BranchDegreeError(
+                f"branch degrees must lie in {{w, w', w*w'}} = "
+                f"{{{', '.join(map(str, allowed))}}}")
+        dj += degree
+        mass += mult * degree
+        totals[mult] = totals.get(mult, 0) + degree
+    return weights, tuple(sorted(totals.items())), dj, mass, \
+        milnor_number(w, wp, dj)
+
+
 class SingularPoint(Record):
     """A singular point of the reduced curve: its local weights (ordinary
     points have (1, 1)) and its branches. Every built point is valid: the
-    constructor checks its weights, then in one walk of the branches each
-    degree against {w, w', w*w'} ({1} at (1, 1)), then its Milnor number.
-    The walk also derives `_key`, no field: (weights, terms, d_j, mass, mu),
-    the (multiplicity, weighted degree) pairs summed per multiplicity,
-    sorted, as terms, the sum of multiplicity * degree as mass, and mu."""
+    constructor checks its weights, then derives `_key`, no field, from its
+    branches (`_point_key`), which checks each branch degree and the Milnor
+    number."""
 
     __slots__ = ("weights", "branches", "_key")
 
@@ -185,29 +207,16 @@ class SingularPoint(Record):
         weights = tuple([_positive(w, "point weight") for w in weights])
         if len(weights) != 2:
             raise ValueError(f"point weights {weights} must be a pair")
-        w, wp = weights
-        if math.gcd(w, wp) != 1:
+        if math.gcd(*weights) != 1:
             raise ValueError(f"point weights {weights} must be coprime")
         branches = tuple(branches)
         if not branches:
             raise ValueError("a singular point needs at least one branch")
-        allowed = (1,) if w == wp == 1 else (w, wp, w * wp)
-        dj = mass = 0
-        totals: dict[int, int] = {}
-        for b in branches:
-            degree, mult = b.weighted_degree, b.multiplicity
-            if degree not in allowed:
-                raise BranchDegreeError(
-                    f"branch degrees must lie in {{w, w', w*w'}} = "
-                    f"{{{', '.join(map(str, allowed))}}}")
-            dj += degree
-            mass += mult * degree
-            totals[mult] = totals.get(mult, 0) + degree
-        mu = milnor_number(w, wp, dj)
+        # (weighted degree, multiplicity) of each branch
+        key = _point_key(weights, map(LocalBranch._get, branches))
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "branches", branches)
-        terms = tuple(sorted(totals.items()))
-        object.__setattr__(self, "_key", (weights, terms, dj, mass, mu))
+        object.__setattr__(self, "_key", key)
 
     @property
     def weighted_degree(self) -> int:

@@ -7,11 +7,14 @@ import pytest
 
 import conespec.cli
 import conespec.engine
+import conespec.formats
 import conespec.oracle
 from conespec.cli import (DEFAULT_CAP, ScanSpec, _parse_params, _parse_ranges,
                           main, run_scan)
-from conespec.engine import curve_table, reduced_cone_spectrum
+from conespec.engine import (CurveConfig, GlobalComponent, curve_table,
+                             reduced_cone_spectrum)
 from conespec.formats import ConfigError
+from conespec.local import LocalBranch, SingularPoint
 from conespec.spectrum import SpectrumVector
 from test_oracle import floor_rows_built, load
 
@@ -206,6 +209,51 @@ def test_reduced_builds_no_power_vector(capsys, monkeypatch, command, name,
     assert code == 0
     assert len(built) == 1
     assert out == (GOLDEN / f"{name}.{command}").read_text()
+
+
+FIVE_LINES_SCAN = ["scan", FIXTURES / "five-lines.vectors", "--range",
+                   "a=1..30", "--range", "b=1..30", "--param", "c=1"]
+
+
+def test_scan_reads_points_off_the_plan(capsys, monkeypatch):
+    """The 30x30 ``five-lines`` scan reads every grid point off the point
+    plan of its vector template: no `CurveConfig`, `SingularPoint`,
+    `LocalBranch` or `GlobalComponent` is constructed, and the rows are
+    the ones each built config gives."""
+    built = []
+    for cls in (CurveConfig, SingularPoint, LocalBranch, GlobalComponent):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    code, out, _ = run(capsys, *FIVE_LINES_SCAN)
+    assert (code, len(out.splitlines()), built) == (0, 901, [])
+    monkeypatch.undo()
+    text = FIVE_LINES_SCAN[1].read_text()
+    assert out == csv_scan(text, {"a": (1, 30), "b": (1, 30)}, {"c": 1}, ())
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", FIXTURES / "sextic-pencil.vectors", "--param", "a=3",
+     "--param", "b=2", "--param", "c=1"],
+    ["verify", FIXTURES / "five-lines.vectors", "--param", "a=4",
+     "--param", "b=2", "--param", "c=0"],
+    ["oracle", FIXTURES / "conic-pencil.vectors", "--param", "a=2",
+     "--param", "b=5", "--param", "c=2"],
+    ["reduced", FIXTURES / "conic-squared.cfg"],
+    ["scan", FIXTURES / "two-lines.cfg", "--range", "a=1..2"],
+], ids=lambda argv: argv[0] if argv[0] != "scan" else "native-scan")
+def test_only_a_vector_scan_builds_a_point_plan(capsys, monkeypatch, argv):
+    """``compute``, ``verify``, ``oracle``, ``reduced`` and a scan of a
+    native template never build a point plan; a vector scan does."""
+    def refused(vectors):
+        raise AssertionError("a point plan was built")
+
+    monkeypatch.setattr(conespec.formats, "_point_plan", refused)
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    with pytest.raises(AssertionError, match="a point plan was built"):
+        run(capsys, *FIVE_LINES_SCAN)
 
 
 def test_reduced_prints_empty_base(capsys, tmp_path):
@@ -508,7 +556,7 @@ def csv_scan(text, ranges, fixed, predicates):
     for combo in itertools.product(*(range(lo, hi + 1)
                                      for lo, hi in map(ranges.get, names))):
         d, dprime, n3d, chi_u = scan_values(
-            template({**fixed, **dict(zip(names, combo))}), {})
+            template({**fixed, **dict(zip(names, combo))})._derived, {})
         values = {"n3d_zero": None if n3d is None else n3d == 0,
                   "chi_nonzero": chi_u != 0}
         if None in map(values.get, predicates):

@@ -212,7 +212,7 @@ def test_built_config_computes_no_milnor_number(monkeypatch):
             monkeypatch.setattr(module, "milnor_number", refuse)
     for cfg in configs:
         curve_table(cfg)
-        scan_values(cfg, {})
+        scan_values(cfg._derived, {})
         euler_complement(cfg)
         assert verify(cfg).checks
         assert cross_check(cfg).checks
@@ -676,7 +676,7 @@ def test_scan_cell_matches_fraction_column(name, predicates):
                                   random_mixed_swh_config,
                                   random_scaled_config])
 def test_rows_on_one_column_match_the_rows_on_all_columns(make):
-    """`_column(cfg, i, {})` is column i of row 0 of `curve_table(cfg)`
+    """`_column(cfg._derived, i, {})` is column i of row 0 of `curve_table(cfg)`
     for every i in [1, d]. `_column` is the scalar path and `curve_table`
     the whole-row path, so this pins the two paths equal on the row that
     ``scan`` reads; row 2 is pinned against the `Fraction` reference by
@@ -687,7 +687,7 @@ def test_rows_on_one_column_match_the_rows_on_all_columns(make):
         rows = curve_table(cfg).rows
         assert all(len(row) == cfg.degree for row in rows)
         for i in range(1, cfg.degree + 1):
-            assert _column(cfg, i, {}) == rows[0][i - 1]
+            assert _column(cfg._derived, i, {}) == rows[0][i - 1]
 
 
 def test_floor_row_is_shift_on_every_column():

@@ -26,7 +26,7 @@ from conespec.local import LocalBranch, SingularPoint
 from conespec.spectrum import SpectrumVector
 from generators import random_ordinary_config, random_reduced_swh_config
 from reference import (BinOp, Name, Neg, Num, emit_native,
-                       emit_table_by_cells, lex_expr_by_chars,
+                       emit_table_by_cells, emit_vectors, lex_expr_by_chars,
                        lex_expr_by_pattern, render_expr, thicken,
                        tokenize_line_by_chars)
 
@@ -371,79 +371,29 @@ def test_fixture_grids_never_error():
 FIVE_LINES = (FIXTURES / "five-lines.vectors").read_text()
 
 
-def test_vector_template_shares_recurring_records():
-    """One compiled template builds a component, point or incidence once
-    for each set of slot values and hands the same object to every config
-    that has it."""
-    template = config_template(FIVE_LINES)
-    first = template(dict(a=2, b=3, c=0))
-    second = template(dict(a=2, b=5, c=0))
-    assert first.components[0] is second.components[0]    # (1, a=2)
-    assert first.components[2] is second.components[2]    # (1, c+1=1)
-    assert first.points[1] is second.points[1]            # (3, c+1=1)
-    assert first.incidence is second.incidence            # LG = -6,1
-    assert first.points[0] is not second.points[0]        # (3, 2, 3), (3, 2, 5)
-    assert first.points[0] == SingularPoint((1, 1), [LocalBranch(1, 2),
-                                                     LocalBranch(1, 3),
-                                                     LocalBranch(1, 1)])
-
-
-def test_vector_memo_stays_within_its_bound():
-    """Over more distinct points than `MEMO_BOUND`, every config equals a
-    fresh build and no kind ever holds more than the bound."""
-    vectors = parse_vector_text(FIVE_LINES)
-    memo = ({}, {}, {}, {})
-    side = math.isqrt(formats.MEMO_BOUND) + 1
-    most = 0
-    for a in range(1, side + 1):
-        for b in range(1, side + 1):
-            binding = dict(a=a, b=b, c=a % 3)
-            assert parse_singular(vectors, binding, memo) == \
-                parse_singular(parse_vector_text(FIVE_LINES), binding)
-            assert max(map(len, memo)) <= formats.MEMO_BOUND
-            most = max(most, *map(len, memo))
-    assert most == formats.MEMO_BOUND
-    assert len(memo[1]) < formats.MEMO_BOUND            # points, emptied
-
-
-def test_vector_memo_shares_one_branch_per_multiplicity():
-    """Every branch of multiplicity m that one template builds is one
-    object, listed or padded, across points and grid points; a fresh
-    template builds its own."""
-    template = config_template(FIVE_LINES)
-    configs = [template(dict(a=a, b=b, c=c))
-               for a, b, c in itertools.product((1, 2, 5), (1, 2, 7), (0, 1))]
-    by_mult = collections.defaultdict(set)
-    for cfg in configs:
-        for point in cfg.points:
-            for branch in point.branches:
-                by_mult[branch.multiplicity].add(id(branch))
-    assert sorted(by_mult) == [1, 2, 5, 7]
-    assert all(len(ids) == 1 for ids in by_mult.values())
-    fresh = config_template(FIVE_LINES)(dict(a=2, b=2, c=1))
-    assert fresh == template(dict(a=2, b=2, c=1))
-    assert fresh.points[0].branches[0] is not \
-        template(dict(a=2, b=2, c=1)).points[0].branches[0]
-
-
-def test_vector_branch_memo_stays_within_its_bound():
-    """Over more distinct multiplicities than `MEMO_BOUND`, each of the
-    four memo dicts stays within the bound and the branch dict is emptied
-    and refilled; every config equals a fresh build."""
+def test_point_plan_keys_stay_within_their_bound(monkeypatch):
+    """Over more distinct point keys than `MEMO_BOUND`, the keys a point
+    plan keeps never number more than the bound, and are emptied and
+    refilled; every tuple the plan reads equals the built config's."""
     text = "GlCmp=-1,1,2; Si=-1,2,m, -1,1,m+1; OD=0; LG=0;"
     vectors = parse_vector_text(text)
-    memo = ({}, {}, {}, {})
-    most = 0
+    sizes = []
+    stored = formats._stored
+
+    def recorded(records, key, built):
+        stored(records, key, built)
+        sizes.append(len(records))
+        return built
+
+    monkeypatch.setattr(formats, "_stored", recorded)
+    plan = formats._point_plan(vectors)
     for m in range(1, formats.MEMO_BOUND + 10):
-        cfg = parse_singular(vectors, dict(m=m), memo)
-        assert max(map(len, memo)) <= formats.MEMO_BOUND
-        most = max(most, len(memo[3]))
+        derived = plan(dict(m=m))
         if m % 997 == 0:
-            assert cfg == parse_singular(parse_vector_text(text), dict(m=m))
-    assert most == formats.MEMO_BOUND
-    assert len(memo[3]) < formats.MEMO_BOUND            # branches, emptied
-    assert [b.multiplicity for p in cfg.points for b in p.branches] == \
-        [m, 1, m + 1]
+            assert derived == parse_singular(vectors, dict(m=m))._derived
+    assert max(sizes) == formats.MEMO_BOUND
+    assert sizes[-1] < formats.MEMO_BOUND               # emptied
+    assert len(sizes) == 2 * (formats.MEMO_BOUND + 9)   # two keys a point
 
 
 def test_one_template_at_bindings_in_turn_builds_fresh_configs():
@@ -539,6 +489,98 @@ def test_vector_walk_follows_the_binding(scan, expected):
     except ConfigError as exc:
         error = (exc.code, exc.line, str(exc))
     assert (out.getvalue(), error) == expected
+
+
+def plan_takes(text, bindings):
+    """The bindings at which the point plan of `text` reads a tuple, each
+    checked against the config `parse_singular` builds: the plan's tuple
+    equals the config's `_derived` item for item, the plan takes no
+    binding at which the build raises, and an `Expr` that raises raises
+    alike in both."""
+    vectors = parse_vector_text(text)
+    plan = formats._point_plan(vectors)
+    taken = []
+    for binding in bindings:
+        try:
+            built = parse_singular(vectors, binding)._derived
+        except ConfigError as exc:
+            built = (exc.code, exc.line, str(exc))
+        try:
+            derived = plan(binding)
+        except ConfigError as exc:
+            assert (exc.code, exc.line, str(exc)) == built, binding
+            continue
+        if derived is not None:
+            assert list(derived) == list(built), (text, binding)
+            taken.append(binding)
+    return taken
+
+
+def grid(ranges, fixed=None):
+    """Every binding of the inclusive `ranges` (name -> (lo, hi)), each
+    with the `fixed` ones."""
+    names = sorted(ranges)
+    return [{**(fixed or {}), **dict(zip(names, combo))}
+            for combo in itertools.product(*(range(lo, hi + 1) for lo, hi
+                                             in map(ranges.get, names)))]
+
+
+def parametrized(text, rng):
+    """`text`, vector text of literal slots, with a few of its slots
+    replaced by ``x``, ``y``, ``x+y`` or ``-x``, and the bindings that put
+    x and y through the values those slots held and their neighbours."""
+    head, _, body = text.partition("GlCmp=")
+    pieces = re.split(r"(-?\d+)", body)
+    numbers = range(1, len(pieces), 2)
+    picked = rng.sample(numbers, min(len(numbers), rng.randint(1, 4)))
+    near = set()
+    for k in picked:
+        value = int(pieces[k])
+        name = rng.choice(("x", "y", "x+y", "-x"))
+        pieces[k] = name
+        near |= {value - 1, value, value + 1, -value}
+    values = sorted(near | {0, 1, 2})
+    return head + "GlCmp=" + "".join(pieces), [
+        dict(x=x, y=y) for x in values for y in values]
+
+
+# grids the plan must take whole: the three scans of a `scan-grid` cycle,
+# the golden chi_nonzero scan and a pencil at c = 0, whose `-c` separator
+# skips its group
+TAKEN_WHOLE = [
+    ("five-lines", {"a": (1, 30), "b": (1, 30)}, {"c": 0}),
+    ("five-lines", {"a": (1, 30), "c": (0, 29)}, {"b": 1}),
+    ("lines-conic", {"a": (1, 15), "b": (11, 25)}, {"c": 2}),
+    ("sextic-pencil", {"a": (1, 12), "b": (1, 12)}, {"c": 1}),
+    ("conic-pencil", {"a": (1, 2)}, {"b": 1, "c": 0}),
+    ("sextic-pencil", {"a": (1, 3)}, {"b": 1, "c": 0}),
+]
+
+
+def test_point_plan_reads_what_the_config_derives():
+    """Three corpora: every shipped vector fixture with each parameter
+    through -2..6, the walk cases, and seeded ordinary configs written as
+    vector text with some slots made parameters. Wherever the plan takes a
+    binding it reads the built config's tuple, and it takes every point
+    of `TAKEN_WHOLE`."""
+    for path in sorted(FIXTURES.glob("*.vectors")):
+        bindings = grid(dict.fromkeys("abc", (-2, 6)))
+        assert plan_takes(path.read_text(), bindings), path.stem
+    for (text, ranges, fixed, _), _ in WALK_SCANS:
+        plan_takes(text, grid({name: (lo - 2, hi + 2) for name, (lo, hi)
+                               in ranges.items()}, fixed))
+    rng = random.Random(5501)
+    taken = total = 0
+    for _ in range(150):
+        text, bindings = parametrized(
+            emit_vectors(random_ordinary_config(rng)), rng)
+        taken += len(plan_takes(text, bindings))
+        total += len(bindings)
+    assert 0 < taken < total
+    for name, ranges, fixed in TAKEN_WHOLE:
+        bindings = grid(ranges, fixed)
+        text = (FIXTURES / f"{name}.vectors").read_text()
+        assert plan_takes(text, bindings) == bindings, name
 
 
 # (g, p, o, l) -> the config's (d, points, nodes, pairs) or its error, for
@@ -1346,8 +1388,16 @@ def test_emit_table_rejects_unknown_mode():
         emit_table(table, "json")
 
 
+class Unsplit(str):
+    """Text that may not be split into lines."""
+
+    def splitlines(self, *args):
+        raise AssertionError("the sniff split a text without GlCmp")
+
+
 def test_looks_like_vectors():
     assert looks_like_vectors(PENCIL)
     assert not looks_like_vectors("component degree=1 mult=1\n")
     assert not looks_like_vectors("# GlCmp mentioned in a comment only\n"
                                   "component degree=1 mult=1\n")
+    assert not looks_like_vectors(Unsplit("component degree=1 mult=1\n"))

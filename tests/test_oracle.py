@@ -699,7 +699,7 @@ def test_one_lattice_row_per_distinct_point(monkeypatch):
     monkeypatch.setattr(conespec.engine, "lattice_row", counted)
 
     def scan(cfg):              # one scan, one shared lattice mapping
-        return scan_values(cfg, {})
+        return scan_values(cfg._derived, {})
 
     for run in (scan, curve_table):
         calls.clear()

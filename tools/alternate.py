@@ -99,6 +99,18 @@ Cases (``CASES``):
   multiplicity is m: one on the reduced curve of ``weighted-oracle``, one
   on a reduced curve with the component degrees, last two points and
   nodes of its thickened curve;
+* ``pencil-scan``: ``scan`` of ``sextic-pencil`` over a, b = 1..30 at
+  c = 1, a template whose separators and branch counts are expressions
+  (``-c``, ``7+3*c``, ``-4*(c+2)``);
+* ``short-scans``: one two-point scan per vector fixture, over a and
+  a + 1 at d = 500 to 1500, as the benchmark's ``ordinary-large`` runs
+  them, so that a scan's fixed cost (the template compile and the point
+  plan) is timed with its two points: ``conic-pencil`` from a = 340 at
+  b = 114, c = 2 (d = 799), ``cubic-pencil`` from a = 358 at b = 120,
+  c = 2 (d = 1201), ``five-lines`` from a = 798 at b = 399, c = 300
+  (d = 1500), ``lines-conic`` from a = 531 at b = 265, c = 200 (d = 999),
+  ``quartic-pencil`` from a = 182 at b = 61, c = 2 (d = 798) and
+  ``sextic-pencil`` from a = 61 at b = 21, c = 1 (d = 499);
 * ``tiny``: ``scan`` of ``five-lines`` over a 2 x 2 grid;
 * ``small``: ``compute``, ``verify`` and ``oracle`` of each of the three
   pencils at d = 120 with three ``--param``, the small tables of the
@@ -245,6 +257,16 @@ CASES = {
                          ["reduced", "{weighted_view}"]],
     "weighted-scan": [["scan", "{weighted_template}", "--range", "m=20..22"],
                       ["scan", "{thickened_template}", "--range", "m=20..22"]],
+    "pencil-scan": [_scan("sextic-pencil", "--range", "a=1..30", "--range",
+                          "b=1..30", "--param", "c=1")],
+    "short-scans": [_scan(name, "--range", f"a={a}..{a + 1}", "--param",
+                          f"b={b}", "--param", f"c={c}")
+                    for name, a, b, c in (("conic-pencil", 340, 114, 2),
+                                          ("cubic-pencil", 358, 120, 2),
+                                          ("five-lines", 798, 399, 300),
+                                          ("lines-conic", 531, 265, 200),
+                                          ("quartic-pencil", 182, 61, 2),
+                                          ("sextic-pencil", 61, 21, 1))],
     "tiny": [_five_lines(2)],
     "small": [_fixture(command, name, a, b)
               for name, a, b in (("conic-pencil", 24, 69),

@@ -371,12 +371,8 @@ def test_fixture_grids_never_error():
 FIVE_LINES = (FIXTURES / "five-lines.vectors").read_text()
 
 
-def test_point_plan_keys_stay_within_their_bound(monkeypatch):
-    """Over more distinct point keys than `MEMO_BOUND`, the keys a point
-    plan keeps never number more than the bound, and are emptied and
-    refilled; every tuple the plan reads equals the built config's."""
-    text = "GlCmp=-1,1,2; Si=-1,2,m, -1,1,m+1; OD=0; LG=0;"
-    vectors = parse_vector_text(text)
+def _recorded_sizes(monkeypatch) -> list:
+    """The size of a memo dict after each record `formats._stored` keeps."""
     sizes = []
     stored = formats._stored
 
@@ -386,6 +382,36 @@ def test_point_plan_keys_stay_within_their_bound(monkeypatch):
         return built
 
     monkeypatch.setattr(formats, "_stored", recorded)
+    return sizes
+
+
+def test_vector_memo_stays_within_its_bound(monkeypatch):
+    """Over more distinct points than `MEMO_BOUND`, what a vector template
+    keeps across grid points, its point plan's keys, never numbers more
+    than the bound and is emptied and refilled; every tuple the plan reads
+    equals a fresh build's."""
+    vectors = parse_vector_text(FIVE_LINES)
+    sizes = _recorded_sizes(monkeypatch)
+    plan = formats._point_plan(vectors)
+    side = math.isqrt(formats.MEMO_BOUND) + 1
+    for a in range(1, side + 1):
+        for b in range(1, side + 1):
+            binding = dict(a=a, b=b, c=a % 3)
+            assert plan(binding) == \
+                parse_singular(parse_vector_text(FIVE_LINES), binding)._derived
+    assert max(sizes) == formats.MEMO_BOUND
+    assert sizes[-1] < formats.MEMO_BOUND               # emptied
+
+
+def test_vector_branch_memo_stays_within_its_bound(monkeypatch):
+    """Over more distinct multiplicities than `MEMO_BOUND`, the point keys
+    a point plan keeps, by (branch count, *multiplicities), where a vector
+    template once kept its branches, never number more than the bound,
+    and are emptied and refilled; every tuple the plan reads equals the
+    built config's."""
+    text = "GlCmp=-1,1,2; Si=-1,2,m, -1,1,m+1; OD=0; LG=0;"
+    vectors = parse_vector_text(text)
+    sizes = _recorded_sizes(monkeypatch)
     plan = formats._point_plan(vectors)
     for m in range(1, formats.MEMO_BOUND + 10):
         derived = plan(dict(m=m))

@@ -342,12 +342,14 @@ def _stored(records: dict, key, built):
     return built
 
 
-# The walk of the four vectors: the groups that `parse_singular` reads, by
-# the positions of their slots, in order, lazily, so that each group is
-# checked before the walk goes on. A slot that holds an `Expr` takes the
-# role its position gives it: it opens its group as a separator and
-# continues a point's multiplicity list, so that the point plan
-# (`_point_plan`) walks the compiled slots once.
+# The walk of the four vectors: their groups, by the positions of their
+# slots, in order, lazily, so that each group is checked before the walk
+# goes on. A slot that holds an `Expr` takes the role its position gives
+# it: it opens its group as a separator and continues a point's
+# multiplicity list, so that the point plan (`_point_plan`) walks the
+# compiled slots once. The positions of the point groups follow the
+# multiplicities of every group, those of a group skipped by a separator
+# of 0 too, so the plan checks those multiplicities at each binding.
 
 def _separated(slots: list, vector: str, start: int, stop: int, width: int):
     """The position of each group of `width` slots of `vector`,
@@ -370,10 +372,11 @@ def _triples(slots: list, g: int):
 
 
 def _groups(slots: list, g: int, s: int):
-    """(k, end) of each point group of ``Si``, slots[g:s], that the walk
-    reads: its separator at k, its branch count at k + 1 and its
-    multiplicities, the positive slots after it, up to end; a separator of
-    0 skips its group, after its multiplicities."""
+    """(k, end) of each point group of ``Si``, slots[g:s]: its separator at
+    k, its branch count at k + 1 and its multiplicities, the positive slots
+    after it, up to end. A group whose separator is 0 is yielded too, for
+    its multiplicities decide where the next group starts; the walk skips
+    it."""
     pos = g
     while pos < s:
         sep = slots[pos]
@@ -384,8 +387,7 @@ def _groups(slots: list, g: int, s: int):
         k, pos = pos, pos + 2
         while pos < s and (callable(slots[pos]) or slots[pos] > 0):
             pos += 1
-        if sep != 0:
-            yield k, pos
+        yield k, pos
 
 
 def _pairs(slots: list, s: int):
@@ -437,6 +439,8 @@ def parse_singular(vectors: SingularVectors,
 
     points, branches = [], {}           # a branch per multiplicity
     for k, end in _groups(slots, g, s):
+        if not slots[k]:
+            continue
         branch_count, listed = slots[k + 1], end - k - 2
         if branch_count < 1:
             raise ConfigError("value-nonpositive",
@@ -445,11 +449,11 @@ def parse_singular(vectors: SingularVectors,
             raise ConfigError("si-overflow",
                               f"point lists {listed} multiplicities for "
                               f"{branch_count} branches")
-        mults = slots[k + 2:end] + [1] * (branch_count - listed)
-        for m in set(mults).difference(branches):
+        mults, padding = slots[k + 2:end], [1] * (branch_count - listed)
+        for m in set(mults + padding[:1]).difference(branches):
             branches[m] = LocalBranch(1, m)
-        points += [SingularPoint((1, 1), [branches[m] for m in mults])] \
-            * -slots[k]
+        points += [SingularPoint((1, 1), list(map(
+            branches.__getitem__, mults + padding)))] * -slots[k]
 
     od = slots[s]
     if od < 0:

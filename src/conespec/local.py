@@ -175,21 +175,21 @@ def _point_key(weights: tuple[int, int], branches) -> tuple:
     checks each degree against {w, w', w*w'} ({1} at (1, 1)), then the
     Milnor number: (weights, terms, d_j, mass, mu), the pairs summed per
     multiplicity, sorted, as terms, the sum of multiplicity * degree as
-    mass, and mu. ``scan`` reads the keys of a vector template's points off
-    this, with no record built."""
+    mass, and mu. The walk only sums each multiplicity's degrees, and d_j
+    and the mass are read off those sums. ``scan`` reads the keys of a
+    vector template's points off this, with no record built."""
     w, wp = weights
     allowed = (1,) if w == wp == 1 else (w, wp, w * wp)
-    dj = mass = 0
     totals: dict[int, int] = {}
     for degree, mult in branches:
         if degree not in allowed:
             raise BranchDegreeError(
                 f"branch degrees must lie in {{w, w', w*w'}} = "
                 f"{{{', '.join(map(str, allowed))}}}")
-        dj += degree
-        mass += mult * degree
         totals[mult] = totals.get(mult, 0) + degree
-    return weights, tuple(sorted(totals.items())), dj, mass, \
+    dj = sum(totals.values())
+    return weights, tuple(sorted(totals.items())), dj, \
+        sum([mult * degree for mult, degree in totals.items()]), \
         milnor_number(w, wp, dj)
 
 

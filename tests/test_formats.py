@@ -422,6 +422,23 @@ def test_vector_branch_memo_stays_within_its_bound(monkeypatch):
     assert len(sizes) == 2 * (formats.MEMO_BOUND + 9)   # two keys a point
 
 
+def test_vector_memo_shares_one_branch_per_multiplicity():
+    """Within one config every branch of multiplicity m is one object,
+    listed or padded, across its points; another binding builds its own."""
+    template = config_template(FIVE_LINES)
+    for a, b, c in itertools.product((1, 2, 5), (1, 2, 7), (0, 1)):
+        cfg = template(dict(a=a, b=b, c=c))
+        by_mult = collections.defaultdict(set)
+        for point in cfg.points:
+            for branch in point.branches:
+                by_mult[branch.multiplicity].add(id(branch))
+        assert sorted(by_mult) == sorted({1, a, b, c + 1})
+        assert all(len(ids) == 1 for ids in by_mult.values())
+    first, second = (template(dict(a=2, b=2, c=1)) for _ in range(2))
+    assert first == second
+    assert first.points[0].branches[0] is not second.points[0].branches[0]
+
+
 def test_one_template_at_bindings_in_turn_builds_fresh_configs():
     """One vector template evaluated at binding after binding, records kept
     in its memo, gives the configs of a fresh template at each."""
@@ -583,18 +600,54 @@ TAKEN_WHOLE = [
 ]
 
 
+# groups skipped by a literal separator 0, whose multiplicities still end
+# the group where the walk reads them, next to groups whose values follow x
+SKIPPED_GROUPS = [
+    "GlCmp=-1,1,4; Si=0,2,x, -1,3; OD=0; LG=0;",
+    "GlCmp=-1,1,4; Si=-1,3, 0,x,x, -1,2,x; OD=0; LG=0;",
+    "GlCmp=0,x,x, -1,1,x+2; Si=-1,2; OD=x; LG=0;",
+    "GlCmp=-1,2,2; Si=-1,2; OD=0; LG=0,x, -1,x;",
+]
+
+
+# what a slot of `role_template` may hold: every expression crosses 0 or 1
+# on x, y in -2..3
+ROLE_SEPARATORS = ("-1", "-2", "0", "-x", "-y", "x-1", "1-x")
+ROLE_VALUES = ("1", "2", "3", "x", "y", "x+y", "2-x", "y-1", "x*y")
+
+
+def role_template(rng):
+    """Vector text with one to three components, up to three points of up
+    to three listed multiplicities and up to two incidence pairs, each
+    separator and value a literal (0 among the separators) or an
+    expression of x and y."""
+    def group(width):
+        return [rng.choice(ROLE_SEPARATORS)] + [
+            rng.choice(ROLE_VALUES) for _ in range(width)]
+
+    glcmp = sum((group(2) for _ in range(rng.randint(1, 3))), [])
+    si = sum((group(1 + rng.randint(0, 3)) for _ in range(rng.randint(0, 3))),
+             [])
+    lg = sum((group(1) for _ in range(rng.randint(0, 2))), []) or ["0"]
+    return (f"GlCmp={','.join(glcmp)}; Si={','.join(si)}; "
+            f"OD={rng.choice(('0', '1', 'x', 'y-1'))}; LG={','.join(lg)};")
+
+
 def test_point_plan_reads_what_the_config_derives():
-    """Three corpora: every shipped vector fixture with each parameter
-    through -2..6, the walk cases, and seeded ordinary configs written as
-    vector text with some slots made parameters. Wherever the plan takes a
-    binding it reads the built config's tuple, and it takes every point
-    of `TAKEN_WHOLE`."""
+    """Four corpora: every shipped vector fixture with each parameter
+    through -2..6, the walk cases with the groups a separator 0 skips,
+    seeded ordinary configs written as vector text with some slots made
+    parameters, and seeded templates with an expression of x and y in any
+    role. Wherever the plan takes a binding it reads the built config's
+    tuple, and it takes every point of `TAKEN_WHOLE`."""
     for path in sorted(FIXTURES.glob("*.vectors")):
         bindings = grid(dict.fromkeys("abc", (-2, 6)))
         assert plan_takes(path.read_text(), bindings), path.stem
     for (text, ranges, fixed, _), _ in WALK_SCANS:
         plan_takes(text, grid({name: (lo - 2, hi + 2) for name, (lo, hi)
                                in ranges.items()}, fixed))
+    for text in SKIPPED_GROUPS:
+        assert plan_takes(text, grid({"x": (-2, 2)})), text
     rng = random.Random(5501)
     taken = total = 0
     for _ in range(150):
@@ -603,6 +656,11 @@ def test_point_plan_reads_what_the_config_derives():
         taken += len(plan_takes(text, bindings))
         total += len(bindings)
     assert 0 < taken < total
+    taken = 0
+    for _ in range(300):
+        taken += len(plan_takes(role_template(rng),
+                                grid(dict.fromkeys("xy", (-2, 3)))))
+    assert taken > 500
     for name, ranges, fixed in TAKEN_WHOLE:
         bindings = grid(ranges, fixed)
         text = (FIXTURES / f"{name}.vectors").read_text()
